@@ -2,16 +2,16 @@
 
 The package computes, in exact rational or floating complex arithmetic:
 
-* a family of matrix-valued polynomials generated by iterated first-order
-  operators (a Rodrigues-type construction) that diagonalizes the
-  polynomial correction problem,
+* the paper's family of matrix-valued polynomials generated by iterated
+  first-order operators (a Rodrigues-type construction), in which the
+  polynomial correction problem becomes triangular,
 * the unique polynomial correction phi (x-degree <= S) making a
   nonhomogeneous Fuchsian system solvable in polynomials, plus the
   solution — or, for non-polynomial data, an analytic solution handle
   built from moment integrals along complex paths,
 * order-by-order formal linearizations and normal forms of nonlinear
-  perturbations u' = A(x)u + f(x, u)/Q, together with independent
-  conjugacy-identity verification.
+  perturbations u' = A(x)u + f(x, u)/Q, together with a check of the
+  conjugacy identity each satisfies.
 """
 
 from .exact import ExactComplex

@@ -9,12 +9,14 @@ most S and polynomial solution y such that
 
     y' + B(x) y = (1/Q) (g(x) - phi(x)).
 
-``solve_polynomial`` does this by expanding g in the lowered-residue
-polynomial family: members of index <= S are plain monomials and make up
-phi; every higher member of the lowered family is Q times a derivative of a
-weighted product, which after peeling one derivative becomes the original
-family applied one block lower -- so the remaining part is reachable and y
-comes out degree deg g - S - 1.
+``solve_polynomial`` does this by descending back-substitution on the
+cleared equation Q y' + (QB) y = g - phi.  Q is monic of degree S+2 and QB
+has degree S+1 with leading coefficient B_inf, so the coefficient of
+x^(k+S+1) is (k + B_inf) y_k plus terms of the y_j with j > k: the
+indicial equation at infinity.  One solve per k fixes y from the top down,
+and what is left of g at degrees <= S is phi.  The paper builds the same
+(unique) pair by expanding g in the lowered Rodrigues family; the tests
+keep that construction as the reference.
 
 ``local_taylor`` independently solves the same equation as a Taylor series
 at one pole (the cross-check used by tests and certificates).
@@ -37,14 +39,12 @@ from .matrices import (
     is_invertible,
     solve_linear,
     vec_add,
-    vec_is_zero,
     vec_scale,
     vec_sub,
     vec_zero,
 )
-from .model import AssumptionError, check_linear_assumption
+from .model import AssumptionError
 from .poly import VecPoly, sp_eval, sp_taylor
-from .rodrigues import RodriguesFamily, shifted_system
 
 
 @dataclass
@@ -98,28 +98,42 @@ class ShiftStep:
 def solve_polynomial(system, g, tol=1e-12):
     """Unique polynomial correction and solution for a polynomial rhs.
 
-    Needs every integer shift k + B_j and k + B_inf invertible (the
-    expansion raises AssumptionError on a singular leading coefficient);
-    no spectral positivity and no nonresonance between eigenvalues.
+    Raises AssumptionError exactly when some k + B_inf with k >= 0 is
+    singular: below deg g - S the recursion cannot solve, and above it a
+    singular shift may carry a polynomial kernel that makes (phi, y)
+    non-unique.  The residues B_j enter no solve, and no spectral
+    positivity or nonresonance between eigenvalues is needed.
     """
     if g.dim != system.size:
         raise ValueError("right-hand side dimension mismatch")
     exact = system.exact
     work = g if exact else g.trim(tol)
     s = system.s
-    if work.degree <= s:
-        return CorrectionResult(phi=work, y=VecPoly.zero(system.size, exact))
-    lowered = RodriguesFamily(shifted_system(system))
-    coeffs = lowered.expand(work, tol)
-    phi = VecPoly.from_coeffs(coeffs[: s + 1], exact, dim=system.size)
-    base = RodriguesFamily(system)
-    y = VecPoly.zero(system.size, exact)
-    for n in range(s + 1, len(coeffs)):
-        vec = coeffs[n]
-        if vec_is_zero(vec):
-            continue
-        y = y + base.member_times_vector(n - s - 1, tuple(vec))
-    return CorrectionResult(phi=phi, y=y)
+    q = system.q_poly()
+    qb = system.qb_poly().coeffs
+    k_bad = _singular_infinity_shift(system, tol)
+    if k_bad is not None:
+        raise AssumptionError(f"k + B_inf singular at k={k_bad}: (phi, y) not unique")
+    binf = system.b_infinity()
+    rem = list(work.coeffs)
+    ys = []
+    for k in range(work.degree - s - 1, -1, -1):
+        try:
+            y_k = solve_linear(binf.add_scaled_identity(k), rem[k + s + 1], tol)
+        except SingularMatrixError as err:
+            raise AssumptionError(
+                f"k + B_inf singular at k={k}: {err}"
+            ) from None
+        ys.append(y_k)
+        # subtract k Q y_k x^(k-1) + (QB) y_k x^k below the eliminated top
+        for i, q_i in enumerate(q[:-1] if k else ()):
+            rem[i + k - 1] = vec_sub(rem[i + k - 1], vec_scale(k * q_i, y_k))
+        for i, qb_i in enumerate(qb[: s + 1]):
+            rem[i + k] = vec_sub(rem[i + k], qb_i.matvec(y_k))
+    return CorrectionResult(
+        phi=VecPoly.from_coeffs(rem[: s + 1], exact, dim=system.size),
+        y=VecPoly.from_coeffs(ys[::-1], exact, dim=system.size),
+    )
 
 
 def local_taylor(system, pole_index, rhs, order, tol=1e-12):
@@ -216,31 +230,31 @@ def pull_back_correction(system, phi_lifted, tol=1e-12):
 
 
 def solution_uniqueness_check(system, degree, tol=1e-12, k_max=0):
-    """Does the polynomial problem have a trivial kernel up to ``degree``?
+    """Is (phi, y) unique for a right-hand side up to ``degree``?
 
-    True when every leading coefficient of both families involved is
-    invertible through the given right-hand-side degree -- then expansion
-    coefficients, hence (phi, y), are uniquely determined.  Returns None
-    (with a warning) when the integer-shift invertibility that the check
-    itself rests on fails.
+    True when every k + B_inf with k >= 0 is invertible, whatever
+    ``degree`` and ``k_max``; None (with a warning) when one is singular.
     """
-    report = check_linear_assumption(system, k_max=max(k_max, degree), tol=max(tol, 1e-9))
-    if not report.passed:
+    k_bad = _singular_infinity_shift(system, tol)
+    if k_bad is not None:
         warnings.warn(
-            "uniqueness check skipped: integer-shift invertibility fails "
-            f"(first violation: residue {report.violations[0].residue}, "
-            f"k={report.violations[0].k})",
+            f"uniqueness check skipped: k + B_inf singular at k={k_bad}",
             stacklevel=2,
         )
         return None
-    lowered = RodriguesFamily(shifted_system(system))
-    base = RodriguesFamily(system)
-    for n in range(degree + 1):
-        if not is_invertible(lowered.leading_coeff(n), tol):
-            return False
-        if not is_invertible(base.leading_coeff(n), tol):
-            return False
     return True
+
+
+def _singular_infinity_shift(system, tol):
+    """Least k >= 0 with k + B_inf singular, or None.  Only the shift
+    nearest each float eigenvalue of B_inf can be, so only it is checked."""
+    binf = system.b_infinity()
+    near = {round(-ev.real) for ev in system.residue_spectrum("inf")
+            if abs(ev.imag) < 0.5}
+    for k in sorted(near):
+        if k >= 0 and not is_invertible(binf.add_scaled_identity(k), tol):
+            return k
+    return None
 
 
 # ----------------------------------------------------------------------

@@ -313,10 +313,6 @@ def scalar_json(value):
     return [z.real, z.imag]
 
 
-def vector_json(vec):
-    return [scalar_json(v) for v in vec]
-
-
 def matrix_json(mat):
     return [[scalar_json(mat.entry(i, j)) for j in range(mat.n_cols)]
             for i in range(mat.n_rows)]

@@ -108,9 +108,6 @@ class ExactComplex:
     def __pos__(self):
         return self
 
-    def conjugate(self):
-        return ExactComplex(self.re, -self.im)
-
     # -- comparisons / conversions --------------------------------------
 
     def __eq__(self, other):
@@ -138,10 +135,6 @@ class ExactComplex:
             return f"ExactComplex({self.re})"
         return f"ExactComplex({self.re}, {self.im})"
 
-    @property
-    def is_real(self):
-        return self.im == 0
-
 
 def _coerce(value):
     if isinstance(value, ExactComplex):
@@ -166,10 +159,6 @@ def _parse_rational(value):
 
 EXACT_ZERO = ExactComplex(0)
 EXACT_ONE = ExactComplex(1)
-
-
-def is_exact_scalar(z):
-    return isinstance(z, ExactComplex)
 
 
 def zero(exact):

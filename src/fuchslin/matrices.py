@@ -4,7 +4,8 @@ Matrices here are tiny (a system of size d induces blocks of size
 d*(n+d-1)!/(n!(d-1)!), a few dozen at most), so these are plain tuples of
 tuples with straightforward O(n^3) algorithms.  Float-mode solves and all
 eigenvalues go through numpy; exact-mode solves do Gaussian elimination in
-the Gaussian rationals with magnitude pivoting.
+the Gaussian rationals, pivoting on the first exactly nonzero entry (never
+on a float magnitude, which can underflow to zero or overflow).
 """
 
 from __future__ import annotations
@@ -178,9 +179,6 @@ class CMatrix:
             self.exact,
         )
 
-    def transpose(self):
-        return CMatrix(tuple(zip(*self.rows)), self.exact)
-
     # -- predicates ------------------------------------------------------
 
     def max_abs(self):
@@ -304,8 +302,8 @@ def _solve_exact(a, cols):
     work = [list(r) + [c[i] for c in cols] for i, r in enumerate(a.rows)]
     width = n + len(cols)
     for k in range(n):
-        pivot_row = max(range(k, n), key=lambda r: abs(work[r][k]))
-        if not work[pivot_row][k]:
+        pivot_row = next((r for r in range(k, n) if work[r][k]), None)
+        if pivot_row is None:
             raise SingularMatrixError(f"exact pivot vanished at column {k}")
         if pivot_row != k:
             work[k], work[pivot_row] = work[pivot_row], work[k]

@@ -160,9 +160,6 @@ class FuchsianSystem:
             tuple(m.add_scaled_identity(delta) for m in self.residues),
         )
 
-    def with_residues(self, residues):
-        return FuchsianSystem(self.poles, tuple(residues))
-
     def __repr__(self):
         kind = "exact" if self.exact else "float"
         return (
@@ -325,12 +322,6 @@ class NonlinearSystem:
 
     def order_max(self):
         return max((sum(m) for m in self.nonlinearity), default=0)
-
-    def terms_sorted(self):
-        return sorted(self.nonlinearity.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def terms_of_order(self, n):
-        return {m: c for m, c in self.nonlinearity.items() if sum(m) == n}
 
     def x_degree(self):
         return max((c.degree for c in self.nonlinearity.values()), default=-1)

@@ -43,10 +43,6 @@ def sp_degree(coeffs):
     return len(coeffs) - 1
 
 
-def sp_is_zero(coeffs, tol=0.0):
-    return all(scalar_is_zero(c, tol) for c in coeffs)
-
-
 def sp_add(a, b):
     n = max(len(a), len(b))
     out = []
@@ -289,12 +285,6 @@ class VecPoly:
         ]
         n = len(self.coeffs)
         return [tuple(comps[i][k] for i in range(self.dim)) for k in range(n)]
-
-    def shift_center(self, center):
-        """self as a polynomial in t = x - center."""
-        return VecPoly.from_coeffs(
-            self.taylor_at(center) or [], self.exact, dim=self.dim
-        )
 
     def div_exact_sp(self, sp, tol=0.0):
         """Divide by a scalar polynomial that must divide self exactly.

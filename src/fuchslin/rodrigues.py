@@ -157,15 +157,6 @@ class RodriguesFamily:
         coeffs.reverse()
         return coeffs
 
-    def synthesize(self, coeff_vectors):
-        """sum_n P_n g_n for a list of constant vectors (ascending n)."""
-        out = VecPoly.zero(self.system.size, self.system.exact)
-        for n, vec in enumerate(coeff_vectors):
-            if vec_is_zero(vec):
-                continue
-            out = out + self.member_times_vector(n, tuple(vec))
-        return out
-
 
 def shifted_system(system):
     """The companion system with every residue lowered by the identity.

@@ -32,7 +32,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from fuchslin.analytic import moments, rhs_moment, solve_analytic
+from fuchslin.analytic import (float_system, float_vecpoly, moments,
+                               rhs_moment, solve_analytic)
 from fuchslin.cli import main as cli_main
 from fuchslin.correction import shift_up, solve_polynomial
 from fuchslin.document import dumps_canonical, series_table_json
@@ -122,24 +123,6 @@ def random_vecpoly(rng, d, degree, denom=2):
         top[0] = ExactComplex(1)
         coeffs[-1] = tuple(top)
     return VecPoly.from_coeffs(coeffs, exact=True, dim=d)
-
-
-def float_system(system):
-    return FuchsianSystem(
-        [complex(p) for p in system.poles],
-        [
-            CMatrix.from_rows(
-                [[complex(v) for v in row] for row in m.rows], False
-            )
-            for m in system.residues
-        ],
-    )
-
-
-def float_vecpoly(p):
-    return VecPoly.from_coeffs(
-        [[complex(c) for c in v] for v in p.coeffs], exact=False, dim=p.dim
-    )
 
 
 def table_differences(a, b, n_max):

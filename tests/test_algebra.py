@@ -109,6 +109,21 @@ def test_singular_matrix_raises():
         solve_linear(matf, (1.0 + 0j, 0.0 + 0j))
 
 
+def test_exact_pivot_never_goes_through_a_float():
+    # 10^-400 is 0.0 as a float and 10^400 overflows; the exact solve
+    # must see the first as a nonzero pivot and never convert the second.
+    tiny = ExactComplex(Fraction(1, 10**400))
+    huge = ExactComplex(10**400)
+    one = ExactComplex(1)
+    zero = ExactComplex(0)
+    for rows in ([[zero, one], [tiny, zero]], [[huge, one], [one, zero]]):
+        mat = CMatrix.from_rows(rows, exact=True)
+        rhs = (ExactComplex(3), ExactComplex(5))
+        x = solve_linear(mat, rhs)
+        assert mat.matvec(x) == rhs
+        assert is_invertible(mat)
+
+
 def test_float_solve_accuracy():
     rng = random.Random(7)
     for _ in range(20):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from fuchslin.analytic import float_system, float_vecpoly
 from fuchslin.correction import (
     local_taylor,
     pull_back_correction,
@@ -17,8 +18,9 @@ from fuchslin.correction import (
 )
 from fuchslin.exact import ExactComplex
 from fuchslin.matrices import CMatrix
-from fuchslin.model import FuchsianSystem
+from fuchslin.model import AssumptionError, FuchsianSystem
 from fuchslin.poly import VecPoly
+from fuchslin.rodrigues import RodriguesFamily, shifted_system
 
 
 def scalar_system(b0, b1):
@@ -74,21 +76,6 @@ def cleared_residual(system, g, phi, y):
     q = system.q_poly()
     lhs = y.derivative().mul_sp(q) + system.qb_poly().mul_vec(y)
     return lhs - (g - phi)
-
-
-def float_system(system):
-    poles = [complex(p) for p in system.poles]
-    mats = [
-        CMatrix.from_rows([[complex(v) for v in row] for row in m.rows], False)
-        for m in system.residues
-    ]
-    return FuchsianSystem(poles, mats)
-
-
-def float_vecpoly(p):
-    return VecPoly.from_coeffs(
-        [[complex(c) for c in v] for v in p.coeffs], exact=False, dim=p.dim
-    )
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +138,51 @@ def test_float_route_matches_exact():
         assert resid.max_abs() <= 1e-8 * scale
         diff = float_result.phi - float_vecpoly(exact_result.phi)
         assert diff.max_abs() <= 1e-8 * scale
+
+
+def test_assumption_error_for_any_singular_shift_of_b_infinity():
+    # residues -1/2 and -3/2 give B_inf = -2, so k + B_inf is singular at
+    # k = 2, and y_h = x^2 - x - 1/2 solves Q y' + (QB) y = 3/2: any
+    # (phi, y) could be moved along (3/2, y_h), so no right-hand side has
+    # a unique correction, whatever its degree.
+    system = scalar_system(Fraction(-1, 2), Fraction(-3, 2))
+    zero, one = ExactComplex(0), ExactComplex(1)
+    half = ExactComplex(Fraction(1, 2))
+    y_h = VecPoly.from_coeffs([(-half,), (-one,), (one,)], exact=True)
+    phi_h = VecPoly.from_coeffs([(-3 * half,)], exact=True)
+    g_zero = VecPoly.zero(1, True)
+    assert cleared_residual(system, g_zero, phi_h, y_h).is_zero()
+    for deg in (1, 2, 3):
+        g = VecPoly.from_coeffs([(zero,)] * deg + [(one,)], exact=True)
+        with pytest.raises(AssumptionError, match="k=2"):
+            solve_polynomial(system, g)
+    # residues -1 and 5/2: k + B_0 is singular at k = 1, but B_inf = 3/2
+    # has no singular shift, and the residues B_j enter no solve.
+    system = scalar_system(Fraction(-1), Fraction(5, 2))
+    g = VecPoly.from_coeffs([(zero,), (zero,), (zero,), (one,)], exact=True)
+    result = solve_polynomial(system, g)
+    assert result.phi.coeffs == ((ExactComplex(-5),),)
+    assert cleared_residual(system, g, result.phi, result.y).is_zero()
+    assert solution_uniqueness_check(system, degree=3) is True
+
+
+def test_matches_rodrigues_expansion():
+    """The paper's route: expand g in the lowered family; its first S+1
+    coefficients are phi and the rest build y from the original family."""
+    rng = random.Random(31)
+    for _ in range(30):
+        system = random_positive_system(rng, d_max=3, s_max=2)
+        s = system.s
+        g = random_vecpoly(rng, system.size, rng.randint(s + 1, s + 4))
+        coeffs = RodriguesFamily(shifted_system(system)).expand(g)
+        base = RodriguesFamily(system)
+        phi = VecPoly.from_coeffs(coeffs[: s + 1], True, dim=system.size)
+        y = VecPoly.zero(system.size, True)
+        for n in range(s + 1, len(coeffs)):
+            y = y + base.member_times_vector(n - s - 1, coeffs[n])
+        result = solve_polynomial(system, g)
+        assert (result.phi - phi).is_zero()
+        assert (result.y - y).is_zero()
 
 
 def test_dimension_mismatch_rejected():

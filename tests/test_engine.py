@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 from fuchslin.engine import (
     SeriesTable,
@@ -278,6 +279,85 @@ def test_degree_bound_and_exact_residuals_random():
             assert p.degree <= s
         report2 = verify_conjugacy(nl, psi, h2, 4, mode="normal-form")
         assert report2.max_residual == 0.0
+
+
+def _sympy_poly(p, x):
+    """Component 0 of an exact VecPoly as a sympy polynomial in x."""
+    return sum(
+        (sp.Rational(v[0].re.numerator, v[0].re.denominator)
+         + sp.I * sp.Rational(v[0].im.numerator, v[0].im.denominator)) * x**k
+        for k, v in enumerate(p.coeffs)
+    )
+
+
+def _sympy_series(table, x, w):
+    return sum(_sympy_poly(p, x) * w ** m[0] for m, p in table.items())
+
+
+@pytest.mark.parametrize("mode", ["obstruction", "normal-form"])
+def test_conjugacy_identity_in_sympy(mode):
+    """u = w + h(x, w) carries the target flow to u' = Au + f(x, u)/Q.
+
+    Checked with denominators cleared, mod w^(N+1), by sympy substitution
+    and expansion -- not through compose_series, which the engine and
+    verify_conjugacy share.  Target flows:
+      obstruction:  u' = Au + (f - phi)(x, u)/Q  with  w' = Aw
+      normal-form:  u' = Au + f(x, u)/Q          with  w' = Aw + psi(x, w)/Q
+    """
+    x, w = sp.symbols("x w")
+    order = 4
+    linear = scalar_linear(1, "3/2")
+    f_terms = {(2,): vp([[1], ["1/2"], [-1]]), (3,): vp([["-1/2"], [0], [1]])}
+    nl = NonlinearSystem(linear, f_terms)
+    runner = linearize if mode == "obstruction" else normal_form
+    series, h = runner(nl, order)
+    assert series.get((2,)) is not None and h.get((2,)) is not None
+
+    q = (x + 1) * (x - 1)
+    qa = 1 * (x - 1) + sp.Rational(3, 2) * (x + 1)
+    u = w + _sympy_series(h.terms, x, w)
+    corr = _sympy_series(series.terms, x, w)
+    f_of_u = sum(_sympy_poly(p, x) * u ** m[0] for m, p in f_terms.items())
+    if mode == "obstruction":
+        target = qa * w
+        rhs = qa * u + f_of_u - corr.subs(w, u)
+    else:
+        target = qa * w + corr
+        rhs = qa * u + f_of_u
+    # Q u' = Q u_x + u_w (Q w')
+    identity = sp.expand(q * sp.diff(u, x) + sp.diff(u, w) * target - rhs)
+    coeffs = sp.Poly(identity, w).all_coeffs()[::-1]
+    for k, c in enumerate(coeffs[: order + 1]):
+        assert sp.expand(c) == 0, (mode, k, c)
+
+
+def test_s0_float_accuracy_at_order_16():
+    # d=1, S=0 to order 16 (the float-series benchmark's first class, seed
+    # 1, round 1).  Residual per order relative to max(1, largest
+    # coefficient of h and of the series at that order).
+    linear = FuchsianSystem(
+        (3.0 + 0j, 4.0 + 0j),
+        (
+            CMatrix.from_rows([[1.6 + 0j]], False),
+            CMatrix.from_rows([[1.3 + 0j]], False),
+        ),
+    )
+    nl = NonlinearSystem(linear, {
+        (2,): VecPoly.from_coeffs([[1.0], [1.5], [1.5], [-0.5]], False, 1),
+        (3,): VecPoly.from_coeffs([[0.5], [2.0], [-2.0], [-0.5]], False, 1),
+    })
+    order = 16
+    for mode, runner in (("obstruction", linearize),
+                         ("normal-form", normal_form)):
+        series, h = runner(nl, order)
+        report = verify_conjugacy(nl, series, h, order, mode=mode)
+        for n, residual in report.residuals.items():
+            size = max([1.0] + [
+                float(p.max_abs())
+                for p in list(h.order_slice(n).values())
+                + list(series.order_slice(n).values())
+            ])
+            assert residual / size <= 1e-9, (mode, n, residual / size)
 
 
 # ----------------------------------------------------------------------

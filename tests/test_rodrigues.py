@@ -238,7 +238,9 @@ def test_expand_synthesize_roundtrip():
         )
         coeffs = family.expand(g)
         assert len(coeffs) == max(deg + 1, 1) or g.is_zero()
-        back = family.synthesize(coeffs)
+        back = VecPoly.zero(1, True)
+        for n, vec in enumerate(coeffs):
+            back = back + family.member_times_vector(n, vec)
         assert (back - g).is_zero()
 
 
