@@ -98,11 +98,7 @@ class FundamentalSolution:
     radius: float           # distance to the nearest other pole
 
     def eval_phi(self, x):
-        t = complex(x) - self.center
-        acc = np.zeros_like(self.series[0])
-        for c in reversed(self.series):
-            acc = acc * t + c
-        return acc
+        return _eval_series_mat(self.series, complex(x) - self.center)
 
     def w_local(self, x):
         """t^{B} Phi(x) with the principal branch of log t."""
@@ -167,12 +163,12 @@ def float_vecpoly(p):
 # ----------------------------------------------------------------------
 
 
-def default_path(system, target, clearance=0.1):
+def default_path(system, target):
     """Straight basepoint-to-target polyline, bulged around blocking poles.
 
-    Any other pole closer to the segment than ``clearance`` times the
-    minimal pole gap is rounded by a sampled semicircular arc on the left
-    of the travel direction.
+    Any other pole closer to the segment than a tenth of the minimal pole
+    gap is rounded by a sampled semicircular arc on the left of the travel
+    direction.
     """
     poles = [complex(p) for p in system.poles]
     p0 = poles[0]
@@ -180,7 +176,7 @@ def default_path(system, target, clearance=0.1):
     gaps = [
         min(abs(p - q) for q in poles if q is not p) for p in poles
     ]
-    r = clearance * min(gaps)
+    r = 0.1 * min(gaps)
     d = target - p0
     length = abs(d)
     if length == 0:
@@ -369,7 +365,7 @@ def _pole_blocks(ctx, j, powers, g_poly, count):
         xi = _power_series_at(p_j, i, count)
         scalar = _series_mul_scalar(xi, inv_cof, count)
         blocks[i] = [
-            _series_coeff_mat(scalar, phi, k) for k in range(count)
+            _series_coeff_vec(scalar, phi, k) for k in range(count)
         ]
     gw = None
     if g_poly is not None:
@@ -391,15 +387,6 @@ def _series_mul_scalar(a, b, count):
         for jj in range(count - i):
             out[i + jj] += ai * b[jj]
     return out
-
-
-def _series_coeff_mat(scalar, mats, k):
-    d = mats[0].shape[0]
-    acc = np.zeros((d, d), dtype=complex)
-    for l in range(k + 1):
-        if l < len(scalar) and k - l < len(mats):
-            acc += scalar[l] * mats[k - l]
-    return acc
 
 
 def _series_coeff_matvec(mats, vecs, k):
@@ -908,49 +895,38 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
 def _certify(ctx_top, sysf, gf, phi, phi_top, passes, ladder, handle, tol):
     """Continuation vs local series at every pole, on the original system."""
     report = CertificateReport(tol=tol)
-    d = ctx_top.d
     s = ctx_top.system.s
 
-    # at the basepoint: endpoint-series value vs ladder-composed local series
+    # pole 0 is checked at the basepoint, every other pole at the stop
+    # point of its pass: endpoint-series value vs ladder-composed series
     first = passes[0]
-    xi0 = first.xi_start.copy()
-    for i in range(s + 1):
-        coeff = np.array(
-            [complex(c) for c in phi_top.coefficient(i)]
-        )
-        xi0 -= first.mats_start[i] @ coeff
-    y_top0 = np.linalg.solve(first.w_start, xi0)
-    value0 = np.array(handle._compose_point(first.start_point, y_top0))
-    series0 = handle.taylor_at_pole(0, order=_cert_order(ctx_top, 0, tol))
-    ref0 = np.array(series0.eval(first.start_point))
-    scale0 = max(float(np.max(np.abs(ref0))), float(np.max(np.abs(value0))))
-    diff0 = float(np.max(np.abs(value0 - ref0)))
-    report.checks.append(PoleCheck(
-        0, first.start_point, diff0, scale0,
-        diff0 <= 10 * tol * max(1.0, scale0),
-    ))
-
-    for j, result in enumerate(passes, start=1):
-        xi_mid = result.xi_mid.copy()
+    checkpoints = [(0, first.start_point, first.xi_start, first.mats_start,
+                    first.w_start)]
+    checkpoints += [
+        (j, r.mid_point, r.xi_mid, r.mats_mid, r.w_mid)
+        for j, r in enumerate(passes, start=1)
+    ]
+    for j, point, xi, mats, w in checkpoints:
+        xi = xi.copy()
         for i in range(s + 1):
             coeff = np.array(
                 [complex(c) for c in phi_top.coefficient(i)]
             )
-            xi_mid -= result.mats_mid[i] @ coeff
-        y_top = np.linalg.solve(result.w_mid, xi_mid)
-        value = np.array(handle._compose_point(result.mid_point, y_top))
-        series = handle.taylor_at_pole(j, order=_cert_order(ctx_top, j, tol))
-        ref = np.array(series.eval(result.mid_point))
+            xi -= mats[i] @ coeff
+        y_top = np.linalg.solve(w, xi)
+        value = np.array(handle._compose_point(point, y_top))
+        series = handle.taylor_at_pole(j, order=_cert_order(tol))
+        ref = np.array(series.eval(point))
         scale = max(float(np.max(np.abs(ref))), float(np.max(np.abs(value))))
         diff = float(np.max(np.abs(value - ref)))
         report.checks.append(PoleCheck(
-            j, result.mid_point, diff, scale,
+            j, point, diff, scale,
             diff <= 10 * tol * max(1.0, scale),
         ))
     return report
 
 
-def _cert_order(ctx, j, tol):
+def _cert_order(tol):
     ratio = 0.25
     eta = max(tol * 1e-2, 1e-16)
     return max(25, min(int(math.ceil(math.log(eta) / math.log(ratio))) + 8, 200))

@@ -229,11 +229,11 @@ def pull_back_correction(system, phi_lifted, tol=1e-12):
     return result.phi, result.y
 
 
-def solution_uniqueness_check(system, degree, tol=1e-12, k_max=0):
-    """Is (phi, y) unique for a right-hand side up to ``degree``?
+def solution_uniqueness_check(system, tol=1e-12):
+    """Is (phi, y) unique for every polynomial right-hand side?
 
-    True when every k + B_inf with k >= 0 is invertible, whatever
-    ``degree`` and ``k_max``; None (with a warning) when one is singular.
+    True when every k + B_inf with k >= 0 is invertible; None (with a
+    warning) when one is singular.
     """
     k_bad = _singular_infinity_shift(system, tol)
     if k_bad is not None:

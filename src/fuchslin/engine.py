@@ -29,6 +29,12 @@ order 3 on -- they are different canonical objects answering different
 questions.  ``compare_modes`` reports where they separate;
 ``verify_conjugacy`` checks each mode against its own identity.
 
+The right-hand sides rest on two pieces.  ``compose_series`` builds each
+power (w + h)^m that the table needs once per call, from the power one
+lower in its last nonzero index, truncated at the order in hand.
+``_jacobian_product`` adds [(d_w h) V]_n: the engine calls it with
+V = psi for the normal-form term, the verifier with V = (QA) w.
+
 All series loops iterate keys in sorted order, so results are
 bit-for-bit reproducible regardless of how the nonlinearity table was
 assembled (float addition is not associative; a fixed order makes it
@@ -37,6 +43,8 @@ deterministic).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 from .correction import solve_polynomial
@@ -162,13 +170,38 @@ def _substitution_components(h_table, dim, exact, n_max):
     return subs
 
 
-def _power_chain(series, k_max, n_max, exact, dim):
-    """[series^0, series^1, ..., series^k_max] truncated at degree n_max."""
-    one = {(0,) * dim: (from_int(1, exact),)}
-    chain = [one]
-    for _ in range(k_max):
-        chain.append(_ser_mul(chain[-1], series, n_max, exact))
-    return chain
+def _jacobian_product(acc, h_terms, v_terms, n, sign, exact, dim):
+    """Add sign * [(d_w h) V]_n into the per-component slots ``acc``.
+
+    ``h_terms`` and ``v_terms`` are {monomial: VecPoly} tables of h and of
+    the vector field V; (d_w h) V = sum_l (d h / d w_l) V_l, so the term
+    h_m w^m times V_l at w^mv lands on m - e_l + mv with factor m_l.
+    """
+    by_order = {}
+    for mv in sorted(v_terms):
+        factors = [v_terms[mv].component(l) for l in range(dim)]
+        by_order.setdefault(sum(mv), []).append((mv, factors))
+    for mh in sorted(h_terms):
+        matches = by_order.get(n + 1 - sum(mh))
+        if not matches:
+            continue
+        comps = [h_terms[mh].component(i) for i in range(dim)]
+        for mv, factors in matches:
+            for l in range(dim):
+                if not (mh[l] and factors[l]):
+                    continue
+                target = tuple(
+                    t + e - (k == l) for k, (t, e) in enumerate(zip(mh, mv))
+                )
+                scale = from_int(sign * mh[l], exact)
+                slot = acc.setdefault(target, [() for _ in range(dim)])
+                for i in range(dim):
+                    if comps[i]:
+                        slot[i] = sp_add(
+                            slot[i],
+                            sp_scale(scale, sp_mul(comps[i], factors[l],
+                                                   exact)),
+                        )
 
 
 def compose_series(f_terms, h_table, extra, n, mode="obstruction"):
@@ -193,58 +226,31 @@ def compose_series(f_terms, h_table, extra, n, mode="obstruction"):
             table[m] = (cur - p) if cur is not None else -p
 
     subs = _substitution_components(h_table, dim, exact, n)
-    max_pow = [0] * dim
-    for m in table:
-        for i in range(dim):
-            max_pow[i] = max(max_pow[i], m[i])
-    chains = [
-        _power_chain(subs[i], max_pow[i], n, exact, dim) for i in range(dim)
-    ]
+    powers = {(0,) * dim: {(0,) * dim: (from_int(1, exact),)}}
+
+    def power(m):
+        # (w + h)^m = (w + h)^(m - e_i) (w + h)_i, i the last nonzero index
+        if m not in powers:
+            i = max(k for k in range(dim) if m[k])
+            lower = tuple(v - (k == i) for k, v in enumerate(m))
+            powers[m] = _ser_mul(power(lower), subs[i], n, exact)
+        return powers[m]
 
     acc = {}
     for mt in sorted(table):
-        coeff = table[mt]
-        prod = chains[0][mt[0]]
-        for i in range(1, dim):
-            prod = _ser_mul(prod, chains[i][mt[i]], n, exact)
+        comps = [table[mt].component(i) for i in range(dim)]
+        prod = power(mt)
         for mu in sorted(prod):
             if sum(mu) != n:
                 continue
-            spoly = prod[mu]
             slot = acc.setdefault(mu, [() for _ in range(dim)])
             for i in range(dim):
-                comp = coeff.component(i)
-                if comp:
-                    slot[i] = sp_add(slot[i], sp_mul(comp, spoly, exact))
+                if comps[i]:
+                    slot[i] = sp_add(slot[i],
+                                     sp_mul(comps[i], prod[mu], exact))
 
     if mode == "normal-form" and extra is not None:
-        for mh in sorted(h_table.terms):
-            hp = h_table.terms[mh]
-            for mp, psip in extra.items_sorted():
-                if sum(mh) - 1 + sum(mp) != n:
-                    continue
-                for l in range(dim):
-                    if mh[l] == 0:
-                        continue
-                    target = list(mh)
-                    target[l] -= 1
-                    target = tuple(
-                        t + e for t, e in zip(target, mp)
-                    )
-                    factor = psip.component(l)
-                    if not factor:
-                        continue
-                    slot = acc.setdefault(target, [() for _ in range(dim)])
-                    for i in range(dim):
-                        comp = hp.component(i)
-                        if comp:
-                            slot[i] = sp_sub(
-                                slot[i],
-                                sp_scale(
-                                    from_int(mh[l], exact),
-                                    sp_mul(comp, factor, exact),
-                                ),
-                            )
+        _jacobian_product(acc, h_table.terms, extra.terms, n, -1, exact, dim)
 
     out = {}
     for mu in sorted(acc):
@@ -344,8 +350,10 @@ def verify_conjugacy(nonlinear, series, h, order_max, mode="obstruction",
     normal-form:  ... = f(x, w + h) - series(x, w) - (d_w h) series(x, w)
 
     checked order by order through ``order_max``; the report holds the
-    maximal absolute coefficient of the difference per order.  In exact
-    arithmetic the residuals are exact zeros.
+    maximal absolute coefficient of the difference per order (see
+    ``_magnitude``).  Exact mode decides zero exactly: the report's
+    tolerance is 0 whatever ``tol`` is, so it passes exactly when every
+    difference is exactly zero.
     """
     if mode not in ("obstruction", "normal-form"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -354,8 +362,15 @@ def verify_conjugacy(nonlinear, series, h, order_max, mode="obstruction",
     exact = nonlinear.exact
     q = linear.q_poly()
     qa = linear.qb_poly()
+    # (QA) w as a series table: column s of QA at the monomial w_s
+    qa_w = {
+        tuple(int(k == s) for k in range(d)): _components_to_vecpoly(
+            [qa.entry(l, s) for l in range(d)], d, exact
+        )
+        for s in range(d)
+    }
 
-    report = ConjugacyReport(mode=mode, tol=tol)
+    report = ConjugacyReport(mode=mode, tol=0.0 if exact else tol)
     for n in range(2, order_max + 1):
         lhs = {}
         for m, hp in sorted(h.order_slice(n).items()):
@@ -365,56 +380,37 @@ def verify_conjugacy(nonlinear, series, h, order_max, mode="obstruction",
             for i in range(d):
                 slot[i] = sp_add(slot[i], dx.component(i))
                 slot[i] = sp_sub(slot[i], flow.component(i))
-            for l in range(d):
-                if m[l] == 0:
-                    continue
-                for s_idx in range(d):
-                    entry = qa.entry(l, s_idx)
-                    if not entry:
-                        continue
-                    target = list(m)
-                    target[l] -= 1
-                    target[s_idx] += 1
-                    tslot = lhs.setdefault(
-                        tuple(target), [() for _ in range(d)]
-                    )
-                    for i in range(d):
-                        comp = hp.component(i)
-                        if comp:
-                            tslot[i] = sp_add(
-                                tslot[i],
-                                sp_scale(
-                                    from_int(m[l], exact),
-                                    sp_mul(comp, entry, exact),
-                                ),
-                            )
+        _jacobian_product(lhs, h.terms, qa_w, n, 1, exact, d)
 
-        if mode == "obstruction":
-            rhs = compose_series(
-                nonlinear.nonlinearity, h, series, n, mode="obstruction"
-            )
-        else:
-            rhs = compose_series(
-                nonlinear.nonlinearity, h, series, n, mode="normal-form"
-            )
+        rhs = compose_series(nonlinear.nonlinearity, h, series, n, mode=mode)
+        if mode == "normal-form":
             for m, p in sorted(series.order_slice(n).items()):
                 cur = rhs.get(m)
                 rhs[m] = (cur - p) if cur is not None else -p
 
+        zero = VecPoly.zero(d, exact)
         worst = 0.0
-        keys = sorted(set(lhs) | set(rhs))
-        for m in keys:
+        for m in sorted(set(lhs) | set(rhs)):
             left = lhs.get(m)
-            lp = (
-                _components_to_vecpoly(left, d, exact)
-                if left is not None
-                else VecPoly.zero(d, exact)
+            lp = zero if left is None else _components_to_vecpoly(
+                left, d, exact
             )
-            rp = rhs.get(m, VecPoly.zero(d, exact))
-            diff = lp - rp
-            worst = max(worst, float(diff.max_abs()))
+            worst = max(worst, _magnitude(lp - rhs.get(m, zero)))
         report.residuals[n] = worst
     return report
+
+
+def _magnitude(p):
+    """Largest absolute coefficient of ``p`` as a float, 0.0 only when
+    ``p`` is exactly zero.  A nonzero magnitude below the float range reads
+    as the smallest positive float, one above it as ``sys.float_info.max``.
+    """
+    if p.is_zero():
+        return 0.0
+    try:
+        return min(max(float(p.max_abs()), math.ulp(0.0)), sys.float_info.max)
+    except OverflowError:
+        return sys.float_info.max
 
 
 @dataclass
@@ -446,7 +442,8 @@ def compare_modes(nonlinear, order_max, tol=1e-12, resonance_tol=1e-9):
     conjugacy identities; they always agree at order 2, generally not
     beyond.  Returns a ModeComparison whose ``differences`` maps each
     monomial where the corrections differ to the max absolute coefficient
-    of the difference (floats, even in exact mode, for easy inspection).
+    of the difference (floats, even in exact mode, for easy inspection;
+    see ``_magnitude``).
     """
     phi, h1 = linearize(nonlinear, order_max, tol, resonance_tol)
     psi, h2 = normal_form(nonlinear, order_max, tol, resonance_tol)
@@ -459,7 +456,7 @@ def compare_modes(nonlinear, order_max, tol=1e-12, resonance_tol=1e-9):
         b = psi.get(m) or VecPoly.zero(d, exact)
         delta = a - b
         if not delta.is_zero():
-            diffs[m] = float(delta.max_abs())
+            diffs[m] = _magnitude(delta)
     return ModeComparison(
         order_max=order_max,
         phi=phi,

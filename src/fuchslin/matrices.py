@@ -227,12 +227,11 @@ def vec_is_zero(v, tol=0.0):
 # -- eigenvalues / solving ----------------------------------------------
 
 
-def mat_eigenvalues(m, tol=0.0):
+def mat_eigenvalues(m):
     """Eigenvalues as a list of python complex, always via floating point.
 
     Exact matrices are converted to complex first: spectra are only used to
     gate assumptions and resonance checks, where float accuracy is enough.
-    The ``tol`` argument is accepted for interface symmetry and reserved.
     """
     if not m.is_square:
         raise ShapeError("eigenvalues need a square matrix")

@@ -48,7 +48,7 @@ class FuchsianSystem:
         "poles", "residues", "exact", "_cache",
     )
 
-    def __init__(self, poles, residues, min_pole_gap_tol=1e-12):
+    def __init__(self, poles, residues):
         poles = tuple(poles)
         residues = tuple(residues)
         if len(poles) < 2:
@@ -64,7 +64,7 @@ class FuchsianSystem:
             raise ShapeError("mixed exact/float residues")
         for a in range(len(poles)):
             for b in range(a + 1, len(poles)):
-                if abs(complex(poles[a]) - complex(poles[b])) <= min_pole_gap_tol:
+                if abs(complex(poles[a]) - complex(poles[b])) <= 1e-12:
                     raise ValueError(
                         f"poles {a} and {b} coincide within tolerance"
                     )
@@ -206,19 +206,19 @@ class NonlinearAssumptionReport:
     violations: list = field(default_factory=list)
 
 
-def check_linear_assumption(system, k_max=0, tol=1e-9):
+def check_linear_assumption(system, tol=1e-9):
     """Certify that k + B_j is invertible for all natural k.
 
     For each residue (and the residue sum) the sweep runs k from 0 to
-    max(k_max, ceil(max |eigenvalue|) + 1); beyond that |k + lambda| grows
-    with k, so the finite sweep decides the full condition.
+    ceil(max |eigenvalue|) + 1; beyond that |k + lambda| grows with k, so
+    the finite sweep decides the full condition.
     """
     violations = []
     min_margin = math.inf
     k_checked = 0
     for label, spectrum in system.all_spectra():
         radius = max((abs(ev) for ev in spectrum), default=0.0)
-        bound = max(int(k_max), int(math.ceil(radius)) + 1)
+        bound = int(math.ceil(radius)) + 1
         k_checked = max(k_checked, bound)
         for ev in spectrum:
             for k in range(bound + 1):

@@ -163,7 +163,7 @@ def test_assumption_error_for_any_singular_shift_of_b_infinity():
     result = solve_polynomial(system, g)
     assert result.phi.coeffs == ((ExactComplex(-5),),)
     assert cleared_residual(system, g, result.phi, result.y).is_zero()
-    assert solution_uniqueness_check(system, degree=3) is True
+    assert solution_uniqueness_check(system) is True
 
 
 def test_matches_rodrigues_expansion():
@@ -326,7 +326,7 @@ def test_pull_back_solves_short_problem():
 def test_uniqueness_check_passes_for_positive_spectra():
     rng = random.Random(29)
     system = random_positive_system(rng)
-    assert solution_uniqueness_check(system, degree=8) is True
+    assert solution_uniqueness_check(system) is True
 
 
 def test_uniqueness_check_warns_when_assumptions_fail():
@@ -335,6 +335,6 @@ def test_uniqueness_check_warns_when_assumptions_fail():
     system = scalar_system(Fraction(-1, 2), Fraction(-1, 2))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        verdict = solution_uniqueness_check(system, degree=4)
+        verdict = solution_uniqueness_check(system)
     assert verdict is None
     assert any("uniqueness check skipped" in str(w.message) for w in caught)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -195,15 +197,31 @@ def test_x_square_transfers_to_substitution():
     assert report.passed and report.max_residual == 0.0
 
 
-def test_corrupted_substitution_fails_verification():
+@pytest.mark.parametrize(
+    "delta, residual",
+    [
+        (1, None),
+        (Fraction(1, 10**400), math.ulp(0.0)),
+        (10**400, sys.float_info.max),
+    ],
+    ids=["1", "1e-400", "1e+400"],
+)
+def test_corrupted_substitution_fails_verification(delta, residual):
+    # exact verification decides zero exactly: a perturbation below or
+    # above the float range still fails, and its residual is clamped to
+    # the nearest end of that range instead of reading 0.0 or overflowing
     linear = scalar_linear(1, 1)
     nl = NonlinearSystem(linear, {(2,): vp([[0], [1]])})
     phi, h = linearize(nl, 4)
     bad = h.copy()
-    bad.set((2,), h.get((2,)) + vp([[1]]))
+    bad.set((2,), h.get((2,)) + vp([[delta]]))
     report = verify_conjugacy(nl, phi, bad, 4)
     assert not report.passed
-    assert report.max_residual > 1.0e-9
+    assert report.max_residual > 0.0
+    if residual is None:
+        assert report.max_residual > 1.0e-9
+    else:
+        assert report.max_residual == residual
 
 
 # ----------------------------------------------------------------------
@@ -281,21 +299,66 @@ def test_degree_bound_and_exact_residuals_random():
         assert report2.max_residual == 0.0
 
 
-def _sympy_poly(p, x):
-    """Component 0 of an exact VecPoly as a sympy polynomial in x."""
-    return sum(
-        (sp.Rational(v[0].re.numerator, v[0].re.denominator)
-         + sp.I * sp.Rational(v[0].im.numerator, v[0].im.denominator)) * x**k
-        for k, v in enumerate(p.coeffs)
-    )
+def _sympy_scalar(c):
+    return (sp.Rational(c.re.numerator, c.re.denominator)
+            + sp.I * sp.Rational(c.im.numerator, c.im.denominator))
 
 
-def _sympy_series(table, x, w):
-    return sum(_sympy_poly(p, x) * w ** m[0] for m, p in table.items())
+def _sympy_vector(p, x):
+    """An exact VecPoly as a list of sympy polynomials in x."""
+    return [
+        sum(_sympy_scalar(v[i]) * x**k for k, v in enumerate(p.coeffs))
+        for i in range(p.dim)
+    ]
 
 
-@pytest.mark.parametrize("mode", ["obstruction", "normal-form"])
-def test_conjugacy_identity_in_sympy(mode):
+def _sympy_series(table, x, ws):
+    """A {monomial: VecPoly} table as a vector of polynomials in x, ws."""
+    out = [sp.Integer(0)] * len(ws)
+    for m, p in table.items():
+        mono = sp.Mul(*(wl**e for wl, e in zip(ws, m)))
+        out = [o + c * mono for o, c in zip(out, _sympy_vector(p, x))]
+    return out
+
+
+def _sympy_case(name):
+    if name == "d1":
+        linear = scalar_linear(1, "3/2")
+        f_terms = {
+            (2,): vp([[1], ["1/2"], [-1]]),
+            (3,): vp([["-1/2"], [0], [1]]),
+        }
+    else:
+        # d = 2: the Jacobian term moves h_m w^m to m - e_l + e_s with
+        # l != s, which no scalar case exercises
+        linear = FuchsianSystem(
+            (ExactComplex(-1), ExactComplex(1)),
+            (
+                CMatrix.from_rows([[ec(1), ec("1/3")], [ec(0), ec("3/2")]],
+                                  True),
+                CMatrix.from_rows([[ec("6/5"), ec(0)],
+                                   [ec("-1/3"), ec("7/5")]], True),
+            ),
+        )
+        f_terms = {
+            (2, 0): vp([[1, 0], ["1/2", -1]], d=2),
+            (1, 1): vp([[0, 1]], d=2),
+            (0, 2): vp([["-1/2", "1/3"]], d=2),
+            (2, 1): vp([[1, 0], [0, "1/2"]], d=2),
+        }
+    return NonlinearSystem(linear, f_terms), f_terms
+
+
+@pytest.mark.parametrize(
+    "case, mode",
+    [
+        pytest.param("d1", "obstruction", id="obstruction"),
+        pytest.param("d1", "normal-form", id="normal-form"),
+        pytest.param("d2", "obstruction", id="d2-obstruction"),
+        pytest.param("d2", "normal-form", id="d2-normal-form"),
+    ],
+)
+def test_conjugacy_identity_in_sympy(case, mode):
     """u = w + h(x, w) carries the target flow to u' = Au + f(x, u)/Q.
 
     Checked with denominators cleared, mod w^(N+1), by sympy substitution
@@ -304,31 +367,48 @@ def test_conjugacy_identity_in_sympy(mode):
       obstruction:  u' = Au + (f - phi)(x, u)/Q  with  w' = Aw
       normal-form:  u' = Au + f(x, u)/Q          with  w' = Aw + psi(x, w)/Q
     """
-    x, w = sp.symbols("x w")
     order = 4
-    linear = scalar_linear(1, "3/2")
-    f_terms = {(2,): vp([[1], ["1/2"], [-1]]), (3,): vp([["-1/2"], [0], [1]])}
-    nl = NonlinearSystem(linear, f_terms)
+    nl, f_terms = _sympy_case(case)
     runner = linearize if mode == "obstruction" else normal_form
     series, h = runner(nl, order)
-    assert series.get((2,)) is not None and h.get((2,)) is not None
+    assert series.order_slice(2) and h.order_slice(2)
 
-    q = (x + 1) * (x - 1)
-    qa = 1 * (x - 1) + sp.Rational(3, 2) * (x + 1)
-    u = w + _sympy_series(h.terms, x, w)
-    corr = _sympy_series(series.terms, x, w)
-    f_of_u = sum(_sympy_poly(p, x) * u ** m[0] for m, p in f_terms.items())
+    d = nl.size
+    x, t = sp.symbols("x t")
+    ws = sp.symbols(f"w0:{d}")
+    poles = [_sympy_scalar(p) for p in nl.linear.poles]
+    q = sp.Mul(*(x - p for p in poles))
+    qa = sum(
+        (sp.Matrix(d, d, lambda r, c: _sympy_scalar(res.rows[r][c]))
+         * sp.Mul(*(x - p for k, p in enumerate(poles) if k != j))
+         for j, res in enumerate(nl.linear.residues)),
+        sp.zeros(d, d),
+    )
+    w = sp.Matrix(ws)
+    u = w + sp.Matrix(_sympy_series(h.terms, x, ws))
+    at_u = dict(zip(ws, u))
+
+    def compose(table):
+        return sp.Matrix(_sympy_series(table, x, ws)).subs(at_u,
+                                                           simultaneous=True)
+
+    corr = sp.Matrix(_sympy_series(series.terms, x, ws))
     if mode == "obstruction":
         target = qa * w
-        rhs = qa * u + f_of_u - corr.subs(w, u)
+        rhs = qa * u + compose(f_terms) - compose(series.terms)
     else:
         target = qa * w + corr
-        rhs = qa * u + f_of_u
-    # Q u' = Q u_x + u_w (Q w')
-    identity = sp.expand(q * sp.diff(u, x) + sp.diff(u, w) * target - rhs)
-    coeffs = sp.Poly(identity, w).all_coeffs()[::-1]
-    for k, c in enumerate(coeffs[: order + 1]):
-        assert sp.expand(c) == 0, (mode, k, c)
+        rhs = qa * u + compose(f_terms)
+    # Q u' = Q u_x + (d_w u) (Q w')
+    identity = q * sp.diff(u, x) + u.jacobian(ws) * target - rhs
+    # w -> t w grades each component by w-degree; keep t^0 .. t^order
+    scaled = {wl: t * wl for wl in ws}
+    for i in range(d):
+        graded = sp.Poly(sp.expand(identity[i].subs(scaled,
+                                                    simultaneous=True)), t)
+        for k in range(order + 1):
+            c = graded.coeff_monomial(t**k)
+            assert sp.expand(c) == 0, (case, mode, i, k, c)
 
 
 def test_s0_float_accuracy_at_order_16():
