@@ -875,9 +875,7 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
         ctx_top, ladder_parts, corrected_top, sysf, tol
     )
 
-    handle.certificate = _certify(
-        ctx_top, sysf, gf, phi, phi_top, passes, ladder_parts, handle, tol
-    )
+    handle.certificate = _certify(ctx_top, phi_top, passes, handle, tol)
     if not handle.certificate.passed:
         worst_check = max(
             handle.certificate.checks,
@@ -892,7 +890,7 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
     return CorrectionResult(phi=phi, y=handle)
 
 
-def _certify(ctx_top, sysf, gf, phi, phi_top, passes, ladder, handle, tol):
+def _certify(ctx_top, phi_top, passes, handle, tol):
     """Continuation vs local series at every pole, on the original system."""
     report = CertificateReport(tol=tol)
     s = ctx_top.system.s

@@ -15,6 +15,10 @@ solver precondition rejected the input); 3 schema error (message points
 at the offending field); 4 numeric failure (quadrature/certificate or a
 failed verification).
 
+``linearize`` takes its mode from ``--mode``, else from the document's
+``options.mode``, else obstruction; ``verify`` takes it from ``--mode``,
+else the tables, else the document, else obstruction.
+
 Tolerance defaults may be set through FUCHSLIN_TOL and
 FUCHSLIN_RESONANCE_TOL; explicit ``--tol`` / document options win over
 the environment.
@@ -222,6 +226,7 @@ def cmd_correct(args):
 
 def _run_pipeline(args, mode):
     doc = _load(args)
+    mode = mode or doc.options.get("mode") or "obstruction"
     nonlinear = doc.to_nonlinear()
     order = _resolve_order(args, doc)
     tol = _resolve_tol(args, doc, 1e-12)
@@ -238,8 +243,7 @@ def _run_pipeline(args, mode):
 
 
 def cmd_linearize(args):
-    mode = args.mode or "obstruction"
-    return _run_pipeline(args, mode)
+    return _run_pipeline(args, args.mode)
 
 
 def cmd_normal_form(args):
@@ -334,7 +338,9 @@ def build_parser():
                        help="order-by-order formal linearization")
     p.add_argument("--order", type=int, default=None, help="truncation order")
     p.add_argument("--mode", choices=("obstruction", "normal-form"),
-                   default=None, help="correction mode (default obstruction)")
+                   default=None,
+                   help="correction mode (default: the document's mode, "
+                        "else obstruction)")
     p.set_defaults(func=cmd_linearize)
 
     p = sub.add_parser("normal-form", parents=[common],

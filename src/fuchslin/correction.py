@@ -77,10 +77,6 @@ class TaylorSolution:
                 acc = vec_add(vec_scale(t, acc), v)
         return acc
 
-    @property
-    def order(self):
-        return len(self.coefficients) - 1
-
 
 @dataclass
 class ShiftStep:

@@ -29,11 +29,13 @@ order 3 on -- they are different canonical objects answering different
 questions.  ``compare_modes`` reports where they separate;
 ``verify_conjugacy`` checks each mode against its own identity.
 
-The right-hand sides rest on two pieces.  ``compose_series`` builds each
-power (w + h)^m that the table needs once per call, from the power one
-lower in its last nonzero index, truncated at the order in hand.
-``_jacobian_product`` adds [(d_w h) V]_n: the engine calls it with
-V = psi for the normal-form term, the verifier with V = (QA) w.
+The right-hand sides rest on two pieces.  ``compose_series`` is a
+generator that yields the right-hand side of every order of one loop.  It
+keeps one table of the slices of the powers (w + h)^m, each built once
+from the power one lower in its last nonzero index; order n adds only the
+degree-n slices, which read h below order n.  ``_jacobian_product`` adds
+[(d_w h) V]_n: the engine calls it with V = psi for the normal-form term,
+the verifier with V = (QA) w.
 
 All series loops iterate keys in sorted order, so results are
 bit-for-bit reproducible regardless of how the nonlinearity table was
@@ -98,9 +100,6 @@ class SeriesTable:
     def copy(self):
         return SeriesTable(self.dim, self.exact, dict(self.terms))
 
-    def max_abs(self):
-        return max((p.max_abs() for p in self.terms.values()), default=0.0)
-
     def __iter__(self):
         return iter(self.items_sorted())
 
@@ -132,42 +131,8 @@ class ConjugacyReport:
 
 
 # ----------------------------------------------------------------------
-# truncated multivariate series over x-polynomials
+# composition of the right-hand side
 # ----------------------------------------------------------------------
-
-
-def _ser_mul(a, b, n_max, exact):
-    out = {}
-    for ma in sorted(a):
-        ca = a[ma]
-        for mb in sorted(b):
-            total = tuple(x + y for x, y in zip(ma, mb))
-            if sum(total) > n_max:
-                continue
-            prod = sp_mul(ca, b[mb], exact)
-            if not prod:
-                continue
-            cur = out.get(total)
-            out[total] = sp_add(cur, prod) if cur is not None else prod
-    return out
-
-
-def _substitution_components(h_table, dim, exact, n_max):
-    """Component series of w + h(x, w), each a {monomial: x-poly} dict."""
-    one = (from_int(1, exact),)
-    subs = []
-    for i in range(dim):
-        base = {}
-        unit = tuple(1 if j == i else 0 for j in range(dim))
-        base[unit] = one
-        for m, p in sorted(h_table.terms.items()):
-            if sum(m) > n_max:
-                continue
-            comp = p.component(i)
-            if comp:
-                base[m] = comp
-        subs.append(base)
-    return subs
 
 
 def _jacobian_product(acc, h_terms, v_terms, n, sign, exact, dim):
@@ -204,60 +169,92 @@ def _jacobian_product(acc, h_terms, v_terms, n, sign, exact, dim):
                         )
 
 
-def compose_series(f_terms, h_table, extra, n, mode="obstruction"):
-    """Degree-n homogeneous part of the composed right-hand side.
+def compose_series(f_terms, h_table, extra, order_max, mode="obstruction"):
+    """Yield the composed right-hand side's degree-n part, n = 2 .. order_max.
 
-    ``f_terms`` is a {monomial: VecPoly} table; ``h_table`` a SeriesTable
-    with all orders below n already filled; ``extra`` holds the lower
-    obstruction (phi) or normal-form (psi) terms, or None.
+    ``f_terms`` is a {monomial: VecPoly} table; ``h_table`` a SeriesTable;
+    ``extra`` holds the obstruction (phi) or normal-form (psi) terms, or
+    None.  Each yielded part is a {monomial: VecPoly} table:
 
     obstruction:  [(f - extra)(x, w + h)]_n
     normal-form:  [f(x, w + h)]_n - [(d_w h) extra(x, w)]_n
+
+    Order n is built when the caller asks for it, from the terms that
+    ``h_table`` and ``extra`` hold at that moment; only the orders of h
+    below n enter it.  The caller fills in order n - 1 before asking for
+    order n and must not change lower orders afterwards: the slices of the
+    powers (w + h)^m are kept from one order to the next.
     """
     if mode not in ("obstruction", "normal-form"):
         raise ValueError(f"unknown mode {mode!r}")
     dim = h_table.dim
     exact = h_table.exact
+    one = (from_int(1, exact),)
+    powers = {}    # (m, k) -> slice k of (w + h)^m, {monomial: x-poly}
 
-    table = {m: p for m, p in f_terms.items()}
-    if mode == "obstruction" and extra is not None:
-        for m, p in extra.items_sorted():
-            cur = table.get(m)
-            table[m] = (cur - p) if cur is not None else -p
+    def power(m, k):
+        if (m, k) in powers:
+            return powers[m, k]
+        i = max(j for j in range(dim) if m[j])
+        out = {}
+        if sum(m) == 1:
+            # (w + h)_i: w_i at degree 1, component i of h's slice k above,
+            # inserted in monomial order
+            if k == 1:
+                out[m] = one
+            else:
+                for mh, p in sorted(h_table.order_slice(k).items()):
+                    c = p.component(i)
+                    if c:
+                        out[mh] = c
+        elif k >= sum(m):
+            # (w + h)^(m - e_i) (w + h)_i, i the last nonzero index of m;
+            # pairs in the order of the lower monomial, then of the other
+            unit = tuple(int(j == i) for j in range(dim))
+            lower = tuple(v - u for v, u in zip(m, unit))
+            a = {}
+            for b in range(sum(lower), k):
+                a.update(power(lower, b))
+            for ma in sorted(a):
+                for mb, cb in power(unit, k - sum(ma)).items():
+                    prod = sp_mul(a[ma], cb, exact)
+                    if not prod:
+                        continue
+                    total = tuple(x + y for x, y in zip(ma, mb))
+                    cur = out.get(total)
+                    out[total] = sp_add(cur, prod) if cur is not None \
+                        else prod
+        powers[m, k] = out
+        return out
 
-    subs = _substitution_components(h_table, dim, exact, n)
-    powers = {(0,) * dim: {(0,) * dim: (from_int(1, exact),)}}
+    for n in range(2, order_max + 1):
+        table = dict(f_terms)
+        if mode == "obstruction" and extra is not None:
+            for m, p in extra.items_sorted():
+                cur = table.get(m)
+                table[m] = (cur - p) if cur is not None else -p
 
-    def power(m):
-        # (w + h)^m = (w + h)^(m - e_i) (w + h)_i, i the last nonzero index
-        if m not in powers:
-            i = max(k for k in range(dim) if m[k])
-            lower = tuple(v - (k == i) for k, v in enumerate(m))
-            powers[m] = _ser_mul(power(lower), subs[i], n, exact)
-        return powers[m]
+        acc = {}
+        for mt in sorted(table):
+            comps = [table[mt].component(i) for i in range(dim)]
+            prod = power(mt, n)
+            for mu in sorted(prod):
+                slot = acc.setdefault(mu, [() for _ in range(dim)])
+                for i in range(dim):
+                    if comps[i]:
+                        slot[i] = sp_add(slot[i],
+                                         sp_mul(comps[i], prod[mu], exact))
 
-    acc = {}
-    for mt in sorted(table):
-        comps = [table[mt].component(i) for i in range(dim)]
-        prod = power(mt)
-        for mu in sorted(prod):
-            if sum(mu) != n:
-                continue
-            slot = acc.setdefault(mu, [() for _ in range(dim)])
-            for i in range(dim):
-                if comps[i]:
-                    slot[i] = sp_add(slot[i],
-                                     sp_mul(comps[i], prod[mu], exact))
+        if mode == "normal-form" and extra is not None:
+            _jacobian_product(acc, h_table.terms, extra.terms, n, -1, exact,
+                              dim)
 
-    if mode == "normal-form" and extra is not None:
-        _jacobian_product(acc, h_table.terms, extra.terms, n, -1, exact, dim)
-
-    out = {}
-    for mu in sorted(acc):
-        p = _components_to_vecpoly(acc[mu], dim, exact)
-        if not p.is_zero():
-            out[mu] = p
-    return out
+        out = {}
+        for mu in sorted(acc):
+            p = _components_to_vecpoly(acc[mu], dim, exact)
+            if not p.is_zero():
+                out[mu] = p
+        yield out
 
 
 def _components_to_vecpoly(comps, dim, exact):
@@ -322,10 +319,9 @@ def _run_engine(nonlinear, order_max, mode, tol, resonance_tol,
     out = SeriesTable(d, exact)
     linear = nonlinear.linear
 
-    for n in range(2, order_max + 1):
-        g_table = compose_series(
-            nonlinear.nonlinearity, h, out, n, mode=mode
-        )
+    parts = compose_series(nonlinear.nonlinearity, h, out, order_max,
+                           mode=mode)
+    for n, g_table in enumerate(parts, start=2):
         custom = None if basis_factory is None else basis_factory(d, n)
         block, basis = induced_system(linear, n, basis=custom)
         g_vec = vectorize(g_table, basis, exact)
@@ -371,7 +367,9 @@ def verify_conjugacy(nonlinear, series, h, order_max, mode="obstruction",
     }
 
     report = ConjugacyReport(mode=mode, tol=0.0 if exact else tol)
-    for n in range(2, order_max + 1):
+    parts = compose_series(nonlinear.nonlinearity, h, series, order_max,
+                           mode=mode)
+    for n, rhs in enumerate(parts, start=2):
         lhs = {}
         for m, hp in sorted(h.order_slice(n).items()):
             slot = lhs.setdefault(m, [() for _ in range(d)])
@@ -382,7 +380,6 @@ def verify_conjugacy(nonlinear, series, h, order_max, mode="obstruction",
                 slot[i] = sp_sub(slot[i], flow.component(i))
         _jacobian_product(lhs, h.terms, qa_w, n, 1, exact, d)
 
-        rhs = compose_series(nonlinear.nonlinearity, h, series, n, mode=mode)
         if mode == "normal-form":
             for m, p in sorted(series.order_slice(n).items()):
                 cur = rhs.get(m)

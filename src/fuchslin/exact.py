@@ -157,18 +157,6 @@ def _parse_rational(value):
 
 # -- generic scalar helpers (work for both rings) ------------------------
 
-EXACT_ZERO = ExactComplex(0)
-EXACT_ONE = ExactComplex(1)
-
-
-def zero(exact):
-    return ExactComplex(0) if exact else 0j
-
-
-def one(exact):
-    return ExactComplex(1) if exact else complex(1)
-
-
 def from_int(k, exact):
     return ExactComplex(k) if exact else complex(k)
 

@@ -81,9 +81,6 @@ class CMatrix:
     def entry(self, i, j):
         return self.rows[i][j]
 
-    def row(self, i):
-        return self.rows[i]
-
     def col(self, j):
         return tuple(r[j] for r in self.rows)
 
@@ -132,11 +129,6 @@ class CMatrix:
                 for ra, rb in zip(self.rows, other.rows)
             ),
             self.exact,
-        )
-
-    def __neg__(self):
-        return CMatrix(
-            tuple(tuple(-a for a in r) for r in self.rows), self.exact
         )
 
     def scale(self, s):

@@ -192,11 +192,6 @@ class VecPoly:
             return self.coeffs[k]
         return vec_zero(self.dim, self.exact)
 
-    def lead(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def component(self, i):
         """Scalar polynomial of the i-th vector component."""
         return sp_trim(tuple(v[i] for v in self.coeffs))
@@ -360,11 +355,6 @@ class MatPoly:
     def identity_constant(cls, n, exact=False):
         return cls.constant(CMatrix.identity(n, exact))
 
-    @classmethod
-    def monomial(cls, mat, power):
-        pad = [CMatrix.zeros(mat.n_rows, mat.n_cols, mat.exact)] * power
-        return cls.from_coeffs(pad + [mat], mat.exact)
-
     # -- structure -------------------------------------------------------
 
     @property
@@ -387,15 +377,6 @@ class MatPoly:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def max_abs(self):
-        return max((m.max_abs() for m in self.coeffs), default=0.0)
-
-    def trim(self, tol):
-        coeffs = list(self.coeffs)
-        while coeffs and coeffs[-1].is_zero(tol):
-            coeffs.pop()
-        return MatPoly(self.n_rows, self.n_cols, tuple(coeffs), self.exact)
 
     def entry(self, i, j):
         """Scalar polynomial of the (i, j) entry."""
@@ -426,12 +407,6 @@ class MatPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return self._strip(
             [self.coefficient(k) - other.coefficient(k) for k in range(n)]
-        )
-
-    def __neg__(self):
-        return MatPoly(
-            self.n_rows, self.n_cols,
-            tuple(-m for m in self.coeffs), self.exact,
         )
 
     def scale(self, s):
@@ -495,17 +470,6 @@ class MatPoly:
     def derivative(self):
         out = [m.scale(k) for k, m in enumerate(self.coeffs) if k > 0]
         return self._strip(out)
-
-    def eval(self, x):
-        acc = None
-        for m in reversed(self.coeffs):
-            if acc is None:
-                acc = m
-            else:
-                acc = acc.scale(x) + m
-        if acc is None:
-            return CMatrix.zeros(self.n_rows, self.n_cols, self.exact)
-        return acc
 
     def __repr__(self):
         return (

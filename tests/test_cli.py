@@ -235,6 +235,26 @@ def test_normal_form_command_and_mode_flag_agree(tmp_path, capsys):
     assert json.loads(out_a)["mode"] == "normal-form"
 
 
+def test_linearize_mode_follows_document(tmp_path, capsys):
+    data = dict(SCALAR_DOC, options={"order": 4, "mode": "normal-form"})
+    doc = write_doc(tmp_path, data)
+    code, out_nf, _ = run(capsys, ["normal-form", doc, "--exact"])
+    assert code == 0
+    code, out, _ = run(capsys, ["linearize", doc, "--exact"])
+    assert code == 0
+    assert out == out_nf
+    # the flag still wins over the document
+    plain = write_doc(tmp_path, SCALAR_DOC, name="plain.json")
+    code, out_obs, _ = run(capsys, ["linearize", plain, "--exact"])
+    assert code == 0
+    code, out, _ = run(
+        capsys, ["linearize", doc, "--exact", "--mode", "obstruction"]
+    )
+    assert code == 0
+    assert out == out_obs
+    assert json.loads(out)["mode"] == "obstruction"
+
+
 def test_verify_mode_follows_tables(tmp_path, capsys):
     doc = write_doc(tmp_path, SCALAR_DOC)
     tables = str(tmp_path / "nf.json")

@@ -116,13 +116,11 @@ def test_compose_with_trivial_h_returns_f_slice():
         (0, 3): vp([[0, 5]], d=2),
     }
     h = SeriesTable(2, True)
-    got2 = compose_series(f, h, None, 2)
+    got2, got3, got4 = compose_series(f, h, None, 4)
     assert set(got2) == {(2, 0), (1, 1)}
     assert (got2[(2, 0)] - f[(2, 0)]).is_zero()
     assert (got2[(1, 1)] - f[(1, 1)]).is_zero()
-    got3 = compose_series(f, h, None, 3)
     assert set(got3) == {(0, 3)}
-    got4 = compose_series(f, h, None, 4)
     assert got4 == {}
 
 
@@ -131,11 +129,10 @@ def test_compose_quadratic_through_substitution():
     f = {(2,): vp([[0], [1]])}
     h = SeriesTable(1, True)
     h.set((2,), vp([[Fraction(1, 2)]]))
-    got = compose_series(f, h, None, 3)
+    _, got, got4 = compose_series(f, h, None, 4)
     assert set(got) == {(3,)}
     assert (got[(3,)] - vp([[0], [1]])).is_zero()
     # and the order-4 part picks up the square of h_2: x w^4 / 4
-    got4 = compose_series(f, h, None, 4)
     assert (got4[(4,)] - vp([[0], [Fraction(1, 4)]])).is_zero()
 
 
@@ -147,21 +144,50 @@ def test_compose_mode_difference_is_real():
     h.set((2,), vp([[1]]))
     extra = SeriesTable(1, True)
     extra.set((2,), vp([[0], [3]]))   # psi_2 = 3 x w^2
-    obstruction = compose_series(f, h, extra, 3, mode="obstruction")
-    normal = compose_series(f, h, extra, 3, mode="normal-form")
-    assert (obstruction[(3,)] - normal[(3,)]).is_zero()
+    _, obstruction3, obstruction = compose_series(f, h, extra, 4,
+                                                  mode="obstruction")
+    _, normal3, normal = compose_series(f, h, extra, 4, mode="normal-form")
+    assert (obstruction3[(3,)] - normal3[(3,)]).is_zero()
     # at order 4 the double insertion enters only through the composition:
     # [c_2 (w+h)^2]_4 contains c_2 h_2^2, with no Jacobian counterpart, so
     # obstruction - normal = -psi_2 h_2^2 / w^2 = -3 x w^4
-    obstruction = compose_series(f, h, extra, 4, mode="obstruction")
-    normal = compose_series(f, h, extra, 4, mode="normal-form")
     diff = obstruction[(4,)] - normal[(4,)]
     assert (diff - vp([[0], [-3]])).is_zero()
 
 
 def test_compose_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        compose_series({}, SeriesTable(1, True), None, 2, mode="direct")
+        list(compose_series({}, SeriesTable(1, True), None, 2,
+                            mode="direct"))
+
+
+@pytest.mark.parametrize("mode", ["obstruction", "normal-form"])
+@pytest.mark.parametrize("seed", range(6))
+def test_compose_reads_only_lower_orders_of_h(seed, mode):
+    # Tables filled one order at a time between yields give the same parts
+    # as the complete tables: order n reads h only below n, and the kept
+    # power slices are never stale.  Order n is asked for with extra
+    # through order n (the obstruction part at order n holds -extra_n
+    # itself) and h through order n - 1.
+    nl = random_nonresonant(random.Random(seed))
+    runner = linearize if mode == "obstruction" else normal_form
+    series, h = runner(nl, 5)
+    f = nl.nonlinearity
+    complete = list(compose_series(f, h, series, 5, mode=mode))
+
+    h_part = SeriesTable(h.dim, True)
+    extra_part = SeriesTable(h.dim, True, series.order_slice(2))
+    parts = compose_series(f, h_part, extra_part, 5, mode=mode)
+    for n, got in enumerate(parts, start=2):
+        want = complete[n - 2]
+        assert sorted(got) == sorted(want), (n, sorted(got), sorted(want))
+        for m in want:
+            assert (got[m] - want[m]).is_zero(), (n, m)
+        for m, p in h.order_slice(n).items():
+            h_part.set(m, p)
+        for m, p in series.order_slice(n + 1).items():
+            extra_part.set(m, p)
+    assert n == 5
 
 
 # ----------------------------------------------------------------------
