@@ -106,7 +106,6 @@ def solve_polynomial(system, g, tol=1e-12):
     work = g if exact else g.trim(tol)
     s = system.s
     q = system.q_poly()
-    qb = system.qb_poly().coeffs
     k_bad = _singular_infinity_shift(system, tol)
     if k_bad is not None:
         raise AssumptionError(f"k + B_inf singular at k={k_bad}: (phi, y) not unique")
@@ -124,8 +123,8 @@ def solve_polynomial(system, g, tol=1e-12):
         # subtract k Q y_k x^(k-1) + (QB) y_k x^k below the eliminated top
         for i, q_i in enumerate(q[:-1] if k else ()):
             rem[i + k - 1] = vec_sub(rem[i + k - 1], vec_scale(k * q_i, y_k))
-        for i, qb_i in enumerate(qb[: s + 1]):
-            rem[i + k] = vec_sub(rem[i + k], qb_i.matvec(y_k))
+        for i in range(s + 1):
+            rem[i + k] = vec_sub(rem[i + k], system.qb_matvec(i, y_k))
     return CorrectionResult(
         phi=VecPoly.from_coeffs(rem[: s + 1], exact, dim=system.size),
         y=VecPoly.from_coeffs(ys[::-1], exact, dim=system.size),

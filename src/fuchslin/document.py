@@ -205,10 +205,9 @@ class SystemDocument:
         ]
         seen = set()
         for j, p in enumerate(poles):
-            key = (complex(p).real, complex(p).imag)
-            if key in seen:
+            if p in seen:
                 _fail(f"/poles/{j}", "poles must be pairwise distinct")
-            seen.add(key)
+            seen.add(p)
 
         mats_node = data["matrices"]
         if not isinstance(mats_node, list) or len(mats_node) != s + 2:

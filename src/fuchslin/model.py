@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 from .exact import from_int
 from .matrices import ShapeError, mat_eigenvalues
+from .pnspace import multiindices
 from .poly import MatPoly, sp_diff, sp_eval, sp_from_roots
 
 
@@ -64,7 +65,8 @@ class FuchsianSystem:
             raise ShapeError("mixed exact/float residues")
         for a in range(len(poles)):
             for b in range(a + 1, len(poles)):
-                if abs(complex(poles[a]) - complex(poles[b])) <= 1e-12:
+                if (poles[a] == poles[b] if exact else
+                        abs(complex(poles[a]) - complex(poles[b])) <= 1e-12):
                     raise ValueError(
                         f"poles {a} and {b} coincide within tolerance"
                     )
@@ -127,6 +129,9 @@ class FuchsianSystem:
                 acc = acc + MatPoly.constant(res).mul_sp(self.cofactor(j))
             self._cache["qb"] = acc
         return self._cache["qb"]
+
+    def qb_matvec(self, i, v):
+        return self.qb_poly().coefficient(i).matvec(v)
 
     def lagrange_basis(self, j):
         """The degree-(S+1) polynomial that is 1 at p_j and 0 at other poles."""
@@ -241,8 +246,6 @@ def check_nonlinear_assumption(nonlinear, order_max, tol=1e-9):
     sum).  For each monomial order the k sweep stops at
     ceil((|m|+1) * max|lambda|) + 1, past which no cancellation is possible.
     """
-    from .pnspace import multiindices
-
     system = nonlinear.linear
     d = system.size
     violations = []

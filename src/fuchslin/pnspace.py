@@ -12,10 +12,10 @@ upper triangular whenever M is upper triangular, with diagonal
 <lambda, m> - lambda_i -- which is why its spectrum can be predicted
 straight from the spectrum of M.
 
-Substituting the linear-part residues A_j for M turns a size-d Fuchsian
-system into the size-N system each homogeneous block of the conjugacy
-equation satisfies; that is ``induced_system``.  ``vectorize`` /
-``devectorize`` translate between per-monomial coefficient tables and the
+Substituting the residues A_j for M gives the size-N system each
+homogeneous block of the conjugacy equation satisfies; ``induced_system``
+applies it matrix-free, and only J_{B_inf} is formed densely.  ``vectorize``
+/ ``devectorize`` translate between per-monomial coefficient tables and the
 stacked length-N polynomial the solvers consume.
 """
 
@@ -24,8 +24,7 @@ from __future__ import annotations
 import math
 
 from .exact import from_int
-from .matrices import CMatrix, ShapeError, mat_eigenvalues
-from .model import FuchsianSystem
+from .matrices import CMatrix, ShapeError, mat_eigenvalues, vec_zero
 from .poly import VecPoly
 
 
@@ -86,17 +85,15 @@ class PnBasis:
         return f"PnBasis(d={self.d}, n={self.n}, size={self.size})"
 
 
-def conjugation_matrix(mat, basis):
-    """Matrix of q -> (d_w q) M w - M q in the canonical basis.
+def conjugation_columns(mat, basis):
+    """Columns {row: value} of q -> (d_w q) M w - M q in ``basis``.
 
-    Linear in M; entries are sums of entries of M, so the result lives in
-    M's scalar ring.
+    Linear in M; each of at most d^2 + d entries is a sum of entries of M.
     """
     d = basis.d
     if mat.shape != (d, d):
         raise ShapeError(f"matrix must be {d}x{d} for this basis")
-    n_dim = basis.size
-    cols = [dict() for _ in range(n_dim)]
+    cols = [dict() for _ in range(basis.size)]
 
     def add(col, row, value):
         cols[col][row] = cols[col].get(row, 0) + value
@@ -114,13 +111,16 @@ def conjugation_matrix(mat, basis):
         for k in range(d):
             row = basis.index(m, k)
             add(pos, row, -mat.entry(k, i))
+    return cols
 
-    zero = CMatrix.zeros(n_dim, n_dim, mat.exact)
-    rows = [list(r) for r in zero.rows]
-    for col, entries in enumerate(cols):
+
+def conjugation_matrix(mat, basis):
+    """The dense N x N form of ``conjugation_columns``."""
+    rows = [[from_int(0, mat.exact)] * basis.size for _ in range(basis.size)]
+    for col, entries in enumerate(conjugation_columns(mat, basis)):
         for row, value in entries.items():
-            rows[row][col] = rows[row][col] + value
-    return CMatrix(tuple(tuple(r) for r in rows), mat.exact)
+            rows[row][col] = value
+    return CMatrix(tuple(map(tuple, rows)), mat.exact)
 
 
 def conjugation_spectrum(mat, basis):
@@ -137,13 +137,45 @@ def conjugation_spectrum(mat, basis):
     return out
 
 
+class InducedBlock:
+    """The degree-n block of a Fuchsian system, applied matrix-free.
+
+    J is linear in M, so ``qb_matvec`` applies J of the x^i coefficient of
+    the d x d QB.  The one N x N matrix is J_{B_inf}, for the k-shifts.
+    """
+
+    __slots__ = ("size", "s", "exact", "q_poly", "_binf", "_spec", "_qb")
+
+    def __init__(self, linear, basis):
+        self.size, self.s, self.exact = basis.size, linear.s, linear.exact
+        self.q_poly = linear.q_poly
+        self._binf = conjugation_matrix(linear.b_infinity(), basis)
+        self._spec = conjugation_spectrum(linear.b_infinity(), basis)
+        qb = linear.qb_poly()
+        self._qb = [conjugation_columns(qb.coefficient(i), basis)
+                    for i in range(self.s + 1)]
+
+    def b_infinity(self):
+        return self._binf
+
+    def residue_spectrum(self, j):
+        """Eigenvalues of J_{B_inf} from those of B_inf (j is 'inf')."""
+        return self._spec
+
+    def qb_matvec(self, i, v):
+        """(x^i coefficient of the block's QB) applied to v."""
+        out = list(vec_zero(self.size, self.exact))
+        for vc, col in zip(v, self._qb[i]):
+            for row, value in col.items():
+                out[row] = out[row] + value * vc
+        return tuple(out)
+
+
 def induced_system(linear, n, basis=None):
     """The size-N Fuchsian system governing the degree-n homogeneous block.
 
     Accepts a FuchsianSystem or anything with a ``linear`` attribute holding
-    one.  Same poles; residues are the conjugation matrices of the original
-    residues (the map is linear, so the residue sum goes to the conjugation
-    matrix of the residue sum automatically).  A custom ``basis`` (e.g. a
+    one, and returns ``(InducedBlock, basis)``.  A custom ``basis`` (e.g. a
     permuted enumeration) may be supplied; results of downstream solves are
     enumeration-independent.
     """
@@ -153,8 +185,7 @@ def induced_system(linear, n, basis=None):
         basis = PnBasis(linear.size, n)
     elif basis.d != linear.size or basis.n != n:
         raise ShapeError("basis does not match system size / order")
-    residues = [conjugation_matrix(res, basis) for res in linear.residues]
-    return FuchsianSystem(linear.poles, residues), basis
+    return InducedBlock(linear, basis), basis
 
 
 def vectorize(table, basis, exact=False):
@@ -174,7 +205,7 @@ def vectorize(table, basis, exact=False):
         for m, i in basis.items:
             p = table.get(m)
             if p is None:
-                row.append(_ring_zero(exact))
+                row.append(from_int(0, exact))
             else:
                 row.append(p.coefficient(k)[i])
         coeffs.append(tuple(row))
@@ -196,6 +227,3 @@ def devectorize(stacked, basis, exact=False):
             out[m] = p
     return out
 
-
-def _ring_zero(exact):
-    return from_int(0, exact)

@@ -235,6 +235,22 @@ def test_normal_form_command_and_mode_flag_agree(tmp_path, capsys):
     assert json.loads(out_a)["mode"] == "normal-form"
 
 
+@pytest.mark.parametrize("poles", [
+    [[0, 0], ["1/10000000000000", 0]],
+    [[-10**400, 0], [10**400, 0]],
+], ids=["close", "huge"])
+def test_linearize_exact_poles_past_float_range(tmp_path, capsys, poles):
+    doc = write_doc(tmp_path, dict(SCALAR_DOC, poles=poles))
+    tables = str(tmp_path / "tables.json")
+    code, _, err = run(
+        capsys, ["linearize", doc, "--exact", "--out", tables]
+    )
+    assert code == 0, err
+    code, out, _ = run(capsys, ["verify", doc, "--exact", "--tables", tables])
+    assert code == 0
+    assert json.loads(out)["max_residual"] == 0
+
+
 def test_linearize_mode_follows_document(tmp_path, capsys):
     data = dict(SCALAR_DOC, options={"order": 4, "mode": "normal-form"})
     doc = write_doc(tmp_path, data)

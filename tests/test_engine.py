@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import sys
@@ -10,6 +11,8 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from fuchslin.analytic import float_system, float_vecpoly
+from fuchslin.document import dumps_canonical, series_table_json
 from fuchslin.engine import (
     SeriesTable,
     compare_modes,
@@ -464,6 +467,68 @@ def test_s0_float_accuracy_at_order_16():
                 + list(series.order_slice(n).values())
             ])
             assert residual / size <= 1e-9, (mode, n, residual / size)
+
+
+def _full_residue_d3_case():
+    def mat(rows):
+        return CMatrix.from_rows([[ec(v) for v in r] for r in rows], True)
+
+    linear = FuchsianSystem(
+        (ec(-1), ec("1/2"), ec(2)),
+        (
+            mat([["3/2", "1/3", "-1/2"], ["1/4", "7/5", "1/3"],
+                 ["-1/3", "1/2", "6/5"]]),
+            mat([["6/5", "-1/2", "1/3"], ["1/2", "3/2", "-1/4"],
+                 ["1/3", "1/5", "7/5"]]),
+            mat([["1", "1/3", "1/4"], ["-1/5", "13/10", "1/2"],
+                 ["1/2", "-1/3", "11/10"]]),
+        ),
+    )
+    terms = {
+        (2, 0, 0): vp([[1, 0, "-1/2"], [0, "1/3", 0]], d=3),
+        (0, 1, 1): vp([[0, 1, 1]], d=3),
+        (1, 0, 2): vp([["1/2", 0, 0], [0, 0, 1], [1, -1, 0]], d=3),
+    }
+    return linear, terms
+
+
+@pytest.mark.parametrize("mode, digest", [
+    ("obstruction",
+     "f0aa45bb73f4a13085be70ecc9238a85cd2d24ec087c1e61671b64e62a8bb35c"),
+    ("normal-form",
+     "3e4adcddddc2da9a7e1bbeb2085fd1f2c11a130019700f81e17b5a100a679439"),
+], ids=["obstruction", "normal-form"])
+def test_full_residues_d3_frozen_example(mode, digest):
+    # d = 3, S = 1 with full residues, so B_inf and every induced block are
+    # non-triangular; the digests are of the canonical JSON of the series
+    # and h, recorded with the dense induced blocks.
+    linear, terms = _full_residue_d3_case()
+    order = 4
+    runner = linearize if mode == "obstruction" else normal_form
+    series, h = runner(NonlinearSystem(linear, terms), order)
+    text = dumps_canonical({"series": series_table_json(series),
+                            "h": series_table_json(h)})
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    nl = NonlinearSystem(linear, terms)
+    assert verify_conjugacy(nl, series, h, order, mode=mode).max_residual == 0
+
+    nlf = NonlinearSystem(float_system(linear),
+                          {m: float_vecpoly(p) for m, p in terms.items()})
+    series_f, h_f = runner(nlf, order)
+    report = verify_conjugacy(nlf, series_f, h_f, order, mode=mode)
+    assert report.max_residual <= 1e-9
+
+
+def test_exact_poles_past_float_resolution():
+    # 0 and 1e-13 were once compared through floats and rejected
+    one = CMatrix.identity(1, True)
+    linear = FuchsianSystem(
+        (ExactComplex(0), ExactComplex(Fraction(1, 10**13))),
+        (one, one.scale(ec("3/2"))),
+    )
+    nl = NonlinearSystem(linear, {(2,): vp([[0], [1]]), (3,): vp([[1]])})
+    phi, h = linearize(nl, 4)
+    assert verify_conjugacy(nl, phi, h, 4).max_residual == 0
 
 
 # ----------------------------------------------------------------------

@@ -58,6 +58,22 @@ def test_validation_errors():
         )
 
 
+def test_exact_poles_compare_exactly():
+    one = CMatrix.identity(1, True)
+    tiny = ExactComplex(Fraction(1, 10**13))
+    huge = ExactComplex(10**400)
+    for pair in ((ExactComplex(0), tiny), (-huge, huge)):
+        sys_ = FuchsianSystem(pair, (one, one))
+        assert sys_.poles == pair
+    for p in (tiny, huge):
+        with pytest.raises(ValueError):
+            FuchsianSystem((p, ExactComplex(p.re)), (one, one))
+    # float mode keeps its gap check
+    onef = CMatrix.identity(1, False)
+    with pytest.raises(ValueError):
+        FuchsianSystem((0j, 1e-13 + 0j), (onef, onef))
+
+
 def test_q_and_cofactor_identities():
     rng = random.Random(5)
     for _ in range(10):

@@ -150,23 +150,66 @@ def test_upper_triangular_preserved():
         assert op.entry(pos, pos) == ExactComplex(expected)
 
 
-def test_induced_system_residues_and_poles():
-    lin = FuchsianSystem(
-        (ExactComplex(-1), ExactComplex(1)),
-        (
-            CMatrix.from_rows([[1, ExactComplex(Fraction(1, 3))],
-                               [0, ExactComplex(Fraction(3, 2))]], True),
-            CMatrix.from_rows([[2, 0], [0, 1]], True),
-        ),
-    )
-    block, basis = induced_system(lin, 2)
-    assert block.poles == lin.poles
-    assert block.size == basis.size == pn_dimension(2, 2)
-    for res, orig in zip(block.residues, lin.residues):
-        assert (res - conjugation_matrix(orig, basis)).is_zero()
-    # the conjugation of the residue sum equals the sum of conjugations
-    total = conjugation_matrix(lin.b_infinity(), basis)
-    assert (block.b_infinity() - total).is_zero()
+def _random_exact_matrix(rng, d, shape):
+    """Rational d x d matrix: 'upper' / 'lower' triangular or 'full'."""
+    rows = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            if i == j:
+                v = Fraction(rng.randint(5, 25), rng.choice([2, 3, 5]))
+            elif (shape == "upper" and j < i) or (shape == "lower" and j > i):
+                v = 0
+            else:
+                v = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+            row.append(ExactComplex(v))
+        rows.append(row)
+    return CMatrix.from_rows(rows, True)
+
+
+@pytest.mark.parametrize("shape", ["upper", "lower", "full"])
+def test_induced_block_matches_dense_reference(shape):
+    rng = random.Random(f"block-{shape}")
+    for draw in range(6):
+        d = 1 + draw % 3
+        n = rng.randint(2, 4)
+        s = rng.randint(0, 1)
+        poles = [ExactComplex(v) for v in rng.sample(range(-4, 5), s + 2)]
+        mats = [_random_exact_matrix(rng, d, shape) for _ in range(s + 2)]
+        lin = FuchsianSystem(tuple(poles), tuple(mats))
+        block, basis = induced_system(lin, n)
+        assert block.size == basis.size == pn_dimension(d, n)
+        assert block.s == s and block.exact
+        assert block.q_poly() == lin.q_poly()
+
+        # the x^i coefficient of QB, applied matrix-free, against dense
+        v = tuple(ExactComplex(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+                  for _ in range(basis.size))
+        for i in range(s + 1):
+            dense = conjugation_matrix(lin.qb_poly().coefficient(i), basis)
+            assert block.qb_matvec(i, v) == dense.matvec(v)
+
+        # the one dense matrix is J of the residue sum
+        total = conjugation_matrix(lin.b_infinity(), basis)
+        assert (block.b_infinity() - total).is_zero()
+
+        # J is linear in M: what the matrix-free QB relies on
+        cs = [ExactComplex(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+              for _ in mats]
+        combo = mats[0].scale(cs[0])
+        for c, m in zip(cs[1:], mats[1:]):
+            combo = combo + m.scale(c)
+        acc = conjugation_matrix(mats[0], basis).scale(cs[0])
+        for c, m in zip(cs[1:], mats[1:]):
+            acc = acc + conjugation_matrix(m, basis).scale(c)
+        assert (conjugation_matrix(combo, basis) - acc).is_zero()
+
+        # predicted spectrum of J_{B_inf} against the dense eigenvalues
+        predicted = np.array(block.residue_spectrum("inf"))
+        actual = np.array(mat_eigenvalues(total))
+        cost = np.abs(predicted[:, None] - actual[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        assert cost[rows, cols].max() < 1e-9
 
 
 def test_vectorize_roundtrip():
