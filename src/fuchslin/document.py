@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .exact import ExactComplex
 from .matrices import CMatrix
-from .model import FuchsianSystem, NonlinearSystem
+from .model import FuchsianSystem, NonlinearSystem, coinciding_poles
 from .poly import VecPoly
 
 
@@ -203,11 +203,9 @@ class SystemDocument:
             _parse_scalar(p, f"/poles/{j}", exact)
             for j, p in enumerate(poles_node)
         ]
-        seen = set()
-        for j, p in enumerate(poles):
-            if p in seen:
-                _fail(f"/poles/{j}", "poles must be pairwise distinct")
-            seen.add(p)
+        clash = coinciding_poles(poles, exact)
+        if clash:
+            _fail(f"/poles/{clash[1]}", "poles must be pairwise distinct")
 
         mats_node = data["matrices"]
         if not isinstance(mats_node, list) or len(mats_node) != s + 2:

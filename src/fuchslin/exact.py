@@ -8,6 +8,10 @@ generic in the scalar, so the two modes share all code paths.
 Mixing the two rings in one expression is a bug, not a convenience; an
 ``ExactComplex`` combined with a float raises ``TypeError`` so precision is
 never lost silently.  Combining with ``int`` / ``Fraction`` is fine.
+
+Most data is real: when both imaginary parts are exactly zero, ``+ - * /``
+and negation do one ``Fraction`` operation, not the general formula's four
+products and their gcds, and give the same Gaussian rational.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 _RAT = (int, Fraction)
+_ZERO = Fraction(0)
 
 
 class ExactComplex:
@@ -45,6 +50,8 @@ class ExactComplex:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not (self.im or other.im):
+            return _real(self.re + other.re)
         return ExactComplex(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -53,18 +60,24 @@ class ExactComplex:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not (self.im or other.im):
+            return _real(self.re - other.re)
         return ExactComplex(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not (self.im or other.im):
+            return _real(other.re - self.re)
         return ExactComplex(other.re - self.re, other.im - self.im)
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not (self.im or other.im):
+            return _real(self.re * other.re)
         return ExactComplex(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -76,9 +89,11 @@ class ExactComplex:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        den = other.re * other.re + other.im * other.im
-        if den == 0:
+        if not other:
             raise ZeroDivisionError("division by exact zero")
+        if not (self.im or other.im):
+            return _real(self.re / other.re)
+        den = other.re * other.re + other.im * other.im
         return ExactComplex(
             (self.re * other.re + self.im * other.im) / den,
             (self.im * other.re - self.re * other.im) / den,
@@ -103,6 +118,8 @@ class ExactComplex:
         return out
 
     def __neg__(self):
+        if not self.im:
+            return _real(-self.re)
         return ExactComplex(-self.re, -self.im)
 
     def __pos__(self):
@@ -134,6 +151,14 @@ class ExactComplex:
         if self.im == 0:
             return f"ExactComplex({self.re})"
         return f"ExactComplex({self.re}, {self.im})"
+
+
+def _real(re):
+    """The real ``re`` (a Fraction), built without ``__init__``'s coercion."""
+    z = object.__new__(ExactComplex)
+    z.re = re
+    z.im = _ZERO
+    return z
 
 
 def _coerce(value):

@@ -3,9 +3,10 @@
 Matrices here are tiny (a system of size d induces blocks of size
 d*(n+d-1)!/(n!(d-1)!), a few dozen at most), so these are plain tuples of
 tuples with straightforward O(n^3) algorithms.  Float-mode solves and all
-eigenvalues go through numpy; exact-mode solves do Gaussian elimination in
-the Gaussian rationals, pivoting on the first exactly nonzero entry (never
-on a float magnitude, which can underflow to zero or overflow).
+eigenvalues go through numpy; exact-mode solves do Gauss-Jordan elimination
+in the Gaussian rationals, pivoting on the first exactly nonzero entry (never
+on a float magnitude, which can underflow to zero or overflow) and skipping
+the products with the exact zeros that fill the sparse induced blocks.
 """
 
 from __future__ import annotations
@@ -299,13 +300,12 @@ def _solve_exact(a, cols):
         if pivot_row != k:
             work[k], work[pivot_row] = work[pivot_row], work[k]
         inv = ExactComplex(1) / work[k][k]
-        work[k] = [v * inv for v in work[k]]
+        work[k] = [v * inv if v else v for v in work[k]]
         for r in range(n):
             if r != k and work[r][k]:
                 f = work[r][k]
-                work[r] = [
-                    vr - f * vk for vr, vk in zip(work[r], work[k])
-                ]
+                work[r] = [vr - f * vk if vk else vr
+                           for vr, vk in zip(work[r], work[k])]
     return [
         tuple(work[i][n + j] for i in range(n)) for j in range(width - n)
     ]

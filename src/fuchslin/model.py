@@ -42,6 +42,16 @@ class AssumptionError(ValueError):
     """A solver precondition (invertibility / nonresonance) fails."""
 
 
+def coinciding_poles(poles, exact):
+    """The first pair a < b of coinciding poles (smallest b), or None."""
+    for b in range(len(poles)):
+        for a in range(b):
+            if (poles[a] == poles[b] if exact else
+                    abs(complex(poles[a]) - complex(poles[b])) <= 1e-12):
+                return a, b
+    return None
+
+
 class FuchsianSystem:
     """Poles and residues of a Fuchsian linear part, with cached algebra."""
 
@@ -63,13 +73,10 @@ class FuchsianSystem:
         exact = residues[0].exact
         if any(m.exact != exact for m in residues):
             raise ShapeError("mixed exact/float residues")
-        for a in range(len(poles)):
-            for b in range(a + 1, len(poles)):
-                if (poles[a] == poles[b] if exact else
-                        abs(complex(poles[a]) - complex(poles[b])) <= 1e-12):
-                    raise ValueError(
-                        f"poles {a} and {b} coincide within tolerance"
-                    )
+        clash = coinciding_poles(poles, exact)
+        if clash:
+            raise ValueError(
+                "poles %d and %d coincide within tolerance" % clash)
         self.poles = poles
         self.residues = residues
         self.exact = exact

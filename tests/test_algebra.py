@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuchslin.exact import ExactComplex, coerce_scalar, from_int, to_complex
 from fuchslin.matrices import (
@@ -15,6 +18,7 @@ from fuchslin.matrices import (
     is_invertible,
     mat_inverse,
     solve_linear,
+    vec_zero,
 )
 from fuchslin.poly import (
     MatPoly,
@@ -42,6 +46,63 @@ def test_exact_complex_field_ops():
     assert a ** 0 == ExactComplex(1)
     assert a ** 3 == a * a * a
     assert -a + a == ExactComplex(0)
+
+
+# Parts drawn zero or nonzero on purpose, so every combination of real and
+# non-real operands occurs in every few examples.
+_part = st.one_of(st.just(Fraction(0)),
+                  st.fractions(min_value=-40, max_value=40, max_denominator=12))
+_gaussian = st.builds(ExactComplex, _part, _part)
+_ring = settings(max_examples=200, deadline=None, derandomize=True,
+                 database=None)
+
+
+def _parts(v):
+    if isinstance(v, ExactComplex):
+        return v.re, v.im
+    return Fraction(v), Fraction(0)
+
+
+def _general_formula(op, a, b):
+    (ar, ai), (br, bi) = _parts(a), _parts(b)
+    if op == "add":
+        return ar + br, ai + bi
+    if op == "sub":
+        return ar - br, ai - bi
+    if op == "mul":
+        return ar * br - ai * bi, ar * bi + ai * br
+    den = br * br + bi * bi
+    return (ar * br + ai * bi) / den, (ai * br - ar * bi) / den
+
+
+def _check_ring_value(z, parts):
+    assert isinstance(z, ExactComplex)
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == parts
+    if z.im == 0:
+        assert z == z.re and hash(z) == hash(z.re)
+
+
+@_ring
+@given(a=_gaussian, b=_gaussian, k=st.integers(-9, 9), q=_part)
+def test_ring_ops_match_general_formula(a, b, k, q):
+    # b, then an int and a Fraction, on either side of a
+    for x, y in ((a, b), (b, a), (a, k), (k, a), (a, q), (q, a)):
+        for op in ("add", "sub", "mul", "truediv"):
+            if op == "truediv" and _parts(y) == (0, 0):
+                with pytest.raises(ZeroDivisionError,
+                                   match="division by exact zero"):
+                    x / y
+                continue
+            _check_ring_value(getattr(operator, op)(x, y),
+                              _general_formula(op, x, y))
+
+
+@_ring
+@given(z=_gaussian)
+def test_negation_matches_general_formula(z):
+    _check_ring_value(-z, (-z.re, -z.im))
+    _check_ring_value(z ** 2, _general_formula("mul", z, z))
 
 
 def test_exact_complex_parse_and_refusals():
@@ -79,24 +140,47 @@ def test_matrix_shapes_and_ops():
     assert shifted.entry(0, 1) == ExactComplex(2)
 
 
+def _random_exact_system(rng, kind):
+    """An exact matrix, diagonal shifted by 7, and a right-hand side.
+
+    dense: every entry drawn; sparse: mostly exact zeros, rows shuffled so
+    pivots need row swaps; upper: upper triangular; complex: entries and
+    right-hand side with nonzero imaginary parts.
+    """
+    def rat():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    n = rng.randint(1, 4) if kind == "dense" else rng.randint(1, 7)
+    rows = [[ExactComplex(rat()) for _ in range(n)] for _ in range(n)]
+    if kind == "complex":
+        rows = [[ExactComplex(v.re, rat()) for v in r] for r in rows]
+    for i in range(n):
+        for j in range(n):
+            if (kind == "sparse" and rng.random() < 0.7
+                    or kind == "upper" and j < i):
+                rows[i][j] = ExactComplex(0)
+        rows[i][i] = rows[i][i] + ExactComplex(7)  # diagonally dominant
+    rhs = [ExactComplex(rng.randint(-5, 5)) for _ in range(n)]
+    if kind == "complex":
+        rhs = [ExactComplex(v.re, rng.randint(-5, 5)) for v in rhs]
+    if kind == "sparse":
+        rhs = [v if rng.random() < 0.5 else ExactComplex(0) for v in rhs]
+        order = list(range(n))
+        rng.shuffle(order)
+        rows = [rows[i] for i in order]
+        rhs = [rhs[i] for i in order]
+    return CMatrix.from_rows(rows, exact=True), tuple(rhs)
+
+
 def test_exact_solve_and_inverse_random():
     rng = random.Random(20260823)
-    for _ in range(25):
-        n = rng.randint(1, 4)
-        rows = [
-            [ExactComplex(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-             for _ in range(n)]
-            for _ in range(n)
-        ]
-        for i in range(n):
-            rows[i][i] = rows[i][i] + ExactComplex(7)  # diagonally dominant
-        mat = CMatrix.from_rows(rows, exact=True)
-        rhs = tuple(ExactComplex(rng.randint(-5, 5)) for _ in range(n))
-        sol = solve_linear(mat, rhs)
-        back = mat.matvec(sol)
-        assert all(x == y for x, y in zip(back, rhs))
-        inv = mat_inverse(mat)
-        assert (mat @ inv - CMatrix.identity(n, True)).is_zero()
+    for kind in ("dense", "sparse", "upper", "complex"):
+        for _ in range(25):
+            mat, rhs = _random_exact_system(rng, kind)
+            sol = solve_linear(mat, rhs)
+            assert mat.matvec(sol) == rhs, kind
+            inv = mat_inverse(mat)
+            assert (mat @ inv - CMatrix.identity(mat.n_rows, True)).is_zero()
 
 
 def test_singular_matrix_raises():
@@ -104,6 +188,16 @@ def test_singular_matrix_raises():
     with pytest.raises(SingularMatrixError):
         solve_linear(mat, (ExactComplex(1), ExactComplex(0)))
     assert not is_invertible(mat)
+    # sparse and structurally singular: a zero column, and two equal rows
+    # whose dependence shows only after elimination
+    for rows in ([[1, 0, 2, 0], [0, 0, 3, 0], [0, 0, 0, 1], [4, 0, 0, 5]],
+                 [[0, 1, 0], [2, 0, "1/3"], [2, 0, "1/3"]]):
+        sparse = CMatrix.from_rows(
+            [[ExactComplex.parse(v) for v in r] for r in rows], exact=True
+        )
+        with pytest.raises(SingularMatrixError):
+            solve_linear(sparse, vec_zero(sparse.n_rows, True))
+        assert not is_invertible(sparse)
     matf = CMatrix.from_rows([[1.0, 2.0], [2.0, 4.0]], exact=False)
     with pytest.raises(SingularMatrixError):
         solve_linear(matf, (1.0 + 0j, 0.0 + 0j))

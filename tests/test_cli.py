@@ -251,6 +251,15 @@ def test_linearize_exact_poles_past_float_range(tmp_path, capsys, poles):
     assert json.loads(out)["max_residual"] == 0
 
 
+def test_float_poles_within_tolerance_fail_the_document_check(tmp_path, capsys):
+    # float poles 1e-13 apart coincide; the document check names the pole
+    doc = write_doc(tmp_path, dict(SCALAR_DOC, poles=[[0, 0], [1e-13, 0]]))
+    code, out, err = run(capsys, ["linearize", doc])
+    assert code == 3
+    assert out == ""
+    assert "/poles/1:" in err
+
+
 def test_linearize_mode_follows_document(tmp_path, capsys):
     data = dict(SCALAR_DOC, options={"order": 4, "mode": "normal-form"})
     doc = write_doc(tmp_path, data)

@@ -79,6 +79,18 @@ def test_duplicate_pole_pointer():
     assert pointer_of(err) == "/poles/1"
 
 
+def test_pole_rule_follows_the_mode():
+    # exact poles coincide only when equal, float poles within 1e-12
+    close = [[0, 0], ["1/10000000000000", 0]]
+    doc = SystemDocument.from_dict(scalar_doc(poles=close), exact=True)
+    assert doc.to_system().poles[1] == ExactComplex(Fraction(1, 10**13))
+    with pytest.raises(SchemaError) as err:
+        SystemDocument.from_dict(
+            scalar_doc(poles=[[0, 0], [1e-13, 0]]), exact=False
+        )
+    assert pointer_of(err) == "/poles/1"
+
+
 def test_float_rejected_in_exact_mode():
     data = scalar_doc(matrices=[[[[0.5, 0]]], [[[1, 0]]]])
     with pytest.raises(SchemaError) as err:

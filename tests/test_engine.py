@@ -49,6 +49,11 @@ def vp(rows, d=1):
     )
 
 
+def mat(rows):
+    """Exact CMatrix from rows of entries (ints / fractions / [re, im])."""
+    return CMatrix.from_rows([[ec(v) for v in r] for r in rows], True)
+
+
 def random_nonresonant(rng, d_max=2, s_max=1, u_order=3, x_deg=2):
     """Triangular residues, per-matrix spectra inside [1, 1.9]: then every
     lambda . m - lambda_i is positive, so no k >= 0 can hit a resonance."""
@@ -470,9 +475,6 @@ def test_s0_float_accuracy_at_order_16():
 
 
 def _full_residue_d3_case():
-    def mat(rows):
-        return CMatrix.from_rows([[ec(v) for v in r] for r in rows], True)
-
     linear = FuchsianSystem(
         (ec(-1), ec("1/2"), ec(2)),
         (
@@ -500,10 +502,14 @@ def _full_residue_d3_case():
 ], ids=["obstruction", "normal-form"])
 def test_full_residues_d3_frozen_example(mode, digest):
     # d = 3, S = 1 with full residues, so B_inf and every induced block are
-    # non-triangular; the digests are of the canonical JSON of the series
-    # and h, recorded with the dense induced blocks.
-    linear, terms = _full_residue_d3_case()
-    order = 4
+    # non-triangular; the digests were recorded with the dense induced
+    # blocks.
+    _check_frozen_example(*_full_residue_d3_case(), mode, digest)
+
+
+def _check_frozen_example(linear, terms, mode, digest, order=4):
+    """sha256 of the canonical JSON of the exact series and h, a zero exact
+    residual, and a float rerun within 1e-9."""
     runner = linearize if mode == "obstruction" else normal_form
     series, h = runner(NonlinearSystem(linear, terms), order)
     text = dumps_canonical({"series": series_table_json(series),
@@ -517,6 +523,39 @@ def test_full_residues_d3_frozen_example(mode, digest):
     series_f, h_f = runner(nlf, order)
     report = verify_conjugacy(nlf, series_f, h_f, order, mode=mode)
     assert report.max_residual <= 1e-9
+
+
+def _gaussian_rational_case():
+    linear = FuchsianSystem(
+        (ec([0, 1]), ec([0, -1]), ec(["1/2", "1/3"])),
+        (
+            mat([[[1, "1/4"], ["1/3", "-1/2"]], [[0, "1/5"], ["6/5", "-1/3"]]]),
+            mat([[["3/2", "-1/3"], ["1/4", 1]],
+                 [["-1/2", "1/3"], ["7/5", "1/5"]]]),
+            mat([[["6/5", "1/2"], ["-1/3", 0]],
+                 [["1/4", "-1/4"], ["11/10", "-1/5"]]]),
+        ),
+    )
+    terms = {
+        (2, 0): vp([[[1, "1/2"], 0], [0, [0, -1]], [["1/3", 0], [1, "1/4"]]],
+                   d=2),
+        (1, 1): vp([[[0, 1], ["1/3", 0]], [0, 0], [[-1, "1/2"], 0]], d=2),
+        (0, 3): vp([[1, ["1/2", "-1/2"]], [[0, "1/4"], 0], [0, 1]], d=2),
+    }
+    return linear, terms
+
+
+@pytest.mark.parametrize("mode, digest", [
+    ("obstruction",
+     "68cb059276619caab453a104d42502dff4266643166d5d56d20126d87757b273"),
+    ("normal-form",
+     "2f10b923c72b932b3723043542def3538b1aae69041914209a58d0c7536dab0c"),
+], ids=["obstruction", "normal-form"])
+def test_gaussian_rational_frozen_example(mode, digest):
+    # poles i, -i, 1/2 + i/3 with complex residues and f (d = 2, S = 1), so
+    # the exact operations take the general Gaussian-rational formula; the
+    # digests were recorded before the real-only path existed.
+    _check_frozen_example(*_gaussian_rational_case(), mode, digest)
 
 
 def test_exact_poles_past_float_resolution():
