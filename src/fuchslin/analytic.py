@@ -16,8 +16,13 @@ and analyticity at p_1 .. p_{S+1} pins phi through the block system
 
 Each integral runs along a chosen path: a power-series block near both
 endpoint poles (Frobenius fundamental series, integrated term by term
-against t^{B_j}) and a regular ODE transport in between, glued by a
-matching constant at the far pole.
+against t^{B_j}) and Taylor steps in between, glued by a matching constant
+at the far pole.  A Taylor step from a centre c has length RHO times the
+distance from c to the nearest pole; it sums the series of the local
+factor Phi (W(c + t) = W(c) Phi(t)), whose coefficients come from the
+Frobenius recursion with no residue at c, and integrates it term by term
+against the series of x^i / Q and g / Q.  The path must keep clear of
+every pole; one that meets a pole raises QuadratureError.
 
 Spectra with nonpositive real parts are first moved right by the shift
 ladder from the correction module; the ladder count is the smallest
@@ -45,7 +50,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# Not called: bench/tracing.py looks this name up to time the integrator.
+from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import expm
 
 from .correction import (
@@ -168,7 +174,8 @@ def default_path(system, target):
 
     Any other pole closer to the segment than a tenth of the minimal pole
     gap is rounded by a sampled semicircular arc on the left of the travel
-    direction.
+    direction, of that radius or of half the pole's distance to the
+    target if that is less (so the arc ends short of the target).
     """
     poles = [complex(p) for p in system.poles]
     p0 = poles[0]
@@ -185,7 +192,7 @@ def default_path(system, target):
 
     blockers = []
     for k, pk in enumerate(poles):
-        if abs(pk - p0) < 1e-15 or abs(pk - target) <= 2 * r:
+        if abs(pk - p0) < 1e-15 or abs(pk - target) < 1e-15:
             continue
         # projection parameter onto the segment, in units of its length
         u = ((pk - p0).real * d.real + (pk - p0).imag * d.imag) / (length ** 2)
@@ -198,8 +205,9 @@ def default_path(system, target):
 
     points = [p0]
     for _, pk in blockers:
+        rad = min(r, 0.5 * abs(pk - target))
         arc = [
-            pk - r * dhat * cmath.exp(-1j * theta)
+            pk - rad * dhat * cmath.exp(-1j * theta)
             for theta in np.linspace(0.0, math.pi, 7)
         ]
         points.extend(arc)
@@ -211,6 +219,11 @@ def default_path(system, target):
 # context: cached float data for one system
 # ----------------------------------------------------------------------
 
+# Each Taylor step of the transport covers this share of the distance from
+# its centre to the nearest pole, so every series it sums converges like
+# RHO^k.
+RHO = 0.5
+
 
 class _Context:
     def __init__(self, system, tol, resonance_tol=1e-9):
@@ -219,12 +232,16 @@ class _Context:
         self.resonance_tol = resonance_tol
         self.d = self.system.size
         self.poles = [complex(p) for p in self.system.poles]
-        self.res = [m.to_numpy() for m in self.system.residues]
+        self.pole_array = np.array(self.poles, dtype=complex)
+        self.res = np.array([m.to_numpy() for m in self.system.residues],
+                            dtype=complex)
         self.gaps = [
             min(abs(p - q) for q in self.poles if q is not p)
             for p in self.poles
         ]
-        self.q = self.system.q_poly()
+        self.step_terms = self.series_count(RHO)
+        k = np.arange(self.step_terms)
+        self.hilbert = 1.0 / (k[:, None] + k[None, :] + 1)
         self._frob = {}
         self._anchor = None
 
@@ -255,15 +272,6 @@ class _Context:
             self._anchor = acc
         return self._anchor
 
-    def b_at(self, x):
-        acc = np.zeros((self.d, self.d), dtype=complex)
-        for p, m in zip(self.poles, self.res):
-            acc += m / (x - p)
-        return acc
-
-    def q_at(self, x):
-        return complex(sp_eval(self.q, x))
-
     def pole_index(self, point, tol=1e-9):
         for j, p in enumerate(self.poles):
             if abs(point - p) <= tol * max(1.0, abs(p)):
@@ -271,15 +279,33 @@ class _Context:
         return None
 
 
-def _sylvester_step(bj, k, rhs):
-    """Solve k X + bj X - X bj = rhs by the vectorized linear system."""
-    d = bj.shape[0]
-    eye = np.eye(d, dtype=complex)
-    op = k * np.eye(d * d, dtype=complex)
-    op += np.kron(bj, eye)
-    op -= np.kron(eye, bj.T)
-    sol = np.linalg.solve(op, rhs.reshape(-1))
-    return sol.reshape(d, d)
+def _factor_series(c_blocks, residue=None):
+    """Phi_0 = I and k Phi_k + B Phi_k - Phi_k B = sum_{l<k} Phi_{k-1-l} C_l.
+
+    With B the residue at a pole this is the Frobenius factor W = t^B Phi;
+    with ``residue`` None (B = 0, a regular point) it is the Taylor series
+    of Phi' = Phi sum_l C_l t^l.  Returns the (count, d, d) stack.
+    """
+    count, d, _ = c_blocks.shape
+    c_rows = c_blocks.reshape(count * d, d)
+    # block count-1-k of ``rev`` holds Phi_k, so the history
+    # [Phi_{k-1} .. Phi_0] is one contiguous slice
+    rev = np.zeros((d, count * d), dtype=complex)
+    rev[:, (count - 1) * d:] = np.eye(d)
+    if residue is not None:
+        eye = np.eye(d, dtype=complex)
+        # k X + B X - X B = R on row-major vec(X)
+        sylvester = np.kron(residue, eye) - np.kron(eye, residue.T)
+        shift = np.eye(d * d, dtype=complex)
+    for k in range(1, count):
+        rhs = rev[:, (count - k) * d:] @ c_rows[:k * d]
+        if residue is None:
+            rhs /= k
+        else:
+            rhs = np.linalg.solve(sylvester + k * shift,
+                                  rhs.reshape(-1)).reshape(d, d)
+        rev[:, (count - 1 - k) * d:(count - k) * d] = rhs
+    return rev.reshape(d, count, d).transpose(1, 0, 2)[::-1]
 
 
 def _frobenius_series(ctx, j, count):
@@ -296,29 +322,20 @@ def _frobenius_series(ctx, j, count):
                     f"(within {ctx.resonance_tol:g}); no power-series "
                     "fundamental factor at this pole"
                 )
-    c_blocks = _neighbor_blocks(ctx, j, count)
-    series = [np.eye(ctx.d, dtype=complex)]
-    for k in range(1, count):
-        rhs = np.zeros((ctx.d, ctx.d), dtype=complex)
-        for l in range(k):
-            rhs += series[k - 1 - l] @ c_blocks[l]
-        series.append(_sylvester_step(bj, k, rhs))
-    return series
+    others = np.arange(len(ctx.poles)) != j
+    ratios = np.zeros(len(ctx.poles), dtype=complex)
+    ratios[others] = -1.0 / (ctx.poles[j] - ctx.pole_array[others])
+    return _factor_series(_neighbor_blocks(ctx, ratios, count), bj)
 
 
-def _neighbor_blocks(ctx, j, count):
-    """Taylor blocks at pole j of sum_{k != j} B_k/(x - p_k)."""
-    out = []
-    p_j = ctx.poles[j]
-    for l in range(count):
-        acc = np.zeros((ctx.d, ctx.d), dtype=complex)
-        for k in range(len(ctx.poles)):
-            if k == j:
-                continue
-            delta = p_j - ctx.poles[k]
-            acc += ((-1.0) ** l / delta ** (l + 1)) * ctx.res[k]
-        out.append(acc)
-    return out
+def _neighbor_blocks(ctx, ratios, count):
+    """Blocks C_l h^{l+1}, l < count, of sum_k B_k/(x - p_k) at a centre c.
+
+    ``ratios`` holds r_k = -h/(c - p_k); a zero leaves pole k out (the
+    Frobenius factor at p_k itself).  C_l h^{l+1} = -sum_k r_k^{l+1} B_k.
+    """
+    powers = np.cumprod(np.broadcast_to(ratios, (count, len(ratios))), axis=0)
+    return -np.tensordot(powers, ctx.res, axes=1)
 
 
 # ----------------------------------------------------------------------
@@ -349,119 +366,91 @@ def _power_series_at(center, power, count):
     return out
 
 
+def _lower_toeplitz(series):
+    """T[k, l] = series[k - l] (zero for l > k): multiplication by a t-series.
+
+    ``series`` may carry trailing axes (a vector series gives T[k, l, :]).
+    """
+    n = len(series)
+    lag = np.subtract.outer(np.arange(n), np.arange(n))
+    taken = series[np.maximum(lag, 0)]
+    mask = (lag >= 0).reshape(lag.shape + (1,) * (taken.ndim - 2))
+    return np.where(mask, taken, 0)
+
+
 def _pole_blocks(ctx, j, powers, g_poly, count):
     """Series H^(i) and H^(g) with x^i Q^{-1} W = t^{B_j - I} sum H_k t^k.
 
     H^(i) = (x^i / Q_j) Phi as a matrix series; H^(g) = (1/Q_j) Phi g as a
-    vector series, with Q_j the pole-j cofactor of Q.
+    vector series, with Q_j the pole-j cofactor of Q.  Returned stacked:
+    (len(powers), count, d, d) and (count, d).
     """
     p_j = ctx.poles[j]
     phi = ctx.frobenius(j, count)
     cof = [complex(c) for c in sp_taylor(ctx.system.cofactor(j), p_j)]
-    inv_cof = _recip_series(cof, count)
+    inv_cof = np.array(_recip_series(cof, count))
 
-    blocks = {}
-    for i in powers:
-        xi = _power_series_at(p_j, i, count)
-        scalar = _series_mul_scalar(xi, inv_cof, count)
-        blocks[i] = [
-            _series_coeff_vec(scalar, phi, k) for k in range(count)
-        ]
+    scalars = np.array([
+        np.convolve(_power_series_at(p_j, i, count), inv_cof)[:count]
+        for i in powers
+    ], dtype=complex).reshape(len(powers), count)
+    blocks = np.einsum("kli,lab->ikab", _lower_toeplitz(scalars.T), phi)
     gw = None
     if g_poly is not None:
         gser = _vec_taylor(g_poly, p_j, count)
-        phig = [
-            _series_coeff_matvec(phi, gser, k) for k in range(count)
-        ]
-        gw = [
-            _series_coeff_vec(inv_cof, phig, k) for k in range(count)
-        ]
+        phig = np.einsum("klb,lab->ka", _lower_toeplitz(gser), phi)
+        gw = _lower_toeplitz(inv_cof) @ phig
     return blocks, gw
 
 
-def _series_mul_scalar(a, b, count):
-    out = [0.0] * count
-    for i, ai in enumerate(a[:count]):
-        if ai == 0.0:
-            continue
-        for jj in range(count - i):
-            out[i + jj] += ai * b[jj]
-    return out
-
-
-def _series_coeff_matvec(mats, vecs, k):
-    d = mats[0].shape[0]
-    acc = np.zeros(d, dtype=complex)
-    for l in range(k + 1):
-        if l < len(mats) and k - l < len(vecs):
-            acc += mats[l] @ vecs[k - l]
-    return acc
-
-
-def _series_coeff_vec(scalar, vecs, k):
-    acc = np.zeros_like(vecs[0])
-    for l in range(k + 1):
-        if l < len(scalar) and k - l < len(vecs):
-            acc += scalar[l] * vecs[k - l]
-    return acc
-
-
 def _vec_taylor(p, center, count):
-    coeffs = p.taylor_at(center)
-    d = p.dim
-    out = []
-    for k in range(count):
-        if k < len(coeffs):
-            out.append(np.array([complex(c) for c in coeffs[k]]))
-        else:
-            out.append(np.zeros(d, dtype=complex))
+    """Coefficient vectors of p(center + t), padded to a (count, d) array."""
+    out = np.zeros((count, p.dim), dtype=complex)
+    for k, v in enumerate(p.taylor_at(center)[:count]):
+        out[k] = [complex(c) for c in v]
     return out
 
 
-def _endpoint_sum(bj, t_end, blocks, count, tol):
+def _endpoint_sum(bj, t_end, blocks, tol):
     """sum_k t_end^{B + k} (B + k)^{-1} H_k with convergence control.
 
-    Returns the accumulated matrix/vector *without* the leading constant;
-    the caller multiplies by the anchor (basepoint) or matching constant
-    (target pole).
+    ``blocks`` stacks the H_k: (count, d, d) matrices or (count, d)
+    vectors.  Returns the accumulated matrix/vector *without* the leading
+    constant; the caller multiplies by the anchor (basepoint) or matching
+    constant (target pole).
     """
-    d = bj.shape[0]
-    t_pow = expm(cmath.log(t_end) * bj)
-    acc = None
-    tail = math.inf
-    tk = 1.0 + 0.0j
-    for k in range(count):
-        hk = blocks[k]
-        term = np.linalg.solve(bj + k * np.eye(d, dtype=complex), hk)
-        term = tk * term
-        acc = term if acc is None else acc + term
-        tail = np.max(np.abs(term))
-        tk *= t_end
+    count, d = blocks.shape[:2]
+    k = np.arange(count)
+    shifted = bj + k[:, None, None] * np.eye(d, dtype=complex)
+    cols = blocks.reshape(count, d, -1)
+    terms = np.linalg.solve(shifted, cols) * (t_end ** k)[:, None, None]
+    acc = terms.sum(axis=0).reshape(blocks.shape[1:])
+    tail = float(np.max(np.abs(terms[-1])))
     scale = max(1.0, float(np.max(np.abs(acc))))
     if tail > 50 * tol * scale:
         raise QuadratureError(
             f"endpoint series did not converge (last term {tail:.3e} "
             f"after {count} terms)"
         )
-    return t_pow @ acc
+    return expm(cmath.log(t_end) * bj) @ acc
 
 
 # ----------------------------------------------------------------------
-# one transport pass: series block, ODE interior, series block
+# one transport pass: series block, Taylor-step interior, series block
 # ----------------------------------------------------------------------
 
 
 @dataclass
 class _PassResult:
-    mats: dict               # i -> full integral including both endpoints
+    mats: np.ndarray         # [i] full integral including both endpoints
     xi: object               # vector or None
     w_mid: np.ndarray        # W at the stop point near the target
     mid_point: complex
-    mats_mid: dict           # partial integrals from p_0 to the stop point
+    mats_mid: np.ndarray     # partial integrals from p_0 to the stop point
     xi_mid: object
     start_point: complex
     w_start: np.ndarray
-    mats_start: dict
+    mats_start: np.ndarray
     xi_start: object
 
 
@@ -480,22 +469,18 @@ def _transport_pass(ctx, path, powers, g_poly, match_target=True):
     blocks0, gw0 = _pole_blocks(ctx, 0, powers, g_poly, count0)
     anchor = ctx.anchor()
 
-    mats = {}
-    for i in powers:
-        mats[i] = anchor @ _endpoint_sum(
-            ctx.res[0], ta, blocks0[i], count0, ctx.tol
-        )
-    xi = None
+    mats_start = np.array([
+        anchor @ _endpoint_sum(ctx.res[0], ta, blk, ctx.tol) for blk in blocks0
+    ], dtype=complex).reshape(len(powers), ctx.d, ctx.d)
+    xi_start = None
     if g_poly is not None:
-        xi = anchor @ _endpoint_sum(ctx.res[0], ta, gw0, count0, ctx.tol)
+        xi_start = anchor @ _endpoint_sum(ctx.res[0], ta, gw0, ctx.tol)
 
     phi0 = ctx.frobenius(0, count0)
-    w = anchor @ expm(cmath.log(ta) * ctx.res[0]) @ _eval_series_mat(phi0, ta)
+    w_start = (anchor @ expm(cmath.log(ta) * ctx.res[0])
+               @ _eval_series_mat(phi0, ta))
 
-    start_snapshot = (a, w.copy(), {i: m.copy() for i, m in mats.items()},
-                      None if xi is None else xi.copy())
-
-    # interior: ODE transport from a to the stop point near the target
+    # interior: Taylor steps from a to the stop point near the target
     target = points[-1]
     if match_target:
         jt = ctx.pole_index(target)
@@ -511,34 +496,30 @@ def _transport_pass(ctx, path, powers, g_poly, match_target=True):
         interior = points
     interior[0] = a
 
-    w, mats, xi = _ode_transport(ctx, interior, w, mats, xi, powers, g_poly)
-    mid_snapshot = (interior[-1], w.copy(),
-                    {i: m.copy() for i, m in mats.items()},
-                    None if xi is None else xi.copy())
+    w_mid, mats_mid, xi_mid = _taylor_transport(
+        ctx, interior, w_start, mats_start, xi_start, g_poly)
 
+    mats, xi = mats_mid, xi_mid
     if match_target:
         tb = interior[-1] - target
         count_t = ctx.series_count(eps_t / ctx.gaps[jt])
         blocks_t, gw_t = _pole_blocks(ctx, jt, powers, g_poly, count_t)
         phi_t = ctx.frobenius(jt, count_t)
         w_loc = expm(cmath.log(tb) * ctx.res[jt]) @ _eval_series_mat(phi_t, tb)
-        match = w @ np.linalg.inv(w_loc)
-        for i in powers:
-            tail = match @ _endpoint_sum(
-                ctx.res[jt], tb, blocks_t[i], count_t, ctx.tol
-            )
-            mats[i] = mats[i] - tail
+        match = w_mid @ np.linalg.inv(w_loc)
+        mats = mats - np.array([
+            match @ _endpoint_sum(ctx.res[jt], tb, blk, ctx.tol)
+            for blk in blocks_t
+        ], dtype=complex).reshape(mats.shape)
         if g_poly is not None:
-            xi = xi - match @ _endpoint_sum(
-                ctx.res[jt], tb, gw_t, count_t, ctx.tol
-            )
+            xi = xi - match @ _endpoint_sum(ctx.res[jt], tb, gw_t, ctx.tol)
 
     return _PassResult(
         mats=mats, xi=xi,
-        w_mid=mid_snapshot[1], mid_point=mid_snapshot[0],
-        mats_mid=mid_snapshot[2], xi_mid=mid_snapshot[3],
-        start_point=start_snapshot[0], w_start=start_snapshot[1],
-        mats_start=start_snapshot[2], xi_start=start_snapshot[3],
+        w_mid=w_mid, mid_point=interior[-1],
+        mats_mid=mats_mid, xi_mid=xi_mid,
+        start_point=a, w_start=w_start,
+        mats_start=mats_start, xi_start=xi_start,
     )
 
 
@@ -549,69 +530,86 @@ def _eval_series_mat(series, t):
     return acc
 
 
-def _ode_transport(ctx, points, w, mats, xi, powers, g_poly):
-    d = ctx.d
-    n_mat = len(powers)
-    has_g = g_poly is not None
-    g_np = None
-    if has_g:
-        g_np = [np.array([complex(c) for c in v]) for v in g_poly.coeffs]
-
-    def g_at(x):
-        acc = np.zeros(d, dtype=complex)
-        for c in reversed(g_np):
-            acc = acc * x + c
-        return acc
-
-    idx = sorted(powers)
-
-    def pack(w, mats, xi):
-        parts = [w.ravel()] + [mats[i].ravel() for i in idx]
-        if has_g:
-            parts.append(xi)
-        return np.concatenate(parts)
-
-    def unpack(y):
-        w = y[: d * d].reshape(d, d)
-        out = {}
-        off = d * d
-        for i in idx:
-            out[i] = y[off: off + d * d].reshape(d, d)
-            off += d * d
-        xi = y[off: off + d] if has_g else None
-        return w, out, xi
-
-    rtol = max(1e-13, ctx.tol * 1e-2)
-    atol = rtol * 1e-2
-
-    state = pack(w, mats, xi)
+def _require_pole_free(ctx, points):
+    """Raise QuadratureError if a segment comes within 1e-9 * max(1, |p|)
+    of a pole p (a waypoint on the pole included)."""
     for a, b in zip(points[:-1], points[1:]):
         delta = b - a
-        if abs(delta) == 0.0:
-            continue
+        for j, p in enumerate(ctx.poles):
+            u = 0.0
+            if delta != 0:
+                u = ((p - a) * delta.conjugate()).real / abs(delta) ** 2
+                u = min(1.0, max(0.0, u))
+            if abs(p - (a + u * delta)) <= 1e-9 * max(1.0, abs(p)):
+                raise QuadratureError(
+                    f"path segment {a} -> {b} meets pole {j} at {p}; "
+                    "the transport needs a pole-free path"
+                )
 
-        def rhs(s, y):
-            x = a + s * delta
-            wv = y[: d * d].reshape(d, d)
-            dw = (wv @ ctx.b_at(x)) * delta
-            qinv = 1.0 / ctx.q_at(x)
-            parts = [dw.ravel()]
-            for i in idx:
-                parts.append(((x ** i) * qinv * wv * delta).ravel())
-            if has_g:
-                parts.append(qinv * (wv @ g_at(x)) * delta)
-            return np.concatenate(parts)
 
-        sol = solve_ivp(
-            rhs, (0.0, 1.0), state, method="DOP853",
-            rtol=rtol, atol=atol, dense_output=False,
-        )
-        if not sol.success:
-            raise QuadratureError(
-                f"ODE transport failed on segment {a} -> {b}: {sol.message}"
-            )
-        state = sol.y[:, -1]
-    return unpack(state)
+def _taylor_transport(ctx, points, w, mats, xi, g_poly):
+    """Continue W and the moment integrals along a pole-free polyline.
+
+    ``mats[i]`` accumulates integral x^i Q^{-1} W dx and ``xi`` (when
+    ``g_poly`` is given) integral Q^{-1} W g dx.  Each step from a centre
+    c has length RHO * dist(c, poles) and sums the Taylor series of the
+    local factor Phi (W(c + t) = W(c) Phi(t)) to ``ctx.step_terms`` terms.
+    """
+    _require_pole_free(ctx, points)
+    gc = np.zeros((0, ctx.d), dtype=complex)
+    if g_poly is not None:
+        gc = np.array([[complex(c) for c in v] for v in g_poly.coeffs],
+                      dtype=complex).reshape(-1, ctx.d)
+    n_x = max(len(mats), len(gc))
+    # the path's integrals are summed apart from the start values, which
+    # can be far larger (anchor and endpoint series), and added once
+    path_ints = np.zeros((n_x, ctx.d, ctx.d), dtype=complex)
+    for a, b in zip(points[:-1], points[1:]):
+        c = a
+        while c != b:
+            rest = b - c
+            reach = RHO * float(np.min(np.abs(c - ctx.pole_array)))
+            last = abs(rest) <= reach
+            h = rest if last else rest * (reach / abs(rest))
+            wf = w @ _step_factors(ctx, c, h, n_x)
+            w = wf[0]
+            path_ints += wf[1:]
+            c = b if last else c + h
+    mats = mats + path_ints[:len(mats)]
+    if xi is not None:
+        xi = xi + np.einsum("aij,aj->i", path_ints[:len(gc)], gc)
+    return w, mats, xi
+
+
+def _step_factors(ctx, c, h, n_x):
+    """Phi(h) and integral_0^h x^a Q^{-1} Phi(t) dt, x = c + t, a < n_x.
+
+    Returned stacked as (1 + n_x, d, d).  With hats for scaling by h^k:
+    (k + 1) Phi^_{k+1} = sum_l Phi^_{k-l} C^_l, Phi(h) = sum_k Phi^_k, and
+    with s^ the scaled series of x^a / Q the integral is
+    sum_{m,l} Phi^_m s^_l h / (m + l + 1).
+    """
+    count = ctx.step_terms
+    delta = c - ctx.pole_array
+    ratios = -h / delta
+    phi = _factor_series(_neighbor_blocks(ctx, ratios, count))
+    # h/Q(c + t) = (h / prod delta_k) prod_k sum_l r_k^l t^l, scaled
+    geo = np.ones((count, len(ratios)), dtype=complex)
+    geo[1:] = np.cumprod(np.broadcast_to(ratios, geo[1:].shape), axis=0)
+    inv_q = geo[:, 0]
+    for col in geo.T[1:]:
+        inv_q = np.convolve(inv_q, col)[:count]
+    rows = np.empty((1 + n_x, count), dtype=complex)
+    rows[0] = 1.0
+    if n_x:
+        # x^a / Q, a = 0, 1, ...: multiply by x = c + t term by term
+        s = inv_q * (h / np.prod(delta))
+        rows[1] = s
+        for a in range(2, n_x + 1):
+            s = c * s + h * np.concatenate(([0.0], s[:-1]))
+            rows[a] = s
+        rows[1:] = rows[1:] @ ctx.hilbert
+    return np.tensordot(rows, phi, axes=1)
 
 
 # ----------------------------------------------------------------------
@@ -641,7 +639,10 @@ def continue_w(system, start, path, tol=1e-10):
 
     ``start`` is a pair (point, matrix); the path is a PathSpec or a
     waypoint sequence beginning at that point.  Returns the transported
-    matrix at the path end as a float CMatrix.
+    matrix at the path end as a float CMatrix.  Pole-free means that no
+    segment comes within 1e-9 * max(1, |p|) of a pole p, waypoints
+    included; a path that does raises QuadratureError naming the segment
+    and the pole.
     """
     ctx = _Context(system, tol)
     if isinstance(path, PathSpec):
@@ -652,7 +653,9 @@ def continue_w(system, start, path, tol=1e-10):
     if abs(complex(x0) - points[0]) > 1e-9 * max(1.0, abs(points[0])):
         raise ValueError("path must begin at the start point")
     w = w0.to_numpy() if isinstance(w0, CMatrix) else np.asarray(w0, dtype=complex)
-    w, _, _ = _ode_transport(ctx, points, w, {}, None, [], None)
+    w, _, _ = _taylor_transport(ctx, points, w,
+                                np.zeros((0, ctx.d, ctx.d), dtype=complex),
+                                None, None)
     return CMatrix.from_numpy(w)
 
 

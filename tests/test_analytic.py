@@ -104,6 +104,24 @@ def test_default_path_bulges_around_blocking_pole():
     assert all(abs(w - 0.0) > 0.05 for w in interior)
 
 
+def test_default_path_rounds_a_pole_just_before_the_target():
+    # pole 0 lies on the segment from -1 to 0.15, closer to the target than
+    # a fifth of the minimal gap; y(0.15) is still reached by continuation
+    system = FuchsianSystem(
+        (ExactComplex(-1), ExactComplex(1), ExactComplex(0)),
+        tuple(CMatrix.from_rows([[ExactComplex(Fraction(k, 3))]], True)
+              for k in (2, 4, 5)),
+    )
+    path = default_path(system, 0.15)
+    assert len(path.waypoints) > 2
+    assert all(abs(w) >= 0.07 for w in path.waypoints)
+    g = monomial_rhs(3)
+    got = solve_analytic(system, g).y.eval(0.15)
+    want = solve_polynomial(system, g).y.eval(
+        ExactComplex(Fraction(15, 100)))
+    assert abs(got[0] - complex(want[0])) <= 1e-9
+
+
 def test_default_path_straight_when_clear():
     system = scalar_system(1, 1)
     path = default_path(system, 1.0)
@@ -188,6 +206,43 @@ def test_continue_w_scalar_closed_form():
     assert abs(detour.entry(0, 0) - (-0.75)) <= 1e-8
 
 
+def test_continue_w_diagonal_closed_form_near_a_pole():
+    # diagonal residues commute: W = prod_j (x - p_j)^{B_j} globally; the
+    # path runs 1e-3 above pole 1 and crosses no branch cut
+    b0 = (ExactComplex(Fraction(1, 3)), ExactComplex(Fraction(7, 10)))
+    b1 = (ExactComplex(Fraction(1, 2), Fraction(1, 4)),
+          ExactComplex(Fraction(6, 5)))
+    system = FuchsianSystem(
+        (ExactComplex(-1), ExactComplex(1)),
+        tuple(
+            CMatrix.from_rows(
+                [[b[0], ExactComplex(0)], [ExactComplex(0), b[1]]], True)
+            for b in (b0, b1)
+        ),
+    )
+
+    def closed_form(x):
+        return np.diag([
+            (x + 1) ** complex(b0[k]) * (x - 1) ** complex(b1[k])
+            for k in range(2)
+        ])
+
+    path = [0.3j, 1.0 + 1e-3j, 2.0 + 0.5j]
+    start = (path[0], CMatrix.from_numpy(closed_form(path[0])))
+    got = continue_w(system, start, path).to_numpy()
+    want = closed_form(path[-1])
+    assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+def test_continue_w_path_meeting_a_pole_fails():
+    system = scalar_system(1, 1)
+    start = (0.0, CMatrix.from_rows([[-1.0 + 0j]], False))
+    # a segment through pole 1, and a waypoint on it
+    for path in ([0.0, 2.0], [0.0, 1.0], [0.0, 0.5j, 1.0, 2.0]):
+        with pytest.raises(QuadratureError, match="meets pole 1"):
+            continue_w(system, start, path)
+
+
 def test_continue_w_rejects_mismatched_start():
     system = scalar_system(1, 1)
     start = (0.0, CMatrix.from_rows([[-1.0 + 0j]], False))
@@ -213,6 +268,85 @@ def test_rhs_moment_scalar_oracle():
     xi = rhs_moment(system, monomial_rhs(2), tol=1e-11)
     assert len(xi) == 1
     assert abs(xi[0][0] - Fraction(2, 3)) <= 1e-9
+
+
+def _reference_system():
+    # the residues of test_frobenius_factor_solves_equation and a third,
+    # non-commuting pole off the real axis: d = 2, S = 1
+    def mat(rows):
+        return CMatrix.from_rows(
+            [[ExactComplex(v) for v in row] for row in rows], True)
+
+    return FuchsianSystem(
+        (ExactComplex(-1), ExactComplex(1),
+         ExactComplex(Fraction(1, 2), 1)),
+        (
+            mat([[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(5, 4)]]),
+            mat([[Fraction(3, 4), 0], [Fraction(1, 5), Fraction(7, 6)]]),
+            mat([[Fraction(2, 3), Fraction(-1, 2)],
+                 [Fraction(1, 4), Fraction(1, 3)]]),
+        ),
+    )
+
+
+# Recorded with the adaptive DOP853 transport (scipy's solve_ivp, rtol
+# 1e-12) that the Taylor-step transport replaced, at the default tol 1e-10.
+REFERENCE_MOMENTS = [
+    [
+        [[3.1316612461594495+0.5875490911917864j,
+          0.8275455959838569-0.11577423887004806j],
+         [0.3845568341753263+2.250195649082763j,
+          0.2585611006537237+1.707545898657523j]],
+        [[-0.7090690624409796-0.2292361366549936j,
+          0.739624953399699-0.3073823496348006j],
+         [-0.1785776664027577-0.7805742620423132j,
+          0.5880781289013121+0.5638115879250731j]],
+    ],
+    [
+        [[2.47132549118001+0.6015042127124842j,
+          1.33219631982536+4.11194013079114j],
+         [0.9490285123074708+1.8439552573740754j,
+          -4.096180761789303+3.4212697792601667j]],
+        [[-0.8342279936623133-0.3546512958762623j,
+          -2.016684646325977+2.5597828833194467j],
+         [0.3777578656364433-0.3343625771906251j,
+          -3.3380295403198077-1.4738806384691345j]],
+    ],
+]
+REFERENCE_XI = [
+    [4.410814217588829-0.0483232904766322j,
+     1.5405854538434447+1.9737679318591959j],
+    [-3.5956168799853137-0.6271419884591485j,
+     -0.011847234310037535-5.835909070733592j],
+]
+REFERENCE_W = [
+    [1.3106715093396448-0.8008737513087907j,
+     0.4399113943906517+1.3422196553471335j],
+    [-0.012149588998762034-0.5433134160524141j,
+     2.069873276619865+0.3864262046866288j],
+]
+
+
+def test_transport_matches_recorded_reference():
+    system = _reference_system()
+    g = VecPoly.from_coeffs(
+        [(ExactComplex(1), ExactComplex(-1)), (ExactComplex(0), ExactComplex(2)),
+         (ExactComplex(Fraction(1, 2)), ExactComplex(0)),
+         (ExactComplex(1), ExactComplex(1))],
+        exact=True, dim=2,
+    )
+
+    def close(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+    close([[b.to_numpy() for b in row] for row in moments(system)],
+          REFERENCE_MOMENTS)
+    close(rhs_moment(system, g), REFERENCE_XI)
+    w = continue_w(system, (0.0, CMatrix.identity(2, False)),
+                   [0.0, 0.3 + 0.5j, -0.4 + 0.9j])
+    close(w.to_numpy(), REFERENCE_W)
 
 
 def test_moments_require_positive_spectra():

@@ -168,6 +168,19 @@ def test_correct_analytic_certificate(tmp_path, capsys):
     assert cert["max_difference"] <= 1e-9
 
 
+def test_correct_analytic_path_through_a_pole(tmp_path, capsys):
+    data = dict(SCALAR_DOC, options={
+        "order": 4, "paths": {"1": [[-1, 0], [1, 0], [0, 1], [1, 0]]},
+    })
+    doc = write_doc(tmp_path, data)
+    code, _, err = run(
+        capsys, ["correct", doc, "--g", "[[[0,0]],[[0,0]],[[1,0]]]",
+                 "--analytic"]
+    )
+    assert code == 4
+    assert "meets pole 1" in err
+
+
 def test_correct_analytic_ladder(tmp_path, capsys):
     doc = write_doc(tmp_path, NEGATIVE_BINF_DOC)
     # b = (-1/2, -1/2) hits k + B_inf = 0 at k = 1: rejected up front
