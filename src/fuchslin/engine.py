@@ -33,9 +33,16 @@ The right-hand sides rest on two pieces.  ``compose_series`` is a
 generator that yields the right-hand side of every order of one loop.  It
 keeps one table of the slices of the powers (w + h)^m, each built once
 from the power one lower in its last nonzero index; order n adds only the
-degree-n slices, which read h below order n.  ``_jacobian_product`` adds
+degree-n slices, which read h below order n.  In the obstruction mode it
+also keeps the table f - phi, folding each phi term in once, at the first
+order at or above its own that finds it.  ``_jacobian_product`` adds
 [(d_w h) V]_n: the engine calls it with V = psi for the normal-form term,
 the verifier with V = (QA) w.
+
+Every sum of products (a power slice, the f terms of order n, a Jacobian
+product, the verifier's left-hand side) accumulates into one coefficient
+list per target by ``poly.sp_mul_acc`` (buf += a * b in place) and is
+trimmed once, when it is complete.
 
 All series loops iterate keys in sorted order, so results are
 bit-for-bit reproducible regardless of how the nonlinearity table was
@@ -53,7 +60,7 @@ from .correction import solve_polynomial
 from .exact import from_int
 from .model import AssumptionError, check_nonlinear_assumption
 from .pnspace import devectorize, induced_system, vectorize
-from .poly import VecPoly, sp_add, sp_mul, sp_scale, sp_sub
+from .poly import VecPoly, sp_mul_acc, sp_trim
 from .matrices import ShapeError
 
 
@@ -136,37 +143,39 @@ class ConjugacyReport:
 
 
 def _jacobian_product(acc, h_terms, v_terms, n, sign, exact, dim):
-    """Add sign * [(d_w h) V]_n into the per-component slots ``acc``.
+    """Add sign * [(d_w h) V]_n into the per-component buffers ``acc``.
 
     ``h_terms`` and ``v_terms`` are {monomial: VecPoly} tables of h and of
     the vector field V; (d_w h) V = sum_l (d h / d w_l) V_l, so the term
-    h_m w^m times V_l at w^mv lands on m - e_l + mv with factor m_l.
+    h_m w^m times V_l at w^mv lands on m - e_l + mv with factor m_l, which
+    is applied to h_m's components once per l.
     """
+    zero = from_int(0, exact)
     by_order = {}
     for mv in sorted(v_terms):
-        factors = [v_terms[mv].component(l) for l in range(dim)]
-        by_order.setdefault(sum(mv), []).append((mv, factors))
+        by_order.setdefault(sum(mv), []).append(
+            (mv, _components(v_terms[mv], dim)))
     for mh in sorted(h_terms):
         matches = by_order.get(n + 1 - sum(mh))
         if not matches:
             continue
-        comps = [h_terms[mh].component(i) for i in range(dim)]
+        comps = _components(h_terms[mh], dim)
+        scaled = {}
+        for l in range(dim):
+            if mh[l]:
+                s = from_int(sign * mh[l], exact)
+                scaled[l] = [tuple(s * c for c in comp) for comp in comps]
         for mv, factors in matches:
-            for l in range(dim):
-                if not (mh[l] and factors[l]):
+            for l, sc in scaled.items():
+                if not factors[l]:
                     continue
                 target = tuple(
                     t + e - (k == l) for k, (t, e) in enumerate(zip(mh, mv))
                 )
-                scale = from_int(sign * mh[l], exact)
-                slot = acc.setdefault(target, [() for _ in range(dim)])
+                slot = acc.setdefault(target, [[] for _ in range(dim)])
                 for i in range(dim):
-                    if comps[i]:
-                        slot[i] = sp_add(
-                            slot[i],
-                            sp_scale(scale, sp_mul(comps[i], factors[l],
-                                                   exact)),
-                        )
+                    if sc[i]:
+                        sp_mul_acc(slot[i], sc[i], factors[l], zero)
 
 
 def compose_series(f_terms, h_table, extra, order_max, mode="obstruction"):
@@ -183,12 +192,14 @@ def compose_series(f_terms, h_table, extra, order_max, mode="obstruction"):
     ``h_table`` and ``extra`` hold at that moment; only the orders of h
     below n enter it.  The caller fills in order n - 1 before asking for
     order n and must not change lower orders afterwards: the slices of the
-    powers (w + h)^m are kept from one order to the next.
+    powers (w + h)^m are kept from one order to the next, and so is each
+    term of f - extra once an order at or above its own has read it.
     """
     if mode not in ("obstruction", "normal-form"):
         raise ValueError(f"unknown mode {mode!r}")
     dim = h_table.dim
     exact = h_table.exact
+    zero = from_int(0, exact)
     one = (from_int(1, exact),)
     powers = {}    # (m, k) -> slice k of (w + h)^m, {monomial: x-poly}
 
@@ -217,33 +228,36 @@ def compose_series(f_terms, h_table, extra, order_max, mode="obstruction"):
                 a.update(power(lower, b))
             for ma in sorted(a):
                 for mb, cb in power(unit, k - sum(ma)).items():
-                    prod = sp_mul(a[ma], cb, exact)
-                    if not prod:
-                        continue
                     total = tuple(x + y for x, y in zip(ma, mb))
-                    cur = out.get(total)
-                    out[total] = sp_add(cur, prod) if cur is not None \
-                        else prod
+                    sp_mul_acc(out.setdefault(total, []), a[ma], cb, zero)
+            out = {mu: c for mu, buf in out.items() if (c := sp_trim(buf))}
         powers[m, k] = out
         return out
 
+    # f - extra as components; an extra term is folded in once, at the
+    # first order at or above its own that finds it in ``extra``
+    table = {m: _components(p, dim) for m, p in f_terms.items()}
+    folded = set()
     for n in range(2, order_max + 1):
-        table = dict(f_terms)
         if mode == "obstruction" and extra is not None:
-            for m, p in extra.items_sorted():
-                cur = table.get(m)
-                table[m] = (cur - p) if cur is not None else -p
+            for m in sorted(extra.terms):
+                if sum(m) > n or m in folded:
+                    continue
+                p = extra.terms[m]
+                cur = f_terms.get(m)
+                table[m] = _components((cur - p) if cur is not None else -p,
+                                       dim)
+                folded.add(m)
 
         acc = {}
         for mt in sorted(table):
-            comps = [table[mt].component(i) for i in range(dim)]
+            comps = table[mt]
             prod = power(mt, n)
             for mu in sorted(prod):
-                slot = acc.setdefault(mu, [() for _ in range(dim)])
+                slot = acc.setdefault(mu, [[] for _ in range(dim)])
                 for i in range(dim):
                     if comps[i]:
-                        slot[i] = sp_add(slot[i],
-                                         sp_mul(comps[i], prod[mu], exact))
+                        sp_mul_acc(slot[i], comps[i], prod[mu], zero)
 
         if mode == "normal-form" and extra is not None:
             _jacobian_product(acc, h_table.terms, extra.terms, n, -1, exact,
@@ -257,7 +271,14 @@ def compose_series(f_terms, h_table, extra, order_max, mode="obstruction"):
         yield out
 
 
+def _components(p, dim):
+    return [p.component(i) for i in range(dim)]
+
+
 def _components_to_vecpoly(comps, dim, exact):
+    """VecPoly of the per-component coefficient sequences ``comps``, which
+    may end in zeros."""
+    comps = [sp_trim(c) for c in comps]
     deg = max((len(c) for c in comps), default=0)
     coeffs = [
         tuple(
@@ -372,12 +393,9 @@ def verify_conjugacy(nonlinear, series, h, order_max, mode="obstruction",
     for n, rhs in enumerate(parts, start=2):
         lhs = {}
         for m, hp in sorted(h.order_slice(n).items()):
-            slot = lhs.setdefault(m, [() for _ in range(d)])
             dx = hp.derivative().mul_sp(q)
             flow = qa.mul_vec(hp)
-            for i in range(d):
-                slot[i] = sp_add(slot[i], dx.component(i))
-                slot[i] = sp_sub(slot[i], flow.component(i))
+            lhs[m] = [list(c) for c in _components(dx - flow, d)]
         _jacobian_product(lhs, h.terms, qa_w, n, 1, exact, d)
 
         if mode == "normal-form":

@@ -43,34 +43,18 @@ def sp_degree(coeffs):
     return len(coeffs) - 1
 
 
-def sp_add(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for k in range(n):
-        if k < len(a) and k < len(b):
-            out.append(a[k] + b[k])
-        elif k < len(a):
-            out.append(a[k])
-        else:
-            out.append(b[k])
-    return sp_trim(out)
+def sp_mul_acc(buf, a, b, zero):
+    """``buf += a * b`` on the coefficient list ``buf``, in place.
 
-
-def sp_sub(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for k in range(n):
-        if k < len(a) and k < len(b):
-            out.append(a[k] - b[k])
-        elif k < len(a):
-            out.append(a[k])
-        else:
-            out.append(-b[k])
-    return sp_trim(out)
-
-
-def sp_scale(s, a):
-    return sp_trim(tuple(s * c for c in a))
+    ``buf`` is padded with ``zero`` up to the product's length and is not
+    trimmed, so a sum of many products is trimmed once, when it is complete.
+    """
+    short = len(a) + len(b) - 1 - len(buf)
+    if short > 0:
+        buf.extend([zero] * short)
+    for i, ai in enumerate(a):
+        for k, bj in enumerate(b, i):
+            buf[k] += ai * bj
 
 
 def sp_mul(a, b, exact=False):

@@ -23,7 +23,6 @@ from fuchslin.matrices import (
 from fuchslin.poly import (
     MatPoly,
     VecPoly,
-    sp_add,
     sp_degree,
     sp_diff,
     sp_divmod,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 import sys
@@ -196,6 +197,129 @@ def test_compose_reads_only_lower_orders_of_h(seed, mode):
         for m, p in series.order_slice(n + 1).items():
             extra_part.set(m, p)
     assert n == 5
+
+
+# A reference composition that shares no code with the engine: a scalar
+# polynomial in (w, x) is a {(m, x-power): Fraction} dict, a vector field a
+# list of them, one per component.
+
+
+def _ref_add(p, q, sign=1):
+    out = dict(p)
+    for key, c in q.items():
+        out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _ref_mul(p, q, top):
+    """p * q without the terms of w-degree above ``top``."""
+    out = {}
+    for (ma, ka), ca in p.items():
+        for (mb, kb), cb in q.items():
+            m = tuple(a + b for a, b in zip(ma, mb))
+            if sum(m) <= top:
+                out[m, ka + kb] = out.get((m, ka + kb), 0) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def _ref_substitute(field, h, d, top):
+    """field(x, w + h) through w-degree ``top``; (w + h)^m is expanded by
+    repeated truncated products."""
+    units = [tuple(int(k == j) for k in range(d)) for j in range(d)]
+    u = [_ref_add({(units[j], 0): Fraction(1)}, h[j]) for j in range(d)]
+    out = [{} for _ in range(d)]
+    for i in range(d):
+        for (mt, k), c in field[i].items():
+            power = {((0,) * d, k): c}
+            for j in range(d):
+                for _ in range(mt[j]):
+                    power = _ref_mul(power, u[j], top)
+            out[i] = _ref_add(out[i], power)
+    return out
+
+
+def _ref_jacobian(h, v, d, top):
+    """(d_w h) v through w-degree ``top``."""
+    out = [{} for _ in range(d)]
+    for i in range(d):
+        for l in range(d):
+            dh = {
+                (tuple(e - (k == l) for k, e in enumerate(m)), x): m[l] * c
+                for (m, x), c in h[i].items() if m[l]
+            }
+            out[i] = _ref_add(out[i], _ref_mul(dh, v[l], top))
+    return out
+
+
+def _to_table(field, d):
+    """SeriesTable of a reference vector field with rational coefficients."""
+    rows = {}
+    for i in range(d):
+        for (m, k), c in field[i].items():
+            rows.setdefault(m, {})[k, i] = c
+    table = SeriesTable(d, True)
+    for m, entries in rows.items():
+        deg = max(k for k, _ in entries) + 1
+        table.set(m, VecPoly.from_coeffs(
+            [tuple(ExactComplex(entries.get((k, i), 0)) for i in range(d))
+             for k in range(deg)], True, dim=d))
+    return table
+
+
+def _flatten(part):
+    """{(i, m, x-power): Fraction} of a yielded {monomial: VecPoly} part."""
+    out = {}
+    for m, p in part.items():
+        for k, vec in enumerate(p.coeffs):
+            for i, z in enumerate(vec):
+                assert z.im == 0
+                if z:
+                    out[i, m, k] = z.re
+    return out
+
+
+def _random_field(rng, d, orders, x_deg, density):
+    field = [{} for _ in range(d)]
+    for n in orders:
+        for m in itertools.product(range(n + 1), repeat=d):
+            if sum(m) != n:
+                continue
+            for i in range(d):
+                for k in range(x_deg + 1):
+                    if rng.random() < density:
+                        field[i][m, k] = Fraction(rng.randint(-5, 5),
+                                                  rng.randint(1, 4))
+    return [{key: c for key, c in comp.items() if c} for comp in field]
+
+
+@pytest.mark.parametrize("mode", ["obstruction", "normal-form"])
+def test_compose_matches_naive_reference_d3(mode):
+    # d = 3, f of orders 2-3, h of orders 2-4 and a nonzero extra of orders
+    # 2-4, all with rational x-polynomial coefficients; every yielded order
+    # 2-5 must equal the reference exactly.
+    d, top = 3, 5
+    rng = random.Random(2024)
+    f = _random_field(rng, d, (2, 3), 2, 0.15)
+    h = _random_field(rng, d, (2, 3, 4), 1, 0.2)
+    extra = _random_field(rng, d, (2, 3, 4), 1, 0.1)
+    assert all(f) and all(h) and all(extra)
+
+    if mode == "obstruction":
+        f_less = [_ref_add(f[i], extra[i], -1) for i in range(d)]
+        want = _ref_substitute(f_less, h, d, top)
+    else:
+        subst = _ref_substitute(f, h, d, top)
+        jac = _ref_jacobian(h, extra, d, top)
+        want = [_ref_add(subst[i], jac[i], -1) for i in range(d)]
+
+    parts = compose_series(_to_table(f, d).terms, _to_table(h, d),
+                           _to_table(extra, d), top, mode=mode)
+    for n, got in enumerate(parts, start=2):
+        want_n = {(i, m, k): c for i in range(d)
+                  for (m, k), c in want[i].items() if sum(m) == n}
+        assert want_n, n
+        assert _flatten(got) == want_n, (mode, n)
+    assert n == top
 
 
 # ----------------------------------------------------------------------
@@ -600,6 +724,36 @@ def test_insertion_order_does_not_change_floats():
     for (m1, p1), (m2, p2) in zip(h_a.items_sorted(), h_b.items_sorted()):
         assert m1 == m2
         assert p1.coeffs == p2.coeffs
+
+
+def test_insertion_order_does_not_change_float_composition_d3():
+    # float d = 3: compose_series, linearize and normal_form give the same
+    # canonical JSON, byte for byte, when f, h and extra are built in
+    # reversed insertion order
+    linear, terms = _full_residue_d3_case()
+    linear = float_system(linear)
+    entries = [(m, float_vecpoly(p)) for m, p in terms.items()]
+    nl_fwd = NonlinearSystem(linear, dict(entries))
+    nl_rev = NonlinearSystem(linear, dict(reversed(entries)))
+
+    def reversed_table(table):
+        return SeriesTable(table.dim, False,
+                           dict(reversed(table.items_sorted())))
+
+    def canonical(tables):
+        return dumps_canonical([series_table_json(SeriesTable(3, False, t))
+                                for t in tables])
+
+    for mode, runner in (("obstruction", linearize),
+                         ("normal-form", normal_form)):
+        series, h = runner(nl_fwd, 5)
+        series_rev, h_rev = runner(nl_rev, 5)
+        assert canonical([series.terms, h.terms]) == \
+            canonical([series_rev.terms, h_rev.terms]), mode
+        fwd = compose_series(nl_fwd.nonlinearity, h, series, 5, mode=mode)
+        rev = compose_series(nl_rev.nonlinearity, reversed_table(h),
+                             reversed_table(series), 5, mode=mode)
+        assert canonical(fwd) == canonical(rev), mode
 
 
 def test_block_enumeration_is_immaterial():
