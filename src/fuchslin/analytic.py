@@ -21,8 +21,13 @@ at the far pole.  A Taylor step from a centre c has length RHO times the
 distance from c to the nearest pole; it sums the series of the local
 factor Phi (W(c + t) = W(c) Phi(t)), whose coefficients come from the
 Frobenius recursion with no residue at c, and integrates it term by term
-against the series of x^i / Q and g / Q.  The path must keep clear of
-every pole; one that meets a pole raises QuadratureError.
+against the series of x^i / Q and g / Q.  The steps depend only on the
+path and the poles, not on W, so the transport plans every step of a path
+first and then builds the factors of all of them in one stacked
+recursion; W and the integrals chain over that stack.  At each endpoint
+pole, t^{B_j} is computed once and every series block goes through one
+stacked (B_j + k) solve.  The path must keep clear of every pole; one
+that meets a pole raises QuadratureError.
 
 Spectra with nonpositive real parts are first moved right by the shift
 ladder from the correction module; the ladder count is the smallest
@@ -282,30 +287,32 @@ class _Context:
 def _factor_series(c_blocks, residue=None):
     """Phi_0 = I and k Phi_k + B Phi_k - Phi_k B = sum_{l<k} Phi_{k-1-l} C_l.
 
-    With B the residue at a pole this is the Frobenius factor W = t^B Phi;
-    with ``residue`` None (B = 0, a regular point) it is the Taylor series
-    of Phi' = Phi sum_l C_l t^l.  Returns the (count, d, d) stack.
+    ``c_blocks`` stacks the C_l of n centres as (n, count, d, d); the
+    recursion runs once over k for all of them.  With B the residue at a
+    pole (n = 1) this is the Frobenius factor W = t^B Phi; with ``residue``
+    None (B = 0, regular points) it is the Taylor series of
+    Phi' = Phi sum_l C_l t^l.  Returns the (n, count, d, d) stack.
     """
-    count, d, _ = c_blocks.shape
-    c_rows = c_blocks.reshape(count * d, d)
+    n, count, d, _ = c_blocks.shape
+    c_rows = c_blocks.reshape(n, count * d, d)
     # block count-1-k of ``rev`` holds Phi_k, so the history
     # [Phi_{k-1} .. Phi_0] is one contiguous slice
-    rev = np.zeros((d, count * d), dtype=complex)
-    rev[:, (count - 1) * d:] = np.eye(d)
+    rev = np.zeros((n, d, count * d), dtype=complex)
+    rev[:, :, (count - 1) * d:] = np.eye(d)
     if residue is not None:
         eye = np.eye(d, dtype=complex)
         # k X + B X - X B = R on row-major vec(X)
         sylvester = np.kron(residue, eye) - np.kron(eye, residue.T)
         shift = np.eye(d * d, dtype=complex)
     for k in range(1, count):
-        rhs = rev[:, (count - k) * d:] @ c_rows[:k * d]
+        rhs = rev[:, :, (count - k) * d:] @ c_rows[:, :k * d]
         if residue is None:
             rhs /= k
         else:
             rhs = np.linalg.solve(sylvester + k * shift,
-                                  rhs.reshape(-1)).reshape(d, d)
-        rev[:, (count - 1 - k) * d:(count - k) * d] = rhs
-    return rev.reshape(d, count, d).transpose(1, 0, 2)[::-1]
+                                  rhs.reshape(n, d * d).T).T.reshape(n, d, d)
+        rev[:, :, (count - 1 - k) * d:(count - k) * d] = rhs
+    return rev.reshape(n, d, count, d).transpose(0, 2, 1, 3)[:, ::-1]
 
 
 def _frobenius_series(ctx, j, count):
@@ -325,16 +332,19 @@ def _frobenius_series(ctx, j, count):
     others = np.arange(len(ctx.poles)) != j
     ratios = np.zeros(len(ctx.poles), dtype=complex)
     ratios[others] = -1.0 / (ctx.poles[j] - ctx.pole_array[others])
-    return _factor_series(_neighbor_blocks(ctx, ratios, count), bj)
+    return _factor_series(_neighbor_blocks(ctx, ratios[None], count), bj)[0]
 
 
 def _neighbor_blocks(ctx, ratios, count):
-    """Blocks C_l h^{l+1}, l < count, of sum_k B_k/(x - p_k) at a centre c.
+    """Blocks C_l h^{l+1}, l < count, of sum_k B_k/(x - p_k) at centres c.
 
-    ``ratios`` holds r_k = -h/(c - p_k); a zero leaves pole k out (the
-    Frobenius factor at p_k itself).  C_l h^{l+1} = -sum_k r_k^{l+1} B_k.
+    ``ratios`` holds r_k = -h/(c - p_k), one row per centre; a zero leaves
+    pole k out (the Frobenius factor at p_k itself).
+    C_l h^{l+1} = -sum_k r_k^{l+1} B_k.  Returns (n, count, d, d).
     """
-    powers = np.cumprod(np.broadcast_to(ratios, (count, len(ratios))), axis=0)
+    n, n_poles = ratios.shape
+    powers = np.cumprod(
+        np.broadcast_to(ratios[:, None], (n, count, n_poles)), axis=1)
     return -np.tensordot(powers, ctx.res, axes=1)
 
 
@@ -411,28 +421,40 @@ def _vec_taylor(p, center, count):
     return out
 
 
-def _endpoint_sum(bj, t_end, blocks, tol):
-    """sum_k t_end^{B + k} (B + k)^{-1} H_k with convergence control.
+def _endpoint_sum(bj, t_end, blocks, gw, tol):
+    """t_end^B and sum_k t_end^{B + k} (B + k)^{-1} H_k for every block.
 
-    ``blocks`` stacks the H_k: (count, d, d) matrices or (count, d)
-    vectors.  Returns the accumulated matrix/vector *without* the leading
-    constant; the caller multiplies by the anchor (basepoint) or matching
-    constant (target pole).
+    ``blocks`` stacks the matrix series H^(i) as (n_blocks, count, d, d)
+    and ``gw`` the vector series H^(g) as (count, d) or None; all go
+    through one (B + k) solve per k, and t_end^B is computed once.  Each
+    block's last term is checked against that block's own sum.  Returns
+    (t_end^B, the (n_blocks, d, d) matrix sums, the vector sum or None),
+    *without* the leading constant; the caller multiplies by the anchor
+    (basepoint) or matching constant (target pole).
     """
-    count, d = blocks.shape[:2]
+    n_blocks, count, d = blocks.shape[:3]
+    cols = blocks.transpose(1, 2, 0, 3).reshape(count, d, n_blocks * d)
+    if gw is not None:
+        cols = np.concatenate([cols, gw[:, :, None]], axis=2)
     k = np.arange(count)
     shifted = bj + k[:, None, None] * np.eye(d, dtype=complex)
-    cols = blocks.reshape(count, d, -1)
     terms = np.linalg.solve(shifted, cols) * (t_end ** k)[:, None, None]
-    acc = terms.sum(axis=0).reshape(blocks.shape[1:])
-    tail = float(np.max(np.abs(terms[-1])))
-    scale = max(1.0, float(np.max(np.abs(acc))))
-    if tail > 50 * tol * scale:
-        raise QuadratureError(
-            f"endpoint series did not converge (last term {tail:.3e} "
-            f"after {count} terms)"
-        )
-    return expm(cmath.log(t_end) * bj) @ acc
+    acc = terms.sum(axis=0)
+    groups = [slice(i * d, (i + 1) * d) for i in range(n_blocks)]
+    if gw is not None:
+        groups.append(slice(n_blocks * d, None))
+    for cols_of_block in groups:
+        tail = float(np.max(np.abs(terms[-1][:, cols_of_block])))
+        scale = max(1.0, float(np.max(np.abs(acc[:, cols_of_block]))))
+        if tail > 50 * tol * scale:
+            raise QuadratureError(
+                f"endpoint series did not converge (last term {tail:.3e} "
+                f"after {count} terms)"
+            )
+    t_b = expm(cmath.log(t_end) * bj)
+    acc = t_b @ acc
+    mats = acc[:, :n_blocks * d].reshape(d, n_blocks, d).transpose(1, 0, 2)
+    return t_b, mats, (acc[:, -1] if gw is not None else None)
 
 
 # ----------------------------------------------------------------------
@@ -467,18 +489,11 @@ def _transport_pass(ctx, path, powers, g_poly, match_target=True):
 
     count0 = ctx.series_count(eps0 / ctx.gaps[0])
     blocks0, gw0 = _pole_blocks(ctx, 0, powers, g_poly, count0)
+    t_b0, sums0, gsum0 = _endpoint_sum(ctx.res[0], ta, blocks0, gw0, ctx.tol)
     anchor = ctx.anchor()
-
-    mats_start = np.array([
-        anchor @ _endpoint_sum(ctx.res[0], ta, blk, ctx.tol) for blk in blocks0
-    ], dtype=complex).reshape(len(powers), ctx.d, ctx.d)
-    xi_start = None
-    if g_poly is not None:
-        xi_start = anchor @ _endpoint_sum(ctx.res[0], ta, gw0, ctx.tol)
-
-    phi0 = ctx.frobenius(0, count0)
-    w_start = (anchor @ expm(cmath.log(ta) * ctx.res[0])
-               @ _eval_series_mat(phi0, ta))
+    mats_start = anchor @ sums0
+    xi_start = None if gsum0 is None else anchor @ gsum0
+    w_start = anchor @ t_b0 @ _eval_series_mat(ctx.frobenius(0, count0), ta)
 
     # interior: Taylor steps from a to the stop point near the target
     target = points[-1]
@@ -504,15 +519,13 @@ def _transport_pass(ctx, path, powers, g_poly, match_target=True):
         tb = interior[-1] - target
         count_t = ctx.series_count(eps_t / ctx.gaps[jt])
         blocks_t, gw_t = _pole_blocks(ctx, jt, powers, g_poly, count_t)
-        phi_t = ctx.frobenius(jt, count_t)
-        w_loc = expm(cmath.log(tb) * ctx.res[jt]) @ _eval_series_mat(phi_t, tb)
+        t_bt, sums_t, gsum_t = _endpoint_sum(ctx.res[jt], tb, blocks_t, gw_t,
+                                             ctx.tol)
+        w_loc = t_bt @ _eval_series_mat(ctx.frobenius(jt, count_t), tb)
         match = w_mid @ np.linalg.inv(w_loc)
-        mats = mats - np.array([
-            match @ _endpoint_sum(ctx.res[jt], tb, blk, ctx.tol)
-            for blk in blocks_t
-        ], dtype=complex).reshape(mats.shape)
+        mats = mats - match @ sums_t
         if g_poly is not None:
-            xi = xi - match @ _endpoint_sum(ctx.res[jt], tb, gw_t, ctx.tol)
+            xi = xi - match @ gsum_t
 
     return _PassResult(
         mats=mats, xi=xi,
@@ -551,9 +564,12 @@ def _taylor_transport(ctx, points, w, mats, xi, g_poly):
     """Continue W and the moment integrals along a pole-free polyline.
 
     ``mats[i]`` accumulates integral x^i Q^{-1} W dx and ``xi`` (when
-    ``g_poly`` is given) integral Q^{-1} W g dx.  Each step from a centre
-    c has length RHO * dist(c, poles) and sums the Taylor series of the
-    local factor Phi (W(c + t) = W(c) Phi(t)) to ``ctx.step_terms`` terms.
+    ``g_poly`` is given) integral Q^{-1} W g dx.  Two phases: first plan
+    every step of the path (a step from a centre c has length
+    RHO * dist(c, poles), and the last step of a segment lands on its end);
+    then build the local factors Phi (W(c + t) = W(c) Phi(t)) of all steps
+    in one stacked recursion, each summed to ``ctx.step_terms`` terms, and
+    chain them from the start.
     """
     _require_pole_free(ctx, points)
     gc = np.zeros((0, ctx.d), dtype=complex)
@@ -561,9 +577,27 @@ def _taylor_transport(ctx, points, w, mats, xi, g_poly):
         gc = np.array([[complex(c) for c in v] for v in g_poly.coeffs],
                       dtype=complex).reshape(-1, ctx.d)
     n_x = max(len(mats), len(gc))
+    centres, lengths = _plan_steps(ctx, points)
     # the path's integrals are summed apart from the start values, which
     # can be far larger (anchor and endpoint series), and added once
     path_ints = np.zeros((n_x, ctx.d, ctx.d), dtype=complex)
+    for factors in _step_factors(ctx, centres, lengths, n_x):
+        wf = w @ factors
+        w = wf[0]
+        path_ints += wf[1:]
+    mats = mats + path_ints[:len(mats)]
+    if xi is not None:
+        xi = xi + np.einsum("aij,aj->i", path_ints[:len(gc)], gc)
+    return w, mats, xi
+
+
+def _plan_steps(ctx, points):
+    """Centres c and lengths h of the Taylor steps along a polyline.
+
+    Each step reaches RHO * dist(c, poles); the last one of a segment
+    lands exactly on its end, and a zero-length segment takes no step.
+    """
+    centres, lengths = [], []
     for a, b in zip(points[:-1], points[1:]):
         c = a
         while c != b:
@@ -571,45 +605,47 @@ def _taylor_transport(ctx, points, w, mats, xi, g_poly):
             reach = RHO * float(np.min(np.abs(c - ctx.pole_array)))
             last = abs(rest) <= reach
             h = rest if last else rest * (reach / abs(rest))
-            wf = w @ _step_factors(ctx, c, h, n_x)
-            w = wf[0]
-            path_ints += wf[1:]
+            centres.append(c)
+            lengths.append(h)
             c = b if last else c + h
-    mats = mats + path_ints[:len(mats)]
-    if xi is not None:
-        xi = xi + np.einsum("aij,aj->i", path_ints[:len(gc)], gc)
-    return w, mats, xi
+    return (np.array(centres, dtype=complex),
+            np.array(lengths, dtype=complex))
 
 
-def _step_factors(ctx, c, h, n_x):
+def _step_factors(ctx, centres, lengths, n_x):
     """Phi(h) and integral_0^h x^a Q^{-1} Phi(t) dt, x = c + t, a < n_x.
 
-    Returned stacked as (1 + n_x, d, d).  With hats for scaling by h^k:
-    (k + 1) Phi^_{k+1} = sum_l Phi^_{k-l} C^_l, Phi(h) = sum_k Phi^_k, and
-    with s^ the scaled series of x^a / Q the integral is
-    sum_{m,l} Phi^_m s^_l h / (m + l + 1).
+    One row per step (c, h), stacked as (n_steps, 1 + n_x, d, d).  With
+    hats for scaling by h^k: (k + 1) Phi^_{k+1} = sum_l Phi^_{k-l} C^_l,
+    Phi(h) = sum_k Phi^_k, and with s^ the scaled series of x^a / Q the
+    integral is sum_{m,l} Phi^_m s^_l h / (m + l + 1).
     """
     count = ctx.step_terms
-    delta = c - ctx.pole_array
-    ratios = -h / delta
+    n = len(centres)
+    delta = centres[:, None] - ctx.pole_array
+    ratios = -lengths[:, None] / delta
     phi = _factor_series(_neighbor_blocks(ctx, ratios, count))
-    # h/Q(c + t) = (h / prod delta_k) prod_k sum_l r_k^l t^l, scaled
-    geo = np.ones((count, len(ratios)), dtype=complex)
-    geo[1:] = np.cumprod(np.broadcast_to(ratios, geo[1:].shape), axis=0)
-    inv_q = geo[:, 0]
-    for col in geo.T[1:]:
-        inv_q = np.convolve(inv_q, col)[:count]
-    rows = np.empty((1 + n_x, count), dtype=complex)
-    rows[0] = 1.0
+    rows = np.empty((n, 1 + n_x, count), dtype=complex)
+    rows[:, 0] = 1.0
     if n_x:
+        # h/Q(c + t) = (h / prod delta_k) prod_k 1/(1 - r_k t), scaled:
+        # dividing by 1 - r t is s[l] += r s[l-1], one pole at a time
+        s = np.zeros((n, count), dtype=complex)
+        s[:, 0] = 1.0
+        for r in ratios.T:
+            for l in range(1, count):
+                s[:, l] += r * s[:, l - 1]
+        s *= (lengths / np.prod(delta, axis=1))[:, None]
+        rows[:, 1] = s
         # x^a / Q, a = 0, 1, ...: multiply by x = c + t term by term
-        s = inv_q * (h / np.prod(delta))
-        rows[1] = s
         for a in range(2, n_x + 1):
-            s = c * s + h * np.concatenate(([0.0], s[:-1]))
-            rows[a] = s
-        rows[1:] = rows[1:] @ ctx.hilbert
-    return np.tensordot(rows, phi, axes=1)
+            shifted = np.zeros_like(s)
+            shifted[:, 1:] = s[:, :-1]
+            s = centres[:, None] * s + lengths[:, None] * shifted
+            rows[:, a] = s
+        rows[:, 1:] = rows[:, 1:] @ ctx.hilbert
+    d = ctx.d
+    return (rows @ phi.reshape(n, count, d * d)).reshape(n, 1 + n_x, d, d)
 
 
 # ----------------------------------------------------------------------

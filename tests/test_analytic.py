@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from fuchslin.analytic import (
+    RHO,
     PathSpec,
     QuadratureError,
     ResonanceError,
@@ -18,6 +20,10 @@ from fuchslin.analytic import (
     moments,
     rhs_moment,
     solve_analytic,
+    _Context,
+    _endpoint_sum,
+    _factor_series,
+    _neighbor_blocks,
 )
 from fuchslin.correction import solve_polynomial
 from fuchslin.exact import ExactComplex
@@ -327,6 +333,12 @@ REFERENCE_W = [
 ]
 
 
+def _close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+
 def test_transport_matches_recorded_reference():
     system = _reference_system()
     g = VecPoly.from_coeffs(
@@ -335,18 +347,140 @@ def test_transport_matches_recorded_reference():
          (ExactComplex(1), ExactComplex(1))],
         exact=True, dim=2,
     )
-
-    def close(got, want):
-        got, want = np.asarray(got), np.asarray(want)
-        assert got.shape == want.shape
-        assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
-
-    close([[b.to_numpy() for b in row] for row in moments(system)],
-          REFERENCE_MOMENTS)
-    close(rhs_moment(system, g), REFERENCE_XI)
+    _close([[b.to_numpy() for b in row] for row in moments(system)],
+           REFERENCE_MOMENTS)
+    _close(rhs_moment(system, g), REFERENCE_XI)
     w = continue_w(system, (0.0, CMatrix.identity(2, False)),
                    [0.0, 0.3 + 0.5j, -0.4 + 0.9j])
-    close(w.to_numpy(), REFERENCE_W)
+    _close(w.to_numpy(), REFERENCE_W)
+
+
+# Recorded with the Taylor-step transport before its steps were planned
+# first and built in one stack, at the default tol 1e-10.
+REFERENCE_W_AROUND_POLE_1 = [
+    [-0.5118259426328083-1.8244675544523192j,
+     -1.1982070326754286-1.2868847481197534j],
+    [1.8542787783017392-0.047515182166685925j,
+     1.9107569600254124-2.1660554524496765j],
+]
+REFERENCE_XI_DEGREE_5 = [
+    [2.5143655389050807-0.2304142649514071j,
+     1.0360525269309875+0.5339894815333825j],
+    [-9.788380824619784-4.600386013393255j,
+     1.8391708279476755-12.663821794741256j],
+]
+
+
+def test_step_planner_edge_cases():
+    system = _reference_system()
+    start = (0.0, CMatrix.identity(2, False))
+    # a repeated waypoint is a zero-length segment: no step, same result
+    plain = continue_w(system, start, [0.0, 0.3 + 0.5j, -0.4 + 0.9j])
+    repeated = continue_w(system, start,
+                          [0.0, 0.3 + 0.5j, 0.3 + 0.5j, -0.4 + 0.9j])
+    assert np.array_equal(repeated.to_numpy(), plain.to_numpy())
+    _close(repeated.to_numpy(), REFERENCE_W)
+    # a path of one zero-length segment plans no step at all
+    stay = continue_w(system, start, [0.0, 0.0])
+    assert np.array_equal(stay.to_numpy(), np.eye(2))
+    # no moments (n_x = 0) along a path that rounds pole 1 from below
+    around = continue_w(system, start,
+                        [0.0, 0.5 - 0.5j, 1.5 - 0.5j, 1.5 + 0.5j])
+    _close(around.to_numpy(), REFERENCE_W_AROUND_POLE_1)
+    # g of degree S + 4 = 5: the x-power count comes from g, not from the
+    # S + 1 powers of the moment blocks
+    g = VecPoly.from_coeffs(
+        [tuple(ExactComplex(Fraction(v)) for v in row) for row in
+         [(1, -1), (0, 2), ("1/2", 0), (1, 1), (-1, "1/3"), ("1/4", -2)]],
+        exact=True, dim=2,
+    )
+    assert g.degree == system.s + 4
+    _close(rhs_moment(system, g), REFERENCE_XI_DEGREE_5)
+
+
+def test_stacked_factor_series_matches_per_centre():
+    ctx = _Context(_reference_system(), 1e-10)
+    count = ctx.step_terms
+    # three steps of length RHO * dist(c, poles) in different directions:
+    # the pole ratios r_k = -h / (c - p_k) differ in size and phase
+    centres = np.array([0.0, 0.3 + 0.5j, -0.4 - 0.9j])
+    heads = np.array([1.0, 1j, -0.6 + 0.8j])
+    dist = np.min(np.abs(centres[:, None] - ctx.pole_array), axis=1)
+    ratios = -(RHO * dist * heads)[:, None] / (centres[:, None]
+                                                - ctx.pole_array)
+    assert len({tuple(np.round(np.abs(r), 6)) for r in ratios}) == 3
+    stacked = _factor_series(_neighbor_blocks(ctx, ratios, count))
+    assert stacked.shape == (3, count, 2, 2)
+    for i in range(3):
+        single = _factor_series(_neighbor_blocks(ctx, ratios[i:i + 1],
+                                                 count))
+        assert single.shape == (1, count, 2, 2)
+        for k in range(count):
+            want = single[0, k]
+            scale = float(np.max(np.abs(want)))
+            assert np.max(np.abs(stacked[i, k] - want)) <= 1e-14 * scale
+
+
+def test_endpoint_sum_stacks_blocks_with_their_own_convergence_test():
+    bj = np.array([[0.75, 0.5], [0.2, 1.25]], dtype=complex)
+    t_end = 0.3 - 0.1j
+    count = 30
+    decay = (0.5 ** np.arange(count))[:, None, None]
+    rng = np.random.default_rng(5)
+    blocks = np.stack([decay * rng.standard_normal((count, 2, 2)),
+                       1e6 * decay * rng.standard_normal((count, 2, 2))])
+    gw = decay[:, :, 0] * rng.standard_normal((count, 2))
+    t_b, mats, vec = _endpoint_sum(bj, t_end, blocks, gw, 1e-10)
+    # reference: one (B + k) solve and one t^B per block, term by term
+    want_t_b = expm(np.log(t_end) * bj)
+    assert np.allclose(t_b, want_t_b, rtol=1e-14, atol=0)
+    for got, series in [*zip(mats, blocks), (vec, gw)]:
+        acc = sum(t_end ** k * np.linalg.solve(bj + k * np.eye(2), series[k])
+                  for k in range(count))
+        want = want_t_b @ acc
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # block 0's last term (~3e-7) fails against its own sum (order one),
+    # although block 1's sum (~1e6) would have covered it
+    blocks[0, -1] = 1e-5 / abs(t_end) ** (count - 1)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        _endpoint_sum(bj, t_end, blocks, gw, 1e-10)
+
+
+def test_tightest_known_certificate_still_passes():
+    # the benchmark's analytic-route job with the largest share of the
+    # 10 * tol certificate allowance (d = 3, S = 2, one nonpositive
+    # residue, so shift-ladder rungs run first), written out as literals
+    def exact_mat(rows):
+        return CMatrix.from_rows(
+            [[ExactComplex(Fraction(v)) for v in row] for row in rows], True)
+
+    system = FuchsianSystem(
+        tuple(ExactComplex(Fraction(p)) for p in ("-5/2", "-1/2", 3, 2)),
+        (
+            exact_mat([["-1/8", 0, "-1/2"], [0, "-1/4", 0], [0, 0, "-7/8"]]),
+            exact_mat([["13/6", "1/2", "-1/2"], [0, "5/6", 0],
+                       [0, 0, "3/2"]]),
+            exact_mat([["5/3", "-1/2", "-1/2"], [0, "7/3", "1/2"],
+                       [0, 0, "5/2"]]),
+            exact_mat([["2/3", "-1/2", "1/2"], [0, "11/6", "1/2"],
+                       [0, 0, "3/2"]]),
+        ),
+    )
+    g = VecPoly.from_coeffs(
+        [tuple(ExactComplex(Fraction(v)) for v in row) for row in
+         [(-1, 0, 1), (0, 0, "1/2"), (1, "-1/2", "-1/2"), ("3/2", 1, "1/2"),
+          (1, 1, -1), ("1/2", -1, 0), ("3/2", "-3/2", "1/2")]],
+        exact=True, dim=3,
+    )
+    result = solve_analytic(system, g)
+    assert result.y.certificate.passed
+    direct = solve_polynomial(system, g)
+    scale = max(1.0, max(abs(complex(v)) for row in direct.phi.coeffs
+                         for v in row))
+    for i in range(system.s + 1):
+        for a, b in zip(direct.phi.coefficient(i),
+                        result.phi.coefficient(i)):
+            assert abs(complex(a) - complex(b)) <= 1e-7 * scale
 
 
 def test_moments_require_positive_spectra():
