@@ -695,11 +695,14 @@ def continue_w(system, start, path, tol=1e-10):
     return CMatrix.from_numpy(w)
 
 
+def _min_real_part(system):
+    """Least real part over the residue spectra at the finite poles."""
+    return min(ev.real for j in range(system.n_poles)
+               for ev in system.residue_spectrum(j))
+
+
 def _require_positive_spectra(system):
-    worst = math.inf
-    for j in range(system.n_poles):
-        for ev in system.residue_spectrum(j):
-            worst = min(worst, ev.real)
+    worst = _min_real_part(system)
     if worst <= 0.0:
         raise AssumptionError(
             f"moment integrals need all residue spectra in the open right "
@@ -847,10 +850,7 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
     sysf = float_system(system)
     gf = float_vecpoly(g)
 
-    worst = math.inf
-    for j in range(sysf.n_poles):
-        for ev in sysf.residue_spectrum(j):
-            worst = min(worst, ev.real)
+    worst = _min_real_part(sysf)
     n_shift = 0 if worst > 0.0 else int(math.floor(-worst)) + 1
 
     ladder_systems = [sysf]

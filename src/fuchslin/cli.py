@@ -3,7 +3,7 @@
 Subcommands read a system document (JSON, or TOML on .toml extension) and
 emit canonical JSON reports on stdout or ``--out``:
 
-    fuchslin check       doc.json            assumption sweeps
+    fuchslin check       doc.json            integer-shift assumptions
     fuchslin polys       doc.json --order 4  polynomial family + leading coeffs
     fuchslin correct     doc.json --g '[[[1,0]]]'
     fuchslin linearize   doc.json --order 6
@@ -303,7 +303,7 @@ def build_parser():
                              "FUCHSLIN_TOL overrides the default)")
     common.add_argument("--resonance-tol", type=float, default=None,
                         dest="resonance_tol",
-                        help="assumption-check tolerance "
+                        help="float-mode assumption-check tolerance "
                              "(FUCHSLIN_RESONANCE_TOL overrides the default)")
     common.add_argument("--out", default=None, metavar="FILE",
                         help="write the JSON report to FILE instead of stdout")
@@ -311,9 +311,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common],
-                       help="run the assumption sweeps")
+                       help="check the integer-shift assumptions")
     p.add_argument("--order", type=int, default=None,
-                   help="nonlinear sweep order (default: document order)")
+                   help="nonlinear check order (default: document order)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("polys", parents=[common],

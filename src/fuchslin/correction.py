@@ -36,14 +36,13 @@ from dataclasses import dataclass
 from .exact import from_int
 from .matrices import (
     SingularMatrixError,
-    is_invertible,
     solve_linear,
     vec_add,
     vec_scale,
     vec_sub,
     vec_zero,
 )
-from .model import AssumptionError
+from .model import AssumptionError, singular_shifts
 from .poly import VecPoly, sp_eval, sp_taylor
 
 
@@ -94,9 +93,10 @@ class ShiftStep:
 def solve_polynomial(system, g, tol=1e-12):
     """Unique polynomial correction and solution for a polynomial rhs.
 
-    Raises AssumptionError exactly when some k + B_inf with k >= 0 is
-    singular: below deg g - S the recursion cannot solve, and above it a
-    singular shift may carry a polynomial kernel that makes (phi, y)
+    Raises AssumptionError when some k + B_inf with k >= 0 is singular, as
+    ``model.singular_shifts`` decides (exactly in exact mode, by ``tol`` in
+    float mode): below deg g - S the recursion cannot solve, and above it
+    a singular shift may carry a polynomial kernel that makes (phi, y)
     non-unique.  The residues B_j enter no solve, and no spectral
     positivity or nonresonance between eigenvalues is needed.
     """
@@ -106,10 +106,12 @@ def solve_polynomial(system, g, tol=1e-12):
     work = g if exact else g.trim(tol)
     s = system.s
     q = system.q_poly()
-    k_bad = _singular_infinity_shift(system, tol)
-    if k_bad is not None:
-        raise AssumptionError(f"k + B_inf singular at k={k_bad}: (phi, y) not unique")
     binf = system.b_infinity()
+    tests = singular_shifts(binf, system.residue_spectrum("inf"), tol)
+    bad = [k for k, _, singular in tests if singular]
+    if bad:
+        raise AssumptionError(
+            f"k + B_inf singular at k={min(bad)}: (phi, y) not unique")
     rem = list(work.coeffs)
     ys = []
     for k in range(work.degree - s - 1, -1, -1):
@@ -230,26 +232,16 @@ def solution_uniqueness_check(system, tol=1e-12):
     True when every k + B_inf with k >= 0 is invertible; None (with a
     warning) when one is singular.
     """
-    k_bad = _singular_infinity_shift(system, tol)
-    if k_bad is not None:
+    tests = singular_shifts(system.b_infinity(),
+                            system.residue_spectrum("inf"), tol)
+    bad = [k for k, _, singular in tests if singular]
+    if bad:
         warnings.warn(
-            f"uniqueness check skipped: k + B_inf singular at k={k_bad}",
+            f"uniqueness check skipped: k + B_inf singular at k={min(bad)}",
             stacklevel=2,
         )
         return None
     return True
-
-
-def _singular_infinity_shift(system, tol):
-    """Least k >= 0 with k + B_inf singular, or None.  Only the shift
-    nearest each float eigenvalue of B_inf can be, so only it is checked."""
-    binf = system.b_infinity()
-    near = {round(-ev.real) for ev in system.residue_spectrum("inf")
-            if abs(ev.imag) < 0.5}
-    for k in sorted(near):
-        if k >= 0 and not is_invertible(binf.add_scaled_identity(k), tol):
-            return k
-    return None
 
 
 # ----------------------------------------------------------------------

@@ -302,7 +302,7 @@ def linearize(nonlinear, order_max, tol=1e-12, resonance_tol=1e-9,
     Returns (phi, h): the obstruction series (each term of x-degree <= S)
     and the substitution series u = w + h(x, w) that linearizes the
     phi-corrected system.  Raises AssumptionError when the nonresonance
-    sweep fails.  ``basis_factory(d, n)`` may override the block basis
+    check fails.  ``basis_factory(d, n)`` may override the block basis
     enumeration; the output is enumeration-independent.
     """
     return _run_engine(nonlinear, order_max, "obstruction", tol,

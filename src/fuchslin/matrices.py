@@ -175,7 +175,7 @@ class CMatrix:
     # -- predicates ------------------------------------------------------
 
     def max_abs(self):
-        return max(abs(v) for r in self.rows for v in r)
+        return max((abs(v) for r in self.rows for v in r if v), default=0.0)
 
     def is_zero(self, tol=0.0):
         return all(scalar_is_zero(v, tol) for r in self.rows for v in r)
@@ -223,8 +223,9 @@ def vec_is_zero(v, tol=0.0):
 def mat_eigenvalues(m):
     """Eigenvalues as a list of python complex, always via floating point.
 
-    Exact matrices are converted to complex first: spectra are only used to
-    gate assumptions and resonance checks, where float accuracy is enough.
+    Exact matrices are converted to complex first, so in exact mode a
+    spectrum only proposes: ``model.singular_shifts`` confirms each nearby
+    integer shift by exact elimination before it rejects an input.
     """
     if not m.is_square:
         raise ShapeError("eigenvalues need a square matrix")

@@ -23,8 +23,9 @@ the solvers are valid:
 * nonlinear: k + (lambda, m) - lambda_i never vanishes for natural k and
   monomial orders 2 .. order_max, per residue spectrum lambda.
 
-Both reduce to finitely many tests because |k + z| > 0 is automatic once
-k exceeds |z|; the reports record the bound actually swept.
+Both, and the correction solver, decide each integer shift by one rule,
+``singular_shifts``: float eigenvalues propose the nearest shift, float
+mode rejects it by tolerance, exact mode by exact elimination.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import math
 from dataclasses import dataclass, field
 
 from .exact import from_int
-from .matrices import ShapeError, mat_eigenvalues
-from .pnspace import multiindices
+from .matrices import ShapeError, is_invertible, mat_eigenvalues
+from .pnspace import PnBasis, conjugation_matrix, multiindices
 from .poly import MatPoly, sp_diff, sp_eval, sp_from_roots
 
 
@@ -149,12 +150,15 @@ class FuchsianSystem:
             self._cache[key] = tuple(inv * c for c in self.cofactor(j))
         return self._cache[key]
 
+    def residue_matrix(self, j):
+        """Residue j ('inf' for the residue sum)."""
+        return self.b_infinity() if j == "inf" else self.residues[j]
+
     def residue_spectrum(self, j):
         """Float eigenvalues of residue j ('inf' for the residue sum)."""
         key = ("spec", j)
         if key not in self._cache:
-            m = self.b_infinity() if j == "inf" else self.residues[j]
-            self._cache[key] = mat_eigenvalues(m)
+            self._cache[key] = mat_eigenvalues(self.residue_matrix(j))
         return self._cache[key]
 
     def all_spectra(self):
@@ -218,26 +222,61 @@ class NonlinearAssumptionReport:
     violations: list = field(default_factory=list)
 
 
+# Exact mode confirms a proposed shift whose float margin lies within
+# _SHIFT_WINDOW * max(1, max |M_ij|) * (n + 1), n the block degree (0 for
+# a residue).  A fixed window is not enough: the float eigenvalues of an
+# exact Jordan block of size s are off by about the s-th root of the
+# rounding error, which measured 1.5e-8 for [[-2, 1], [-1, 0]], 8.2e-6 for
+# a 3x3 block and 0.056 for an integer conjugate of it with entries up to
+# 9e5.  A block value <lambda, m> - lambda_i sums n + 1 such eigenvalues.
+_SHIFT_WINDOW = 1e-3
+
+
+def singular_shifts(mat, values, tol, degree=0):
+    """Propose one integer shift per value and decide whether it is singular.
+
+    ``values`` are float eigenvalues of T: of ``mat`` itself when
+    ``degree`` is 0, else of J_mat on the degree-``degree`` block (the
+    values <lambda, m> - lambda_i).  For each z the proposal is
+    k = max(0, round(-Re z)), the k >= 0 that minimises the margin
+    |z + k|.  Float mode calls k + T singular when the margin is <= tol.
+    Exact mode ignores tol: proposals within the window are decided by
+    exact elimination of k + T, T built only then; the others are not
+    singular.  Returns one (k, margin, singular) per value, in order.
+    """
+    proposals = [(k, abs(z + k))
+                 for z in values for k in (max(0, round(-z.real)),)]
+    if not mat.exact:
+        return [(k, margin, margin <= tol) for k, margin in proposals]
+    window = _SHIFT_WINDOW * max(1.0, mat.max_abs()) * (degree + 1)
+    near = {k for k, margin in proposals if margin <= window}
+    if near:
+        op = mat if degree == 0 else conjugation_matrix(
+            mat, PnBasis(mat.n_rows, degree))
+        near = {k for k in near
+                if not is_invertible(op.add_scaled_identity(k))}
+    return [(k, margin, margin <= window and k in near)
+            for k, margin in proposals]
+
+
 def check_linear_assumption(system, tol=1e-9):
     """Certify that k + B_j is invertible for all natural k.
 
-    For each residue (and the residue sum) the sweep runs k from 0 to
-    ceil(max |eigenvalue|) + 1; beyond that |k + lambda| grows with k, so
-    the finite sweep decides the full condition.
+    Per residue (and the residue sum) only the shift nearest each
+    eigenvalue can be singular (``singular_shifts``).  ``k_checked`` is
+    ceil(max |eigenvalue|) + 1, a bound on every such shift.
     """
     violations = []
     min_margin = math.inf
     k_checked = 0
     for label, spectrum in system.all_spectra():
         radius = max((abs(ev) for ev in spectrum), default=0.0)
-        bound = int(math.ceil(radius)) + 1
-        k_checked = max(k_checked, bound)
-        for ev in spectrum:
-            for k in range(bound + 1):
-                margin = abs(ev + k)
-                min_margin = min(min_margin, margin)
-                if margin <= tol:
-                    violations.append(LinearViolation(label, k, ev, margin))
+        k_checked = max(k_checked, int(math.ceil(radius)) + 1)
+        tests = singular_shifts(system.residue_matrix(label), spectrum, tol)
+        for ev, (k, margin, singular) in zip(spectrum, tests):
+            min_margin = min(min_margin, margin)
+            if singular:
+                violations.append(LinearViolation(label, k, ev, margin))
     return LinearAssumptionReport(
         passed=not violations,
         k_checked=k_checked,
@@ -250,30 +289,29 @@ def check_nonlinear_assumption(nonlinear, order_max, tol=1e-9):
     """Certify k + <lambda, m> - lambda_i != 0 up to monomial order order_max.
 
     Runs per residue spectrum of the linear part (including the residue
-    sum).  For each monomial order the k sweep stops at
-    ceil((|m|+1) * max|lambda|) + 1, past which no cancellation is possible.
+    sum) and per monomial order n, deciding the shifts of J_{B_j} on the
+    degree-n block with ``singular_shifts``.
     """
     system = nonlinear.linear
     d = system.size
     violations = []
     min_margin = math.inf
     for label, spectrum in system.all_spectra():
-        radius = max((abs(ev) for ev in spectrum), default=0.0)
+        mat = system.residue_matrix(label)
         for order in range(2, order_max + 1):
-            bound = int(math.ceil((order + 1) * radius)) + 1
+            slots, values = [], []
             for m in multiindices(d, order):
                 shift = sum(mi * ev for mi, ev in zip(m, spectrum))
                 for i, ev_i in enumerate(spectrum):
-                    base = shift - ev_i
-                    for k in range(bound + 1):
-                        margin = abs(base + k)
-                        min_margin = min(min_margin, margin)
-                        if margin <= tol:
-                            violations.append(
-                                NonlinearViolation(
-                                    label, m, i, k, base + k, margin
-                                )
-                            )
+                    slots.append((m, i))
+                    values.append(shift - ev_i)
+            tests = singular_shifts(mat, values, tol, order)
+            for (m, i), base, (k, margin, singular) in zip(slots, values,
+                                                         tests):
+                min_margin = min(min_margin, margin)
+                if singular:
+                    violations.append(
+                        NonlinearViolation(label, m, i, k, base + k, margin))
     return NonlinearAssumptionReport(
         passed=not violations,
         order_max=order_max,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -87,6 +88,77 @@ def test_check_rejects_negative_integer_b_infinity(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["linear"]["passed"] is False
     assert any(v["residue"] == "inf" for v in payload["linear"]["violations"])
+
+
+def shift_doc(residue, other, exact=True):
+    """Poles -1, 1 with the given residues and the nonlinearity u_0^2 e_0."""
+    d = len(residue)
+
+    def num(v):
+        return [v, 0] if exact else [float(Fraction(v)), 0.0]
+
+    return {
+        "dimension": d,
+        "S": 0,
+        "poles": [num(-1), num(1)],
+        "matrices": [[[num(v) for v in row] for row in res]
+                     for res in (residue, other)],
+        "nonlinearity": [
+            {"multiindex": [2] + [0] * (d - 1),
+             "coeff": [[num(1)] + [num(0)] * (d - 1)]},
+        ],
+    }
+
+
+THREE_I = [[3, 0, 0], [0, 3, 0], [0, 0, 3]]
+# Residues with one Jordan block at -1, so 1 + B_0 is singular.  Their
+# float eigenvalues miss -1 by 1.5e-8, 8.2e-6 and 0.056 (the last is an
+# integer conjugate of the second with entries up to ~9e5), all above the
+# float tolerance 1e-9: exact mode must not decide through them.
+JORDAN_DOCS = {
+    "2x2": shift_doc([[-2, 1], [-1, 0]], [[3, 0], [0, 3]]),
+    "3x3": shift_doc([[-1, 0, 1], [1, -2, 2], [1, -1, 0]], THREE_I),
+    "3x3-large": shift_doc([[89640, 22819, 5756],
+                            [-577360, -146957, -37067],
+                            [892981, 227251, 57314]], THREE_I),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JORDAN_DOCS))
+def test_exact_mode_rejects_jordan_block_at_negative_integer(
+        tmp_path, capsys, name):
+    doc = write_doc(tmp_path, JORDAN_DOCS[name])
+    code, out, _ = run(capsys, ["check", doc, "--exact"])
+    assert code == 2
+    linear = json.loads(out)["linear"]
+    assert {(v["residue"], v["k"]) for v in linear["violations"]} == \
+        {("0", 1)}
+    tables = str(tmp_path / "tables.json")
+    code, _, err = run(capsys, ["linearize", doc, "--exact", "--order", "2",
+                                "--out", tables])
+    assert code == 2 and "k=1" in err
+
+
+def test_exact_near_miss_is_not_resonant(tmp_path, capsys):
+    # 2*1 - (2 + 10^-12) is 10^-12 from the integer 0: resonant within the
+    # float tolerance, not in exact arithmetic.
+    near = [[1, 0], [0, "2000000000001/1000000000000"]]
+    doc = write_doc(tmp_path, shift_doc(near, [[1, 0], [0, 1]]))
+    code, out, _ = run(capsys, ["check", doc, "--exact"])
+    assert code == 0 and json.loads(out)["passed"] is True
+    tables = str(tmp_path / "tables.json")
+    code, _, _ = run(capsys, ["linearize", doc, "--exact", "--order", "3",
+                              "--out", tables])
+    assert code == 0
+    code, out, _ = run(capsys, ["verify", doc, "--exact", "--tables", tables])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True and payload["max_residual"] == 0
+    # the same numbers as floats are rejected by resonance_tol
+    fdoc = write_doc(tmp_path, shift_doc(near, [[1, 0], [0, 1]], False),
+                     "float.json")
+    assert run(capsys, ["check", fdoc])[0] == 2
+    assert run(capsys, ["linearize", fdoc, "--order", "3"])[0] == 2
 
 
 def test_schema_error_reports_pointer(tmp_path, capsys):

@@ -1,7 +1,8 @@
-"""Fuchsian system container and assumption sweeps."""
+"""Fuchsian system container and assumption checks."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,10 +13,15 @@ from fuchslin.matrices import CMatrix, ShapeError
 from fuchslin.model import (
     AssumptionError,
     FuchsianSystem,
+    LinearAssumptionReport,
+    LinearViolation,
+    NonlinearAssumptionReport,
     NonlinearSystem,
+    NonlinearViolation,
     check_linear_assumption,
     check_nonlinear_assumption,
 )
+from fuchslin.pnspace import multiindices
 from fuchslin.poly import VecPoly, sp_degree, sp_eval, sp_mul
 
 
@@ -197,3 +203,123 @@ def test_spectra_are_cached_floats():
     assert abs(first[0] - 1.0 / 3.0) < 1e-15
     inf = sys_.residue_spectrum("inf")
     assert abs(inf[0] - 1.0) < 1e-15
+
+
+# ----------------------------------------------------------------------
+# the float checks against a brute-force k sweep
+# ----------------------------------------------------------------------
+
+
+def sweep_linear(system, tol=1e-9):
+    """Reference: every k from 0 to ceil(max |eigenvalue|) + 1."""
+    violations = []
+    min_margin = math.inf
+    k_checked = 0
+    for label, spectrum in system.all_spectra():
+        radius = max((abs(ev) for ev in spectrum), default=0.0)
+        bound = int(math.ceil(radius)) + 1
+        k_checked = max(k_checked, bound)
+        for ev in spectrum:
+            for k in range(bound + 1):
+                margin = abs(ev + k)
+                min_margin = min(min_margin, margin)
+                if margin <= tol:
+                    violations.append(LinearViolation(label, k, ev, margin))
+    return LinearAssumptionReport(
+        passed=not violations,
+        k_checked=k_checked,
+        min_margin=float(min_margin),
+        violations=violations,
+    )
+
+
+def sweep_nonlinear(nonlinear, order_max, tol=1e-9):
+    """Reference: every k from 0 to ceil((|m|+1) max |lambda|) + 1."""
+    system = nonlinear.linear
+    d = system.size
+    violations = []
+    min_margin = math.inf
+    for label, spectrum in system.all_spectra():
+        radius = max((abs(ev) for ev in spectrum), default=0.0)
+        for order in range(2, order_max + 1):
+            bound = int(math.ceil((order + 1) * radius)) + 1
+            for m in multiindices(d, order):
+                shift = sum(mi * ev for mi, ev in zip(m, spectrum))
+                for i, ev_i in enumerate(spectrum):
+                    base = shift - ev_i
+                    for k in range(bound + 1):
+                        margin = abs(base + k)
+                        min_margin = min(min_margin, margin)
+                        if margin <= tol:
+                            violations.append(
+                                NonlinearViolation(
+                                    label, m, i, k, base + k, margin
+                                )
+                            )
+    return NonlinearAssumptionReport(
+        passed=not violations,
+        order_max=order_max,
+        min_margin=float(min_margin),
+        violations=violations,
+    )
+
+
+def random_spectrum_value(rng):
+    kind = rng.randrange(4)
+    n = rng.randint(0, 4)
+    if kind == 0:
+        return complex(-n)
+    if kind == 1:
+        return complex(rng.choice((-1, 1)) * (n + 0.5))
+    if kind == 2:
+        return complex(-n + rng.choice((-1e-10, 1e-10)))
+    return complex(rng.randint(-8, 8) / 4,
+                   rng.choice((-1, 1)) * rng.randint(1, 6) / 4)
+
+
+def random_float_system(rng, d, s):
+    """Upper triangular residues with the diagonals drawn above, plus one
+    dense residue now and then, so B_inf and the spectra vary."""
+    poles = [complex(p) for p in rng.sample(range(-6, 7), s + 2)]
+    residues = []
+    for _ in range(s + 2):
+        rows = [[0j] * d for _ in range(d)]
+        for i in range(d):
+            rows[i][i] = random_spectrum_value(rng)
+            for j in range(i + 1, d):
+                rows[i][j] = complex(rng.randint(-3, 3), rng.randint(-1, 1))
+        if rng.random() < 0.2:
+            rows = [[v + complex(rng.randint(-2, 2)) for v in row]
+                    for row in rows]
+        residues.append(CMatrix.from_rows(rows, False))
+    return FuchsianSystem(poles, residues)
+
+
+def test_float_checks_match_brute_force_sweep():
+    """The nearest-shift rule reports exactly what sweeping every k did:
+    passed, k_checked, bit-equal margins and the violations in order."""
+    rng = random.Random(1109)
+    seen_violation = seen_clean = 0
+    for trial in range(200):
+        d = rng.randint(1, 3)
+        system = random_float_system(rng, d, rng.randint(0, 2))
+        order = rng.randint(2, 6 if d < 3 else 4)
+        tol = rng.choice((1e-9, 1e-11))
+        pairs = (
+            (check_linear_assumption(system, tol), sweep_linear(system, tol)),
+            (check_nonlinear_assumption(NonlinearSystem(system, {}), order,
+                                        tol),
+             sweep_nonlinear(NonlinearSystem(system, {}), order, tol)),
+        )
+        for got, ref in pairs:
+            assert got.passed == ref.passed, trial
+            assert got.min_margin.hex() == ref.min_margin.hex(), trial
+            assert got.violations == ref.violations, trial
+            assert [v.margin.hex() for v in got.violations] == \
+                [v.margin.hex() for v in ref.violations], trial
+            seen_violation += not ref.passed
+            seen_clean += ref.passed
+        assert pairs[0][0].k_checked == pairs[0][1].k_checked
+        assert pairs[1][0].order_max == pairs[1][1].order_max
+    # the draw exercises both outcomes
+    assert seen_violation > 10 and seen_clean > 10
