@@ -35,6 +35,13 @@ integer making every real part strictly positive.  Corrections are pulled
 back down rung by rung, and the returned handle carries the whole
 composition y = y_0 + y_1 + Q * (next rung).
 
+The certificate compares, near every pole, the continued solution with
+that composition applied against the local series of the original problem
+(``correction.local_taylor`` with right-hand side g - phi).  Every k + B_j
+is invertible, so the series is the unique solution analytic at the pole,
+and the comparison checks the shift ladder and its pull-back as well as
+the transport.
+
 Everything here runs in floating point; exact systems are converted on
 entry (phi keeps only as much accuracy as the quadrature tolerance).
 
@@ -61,7 +68,6 @@ from scipy.linalg import expm
 
 from .correction import (
     CorrectionResult,
-    TaylorSolution,
     local_taylor,
     pull_back_correction,
     shift_up,
@@ -765,16 +771,19 @@ class AnalyticSolutionHandle:
     The top of the shift ladder holds an integral representation
     y_top = W^{-1} integral Q^{-1} W (g_top - phi_top); each rung below
     composes y = y_0 + y_1 + Q * (rung above).  Evaluation continues the
-    integral along a default (or given) path; ``taylor_at_pole`` builds the
-    honest local series at a pole by solving the corrected equation there
-    and composing the ladder series.
+    integral along a default (or given) path and composes the ladder onto
+    it.  ``taylor_at_pole`` builds the local series at a pole from the
+    original problem alone: the solution of Q y' + (QB) y = g - phi that is
+    analytic there, so the ladder never enters it.
     """
 
-    def __init__(self, ctx_top, ladder, corrected_rhs, original, tol):
+    def __init__(self, ctx_top, ladder, corrected_top, original, corrected,
+                 tol):
         self._ctx_top = ctx_top
         self._ladder = ladder              # list of (y0, y1) float VecPolys
-        self._corrected = corrected_rhs    # g_top - phi_top, float VecPoly
+        self._corrected_top = corrected_top  # g_top - phi_top, float VecPoly
         self._original = original          # original float system
+        self._corrected = corrected        # g - phi, float VecPoly
         self.tol = tol
         self.certificate = None            # set by solve_analytic
 
@@ -790,7 +799,7 @@ class AnalyticSolutionHandle:
             path = default_path(ctx.system, x)
         elif not isinstance(path, PathSpec):
             path = PathSpec(tuple(path))
-        result = _transport_pass(ctx, path, [], self._corrected,
+        result = _transport_pass(ctx, path, [], self._corrected_top,
                                  match_target=False)
         y_top = np.linalg.solve(result.w_mid, result.xi_mid)
         return self._compose_point(x, y_top)
@@ -806,28 +815,8 @@ class AnalyticSolutionHandle:
         return tuple(complex(v) for v in y)
 
     def taylor_at_pole(self, pole_index, order=30):
-        top = local_taylor(
-            self._ctx_top.system, pole_index, self._corrected, order
-        )
-        coeffs = [np.array([complex(c) for c in v]) for v in top.coefficients]
-        center = self._ctx_top.poles[pole_index]
-        q_shift = [complex(c) for c in
-                   sp_taylor(self._original.q_poly(), center)]
-        for y0, y1 in reversed(self._ladder):
-            lower = _vec_taylor(y0, center, order + 1)
-            extra = _vec_taylor(y1, center, order + 1)
-            new = []
-            for k in range(order + 1):
-                acc = lower[k] + extra[k]
-                for l in range(min(k, len(q_shift) - 1) + 1):
-                    if k - l < len(coeffs):
-                        acc = acc + q_shift[l] * coeffs[k - l]
-                new.append(acc)
-            coeffs = new
-        return TaylorSolution(
-            pole_index, center,
-            [tuple(complex(v) for v in c) for c in coeffs],
-        )
+        return local_taylor(self._original, pole_index, self._corrected,
+                            order)
 
 
 def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
@@ -836,9 +825,10 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
     Checks integer-shift invertibility, applies as many ladder rungs as
     needed to move every residue spectrum into the open right half plane,
     determines the top correction from the moment block system, pulls it
-    back down, and certifies the result a posteriori: the continued
-    solution matches the local series at every pole within 10 * tol
-    (relative to the solution scale).
+    back down, and certifies the result a posteriori: near every pole the
+    continued solution, composed down the ladder, matches the local series
+    of the original problem corrected by phi within 10 * tol (relative to
+    the solution scale).
     """
     report = check_linear_assumption(system, tol=resonance_tol)
     if not report.passed:
@@ -909,9 +899,8 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
         phi = phi_low
     ladder_parts.reverse()
 
-    corrected_top = top_g - phi_top
     handle = AnalyticSolutionHandle(
-        ctx_top, ladder_parts, corrected_top, sysf, tol
+        ctx_top, ladder_parts, top_g - phi_top, sysf, gf - phi, tol
     )
 
     handle.certificate = _certify(ctx_top, phi_top, passes, handle, tol)
@@ -930,12 +919,12 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
 
 
 def _certify(ctx_top, phi_top, passes, handle, tol):
-    """Continuation vs local series at every pole, on the original system."""
+    """Continuation vs the original problem's local series at every pole."""
     report = CertificateReport(tol=tol)
     s = ctx_top.system.s
 
     # pole 0 is checked at the basepoint, every other pole at the stop
-    # point of its pass: endpoint-series value vs ladder-composed series
+    # point of its pass: ladder-composed continued value vs local series
     first = passes[0]
     checkpoints = [(0, first.start_point, first.xi_start, first.mats_start,
                     first.w_start)]

@@ -18,17 +18,12 @@ failed verification).
 ``linearize`` takes its mode from ``--mode``, else from the document's
 ``options.mode``, else obstruction; ``verify`` takes it from ``--mode``,
 else the tables, else the document, else obstruction.
-
-Tolerance defaults may be set through FUCHSLIN_TOL and
-FUCHSLIN_RESONANCE_TOL; explicit ``--tol`` / document options win over
-the environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .analytic import QuadratureError, solve_analytic
@@ -61,25 +56,12 @@ _EXIT_SCHEMA = 3
 _EXIT_NUMERIC = 4
 
 
-def _env_float(name, fallback):
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        value = float(raw)
-    except ValueError:
-        raise SchemaError(f"/{name}: environment override is not a number")
-    if value <= 0:
-        raise SchemaError(f"/{name}: environment override must be positive")
-    return value
-
-
 def _resolve_tol(args, doc, default):
     if args.tol is not None:
         return args.tol
     if "tol" in doc.options:
         return doc.options["tol"]
-    return _env_float("FUCHSLIN_TOL", default)
+    return default
 
 
 def _resolve_resonance_tol(args, doc):
@@ -87,7 +69,7 @@ def _resolve_resonance_tol(args, doc):
         return args.resonance_tol
     if "resonance_tol" in doc.options:
         return doc.options["resonance_tol"]
-    return _env_float("FUCHSLIN_RESONANCE_TOL", 1e-9)
+    return 1e-9
 
 
 def _resolve_order(args, doc):
@@ -299,12 +281,11 @@ def build_parser():
     common.add_argument("--exact", action="store_true",
                         help="rational arithmetic; requires rational inputs")
     common.add_argument("--tol", type=float, default=None,
-                        help="solver tolerance (default per command; "
-                             "FUCHSLIN_TOL overrides the default)")
+                        help="solver tolerance (default per command)")
     common.add_argument("--resonance-tol", type=float, default=None,
                         dest="resonance_tol",
                         help="float-mode assumption-check tolerance "
-                             "(FUCHSLIN_RESONANCE_TOL overrides the default)")
+                             "(default 1e-9)")
     common.add_argument("--out", default=None, metavar="FILE",
                         help="write the JSON report to FILE instead of stdout")
 

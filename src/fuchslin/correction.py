@@ -18,8 +18,12 @@ and what is left of g at degrees <= S is phi.  The paper builds the same
 (unique) pair by expanding g in the lowered Rodrigues family; the tests
 keep that construction as the reference.
 
-``local_taylor`` independently solves the same equation as a Taylor series
-at one pole (the cross-check used by tests and certificates).
+``local_taylor`` solves the same cleared equation as a Taylor series at one
+pole, from the bottom up.  In t = x - p_j, Q vanishes at t = 0, so the
+coefficient of t^k is Q'(p_j) (k + B_j) y_k plus terms of the y_i with
+i < k: the indicial equation at p_j.  One solve per k gives the solution
+analytic at that pole, which the analytic route's certificate compares
+with its continued solution.
 
 ``shift_up`` / ``pull_back_correction`` implement one rung of the shift
 ladder: when residue spectra have nonpositive real parts, the substitution
@@ -35,6 +39,7 @@ from dataclasses import dataclass
 
 from .exact import from_int
 from .matrices import (
+    CMatrix,
     SingularMatrixError,
     solve_linear,
     vec_add,
@@ -134,41 +139,50 @@ def solve_polynomial(system, g, tol=1e-12):
 
 
 def local_taylor(system, pole_index, rhs, order, tol=1e-12):
-    """Taylor solution of y' + B y = rhs / Q at pole ``pole_index``.
+    """Taylor solution of Q y' + (QB) y = rhs at pole ``pole_index``.
 
-    Multiplying by t = x - p_j gives t y' + (B_j + t C(x)) y = G(t) with
-    G = rhs / (Q / (x - p_j)); the coefficients satisfy
-
-        (k + B_j) y_k = G_k - sum_{l<k} C_l y_{k-1-l},
-
-    solvable term by term whenever the integer shifts of B_j are
-    invertible.
+    The bottom-up twin of ``solve_polynomial``.  In t = x - p_j, Q has the
+    Taylor coefficients q_a with q_0 = 0 and q_1 = Q'(p_j), and QB has the
+    coefficients R_b with R_0 = Q'(p_j) B_j.  The coefficient of t^k is
+    then Q'(p_j) (k + B_j) y_k plus terms of the y_i with i < k: one solve
+    per k, after which y_k's own terms, k q_a y_k at t^(a+k-1) for a >= 2
+    and R_b y_k at t^(b+k) for b >= 1, leave the remainder.  This is the
+    unique solution analytic at p_j whenever every k + B_j is invertible.
     """
     exact = system.exact
     d = system.size
     center = system.poles[pole_index]
     count = order + 1
-
-    num = _padded_taylor(rhs, center, count, d, exact)
-    cof = system.cofactor(pole_index)
-    den = _scalar_taylor(cof, center, count, exact)
-    g_series = _divide_series(num, den, count, d, exact)
-
-    c_blocks = _neighbor_series(system, pole_index, count)
-
+    q = sp_taylor(system.q_poly(), center, exact)
+    inv_q1 = from_int(1, exact) / q[1]
+    qb = system.qb_poly()
+    entries = [[sp_taylor(qb.entry(r, c), center, exact) for c in range(d)]
+               for r in range(d)]
+    zero = from_int(0, exact)
+    r_blocks = [
+        CMatrix.from_rows(
+            [[e[b] if b < len(e) else zero for e in row] for row in entries],
+            exact,
+        )
+        for b in range(1, len(q) - 1)
+    ]
+    rem = rhs.taylor_at(center)[:count]
+    rem += [vec_zero(d, exact)] * (count - len(rem))
     b_j = system.residues[pole_index]
     ys = []
     for k in range(count):
-        acc = g_series[k]
-        for l in range(k):
-            acc = vec_sub(acc, c_blocks[l].matvec(ys[k - 1 - l]))
         try:
-            yk = solve_linear(b_j.add_scaled_identity(k), acc, tol)
+            y_k = solve_linear(b_j.add_scaled_identity(k),
+                               vec_scale(inv_q1, rem[k]), tol)
         except SingularMatrixError as err:
             raise AssumptionError(
                 f"k + B_{pole_index} singular at k={k}: {err}"
             ) from None
-        ys.append(yk)
+        ys.append(y_k)
+        for a in range(2, min(len(q), count - k + 1)):
+            rem[a + k - 1] = vec_sub(rem[a + k - 1], vec_scale(k * q[a], y_k))
+        for b, r_b in enumerate(r_blocks[: count - k - 1], start=1):
+            rem[b + k] = vec_sub(rem[b + k], r_b.matvec(y_k))
     return TaylorSolution(pole_index, center, ys)
 
 
@@ -242,55 +256,3 @@ def solution_uniqueness_check(system, tol=1e-12):
         )
         return None
     return True
-
-
-# ----------------------------------------------------------------------
-# series helpers
-# ----------------------------------------------------------------------
-
-
-def _padded_taylor(p, center, count, dim, exact):
-    coeffs = p.taylor_at(center)
-    zero = vec_zero(dim, exact)
-    return [coeffs[k] if k < len(coeffs) else zero for k in range(count)]
-
-
-def _scalar_taylor(sp, center, count, exact):
-    shifted = sp_taylor(sp, center, exact)
-    zero = from_int(0, exact)
-    return [shifted[k] if k < len(shifted) else zero for k in range(count)]
-
-
-def _divide_series(num, den, count, dim, exact):
-    """Vector series / scalar series with den[0] != 0, to ``count`` terms."""
-    if not den or (not den[0] if exact else abs(den[0]) == 0.0):
-        raise ZeroDivisionError("series division by a vanishing leading term")
-    inv0 = from_int(1, exact) / den[0]
-    out = []
-    for k in range(count):
-        acc = num[k]
-        for l in range(k):
-            acc = vec_sub(acc, vec_scale(den[k - l], out[l]))
-        out.append(vec_scale(inv0, acc))
-    return out
-
-
-def _neighbor_series(system, pole_index, count):
-    """Taylor blocks of sum_{k != j} B_k/(x - p_k) at pole j.
-
-    Block l is sum_k (-1)^l B_k / (p_j - p_k)^{l+1}.
-    """
-    exact = system.exact
-    p_j = system.poles[pole_index]
-    out = []
-    for l in range(count):
-        acc = None
-        for k in range(system.n_poles):
-            if k == pole_index:
-                continue
-            delta = p_j - system.poles[k]
-            factor = from_int((-1) ** l, exact) / delta ** (l + 1)
-            term = system.residues[k].scale(factor)
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from fuchslin import analytic
 from fuchslin.analytic import (
     RHO,
     PathSpec,
@@ -25,7 +26,7 @@ from fuchslin.analytic import (
     _factor_series,
     _neighbor_blocks,
 )
-from fuchslin.correction import solve_polynomial
+from fuchslin.correction import pull_back_correction, solve_polynomial
 from fuchslin.exact import ExactComplex
 from fuchslin.matrices import CMatrix
 from fuchslin.model import AssumptionError, FuchsianSystem
@@ -517,6 +518,22 @@ def test_solve_analytic_ladder_case():
     assert abs(result.y.eval(0.5)[0]) <= 1e-7
     series = result.y.taylor_at_pole(0, order=20)
     assert max(abs(c[0]) for c in series.coefficients) <= 1e-7
+
+
+def test_certificate_checks_the_ladder_pull_back(monkeypatch):
+    # the local series solves the original problem, so a wrong y_1 from
+    # the pull-back shows in the continued value and nowhere else
+    system = scalar_system(Fraction(-1, 4), Fraction(-1, 4))
+    g = monomial_rhs(2)
+    assert solve_analytic(system, g, tol=1e-10).y.certificate.passed
+
+    def off_pull_back(system, phi_lifted, tol=1e-12):
+        phi, y1 = pull_back_correction(system, phi_lifted, tol)
+        return phi, y1 + VecPoly.constant((1e-3,) * y1.dim)
+
+    monkeypatch.setattr(analytic, "pull_back_correction", off_pull_back)
+    with pytest.raises(QuadratureError, match="certificate failed"):
+        solve_analytic(system, g, tol=1e-10)
 
 
 def test_route_agreement_random_systems():

@@ -18,7 +18,7 @@ from fuchslin.correction import (
 )
 from fuchslin.exact import ExactComplex
 from fuchslin.matrices import CMatrix
-from fuchslin.model import AssumptionError, FuchsianSystem
+from fuchslin.model import AssumptionError, FuchsianSystem, singular_shifts
 from fuchslin.poly import VecPoly
 from fuchslin.rodrigues import RodriguesFamily, shifted_system
 
@@ -233,6 +233,66 @@ def test_local_taylor_matches_polynomial_solution():
                     else tuple(ExactComplex(0) for _ in range(system.size))
                 )
                 assert tuple(sol.coefficients[k]) == tuple(want), (j, k)
+
+
+def random_full_system(rng):
+    """Exact system with dense Gaussian-rational residues, every k + B_j
+    invertible."""
+    d = rng.randint(1, 3)
+    s = rng.randint(0, 2)
+    poles = []
+    while len(poles) < s + 2:
+        c = ExactComplex(Fraction(rng.randint(-6, 6), 2),
+                         Fraction(rng.randint(-2, 2), 2))
+        if all(c != p for p in poles):
+            poles.append(c)
+    while True:
+        mats = tuple(
+            CMatrix.from_rows(
+                [[ExactComplex(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                               Fraction(rng.randint(-1, 1), 2))
+                  for _ in range(d)] for _ in range(d)],
+                True,
+            )
+            for _ in range(s + 2)
+        )
+        system = FuchsianSystem(tuple(poles), mats)
+        if all(not any(singular for _, _, singular in singular_shifts(
+                   system.residues[j], system.residue_spectrum(j), 0.0))
+               for j in range(s + 2)):
+            return system
+
+
+def test_local_taylor_float_matches_exact():
+    # exact: the series solves the cleared equation (checked in x through
+    # t^low, since term k of the residual involves only y_0 .. y_k); float
+    # agrees with it through t^order, term by term, scaled by the gap to
+    # the nearest other pole (the radius of convergence)
+    rng = random.Random(41)
+    order, low = 40, 12
+    for _ in range(20):
+        system = random_full_system(rng)
+        d = system.size
+        g = random_vecpoly(rng, d, rng.randint(0, system.s + 3))
+        zero = VecPoly.zero(d, exact=True)
+        sysf, gf = float_system(system), float_vecpoly(g)
+        for j, center in enumerate(system.poles):
+            sol = local_taylor(system, j, g, order)
+            y = VecPoly.from_coeffs(sol.coefficients[: low + 1], exact=True,
+                                    dim=d)
+            y = VecPoly.from_coeffs(y.taylor_at(-center), exact=True, dim=d)
+            resid = cleared_residual(system, g, zero, y).taylor_at(center)
+            assert all(not v for c in resid[: low + 1] for v in c), j
+            got = local_taylor(sysf, j, gf, order).coefficients
+            gap = min(abs(complex(center - p)) for p in system.poles
+                      if p != center)
+            want = [[complex(v) for v in c] for c in sol.coefficients]
+            scale = max([1.0] + [gap ** k * abs(v)
+                                 for k, c in enumerate(want) for v in c])
+            err = max(gap ** k * abs(a - b)
+                      for k, (ca, cb) in enumerate(zip(got, want))
+                      for a, b in zip(ca, cb))
+            assert err <= 1e-12 * scale, (j, err / scale)
 
 
 def test_local_taylor_eval_consistency():
