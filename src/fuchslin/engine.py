@@ -29,38 +29,42 @@ order 3 on -- they are different canonical objects answering different
 questions.  ``compare_modes`` reports where they separate;
 ``verify_conjugacy`` checks each mode against its own identity.
 
-The right-hand sides rest on two pieces.  ``compose_series`` is a
-generator that yields the right-hand side of every order of one loop.  It
-keeps one table of the slices of the powers (w + h)^m, each built once
-from the power one lower in its last nonzero index; order n adds only the
-degree-n slices, which read h below order n.  In the obstruction mode it
-also keeps the table f - phi, folding each phi term in once, at the first
-order at or above its own that finds it.  ``_jacobian_product`` adds
-[(d_w h) V]_n: the engine calls it with V = psi for the normal-form term,
-the verifier with V = (QA) w.
+The right-hand sides come from ``compose_series``, a generator that
+yields the right-hand side of every order of one loop.  Its x-polynomials
+live as coefficient rows in one row store, in blocks: P[p, k] holds slice
+k of (w + h)^m for every m of order p, built once from the power one
+lower in its last nonzero index.  Order n follows a pair plan, built by
+index arithmetic once per (d, n, p_max) and cached: triples (row, row,
+target row) giving the new blocks P[p, n], which read h below order n,
+then the terms of f - extra of order n and, in the normal-form mode, the
+Jacobian product [(d_w h) psi]_n.  A factor that is a w-part (w^(m - e_i)
+or w_i, coefficient 1) makes its pair a row copy.  The verifier runs one
+more plan for [(d_w h) (QA) w]_n.  Float mode executes a plan on complex128
+arrays (one gather, one batched row convolution, one sum per run of equal
+targets); exact mode runs the same pairs through ``poly.sp_mul_acc`` on
+trimmed tuples of exact scalars, skipping empty rows.
 
-Every sum of products (a power slice, the f terms of order n, a Jacobian
-product, the verifier's left-hand side) accumulates into one coefficient
-list per target by ``poly.sp_mul_acc`` (buf += a * b in place) and is
-trimmed once, when it is complete.
-
-All series loops iterate keys in sorted order, so results are
-bit-for-bit reproducible regardless of how the nonlinearity table was
-assembled (float addition is not associative; a fixed order makes it
-deterministic).
+All series loops iterate keys in sorted order, and the plans list
+monomials in sorted order, so results are bit-for-bit reproducible
+regardless of how the nonlinearity table was assembled (float addition is
+not associative; a fixed order makes it deterministic).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .correction import solve_polynomial
 from .exact import from_int
 from .model import AssumptionError, check_nonlinear_assumption
-from .pnspace import devectorize, induced_system, vectorize
-from .poly import VecPoly, sp_mul_acc, sp_trim
+from .pnspace import devectorize, induced_system, multiindices, vectorize
+from .poly import VecPoly, sp_add_acc, sp_mul_acc, sp_trim
 from .matrices import ShapeError
 
 
@@ -138,141 +142,469 @@ class ConjugacyReport:
 
 
 # ----------------------------------------------------------------------
-# composition of the right-hand side
+# pair plans: which coefficient rows multiply into which
+# ----------------------------------------------------------------------
+
+# A composition run keeps its x-polynomials as coefficient rows, appended
+# block by block to one row store.  A field block (kind _T for the terms
+# of f - extra, _E for the extra terms, _H for h) holds the order-k part
+# of a vector field, row mu * d + i for the monomial at position mu of
+# ``multiindices(d, k)`` and component i.  The power block P[q, k] (kind
+# q + 1) holds slice k of (w + h)^m for every m of order q, row
+# mu * N_q + m; P[1, k] is h's field block, its m read as the component.
+_T, _E, _H = 0, 1, 2
+# coefficients in one batch of row products (4 MB of complex128)
+_BATCH = 1 << 18
+
+
+def _count(d, k):
+    return math.comb(k + d - 1, d - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _exponents(d, k):
+    """(N_k, d) exponents of the order-k monomials, in ``multiindices``
+    order."""
+    return np.array(multiindices(d, k), dtype=np.intp).reshape(-1, d)
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_keys(d, top):
+    """Weights of a base-(top + 1) key, keys of every monomial of order at
+    most top in ascending order, and each one's position in its order."""
+    weights = (top + 1) ** np.arange(d - 1, -1, -1, dtype=np.intp)
+    keys = np.concatenate([_exponents(d, k) @ weights
+                           for k in range(top + 1)])
+    pos = np.concatenate([np.arange(_count(d, k)) for k in range(top + 1)])
+    order = np.argsort(keys)
+    return weights, keys[order], pos[order]
+
+
+def _positions(d, top, exps):
+    """Position of each row of ``exps`` (orders <= top) in its order."""
+    weights, keys, pos = _monomial_keys(d, top)
+    return pos[np.searchsorted(keys, exps @ weights)]
+
+
+def _last_index(exps):
+    """Index of the last nonzero entry of each row."""
+    return exps.shape[1] - 1 - np.argmax(exps[:, ::-1] > 0, axis=1)
+
+
+class _Pairs(NamedTuple):
+    """Row products and row copies summing into ``size`` output rows.
+
+    A row is named by three arrays (kind, order, row in its block).
+    Product p adds ``scale[p]`` (1 if None) times the convolution of rows
+    a_p and b_p to output row ``target[p]``; copy c adds row c to
+    ``c_target[c]``.  Both are sorted by target; ``starts`` and
+    ``c_starts`` open the runs of equal targets.
+    """
+
+    size: int
+    a: tuple
+    b: tuple
+    scale: object
+    target: np.ndarray
+    starts: np.ndarray
+    c: tuple
+    c_target: np.ndarray
+    c_starts: np.ndarray
+
+
+def _stack(parts, width):
+    """Concatenated columns of ``parts``, as int32 to halve cached plans."""
+    if not parts:
+        return [np.zeros(0, np.int32)] * width
+    return [np.concatenate(col).astype(np.int32) for col in zip(*parts)]
+
+
+def _sorted_runs(target):
+    """Stable order by target, and where each run of one target starts."""
+    order = np.argsort(target, kind="stable")
+    t = target[order]
+    return order, np.flatnonzero(np.concatenate(([t.size > 0],
+                                                 t[1:] != t[:-1])))
+
+
+def _make_pairs(size, products, copies):
+    """_Pairs from parts (a_kind, a_order, a_row, b_kind, b_order, b_row,
+    target, scale) and copy parts (kind, order, row, target)."""
+    prod = _stack(products, 8)
+    order, starts = _sorted_runs(prod[6])
+    prod = [col[order] for col in prod]
+    scale = None if np.all(prod[7] == 1) else prod[7]
+    copy = _stack(copies, 4)
+    c_order, c_starts = _sorted_runs(copy[3])
+    copy = [col[c_order] for col in copy]
+    return _Pairs(size, tuple(prod[:3]), tuple(prod[3:6]), scale, prod[6],
+                  starts, tuple(copy[:3]), copy[3], c_starts)
+
+
+def _full(value, like):
+    return np.full(like.size, value, np.intp)
+
+
+@functools.lru_cache(maxsize=None)
+def _splits(d, n):
+    """Every pair of monomials (mu_a, mu_b) of orders >= 1 summing to
+    order n: the order of mu_a, the positions of mu_a, mu_b and the sum,
+    and the exponents of mu_a and of the sum."""
+    parts = []
+    for b in range(1, n):
+        ea, eb = _exponents(d, b), _exponents(d, n - b)
+        ia = np.repeat(np.arange(len(ea)), len(eb))
+        ib = np.tile(np.arange(len(eb)), len(ea))
+        total = ea[ia] + eb[ib]
+        parts.append((_full(b, ia), ia, ib, _positions(d, n, total), ea[ia],
+                      total))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _power_pairs(d, n, top):
+    """Pairs giving P[p, n] for p = 2 .. min(top, n - 1), stacked in p, and
+    each block's (kind, start, stop) in the output.
+
+    Slice n of (w + h)^m is the sum over b of slice b of (w + h)^(m - e_i)
+    times slice n - b of (w + h)_i, i the last nonzero index of m.  Where
+    one factor is its w-part, w^(m - e_i) at b = p - 1 or w_i at
+    n - b = 1, it is a monomial with coefficient 1 and the pair copies the
+    other factor's row.
+    """
+    ps = np.arange(2, min(top, n - 1) + 1)
+    n_n = _count(d, n)
+    sizes = np.array([_count(d, p) for p in ps], dtype=np.intp)
+    stops = np.cumsum(sizes * n_n)
+    blocks = [(p + 1, start, stop) for p, start, stop
+              in zip(ps.tolist(), (stops - sizes * n_n).tolist(),
+                     stops.tolist())]
+    if not ps.size:
+        return _make_pairs(0, [], []), blocks
+    exps = np.concatenate([_exponents(d, p) for p in ps])
+    q_r = np.repeat(ps - 1, sizes)
+    m_r = np.concatenate([np.arange(s) for s in sizes])
+    size_r = np.repeat(sizes, sizes)
+    lower_size_r = np.repeat([_count(d, p - 1) for p in ps], sizes)
+    base_r = np.repeat(stops - sizes * n_n, sizes)
+    i_r = _last_index(exps)
+    lower = exps.copy()
+    lower[np.arange(len(lower)), i_r] -= 1
+    lower_pos = _positions(d, n, lower)
+    lower_row = np.where(q_r == 1, _last_index(lower), lower_pos)
+
+    b, mu_a, mu_b, mu = _splits(d, n)[:4]
+    j = n - b
+    # w^(m - e_i) has only the row m - e_i, and w_i only the row e_i, which
+    # sits at position d - 1 - i of the order-1 monomials
+    keep = (b > q_r[:, None]) | ((b == q_r[:, None])
+                                 & (mu_a == lower_pos[:, None]))
+    keep &= (j > 1) | (mu_b == d - 1 - i_r[:, None])
+    r, s = np.nonzero(keep)
+    target = base_r[r] + mu[s] * size_r[r] + m_r[r]
+    low = (q_r[r] + 1, b[s], mu_a[s] * lower_size_r[r] + lower_row[r])
+    unit = (_full(_H, r), j[s], mu_b[s] * d + i_r[r])
+    copy_unit = b[s] == q_r[r]
+    copy_low = j[s] == 1
+    prod = ~(copy_unit | copy_low)
+    products = [tuple(x[prod] for x in low + unit)
+                + (target[prod], _full(1, target[prod]))]
+    copies = [tuple(x[copy_unit] for x in unit) + (target[copy_unit],),
+              tuple(x[copy_low] for x in low) + (target[copy_low],)]
+    return _make_pairs(int(stops[-1]), products, copies), blocks
+
+
+def _term_pairs(d, n, top):
+    """Parts giving [sum_m T_m (w + h)^m]_n, rows mu * d + i, from T[p] and
+    P[p, n] for p <= min(top, n); at p = n, (w + h)^m starts with w^m."""
+    n_n = _count(d, n)
+    ps = np.arange(2, min(top, n - 1) + 1)
+    sizes = np.array([_count(d, p) for p in ps], dtype=np.intp)
+    # one pair per (term monomial m of order p, component i, mu)
+    p_r = np.repeat(np.repeat(ps, sizes), d * n_n)
+    m = np.repeat(np.concatenate([np.arange(s) for s in sizes] or [[]]),
+                  d * n_n).astype(np.intp)
+    i = np.tile(np.repeat(np.arange(d), n_n), int(sizes.sum()))
+    mu = np.tile(np.arange(n_n), int(sizes.sum()) * d)
+    products = [(_full(_T, m), p_r, m * d + i, p_r + 1, _full(n, m),
+                 mu * np.repeat(np.repeat(sizes, sizes), d * n_n) + m,
+                 mu * d + i, _full(1, m))]
+    copies = []
+    if n <= top:
+        rows = np.arange(n_n * d)
+        copies.append((_full(_T, rows), _full(n, rows), rows, rows))
+    return products, copies
+
+
+@functools.lru_cache(maxsize=None)
+def _jacobian_pairs(d, n, low, high, sign):
+    """Parts giving sign * [(d_w h) V]_n from h's blocks (kind _H) of orders
+    a = low .. high and V's blocks (kind _E) of orders n + 1 - a: h_m w^m
+    times V_l at w^v lands on m - e_l + v with factor m_l."""
+    a, mu_a, mu_v, _, ea, total = _splits(d, n + 1)
+    s, l = np.nonzero(ea * ((a >= low) & (a <= high))[:, None])
+    target = total[s]
+    target[np.arange(s.size), l] -= 1
+    target = np.repeat(_positions(d, n, target) * d, d)
+    s, l = np.repeat(s, d), np.repeat(l, d)
+    i = np.tile(np.arange(d), s.size // d)
+    return (_full(_H, s), a[s], mu_a[s] * d + i, _full(_E, s),
+            n + 1 - a[s], mu_v[s] * d + l, target + i, sign * ea[s, l])
+
+
+@functools.lru_cache(maxsize=None)
+def _order_plan(d, n, top, jacobian):
+    """The pair plan of order n, shared by both rings: the pairs of the new
+    power blocks with their places, then those of the right-hand side
+    [sum_m T_m (w + h)^m]_n, less [(d_w h) E]_n if ``jacobian``."""
+    power, blocks = _power_pairs(d, n, top)
+    products, copies = _term_pairs(d, n, top)
+    if jacobian:
+        products.append(_jacobian_pairs(d, n, 2, n - 1, -1))
+    return power, blocks, _make_pairs(_count(d, n) * d, products, copies)
+
+
+@functools.lru_cache(maxsize=None)
+def _verify_pairs(d, n):
+    """Pairs giving [(d_w h) V]_n from h's order-n block and V = (QA) w."""
+    return _make_pairs(_count(d, n) * d, [_jacobian_pairs(d, n, n, n, 1)],
+                       [])
+
+
+# ----------------------------------------------------------------------
+# the two executors of a plan
 # ----------------------------------------------------------------------
 
 
-def _jacobian_product(acc, h_terms, v_terms, n, sign, exact, dim):
-    """Add sign * [(d_w h) V]_n into the per-component buffers ``acc``.
+class _FloatRows:
+    """Row store of complex128 rows; a plan runs as one gather, one batched
+    row convolution and one summation of each run of equal targets."""
 
-    ``h_terms`` and ``v_terms`` are {monomial: VecPoly} tables of h and of
-    the vector field V; (d_w h) V = sum_l (d h / d w_l) V_l, so the term
-    h_m w^m times V_l at w^mv lands on m - e_l + mv with factor m_l, which
-    is applied to h_m's components once per l.
-    """
-    zero = from_int(0, exact)
-    by_order = {}
-    for mv in sorted(v_terms):
-        by_order.setdefault(sum(mv), []).append(
-            (mv, _components(v_terms[mv], dim)))
-    for mh in sorted(h_terms):
-        matches = by_order.get(n + 1 - sum(mh))
-        if not matches:
-            continue
-        comps = _components(h_terms[mh], dim)
+    def __init__(self, d, kinds, orders):
+        self.d = d
+        self.off = np.zeros((kinds, orders), np.intp)
+        self.length = np.zeros((kinds, orders), np.intp)
+        self.data = np.zeros((256, 8), complex)
+        self.used = 0
+
+    def add(self, kind, order, block):
+        """Append ``block``, trimmed to its last nonzero x-column."""
+        cols = np.flatnonzero(block.any(axis=0))
+        width = int(cols[-1]) + 1 if cols.size else 0
+        need = self.used + len(block)
+        rows, cap = self.data.shape
+        if need > rows or width > cap:
+            grown = np.zeros((max(need, 2 * rows) if need > rows else rows,
+                              max(width, 2 * cap) if width > cap else cap),
+                             complex)
+            grown[:self.used, :cap] = self.data[:self.used]
+            self.data = grown
+        self.data[self.used:need, :width] = block[:, :width]
+        self.off[kind, order] = self.used
+        self.length[kind, order] = width
+        self.used = need
+
+    def field(self, kind, order, terms):
+        """Append the order-``order`` part of {monomial: VecPoly} ``terms``."""
+        d = self.d
+        polys = [terms.get(m) for m in multiindices(d, order)]
+        width = max((len(p.coeffs) for p in polys if p is not None),
+                    default=0)
+        block = np.zeros((len(polys) * d, width), complex)
+        for pos, p in enumerate(polys):
+            if p is not None and p.coeffs:
+                block[pos * d:pos * d + d, :len(p.coeffs)] = \
+                    np.array(p.coeffs).T
+        self.add(kind, order, block)
+
+    def run(self, pairs):
+        """(pairs.size, x-length) array of the summed products and copies.
+
+        Each side is gathered only as long as its longest source block, and
+        products are taken in batches of whole runs of equal targets, about
+        _BATCH coefficients a batch, so that large plans stay in bounded
+        memory.  Overflow is left to show as a non-finite coefficient,
+        which the block solve reports; numpy's warnings about it are
+        silenced here.
+        """
+        left, la = self._index(pairs.a)
+        right, lb = self._index(pairs.b)
+        copy, lc = self._index(pairs.c)
+        out = np.zeros((pairs.size, max(la + lb - 1, lc, 0)), complex)
+        data, starts, count = self.data, pairs.starts, pairs.target.size
+        with np.errstate(over="ignore", invalid="ignore"):
+            if la and lb:
+                step = _BATCH // (la + lb) + 1
+                cuts = [0] if count <= step else np.unique(np.searchsorted(
+                    starts, np.arange(0, count, step), side="right") - 1)
+                for first, last in zip(cuts, list(cuts[1:]) + [None]):
+                    runs = starts[first:last]
+                    rows = slice(runs[0],
+                                 count if last is None else starts[last])
+                    prod = _convolve(data[left[rows], :la],
+                                     data[right[rows], :lb])
+                    if pairs.scale is not None:
+                        prod *= pairs.scale[rows, None]
+                    out[pairs.target[runs], :prod.shape[1]] = \
+                        np.add.reduceat(prod, runs - runs[0], axis=0)
+            if lc:
+                out[pairs.c_target[pairs.c_starts], :lc] += np.add.reduceat(
+                    data[copy, :lc], pairs.c_starts, axis=0)
+        return out
+
+    def _index(self, rows):
+        """Store rows and the longest source block's length of a side."""
+        kind, order, row = rows
+        return (self.off[kind, order] + row,
+                int(self.length[kind, order].max(initial=0)))
+
+    def table(self, out, order):
+        """{monomial: VecPoly} of an output with rows mu * d + i."""
+        d = self.d
+        monomials = multiindices(d, order)
+        if not out.shape[1]:
+            return {}
+        blocks = out.reshape(len(monomials), d, out.shape[1])
+        nonzero = blocks.any(axis=1)
+        lengths = out.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
+        return {
+            monomials[pos]: VecPoly(d, tuple(map(
+                tuple, blocks[pos, :, :lengths[pos]].T.tolist())), False)
+            for pos in np.flatnonzero(nonzero.any(axis=1)).tolist()
+        }
+
+
+def _convolve(a, b):
+    """Row-wise polynomial products of the coefficient rows of a and b."""
+    if a.shape[1] < b.shape[1]:
+        a, b = b, a
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), complex)
+    for j in range(b.shape[1]):
+        out[:, j:j + a.shape[1]] += a * b[:, j, None]
+    return out
+
+
+class _ExactRows:
+    """Row store of trimmed tuples of exact scalars; a plan runs through
+    ``sp_mul_acc``, skipping pairs with an empty row."""
+
+    def __init__(self, d, kinds, orders):
+        self.d = d
+        self.off = np.zeros((kinds, orders), np.intp)
+        self.rows = []
+        self.live = np.zeros(0, bool)
+        self.zero = from_int(0, True)
+
+    def add(self, kind, order, block):
+        self.off[kind, order] = len(self.rows)
+        self.rows.extend(block)
+        self.live = np.concatenate(
+            [self.live, np.fromiter(map(bool, block), bool, len(block))])
+
+    def field(self, kind, order, terms):
+        d = self.d
+        block = []
+        for m in multiindices(d, order):
+            p = terms.get(m)
+            block += ([p.component(i) for i in range(d)] if p is not None
+                      else [()] * d)
+        self.add(kind, order, block)
+
+    def run(self, pairs):
+        """Trimmed tuples of the summed products and copies, one per row."""
+        rows, off, live, zero = self.rows, self.off, self.live, self.zero
+        bufs = [[] for _ in range(pairs.size)]
+        kind, order, row = pairs.a
+        left = off[kind, order] + row
+        kind, order, row = pairs.b
+        right = off[kind, order] + row
+        keep = live[left] & live[right]
+        scale = (pairs.scale[keep] if pairs.scale is not None
+                 else np.ones(int(keep.sum()), np.intp))
         scaled = {}
-        for l in range(dim):
-            if mh[l]:
-                s = from_int(sign * mh[l], exact)
-                scaled[l] = [tuple(s * c for c in comp) for comp in comps]
-        for mv, factors in matches:
-            for l, sc in scaled.items():
-                if not factors[l]:
-                    continue
-                target = tuple(
-                    t + e - (k == l) for k, (t, e) in enumerate(zip(mh, mv))
-                )
-                slot = acc.setdefault(target, [[] for _ in range(dim)])
-                for i in range(dim):
-                    if sc[i]:
-                        sp_mul_acc(slot[i], sc[i], factors[l], zero)
+        for a, b, t, s in zip(left[keep].tolist(), right[keep].tolist(),
+                              pairs.target[keep].tolist(), scale.tolist()):
+            row_a = rows[a]
+            if s != 1:
+                row_a = scaled.get((a, s))
+                if row_a is None:
+                    factor = from_int(s, True)
+                    row_a = scaled[a, s] = tuple(factor * c for c in rows[a])
+            sp_mul_acc(bufs[t], row_a, rows[b], zero)
+        kind, order, row = pairs.c
+        src = off[kind, order] + row
+        keep = live[src]
+        for c, t in zip(src[keep].tolist(), pairs.c_target[keep].tolist()):
+            sp_add_acc(bufs[t], rows[c])
+        return [sp_trim(buf) for buf in bufs]
+
+    def table(self, out, order):
+        d = self.d
+        return {
+            m: _components_to_vecpoly(out[pos * d:pos * d + d], d, True)
+            for pos, m in enumerate(multiindices(d, order))
+            if any(out[pos * d:pos * d + d])
+        }
+
+
+def _row_store(exact, d, kinds, orders):
+    return (_ExactRows if exact else _FloatRows)(d, kinds, orders)
+
+
+# ----------------------------------------------------------------------
+# composition of the right-hand side
+# ----------------------------------------------------------------------
 
 
 def compose_series(f_terms, h_table, extra, order_max, mode="obstruction"):
     """Yield the composed right-hand side's degree-n part, n = 2 .. order_max.
 
-    ``f_terms`` is a {monomial: VecPoly} table; ``h_table`` a SeriesTable;
-    ``extra`` holds the obstruction (phi) or normal-form (psi) terms, or
-    None.  Each yielded part is a {monomial: VecPoly} table:
+    ``f_terms`` is a {monomial: VecPoly} table of orders >= 2; ``h_table``
+    a SeriesTable; ``extra`` holds the obstruction (phi) or normal-form
+    (psi) terms, or None.  Each yielded part is a {monomial: VecPoly} table:
 
     obstruction:  [(f - extra)(x, w + h)]_n
     normal-form:  [f(x, w + h)]_n - [(d_w h) extra(x, w)]_n
 
-    Order n is built when the caller asks for it, from the terms that
-    ``h_table`` and ``extra`` hold at that moment; only the orders of h
-    below n enter it.  The caller fills in order n - 1 before asking for
-    order n and must not change lower orders afterwards: the slices of the
-    powers (w + h)^m are kept from one order to the next, and so is each
-    term of f - extra once an order at or above its own has read it.
+    Order n is built when the caller asks for it, from the orders of h and
+    extra below n as ``h_table`` and ``extra`` hold them at that moment;
+    an obstruction part also subtracts the order-n terms extra holds then.
+    The caller fills in order n - 1 before asking for order n and must not
+    change lower orders afterwards: the slices of the powers (w + h)^m
+    built from them are kept.
     """
     if mode not in ("obstruction", "normal-form"):
         raise ValueError(f"unknown mode {mode!r}")
     dim = h_table.dim
-    exact = h_table.exact
-    zero = from_int(0, exact)
-    one = (from_int(1, exact),)
-    powers = {}    # (m, k) -> slice k of (w + h)^m, {monomial: x-poly}
-
-    def power(m, k):
-        if (m, k) in powers:
-            return powers[m, k]
-        i = max(j for j in range(dim) if m[j])
-        out = {}
-        if sum(m) == 1:
-            # (w + h)_i: w_i at degree 1, component i of h's slice k above,
-            # inserted in monomial order
-            if k == 1:
-                out[m] = one
-            else:
-                for mh, p in sorted(h_table.order_slice(k).items()):
-                    c = p.component(i)
-                    if c:
-                        out[mh] = c
-        elif k >= sum(m):
-            # (w + h)^(m - e_i) (w + h)_i, i the last nonzero index of m;
-            # pairs in the order of the lower monomial, then of the other
-            unit = tuple(int(j == i) for j in range(dim))
-            lower = tuple(v - u for v, u in zip(m, unit))
-            a = {}
-            for b in range(sum(lower), k):
-                a.update(power(lower, b))
-            for ma in sorted(a):
-                for mb, cb in power(unit, k - sum(ma)).items():
-                    total = tuple(x + y for x, y in zip(ma, mb))
-                    sp_mul_acc(out.setdefault(total, []), a[ma], cb, zero)
-            out = {mu: c for mu, buf in out.items() if (c := sp_trim(buf))}
-        powers[m, k] = out
-        return out
-
-    # f - extra as components; an extra term is folded in once, at the
-    # first order at or above its own that finds it in ``extra``
-    table = {m: _components(p, dim) for m, p in f_terms.items()}
-    folded = set()
+    by_order = {}
+    for m, p in f_terms.items():
+        if sum(m) < 2:
+            raise ValueError(f"term {m} of f has order below 2")
+        by_order.setdefault(sum(m), {})[m] = p
+    fold = mode == "obstruction" and extra is not None
+    jacobian = mode == "normal-form" and extra is not None
+    # highest order of a term of f - extra, and so of a power in the table
+    top = order_max if fold else min(max(by_order, default=0), order_max)
+    # kinds _T, _E, and q + 1 for P[q], q <= max(top, 1)
+    rows = _row_store(h_table.exact, dim, max(top, 1) + 2, order_max + 1)
     for n in range(2, order_max + 1):
-        if mode == "obstruction" and extra is not None:
-            for m in sorted(extra.terms):
-                if sum(m) > n or m in folded:
-                    continue
-                p = extra.terms[m]
-                cur = f_terms.get(m)
-                table[m] = _components((cur - p) if cur is not None else -p,
-                                       dim)
-                folded.add(m)
-
-        acc = {}
-        for mt in sorted(table):
-            comps = table[mt]
-            prod = power(mt, n)
-            for mu in sorted(prod):
-                slot = acc.setdefault(mu, [[] for _ in range(dim)])
-                for i in range(dim):
-                    if comps[i]:
-                        sp_mul_acc(slot[i], comps[i], prod[mu], zero)
-
-        if mode == "normal-form" and extra is not None:
-            _jacobian_product(acc, h_table.terms, extra.terms, n, -1, exact,
-                              dim)
-
-        out = {}
-        for mu in sorted(acc):
-            p = _components_to_vecpoly(acc[mu], dim, exact)
-            if not p.is_zero():
-                out[mu] = p
-        yield out
-
-
-def _components(p, dim):
-    return [p.component(i) for i in range(dim)]
+        if n > 2:
+            rows.field(_H, n - 1, h_table.terms)
+            if jacobian:
+                rows.field(_E, n - 1, extra.terms)
+        # T[n] enters order n only through w^m; the engine knows extra's
+        # order-n terms only after it, so T[n - 1] is read again here
+        for k in range(max(2, n - 1), min(top, n) + 1):
+            terms = dict(by_order.get(k, {}))
+            if fold:
+                for m, p in extra.order_slice(k).items():
+                    cur = terms.get(m)
+                    terms[m] = (cur - p) if cur is not None else -p
+            rows.field(_T, k, terms)
+        power, blocks, rhs = _order_plan(dim, n, min(top, n), jacobian)
+        new = rows.run(power)
+        for kind, start, stop in blocks:
+            rows.add(kind, n, new[start:stop])
+        yield rows.table(rows.run(rhs), n)
 
 
 def _components_to_vecpoly(comps, dim, exact):
@@ -288,7 +620,6 @@ def _components_to_vecpoly(comps, dim, exact):
         for k in range(deg)
     ]
     return VecPoly.from_coeffs(coeffs, exact, dim=dim)
-
 
 # ----------------------------------------------------------------------
 # the order-by-order engine
@@ -388,15 +719,17 @@ def verify_conjugacy(nonlinear, series, h, order_max, mode="obstruction",
     }
 
     report = ConjugacyReport(mode=mode, tol=0.0 if exact else tol)
+    rows = _row_store(exact, d, _H + 1, order_max + 1)
+    rows.field(_E, 1, qa_w)
     parts = compose_series(nonlinear.nonlinearity, h, series, order_max,
                            mode=mode)
     for n, rhs in enumerate(parts, start=2):
-        lhs = {}
+        rows.field(_H, n, h.terms)
+        lhs = rows.table(rows.run(_verify_pairs(d, n)), n)
         for m, hp in sorted(h.order_slice(n).items()):
-            dx = hp.derivative().mul_sp(q)
-            flow = qa.mul_vec(hp)
-            lhs[m] = [list(c) for c in _components(dx - flow, d)]
-        _jacobian_product(lhs, h.terms, qa_w, n, 1, exact, d)
+            rest = hp.derivative().mul_sp(q) - qa.mul_vec(hp)
+            cur = lhs.get(m)
+            lhs[m] = (rest + cur) if cur is not None else rest
 
         if mode == "normal-form":
             for m, p in sorted(series.order_slice(n).items()):
@@ -406,11 +739,8 @@ def verify_conjugacy(nonlinear, series, h, order_max, mode="obstruction",
         zero = VecPoly.zero(d, exact)
         worst = 0.0
         for m in sorted(set(lhs) | set(rhs)):
-            left = lhs.get(m)
-            lp = zero if left is None else _components_to_vecpoly(
-                left, d, exact
-            )
-            worst = max(worst, _magnitude(lp - rhs.get(m, zero)))
+            worst = max(worst, _magnitude(lhs.get(m, zero)
+                                          - rhs.get(m, zero)))
         report.residuals[n] = worst
     return report
 

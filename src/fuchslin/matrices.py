@@ -238,7 +238,8 @@ def solve_linear(a, b, tol=1e-12):
     Exact mode eliminates in the Gaussian rationals and raises
     SingularMatrixError on a structurally singular pivot.  Float mode uses
     numpy and validates the residual so near-singular systems fail loudly
-    instead of returning noise.
+    instead of returning noise; a non-finite right-hand side raises
+    ArithmeticError, since no matrix could make its residual small.
     """
     if not a.is_square:
         raise ShapeError("solve needs a square matrix")
@@ -277,6 +278,8 @@ def is_invertible(a, tol=1e-12):
 def _solve_float(a, cols, tol):
     an = a.to_numpy()
     rhs = np.array([list(c) for c in cols], dtype=complex).T
+    if not np.isfinite(rhs).all():
+        raise ArithmeticError("non-finite right-hand side in a float solve")
     try:
         x = np.linalg.solve(an, rhs)
     except np.linalg.LinAlgError as err:

@@ -242,7 +242,8 @@ def singular_shifts(mat, values, tol, degree=0):
     |z + k|.  Float mode calls k + T singular when the margin is <= tol.
     Exact mode ignores tol: proposals within the window are decided by
     exact elimination of k + T, T built only then; the others are not
-    singular.  Returns one (k, margin, singular) per value, in order.
+    singular.  A shift found singular that way has margin 0.0.  Returns
+    one (k, margin, singular) per value, in order.
     """
     proposals = [(k, abs(z + k))
                  for z in values for k in (max(0, round(-z.real)),)]
@@ -255,8 +256,8 @@ def singular_shifts(mat, values, tol, degree=0):
             mat, PnBasis(mat.n_rows, degree))
         near = {k for k in near
                 if not is_invertible(op.add_scaled_identity(k))}
-    return [(k, margin, margin <= window and k in near)
-            for k, margin in proposals]
+    return [(k, 0.0, True) if margin <= window and k in near
+            else (k, margin, False) for k, margin in proposals]
 
 
 def check_linear_assumption(system, tol=1e-9):

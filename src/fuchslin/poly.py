@@ -57,6 +57,15 @@ def sp_mul_acc(buf, a, b, zero):
             buf[k] += ai * bj
 
 
+def sp_add_acc(buf, a):
+    """``buf += a`` on the coefficient list ``buf``, in place; coefficients
+    past the end of ``buf`` are appended, not added to zero."""
+    n = len(buf)
+    for k, ak in enumerate(a[:n]):
+        buf[k] += ak
+    buf.extend(a[n:])
+
+
 def sp_mul(a, b, exact=False):
     if not a or not b:
         return ()

@@ -139,6 +139,25 @@ def test_exact_mode_rejects_jordan_block_at_negative_integer(
     assert code == 2 and "k=1" in err
 
 
+def test_exact_singular_shifts_report_margin_zero(tmp_path, capsys):
+    # The Jordan residue's float eigenvalues miss -1 by 1.5e-8; the shifts
+    # that exact elimination finds singular are reported with margin 0,
+    # linear and nonlinear alike.  The exact near miss keeps its margin.
+    doc = write_doc(tmp_path, JORDAN_DOCS["2x2"])
+    code, out, _ = run(capsys, ["check", doc, "--exact"])
+    assert code == 2
+    payload = json.loads(out)
+    for part in ("linear", "nonlinear"):
+        violations = payload[part]["violations"]
+        assert violations and all(v["margin"] == 0 for v in violations)
+        assert payload[part]["min_margin"] == 0
+    near = [[1, 0], [0, "2000000000001/1000000000000"]]
+    doc = write_doc(tmp_path, shift_doc(near, [[1, 0], [0, 1]]), "near.json")
+    code, out, _ = run(capsys, ["check", doc, "--exact"])
+    assert code == 0
+    assert 0 < json.loads(out)["nonlinear"]["min_margin"] < 1e-11
+
+
 def test_exact_near_miss_is_not_resonant(tmp_path, capsys):
     # 2*1 - (2 + 10^-12) is 10^-12 from the integer 0: resonant within the
     # float tolerance, not in exact arithmetic.
@@ -159,6 +178,27 @@ def test_exact_near_miss_is_not_resonant(tmp_path, capsys):
                      "float.json")
     assert run(capsys, ["check", fdoc])[0] == 2
     assert run(capsys, ["linearize", fdoc, "--order", "3"])[0] == 2
+
+
+def test_non_finite_float_right_hand_side_is_a_numeric_failure(
+        tmp_path, capsys):
+    # f = (1e200 + 1e200 x^3) u^2 overflows the composed right-hand side
+    # by order 4: a numeric failure (exit 4), not a resonance (exit 2)
+    big = [1e200, 0.0]
+    doc = write_doc(tmp_path, {
+        "dimension": 1,
+        "S": 0,
+        "poles": [[0.0, 0.0], [1.0, 0.0]],
+        "matrices": [[[[1.5, 0.0]]], [[[1.25, 0.0]]]],
+        "nonlinearity": [
+            {"multiindex": [2],
+             "coeff": [[big], [[0.0, 0.0]], [[0.0, 0.0]], [big]]},
+        ],
+    })
+    for command in ("linearize", "normal-form"):
+        code, _, err = run(capsys, [command, doc, "--order", "4"])
+        assert code == 4, (command, err)
+        assert "non-finite" in err
 
 
 def test_schema_error_reports_pointer(tmp_path, capsys):

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from fuchslin import engine
 from fuchslin.analytic import float_system, float_vecpoly
 from fuchslin.document import dumps_canonical, series_table_json
 from fuchslin.engine import (
@@ -173,19 +174,32 @@ def test_compose_rejects_unknown_mode():
 @pytest.mark.parametrize("mode", ["obstruction", "normal-form"])
 @pytest.mark.parametrize("seed", range(6))
 def test_compose_reads_only_lower_orders_of_h(seed, mode):
-    # Tables filled one order at a time between yields give the same parts
-    # as the complete tables: order n reads h only below n, and the kept
-    # power slices are never stale.  Order n is asked for with extra
-    # through order n (the obstruction part at order n holds -extra_n
-    # itself) and h through order n - 1.
+    _check_reads_only_lower_orders(random_nonresonant(random.Random(seed)),
+                                   mode)
+
+
+@pytest.mark.parametrize("mode", ["obstruction", "normal-form"])
+@pytest.mark.parametrize("seed", range(6))
+def test_compose_reads_only_lower_orders_of_h_float(seed, mode):
     nl = random_nonresonant(random.Random(seed))
+    _check_reads_only_lower_orders(NonlinearSystem(
+        float_system(nl.linear),
+        {m: float_vecpoly(p) for m, p in nl.nonlinearity.items()}), mode)
+
+
+def _check_reads_only_lower_orders(nl, mode):
+    # Tables filled one order at a time between yields give the same parts,
+    # bit for bit, as the complete tables: order n reads h only below n,
+    # and the kept power slices are never stale.  Order n is asked for
+    # with extra through order n (the obstruction part at order n holds
+    # -extra_n itself) and h through order n - 1.
     runner = linearize if mode == "obstruction" else normal_form
     series, h = runner(nl, 5)
     f = nl.nonlinearity
     complete = list(compose_series(f, h, series, 5, mode=mode))
 
-    h_part = SeriesTable(h.dim, True)
-    extra_part = SeriesTable(h.dim, True, series.order_slice(2))
+    h_part = SeriesTable(h.dim, h.exact)
+    extra_part = SeriesTable(h.dim, h.exact, series.order_slice(2))
     parts = compose_series(f, h_part, extra_part, 5, mode=mode)
     for n, got in enumerate(parts, start=2):
         want = complete[n - 2]
@@ -320,6 +334,67 @@ def test_compose_matches_naive_reference_d3(mode):
         assert want_n, n
         assert _flatten(got) == want_n, (mode, n)
     assert n == top
+
+
+@pytest.mark.parametrize("mode", ["obstruction", "normal-form"])
+def test_compose_float_matches_naive_reference_d3(mode):
+    # the rational reference of the test above, fed to the float executor
+    # as complex tables: every yielded order 2-5 within 1e-12 of the
+    # reference, relative to the order's largest coefficient
+    d, top = 3, 5
+    rng = random.Random(2024)
+    f = _random_field(rng, d, (2, 3), 2, 0.15)
+    h = _random_field(rng, d, (2, 3, 4), 1, 0.2)
+    extra = _random_field(rng, d, (2, 3, 4), 1, 0.1)
+
+    if mode == "obstruction":
+        f_less = [_ref_add(f[i], extra[i], -1) for i in range(d)]
+        want = _ref_substitute(f_less, h, d, top)
+    else:
+        subst = _ref_substitute(f, h, d, top)
+        jac = _ref_jacobian(h, extra, d, top)
+        want = [_ref_add(subst[i], jac[i], -1) for i in range(d)]
+
+    def to_float(field):
+        return SeriesTable(d, False, {
+            m: float_vecpoly(p) for m, p in _to_table(field, d).terms.items()
+        })
+
+    parts = compose_series(to_float(f).terms, to_float(h), to_float(extra),
+                           top, mode=mode)
+    for n, got in enumerate(parts, start=2):
+        want_n = {(i, m, k): complex(c) for i in range(d)
+                  for (m, k), c in want[i].items() if sum(m) == n}
+        got_n = {(i, m, k): z for m, p in got.items()
+                 for k, vec in enumerate(p.coeffs)
+                 for i, z in enumerate(vec) if z}
+        scale = max(abs(c) for c in want_n.values())
+        for key in set(want_n) | set(got_n):
+            error = abs(got_n.get(key, 0) - want_n.get(key, 0))
+            assert error <= 1e-12 * scale, (mode, n, key, error / scale)
+    assert n == top
+
+
+def test_float_products_do_not_depend_on_batch_size(monkeypatch):
+    # the float executor takes row products in batches of whole runs of
+    # equal targets; batches of a few coefficients give the same parts,
+    # bit for bit, as one batch
+    linear, terms = _full_residue_d3_case()
+    nl = NonlinearSystem(float_system(linear),
+                         {m: float_vecpoly(p) for m, p in terms.items()})
+    for mode, runner in (("obstruction", linearize),
+                         ("normal-form", normal_form)):
+        series, h = runner(nl, 5)
+
+        def parts():
+            return [sorted((m, p.coeffs) for m, p in part.items())
+                    for part in compose_series(nl.nonlinearity, h, series, 5,
+                                               mode=mode)]
+
+        whole = parts()
+        monkeypatch.setattr(engine, "_BATCH", 8)
+        assert parts() == whole, mode
+        monkeypatch.undo()
 
 
 # ----------------------------------------------------------------------
