@@ -23,6 +23,7 @@ else the tables, else the document, else obstruction.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -343,9 +344,14 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser of ``main``, built once per process."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload, code = args.func(args)
     except SchemaError as exc:

@@ -37,10 +37,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exact import from_int
 from .matrices import (
     CMatrix,
     SingularMatrixError,
+    solve_array,
     solve_linear,
     vec_add,
     vec_scale,
@@ -117,6 +120,8 @@ def solve_polynomial(system, g, tol=1e-12):
     if bad:
         raise AssumptionError(
             f"k + B_inf singular at k={min(bad)}: (phi, y) not unique")
+    if not exact:
+        return _solve_polynomial_float(system, work, tol)
     rem = list(work.coeffs)
     ys = []
     for k in range(work.degree - s - 1, -1, -1):
@@ -135,6 +140,36 @@ def solve_polynomial(system, g, tol=1e-12):
     return CorrectionResult(
         phi=VecPoly.from_coeffs(rem[: s + 1], exact, dim=system.size),
         y=VecPoly.from_coeffs(ys[::-1], exact, dim=system.size),
+    )
+
+
+def _solve_polynomial_float(system, g, tol):
+    """``solve_polynomial``'s recursion on complex128 arrays: k + J_{B_inf}
+    is J_{B_inf} shifted on its diagonal, the remainder one (deg + 1, N)
+    array."""
+    s, n = system.s, system.size
+    binf, qb = system.float_arrays()
+    q = np.array(system.q_poly(), dtype=complex)
+    rem = np.array(g.coeffs, dtype=complex).reshape(-1, n)
+    ys = np.zeros((max(len(rem) - s - 1, 0), n), complex)
+    shifted = binf.copy()
+    for k in range(len(ys) - 1, -1, -1):
+        np.fill_diagonal(shifted, np.diagonal(binf) + k)
+        try:
+            y_k = solve_array(shifted, rem[k + s + 1], tol)
+        except SingularMatrixError as err:
+            raise AssumptionError(
+                f"k + B_inf singular at k={k}: {err}"
+            ) from None
+        ys[k] = y_k
+        # subtract k Q y_k x^(k-1) + (QB) y_k x^k below the eliminated top
+        if k:
+            rem[k - 1:k + s + 1] -= k * q[:-1, None] * y_k
+        rem[k:k + s + 1] -= qb @ y_k
+    return CorrectionResult(
+        phi=VecPoly.from_coeffs(map(tuple, rem[:s + 1].tolist()), False,
+                                dim=n),
+        y=VecPoly.from_coeffs(map(tuple, ys.tolist()), False, dim=n),
     )
 
 

@@ -41,8 +41,13 @@ Jacobian product [(d_w h) psi]_n.  A factor that is a w-part (w^(m - e_i)
 or w_i, coefficient 1) makes its pair a row copy.  The verifier runs one
 more plan for [(d_w h) (QA) w]_n.  Float mode executes a plan on complex128
 arrays (one gather, one batched row convolution, one sum per run of equal
-targets); exact mode runs the same pairs through ``poly.sp_mul_acc`` on
-trimmed tuples of exact scalars, skipping empty rows.
+targets).  Exact mode runs the same pairs, skipping empty rows, on integer
+rows: numerator tuples over one positive denominator per row.  A product
+multiplies the denominators and convolves the numerators in plain ints;
+a target sums them in one bucket per denominator and reduces once, at
+the end, to the lcm of its buckets over one gcd.  Rows are built from
+ExactComplex when a block enters the store and turned back into it only
+when an order's output becomes a table.
 
 All series loops iterate keys in sorted order, and the plans list
 monomials in sorted order, so results are bit-for-bit reproducible
@@ -53,18 +58,20 @@ not associative; a fixed order makes it deterministic).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from .correction import solve_polynomial
-from .exact import from_int
+from .exact import ExactComplex, from_int
 from .model import AssumptionError, check_nonlinear_assumption
 from .pnspace import devectorize, induced_system, multiindices, vectorize
-from .poly import VecPoly, sp_add_acc, sp_mul_acc, sp_trim
+from .poly import VecPoly, sp_trim
 from .matrices import ShapeError
 
 
@@ -484,66 +491,148 @@ def _convolve(a, b):
 
 
 class _ExactRows:
-    """Row store of trimmed tuples of exact scalars; a plan runs through
-    ``sp_mul_acc``, skipping pairs with an empty row."""
+    """Row store of integer rows: one row is (den, re, im), the numerator
+    tuples ``re`` and ``im`` over one positive ``den``, with ``im`` None
+    when every imaginary part is zero, and None when the row is empty.
+
+    A plan's products multiply the denominators and convolve the numerators
+    in plain ints, skipping pairs with an empty row; each target sums its
+    products and copies in one bucket per denominator, and reduces once,
+    when it is complete (``_reduce``).
+    """
 
     def __init__(self, d, kinds, orders):
         self.d = d
         self.off = np.zeros((kinds, orders), np.intp)
         self.rows = []
         self.live = np.zeros(0, bool)
-        self.zero = from_int(0, True)
 
     def add(self, kind, order, block):
         self.off[kind, order] = len(self.rows)
         self.rows.extend(block)
-        self.live = np.concatenate(
-            [self.live, np.fromiter(map(bool, block), bool, len(block))])
+        self.live = np.concatenate([self.live, np.fromiter(
+            (r is not None for r in block), bool, len(block))])
 
     def field(self, kind, order, terms):
         d = self.d
         block = []
         for m in multiindices(d, order):
             p = terms.get(m)
-            block += ([p.component(i) for i in range(d)] if p is not None
-                      else [()] * d)
+            block += ([_int_row(p.component(i)) for i in range(d)]
+                      if p is not None else [None] * d)
         self.add(kind, order, block)
 
     def run(self, pairs):
-        """Trimmed tuples of the summed products and copies, one per row."""
-        rows, off, live, zero = self.rows, self.off, self.live, self.zero
-        bufs = [[] for _ in range(pairs.size)]
+        """Integer rows of the summed products and copies, one per row."""
+        rows, off, live = self.rows, self.off, self.live
+        sums = [{} for _ in range(pairs.size)]
         kind, order, row = pairs.a
         left = off[kind, order] + row
         kind, order, row = pairs.b
         right = off[kind, order] + row
         keep = live[left] & live[right]
-        scale = (pairs.scale[keep] if pairs.scale is not None
-                 else np.ones(int(keep.sum()), np.intp))
-        scaled = {}
+        scale = (pairs.scale[keep].tolist() if pairs.scale is not None
+                 else itertools.repeat(1))
         for a, b, t, s in zip(left[keep].tolist(), right[keep].tolist(),
-                              pairs.target[keep].tolist(), scale.tolist()):
-            row_a = rows[a]
-            if s != 1:
-                row_a = scaled.get((a, s))
-                if row_a is None:
-                    factor = from_int(s, True)
-                    row_a = scaled[a, s] = tuple(factor * c for c in rows[a])
-            sp_mul_acc(bufs[t], row_a, rows[b], zero)
+                              pairs.target[keep].tolist(), scale):
+            den_a, re_a, im_a = rows[a]
+            den_b, re_b, im_b = rows[b]
+            acc_re, acc_im = sums[t].setdefault(den_a * den_b, ([], []))
+            _conv_into(acc_re, re_a, re_b, s)
+            if im_a is not None:
+                _conv_into(acc_im, im_a, re_b, s)
+                if im_b is not None:
+                    _conv_into(acc_re, im_a, im_b, -s)
+            if im_b is not None:
+                _conv_into(acc_im, re_a, im_b, s)
         kind, order, row = pairs.c
         src = off[kind, order] + row
         keep = live[src]
         for c, t in zip(src[keep].tolist(), pairs.c_target[keep].tolist()):
-            sp_add_acc(bufs[t], rows[c])
-        return [sp_trim(buf) for buf in bufs]
+            den, re, im = rows[c]
+            acc_re, acc_im = sums[t].setdefault(den, ([], []))
+            _add_into(acc_re, re)
+            if im is not None:
+                _add_into(acc_im, im)
+        return [_reduce(buckets) for buckets in sums]
 
     def table(self, out, order):
         d = self.d
         return {
-            m: _components_to_vecpoly(out[pos * d:pos * d + d], d, True)
+            m: _components_to_vecpoly(
+                [_scalars(r) for r in out[pos * d:pos * d + d]], d, True)
             for pos, m in enumerate(multiindices(d, order))
-            if any(out[pos * d:pos * d + d])
+            if any(r is not None for r in out[pos * d:pos * d + d])
         }
+
+
+def _int_row(coeffs):
+    """Integer row of a trimmed tuple of ExactComplex, None if empty."""
+    if not coeffs:
+        return None
+    den = math.lcm(*(c.re.denominator for c in coeffs),
+                   *(c.im.denominator for c in coeffs))
+    re = tuple(c.re.numerator * (den // c.re.denominator) for c in coeffs)
+    if not any(c.im for c in coeffs):
+        return den, re, None
+    return den, re, tuple(c.im.numerator * (den // c.im.denominator)
+                          for c in coeffs)
+
+
+def _scalars(row):
+    """Tuple of ExactComplex of an integer row."""
+    if row is None:
+        return ()
+    den, re, im = row
+    if im is None:
+        return tuple(ExactComplex(Fraction(v, den)) for v in re)
+    return tuple(ExactComplex(Fraction(v, den), Fraction(w, den))
+                 for v, w in zip(re, im))
+
+
+def _conv_into(buf, a, b, s):
+    """``buf += s * a * b`` on the int list ``buf``, extended as needed."""
+    short = len(a) + len(b) - 1 - len(buf)
+    if short > 0:
+        buf.extend([0] * short)
+    for i, x in enumerate(a):
+        if x:
+            x *= s
+            for k, y in enumerate(b, i):
+                buf[k] += x * y
+
+
+def _add_into(buf, a):
+    """``buf += a`` on the int list ``buf``, extended as needed."""
+    n = len(buf)
+    for k, v in enumerate(a[:n]):
+        buf[k] += v
+    buf.extend(a[n:])
+
+
+def _reduce(buckets):
+    """One integer row from {den: (re, im)} numerator sums: the buckets
+    brought to the lcm of their denominators, trailing zeros trimmed and
+    one gcd divided out; None when the sum is zero."""
+    if not buckets:
+        return None
+    den = math.lcm(*buckets)
+    width = max(max(len(re), len(im)) for re, im in buckets.values())
+    re, im = [0] * width, [0] * width
+    for part, (p_re, p_im) in buckets.items():
+        f = den // part
+        for k, v in enumerate(p_re):
+            re[k] += f * v
+        for k, v in enumerate(p_im):
+            im[k] += f * v
+    n = width
+    while n and not (re[n - 1] or im[n - 1]):
+        n -= 1
+    if not n:
+        return None
+    g = math.gcd(den, *re[:n], *im[:n])
+    return (den // g, tuple(v // g for v in re[:n]),
+            tuple(v // g for v in im[:n]) if any(im) else None)
 
 
 def _row_store(exact, d, kinds, orders):

@@ -139,7 +139,7 @@ class ExactComplex:
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.re) or bool(self.im)
 
     def __abs__(self):
         return abs(complex(self))

@@ -276,8 +276,15 @@ def is_invertible(a, tol=1e-12):
 
 
 def _solve_float(a, cols, tol):
-    an = a.to_numpy()
-    rhs = np.array([list(c) for c in cols], dtype=complex).T
+    x = solve_array(a.to_numpy(), np.array(cols, dtype=complex).T, tol)
+    return [tuple(complex(v) for v in x[:, j]) for j in range(x.shape[1])]
+
+
+def solve_array(an, rhs, tol=1e-12):
+    """Solve ``an @ x = rhs`` for complex128 arrays, checked as
+    ``solve_linear`` checks a float solve: a non-finite right-hand side
+    raises ArithmeticError, a singular matrix or a residual above the
+    bound SingularMatrixError."""
     if not np.isfinite(rhs).all():
         raise ArithmeticError("non-finite right-hand side in a float solve")
     try:
@@ -290,7 +297,7 @@ def _solve_float(a, cols, tol):
         raise SingularMatrixError(
             f"solve residual {resid:.3e} exceeds tolerance (near-singular matrix)"
         )
-    return [tuple(complex(v) for v in x[:, j]) for j in range(x.shape[1])]
+    return x
 
 
 def _solve_exact(a, cols):
@@ -303,13 +310,19 @@ def _solve_exact(a, cols):
             raise SingularMatrixError(f"exact pivot vanished at column {k}")
         if pivot_row != k:
             work[k], work[pivot_row] = work[pivot_row], work[k]
-        inv = ExactComplex(1) / work[k][k]
-        work[k] = [v * inv if v else v for v in work[k]]
+        # columns < k of the pivot row are already zero; only its nonzero
+        # columns enter the other rows
+        row_k = work[k]
+        inv = ExactComplex(1) / row_k[k]
+        pivot = [(j, row_k[j] * inv) for j in range(k, width) if row_k[j]]
+        for j, v in pivot:
+            row_k[j] = v
         for r in range(n):
-            if r != k and work[r][k]:
-                f = work[r][k]
-                work[r] = [vr - f * vk if vk else vr
-                           for vr, vk in zip(work[r], work[k])]
+            row = work[r]
+            f = row[k]
+            if r != k and f:
+                for j, v in pivot:
+                    row[j] = row[j] - f * v
     return [
         tuple(work[i][n + j] for i in range(n)) for j in range(width - n)
     ]

@@ -33,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .exact import from_int
 from .matrices import ShapeError, is_invertible, mat_eigenvalues
 from .pnspace import PnBasis, conjugation_matrix, multiindices
@@ -140,6 +142,15 @@ class FuchsianSystem:
 
     def qb_matvec(self, i, v):
         return self.qb_poly().coefficient(i).matvec(v)
+
+    def float_arrays(self):
+        """B_inf as a complex128 matrix and the x^i coefficients of QB,
+        i = 0 .. S, as one (S + 1, d, d) array."""
+        if "arrays" not in self._cache:
+            qb = self.qb_poly()
+            self._cache["arrays"] = (self.b_infinity().to_numpy(), np.array(
+                [qb.coefficient(i).to_numpy() for i in range(self.s + 1)]))
+        return self._cache["arrays"]
 
     def lagrange_basis(self, j):
         """The degree-(S+1) polynomial that is 1 at p_j and 0 at other poles."""

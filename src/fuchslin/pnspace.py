@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .exact import from_int
 from .matrices import CMatrix, ShapeError, mat_eigenvalues, vec_zero
 from .poly import VecPoly
@@ -144,7 +146,8 @@ class InducedBlock:
     the d x d QB.  The one N x N matrix is J_{B_inf}, for the k-shifts.
     """
 
-    __slots__ = ("size", "s", "exact", "q_poly", "_binf", "_spec", "_qb")
+    __slots__ = ("size", "s", "exact", "q_poly", "_binf", "_spec", "_qb",
+                 "_arrays")
 
     def __init__(self, linear, basis):
         self.size, self.s, self.exact = basis.size, linear.s, linear.exact
@@ -154,6 +157,7 @@ class InducedBlock:
         qb = linear.qb_poly()
         self._qb = [conjugation_columns(qb.coefficient(i), basis)
                     for i in range(self.s + 1)]
+        self._arrays = None
 
     def b_infinity(self):
         return self._binf
@@ -161,6 +165,18 @@ class InducedBlock:
     def residue_spectrum(self, j):
         """Eigenvalues of J_{B_inf} from those of B_inf (j is 'inf')."""
         return self._spec
+
+    def float_arrays(self):
+        """J_{B_inf} as a complex128 matrix and the x^i coefficients of QB,
+        i = 0 .. S, as one (S + 1, N, N) array; built on first use."""
+        if self._arrays is None:
+            qb = np.zeros((self.s + 1, self.size, self.size), complex)
+            for i, cols in enumerate(self._qb):
+                for col, entries in enumerate(cols):
+                    for row, value in entries.items():
+                        qb[i, row, col] = complex(value)
+            self._arrays = self._binf.to_numpy(), qb
+        return self._arrays
 
     def qb_matvec(self, i, v):
         """(x^i coefficient of the block's QB) applied to v."""

@@ -43,29 +43,6 @@ def sp_degree(coeffs):
     return len(coeffs) - 1
 
 
-def sp_mul_acc(buf, a, b, zero):
-    """``buf += a * b`` on the coefficient list ``buf``, in place.
-
-    ``buf`` is padded with ``zero`` up to the product's length and is not
-    trimmed, so a sum of many products is trimmed once, when it is complete.
-    """
-    short = len(a) + len(b) - 1 - len(buf)
-    if short > 0:
-        buf.extend([zero] * short)
-    for i, ai in enumerate(a):
-        for k, bj in enumerate(b, i):
-            buf[k] += ai * bj
-
-
-def sp_add_acc(buf, a):
-    """``buf += a`` on the coefficient list ``buf``, in place; coefficients
-    past the end of ``buf`` are appended, not added to zero."""
-    n = len(buf)
-    for k, ak in enumerate(a[:n]):
-        buf[k] += ak
-    buf.extend(a[n:])
-
-
 def sp_mul(a, b, exact=False):
     if not a or not b:
         return ()

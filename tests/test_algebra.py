@@ -202,6 +202,38 @@ def test_singular_matrix_raises():
         solve_linear(matf, (1.0 + 0j, 0.0 + 0j))
 
 
+def test_exact_solve_dense_gaussian_rationals():
+    # dense Gaussian-rational matrices over mixed denominators, with
+    # nonzero imaginary parts: the solution satisfies A x == b exactly;
+    # a zero column, or a row that is a Gaussian-rational combination of
+    # two others, is still found singular
+    rng = random.Random(20261018)
+
+    def entry():
+        return ExactComplex(
+            Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12))),
+            Fraction(rng.randint(-9, 9), rng.choice((1, 4, 9, 11))))
+
+    for n in range(1, 8):
+        for _ in range(3):
+            rows = [[entry() for _ in range(n)] for _ in range(n)]
+            mat = CMatrix.from_rows(rows, exact=True)
+            rhs = tuple(entry() for _ in range(n))
+            assert any(v.im for v in mat.matvec(rhs))
+            assert mat.matvec(solve_linear(mat, rhs)) == rhs
+            if n < 3:
+                continue
+            c, e = entry(), entry()
+            dependent = [row[:] for row in rows]
+            dependent[-1] = [c * u + e * v for u, v in zip(rows[0], rows[1])]
+            column = [row[:] for row in rows]
+            for row in column:
+                row[n // 2] = ExactComplex(0)
+            for singular in (dependent, column):
+                with pytest.raises(SingularMatrixError):
+                    solve_linear(CMatrix.from_rows(singular, exact=True), rhs)
+
+
 def test_exact_pivot_never_goes_through_a_float():
     # 10^-400 is 0.0 as a float and 10^400 overflows; the exact solve
     # must see the first as a nonzero pivot and never convert the second.

@@ -19,6 +19,7 @@ from fuchslin.correction import (
 from fuchslin.exact import ExactComplex
 from fuchslin.matrices import CMatrix
 from fuchslin.model import AssumptionError, FuchsianSystem, singular_shifts
+from fuchslin.pnspace import induced_system
 from fuchslin.poly import VecPoly
 from fuchslin.rodrigues import RodriguesFamily, shifted_system
 
@@ -138,6 +139,26 @@ def test_float_route_matches_exact():
         assert resid.max_abs() <= 1e-8 * scale
         diff = float_result.phi - float_vecpoly(exact_result.phi)
         assert diff.max_abs() <= 1e-8 * scale
+
+
+def test_float_block_route_matches_exact():
+    # the float recursion on an induced block's arrays (J_{B_inf} and the
+    # QB coefficients as complex128) against the exact recursion on the
+    # same block, applied matrix-free
+    rng = random.Random(17)
+    for _ in range(6):
+        system = random_positive_system(rng)
+        n = rng.randint(2, 3)
+        block, _ = induced_system(system, n)
+        float_block, _ = induced_system(float_system(system), n)
+        g = random_vecpoly(rng, block.size, rng.randint(0, 5) + block.s)
+        exact_result = solve_polynomial(block, g)
+        float_result = solve_polynomial(float_block, float_vecpoly(g))
+        scale = max(1.0, float_vecpoly(exact_result.y).max_abs(),
+                    float_vecpoly(g).max_abs())
+        for got, want in ((float_result.phi, exact_result.phi),
+                          (float_result.y, exact_result.y)):
+            assert (got - float_vecpoly(want)).max_abs() <= 1e-12 * scale
 
 
 def test_assumption_error_for_any_singular_shift_of_b_infinity():

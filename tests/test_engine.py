@@ -9,6 +9,7 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
 
@@ -395,6 +396,160 @@ def test_float_products_do_not_depend_on_batch_size(monkeypatch):
         monkeypatch.setattr(engine, "_BATCH", 8)
         assert parts() == whole, mode
         monkeypatch.undo()
+
+
+# ----------------------------------------------------------------------
+# the exact executor against the scalar accumulation it replaces
+# ----------------------------------------------------------------------
+
+
+def _reference_mul_acc(buf, a, b, zero):
+    """``buf += a * b`` on a list of ExactComplex, one scalar product and
+    one scalar sum per coefficient pair, ``buf`` padded but not trimmed."""
+    short = len(a) + len(b) - 1 - len(buf)
+    if short > 0:
+        buf.extend([zero] * short)
+    for i, ai in enumerate(a):
+        for k, bj in enumerate(b, i):
+            buf[k] += ai * bj
+
+
+def _reference_run(blocks, pairs):
+    """Untrimmed ExactComplex sums of the products and copies of ``pairs``
+    over {(kind, order): [tuple of ExactComplex]} ``blocks``, and per
+    target the largest denominator among the coefficients it read."""
+    zero = ExactComplex(0)
+    bufs = [[] for _ in range(pairs.size)]
+    dens = [1] * pairs.size
+    scale = (pairs.scale.tolist() if pairs.scale is not None
+             else [1] * pairs.target.size)
+
+    def row(side, p):
+        return blocks[int(side[0][p]), int(side[1][p])][int(side[2][p])]
+
+    for p, t in enumerate(pairs.target.tolist()):
+        a, b = row(pairs.a, p), row(pairs.b, p)
+        if a and b:
+            dens[t] = max([dens[t]] + [c.re.denominator for c in a + b])
+        _reference_mul_acc(bufs[t], tuple(scale[p] * c for c in a), b, zero)
+    for p, t in enumerate(pairs.c_target.tolist()):
+        c = row(pairs.c, p)
+        dens[t] = max([dens[t]] + [v.re.denominator for v in c])
+        _reference_mul_acc(bufs[t], c, (ExactComplex(1),), zero)
+    return bufs, dens
+
+
+def _random_exact_row(rng, gaussian):
+    """A trimmed row: small entries that often cancel, or Gaussian
+    rationals over unrelated denominators."""
+    width = rng.randint(0, 3)
+    if gaussian:
+        row = [ExactComplex(Fraction(rng.randint(-9, 9),
+                                     rng.choice((1, 3, 4, 7, 10, 27))),
+                            Fraction(rng.randint(-2, 2), rng.choice((1, 5, 9)))
+                            if rng.random() < 0.5 else 0)
+               for _ in range(width)]
+    else:
+        row = [ExactComplex(Fraction(rng.randint(-1, 1), rng.choice((1, 2))))
+               for _ in range(width)]
+    while row and not row[-1]:
+        row.pop()
+    return tuple(row)
+
+
+def _check_exact_executor(rng, pairs_list, seen):
+    """Fill every block ``pairs_list`` reads with random rows, run each
+    plan through the integer rows and the scalar reference, and compare
+    row by row."""
+    need = {}
+    for pairs in pairs_list:
+        for side in (pairs.a, pairs.b, pairs.c):
+            for kind, order, row in zip(*(col.tolist() for col in side)):
+                need[kind, order] = max(need.get((kind, order), 0), row + 1)
+    kinds = max(k for k, _ in need) + 1
+    orders = max(o for _, o in need) + 1
+    blocks = {}
+    store = engine._ExactRows(3, kinds, orders)
+    for key, count in sorted(need.items()):
+        gaussian = rng.random() < 0.5
+        blocks[key] = [_random_exact_row(rng, gaussian) for _ in range(count)]
+        rows = [engine._int_row(r) for r in blocks[key]]
+        assert [engine._scalars(r) for r in rows] == blocks[key]
+        store.add(*key, rows)
+    for pairs in pairs_list:
+        bufs, dens = _reference_run(blocks, pairs)
+        for buf, read, row in zip(bufs, dens, store.run(pairs)):
+            want = tuple(buf)
+            while want and not want[-1]:
+                want = want[:-1]
+            assert engine._scalars(row) == want
+            if buf and not want:
+                seen.add("cancels to zero")
+            elif len(want) < len(buf):
+                seen.add("trailing zeros")
+            if row is not None:
+                den, re, im = row
+                assert den > 0 and math.gcd(den, *re, *(im or ())) == 1
+                assert re[-1] or im is not None and im[-1]
+                assert im is None or len(im) == len(re) and any(im)
+                if im is not None:
+                    seen.add("imaginary part")
+                if den == 1 and read > 1:
+                    seen.add("denominator reduces to 1")
+        if pairs.scale is not None and (pairs.scale < 0).any():
+            seen.add("negative scale")
+
+
+@pytest.mark.parametrize("d, n_max", [(2, 6), (3, 4)])
+def test_exact_executor_matches_scalar_reference(d, n_max):
+    # the order plans of both modes and the verifier plan, on seeded rows:
+    # the integer rows give exactly the reference's ExactComplex sums
+    rng = random.Random(f"exact-executor-{d}")
+    seen = set()
+    for n in range(2, n_max + 1):
+        for top in sorted({min(3, n), n}):
+            for jacobian in (False, True):
+                power, _, rhs = engine._order_plan(d, n, top, jacobian)
+                _check_exact_executor(rng, [power, rhs], seen)
+        _check_exact_executor(rng, [engine._verify_pairs(d, n)], seen)
+    assert seen == {"cancels to zero", "trailing zeros", "imaginary part",
+                    "denominator reduces to 1", "negative scale"}
+
+
+def test_exact_executor_cancellation_and_reduction():
+    # rows 1/2 + x, 1/2 - x, x and 1/3 + i/6, and hand-made pairs:
+    # target 0: (1/2 + x)(1/2 - x) + x * x = 1/4, two trailing zeros;
+    # target 1: (1/2 + x) x - x (1/2 + x) = 0, by a negative scale;
+    # target 2: 3 (1/3 + i/6)(1/2 - x) plus a copy of 1/2 - x;
+    # target 3: copies of 1/2 + x and 1/2 - x, summing to 1 over den 1
+    half = Fraction(1, 2)
+    rows = [(ExactComplex(half), ExactComplex(1)),
+            (ExactComplex(half), ExactComplex(-1)),
+            (ExactComplex(0), ExactComplex(1)),
+            (ExactComplex(Fraction(1, 3), Fraction(1, 6)),)]
+    store = engine._ExactRows(1, 1, 1)
+    store.add(0, 0, [engine._int_row(r) for r in rows])
+    zeros = [0] * 5
+    products = [(zeros, zeros, [0, 2, 0, 2, 3], zeros, zeros, [1, 2, 2, 0, 1],
+                 [0, 0, 1, 1, 2], [1, 1, 1, -1, 3])]
+    copies = [([0] * 3, [0] * 3, [1, 0, 1], [2, 3, 3])]
+    pairs = engine._make_pairs(
+        4, [tuple(map(np.array, p)) for p in products],
+        [tuple(map(np.array, c)) for c in copies])
+    out = store.run(pairs)
+    assert out[1] is None and out[3] == (1, (1,), None)
+    got = [engine._scalars(r) for r in out]
+    assert got == [
+        (ExactComplex(Fraction(1, 4)),),
+        (),
+        (ExactComplex(1, Fraction(1, 4)), ExactComplex(-2, Fraction(-1, 2))),
+        (ExactComplex(1),),
+    ]
+    want = [list(buf) for buf in _reference_run({(0, 0): rows}, pairs)[0]]
+    for buf in want:
+        while buf and not buf[-1]:
+            buf.pop()
+    assert got == [tuple(buf) for buf in want]
 
 
 # ----------------------------------------------------------------------
