@@ -11,8 +11,15 @@ all residue spectra in the open right half plane the integrals converge,
 and analyticity at p_1 .. p_{S+1} pins phi through the block system
 
     sum_i M_{ji} phi_i = xi_j,
-    M_{ji} = integral_{p_0}^{p_j} x^i Q^{-1} W dx,
-    xi_j   = integral_{p_0}^{p_j} Q^{-1} W g dx.
+    M_{ja} = integral_{p_0}^{p_j} x^a Q^{-1} W dx,
+    xi_j   = integral_{p_0}^{p_j} Q^{-1} W g dx = sum_a M_{ja} g_a.
+
+The transport computes only the moment matrices M_{ja}, for every power
+a below n_x = max(S + 1, deg g + 1); each integral against a polynomial is
+one contraction of them with its coefficient vectors (``_contract``).  The
+right side contracts with g; the certificate and ``eval`` contract the
+partial moments up to their point with g - phi in one step, so no value is
+the difference of two separately rounded integrals.
 
 Each integral runs along a chosen path: a power-series block near both
 endpoint poles (Frobenius fundamental series, integrated term by term
@@ -21,7 +28,7 @@ at the far pole.  A Taylor step from a centre c has length RHO times the
 distance from c to the nearest pole; it sums the series of the local
 factor Phi (W(c + t) = W(c) Phi(t)), whose coefficients come from the
 Frobenius recursion with no residue at c, and integrates it term by term
-against the series of x^i / Q and g / Q.  The steps depend only on the
+against the series of x^a / Q.  The steps depend only on the
 path and the poles, not on W, so the transport plans every step of a path
 first and then builds the factors of all of them in one stacked
 recursion; W and the integrals chain over that stack.  At each endpoint
@@ -394,12 +401,11 @@ def _lower_toeplitz(series):
     return np.where(mask, taken, 0)
 
 
-def _pole_blocks(ctx, j, powers, g_poly, count):
-    """Series H^(i) and H^(g) with x^i Q^{-1} W = t^{B_j - I} sum H_k t^k.
+def _pole_blocks(ctx, j, n_x, count):
+    """Series H^(a), a < n_x, with x^a Q^{-1} W = t^{B_j - I} sum H_k t^k.
 
-    H^(i) = (x^i / Q_j) Phi as a matrix series; H^(g) = (1/Q_j) Phi g as a
-    vector series, with Q_j the pole-j cofactor of Q.  Returned stacked:
-    (len(powers), count, d, d) and (count, d).
+    H^(a) = (x^a / Q_j) Phi as a matrix series, with Q_j the pole-j
+    cofactor of Q.  Returned stacked as (n_x, count, d, d).
     """
     p_j = ctx.poles[j]
     phi = ctx.frobenius(j, count)
@@ -407,49 +413,30 @@ def _pole_blocks(ctx, j, powers, g_poly, count):
     inv_cof = np.array(_recip_series(cof, count))
 
     scalars = np.array([
-        np.convolve(_power_series_at(p_j, i, count), inv_cof)[:count]
-        for i in powers
-    ], dtype=complex).reshape(len(powers), count)
-    blocks = np.einsum("kli,lab->ikab", _lower_toeplitz(scalars.T), phi)
-    gw = None
-    if g_poly is not None:
-        gser = _vec_taylor(g_poly, p_j, count)
-        phig = np.einsum("klb,lab->ka", _lower_toeplitz(gser), phi)
-        gw = _lower_toeplitz(inv_cof) @ phig
-    return blocks, gw
+        np.convolve(_power_series_at(p_j, a, count), inv_cof)[:count]
+        for a in range(n_x)
+    ], dtype=complex).reshape(n_x, count)
+    return np.einsum("kla,lbc->akbc", _lower_toeplitz(scalars.T), phi)
 
 
-def _vec_taylor(p, center, count):
-    """Coefficient vectors of p(center + t), padded to a (count, d) array."""
-    out = np.zeros((count, p.dim), dtype=complex)
-    for k, v in enumerate(p.taylor_at(center)[:count]):
-        out[k] = [complex(c) for c in v]
-    return out
-
-
-def _endpoint_sum(bj, t_end, blocks, gw, tol):
+def _endpoint_sum(bj, t_end, blocks, tol):
     """t_end^B and sum_k t_end^{B + k} (B + k)^{-1} H_k for every block.
 
-    ``blocks`` stacks the matrix series H^(i) as (n_blocks, count, d, d)
-    and ``gw`` the vector series H^(g) as (count, d) or None; all go
-    through one (B + k) solve per k, and t_end^B is computed once.  Each
-    block's last term is checked against that block's own sum.  Returns
-    (t_end^B, the (n_blocks, d, d) matrix sums, the vector sum or None),
-    *without* the leading constant; the caller multiplies by the anchor
-    (basepoint) or matching constant (target pole).
+    ``blocks`` stacks the matrix series H^(a) as (n_blocks, count, d, d);
+    all go through one (B + k) solve per k, and t_end^B is computed once.
+    Each block's last term is checked against that block's own sum.
+    Returns (t_end^B, the (n_blocks, d, d) sums), *without* the leading
+    constant; the caller multiplies by the anchor (basepoint) or matching
+    constant (target pole).
     """
     n_blocks, count, d = blocks.shape[:3]
     cols = blocks.transpose(1, 2, 0, 3).reshape(count, d, n_blocks * d)
-    if gw is not None:
-        cols = np.concatenate([cols, gw[:, :, None]], axis=2)
     k = np.arange(count)
     shifted = bj + k[:, None, None] * np.eye(d, dtype=complex)
     terms = np.linalg.solve(shifted, cols) * (t_end ** k)[:, None, None]
     acc = terms.sum(axis=0)
-    groups = [slice(i * d, (i + 1) * d) for i in range(n_blocks)]
-    if gw is not None:
-        groups.append(slice(n_blocks * d, None))
-    for cols_of_block in groups:
+    for i in range(n_blocks):
+        cols_of_block = slice(i * d, (i + 1) * d)
         tail = float(np.max(np.abs(terms[-1][:, cols_of_block])))
         scale = max(1.0, float(np.max(np.abs(acc[:, cols_of_block]))))
         if tail > 50 * tol * scale:
@@ -458,9 +445,8 @@ def _endpoint_sum(bj, t_end, blocks, gw, tol):
                 f"after {count} terms)"
             )
     t_b = expm(cmath.log(t_end) * bj)
-    acc = t_b @ acc
-    mats = acc[:, :n_blocks * d].reshape(d, n_blocks, d).transpose(1, 0, 2)
-    return t_b, mats, (acc[:, -1] if gw is not None else None)
+    mats = (t_b @ acc).reshape(d, n_blocks, d).transpose(1, 0, 2)
+    return t_b, mats
 
 
 # ----------------------------------------------------------------------
@@ -470,19 +456,26 @@ def _endpoint_sum(bj, t_end, blocks, gw, tol):
 
 @dataclass
 class _PassResult:
-    mats: np.ndarray         # [i] full integral including both endpoints
-    xi: object               # vector or None
+    mats: np.ndarray         # [a] full integral including both endpoints
     w_mid: np.ndarray        # W at the stop point near the target
     mid_point: complex
     mats_mid: np.ndarray     # partial integrals from p_0 to the stop point
-    xi_mid: object
     start_point: complex
     w_start: np.ndarray
-    mats_start: np.ndarray
-    xi_start: object
+    mats_start: np.ndarray   # partial integrals from p_0 to the start point
 
 
-def _transport_pass(ctx, path, powers, g_poly, match_target=True):
+def _contract(mats, poly):
+    """sum_a mats[a] c_a over the coefficient vectors c_a of a float VecPoly:
+    the integral of Q^{-1} W against it (zero for the zero polynomial)."""
+    coeffs = np.array(poly.coeffs, dtype=complex).reshape(-1, mats.shape[-1])
+    return np.einsum("aij,aj->i", mats[:len(coeffs)], coeffs)
+
+
+def _transport_pass(ctx, path, n_x, match_target=True):
+    """W and the moment matrices integral x^a Q^{-1} W dx, a < n_x, from
+    the basepoint pole along ``path``: to the target pole when
+    ``match_target``, and partial ones at the start and stop points."""
     points = list(path.waypoints)
     p0 = ctx.poles[0]
     if abs(points[0] - p0) > 1e-12 * max(1.0, abs(p0)):
@@ -494,11 +487,10 @@ def _transport_pass(ctx, path, powers, g_poly, match_target=True):
     ta = a - p0
 
     count0 = ctx.series_count(eps0 / ctx.gaps[0])
-    blocks0, gw0 = _pole_blocks(ctx, 0, powers, g_poly, count0)
-    t_b0, sums0, gsum0 = _endpoint_sum(ctx.res[0], ta, blocks0, gw0, ctx.tol)
+    t_b0, sums0 = _endpoint_sum(ctx.res[0], ta,
+                                _pole_blocks(ctx, 0, n_x, count0), ctx.tol)
     anchor = ctx.anchor()
     mats_start = anchor @ sums0
-    xi_start = None if gsum0 is None else anchor @ gsum0
     w_start = anchor @ t_b0 @ _eval_series_mat(ctx.frobenius(0, count0), ta)
 
     # interior: Taylor steps from a to the stop point near the target
@@ -517,28 +509,22 @@ def _transport_pass(ctx, path, powers, g_poly, match_target=True):
         interior = points
     interior[0] = a
 
-    w_mid, mats_mid, xi_mid = _taylor_transport(
-        ctx, interior, w_start, mats_start, xi_start, g_poly)
+    w_mid, mats_mid = _taylor_transport(ctx, interior, w_start, mats_start)
 
-    mats, xi = mats_mid, xi_mid
+    mats = mats_mid
     if match_target:
         tb = interior[-1] - target
         count_t = ctx.series_count(eps_t / ctx.gaps[jt])
-        blocks_t, gw_t = _pole_blocks(ctx, jt, powers, g_poly, count_t)
-        t_bt, sums_t, gsum_t = _endpoint_sum(ctx.res[jt], tb, blocks_t, gw_t,
-                                             ctx.tol)
+        t_bt, sums_t = _endpoint_sum(ctx.res[jt], tb,
+                                     _pole_blocks(ctx, jt, n_x, count_t),
+                                     ctx.tol)
         w_loc = t_bt @ _eval_series_mat(ctx.frobenius(jt, count_t), tb)
-        match = w_mid @ np.linalg.inv(w_loc)
-        mats = mats - match @ sums_t
-        if g_poly is not None:
-            xi = xi - match @ gsum_t
+        mats = mats - w_mid @ np.linalg.inv(w_loc) @ sums_t
 
     return _PassResult(
-        mats=mats, xi=xi,
-        w_mid=w_mid, mid_point=interior[-1],
-        mats_mid=mats_mid, xi_mid=xi_mid,
-        start_point=a, w_start=w_start,
-        mats_start=mats_start, xi_start=xi_start,
+        mats=mats,
+        w_mid=w_mid, mid_point=interior[-1], mats_mid=mats_mid,
+        start_point=a, w_start=w_start, mats_start=mats_start,
     )
 
 
@@ -566,11 +552,10 @@ def _require_pole_free(ctx, points):
                 )
 
 
-def _taylor_transport(ctx, points, w, mats, xi, g_poly):
+def _taylor_transport(ctx, points, w, mats):
     """Continue W and the moment integrals along a pole-free polyline.
 
-    ``mats[i]`` accumulates integral x^i Q^{-1} W dx and ``xi`` (when
-    ``g_poly`` is given) integral Q^{-1} W g dx.  Two phases: first plan
+    ``mats[a]`` accumulates integral x^a Q^{-1} W dx.  Two phases: first plan
     every step of the path (a step from a centre c has length
     RHO * dist(c, poles), and the last step of a segment lands on its end);
     then build the local factors Phi (W(c + t) = W(c) Phi(t)) of all steps
@@ -578,23 +563,15 @@ def _taylor_transport(ctx, points, w, mats, xi, g_poly):
     chain them from the start.
     """
     _require_pole_free(ctx, points)
-    gc = np.zeros((0, ctx.d), dtype=complex)
-    if g_poly is not None:
-        gc = np.array([[complex(c) for c in v] for v in g_poly.coeffs],
-                      dtype=complex).reshape(-1, ctx.d)
-    n_x = max(len(mats), len(gc))
     centres, lengths = _plan_steps(ctx, points)
     # the path's integrals are summed apart from the start values, which
     # can be far larger (anchor and endpoint series), and added once
-    path_ints = np.zeros((n_x, ctx.d, ctx.d), dtype=complex)
-    for factors in _step_factors(ctx, centres, lengths, n_x):
+    path_ints = np.zeros_like(mats)
+    for factors in _step_factors(ctx, centres, lengths, len(mats)):
         wf = w @ factors
         w = wf[0]
         path_ints += wf[1:]
-    mats = mats + path_ints[:len(mats)]
-    if xi is not None:
-        xi = xi + np.einsum("aij,aj->i", path_ints[:len(gc)], gc)
-    return w, mats, xi
+    return w, mats + path_ints
 
 
 def _plan_steps(ctx, points):
@@ -695,9 +672,8 @@ def continue_w(system, start, path, tol=1e-10):
     if abs(complex(x0) - points[0]) > 1e-9 * max(1.0, abs(points[0])):
         raise ValueError("path must begin at the start point")
     w = w0.to_numpy() if isinstance(w0, CMatrix) else np.asarray(w0, dtype=complex)
-    w, _, _ = _taylor_transport(ctx, points, w,
-                                np.zeros((0, ctx.d, ctx.d), dtype=complex),
-                                None, None)
+    w, _ = _taylor_transport(ctx, points, w,
+                             np.zeros((0, ctx.d, ctx.d), dtype=complex))
     return CMatrix.from_numpy(w)
 
 
@@ -718,7 +694,8 @@ def _require_positive_spectra(system):
 
 
 def moments(system, paths=None, tol=1e-10):
-    """The moment blocks M_{ji} for j = 1..S+1, i = 0..S.
+    """The moment blocks M_{ji} = integral_{p_0}^{p_j} x^i Q^{-1} W dx for
+    j = 1..S+1, i = 0..S.
 
     Requires every residue spectrum strictly in the right half plane
     (apply the shift ladder first otherwise).  ``paths`` maps target pole
@@ -727,17 +704,20 @@ def moments(system, paths=None, tol=1e-10):
     sysf = float_system(system)
     _require_positive_spectra(sysf)
     ctx = _Context(sysf, tol)
-    powers = list(range(sysf.s + 1))
     out = []
     for j in range(1, sysf.n_poles):
         path = _path_for(ctx, paths, j)
-        result = _transport_pass(ctx, path, powers, None, match_target=True)
-        out.append([CMatrix.from_numpy(result.mats[i]) for i in powers])
+        result = _transport_pass(ctx, path, sysf.s + 1, match_target=True)
+        out.append([CMatrix.from_numpy(m) for m in result.mats])
     return out
 
 
 def rhs_moment(system, g, paths=None, tol=1e-10):
-    """The vectors xi_j = integral of Q^{-1} W g for j = 1..S+1."""
+    """The vectors xi_j = integral_{p_0}^{p_j} Q^{-1} W g dx for j = 1..S+1.
+
+    Each is the contraction sum_a M_{ja} g_a of the moment matrices for
+    a <= deg g with the coefficient vectors of g.
+    """
     sysf = float_system(system)
     _require_positive_spectra(sysf)
     gf = float_vecpoly(g)
@@ -745,8 +725,9 @@ def rhs_moment(system, g, paths=None, tol=1e-10):
     out = []
     for j in range(1, sysf.n_poles):
         path = _path_for(ctx, paths, j)
-        result = _transport_pass(ctx, path, [], gf, match_target=True)
-        out.append(tuple(complex(v) for v in result.xi))
+        result = _transport_pass(ctx, path, len(gf.coeffs),
+                                 match_target=True)
+        out.append(tuple(complex(v) for v in _contract(result.mats, gf)))
     return out
 
 
@@ -799,9 +780,10 @@ class AnalyticSolutionHandle:
             path = default_path(ctx.system, x)
         elif not isinstance(path, PathSpec):
             path = PathSpec(tuple(path))
-        result = _transport_pass(ctx, path, [], self._corrected_top,
+        top = self._corrected_top
+        result = _transport_pass(ctx, path, len(top.coeffs),
                                  match_target=False)
-        y_top = np.linalg.solve(result.w_mid, result.xi_mid)
+        y_top = np.linalg.solve(result.w_mid, _contract(result.mats_mid, top))
         return self._compose_point(x, y_top)
 
     def _compose_point(self, x, y_top):
@@ -859,19 +841,15 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
 
     s = top_sys.s
     d = top_sys.size
-    powers = list(range(s + 1))
-    passes = []
-    for j in range(1, top_sys.n_poles):
-        path = _path_for(ctx_top, paths, j)
-        passes.append(_transport_pass(ctx_top, path, powers, top_g,
-                                      match_target=True))
-
-    big = np.zeros(((s + 1) * d, (s + 1) * d), dtype=complex)
-    rhs = np.zeros((s + 1) * d, dtype=complex)
-    for row, result in enumerate(passes):
-        for i in powers:
-            big[row * d:(row + 1) * d, i * d:(i + 1) * d] = result.mats[i]
-        rhs[row * d:(row + 1) * d] = result.xi
+    n_x = max(s + 1, len(top_g.coeffs))
+    passes = [
+        _transport_pass(ctx_top, _path_for(ctx_top, paths, j), n_x,
+                        match_target=True)
+        for j in range(1, top_sys.n_poles)
+    ]
+    # row block j is [M_{j0} .. M_{jS}]; its right side is xi_j
+    big = np.vstack([np.hstack(r.mats[:s + 1]) for r in passes])
+    rhs = np.concatenate([_contract(r.mats, top_g) for r in passes])
     try:
         sol = np.linalg.solve(big, rhs)
     except np.linalg.LinAlgError as err:
@@ -886,7 +864,8 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
         )
 
     phi_top = VecPoly.from_coeffs(
-        [tuple(complex(v) for v in sol[i * d:(i + 1) * d]) for i in powers],
+        [tuple(complex(v) for v in sol[i * d:(i + 1) * d])
+         for i in range(s + 1)],
         exact=False, dim=d,
     )
 
@@ -903,7 +882,7 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
         ctx_top, ladder_parts, top_g - phi_top, sysf, gf - phi, tol
     )
 
-    handle.certificate = _certify(ctx_top, phi_top, passes, handle, tol)
+    handle.certificate = _certify(passes, handle, tol)
     if not handle.certificate.passed:
         worst_check = max(
             handle.certificate.checks,
@@ -918,28 +897,24 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
     return CorrectionResult(phi=phi, y=handle)
 
 
-def _certify(ctx_top, phi_top, passes, handle, tol):
-    """Continuation vs the original problem's local series at every pole."""
+def _certify(passes, handle, tol):
+    """Continuation vs the original problem's local series at every pole.
+
+    The continued value at each checkpoint is W^{-1} times one contraction
+    of the partial moments there with g_top - phi_top.
+    """
     report = CertificateReport(tol=tol)
-    s = ctx_top.system.s
 
     # pole 0 is checked at the basepoint, every other pole at the stop
     # point of its pass: ladder-composed continued value vs local series
     first = passes[0]
-    checkpoints = [(0, first.start_point, first.xi_start, first.mats_start,
-                    first.w_start)]
+    checkpoints = [(0, first.start_point, first.mats_start, first.w_start)]
     checkpoints += [
-        (j, r.mid_point, r.xi_mid, r.mats_mid, r.w_mid)
+        (j, r.mid_point, r.mats_mid, r.w_mid)
         for j, r in enumerate(passes, start=1)
     ]
-    for j, point, xi, mats, w in checkpoints:
-        xi = xi.copy()
-        for i in range(s + 1):
-            coeff = np.array(
-                [complex(c) for c in phi_top.coefficient(i)]
-            )
-            xi -= mats[i] @ coeff
-        y_top = np.linalg.solve(w, xi)
+    for j, point, mats, w in checkpoints:
+        y_top = np.linalg.solve(w, _contract(mats, handle._corrected_top))
         value = np.array(handle._compose_point(point, y_top))
         series = handle.taylor_at_pole(j, order=_cert_order(tol))
         ref = np.array(series.eval(point))

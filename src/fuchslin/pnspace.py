@@ -91,6 +91,8 @@ def conjugation_columns(mat, basis):
     """Columns {row: value} of q -> (d_w q) M w - M q in ``basis``.
 
     Linear in M; each of at most d^2 + d entries is a sum of entries of M.
+    Only nonzero entries are kept: a zero entry of M, or a sum that
+    cancels, stores nothing.
     """
     d = basis.d
     if mat.shape != (d, d):
@@ -113,7 +115,8 @@ def conjugation_columns(mat, basis):
         for k in range(d):
             row = basis.index(m, k)
             add(pos, row, -mat.entry(k, i))
-    return cols
+    return [{row: value for row, value in col.items() if value}
+            for col in cols]
 
 
 def conjugation_matrix(mat, basis):

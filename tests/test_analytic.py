@@ -430,12 +430,11 @@ def test_endpoint_sum_stacks_blocks_with_their_own_convergence_test():
     rng = np.random.default_rng(5)
     blocks = np.stack([decay * rng.standard_normal((count, 2, 2)),
                        1e6 * decay * rng.standard_normal((count, 2, 2))])
-    gw = decay[:, :, 0] * rng.standard_normal((count, 2))
-    t_b, mats, vec = _endpoint_sum(bj, t_end, blocks, gw, 1e-10)
+    t_b, mats = _endpoint_sum(bj, t_end, blocks, 1e-10)
     # reference: one (B + k) solve and one t^B per block, term by term
     want_t_b = expm(np.log(t_end) * bj)
     assert np.allclose(t_b, want_t_b, rtol=1e-14, atol=0)
-    for got, series in [*zip(mats, blocks), (vec, gw)]:
+    for got, series in zip(mats, blocks):
         acc = sum(t_end ** k * np.linalg.solve(bj + k * np.eye(2), series[k])
                   for k in range(count))
         want = want_t_b @ acc
@@ -444,37 +443,58 @@ def test_endpoint_sum_stacks_blocks_with_their_own_convergence_test():
     # although block 1's sum (~1e6) would have covered it
     blocks[0, -1] = 1e-5 / abs(t_end) ** (count - 1)
     with pytest.raises(QuadratureError, match="did not converge"):
-        _endpoint_sum(bj, t_end, blocks, gw, 1e-10)
+        _endpoint_sum(bj, t_end, blocks, 1e-10)
 
 
-def test_tightest_known_certificate_still_passes():
-    # the benchmark's analytic-route job with the largest share of the
-    # 10 * tol certificate allowance (d = 3, S = 2, one nonpositive
-    # residue, so shift-ladder rungs run first), written out as literals
-    def exact_mat(rows):
-        return CMatrix.from_rows(
-            [[ExactComplex(Fraction(v)) for v in row] for row in rows], True)
+# the benchmark's analytic-route jobs with the largest share of the
+# 10 * tol certificate allowance, written out as literals: poles,
+# residues and the rows of g (ascending powers).  Both have one
+# nonpositive residue, so shift-ladder rungs run first.
+TIGHTEST_CERTIFICATE_JOBS = {
+    # seed 4, round 4, job 17 (d = 3, S = 2)
+    "seed4-r4-j17": (
+        ("-5/2", "-1/2", 3, 2),
+        ([["-1/8", 0, "-1/2"], [0, "-1/4", 0], [0, 0, "-7/8"]],
+         [["13/6", "1/2", "-1/2"], [0, "5/6", 0], [0, 0, "3/2"]],
+         [["5/3", "-1/2", "-1/2"], [0, "7/3", "1/2"], [0, 0, "5/2"]],
+         [["2/3", "-1/2", "1/2"], [0, "11/6", "1/2"], [0, 0, "3/2"]]),
+        [(-1, 0, 1), (0, 0, "1/2"), (1, "-1/2", "-1/2"), ("3/2", 1, "1/2"),
+         (1, 1, -1), ("1/2", -1, 0), ("3/2", "-3/2", "1/2")],
+    ),
+    # seed 1009, round 5, job 11 (d = 2, S = 2)
+    "seed1009-r5-j11": (
+        (3, "-1/2", -2, "1/2"),
+        ([["-5/8", "1/2"], [0, "-5/4"]],
+         [["13/6", "1/2"], [0, "7/3"]],
+         [["5/3", "-1/2"], [0, "11/6"]],
+         [["2/3", "-1/2"], [0, "4/3"]]),
+        [(-1, "3/2"), ("1/2", 1), (-1, 1), ("-3/2", 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("job", sorted(TIGHTEST_CERTIFICATE_JOBS))
+def test_tightest_known_certificate_still_passes(job):
+    poles, residues, g_rows = TIGHTEST_CERTIFICATE_JOBS[job]
+
+    def exact(v):
+        return ExactComplex(Fraction(v))
 
     system = FuchsianSystem(
-        tuple(ExactComplex(Fraction(p)) for p in ("-5/2", "-1/2", 3, 2)),
-        (
-            exact_mat([["-1/8", 0, "-1/2"], [0, "-1/4", 0], [0, 0, "-7/8"]]),
-            exact_mat([["13/6", "1/2", "-1/2"], [0, "5/6", 0],
-                       [0, 0, "3/2"]]),
-            exact_mat([["5/3", "-1/2", "-1/2"], [0, "7/3", "1/2"],
-                       [0, 0, "5/2"]]),
-            exact_mat([["2/3", "-1/2", "1/2"], [0, "11/6", "1/2"],
-                       [0, 0, "3/2"]]),
-        ),
+        tuple(exact(p) for p in poles),
+        tuple(CMatrix.from_rows([[exact(v) for v in row] for row in m], True)
+              for m in residues),
     )
-    g = VecPoly.from_coeffs(
-        [tuple(ExactComplex(Fraction(v)) for v in row) for row in
-         [(-1, 0, 1), (0, 0, "1/2"), (1, "-1/2", "-1/2"), ("3/2", 1, "1/2"),
-          (1, 1, -1), ("1/2", -1, 0), ("3/2", "-3/2", "1/2")]],
-        exact=True, dim=3,
-    )
+    g = VecPoly.from_coeffs([tuple(exact(v) for v in row) for row in g_rows],
+                            exact=True, dim=system.size)
     result = solve_analytic(system, g)
-    assert result.y.certificate.passed
+    certificate = result.y.certificate
+    assert certificate.passed
+    # the continued value is one contraction of the moments with
+    # g - phi, so roundoff leaves at least half the allowance unused
+    for check in certificate.checks:
+        allowance = 10 * certificate.tol * max(1.0, check.scale)
+        assert check.difference <= 0.5 * allowance
     direct = solve_polynomial(system, g)
     scale = max(1.0, max(abs(complex(v)) for row in direct.phi.coeffs
                          for v in row))
@@ -518,6 +538,30 @@ def test_solve_analytic_ladder_case():
     assert abs(result.y.eval(0.5)[0]) <= 1e-7
     series = result.y.taylor_at_pole(0, order=20)
     assert max(abs(c[0]) for c in series.coefficients) <= 1e-7
+
+
+def three_pole_system(residues):
+    return FuchsianSystem(
+        tuple(ExactComplex(p) for p in (-1, 1, 3)),
+        tuple(CMatrix.from_rows([[ExactComplex(Fraction(b))]], True)
+              for b in residues),
+    )
+
+
+def test_zero_rhs_contracts_to_zero():
+    # g = 0 reaches every contraction with no coefficients at all; the
+    # residue -3/2 needs two shift-ladder rungs first
+    system = three_pole_system(("1/2", "3/4", "-3/2"))
+    zero = VecPoly.zero(1, exact=True)
+    result = solve_analytic(system, zero)
+    assert result.phi.max_abs() == 0.0
+    assert result.y.certificate.passed
+    # 1 + 0.05j lies within 0.05 * gap of pole 1 (local-series branch);
+    # 0.2 + 0.7j is continued along a path from the basepoint
+    for x in (1 + 0.05j, 0.2 + 0.7j):
+        assert result.y.eval(x) == (0j,)
+    positive = three_pole_system(("1/2", "3/4", "3/2"))
+    assert rhs_moment(positive, zero) == [(0j,), (0j,)]
 
 
 def test_certificate_checks_the_ladder_pull_back(monkeypatch):
