@@ -44,8 +44,9 @@ composition y = y_0 + y_1 + Q * (next rung).
 
 The certificate compares, near every pole, the continued solution with
 that composition applied against the local series of the original problem
-(``correction.local_taylor`` with right-hand side g - phi).  Every k + B_j
-is invertible, so the series is the unique solution analytic at the pole,
+(``correction.local_taylor`` with right-hand side g - phi, on complex128
+arrays with one batched inverse of k + B_j for all k).  Every k + B_j is
+invertible, so the series is the unique solution analytic at the pole,
 and the comparison checks the shift ladder and its pull-back as well as
 the transport.
 

@@ -23,7 +23,10 @@ pole, from the bottom up.  In t = x - p_j, Q vanishes at t = 0, so the
 coefficient of t^k is Q'(p_j) (k + B_j) y_k plus terms of the y_i with
 i < k: the indicial equation at p_j.  One solve per k gives the solution
 analytic at that pole, which the analytic route's certificate compares
-with its continued solution.
+with its continued solution.  Exact mode solves each k + B_j exactly.
+Float mode runs on complex128 arrays: k + B_j differs between k only on
+its diagonal, so one batched inverse serves every k, and the solves are
+checked together after the recursion.
 
 ``shift_up`` / ``pull_back_correction`` implement one rung of the shift
 ladder: when residue spectra have nonpositive real parts, the substitution
@@ -183,26 +186,34 @@ def local_taylor(system, pole_index, rhs, order, tol=1e-12):
     per k, after which y_k's own terms, k q_a y_k at t^(a+k-1) for a >= 2
     and R_b y_k at t^(b+k) for b >= 1, leave the remainder.  This is the
     unique solution analytic at p_j whenever every k + B_j is invertible.
+
+    Raises ValueError when rhs has the wrong dimension and AssumptionError
+    when some k + B_j with k <= order is singular.  Float mode runs on
+    complex128 arrays (``_local_taylor_float``); exact mode solves each k
+    exactly.
     """
-    exact = system.exact
+    if rhs.dim != system.size:
+        raise ValueError("right-hand side dimension mismatch")
+    if not system.exact:
+        return _local_taylor_float(system, pole_index, rhs, order, tol)
     d = system.size
     center = system.poles[pole_index]
     count = order + 1
-    q = sp_taylor(system.q_poly(), center, exact)
-    inv_q1 = from_int(1, exact) / q[1]
+    q = sp_taylor(system.q_poly(), center, True)
+    inv_q1 = from_int(1, True) / q[1]
     qb = system.qb_poly()
-    entries = [[sp_taylor(qb.entry(r, c), center, exact) for c in range(d)]
+    entries = [[sp_taylor(qb.entry(r, c), center, True) for c in range(d)]
                for r in range(d)]
-    zero = from_int(0, exact)
+    zero = from_int(0, True)
     r_blocks = [
         CMatrix.from_rows(
             [[e[b] if b < len(e) else zero for e in row] for row in entries],
-            exact,
+            True,
         )
         for b in range(1, len(q) - 1)
     ]
     rem = rhs.taylor_at(center)[:count]
-    rem += [vec_zero(d, exact)] * (count - len(rem))
+    rem += [vec_zero(d, True)] * (count - len(rem))
     b_j = system.residues[pole_index]
     ys = []
     for k in range(count):
@@ -219,6 +230,63 @@ def local_taylor(system, pole_index, rhs, order, tol=1e-12):
         for b, r_b in enumerate(r_blocks[: count - k - 1], start=1):
             rem[b + k] = vec_sub(rem[b + k], r_b.matvec(y_k))
     return TaylorSolution(pole_index, center, ys)
+
+
+def _local_taylor_float(system, pole_index, rhs, order, tol):
+    """``local_taylor``'s recursion on complex128 arrays.
+
+    k + B_j differs between k only on its diagonal, so one batched inverse
+    of the stack k = 0 .. order, divided by Q'(p_j), gives every y_k from
+    rem[k].  Each k is then one d x d product and one slice update of the
+    (count + S + 1, d) remainder, as in ``_solve_polynomial_float``: y_k's
+    terms k q_a y_k and R_(a-1) y_k, a = 2 .. S + 2, land together on
+    t^(k+1) .. t^(k+S+1).  The checks of a per-k ``solve_array`` run once:
+    singular shifts up front (``model.singular_shifts``), a non-finite
+    right-hand side before and after the loop, and every residual after it.
+    """
+    s, d = system.s, system.size
+    center = system.poles[pole_index]
+    count = order + 1
+    b_j = system.residues[pole_index]
+    tests = singular_shifts(b_j, system.residue_spectrum(pole_index), tol)
+    bad = [k for k, _, singular in tests if singular and k < count]
+    if bad:
+        raise AssumptionError(f"k + B_{pole_index} singular at k={min(bad)}")
+    q = np.array(sp_taylor(system.q_poly(), center), dtype=complex)
+    binf, qb = system.float_arrays()
+    # QB's top coefficient (x^(S+1)) is B_inf; r[b] is R_b
+    r = np.array(sp_taylor(np.concatenate([qb, binf[None]]), center))
+    given = np.array(rhs.coeffs, dtype=complex).reshape(-1, d)
+    if not np.isfinite(given).all():
+        raise ArithmeticError("non-finite right-hand side in a float solve")
+    given = np.array(sp_taylor(given, center)).reshape(-1, d)[:count]
+    rem = np.zeros((count + s + 1, d), complex)
+    rem[:len(given)] = given
+    shifted = np.repeat(b_j.to_numpy()[None], count, axis=0)
+    shifted[:, range(d), range(d)] += np.arange(count)[:, None]
+    try:
+        inverses = np.linalg.inv(shifted) / q[1]
+    except np.linalg.LinAlgError as err:
+        raise AssumptionError(
+            f"k + B_{pole_index} singular at some k <= {order}: {err}"
+        ) from None
+    ys = np.empty((count, d), complex)
+    for k in range(count):
+        ys[k] = y_k = inverses[k] @ rem[k]
+        rem[k + 1:k + s + 2] -= k * q[2:, None] * y_k + r[1:] @ y_k
+    used = rem[:count] / q[1]
+    if not np.isfinite(used).all():
+        raise ArithmeticError("non-finite right-hand side in a float solve")
+    scale = np.maximum(1.0, np.abs(shifted).max(axis=(1, 2))
+                       * np.abs(ys).max(axis=1))
+    resid = np.abs((shifted @ ys[:, :, None])[:, :, 0] - used).max(axis=1)
+    failed = np.flatnonzero(~(resid <= scale * max(tol, 1e-12) * 1e4))
+    if len(failed):
+        k = failed[0]
+        raise AssumptionError(
+            f"k + B_{pole_index} singular at k={k}: solve residual "
+            f"{resid[k]:.3e} exceeds tolerance (near-singular matrix)")
+    return TaylorSolution(pole_index, center, list(map(tuple, ys.tolist())))
 
 
 def shift_up(system, g, tol=1e-12):

@@ -328,6 +328,34 @@ def test_local_taylor_eval_consistency():
     assert sol.eval(x)[0] == x * third
 
 
+def test_local_taylor_rejects_dimension_mismatch():
+    system = scalar_system(1, 1)
+    g = VecPoly.from_coeffs([(ExactComplex(1), ExactComplex(0))], exact=True)
+    for sys_, rhs in ((system, g), (float_system(system), float_vecpoly(g))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            local_taylor(sys_, 0, rhs, order=3)
+
+
+def test_local_taylor_singular_shift():
+    # B_0 = -2: k + B_0 vanishes at k = 2, so a series through t^2 has no
+    # solution analytic at -1, while one through t^1 still does
+    system = scalar_system(-2, Fraction(1, 2))
+    g = VecPoly.from_coeffs([(ExactComplex(1),), (ExactComplex(3),)],
+                            exact=True)
+    for sys_, rhs in ((system, g), (float_system(system), float_vecpoly(g))):
+        with pytest.raises(AssumptionError, match="k=2"):
+            local_taylor(sys_, 0, rhs, order=5)
+        assert len(local_taylor(sys_, 0, rhs, order=1).coefficients) == 2
+        assert len(local_taylor(sys_, 1, rhs, order=5).coefficients) == 6
+
+
+def test_local_taylor_float_rejects_non_finite_rhs():
+    system = float_system(scalar_system(1, 1))
+    rhs = VecPoly.from_coeffs([(1 + 0j,), (complex("inf"),)], exact=False)
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        local_taylor(system, 0, rhs, order=4)
+
+
 # ----------------------------------------------------------------------
 # the shift ladder
 # ----------------------------------------------------------------------

@@ -861,6 +861,65 @@ def test_full_residues_d3_frozen_example(mode, digest):
     _check_frozen_example(*_full_residue_d3_case(), mode, digest)
 
 
+def _dense_residue_d3_case():
+    # bench/workloads._series_job(random.Random("prof"), ..., 3, 0, 5, ...)
+    # with its strictly lower residue entries redrawn from {-1/3, 0, 1/3}
+    # by random.Random("a"), row by row, written out as literals
+    linear = FuchsianSystem(
+        (ec("1/2"), ec(-2)),
+        (
+            mat([["19/10", "-1/3", "-1/3"], [0, "17/10", "-1/3"],
+                 ["1/3", "-1/3", "19/10"]]),
+            mat([["19/10", "1/3", "-1/3"], ["1/3", "3/2", "1/3"],
+                 ["1/3", "1/3", 1]]),
+        ),
+    )
+    rows = {
+        (3, 0, 0): [[-1, -1, "1/2"], [-1, 1, 2], [-1, "-3/2", 1],
+                    [0, 0, "1/2"]],
+        (2, 1, 0): [["3/2", 1, -2], ["-3/2", "-3/2", 2], ["-3/2", 2, "3/2"],
+                    [1, 2, -2]],
+        (2, 0, 1): [["1/2", 2, 0], ["-3/2", "1/2", "-1/2"],
+                    ["-3/2", "-1/2", -2], ["3/2", -1, -2]],
+        (2, 0, 0): [[1, 2, "1/2"], ["-3/2", "-1/2", 2], ["3/2", -2, 1],
+                    [-2, "-1/2", -1]],
+        (1, 2, 0): [[0, 2, "-3/2"], [-1, "3/2", 1], ["3/2", -2, "1/2"],
+                    [-1, 2, "-1/2"]],
+        (1, 1, 1): [[1, 1, 1], ["3/2", -1, "1/2"], [-2, "-1/2", 2],
+                    [2, 2, 1]],
+        (1, 1, 0): [[2, -1, 0], [2, 2, "3/2"], [1, -2, -2], [1, 2, 0]],
+        (1, 0, 2): [[-2, 0, 1], ["1/2", "-1/2", "3/2"], [-2, 2, -1],
+                    [-1, -1, "-3/2"]],
+        (1, 0, 1): [[1, "-1/2", 1], [2, "1/2", "-1/2"], [1, 2, "3/2"],
+                    ["-1/2", "-1/2", 0]],
+        (0, 3, 0): [["3/2", "-3/2", 1], [0, 2, 2], [-1, 2, -2],
+                    ["-1/2", -1, "3/2"]],
+        (0, 2, 1): [[-1, -1, -2], [0, 2, "-1/2"], ["1/2", 0, 2],
+                    ["-1/2", "1/2", 2]],
+        (0, 2, 0): [[1, 2, -2], [0, 2, "-3/2"], [2, -2, 2],
+                    [0, -1, "-3/2"]],
+        (0, 1, 2): [["-3/2", -1, "-1/2"], ["3/2", -2, "3/2"],
+                    ["1/2", 2, -2], [0, 1, "-3/2"]],
+        (0, 1, 1): [["-1/2", "1/2", 0], [1, "-1/2", 2], [-2, "1/2", -2],
+                    ["-1/2", "3/2", 1]],
+        (0, 0, 3): [["-3/2", "1/2", "1/2"], ["3/2", "3/2", "1/2"],
+                    [0, "-1/2", "3/2"], [1, 2, -1]],
+        (0, 0, 2): [["3/2", "1/2", -2], [1, -2, "3/2"], [-2, "-1/2", 1],
+                    [1, "1/2", -2]],
+    }
+    return linear, {m: vp(r, d=3) for m, r in rows.items()}
+
+
+def test_dense_residues_d3_order5_frozen_example():
+    # d = 3, S = 0 to order 5 with both residues dense (nonzero entries
+    # below the diagonal), so no k + J_{B_inf} is triangular; h reaches
+    # 3,102-bit coefficients.  Obstruction mode only, to keep it ~2 s.
+    _check_frozen_example(
+        *_dense_residue_d3_case(), "obstruction",
+        "a0f52dd34af8c9c00656c5e8417fd96b533690d3b679ea8979455b810bc1c660",
+        order=5)
+
+
 def _check_frozen_example(linear, terms, mode, digest, order=4):
     """sha256 of the canonical JSON of the exact series and h, a zero exact
     residual, and a float rerun within 1e-9."""
