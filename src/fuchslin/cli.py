@@ -13,7 +13,9 @@ emit canonical JSON reports on stdout or ``--out``:
 Exit codes: 0 success; 2 assumption/resonance failure (the check or a
 solver precondition rejected the input); 3 schema error (message points
 at the offending field); 4 numeric failure (quadrature/certificate or a
-failed verification).
+failed verification).  Every ``--order``, and the ``order`` of a tables
+file, is an integer >= 2 like ``options.order``; the terms of a tables
+file have order >= 2.
 
 ``linearize`` takes its mode from ``--mode``, else from the document's
 ``options.mode``, else obstruction; ``verify`` takes it from ``--mode``,
@@ -33,6 +35,7 @@ from .document import (
     SchemaError,
     SystemDocument,
     dumps_canonical,
+    is_order,
     load_document,
     matpoly_json,
     matrix_json,
@@ -73,9 +76,18 @@ def _resolve_resonance_tol(args, doc):
     return 1e-9
 
 
+def _flag_order(args):
+    """``--order``, or None; it must be an order, as ``options.order``."""
+    if args.order is not None and not is_order(args.order):
+        raise SchemaError(f"/options/order: --order {args.order}: expected "
+                          f"an integer >= 2")
+    return args.order
+
+
 def _resolve_order(args, doc):
-    if args.order is not None:
-        return args.order
+    order = _flag_order(args)
+    if order is not None:
+        return order
     if "order" in doc.options:
         return doc.options["order"]
     raise SchemaError("/options/order: truncation order is required; "
@@ -125,13 +137,14 @@ def _nonlinear_report_json(report):
 def cmd_check(args):
     doc = _load(args)
     system = doc.to_system()
+    order = _flag_order(args)
     tol = _resolve_resonance_tol(args, doc)
     linear = check_linear_assumption(system, tol=tol)
     payload = {"linear": _linear_report_json(linear), "nonlinear": None}
     failed = not linear.passed
     if doc.nonlinearity:
-        order = args.order if args.order is not None else \
-            doc.options.get("order", doc.to_nonlinear().order_max())
+        if order is None:
+            order = doc.options.get("order", doc.to_nonlinear().order_max())
         nonlinear = check_nonlinear_assumption(
             doc.to_nonlinear(), order, tol
         )
@@ -256,7 +269,12 @@ def cmd_verify(args):
     h = SeriesTable(d, doc.exact)
     for m, p in sorted(h_map.items()):
         h.set(m, p)
-    order = args.order if args.order is not None else node.get("order")
+    if "order" in node and not is_order(node["order"]):
+        raise SchemaError(f"/tables/order: expected an integer >= 2, got "
+                          f"{node['order']!r}")
+    order = _flag_order(args)
+    if order is None:
+        order = node.get("order")
     if order is None:
         order = max(series.max_order(), h.max_order(), 2)
     tol = _resolve_tol(args, doc, 1e-9)

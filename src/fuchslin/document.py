@@ -119,6 +119,12 @@ _OPTION_KEYS = {"order", "tol", "resonance_tol", "mode", "paths"}
 _MODES = ("obstruction", "normal-form")
 
 
+def is_order(value):
+    """Whether ``value`` is a truncation order: an integer >= 2."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 2
+
+
 def _parse_options(node, path):
     if not isinstance(node, dict):
         _fail(path, "expected an object")
@@ -128,8 +134,7 @@ def _parse_options(node, path):
     out = {}
     if "order" in node:
         v = node["order"]
-        _require(isinstance(v, int) and not isinstance(v, bool) and v >= 2,
-                 f"{path}/order", "expected an integer >= 2")
+        _require(is_order(v), f"{path}/order", "expected an integer >= 2")
         out["order"] = v
     for key in ("tol", "resonance_tol"):
         if key in node:
@@ -343,7 +348,10 @@ def parse_vector_polynomial(node, d, exact, path="/g"):
 
 
 def parse_series_table(node, d, exact, path="/series"):
-    """Inverse of series_table_json: a list of {m, coeff} into {m: VecPoly}."""
+    """Inverse of series_table_json: a list of {m, coeff} into {m: VecPoly}.
+
+    Every monomial has order >= 2, as in h, phi and psi.
+    """
     if not isinstance(node, list):
         _fail(path, "expected a list of {m, coeff} entries")
     out = {}
@@ -357,6 +365,8 @@ def parse_series_table(node, d, exact, path="/series"):
                        for v in m_node)):
             _fail(f"{ipath}/m", f"expected {d} nonnegative integers")
         m = tuple(m_node)
+        _require(sum(m) >= 2, f"{ipath}/m",
+                 f"term {list(m)} has order below 2")
         _require(m not in out, f"{ipath}/m", f"duplicate multiindex {list(m)}")
         out[m] = _parse_vecpoly(item["coeff"], f"{ipath}/coeff", d, exact)
     return out

@@ -38,8 +38,11 @@ index arithmetic once per (d, n, p_max) and cached: triples (row, row,
 target row) giving the new blocks P[p, n], which read h below order n,
 then the terms of f - extra of order n and, in the normal-form mode, the
 Jacobian product [(d_w h) psi]_n.  A factor that is a w-part (w^(m - e_i)
-or w_i, coefficient 1) makes its pair a row copy.  The verifier runs one
-more plan for [(d_w h) (QA) w]_n.  Float mode executes a plan on complex128
+or w_i, coefficient 1) makes its pair a row copy.  The verifier takes each
+order's output rows as they are and runs one more plan per order for the
+whole residual, Q d_x h + (d_w h)(QA) w - (QA) h less the composed rows
+(plus the series in the normal-form mode), then reads its largest
+coefficient from the rows.  Float mode executes a plan on complex128
 arrays (one gather, one batched row convolution, one sum per run of equal
 targets).  Exact mode runs the same pairs, skipping empty rows, on integer
 rows: numerator tuples over one positive denominator per row.  A product
@@ -160,6 +163,9 @@ class ConjugacyReport:
 # q + 1) holds slice k of (w + h)^m for every m of order q, row
 # mu * N_q + m; P[1, k] is h's field block, its m read as the component.
 _T, _E, _H = 0, 1, 2
+# The verifier's store adds kind _D for the x-derivative of h's block, _R
+# for the composed right-hand side and _C for the rows Q and 1 (order 0).
+_D, _R, _C = 3, 4, 5
 # coefficients in one batch of row products (4 MB of complex128)
 _BATCH = 1 << 18
 
@@ -371,10 +377,29 @@ def _order_plan(d, n, top, jacobian):
 
 
 @functools.lru_cache(maxsize=None)
-def _verify_pairs(d, n):
-    """Pairs giving [(d_w h) V]_n from h's order-n block and V = (QA) w."""
-    return _make_pairs(_count(d, n) * d, [_jacobian_pairs(d, n, n, n, 1)],
-                       [])
+def _verify_pairs(d, n, normal):
+    """Pairs giving the order-n residual of the conjugacy identity,
+    Q d_x h + (d_w h)(QA)w - (QA)h - rhs, plus the series block if
+    ``normal``, from the verifier's blocks: h's (kind _H), its x-derivative
+    (_D), the composed right-hand side (_R), (QA)w (_E, order 1), the
+    series (_E, order n) and the rows Q and 1 (_C, order 0)."""
+    rows = np.arange(_count(d, n) * d)
+    # target mu * d + i gets -(QA)_il times h_l; (QA)_il is component i of
+    # (QA)w at w_l, which sits at position d - 1 - l of the order-1
+    # monomials
+    target = np.repeat(rows, d)
+    mu, i = np.divmod(target, d)
+    l = np.tile(np.arange(d), rows.size)
+    qa_h = (_full(_H, target), _full(n, target), mu * d + l,
+            _full(_E, target), _full(1, target), (d - 1 - l) * d + i,
+            target, _full(-1, target))
+    q_dh = (_full(_D, rows), _full(n, rows), rows, _full(_C, rows),
+            _full(0, rows), _full(0, rows), rows, _full(1, rows))
+    rhs = (_full(_R, rows), _full(n, rows), rows, _full(_C, rows),
+           _full(0, rows), _full(1, rows), rows, _full(-1, rows))
+    copies = [(_full(_E, rows), _full(n, rows), rows, rows)] if normal else []
+    return _make_pairs(rows.size, [_jacobian_pairs(d, n, n, n, 1), qa_h, q_dh,
+                                   rhs], copies)
 
 
 # ----------------------------------------------------------------------
@@ -422,6 +447,20 @@ class _FloatRows:
                 block[pos * d:pos * d + d, :len(p.coeffs)] = \
                     np.array(p.coeffs).T
         self.add(kind, order, block)
+
+    def polys(self, kind, order, polys):
+        """Append one row per scalar polynomial (tuple of coefficients)."""
+        block = np.zeros((len(polys), max(map(len, polys))), complex)
+        for r, p in enumerate(polys):
+            block[r, :len(p)] = p
+        self.add(kind, order, block)
+
+    def derive(self, kind, order, source):
+        """Append the x-derivative of field block (source, order)."""
+        start, width = self.off[source, order], self.length[source, order]
+        block = self.data[start:start + _count(self.d, order) * self.d,
+                          1:width]
+        self.add(kind, order, block * np.arange(1, width))
 
     def run(self, pairs):
         """(pairs.size, x-length) array of the summed products and copies.
@@ -479,6 +518,10 @@ class _FloatRows:
             for pos in np.flatnonzero(nonzero.any(axis=1)).tolist()
         }
 
+    def magnitude(self, out, order):
+        """Largest absolute coefficient of an output (see ``_magnitude``)."""
+        return min(float(np.abs(out).max(initial=0.0)), sys.float_info.max)
+
 
 def _convolve(a, b):
     """Row-wise polynomial products of the coefficient rows of a and b."""
@@ -521,6 +564,15 @@ class _ExactRows:
             block += ([_int_row(p.component(i)) for i in range(d)]
                       if p is not None else [None] * d)
         self.add(kind, order, block)
+
+    def polys(self, kind, order, polys):
+        self.add(kind, order, [_int_row(sp_trim(p)) for p in polys])
+
+    def derive(self, kind, order, source):
+        start = self.off[source, order]
+        self.add(kind, order, [
+            _derivative(r)
+            for r in self.rows[start:start + _count(self.d, order) * self.d]])
 
     def run(self, pairs):
         """Integer rows of the summed products and copies, one per row."""
@@ -565,6 +617,11 @@ class _ExactRows:
             if any(r is not None for r in out[pos * d:pos * d + d])
         }
 
+    def magnitude(self, out, order):
+        if all(r is None for r in out):
+            return 0.0
+        return max(map(_magnitude, self.table(out, order).values()))
+
 
 def _int_row(coeffs):
     """Integer row of a trimmed tuple of ExactComplex, None if empty."""
@@ -577,6 +634,18 @@ def _int_row(coeffs):
         return den, re, None
     return den, re, tuple(c.im.numerator * (den // c.im.denominator)
                           for c in coeffs)
+
+
+def _derivative(row):
+    """Integer row of the x-derivative of a row: the numerators times k,
+    over the same denominator."""
+    if row is None or len(row[1]) < 2:
+        return None
+    den, re, im = row
+    re = tuple(k * v for k, v in enumerate(re[1:], 1))
+    if im is not None and any(im[1:]):
+        return den, re, tuple(k * v for k, v in enumerate(im[1:], 1))
+    return den, re, None
 
 
 def _scalars(row):
@@ -661,6 +730,13 @@ def compose_series(f_terms, h_table, extra, order_max, mode="obstruction"):
     change lower orders afterwards: the slices of the powers (w + h)^m
     built from them are kept.
     """
+    parts = _compose_rows(f_terms, h_table, extra, order_max, mode)
+    for n, (rows, out) in enumerate(parts, start=2):
+        yield rows.table(out, n)
+
+
+def _compose_rows(f_terms, h_table, extra, order_max, mode):
+    """``compose_series`` as (row store, output rows) per order."""
     if mode not in ("obstruction", "normal-form"):
         raise ValueError(f"unknown mode {mode!r}")
     dim = h_table.dim
@@ -693,7 +769,7 @@ def compose_series(f_terms, h_table, extra, order_max, mode="obstruction"):
         new = rows.run(power)
         for kind, start, stop in blocks:
             rows.add(kind, n, new[start:stop])
-        yield rows.table(rows.run(rhs), n)
+        yield rows, rows.run(rhs)
 
 
 def _components_to_vecpoly(comps, dim, exact):
@@ -790,47 +866,36 @@ def verify_conjugacy(nonlinear, series, h, order_max, mode="obstruction",
     maximal absolute coefficient of the difference per order (see
     ``_magnitude``).  Exact mode decides zero exactly: the report's
     tolerance is 0 whatever ``tol`` is, so it passes exactly when every
-    difference is exactly zero.
+    difference is exactly zero.  A term of order below 2 in ``series`` or
+    ``h`` raises ValueError; terms above ``order_max`` are not read.
     """
     if mode not in ("obstruction", "normal-form"):
         raise ValueError(f"unknown mode {mode!r}")
+    for name, table in (("series", series), ("h", h)):
+        for m in table.terms:
+            if sum(m) < 2:
+                raise ValueError(f"term {m} of {name} has order below 2")
     linear = nonlinear.linear
     d = nonlinear.size
     exact = nonlinear.exact
-    q = linear.q_poly()
     qa = linear.qb_poly()
-    # (QA) w as a series table: column s of QA at the monomial w_s
-    qa_w = {
-        tuple(int(k == s) for k in range(d)): _components_to_vecpoly(
-            [qa.entry(l, s) for l in range(d)], d, exact
-        )
-        for s in range(d)
-    }
+    normal = mode == "normal-form"
 
     report = ConjugacyReport(mode=mode, tol=0.0 if exact else tol)
-    rows = _row_store(exact, d, _H + 1, order_max + 1)
-    rows.field(_E, 1, qa_w)
-    parts = compose_series(nonlinear.nonlinearity, h, series, order_max,
-                           mode=mode)
-    for n, rhs in enumerate(parts, start=2):
+    rows = _row_store(exact, d, _C + 1, order_max + 1)
+    # (QA) w as a field block: column s of QA at the monomial w_s
+    rows.polys(_E, 1, [qa.entry(l, m.index(1))
+                       for m in multiindices(d, 1) for l in range(d)])
+    rows.polys(_C, 0, [linear.q_poly(), (from_int(1, exact),)])
+    parts = _compose_rows(nonlinear.nonlinearity, h, series, order_max, mode)
+    for n, (_, rhs) in enumerate(parts, start=2):
         rows.field(_H, n, h.terms)
-        lhs = rows.table(rows.run(_verify_pairs(d, n)), n)
-        for m, hp in sorted(h.order_slice(n).items()):
-            rest = hp.derivative().mul_sp(q) - qa.mul_vec(hp)
-            cur = lhs.get(m)
-            lhs[m] = (rest + cur) if cur is not None else rest
-
-        if mode == "normal-form":
-            for m, p in sorted(series.order_slice(n).items()):
-                cur = rhs.get(m)
-                rhs[m] = (cur - p) if cur is not None else -p
-
-        zero = VecPoly.zero(d, exact)
-        worst = 0.0
-        for m in sorted(set(lhs) | set(rhs)):
-            worst = max(worst, _magnitude(lhs.get(m, zero)
-                                          - rhs.get(m, zero)))
-        report.residuals[n] = worst
+        rows.derive(_D, n, _H)
+        rows.add(_R, n, rhs)
+        if normal:
+            rows.field(_E, n, series.terms)
+        report.residuals[n] = rows.magnitude(
+            rows.run(_verify_pairs(d, n, normal)), n)
     return report
 
 

@@ -427,6 +427,51 @@ def test_order_is_required_somewhere(tmp_path, capsys):
     assert json.loads(out)["order"] == 3
 
 
+@pytest.mark.parametrize("command", ["verify", "linearize"])
+def test_order_below_two_is_a_schema_error(tmp_path, capsys, command):
+    # --order 1 used to verify nothing and pass, or give empty tables
+    doc = write_doc(tmp_path, SCALAR_DOC)
+    tables = str(tmp_path / "tables.json")
+    run(capsys, ["linearize", doc, "--exact", "--out", tables])
+    extra = ["--tables", tables] if command == "verify" else []
+    code, out, err = run(capsys,
+                         [command, doc, "--exact", "--order", "1"] + extra)
+    assert code == 3 and out == ""
+    assert "/options/order" in err
+
+
+@pytest.mark.parametrize("order", ["x", 1])
+def test_tables_order_must_be_an_order(tmp_path, capsys, order):
+    doc = write_doc(tmp_path, SCALAR_DOC)
+    tables = tmp_path / "tables.json"
+    run(capsys, ["linearize", doc, "--exact", "--out", str(tables)])
+    saved = json.loads(tables.read_text())
+    saved["order"] = order
+    tables.write_text(json.dumps(saved))
+    code, out, err = run(capsys,
+                         ["verify", doc, "--exact", "--tables", str(tables)])
+    assert code == 3 and out == ""
+    assert "/tables/order" in err
+
+
+@pytest.mark.parametrize("table, m", [("h", [1]), ("series", [0])])
+def test_tables_term_below_order_two_is_a_schema_error(tmp_path, capsys,
+                                                       table, m):
+    # such a term is outside the identity; it used to be ignored, so the
+    # tables still verified
+    doc = write_doc(tmp_path, SCALAR_DOC)
+    tables = tmp_path / "tables.json"
+    run(capsys, ["linearize", doc, "--exact", "--order", "3",
+                 "--out", str(tables)])
+    saved = json.loads(tables.read_text())
+    saved[table].append({"m": m, "coeff": [[[5, 0]]]})
+    tables.write_text(json.dumps(saved))
+    code, out, err = run(capsys,
+                         ["verify", doc, "--exact", "--tables", str(tables)])
+    assert code == 3 and out == ""
+    assert f"/{table}/{len(saved[table]) - 1}/m" in err
+
+
 # ----------------------------------------------------------------------
 # determinism and environment
 # ----------------------------------------------------------------------

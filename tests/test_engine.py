@@ -511,7 +511,9 @@ def test_exact_executor_matches_scalar_reference(d, n_max):
             for jacobian in (False, True):
                 power, _, rhs = engine._order_plan(d, n, top, jacobian)
                 _check_exact_executor(rng, [power, rhs], seen)
-        _check_exact_executor(rng, [engine._verify_pairs(d, n)], seen)
+        for normal in (False, True):
+            _check_exact_executor(rng, [engine._verify_pairs(d, n, normal)],
+                                  seen)
     assert seen == {"cancels to zero", "trailing zeros", "imaginary part",
                     "denominator reduces to 1", "negative scale"}
 
@@ -610,6 +612,104 @@ def test_corrupted_substitution_fails_verification(delta, residual):
         assert report.max_residual > 1.0e-9
     else:
         assert report.max_residual == residual
+
+
+# The verifier runs each order's residual as one pair plan; the reference
+# forms it per monomial on VecPoly, the left side
+# Q d_x h + (d_w h)(QA)w - (QA)h term by term.
+
+
+def _reference_verify(nl, series, h, order_max, mode):
+    """Residual per order of the conjugacy identity, with the right side
+    from ``compose_series``, less the series in the normal-form mode."""
+    d, exact = nl.size, nl.exact
+    q, qa = nl.linear.q_poly(), nl.linear.qb_poly()
+    residuals = {}
+    parts = compose_series(nl.nonlinearity, h, series, order_max, mode=mode)
+    for n, rhs in enumerate(parts, start=2):
+        diff = {m: -p for m, p in rhs.items()}
+
+        def add(m, p):
+            diff[m] = diff.get(m, VecPoly.zero(d, exact)) + p
+
+        for m, hp in sorted(h.order_slice(n).items()):
+            add(m, hp.derivative().mul_sp(q) - qa.mul_vec(hp))
+            # d_{w_l} h_m w^m times ((QA)w)_l = sum_s (QA)_ls w_s
+            for l, s in itertools.product(range(d), repeat=2):
+                if m[l]:
+                    target = tuple(e - (k == l) + (k == s)
+                                   for k, e in enumerate(m))
+                    add(target, hp.scale(m[l]).mul_sp(qa.entry(l, s)))
+        if mode == "normal-form":
+            for m, p in sorted(series.order_slice(n).items()):
+                add(m, p)
+        residuals[n] = max(map(engine._magnitude, diff.values()), default=0.0)
+    return residuals
+
+
+def _random_table(rng, d, order_max):
+    """A table of orders 2 .. order_max + 1 with Gaussian-rational
+    coefficients of x-degree <= 2."""
+    table = _to_table(_random_field(rng, d, range(2, order_max + 2), 2, 0.3),
+                      d)
+    for m, p in list(table.terms.items()):
+        if rng.random() < 0.5:
+            table.set(m, p.scale(ExactComplex(Fraction(rng.randint(-2, 2), 3),
+                                              1)))
+    return table
+
+
+def test_verifier_matches_per_monomial_reference():
+    # arbitrary tables, not solutions, so the residuals are nonzero: exact
+    # residuals equal the reference's, float ones agree to roundoff
+    # relative to the size of the order's terms
+    dims = set()
+    for seed in range(9):
+        rng = random.Random(f"verify-reference-{seed}")
+        nl = random_nonresonant(rng, d_max=3)
+        d, order_max = nl.size, rng.randint(2, 5)
+        dims.add(d)
+        series, h = _random_table(rng, d, order_max), \
+            _random_table(rng, d, order_max)
+        float_nl = NonlinearSystem(float_system(nl.linear), {
+            m: float_vecpoly(p) for m, p in nl.nonlinearity.items()})
+
+        def to_float(table):
+            return SeriesTable(d, False, {m: float_vecpoly(p)
+                                          for m, p in table.terms.items()})
+
+        for mode in ("obstruction", "normal-form"):
+            want = _reference_verify(nl, series, h, order_max, mode)
+            assert any(want.values()), (seed, mode)
+            got = verify_conjugacy(nl, series, h, order_max, mode)
+            assert got.residuals == want, (seed, mode)
+
+            fs, fh = to_float(series), to_float(h)
+            want = _reference_verify(float_nl, fs, fh, order_max, mode)
+            got = verify_conjugacy(float_nl, fs, fh, order_max, mode)
+            assert got.residuals.keys() == want.keys()
+            for n, r in got.residuals.items():
+                size = max([1.0] + [p.max_abs() for p in
+                                    list(fh.order_slice(n).values())
+                                    + list(fs.order_slice(n).values())])
+                assert abs(r - want[n]) <= 1e-12 * size, (seed, mode, n)
+    assert dims == {1, 2, 3}
+
+
+def test_verifier_rejects_terms_below_order_two():
+    # a term of order 0 or 1 in h or the series is not part of the identity
+    linear = scalar_linear(1, 1)
+    nl = NonlinearSystem(linear, {(2,): vp([[0], [1]])})
+    phi, h = linearize(nl, 3)
+    for low in ((0,), (1,)):
+        bad = h.copy()
+        bad.set(low, vp([[5]]))
+        with pytest.raises(ValueError, match="term .* of h has order below"):
+            verify_conjugacy(nl, phi, bad, 3)
+        bad = phi.copy()
+        bad.set(low, vp([[5]]))
+        with pytest.raises(ValueError, match="of series has order below"):
+            verify_conjugacy(nl, bad, h, 3, mode="normal-form")
 
 
 # ----------------------------------------------------------------------
