@@ -29,12 +29,19 @@ distance from c to the nearest pole; it sums the series of the local
 factor Phi (W(c + t) = W(c) Phi(t)), whose coefficients come from the
 Frobenius recursion with no residue at c, and integrates it term by term
 against the series of x^a / Q.  The steps depend only on the
-path and the poles, not on W, so the transport plans every step of a path
-first and then builds the factors of all of them in one stacked
-recursion; W and the integrals chain over that stack.  At each endpoint
-pole, t^{B_j} is computed once and every series block goes through one
-stacked (B_j + k) solve.  The path must keep clear of every pole; one
-that meets a pole raises QuadratureError.
+path and the poles, not on W, so one solve transports all its paths
+together (``_transport_passes``): it computes every path's start at the
+basepoint, plans every step of every path, builds the factors of all of
+them in one stacked recursion, and then chains W and the integrals over
+each path's slice of that stack.  The Frobenius factors of all the poles
+a solve needs are built together too, in one recursion at the largest
+term count any path asks for, and the endpoint series blocks are cached
+per solve, so the basepoint's are built once for all paths and every
+``eval``.  At each endpoint pole, t^{B_j} is computed once and every
+series block goes through one stacked (B_j + k) solve.  The path must
+keep clear of every pole; one that meets a pole raises QuadratureError.
+A path given for target pole j must start at p_0 and end at p_j
+(``path_defect``); any other raises ValueError.
 
 Spectra with nonpositive real parts are first moved right by the shift
 ladder from the correction module; the ladder count is the smallest
@@ -234,6 +241,36 @@ def default_path(system, target):
     return PathSpec(tuple(points))
 
 
+# A path starts at the basepoint, and ends at the point it evaluates at,
+# within POINT_TOL relative to max(1, |point|); it ends at a pole within
+# POLE_TOL (``_Context.pole_index``).
+POINT_TOL = 1e-12
+POLE_TOL = 1e-9
+
+
+def _within(z, point, tol):
+    return abs(z - point) <= tol * max(1.0, abs(point))
+
+
+def path_defect(poles, key, waypoints):
+    """Why ``waypoints`` cannot be the path to target pole ``key``, or None.
+
+    The key must be an integer in 1..S+1, and the path must have at least
+    two waypoints, start at pole 0 and end at pole ``key``.
+    """
+    poles = [complex(p) for p in poles]
+    if isinstance(key, bool) or not isinstance(key, int) \
+            or not 1 <= key < len(poles):
+        return f"key must be a target pole index 1..{len(poles) - 1}"
+    if len(waypoints) < 2:
+        return "a path needs at least two waypoints"
+    if not _within(complex(waypoints[0]), poles[0], POINT_TOL):
+        return f"the first waypoint must be pole 0 at {poles[0]}"
+    if not _within(complex(waypoints[-1]), poles[key], POLE_TOL):
+        return f"the last waypoint must be pole {key} at {poles[key]}"
+    return None
+
+
 # ----------------------------------------------------------------------
 # context: cached float data for one system
 # ----------------------------------------------------------------------
@@ -262,6 +299,7 @@ class _Context:
         k = np.arange(self.step_terms)
         self.hilbert = 1.0 / (k[:, None] + k[None, :] + 1)
         self._frob = {}
+        self._blocks = {}
         self._anchor = None
 
     # nearest-gap based endpoint radius, kept inside the adjacent segment
@@ -276,10 +314,35 @@ class _Context:
         return max(20, min(k, 400))
 
     def frobenius(self, j, count):
-        have = self._frob.get(j)
-        if have is None or len(have) < count:
-            self._frob[j] = _frobenius_series(self, j, count)
+        self.build_frobenius((j,), count)
         return self._frob[j][:count]
+
+    def build_frobenius(self, poles, count):
+        """Frobenius factors of ``poles`` to ``count`` terms.
+
+        The poles whose factor is shorter than that are built together in
+        one stacked recursion; each one's residue is checked for resonance
+        first, so only a pole asked for can raise ResonanceError.
+        """
+        todo = sorted({j for j in poles if len(self._frob.get(j, ())) < count})
+        if not todo:
+            return
+        ratios = np.zeros((len(todo), len(self.poles)), dtype=complex)
+        for i, j in enumerate(todo):
+            _check_resonance(self, j)
+            others = np.arange(len(self.poles)) != j
+            ratios[i, others] = -1.0 / (self.poles[j]
+                                        - self.pole_array[others])
+        stack = _factor_series(_neighbor_blocks(self, ratios, count),
+                               self.res[todo])
+        self._frob.update(zip(todo, stack))
+
+    def pole_blocks(self, j, n_x, count):
+        """``_pole_blocks(self, j, n_x, count)``, built once per context."""
+        key = (j, n_x, count)
+        if key not in self._blocks:
+            self._blocks[key] = _pole_blocks(self, j, n_x, count)
+        return self._blocks[key]
 
     def anchor(self):
         """K_0 = prod_{k>0} (p_0 - p_k)^{B_k}, principal logs, ascending k."""
@@ -291,20 +354,21 @@ class _Context:
             self._anchor = acc
         return self._anchor
 
-    def pole_index(self, point, tol=1e-9):
+    def pole_index(self, point, tol=POLE_TOL):
         for j, p in enumerate(self.poles):
-            if abs(point - p) <= tol * max(1.0, abs(p)):
+            if _within(point, p, tol):
                 return j
         return None
 
 
-def _factor_series(c_blocks, residue=None):
+def _factor_series(c_blocks, residues=None):
     """Phi_0 = I and k Phi_k + B Phi_k - Phi_k B = sum_{l<k} Phi_{k-1-l} C_l.
 
     ``c_blocks`` stacks the C_l of n centres as (n, count, d, d); the
-    recursion runs once over k for all of them.  With B the residue at a
-    pole (n = 1) this is the Frobenius factor W = t^B Phi; with ``residue``
-    None (B = 0, regular points) it is the Taylor series of
+    recursion runs once over k for all of them.  With ``residues`` the
+    (n, d, d) stack of the residues B at n poles this is the Frobenius
+    factor W = t^B Phi of each, one stacked Sylvester solve per k; with
+    ``residues`` None (B = 0, regular points) it is the Taylor series of
     Phi' = Phi sum_l C_l t^l.  Returns the (n, count, d, d) stack.
     """
     n, count, d, _ = c_blocks.shape
@@ -313,26 +377,27 @@ def _factor_series(c_blocks, residue=None):
     # [Phi_{k-1} .. Phi_0] is one contiguous slice
     rev = np.zeros((n, d, count * d), dtype=complex)
     rev[:, :, (count - 1) * d:] = np.eye(d)
-    if residue is not None:
+    if residues is not None:
         eye = np.eye(d, dtype=complex)
-        # k X + B X - X B = R on row-major vec(X)
-        sylvester = np.kron(residue, eye) - np.kron(eye, residue.T)
+        # k X + B X - X B = R on row-major vec(X), one operator per pole
+        sylvester = np.stack([np.kron(b, eye) - np.kron(eye, b.T)
+                              for b in residues])
         shift = np.eye(d * d, dtype=complex)
     for k in range(1, count):
         rhs = rev[:, :, (count - k) * d:] @ c_rows[:, :k * d]
-        if residue is None:
+        if residues is None:
             rhs /= k
         else:
             rhs = np.linalg.solve(sylvester + k * shift,
-                                  rhs.reshape(n, d * d).T).T.reshape(n, d, d)
+                                  rhs.reshape(n, d * d, 1)).reshape(n, d, d)
         rev[:, :, (count - 1 - k) * d:(count - k) * d] = rhs
     return rev.reshape(n, d, count, d).transpose(0, 2, 1, 3)[:, ::-1]
 
 
-def _frobenius_series(ctx, j, count):
-    """Phi_0 = I and the Sylvester recursion for the local factor at pole j."""
-    bj = ctx.res[j]
-    lam = np.linalg.eigvals(bj)
+def _check_resonance(ctx, j):
+    """Raise ResonanceError if two eigenvalues of B_j differ by a nonzero
+    integer within ``ctx.resonance_tol``."""
+    lam = np.linalg.eigvals(ctx.res[j])
     for a in range(len(lam)):
         for b in range(len(lam)):
             diff = lam[a] - lam[b]
@@ -343,10 +408,6 @@ def _frobenius_series(ctx, j, count):
                     f"(within {ctx.resonance_tol:g}); no power-series "
                     "fundamental factor at this pole"
                 )
-    others = np.arange(len(ctx.poles)) != j
-    ratios = np.zeros(len(ctx.poles), dtype=complex)
-    ratios[others] = -1.0 / (ctx.poles[j] - ctx.pole_array[others])
-    return _factor_series(_neighbor_blocks(ctx, ratios[None], count), bj)[0]
 
 
 def _neighbor_blocks(ctx, ratios, count):
@@ -451,7 +512,7 @@ def _endpoint_sum(bj, t_end, blocks, tol):
 
 
 # ----------------------------------------------------------------------
-# one transport pass: series block, Taylor-step interior, series block
+# transport passes: series block, Taylor-step interior, series block
 # ----------------------------------------------------------------------
 
 
@@ -474,59 +535,84 @@ def _contract(mats, poly):
 
 
 def _transport_pass(ctx, path, n_x, match_target=True):
+    """``_transport_passes`` along one path."""
+    return _transport_passes(ctx, [path], n_x, match_target)[0]
+
+
+def _transport_passes(ctx, paths, n_x, match_target=True):
     """W and the moment matrices integral x^a Q^{-1} W dx, a < n_x, from
-    the basepoint pole along ``path``: to the target pole when
-    ``match_target``, and partial ones at the start and stop points."""
-    points = list(path.waypoints)
+    the basepoint pole along each of ``paths``: to its target pole when
+    ``match_target``, and partial ones at the start and stop points.
+
+    The paths go through each stage together: every path's start (the
+    endpoint sum at p_0), every path's step plan, one ``_step_factors``
+    call for all their steps, then each path's chain over its slice and
+    its match at the target pole.  The Frobenius factors of p_0 and every
+    target pole are built first, in one recursion.
+    """
     p0 = ctx.poles[0]
-    if abs(points[0] - p0) > 1e-12 * max(1.0, abs(p0)):
-        raise ValueError("path must start at the basepoint pole")
-    seg0_len = abs(points[1] - points[0])
-    eps0 = ctx.eps_at(0, seg0_len)
-    dir0 = (points[1] - points[0]) / seg0_len
-    a = p0 + eps0 * dir0
-    ta = a - p0
+    legs, asked = [], []
+    for path in paths:
+        points = list(path.waypoints)
+        if not _within(points[0], p0, POINT_TOL):
+            raise ValueError("path must start at the basepoint pole")
+        seg0_len = abs(points[1] - points[0])
+        eps0 = ctx.eps_at(0, seg0_len)
+        dir0 = (points[1] - points[0]) / seg0_len
+        a = p0 + eps0 * dir0
+        count0 = ctx.series_count(eps0 / ctx.gaps[0])
+        asked.append((0, count0))
+        # ``points`` becomes the Taylor-step interior: from a to the stop
+        # point near the target pole, or to the path's end
+        target = points[-1]
+        jt = count_t = None
+        if match_target:
+            jt = ctx.pole_index(target)
+            if jt is None:
+                raise ValueError("path target is not a pole of the system")
+            seg_last = abs(points[-1] - points[-2])
+            eps_t = ctx.eps_at(jt, seg_last)
+            dir_t = (points[-1] - points[-2]) / seg_last
+            points[-1] = target - eps_t * dir_t
+            count_t = ctx.series_count(eps_t / ctx.gaps[jt])
+            asked.append((jt, count_t))
+        points[0] = a
+        legs.append((points, count0, target, jt, count_t))
+    ctx.build_frobenius({j for j, _ in asked}, max(c for _, c in asked))
 
-    count0 = ctx.series_count(eps0 / ctx.gaps[0])
-    t_b0, sums0 = _endpoint_sum(ctx.res[0], ta,
-                                _pole_blocks(ctx, 0, n_x, count0), ctx.tol)
     anchor = ctx.anchor()
-    mats_start = anchor @ sums0
-    w_start = anchor @ t_b0 @ _eval_series_mat(ctx.frobenius(0, count0), ta)
+    starts = []
+    for points, count0, *_ in legs:
+        ta = points[0] - p0
+        t_b0, sums0 = _endpoint_sum(ctx.res[0], ta,
+                                    ctx.pole_blocks(0, n_x, count0), ctx.tol)
+        w_start = anchor @ t_b0 @ _eval_series_mat(ctx.frobenius(0, count0),
+                                                   ta)
+        starts.append((w_start, anchor @ sums0))
 
-    # interior: Taylor steps from a to the stop point near the target
-    target = points[-1]
-    if match_target:
-        jt = ctx.pole_index(target)
-        if jt is None:
-            raise ValueError("path target is not a pole of the system")
-        seg_last = abs(points[-1] - points[-2])
-        eps_t = ctx.eps_at(jt, seg_last)
-        dir_t = (points[-1] - points[-2]) / seg_last
-        b_point = target - eps_t * dir_t
-        interior = points[:-1] + [b_point]
-    else:
-        jt = None
-        interior = points
-    interior[0] = a
+    plans = [_plan_steps(ctx, leg[0]) for leg in legs]
+    factors = _step_factors(ctx, np.concatenate([c for c, _ in plans]),
+                            np.concatenate([h for _, h in plans]), n_x)
+    slices = np.split(factors, np.cumsum([len(c) for c, _ in plans])[:-1])
 
-    w_mid, mats_mid = _taylor_transport(ctx, interior, w_start, mats_start)
-
-    mats = mats_mid
-    if match_target:
-        tb = interior[-1] - target
-        count_t = ctx.series_count(eps_t / ctx.gaps[jt])
-        t_bt, sums_t = _endpoint_sum(ctx.res[jt], tb,
-                                     _pole_blocks(ctx, jt, n_x, count_t),
-                                     ctx.tol)
-        w_loc = t_bt @ _eval_series_mat(ctx.frobenius(jt, count_t), tb)
-        mats = mats - w_mid @ np.linalg.inv(w_loc) @ sums_t
-
-    return _PassResult(
-        mats=mats,
-        w_mid=w_mid, mid_point=interior[-1], mats_mid=mats_mid,
-        start_point=a, w_start=w_start, mats_start=mats_start,
-    )
+    out = []
+    for (points, _, target, jt, count_t), (w_start, mats_start), steps in \
+            zip(legs, starts, slices):
+        w_mid, mats_mid = _chain(w_start, mats_start, steps)
+        mats = mats_mid
+        if match_target:
+            tb = points[-1] - target
+            t_bt, sums_t = _endpoint_sum(ctx.res[jt], tb,
+                                         ctx.pole_blocks(jt, n_x, count_t),
+                                         ctx.tol)
+            w_loc = t_bt @ _eval_series_mat(ctx.frobenius(jt, count_t), tb)
+            mats = mats - w_mid @ np.linalg.inv(w_loc) @ sums_t
+        out.append(_PassResult(
+            mats=mats,
+            w_mid=w_mid, mid_point=points[-1], mats_mid=mats_mid,
+            start_point=points[0], w_start=w_start, mats_start=mats_start,
+        ))
+    return out
 
 
 def _eval_series_mat(series, t):
@@ -563,13 +649,18 @@ def _taylor_transport(ctx, points, w, mats):
     in one stacked recursion, each summed to ``ctx.step_terms`` terms, and
     chain them from the start.
     """
-    _require_pole_free(ctx, points)
     centres, lengths = _plan_steps(ctx, points)
+    return _chain(w, mats, _step_factors(ctx, centres, lengths, len(mats)))
+
+
+def _chain(w, mats, factors):
+    """W and the integrals after the steps ``factors`` (``_step_factors``
+    rows) from W = ``w`` with integrals ``mats`` so far."""
     # the path's integrals are summed apart from the start values, which
     # can be far larger (anchor and endpoint series), and added once
     path_ints = np.zeros_like(mats)
-    for factors in _step_factors(ctx, centres, lengths, len(mats)):
-        wf = w @ factors
+    for step in factors:
+        wf = w @ step
         w = wf[0]
         path_ints += wf[1:]
     return w, mats + path_ints
@@ -580,7 +671,9 @@ def _plan_steps(ctx, points):
 
     Each step reaches RHO * dist(c, poles); the last one of a segment
     lands exactly on its end, and a zero-length segment takes no step.
+    The polyline must be pole-free (``_require_pole_free``).
     """
+    _require_pole_free(ctx, points)
     centres, lengths = [], []
     for a, b in zip(points[:-1], points[1:]):
         c = a
@@ -700,46 +793,48 @@ def moments(system, paths=None, tol=1e-10):
 
     Requires every residue spectrum strictly in the right half plane
     (apply the shift ladder first otherwise).  ``paths`` maps target pole
-    index to a PathSpec; defaults are straight bulged paths.
+    index to a PathSpec or a waypoint sequence; defaults are straight
+    bulged paths.  A path that ``path_defect`` refuses raises ValueError.
     """
     sysf = float_system(system)
+    specs = _paths_for(sysf, paths)
     _require_positive_spectra(sysf)
-    ctx = _Context(sysf, tol)
-    out = []
-    for j in range(1, sysf.n_poles):
-        path = _path_for(ctx, paths, j)
-        result = _transport_pass(ctx, path, sysf.s + 1, match_target=True)
-        out.append([CMatrix.from_numpy(m) for m in result.mats])
-    return out
+    passes = _transport_passes(_Context(sysf, tol), specs, sysf.s + 1)
+    return [[CMatrix.from_numpy(m) for m in r.mats] for r in passes]
 
 
 def rhs_moment(system, g, paths=None, tol=1e-10):
     """The vectors xi_j = integral_{p_0}^{p_j} Q^{-1} W g dx for j = 1..S+1.
 
     Each is the contraction sum_a M_{ja} g_a of the moment matrices for
-    a <= deg g with the coefficient vectors of g.
+    a <= deg g with the coefficient vectors of g.  ``paths`` as for
+    ``moments``.
     """
     sysf = float_system(system)
+    specs = _paths_for(sysf, paths)
     _require_positive_spectra(sysf)
     gf = float_vecpoly(g)
-    ctx = _Context(sysf, tol)
-    out = []
-    for j in range(1, sysf.n_poles):
-        path = _path_for(ctx, paths, j)
-        result = _transport_pass(ctx, path, len(gf.coeffs),
-                                 match_target=True)
-        out.append(tuple(complex(v) for v in _contract(result.mats, gf)))
-    return out
+    passes = _transport_passes(_Context(sysf, tol), specs, len(gf.coeffs))
+    return [tuple(complex(v) for v in _contract(r.mats, gf)) for r in passes]
 
 
-def _path_for(ctx, paths, j):
-    if paths is not None:
-        spec = paths.get(j) if hasattr(paths, "get") else None
-        if spec is not None:
-            if not isinstance(spec, PathSpec):
-                spec = PathSpec(tuple(spec))
-            return spec
-    return default_path(ctx.system, ctx.poles[j])
+def _paths_for(system, paths):
+    """The path to every target pole 1..S+1 of a float system, in order:
+    ``paths[j]`` where given, the default path elsewhere.  Raises
+    ValueError naming the key of a path that ``path_defect`` refuses."""
+    paths = {} if paths is None else paths
+    if not hasattr(paths, "items"):
+        raise ValueError("paths must map target pole indices to paths")
+    given = {}
+    for key, spec in paths.items():
+        waypoints = spec.waypoints if isinstance(spec, PathSpec) \
+            else tuple(complex(w) for w in spec)
+        problem = path_defect(system.poles, key, waypoints)
+        if problem is not None:
+            raise ValueError(f"paths[{key!r}]: {problem}")
+        given[key] = PathSpec(waypoints)
+    return [given[j] if j in given else default_path(system, system.poles[j])
+            for j in range(1, system.n_poles)]
 
 
 # ----------------------------------------------------------------------
@@ -770,8 +865,16 @@ class AnalyticSolutionHandle:
         self.certificate = None            # set by solve_analytic
 
     def eval(self, x, path=None):
+        """y(x), continued along ``path`` (default: ``default_path``), which
+        must run from pole 0 to x; a path that ends elsewhere raises
+        ValueError."""
         x = complex(x)
         ctx = self._ctx_top
+        if path is not None:
+            if not isinstance(path, PathSpec):
+                path = PathSpec(tuple(path))
+            if not _within(path.end, x, POINT_TOL):
+                raise ValueError(f"path ends at {path.end}, not at x = {x}")
         dists = [abs(x - p) for p in ctx.poles]
         near = min(range(len(dists)), key=dists.__getitem__)
         if dists[near] < 0.05 * ctx.gaps[near]:
@@ -779,8 +882,6 @@ class AnalyticSolutionHandle:
             return series.eval(x)
         if path is None:
             path = default_path(ctx.system, x)
-        elif not isinstance(path, PathSpec):
-            path = PathSpec(tuple(path))
         top = self._corrected_top
         result = _transport_pass(ctx, path, len(top.coeffs),
                                  match_target=False)
@@ -822,6 +923,7 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
         )
     sysf = float_system(system)
     gf = float_vecpoly(g)
+    specs = _paths_for(sysf, paths)
 
     worst = _min_real_part(sysf)
     n_shift = 0 if worst > 0.0 else int(math.floor(-worst)) + 1
@@ -843,11 +945,7 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
     s = top_sys.s
     d = top_sys.size
     n_x = max(s + 1, len(top_g.coeffs))
-    passes = [
-        _transport_pass(ctx_top, _path_for(ctx_top, paths, j), n_x,
-                        match_target=True)
-        for j in range(1, top_sys.n_poles)
-    ]
+    passes = _transport_passes(ctx_top, specs, n_x)
     # row block j is [M_{j0} .. M_{jS}]; its right side is xi_j
     big = np.vstack([np.hstack(r.mats[:s + 1]) for r in passes])
     rhs = np.concatenate([_contract(r.mats, top_g) for r in passes])

@@ -15,7 +15,8 @@ solver precondition rejected the input); 3 schema error (message points
 at the offending field); 4 numeric failure (quadrature/certificate or a
 failed verification).  Every ``--order``, and the ``order`` of a tables
 file, is an integer >= 2 like ``options.order``; the terms of a tables
-file have order >= 2.
+file have order >= 2; each ``options.paths`` entry runs from pole 0 to the
+target pole its key names (``analytic.path_defect``).
 
 ``linearize`` takes its mode from ``--mode``, else from the document's
 ``options.mode``, else obstruction; ``verify`` takes it from ``--mode``,

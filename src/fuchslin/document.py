@@ -33,6 +33,7 @@ import json
 import math
 from fractions import Fraction
 
+from .analytic import path_defect
 from .exact import ExactComplex
 from .matrices import CMatrix
 from .model import FuchsianSystem, NonlinearSystem, coinciding_poles
@@ -125,7 +126,7 @@ def is_order(value):
         and value >= 2
 
 
-def _parse_options(node, path):
+def _parse_options(node, path, poles):
     if not isinstance(node, dict):
         _fail(path, "expected an object")
     for key in node:
@@ -163,6 +164,10 @@ def _parse_options(node, path):
             for k, wp in enumerate(waypoints):
                 z = _parse_scalar(wp, f"{path}/paths/{key}/{k}", False)
                 pts.append(complex(z))
+            problem = (f"a second path to pole {idx}" if idx in paths
+                       else path_defect(poles, idx, pts))
+            if problem is not None:
+                _fail(f"{path}/paths/{key}", problem)
             paths[idx] = tuple(pts)
         out["paths"] = paths
     return out
@@ -253,7 +258,7 @@ class SystemDocument:
 
         options = {}
         if "options" in data:
-            options = _parse_options(data["options"], "/options")
+            options = _parse_options(data["options"], "/options", poles)
 
         return cls(d, s, poles, matrices, nonlinearity, options, exact)
 

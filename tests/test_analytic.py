@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -422,6 +423,60 @@ def test_stacked_factor_series_matches_per_centre():
             assert np.max(np.abs(stacked[i, k] - want)) <= 1e-14 * scale
 
 
+def test_stacked_frobenius_factors_match_per_pole():
+    ctx = _Context(_reference_system(), 1e-10)
+    count = ctx.series_count(0.2)
+    ctx.build_frobenius({0, 1, 2}, count)
+    for j in range(3):
+        # pole j alone: its own residue, and the other poles' ratios
+        ratios = np.zeros((1, 3), dtype=complex)
+        others = np.arange(3) != j
+        ratios[0, others] = -1.0 / (ctx.poles[j] - ctx.pole_array[others])
+        single = _factor_series(_neighbor_blocks(ctx, ratios, count),
+                                ctx.res[j:j + 1])
+        assert single.shape == (1, count, 2, 2)
+        assert np.array_equal(ctx.frobenius(j, count), single[0])
+        # a shorter request is the same factor, truncated
+        assert np.array_equal(ctx.frobenius(j, 7), single[0, :7])
+
+
+def test_transport_passes_match_one_pass_per_path():
+    system = _reference_system()
+    ctx = _Context(system, 1e-10)
+    n_x = 3
+    # the S + 1 default paths with a custom one to pole 1 that bulges
+    # below the real axis among them; then the same shapes ending short
+    # of the poles, as ``eval`` continues them
+    bulged = (-1.0, -0.5 - 0.6j, 0.5 - 0.6j)
+    to_poles = [default_path(system, 1.0), PathSpec(bulged + (1.0,)),
+                default_path(system, 0.5 + 1j)]
+    to_points = [default_path(system, 0.7), PathSpec(bulged + (0.7,)),
+                 default_path(system, 0.4 + 0.8j)]
+    for match_target, paths in ((True, to_poles), (False, to_points)):
+        stacked = analytic._transport_passes(ctx, paths, n_x, match_target)
+        for path, got in zip(paths, stacked):
+            alone = analytic._transport_pass(_Context(system, 1e-10), path,
+                                             n_x, match_target)
+            for name in ("mats", "w_mid", "mats_mid", "w_start",
+                         "mats_start"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(alone, name)), name
+            assert got.mid_point == alone.mid_point
+
+
+def test_frobenius_local_checks_only_the_pole_asked_for():
+    # eigenvalues 1/2 and 3/2 of the residue at pole 0 differ by one
+    resonant = CMatrix.from_rows(
+        [[ExactComplex(Fraction(1, 2)), ExactComplex(1)],
+         [ExactComplex(0), ExactComplex(Fraction(3, 2))]], True)
+    system = FuchsianSystem((ExactComplex(-1), ExactComplex(1)),
+                            (resonant, CMatrix.identity(2, True)))
+    fund = frobenius_local(system, 1, order=10)
+    assert np.allclose(fund.series[0], np.eye(2))
+    with pytest.raises(ResonanceError, match="residue 0"):
+        frobenius_local(system, 0, order=10)
+
+
 def test_endpoint_sum_stacks_blocks_with_their_own_convergence_test():
     bj = np.array([[0.75, 0.5], [0.2, 1.25]], dtype=complex)
     t_end = 0.3 - 0.1j
@@ -628,3 +683,48 @@ def test_resonant_frobenius_surfaces_during_solve():
     )
     with pytest.raises(AssumptionError):
         solve_analytic(system, g)
+
+
+# each maps one key to a path that is not a path to that target pole of
+# _reference_system (poles -1, 1 and 1/2 + i)
+BAD_PATHS = {
+    "key-past-the-last-pole": {3: (-1.0, 1.0)},
+    "key-of-the-basepoint": {0: (-1.0, 1.0)},
+    "key-not-an-integer": {"1": (-1.0, 1.0)},
+    "one-waypoint": {1: (-1.0,)},
+    "start-off-pole-0": {1: (-1j, 1.0)},
+    "end-off-every-pole": {1: (-1.0, 0.5 + 0.5j)},
+    "end-at-another-pole": {1: PathSpec((-1.0, 0.5 + 1j))},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PATHS))
+def test_bad_path_raises_value_error_naming_its_key(case):
+    system = _reference_system()
+    g = VecPoly.from_coeffs(
+        [(ExactComplex(1), ExactComplex(-1)),
+         (ExactComplex(0), ExactComplex(2))],
+        exact=True, dim=2,
+    )
+    paths = BAD_PATHS[case]
+    named = re.escape(f"paths[{next(iter(paths))!r}]")
+    with pytest.raises(ValueError, match=named):
+        solve_analytic(system, g, paths=paths)
+    with pytest.raises(ValueError, match=named):
+        moments(system, paths=paths)
+    with pytest.raises(ValueError, match=named):
+        rhs_moment(system, g, paths=paths)
+
+
+def test_eval_rejects_a_path_that_ends_elsewhere():
+    system = scalar_system(1, 1)
+    y = solve_analytic(system, monomial_rhs(2)).y
+    x = 0.3 + 0.5j
+    want = y.eval(x)
+    got = y.eval(x, (-1.0, -0.2 + 0.6j, x))
+    assert abs(got[0] - want[0]) <= 1e-9 * max(1.0, abs(want[0]))
+    with pytest.raises(ValueError, match="not at x"):
+        y.eval(x, (-1.0, 1.1 + 0.7j))
+    # the local-series branch near a pole checks the path too
+    with pytest.raises(ValueError, match="not at x"):
+        y.eval(1.01, PathSpec((-1.0, 0.5j, 1.02)))

@@ -293,6 +293,39 @@ def test_correct_analytic_path_through_a_pole(tmp_path, capsys):
     assert "meets pole 1" in err
 
 
+# d = 1, S = 1: poles -1, 1 and 2i
+THREE_POLE_DOC = {
+    "dimension": 1,
+    "S": 1,
+    "poles": [[-1, 0], [1, 0], [0, 2]],
+    "matrices": [[[[1, 0]]], [[[1, 0]]], [[[1, 0]]]],
+}
+
+# each is one key of options.paths that is not a path to that target pole
+BAD_PATH_OPTIONS = {
+    "key-past-the-last-pole": ("7", [[-1, 0], [1, 0]]),
+    "key-of-the-basepoint": ("0", [[-1, 0], [1, 0]]),
+    "end-off-every-pole": ("1", [[-1, 0], [0.5, 0.5]]),
+    "one-waypoint": ("1", [[-1, 0]]),
+    "start-off-pole-0": ("1", [[0, -1], [1, 0]]),
+    "end-at-another-pole": ("1", [[-1, 0], [0, 2]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PATH_OPTIONS))
+def test_correct_analytic_bad_path_is_a_schema_error(tmp_path, capsys, case):
+    key, waypoints = BAD_PATH_OPTIONS[case]
+    doc = write_doc(tmp_path, dict(THREE_POLE_DOC,
+                                   options={"paths": {key: waypoints}}))
+    code, out, err = run(
+        capsys, ["correct", doc, "--exact", "--analytic",
+                 "--g", "[[[1,0]],[[0,0]],[[1,0]]]"]
+    )
+    assert code == 3
+    assert out == ""
+    assert f"/options/paths/{key}:" in err
+
+
 def test_correct_analytic_ladder(tmp_path, capsys):
     doc = write_doc(tmp_path, NEGATIVE_BINF_DOC)
     # b = (-1/2, -1/2) hits k + B_inf = 0 at k = 1: rejected up front

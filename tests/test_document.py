@@ -137,6 +137,11 @@ def test_option_validation():
     )
     assert doc.options["mode"] == "normal-form"
     assert doc.options["paths"][1][1] == -1j
+    # "01" names pole 1 as well: the second path is refused, not dropped
+    twice = {"1": [[-1, 0], [1, 0]], "01": [[-1, 0], [0, -1], [1, 0]]}
+    with pytest.raises(SchemaError, match="second path") as err:
+        SystemDocument.from_dict(scalar_doc(options={"paths": twice}), True)
+    assert pointer_of(err) == "/options/paths/01"
 
 
 def test_nonlinearity_validation():
