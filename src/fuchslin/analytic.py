@@ -28,19 +28,23 @@ at the far pole.  A Taylor step from a centre c has length RHO times the
 distance from c to the nearest pole; it sums the series of the local
 factor Phi (W(c + t) = W(c) Phi(t)), whose coefficients come from the
 Frobenius recursion with no residue at c, and integrates it term by term
-against the series of x^a / Q.  The steps depend only on the
-path and the poles, not on W, so one solve transports all its paths
-together (``_transport_passes``): it computes every path's start at the
-basepoint, plans every step of every path, builds the factors of all of
-them in one stacked recursion, and then chains W and the integrals over
-each path's slice of that stack.  The Frobenius factors of all the poles
-a solve needs are built together too, in one recursion at the largest
-term count any path asks for, and the endpoint series blocks are cached
-per solve, so the basepoint's are built once for all paths and every
+against the series of x^a / Q.  One helper, ``_power_over_q``, gives that
+series for the steps and, leaving the pole's own factor out as its
+Frobenius recursion does, x^a / Q_j for the endpoint blocks.  The steps
+depend only on the path and the poles, not on W, so one solve transports
+all its paths together (``_transport_passes``, which also takes
+``eval``'s single path): it computes every path's start at the basepoint,
+plans every step of every path, builds the factors of all of them in one
+stacked recursion, and then chains W and the integrals over each path's
+slice of that stack.  The Frobenius factors and the x^a / Q_j series of
+all the poles a solve needs are built together too, at the largest term
+count any path asks for, and the endpoint series blocks are cached per
+solve, so the basepoint's are built once for all paths and every
 ``eval``.  At each endpoint pole, t^{B_j} is computed once and every
 series block goes through one stacked (B_j + k) solve.  The path must
 keep clear of every pole; one that meets a pole raises QuadratureError.
-A path given for target pole j must start at p_0 and end at p_j
+A waypoint repeated in a row, at either end too, is dropped.  A path
+given for target pole j must start at p_0 and end at p_j
 (``path_defect``); any other raises ValueError.
 
 Spectra with nonpositive real parts are first moved right by the shift
@@ -89,7 +93,7 @@ from .correction import (
 )
 from .matrices import CMatrix
 from .model import AssumptionError, FuchsianSystem, check_linear_assumption
-from .poly import VecPoly, sp_eval, sp_taylor
+from .poly import VecPoly, sp_eval
 
 
 class ResonanceError(AssumptionError):
@@ -327,22 +331,31 @@ class _Context:
         todo = sorted({j for j in poles if len(self._frob.get(j, ())) < count})
         if not todo:
             return
-        ratios = np.zeros((len(todo), len(self.poles)), dtype=complex)
-        for i, j in enumerate(todo):
+        for j in todo:
             _check_resonance(self, j)
-            others = np.arange(len(self.poles)) != j
-            ratios[i, others] = -1.0 / (self.poles[j]
-                                        - self.pole_array[others])
+        ratios = self.pole_ratios(todo)
         stack = _factor_series(_neighbor_blocks(self, ratios, count),
                                self.res[todo])
         self._frob.update(zip(todo, stack))
 
-    def pole_blocks(self, j, n_x, count):
-        """``_pole_blocks(self, j, n_x, count)``, built once per context."""
-        key = (j, n_x, count)
-        if key not in self._blocks:
-            self._blocks[key] = _pole_blocks(self, j, n_x, count)
-        return self._blocks[key]
+    def pole_ratios(self, poles):
+        """r_k = -1/(p_j - p_k) of a unit step from each p_j in ``poles``,
+        one row per pole, with r_j = 0 (pole j itself left out)."""
+        rows = np.zeros((len(poles), len(self.poles)), dtype=complex)
+        for i, j in enumerate(poles):
+            others = np.arange(len(self.poles)) != j
+            rows[i, others] = -1.0 / (self.poles[j] - self.pole_array[others])
+        return rows
+
+    def pole_blocks(self, asked, n_x):
+        """``_pole_blocks`` of every (j, count) in ``asked``, each built once
+        per context; the missing ones are built together."""
+        todo = sorted({(j, c) for j, c in asked
+                       if (j, n_x, c) not in self._blocks})
+        if todo:
+            self._blocks.update(zip([(j, n_x, c) for j, c in todo],
+                                    _pole_blocks(self, todo, n_x)))
+        return {(j, c): self._blocks[j, n_x, c] for j, c in asked}
 
     def anchor(self):
         """K_0 = prod_{k>0} (p_0 - p_k)^{B_k}, principal logs, ascending k."""
@@ -428,29 +441,6 @@ def _neighbor_blocks(ctx, ratios, count):
 # ----------------------------------------------------------------------
 
 
-def _recip_series(coeffs, count):
-    """1 / (c_0 + c_1 t + ...) to ``count`` terms; c_0 must not vanish."""
-    if abs(coeffs[0]) == 0.0:
-        raise ZeroDivisionError("reciprocal of a series with zero constant")
-    inv0 = 1.0 / coeffs[0]
-    out = [inv0]
-    for k in range(1, count):
-        acc = 0.0
-        for l in range(1, k + 1):
-            c = coeffs[l] if l < len(coeffs) else 0.0
-            acc += c * out[k - l]
-        out.append(-inv0 * acc)
-    return out
-
-
-def _power_series_at(center, power, count):
-    """(center + t)^power as a t-series (binomial, finite)."""
-    out = [0.0] * count
-    for l in range(min(power, count - 1) + 1):
-        out[l] = math.comb(power, l) * center ** (power - l)
-    return out
-
-
 def _lower_toeplitz(series):
     """T[k, l] = series[k - l] (zero for l > k): multiplication by a t-series.
 
@@ -463,22 +453,24 @@ def _lower_toeplitz(series):
     return np.where(mask, taken, 0)
 
 
-def _pole_blocks(ctx, j, n_x, count):
-    """Series H^(a), a < n_x, with x^a Q^{-1} W = t^{B_j - I} sum H_k t^k.
+def _pole_blocks(ctx, asked, n_x):
+    """Series H^(a), a < n_x, with x^a Q^{-1} W = t^{B_j - I} sum H_k t^k,
+    to ``count`` terms, for every (j, count) in ``asked``.
 
     H^(a) = (x^a / Q_j) Phi as a matrix series, with Q_j the pole-j
-    cofactor of Q.  Returned stacked as (n_x, count, d, d).
+    cofactor of Q; x^a / Q_j is ``_power_over_q`` at centre p_j with unit
+    length and pole j left out, for all the poles in one call at the
+    largest count.  Returns one (n_x, count, d, d) stack per request.
     """
-    p_j = ctx.poles[j]
-    phi = ctx.frobenius(j, count)
-    cof = [complex(c) for c in sp_taylor(ctx.system.cofactor(j), p_j)]
-    inv_cof = np.array(_recip_series(cof, count))
-
-    scalars = np.array([
-        np.convolve(_power_series_at(p_j, a, count), inv_cof)[:count]
-        for a in range(n_x)
-    ], dtype=complex).reshape(n_x, count)
-    return np.einsum("kla,lbc->akbc", _lower_toeplitz(scalars.T), phi)
+    poles = sorted({j for j, _ in asked})
+    scale = [1.0 / np.prod(ctx.poles[j] - np.delete(ctx.pole_array, j))
+             for j in poles]
+    series = _power_over_q(ctx.pole_array[poles], np.ones(len(poles)),
+                           ctx.pole_ratios(poles), np.array(scale), n_x,
+                           max(c for _, c in asked))
+    scalars = dict(zip(poles, series))
+    return [np.einsum("kla,lbc->akbc", _lower_toeplitz(scalars[j][:, :c].T),
+                      ctx.frobenius(j, c)) for j, c in asked]
 
 
 def _endpoint_sum(bj, t_end, blocks, tol):
@@ -534,11 +526,6 @@ def _contract(mats, poly):
     return np.einsum("aij,aj->i", mats[:len(coeffs)], coeffs)
 
 
-def _transport_pass(ctx, path, n_x, match_target=True):
-    """``_transport_passes`` along one path."""
-    return _transport_passes(ctx, [path], n_x, match_target)[0]
-
-
 def _transport_passes(ctx, paths, n_x, match_target=True):
     """W and the moment matrices integral x^a Q^{-1} W dx, a < n_x, from
     the basepoint pole along each of ``paths``: to its target pole when
@@ -548,12 +535,16 @@ def _transport_passes(ctx, paths, n_x, match_target=True):
     endpoint sum at p_0), every path's step plan, one ``_step_factors``
     call for all their steps, then each path's chain over its slice and
     its match at the target pole.  The Frobenius factors of p_0 and every
-    target pole are built first, in one recursion.
+    target pole are built first, in one recursion, and then their endpoint
+    blocks.  Zero-length segments are dropped on entry, so a repeated
+    waypoint, at either end too, changes nothing.
     """
     p0 = ctx.poles[0]
     legs, asked = [], []
     for path in paths:
-        points = list(path.waypoints)
+        given = path.waypoints
+        points = [w for i, w in enumerate(given)
+                  if i == 0 or w != given[i - 1]]
         if not _within(points[0], p0, POINT_TOL):
             raise ValueError("path must start at the basepoint pole")
         seg0_len = abs(points[1] - points[0])
@@ -579,13 +570,14 @@ def _transport_passes(ctx, paths, n_x, match_target=True):
         points[0] = a
         legs.append((points, count0, target, jt, count_t))
     ctx.build_frobenius({j for j, _ in asked}, max(c for _, c in asked))
+    blocks = ctx.pole_blocks(asked, n_x)
 
     anchor = ctx.anchor()
     starts = []
     for points, count0, *_ in legs:
         ta = points[0] - p0
-        t_b0, sums0 = _endpoint_sum(ctx.res[0], ta,
-                                    ctx.pole_blocks(0, n_x, count0), ctx.tol)
+        t_b0, sums0 = _endpoint_sum(ctx.res[0], ta, blocks[0, count0],
+                                    ctx.tol)
         w_start = anchor @ t_b0 @ _eval_series_mat(ctx.frobenius(0, count0),
                                                    ta)
         starts.append((w_start, anchor @ sums0))
@@ -602,8 +594,7 @@ def _transport_passes(ctx, paths, n_x, match_target=True):
         mats = mats_mid
         if match_target:
             tb = points[-1] - target
-            t_bt, sums_t = _endpoint_sum(ctx.res[jt], tb,
-                                         ctx.pole_blocks(jt, n_x, count_t),
+            t_bt, sums_t = _endpoint_sum(ctx.res[jt], tb, blocks[jt, count_t],
                                          ctx.tol)
             w_loc = t_bt @ _eval_series_mat(ctx.frobenius(jt, count_t), tb)
             mats = mats - w_mid @ np.linalg.inv(w_loc) @ sums_t
@@ -637,20 +628,6 @@ def _require_pole_free(ctx, points):
                     f"path segment {a} -> {b} meets pole {j} at {p}; "
                     "the transport needs a pole-free path"
                 )
-
-
-def _taylor_transport(ctx, points, w, mats):
-    """Continue W and the moment integrals along a pole-free polyline.
-
-    ``mats[a]`` accumulates integral x^a Q^{-1} W dx.  Two phases: first plan
-    every step of the path (a step from a centre c has length
-    RHO * dist(c, poles), and the last step of a segment lands on its end);
-    then build the local factors Phi (W(c + t) = W(c) Phi(t)) of all steps
-    in one stacked recursion, each summed to ``ctx.step_terms`` terms, and
-    chain them from the start.
-    """
-    centres, lengths = _plan_steps(ctx, points)
-    return _chain(w, mats, _step_factors(ctx, centres, lengths, len(mats)))
 
 
 def _chain(w, mats, factors):
@@ -705,24 +682,38 @@ def _step_factors(ctx, centres, lengths, n_x):
     rows = np.empty((n, 1 + n_x, count), dtype=complex)
     rows[:, 0] = 1.0
     if n_x:
-        # h/Q(c + t) = (h / prod delta_k) prod_k 1/(1 - r_k t), scaled:
-        # dividing by 1 - r t is s[l] += r s[l-1], one pole at a time
-        s = np.zeros((n, count), dtype=complex)
-        s[:, 0] = 1.0
-        for r in ratios.T:
-            for l in range(1, count):
-                s[:, l] += r * s[:, l - 1]
-        s *= (lengths / np.prod(delta, axis=1))[:, None]
-        rows[:, 1] = s
-        # x^a / Q, a = 0, 1, ...: multiply by x = c + t term by term
-        for a in range(2, n_x + 1):
-            shifted = np.zeros_like(s)
-            shifted[:, 1:] = s[:, :-1]
-            s = centres[:, None] * s + lengths[:, None] * shifted
-            rows[:, a] = s
-        rows[:, 1:] = rows[:, 1:] @ ctx.hilbert
+        # h/Q(c + t) = (h / prod delta_k) prod_k 1/(1 - r_k t), scaled
+        rows[:, 1:] = _power_over_q(centres, lengths, ratios,
+                                    lengths / np.prod(delta, axis=1),
+                                    n_x, count) @ ctx.hilbert
     d = ctx.d
     return (rows @ phi.reshape(n, count, d * d)).reshape(n, 1 + n_x, d, d)
+
+
+def _power_over_q(centres, lengths, ratios, scale, n_x, count):
+    """Series of scale * x^a prod_k 1/(1 - r_k u), x = c + h u, a < n_x.
+
+    One row per centre c with length h, pole ratios r_k and prefactor
+    ``scale``, to ``count`` terms in u, stacked as (n, n_x, count).  A step
+    passes r_k = -h/(c - p_k) and scale h / prod_k (c - p_k), giving the
+    scaled series of h x^a / Q; pole j passes h = 1, r_j = 0 and
+    1 / prod_{k != j} (p_j - p_k), giving x^a / Q_j.
+    """
+    out = np.empty((len(centres), n_x, count), dtype=complex)
+    s = np.zeros((len(centres), count), dtype=complex)
+    s[:, 0] = 1.0
+    # dividing by 1 - r u is s[l] += r s[l-1], one pole at a time
+    for r in ratios.T:
+        for l in range(1, count):
+            s[:, l] += r * s[:, l - 1]
+    s *= scale[:, None]
+    for a in range(n_x):
+        out[:, a] = s
+        # x^(a+1): multiply by x = c + h u term by term
+        shifted = np.zeros_like(s)
+        shifted[:, 1:] = s[:, :-1]
+        s = centres[:, None] * s + lengths[:, None] * shifted
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -766,8 +757,8 @@ def continue_w(system, start, path, tol=1e-10):
     if abs(complex(x0) - points[0]) > 1e-9 * max(1.0, abs(points[0])):
         raise ValueError("path must begin at the start point")
     w = w0.to_numpy() if isinstance(w0, CMatrix) else np.asarray(w0, dtype=complex)
-    w, _ = _taylor_transport(ctx, points, w,
-                             np.zeros((0, ctx.d, ctx.d), dtype=complex))
+    steps = _step_factors(ctx, *_plan_steps(ctx, points), 0)
+    w, _ = _chain(w, np.zeros((0, ctx.d, ctx.d), dtype=complex), steps)
     return CMatrix.from_numpy(w)
 
 
@@ -796,10 +787,7 @@ def moments(system, paths=None, tol=1e-10):
     index to a PathSpec or a waypoint sequence; defaults are straight
     bulged paths.  A path that ``path_defect`` refuses raises ValueError.
     """
-    sysf = float_system(system)
-    specs = _paths_for(sysf, paths)
-    _require_positive_spectra(sysf)
-    passes = _transport_passes(_Context(sysf, tol), specs, sysf.s + 1)
+    passes = _moment_passes(system, paths, tol, system.s + 1)
     return [[CMatrix.from_numpy(m) for m in r.mats] for r in passes]
 
 
@@ -810,12 +798,19 @@ def rhs_moment(system, g, paths=None, tol=1e-10):
     a <= deg g with the coefficient vectors of g.  ``paths`` as for
     ``moments``.
     """
+    gf = float_vecpoly(g)
+    passes = _moment_passes(system, paths, tol, len(gf.coeffs))
+    return [tuple(complex(v) for v in _contract(r.mats, gf)) for r in passes]
+
+
+def _moment_passes(system, paths, tol, n_x):
+    """``_transport_passes`` to every target pole of ``system``, with
+    ``paths`` as for ``moments``; the spectra must be in the right half
+    plane."""
     sysf = float_system(system)
     specs = _paths_for(sysf, paths)
     _require_positive_spectra(sysf)
-    gf = float_vecpoly(g)
-    passes = _transport_passes(_Context(sysf, tol), specs, len(gf.coeffs))
-    return [tuple(complex(v) for v in _contract(r.mats, gf)) for r in passes]
+    return _transport_passes(_Context(sysf, tol), specs, n_x)
 
 
 def _paths_for(system, paths):
@@ -882,14 +877,15 @@ class AnalyticSolutionHandle:
             return series.eval(x)
         if path is None:
             path = default_path(ctx.system, x)
-        top = self._corrected_top
-        result = _transport_pass(ctx, path, len(top.coeffs),
-                                 match_target=False)
-        y_top = np.linalg.solve(result.w_mid, _contract(result.mats_mid, top))
-        return self._compose_point(x, y_top)
+        n_x = len(self._corrected_top.coeffs)
+        result = _transport_passes(ctx, [path], n_x, match_target=False)[0]
+        return self._continued(x, result.w_mid, result.mats_mid)
 
-    def _compose_point(self, x, y_top):
-        y = y_top
+    def _continued(self, x, w, mats):
+        """y(x) from W(x) = ``w`` and the partial moments ``mats`` to x:
+        y_top = W^{-1} times their contraction with g_top - phi_top, composed
+        down the ladder."""
+        y = np.linalg.solve(w, _contract(mats, self._corrected_top))
         q = self._original.q_poly()
         qx = complex(sp_eval(q, x))
         for y0, y1 in reversed(self._ladder):
@@ -999,8 +995,8 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
 def _certify(passes, handle, tol):
     """Continuation vs the original problem's local series at every pole.
 
-    The continued value at each checkpoint is W^{-1} times one contraction
-    of the partial moments there with g_top - phi_top.
+    The continued value at each checkpoint is ``handle._continued``: W^{-1}
+    times one contraction of the partial moments there with g_top - phi_top.
     """
     report = CertificateReport(tol=tol)
 
@@ -1013,8 +1009,7 @@ def _certify(passes, handle, tol):
         for j, r in enumerate(passes, start=1)
     ]
     for j, point, mats, w in checkpoints:
-        y_top = np.linalg.solve(w, _contract(mats, handle._corrected_top))
-        value = np.array(handle._compose_point(point, y_top))
+        value = np.array(handle._continued(point, w, mats))
         series = handle.taylor_at_pole(j, order=_cert_order(tol))
         ref = np.array(series.eval(point))
         scale = max(float(np.max(np.abs(ref))), float(np.max(np.abs(value))))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -25,13 +26,15 @@ from fuchslin.analytic import (
     _Context,
     _endpoint_sum,
     _factor_series,
+    _lower_toeplitz,
     _neighbor_blocks,
+    _pole_blocks,
 )
 from fuchslin.correction import pull_back_correction, solve_polynomial
 from fuchslin.exact import ExactComplex
 from fuchslin.matrices import CMatrix
 from fuchslin.model import AssumptionError, FuchsianSystem
-from fuchslin.poly import VecPoly
+from fuchslin.poly import VecPoly, sp_taylor
 
 
 def scalar_system(b0, b1, exact=True):
@@ -455,13 +458,79 @@ def test_transport_passes_match_one_pass_per_path():
     for match_target, paths in ((True, to_poles), (False, to_points)):
         stacked = analytic._transport_passes(ctx, paths, n_x, match_target)
         for path, got in zip(paths, stacked):
-            alone = analytic._transport_pass(_Context(system, 1e-10), path,
-                                             n_x, match_target)
+            alone = analytic._transport_passes(_Context(system, 1e-10),
+                                               [path], n_x, match_target)[0]
             for name in ("mats", "w_mid", "mats_mid", "w_start",
                          "mats_start"):
                 assert np.array_equal(getattr(got, name),
                                       getattr(alone, name)), name
             assert got.mid_point == alone.mid_point
+
+
+def _reference_pole_series(ctx, j, n_x, count):
+    """The series of x^a / Q_j at p_j, a < n_x, built from the cofactor Q_j
+    directly: its Taylor shift to p_j, the reciprocal of that series term
+    by term, and the binomial series of (p_j + t)^a.  Returns the series
+    and, per term, the sum of the sizes of the products it adds up."""
+    p_j = ctx.poles[j]
+    cof = [complex(c) for c in sp_taylor(ctx.system.cofactor(j), p_j)]
+    inv_cof = [1.0 / cof[0]]
+    for k in range(1, count):
+        acc = sum(cof[l] * inv_cof[k - l]
+                  for l in range(1, min(k, len(cof) - 1) + 1))
+        inv_cof.append(-acc / cof[0])
+    scalars = np.zeros((n_x, count), dtype=complex)
+    sizes = np.zeros((n_x, count))
+    for a in range(n_x):
+        power = [math.comb(a, l) * p_j ** (a - l)
+                 for l in range(min(a, count - 1) + 1)]
+        scalars[a] = np.convolve(power, inv_cof)[:count]
+        sizes[a] = np.convolve(np.abs(power), np.abs(inv_cof))[:count]
+    return scalars, sizes
+
+
+# float systems for the pole-side series: (poles, d); "close" puts two
+# poles 1e-2 apart on a spread of about 3
+POLE_SERIES_SYSTEMS = {
+    "d1-S0": ((-1.0, 1.0), 1),
+    "d2-S1": ((-1.0, 1.0, 0.5 + 1j), 2),
+    "d3-S2": ((-1.5, 0.5, 1j, 1.5 - 0.5j), 3),
+    "d1-S2-close": ((-1.0, 1.0, 1.01, 0.2 + 1.5j), 1),
+    "d2-S1-close": ((-1.0, 1.0, 1.0 + 0.01j), 2),
+    "d3-S0": ((0.25 - 1j, 2.0), 3),
+    "d3-S1-close": ((-1.5, 1.5, 1.5 + 0.01j), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POLE_SERIES_SYSTEMS))
+def test_pole_blocks_match_cofactor_reference(case):
+    poles, d = POLE_SERIES_SYSTEMS[case]
+    rng = np.random.default_rng(len(poles) * 10 + d)
+    residues = []
+    for _ in poles:
+        b = 0.3 * (rng.standard_normal((d, d))
+                   + 1j * rng.standard_normal((d, d)))
+        b += np.diag(0.5 + 0.37 * np.arange(d))
+        residues.append(CMatrix.from_numpy(b))
+    ctx = _Context(FuchsianSystem(tuple(complex(p) for p in poles),
+                                  tuple(residues)), 1e-10)
+    count = ctx.series_count(0.2)
+    n_x = len(poles) + 2
+    # every pole at once, and pole 0 once more to fewer terms
+    asked = [(j, count) for j in range(len(poles))] + [(0, count - 5)]
+    blocks = _pole_blocks(ctx, asked, n_x)
+    assert np.array_equal(blocks[-1], blocks[0][:, :count - 5])
+    for j, got in enumerate(blocks[:-1]):
+        phi = ctx.frobenius(j, count)
+        scalars, sizes = _reference_pole_series(ctx, j, n_x, count)
+        want = np.einsum("kla,lbc->akbc", _lower_toeplitz(scalars.T), phi)
+        assert got.shape == want.shape == (n_x, count, d, d)
+        # the terms grow like (1 / gap)^k, and both (p_j + t)^a / Q_j and
+        # H^(a)_k = sum_l s^(a)_l Phi_{k-l} can cancel: compare each term
+        # to the sum of the sizes of the products that make it up
+        size = np.einsum("kla,lbc->akbc", _lower_toeplitz(sizes.T),
+                         np.abs(phi))
+        assert np.all(np.abs(got - want) <= 1e-13 * size), (j, case)
 
 
 def test_frobenius_local_checks_only_the_pole_asked_for():
@@ -714,6 +783,30 @@ def test_bad_path_raises_value_error_naming_its_key(case):
         moments(system, paths=paths)
     with pytest.raises(ValueError, match=named):
         rhs_moment(system, g, paths=paths)
+
+
+def test_repeated_end_waypoint_changes_nothing():
+    system = _reference_system()
+    g = VecPoly.from_coeffs(
+        [(ExactComplex(1), ExactComplex(-1)),
+         (ExactComplex(0), ExactComplex(2))],
+        exact=True, dim=2,
+    )
+    p0, w, p1 = -1.0, -0.3 - 0.6j, 1.0
+    plain = {1: (p0, w, p1)}
+    want = solve_analytic(system, g, paths=plain)
+    x = 0.4 + 0.3j
+    for paths in ({1: (p0, p0, w, p1)}, {1: (p0, w, p1, p1)}):
+        got = solve_analytic(system, g, paths=paths)
+        assert got.phi.coeffs == want.phi.coeffs
+        assert rhs_moment(system, g, paths=paths) \
+            == rhs_moment(system, g, paths=plain)
+        for a, b in zip(moments(system, paths=paths),
+                        moments(system, paths=plain)):
+            assert all(np.array_equal(m.to_numpy(), n.to_numpy())
+                       for m, n in zip(a, b))
+    assert want.y.eval(x, (p0, p0, w, x)) == want.y.eval(x, (p0, w, x))
+    assert want.y.eval(x, (p0, w, x, x)) == want.y.eval(x, (p0, w, x))
 
 
 def test_eval_rejects_a_path_that_ends_elsewhere():

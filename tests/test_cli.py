@@ -326,6 +326,25 @@ def test_correct_analytic_bad_path_is_a_schema_error(tmp_path, capsys, case):
     assert f"/options/paths/{key}:" in err
 
 
+@pytest.mark.parametrize("waypoints", [
+    [[-1, 0], [-1, 0], [0, -1], [1, 0]],
+    [[-1, 0], [0, -1], [1, 0], [1, 0]],
+], ids=["first-repeated", "last-repeated"])
+def test_correct_analytic_repeated_end_waypoint(tmp_path, capsys,
+                                                waypoints):
+    phis = []
+    for path in ([[-1, 0], [0, -1], [1, 0]], waypoints):
+        doc = write_doc(tmp_path, dict(THREE_POLE_DOC,
+                                       options={"paths": {"1": path}}))
+        code, out, err = run(
+            capsys, ["correct", doc, "--exact", "--analytic",
+                     "--g", "[[[1,0]],[[0,0]],[[1,0]]]"]
+        )
+        assert code == 0, err
+        phis.append(json.loads(out)["phi"])
+    assert phis[1] == phis[0]
+
+
 def test_correct_analytic_ladder(tmp_path, capsys):
     doc = write_doc(tmp_path, NEGATIVE_BINF_DOC)
     # b = (-1/2, -1/2) hits k + B_inf = 0 at k = 1: rejected up front
