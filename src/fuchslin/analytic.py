@@ -43,7 +43,9 @@ solve, so the basepoint's are built once for all paths and every
 ``eval``.  At each endpoint pole, t^{B_j} is computed once and every
 series block goes through one stacked (B_j + k) solve.  The path must
 keep clear of every pole; one that meets a pole raises QuadratureError.
-A waypoint repeated in a row, at either end too, is dropped.  A path
+A waypoint repeated in a row, at either end too, is dropped, and so is
+one next to an end within that end's tolerance (1e-12 relative at p_0,
+1e-9 at the target pole).  A path
 given for target pole j must start at p_0 and end at p_j
 (``path_defect``); any other raises ValueError.
 
@@ -537,7 +539,9 @@ def _transport_passes(ctx, paths, n_x, match_target=True):
     its match at the target pole.  The Frobenius factors of p_0 and every
     target pole are built first, in one recursion, and then their endpoint
     blocks.  Zero-length segments are dropped on entry, so a repeated
-    waypoint, at either end too, changes nothing.
+    waypoint, at either end too, changes nothing; so is a waypoint next to
+    an end within that end's tolerance (``path_defect``'s POINT_TOL at
+    p_0, POLE_TOL at the target pole, POINT_TOL at a partial path's end).
     """
     p0 = ctx.poles[0]
     legs, asked = [], []
@@ -547,6 +551,20 @@ def _transport_passes(ctx, paths, n_x, match_target=True):
                   if i == 0 or w != given[i - 1]]
         if not _within(points[0], p0, POINT_TOL):
             raise ValueError("path must start at the basepoint pole")
+        target = points[-1]
+        jt = count_t = None
+        end, end_tol = target, POINT_TOL
+        if match_target:
+            jt = ctx.pole_index(target)
+            if jt is None:
+                raise ValueError("path target is not a pole of the system")
+            end, end_tol = ctx.poles[jt], POLE_TOL
+        # a waypoint next to an end, within that end's tolerance, merges
+        # into it
+        while len(points) > 2 and _within(points[1], p0, POINT_TOL):
+            del points[1]
+        while len(points) > 2 and _within(points[-2], end, end_tol):
+            del points[-2]
         seg0_len = abs(points[1] - points[0])
         eps0 = ctx.eps_at(0, seg0_len)
         dir0 = (points[1] - points[0]) / seg0_len
@@ -555,12 +573,7 @@ def _transport_passes(ctx, paths, n_x, match_target=True):
         asked.append((0, count0))
         # ``points`` becomes the Taylor-step interior: from a to the stop
         # point near the target pole, or to the path's end
-        target = points[-1]
-        jt = count_t = None
         if match_target:
-            jt = ctx.pole_index(target)
-            if jt is None:
-                raise ValueError("path target is not a pole of the system")
             seg_last = abs(points[-1] - points[-2])
             eps_t = ctx.eps_at(jt, seg_last)
             dir_t = (points[-1] - points[-2]) / seg_last

@@ -46,7 +46,6 @@ from .exact import from_int
 from .matrices import (
     CMatrix,
     SingularMatrixError,
-    solve_array,
     solve_linear,
     vec_add,
     vec_scale,
@@ -116,8 +115,8 @@ def solve_polynomial(system, g, tol=1e-12):
     exact = system.exact
     work = g if exact else g.trim(tol)
     s = system.s
-    q = system.q_poly()
-    binf = system.b_infinity()
+    # a float block keeps J_{B_inf} as an array only
+    binf = system.b_infinity() if exact else system.float_arrays()[0]
     tests = singular_shifts(binf, system.residue_spectrum("inf"), tol)
     bad = [k for k, _, singular in tests if singular]
     if bad:
@@ -125,6 +124,7 @@ def solve_polynomial(system, g, tol=1e-12):
             f"k + B_inf singular at k={min(bad)}: (phi, y) not unique")
     if not exact:
         return _solve_polynomial_float(system, work, tol)
+    q = system.q_poly()
     rem = list(work.coeffs)
     ys = []
     for k in range(work.degree - s - 1, -1, -1):
@@ -149,31 +149,85 @@ def solve_polynomial(system, g, tol=1e-12):
 def _solve_polynomial_float(system, g, tol):
     """``solve_polynomial``'s recursion on complex128 arrays: k + J_{B_inf}
     is J_{B_inf} shifted on its diagonal, the remainder one (deg + 1, N)
-    array."""
+    array.
+
+    Each k is one ``np.linalg.solve``.  The checks a per-k ``solve_array``
+    makes run once (``_raise_first_failure``): the recursion stops only at
+    the largest k whose given right-hand side is not finite, or at a
+    solve that raises, and whatever overflows on the way shows in the
+    right-hand sides and residuals checked after it.
+    """
     s, n = system.s, system.size
     binf, qb = system.float_arrays()
     q = np.array(system.q_poly(), dtype=complex)
     rem = np.array(g.coeffs, dtype=complex).reshape(-1, n)
     ys = np.zeros((max(len(rem) - s - 1, 0), n), complex)
+    given = np.flatnonzero(~np.isfinite(rem[s + 1:]).all(axis=1))
+    stop = int(given[-1]) if len(given) else -1
+    singular = None
     shifted = binf.copy()
-    for k in range(len(ys) - 1, -1, -1):
-        np.fill_diagonal(shifted, np.diagonal(binf) + k)
-        try:
-            y_k = solve_array(shifted, rem[k + s + 1], tol)
-        except SingularMatrixError as err:
-            raise AssumptionError(
-                f"k + B_inf singular at k={k}: {err}"
-            ) from None
-        ys[k] = y_k
-        # subtract k Q y_k x^(k-1) + (QB) y_k x^k below the eliminated top
-        if k:
-            rem[k - 1:k + s + 1] -= k * q[:-1, None] * y_k
-        rem[k:k + s + 1] -= qb @ y_k
+    diag, shifted_diag = np.diagonal(binf), shifted.reshape(-1)[::n + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(ys) - 1, stop, -1):
+            np.add(diag, k, out=shifted_diag)
+            try:
+                y_k = np.linalg.solve(shifted, rem[k + s + 1])
+            except np.linalg.LinAlgError as err:
+                stop, singular = k, err
+                break
+            ys[k] = y_k
+            # subtract k Q y_k x^(k-1) + (QB) y_k x^k below the eliminated
+            # top
+            if k:
+                rem[k - 1:k + s + 1] -= k * q[:-1, None] * y_k
+            rem[k:k + s + 1] -= qb @ y_k
+        _raise_first_failure(binf, ys, rem[s + 1:], stop, singular, tol)
     return CorrectionResult(
         phi=VecPoly.from_coeffs(map(tuple, rem[:s + 1].tolist()), False,
                                 dim=n),
         y=VecPoly.from_coeffs(map(tuple, ys.tolist()), False, dim=n),
     )
+
+
+def _raise_first_failure(binf, ys, used, stop, singular, tol):
+    """Raise what a per-k ``solve_array`` loop would have raised first.
+
+    ``used[k]`` is the right-hand side the solve at k used, ``ys[k]`` its
+    solution for k > ``stop``; at ``stop`` (if >= 0) the recursion ended,
+    with the LinAlgError ``singular`` or on a non-finite right-hand side.
+    The failure at the largest k wins: there, a non-finite right-hand side
+    raises ArithmeticError; a singular solve, or a residual
+    |J y_k + k y_k - used[k]| above max(1, max|k + J| max|y_k|) *
+    max(tol, 1e-12) * 1e4, raises AssumptionError.
+    """
+    ks = np.arange(max(stop, 0), len(ys))
+    finite = np.isfinite(used[ks]).all(axis=1)
+    y = ys[ks]
+    diag = np.diagonal(binf)
+    off = np.abs(binf)
+    np.fill_diagonal(off, 0.0)
+    shift_max = np.maximum(off.max(), np.abs(diag + ks[:, None]).max(axis=1))
+    scale = np.fmax(1.0, shift_max * np.abs(y).max(axis=1, initial=0.0))
+    resid = np.abs(y @ binf.T + ks[:, None] * y - used[ks]).max(axis=1)
+    failed = ~finite | (ks > stop) & (
+        ~np.isfinite(resid) | (resid > scale * max(tol, 1e-12) * 1e4))
+    if stop >= 0:
+        failed[0] = True
+    if not failed.any():
+        return
+    at = np.flatnonzero(failed)[-1]
+    k = int(ks[at])
+    if not finite[at]:
+        raise ArithmeticError("non-finite right-hand side in a float solve")
+    if k == stop:
+        raise AssumptionError(f"k + B_inf singular at k={k}: {singular}")
+    # the residual as ``solve_array`` computes it, for the same message
+    shifted = binf.copy()
+    np.fill_diagonal(shifted, diag + k)
+    resid = np.max(np.abs(shifted @ ys[k] - used[k]))
+    raise AssumptionError(
+        f"k + B_inf singular at k={k}: solve residual {resid:.3e} exceeds "
+        "tolerance (near-singular matrix)")
 
 
 def local_taylor(system, pole_index, rhs, order, tol=1e-12):

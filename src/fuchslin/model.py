@@ -254,11 +254,12 @@ def singular_shifts(mat, values, tol, degree=0):
     Exact mode ignores tol: proposals within the window are decided by
     exact elimination of k + T, T built only then; the others are not
     singular.  A shift found singular that way has margin 0.0.  Returns
-    one (k, margin, singular) per value, in order.
+    one (k, margin, singular) per value, in order.  Float mode reads
+    nothing of ``mat``, which may then be a complex array.
     """
     proposals = [(k, abs(z + k))
                  for z in values for k in (max(0, round(-z.real)),)]
-    if not mat.exact:
+    if isinstance(mat, np.ndarray) or not mat.exact:
         return [(k, margin, margin <= tol) for k, margin in proposals]
     window = _SHIFT_WINDOW * max(1.0, mat.max_abs()) * (degree + 1)
     near = {k for k, margin in proposals if margin <= window}

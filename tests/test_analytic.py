@@ -809,6 +809,91 @@ def test_repeated_end_waypoint_changes_nothing():
     assert want.y.eval(x, (p0, w, x, x)) == want.y.eval(x, (p0, w, x))
 
 
+def test_waypoint_within_an_end_tolerance_merges_into_it():
+    # next to an end and within its tolerance (1e-12 at p_0, 1e-9 at the
+    # target pole, 1e-12 at eval's x), a waypoint merges into that end
+    system = _reference_system()
+    g = VecPoly.from_coeffs(
+        [(ExactComplex(1), ExactComplex(-1)),
+         (ExactComplex(0), ExactComplex(2))],
+        exact=True, dim=2,
+    )
+    p0, w, p1 = -1.0, -0.3 - 0.6j, 1.0
+    want = solve_analytic(system, g, paths={1: (p0, w, p1)})
+    for path in ((p0, p0 + 1e-13, w, p1), (p0, w, p1 - 1e-13, p1),
+                 (p0, w, p1 + 5e-10j, p1)):
+        got = solve_analytic(system, g, paths={1: path})
+        for a, b in zip(got.phi.coeffs, want.phi.coeffs):
+            for u, v in zip(a, b):
+                assert abs(u - v) <= 1e-12 * max(1.0, abs(v)), path
+    x = 0.4 + 0.3j
+    plain = want.y.eval(x, (p0, w, x))
+    for path in ((p0, p0 + 1e-13, w, x), (p0, w, x - 1e-13, x)):
+        got = want.y.eval(x, path)
+        assert max(abs(u - v) for u, v in zip(got, plain)) \
+            <= 1e-12 * max(1.0, *map(abs, plain)), path
+
+
+def ladder_system(rng, d, s, negative):
+    """Exact system with upper triangular residues and poles at least 1
+    apart; with ``negative`` one residue's spectrum is negative, so the
+    solve climbs the shift ladder.  Every k + B_inf is invertible."""
+    poles = []
+    while len(poles) < s + 2:
+        c = Fraction(rng.randint(-6, 6), 2)
+        if all(abs(c - p) >= 1 for p in poles):
+            poles.append(c)
+    low = rng.randrange(s + 2) if negative else None
+    while True:
+        mats = []
+        for j in range(s + 2):
+            rows = [[Fraction(0)] * d for _ in range(d)]
+            for i in range(d):
+                rows[i][i] = (-Fraction(4 * rng.randint(0, 2) + i + 1, 8)
+                              if j == low else
+                              Fraction(3 * rng.randint(1, 4) + i + 1, 6))
+                for k in range(i + 1, d):
+                    rows[i][k] = Fraction(rng.randint(-1, 1), 2)
+            mats.append(rows)
+        if all(sum(m[i][i] for m in mats).denominator != 1
+               for i in range(d)):
+            break
+    return FuchsianSystem(
+        tuple(ExactComplex(p) for p in poles),
+        tuple(CMatrix.from_rows([[ExactComplex(v) for v in row]
+                                 for row in m], True) for m in mats))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_eval_near_a_pole_matches_the_exact_solution(d):
+    # 0.02 gap from a pole, eval takes the pole's local series; it must
+    # agree with the exact polynomial solution within 1e-6 max(1, |y|)
+    rng = random.Random(f"eval-near-pole-{d}")
+    for s in range(3):
+        for negative in (False, True):
+            system = ladder_system(rng, d, s, negative)
+            g = random_vecpoly(rng, d, rng.randint(s + 1, s + 4))
+            y = solve_analytic(system, g).y
+            assert bool(y._ladder) == negative
+            reference = solve_polynomial(system, g).y
+            poles = [complex(p) for p in system.poles]
+            series_at = []
+            taylor_at_pole = y.taylor_at_pole
+            y.taylor_at_pole = lambda j, order=30: (
+                series_at.append(j) or taylor_at_pole(j, order))
+            for j, p in enumerate(poles):
+                gap = min(abs(p - q) for q in poles if q != p)
+                x = p + 0.02 * gap * complex(math.cos(j + 0.7),
+                                             math.sin(j + 0.7))
+                got = y.eval(x)
+                want = [complex(v) for v in reference.eval(
+                    ExactComplex(Fraction(x.real), Fraction(x.imag)))]
+                size = max([1.0] + [abs(v) for v in want])
+                assert max(abs(a - b) for a, b in zip(got, want)) \
+                    <= 1e-6 * size, (s, negative, j)
+            assert series_at == list(range(s + 2))
+
+
 def test_eval_rejects_a_path_that_ends_elsewhere():
     system = scalar_system(1, 1)
     y = solve_analytic(system, monomial_rhs(2)).y

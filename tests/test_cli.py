@@ -6,6 +6,7 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fuchslin.cli import main
@@ -201,6 +202,34 @@ def test_non_finite_float_right_hand_side_is_a_numeric_failure(
         assert "non-finite" in err
 
 
+# d = 1, poles -1 and 1; see test_correction's NEAR_SINGULAR and OVERFLOWS
+FLOAT_SOLVE_FAILURES = {
+    # B_inf = -2 + 1e-10 passes the shift check; y_2 overflows: exit 2
+    "near-singular-shift": ([-1, -0.9999999999], [0, 0, 0, 1e300], 2,
+                            "k=2: solve residual"),
+    # B_inf = 1/2; the k = 3 solve overflows the x^2 coefficient: exit 4
+    "overflow-partway": ([0.25, 0.25], [0, 0, 1e308, 1e308, 1e308], 4,
+                         "non-finite right-hand side"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_SOLVE_FAILURES))
+def test_correct_float_solve_failure_exit_codes(tmp_path, capsys, case):
+    residues, coeffs, want, message = FLOAT_SOLVE_FAILURES[case]
+    doc = write_doc(tmp_path, {
+        "dimension": 1,
+        "S": 0,
+        "poles": [[-1, 0], [1, 0]],
+        "matrices": [[[[b, 0]]] for b in residues],
+    })
+    g = json.dumps([[[c, 0]] for c in coeffs])
+    # the overflow is under test, not numpy's warnings about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, ["correct", doc, "--g", g])
+    assert code == want, err
+    assert out == "" and message in err
+
+
 def test_schema_error_reports_pointer(tmp_path, capsys):
     bad = dict(SCALAR_DOC)
     bad["poles"] = [[-1, 0]]
@@ -332,6 +361,27 @@ def test_correct_analytic_bad_path_is_a_schema_error(tmp_path, capsys, case):
 ], ids=["first-repeated", "last-repeated"])
 def test_correct_analytic_repeated_end_waypoint(tmp_path, capsys,
                                                 waypoints):
+    phis = []
+    for path in ([[-1, 0], [0, -1], [1, 0]], waypoints):
+        doc = write_doc(tmp_path, dict(THREE_POLE_DOC,
+                                       options={"paths": {"1": path}}))
+        code, out, err = run(
+            capsys, ["correct", doc, "--exact", "--analytic",
+                     "--g", "[[[1,0]],[[0,0]],[[1,0]]]"]
+        )
+        assert code == 0, err
+        phis.append(json.loads(out)["phi"])
+    assert phis[1] == phis[0]
+
+
+@pytest.mark.parametrize("waypoints", [
+    [[-1, 0], [-1 + 1e-13, 0], [0, -1], [1, 0]],
+    [[-1, 0], [0, -1], [1 - 1e-13, 0], [1, 0]],
+], ids=["first", "last"])
+def test_correct_analytic_waypoint_within_end_tolerance(tmp_path, capsys,
+                                                        waypoints):
+    # within 1e-12 of p_0, or 1e-9 of the target pole, a waypoint next to
+    # that end merges into it: the plain path's phi, exit 0
     phis = []
     for path in ([[-1, 0], [0, -1], [1, 0]], waypoints):
         doc = write_doc(tmp_path, dict(THREE_POLE_DOC,

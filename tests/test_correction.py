@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fuchslin.analytic import float_system, float_vecpoly
@@ -210,6 +212,77 @@ def test_dimension_mismatch_rejected():
     system = scalar_system(1, 1)
     g = VecPoly.from_coeffs([(ExactComplex(1), ExactComplex(0))], exact=True)
     with pytest.raises(ValueError):
+        solve_polynomial(system, g)
+
+
+# ----------------------------------------------------------------------
+# the checks of the float solve at infinity
+# ----------------------------------------------------------------------
+
+
+def float_problem(poles, residues, coeffs):
+    """Float system with the given poles and d x d residues, and the
+    right-hand side with the given coefficient vectors."""
+    system = FuchsianSystem(
+        tuple(complex(p) for p in poles),
+        tuple(CMatrix.from_rows(r, False) for r in residues))
+    g = VecPoly.from_coeffs([tuple(complex(v) for v in c) for c in coeffs],
+                            False, dim=len(coeffs[0]))
+    return system, g
+
+
+# d = 1, poles -1 and 1, B_inf = -2 + 1e-10: the shift k = 2 has float
+# margin 1e-10, above tol, yet its solve turns 1e300 into y_2 = inf
+NEAR_SINGULAR = ((-1, 1), ([[-1.0]], [[-1.0 + 1e-10]]),
+                 [(0,), (0,), (0,), (1e300,)])
+# d = 1, B_inf = 1/2: the k = 3 solve adds 3 y_3 = 8.6e307 to the given
+# 1e308 at x^2, which overflows before the k = 1 solve reads it
+OVERFLOWS = ((-1, 1), ([[0.25]], [[0.25]]),
+             [(0,), (0,), (1e308,), (1e308,), (1e308,)])
+
+
+def test_float_solve_rejects_a_shift_whose_residual_fails():
+    system, g = float_problem(*NEAR_SINGULAR)
+    assert singular_shifts(system.b_infinity(),
+                           system.residue_spectrum("inf"), 1e-12) \
+        == [(2, pytest.approx(1e-10, rel=1e-4), False)]
+    # the overflow is under test, not numpy's warnings about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(AssumptionError, match=re.escape(
+                "k + B_inf singular at k=2: solve residual inf exceeds "
+                "tolerance (near-singular matrix)")):
+            solve_polynomial(system, g)
+    # a d = 2 block: B_inf = [[-1 + 1e-10, 0.4], [0, 1]] puts the values
+    # -1 + 1e-10 and -3 + 2e-10 among those of J_{B_inf} at n = 2; the
+    # first overflow is at k = 3
+    lin, _ = float_problem((-1, 1), ([[-0.5 + 1e-10, 0.3], [0, 0.5]],
+                                     [[-0.5, 0.1], [0, 0.5]]), [(0, 0)])
+    block, _ = induced_system(lin, 2)
+    assert not any(singular for _, _, singular in singular_shifts(
+        block.b_infinity(), block.residue_spectrum("inf"), 1e-12))
+    for top, error in ((1.0, None), (1e300, "k=3: solve residual")):
+        g = VecPoly.from_coeffs(
+            [(0j,) * 6] * 2 + [tuple(top * (i + 1) + 0j for i in range(6))]
+            + [(top + 0j,) * 6] * 3, False, dim=6)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if error is None:
+                result = solve_polynomial(block, g)
+                assert np.isfinite(np.array(result.y.coeffs)).all()
+                continue
+            with pytest.raises(AssumptionError, match=error):
+                solve_polynomial(block, g)
+
+
+def test_float_solve_overflow_partway_is_non_finite():
+    system, g = float_problem(*OVERFLOWS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ArithmeticError,
+                           match="non-finite right-hand side"):
+            solve_polynomial(system, g)
+    # a non-finite coefficient given at x^2 stops the recursion at k = 1
+    g = VecPoly.from_coeffs([(0j,), (0j,), (complex("inf"),), (1 + 0j,)],
+                            False)
+    with pytest.raises(ArithmeticError, match="non-finite right-hand side"):
         solve_polynomial(system, g)
 
 

@@ -15,6 +15,8 @@ from fuchslin.matrices import CMatrix, mat_eigenvalues
 from fuchslin.model import FuchsianSystem
 from fuchslin.pnspace import (
     PnBasis,
+    conjugation_arrays,
+    conjugation_columns,
     conjugation_matrix,
     conjugation_spectrum,
     devectorize,
@@ -210,6 +212,96 @@ def test_induced_block_matches_dense_reference(shape):
         cost = np.abs(predicted[:, None] - actual[None, :])
         rows, cols = linear_sum_assignment(cost)
         assert cost[rows, cols].max() < 1e-9
+
+
+def _reference_columns(mat, basis):
+    """J_M's columns built item by item, as before the cached plan: the
+    reference the plan must reproduce, term order included."""
+    d = basis.d
+    cols = [dict() for _ in range(basis.size)]
+
+    def add(col, row, value):
+        cols[col][row] = cols[col].get(row, 0) + value
+
+    for pos, (m, i) in enumerate(basis.items):
+        for j in range(d):
+            if m[j] == 0:
+                continue
+            for k in range(d):
+                target = list(m)
+                target[j] -= 1
+                target[k] += 1
+                row = basis.index(tuple(target), i)
+                add(pos, row, m[j] * mat.entry(j, k))
+        for k in range(d):
+            row = basis.index(m, k)
+            add(pos, row, -mat.entry(k, i))
+    return [{row: value for row, value in col.items() if value}
+            for col in cols]
+
+
+def _reference_array(mat, basis):
+    out = np.zeros((basis.size, basis.size), complex)
+    for col, entries in enumerate(_reference_columns(mat, basis)):
+        for row, value in entries.items():
+            out[row, col] = value
+    return out
+
+
+def _random_float_matrix(rng, d, shape):
+    """Complex d x d matrix of mixed magnitudes, zero outside ``shape``."""
+    return CMatrix.from_rows(
+        [[0j if (shape == "upper" and j < i) or (shape == "lower" and j > i)
+          else complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+          * 10.0 ** rng.randint(-3, 3)
+          for j in range(d)] for i in range(d)],
+        False,
+    )
+
+
+def _bases(rng, d, n):
+    """The canonical basis and a shuffled one."""
+    items = list(PnBasis(d, n).items)
+    rng.shuffle(items)
+    return PnBasis(d, n), PnBasis(d, n, order=items)
+
+
+@pytest.mark.parametrize("shape", ["upper", "lower", "full"])
+def test_conjugation_plan_matches_per_item_reference(shape):
+    rng = random.Random(f"plan-{shape}")
+    for d in range(1, 5):
+        for n in range(2, 6):
+            mat = _random_exact_matrix(rng, d, shape)
+            fmat = _random_float_matrix(rng, d, shape)
+            for basis in _bases(rng, d, n):
+                assert conjugation_columns(mat, basis) == \
+                    _reference_columns(mat, basis)
+                want = _reference_array(fmat, basis)
+                assert np.array_equal(
+                    conjugation_arrays([fmat.to_numpy()], basis)[0], want)
+                assert np.array_equal(
+                    conjugation_matrix(fmat, basis).to_numpy(), want)
+
+
+@pytest.mark.parametrize("shape", ["upper", "full"])
+def test_float_block_arrays_match_per_item_reference(shape):
+    rng = random.Random(f"float-block-{shape}")
+    for d in range(1, 5):
+        s = d % 3
+        poles = tuple(complex(p) for p in rng.sample(range(-4, 5), s + 2))
+        lin = FuchsianSystem(poles, tuple(_random_float_matrix(rng, d, shape)
+                                          for _ in range(s + 2)))
+        for n in range(2, 5):
+            for basis in _bases(rng, d, n):
+                block, _ = induced_system(lin, n, basis=basis)
+                binf, qb = block.float_arrays()
+                assert np.array_equal(
+                    binf, _reference_array(lin.b_infinity(), basis))
+                assert np.array_equal(qb, [
+                    _reference_array(lin.qb_poly().coefficient(i), basis)
+                    for i in range(s + 1)])
+                assert (block.b_infinity() - conjugation_matrix(
+                    lin.b_infinity(), basis)).is_zero()
 
 
 def test_vectorize_roundtrip():
