@@ -109,11 +109,14 @@ def solve_polynomial(system, g, tol=1e-12):
     a singular shift may carry a polynomial kernel that makes (phi, y)
     non-unique.  The residues B_j enter no solve, and no spectral
     positivity or nonresonance between eigenvalues is needed.
+
+    ``g`` is a VecPoly or, in float mode, also a (deg + 1, N) complex array;
+    phi and y come back in its form.  Float mode first drops the top
+    coefficients whose entries are all <= tol.
     """
-    if g.dim != system.size:
+    if (g.shape[1] if isinstance(g, np.ndarray) else g.dim) != system.size:
         raise ValueError("right-hand side dimension mismatch")
     exact = system.exact
-    work = g if exact else g.trim(tol)
     s = system.s
     # a float block keeps J_{B_inf} as an array only
     binf = system.b_infinity() if exact else system.float_arrays()[0]
@@ -123,11 +126,11 @@ def solve_polynomial(system, g, tol=1e-12):
         raise AssumptionError(
             f"k + B_inf singular at k={min(bad)}: (phi, y) not unique")
     if not exact:
-        return _solve_polynomial_float(system, work, tol)
+        return _solve_polynomial_float(system, g, tol)
     q = system.q_poly()
-    rem = list(work.coeffs)
+    rem = list(g.coeffs)
     ys = []
-    for k in range(work.degree - s - 1, -1, -1):
+    for k in range(g.degree - s - 1, -1, -1):
         try:
             y_k = solve_linear(binf.add_scaled_identity(k), rem[k + s + 1], tol)
         except SingularMatrixError as err:
@@ -160,7 +163,10 @@ def _solve_polynomial_float(system, g, tol):
     s, n = system.s, system.size
     binf, qb = system.float_arrays()
     q = np.array(system.q_poly(), dtype=complex)
-    rem = np.array(g.coeffs, dtype=complex).reshape(-1, n)
+    array = isinstance(g, np.ndarray)
+    rem = np.array(g if array else g.coeffs, dtype=complex).reshape(-1, n)
+    top = np.flatnonzero(~(np.abs(rem) <= tol).all(axis=1))
+    rem = rem[:top[-1] + 1 if top.size else 0]
     ys = np.zeros((max(len(rem) - s - 1, 0), n), complex)
     given = np.flatnonzero(~np.isfinite(rem[s + 1:]).all(axis=1))
     stop = int(given[-1]) if len(given) else -1
@@ -182,11 +188,11 @@ def _solve_polynomial_float(system, g, tol):
                 rem[k - 1:k + s + 1] -= k * q[:-1, None] * y_k
             rem[k:k + s + 1] -= qb @ y_k
         _raise_first_failure(binf, ys, rem[s + 1:], stop, singular, tol)
-    return CorrectionResult(
-        phi=VecPoly.from_coeffs(map(tuple, rem[:s + 1].tolist()), False,
-                                dim=n),
-        y=VecPoly.from_coeffs(map(tuple, ys.tolist()), False, dim=n),
-    )
+    phi, y = rem[:s + 1], ys
+    if not array:
+        phi, y = (VecPoly.from_coeffs(map(tuple, a.tolist()), False, dim=n)
+                  for a in (phi, y))
+    return CorrectionResult(phi=phi, y=y)
 
 
 def _raise_first_failure(binf, ys, used, stop, singular, tol):

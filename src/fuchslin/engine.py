@@ -29,28 +29,27 @@ order 3 on -- they are different canonical objects answering different
 questions.  ``compare_modes`` reports where they separate;
 ``verify_conjugacy`` checks each mode against its own identity.
 
-The right-hand sides come from ``compose_series``, a generator that
-yields the right-hand side of every order of one loop.  Its x-polynomials
-live as coefficient rows in one row store, in blocks: P[p, k] holds slice
-k of (w + h)^m for every m of order p, built once from the power one
-lower in its last nonzero index.  Order n follows a pair plan, built by
-index arithmetic once per (d, n, p_max) and cached: triples (row, row,
-target row) giving the new blocks P[p, n], which read h below order n,
-then the terms of f - extra of order n and, in the normal-form mode, the
-Jacobian product [(d_w h) psi]_n.  A factor that is a w-part (w^(m - e_i)
-or w_i, coefficient 1) makes its pair a row copy.  The verifier takes each
-order's output rows as they are and runs one more plan per order for the
-whole residual, Q d_x h + (d_w h)(QA) w - (QA) h less the composed rows
-(plus the series in the normal-form mode), then reads its largest
-coefficient from the rows.  Float mode executes a plan on complex128
+One loop composes the right-hand sides on one row store, in blocks of
+coefficient rows: P[p, k] holds slice k of (w + h)^m for every m of order
+p, built once from the power one lower in its last nonzero index.  Order
+n follows a pair plan, built by index arithmetic once per (d, n, p_max)
+and cached: triples (row, row, target row) giving the new blocks P[p, n],
+which read h below order n, then the terms of f - extra of order n and,
+in the normal-form mode, the Jacobian product [(d_w h) psi]_n.  A factor
+that is a w-part (w^(m - e_i) or w_i, coefficient 1) makes its pair a row
+copy.  The loop's caller adds h and the series to the store, order by
+order: the engine writes back its block solves, which take and give rows
+through ``vectorize`` / ``devectorize``, and makes its tables at the end;
+``verify_conjugacy`` adds each order of its tables once, and runs one
+more plan per order on the same store for the whole residual,
+Q d_x h + (d_w h)(QA) w - (QA) h less the composed rows (plus the series
+in the normal-form mode).  Float mode executes a plan on complex128
 arrays (one gather, one batched row convolution, one sum per run of equal
-targets).  Exact mode runs the same pairs, skipping empty rows, on integer
-rows: numerator tuples over one positive denominator per row.  A product
-multiplies the denominators and convolves the numerators in plain ints;
-a target sums them in one bucket per denominator and reduces once, at
-the end, to the lcm of its buckets over one gcd.  Rows are built from
-ExactComplex when a block enters the store and turned back into it only
-when an order's output becomes a table.
+targets).  Exact mode runs the same pairs, skipping empty rows, on
+integer rows: numerator tuples over one positive denominator per row.  A
+product multiplies the denominators and convolves the numerators in
+plain ints; a target sums them in one bucket per denominator and reduces
+once, at the end, to the lcm of its buckets over one gcd.
 
 All series loops iterate keys in sorted order, and the plans list
 monomials in sorted order, so results are bit-for-bit reproducible
@@ -65,15 +64,15 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from .correction import solve_polynomial
-from .exact import ExactComplex, from_int
+from .exact import from_int
 from .model import AssumptionError, check_nonlinear_assumption
-from .pnspace import devectorize, induced_system, multiindices, vectorize
+from .pnspace import (_int_row, _scalars, devectorize, induced_system,
+                      multiindices, vectorize)
 from .poly import VecPoly, sp_trim
 from .matrices import ShapeError
 
@@ -160,12 +159,12 @@ class ConjugacyReport:
 # of f - extra, _E for the extra terms, _H for h) holds the order-k part
 # of a vector field, row mu * d + i for the monomial at position mu of
 # ``multiindices(d, k)`` and component i.  The power block P[q, k] (kind
-# q + 1) holds slice k of (w + h)^m for every m of order q, row
+# _H - 1 + q) holds slice k of (w + h)^m for every m of order q, row
 # mu * N_q + m; P[1, k] is h's field block, its m read as the component.
-_T, _E, _H = 0, 1, 2
-# The verifier's store adds kind _D for the x-derivative of h's block, _R
-# for the composed right-hand side and _C for the rows Q and 1 (order 0).
-_D, _R, _C = 3, 4, 5
+# The verifier adds kind _D for the x-derivative of h's block, _R for the
+# composed right-hand side, _C for the rows Q and 1 (order 0), and (QA)w
+# as the extra block of order 1.
+_T, _E, _D, _R, _C, _H = range(6)
 # coefficients in one batch of row products (4 MB of complex128)
 _BATCH = 1 << 18
 
@@ -288,7 +287,7 @@ def _power_pairs(d, n, top):
     n_n = _count(d, n)
     sizes = np.array([_count(d, p) for p in ps], dtype=np.intp)
     stops = np.cumsum(sizes * n_n)
-    blocks = [(p + 1, start, stop) for p, start, stop
+    blocks = [(_H - 1 + p, start, stop) for p, start, stop
               in zip(ps.tolist(), (stops - sizes * n_n).tolist(),
                      stops.tolist())]
     if not ps.size:
@@ -314,7 +313,7 @@ def _power_pairs(d, n, top):
     keep &= (j > 1) | (mu_b == d - 1 - i_r[:, None])
     r, s = np.nonzero(keep)
     target = base_r[r] + mu[s] * size_r[r] + m_r[r]
-    low = (q_r[r] + 1, b[s], mu_a[s] * lower_size_r[r] + lower_row[r])
+    low = (_H - 1 + q_r[r], b[s], mu_a[s] * lower_size_r[r] + lower_row[r])
     unit = (_full(_H, r), j[s], mu_b[s] * d + i_r[r])
     copy_unit = b[s] == q_r[r]
     copy_low = j[s] == 1
@@ -338,7 +337,7 @@ def _term_pairs(d, n, top):
                   d * n_n).astype(np.intp)
     i = np.tile(np.repeat(np.arange(d), n_n), int(sizes.sum()))
     mu = np.tile(np.arange(n_n), int(sizes.sum()) * d)
-    products = [(_full(_T, m), p_r, m * d + i, p_r + 1, _full(n, m),
+    products = [(_full(_T, m), p_r, m * d + i, _H - 1 + p_r, _full(n, m),
                  mu * np.repeat(np.repeat(sizes, sizes), d * n_n) + m,
                  mu * d + i, _full(1, m))]
     copies = []
@@ -413,7 +412,7 @@ class _FloatRows:
 
     def __init__(self, d, kinds, orders):
         self.d = d
-        self.off = np.zeros((kinds, orders), np.intp)
+        self.off = np.full((kinds, orders), -1, np.intp)   # -1: not added
         self.length = np.zeros((kinds, orders), np.intp)
         self.data = np.zeros((256, 8), complex)
         self.used = 0
@@ -435,17 +434,27 @@ class _FloatRows:
         self.length[kind, order] = width
         self.used = need
 
-    def field(self, kind, order, terms):
-        """Append the order-``order`` part of {monomial: VecPoly} ``terms``."""
+    def block(self, kind, order):
+        """Rows of field block (kind, order), None if it was not added."""
+        start = self.off[kind, order]
+        if start >= 0:
+            return self.data[start:start + _count(self.d, order) * self.d,
+                             :self.length[kind, order]]
+
+    def field(self, kind, order, terms, less=None):
+        """Append order ``order`` of table ``terms``, less rows ``less``."""
         d = self.d
         polys = [terms.get(m) for m in multiindices(d, order)]
-        width = max((len(p.coeffs) for p in polys if p is not None),
-                    default=0)
+        width = max([len(p.coeffs) for p in polys if p is not None]
+                    + [0 if less is None else less.shape[1]])
         block = np.zeros((len(polys) * d, width), complex)
         for pos, p in enumerate(polys):
             if p is not None and p.coeffs:
                 block[pos * d:pos * d + d, :len(p.coeffs)] = \
                     np.array(p.coeffs).T
+        if less is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                block[:, :less.shape[1]] -= less
         self.add(kind, order, block)
 
     def polys(self, kind, order, polys):
@@ -457,10 +466,8 @@ class _FloatRows:
 
     def derive(self, kind, order, source):
         """Append the x-derivative of field block (source, order)."""
-        start, width = self.off[source, order], self.length[source, order]
-        block = self.data[start:start + _count(self.d, order) * self.d,
-                          1:width]
-        self.add(kind, order, block * np.arange(1, width))
+        block = self.block(source, order)[:, 1:]
+        self.add(kind, order, block * np.arange(1, block.shape[1] + 1))
 
     def run(self, pairs):
         """(pairs.size, x-length) array of the summed products and copies.
@@ -546,7 +553,7 @@ class _ExactRows:
 
     def __init__(self, d, kinds, orders):
         self.d = d
-        self.off = np.zeros((kinds, orders), np.intp)
+        self.off = np.full((kinds, orders), -1, np.intp)   # -1: not added
         self.rows = []
         self.live = np.zeros(0, bool)
 
@@ -556,23 +563,27 @@ class _ExactRows:
         self.live = np.concatenate([self.live, np.fromiter(
             (r is not None for r in block), bool, len(block))])
 
-    def field(self, kind, order, terms):
+    def block(self, kind, order):
+        start = self.off[kind, order]
+        if start >= 0:
+            return self.rows[start:start + _count(self.d, order) * self.d]
+
+    def field(self, kind, order, terms, less=None):
         d = self.d
         block = []
         for m in multiindices(d, order):
             p = terms.get(m)
             block += ([_int_row(p.component(i)) for i in range(d)]
                       if p is not None else [None] * d)
+        if less is not None:
+            block = list(map(_difference, block, less))
         self.add(kind, order, block)
 
     def polys(self, kind, order, polys):
         self.add(kind, order, [_int_row(sp_trim(p)) for p in polys])
 
     def derive(self, kind, order, source):
-        start = self.off[source, order]
-        self.add(kind, order, [
-            _derivative(r)
-            for r in self.rows[start:start + _count(self.d, order) * self.d]])
+        self.add(kind, order, [*map(_derivative, self.block(source, order))])
 
     def run(self, pairs):
         """Integer rows of the summed products and copies, one per row."""
@@ -611,8 +622,8 @@ class _ExactRows:
     def table(self, out, order):
         d = self.d
         return {
-            m: _components_to_vecpoly(
-                [_scalars(r) for r in out[pos * d:pos * d + d]], d, True)
+            m: VecPoly.from_components(
+                [_scalars(r) for r in out[pos * d:pos * d + d]], True)
             for pos, m in enumerate(multiindices(d, order))
             if any(r is not None for r in out[pos * d:pos * d + d])
         }
@@ -621,19 +632,6 @@ class _ExactRows:
         if all(r is None for r in out):
             return 0.0
         return max(map(_magnitude, self.table(out, order).values()))
-
-
-def _int_row(coeffs):
-    """Integer row of a trimmed tuple of ExactComplex, None if empty."""
-    if not coeffs:
-        return None
-    den = math.lcm(*(c.re.denominator for c in coeffs),
-                   *(c.im.denominator for c in coeffs))
-    re = tuple(c.re.numerator * (den // c.re.denominator) for c in coeffs)
-    if not any(c.im for c in coeffs):
-        return den, re, None
-    return den, re, tuple(c.im.numerator * (den // c.im.denominator)
-                          for c in coeffs)
 
 
 def _derivative(row):
@@ -646,17 +644,6 @@ def _derivative(row):
     if im is not None and any(im[1:]):
         return den, re, tuple(k * v for k, v in enumerate(im[1:], 1))
     return den, re, None
-
-
-def _scalars(row):
-    """Tuple of ExactComplex of an integer row."""
-    if row is None:
-        return ()
-    den, re, im = row
-    if im is None:
-        return tuple(ExactComplex(Fraction(v, den)) for v in re)
-    return tuple(ExactComplex(Fraction(v, den), Fraction(w, den))
-                 for v, w in zip(re, im))
 
 
 def _conv_into(buf, a, b, s):
@@ -677,6 +664,16 @@ def _add_into(buf, a):
     for k, v in enumerate(a[:n]):
         buf[k] += v
     buf.extend(a[n:])
+
+
+def _difference(a, b):
+    """Integer row of a - b; either may be None."""
+    sums = {}
+    for den, re, im, sign in [r + (s,) for r, s in ((a, 1), (b, -1)) if r]:
+        acc_re, acc_im = sums.setdefault(den, ([], []))
+        _conv_into(acc_re, re, (sign,), 1)
+        _conv_into(acc_im, im or (), (sign,), 1)
+    return _reduce(sums)
 
 
 def _reduce(buckets):
@@ -704,8 +701,10 @@ def _reduce(buckets):
             tuple(v // g for v in im[:n]) if any(im) else None)
 
 
-def _row_store(exact, d, kinds, orders):
-    return (_ExactRows if exact else _FloatRows)(d, kinds, orders)
+def _row_store(exact, d, order_max):
+    """An empty store with room for every block of a run to ``order_max``."""
+    return (_ExactRows if exact else _FloatRows)(d, _H + order_max,
+                                                  order_max + 1)
 
 
 # ----------------------------------------------------------------------
@@ -730,61 +729,42 @@ def compose_series(f_terms, h_table, extra, order_max, mode="obstruction"):
     change lower orders afterwards: the slices of the powers (w + h)^m
     built from them are kept.
     """
-    parts = _compose_rows(f_terms, h_table, extra, order_max, mode)
-    for n, (rows, out) in enumerate(parts, start=2):
-        yield rows.table(out, n)
-
-
-def _compose_rows(f_terms, h_table, extra, order_max, mode):
-    """``compose_series`` as (row store, output rows) per order."""
     if mode not in ("obstruction", "normal-form"):
         raise ValueError(f"unknown mode {mode!r}")
-    dim = h_table.dim
+    rows = _row_store(h_table.exact, h_table.dim, order_max)
+    parts = _compose_rows(f_terms, rows, order_max, mode, extra is not None)
+    for n in range(2, order_max + 1):
+        if n > 2:
+            rows.field(_H, n - 1, h_table.terms)
+        for k in range(max(2, n - 1), n + 1) if extra is not None else ():
+            rows.field(_E, k, extra.terms)
+        yield rows.table(next(parts), n)
+
+
+def _compose_rows(f_terms, rows, order_max, mode, extra):
+    """``compose_series`` on ``rows``, yielding output rows.  Before order n
+    the caller adds the order-(n - 1) blocks of h and, if ``extra``, of
+    extra; an obstruction part also subtracts an extra block of order n."""
     by_order = {}
     for m, p in f_terms.items():
         if sum(m) < 2:
             raise ValueError(f"term {m} of f has order below 2")
         by_order.setdefault(sum(m), {})[m] = p
-    fold = mode == "obstruction" and extra is not None
-    jacobian = mode == "normal-form" and extra is not None
+    fold = mode == "obstruction" and extra
+    jacobian = mode == "normal-form" and extra
     # highest order of a term of f - extra, and so of a power in the table
     top = order_max if fold else min(max(by_order, default=0), order_max)
-    # kinds _T, _E, and q + 1 for P[q], q <= max(top, 1)
-    rows = _row_store(h_table.exact, dim, max(top, 1) + 2, order_max + 1)
     for n in range(2, order_max + 1):
-        if n > 2:
-            rows.field(_H, n - 1, h_table.terms)
-            if jacobian:
-                rows.field(_E, n - 1, extra.terms)
         # T[n] enters order n only through w^m; the engine knows extra's
         # order-n terms only after it, so T[n - 1] is read again here
         for k in range(max(2, n - 1), min(top, n) + 1):
-            terms = dict(by_order.get(k, {}))
-            if fold:
-                for m, p in extra.order_slice(k).items():
-                    cur = terms.get(m)
-                    terms[m] = (cur - p) if cur is not None else -p
-            rows.field(_T, k, terms)
-        power, blocks, rhs = _order_plan(dim, n, min(top, n), jacobian)
+            rows.field(_T, k, by_order.get(k, {}),
+                       rows.block(_E, k) if fold else None)
+        power, blocks, rhs = _order_plan(rows.d, n, min(top, n), jacobian)
         new = rows.run(power)
         for kind, start, stop in blocks:
             rows.add(kind, n, new[start:stop])
-        yield rows, rows.run(rhs)
-
-
-def _components_to_vecpoly(comps, dim, exact):
-    """VecPoly of the per-component coefficient sequences ``comps``, which
-    may end in zeros."""
-    comps = [sp_trim(c) for c in comps]
-    deg = max((len(c) for c in comps), default=0)
-    coeffs = [
-        tuple(
-            comps[i][k] if k < len(comps[i]) else from_int(0, exact)
-            for i in range(dim)
-        )
-        for k in range(deg)
-    ]
-    return VecPoly.from_coeffs(coeffs, exact, dim=dim)
+        yield rows.run(rhs)
 
 # ----------------------------------------------------------------------
 # the order-by-order engine
@@ -830,24 +810,19 @@ def _run_engine(nonlinear, order_max, mode, tol, resonance_tol,
             f"{v.monomial}, component {v.component}, k={v.k} "
             f"(|value| = {v.margin:.3e})"
         )
-    d = nonlinear.size
-    exact = nonlinear.exact
-    h = SeriesTable(d, exact)
-    out = SeriesTable(d, exact)
-    linear = nonlinear.linear
-
-    parts = compose_series(nonlinear.nonlinearity, h, out, order_max,
-                           mode=mode)
-    for n, g_table in enumerate(parts, start=2):
+    d, exact = nonlinear.size, nonlinear.exact
+    rows = _row_store(exact, d, order_max)
+    parts = _compose_rows(nonlinear.nonlinearity, rows, order_max, mode, True)
+    for n, g in enumerate(parts, start=2):
         custom = None if basis_factory is None else basis_factory(d, n)
-        block, basis = induced_system(linear, n, basis=custom)
-        g_vec = vectorize(g_table, basis, exact)
-        result = solve_polynomial(block, g_vec, tol)
-        for m, p in sorted(devectorize(result.phi, basis, exact).items()):
-            out.set(m, p)
-        for m, p in sorted(devectorize(result.y, basis, exact).items()):
-            h.set(m, p)
-    return out, h
+        block, basis = induced_system(nonlinear.linear, n, basis=custom)
+        result = solve_polynomial(block, vectorize(g, basis, exact), tol)
+        rows.add(_E, n, devectorize(result.phi, basis, exact))
+        rows.add(_H, n, devectorize(result.y, basis, exact))
+    return tuple(SeriesTable(d, exact, {
+        m: p for n in range(2, order_max + 1)
+        for m, p in rows.table(rows.block(kind, n), n).items()})
+        for kind in (_E, _H))
 
 
 # ----------------------------------------------------------------------
@@ -876,24 +851,23 @@ def verify_conjugacy(nonlinear, series, h, order_max, mode="obstruction",
             if sum(m) < 2:
                 raise ValueError(f"term {m} of {name} has order below 2")
     linear = nonlinear.linear
-    d = nonlinear.size
-    exact = nonlinear.exact
+    d, exact = nonlinear.size, nonlinear.exact
     qa = linear.qb_poly()
     normal = mode == "normal-form"
 
     report = ConjugacyReport(mode=mode, tol=0.0 if exact else tol)
-    rows = _row_store(exact, d, _C + 1, order_max + 1)
+    rows = _row_store(exact, d, order_max)
     # (QA) w as a field block: column s of QA at the monomial w_s
     rows.polys(_E, 1, [qa.entry(l, m.index(1))
                        for m in multiindices(d, 1) for l in range(d)])
     rows.polys(_C, 0, [linear.q_poly(), (from_int(1, exact),)])
-    parts = _compose_rows(nonlinear.nonlinearity, h, series, order_max, mode)
-    for n, (_, rhs) in enumerate(parts, start=2):
+    for n in range(2, order_max + 1):
+        rows.field(_E, n, series.terms)
+    parts = _compose_rows(nonlinear.nonlinearity, rows, order_max, mode, True)
+    for n, rhs in enumerate(parts, start=2):
         rows.field(_H, n, h.terms)
         rows.derive(_D, n, _H)
         rows.add(_R, n, rhs)
-        if normal:
-            rows.field(_E, n, series.terms)
         report.residuals[n] = rows.magnitude(
             rows.run(_verify_pairs(d, n, normal)), n)
     return report

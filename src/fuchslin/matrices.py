@@ -292,7 +292,8 @@ def solve_array(an, rhs, tol=1e-12):
     except np.linalg.LinAlgError as err:
         raise SingularMatrixError(str(err)) from None
     scale = max(1.0, float(np.max(np.abs(an))) * float(np.max(np.abs(x), initial=0.0)))
-    resid = np.max(np.abs(an @ x - rhs), initial=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # x may overflow
+        resid = np.max(np.abs(an @ x - rhs), initial=0.0)
     if not np.isfinite(resid) or resid > scale * max(tol, 1e-12) * 1e4:
         raise SingularMatrixError(
             f"solve residual {resid:.3e} exceeds tolerance (near-singular matrix)"

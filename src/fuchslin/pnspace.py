@@ -26,17 +26,20 @@ Substituting the residues A_j for M gives the size-N system each
 homogeneous block of the conjugacy equation satisfies; ``induced_system``
 applies it matrix-free in exact mode, with J_{B_inf} the one dense matrix,
 and keeps only the arrays of J_{B_inf} and of QB's coefficients in float
-mode.  ``vectorize`` / ``devectorize`` translate between per-monomial
-coefficient tables and the stacked length-N polynomial the solvers consume.
+mode.  ``vectorize`` / ``devectorize`` translate between basis order and
+the engine's store rows (row mu * d + i: component i of the monomial at
+position mu of ``multiindices(d, n)``; complex128 arrays, or in exact
+mode integer rows, numerator tuples over one denominator).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 import numpy as np
 
-from .exact import from_int
+from .exact import ExactComplex, from_int
 from .matrices import CMatrix, ShapeError, mat_eigenvalues, vec_zero
 from .poly import VecPoly
 
@@ -90,9 +93,6 @@ class PnBasis:
 
     def index(self, m, i):
         return self._index[(tuple(m), i)]
-
-    def monomials(self):
-        return multiindices(self.d, self.n)
 
     def __iter__(self):
         return iter(self.items)
@@ -322,42 +322,52 @@ def induced_system(linear, n, basis=None):
     return InducedBlock(linear, basis), basis
 
 
-def vectorize(table, basis, exact=False):
-    """Stack a {monomial: VecPoly(d)} table into one VecPoly of length N."""
-    deg = -1
-    for m, p in table.items():
-        if sum(m) != basis.n:
-            raise ShapeError(
-                f"monomial {m} has order {sum(m)}, basis expects {basis.n}"
-            )
-        if p.dim != basis.d:
-            raise ShapeError("table entry dimension mismatch")
-        deg = max(deg, p.degree)
-    coeffs = []
-    for k in range(deg + 1):
-        row = []
-        for m, i in basis.items:
-            p = table.get(m)
-            if p is None:
-                row.append(from_int(0, exact))
-            else:
-                row.append(p.coefficient(k)[i])
-        coeffs.append(tuple(row))
-    return VecPoly.from_coeffs(coeffs, exact, dim=basis.size)
+def _int_row(coeffs):
+    """Integer row of a trimmed tuple of ExactComplex, None if empty."""
+    if not coeffs:
+        return None
+    den = math.lcm(*(c.re.denominator for c in coeffs),
+                   *(c.im.denominator for c in coeffs))
+    re = tuple(c.re.numerator * (den // c.re.denominator) for c in coeffs)
+    if not any(c.im for c in coeffs):
+        return den, re, None
+    return den, re, tuple(c.im.numerator * (den // c.im.denominator)
+                          for c in coeffs)
+
+
+def _scalars(row):
+    """Tuple of ExactComplex of an integer row."""
+    if row is None:
+        return ()
+    den, re, im = row
+    if im is None:
+        return tuple(ExactComplex(Fraction(v, den)) for v in re)
+    return tuple(ExactComplex(Fraction(v, den), Fraction(w, den))
+                 for v, w in zip(re, im))
+
+
+def _slots(basis):
+    """Basis position of each store row (see the module docstring)."""
+    slots = np.arange(basis.size).reshape(basis.d, -1).T.ravel()
+    return slots if basis.positions is None else basis.positions[slots]
+
+
+def vectorize(rows, basis, exact=False):
+    """Store rows in basis order: a (deg + 1, N) array from (N, deg + 1)
+    complex rows, or in exact mode a length-N VecPoly from N integer rows."""
+    if len(rows) != basis.size:
+        raise ShapeError("row count does not match basis size")
+    perm = np.argsort(_slots(basis))
+    if exact:
+        return VecPoly.from_components([_scalars(rows[r]) for r in perm], True)
+    return rows[perm].T
 
 
 def devectorize(stacked, basis, exact=False):
-    """Inverse of vectorize; drops identically-zero monomial entries."""
-    if stacked.dim != basis.size:
+    """Inverse of vectorize: the store rows of a stacked array or, in exact
+    mode, of a stacked VecPoly."""
+    if (stacked.dim if exact else stacked.shape[1]) != basis.size:
         raise ShapeError("stacked vector length does not match basis size")
-    out = {}
-    for m in basis.monomials():
-        coeffs = []
-        for k in range(stacked.degree + 1):
-            vk = stacked.coefficient(k)
-            coeffs.append(tuple(vk[basis.index(m, i)] for i in range(basis.d)))
-        p = VecPoly.from_coeffs(coeffs, exact, dim=basis.d)
-        if not p.is_zero():
-            out[m] = p
-    return out
-
+    if exact:
+        return [_int_row(stacked.component(s)) for s in _slots(basis)]
+    return stacked[:, _slots(basis)].T

@@ -15,6 +15,8 @@ is dropped deliberately, not accidentally.
 
 from __future__ import annotations
 
+import itertools
+
 from .exact import from_int, scalar_is_zero
 from .matrices import (
     CMatrix,
@@ -137,6 +139,13 @@ class VecPoly:
         while coeff_vectors and vec_is_zero(coeff_vectors[-1]):
             coeff_vectors.pop()
         return cls(dim, tuple(coeff_vectors), exact)
+
+    @classmethod
+    def from_components(cls, comps, exact=False):
+        """VecPoly with component i the coefficient sequence comps[i]."""
+        return cls.from_coeffs(
+            itertools.zip_longest(*comps, fillvalue=from_int(0, exact)),
+            exact, dim=len(comps))
 
     @classmethod
     def constant(cls, vec, exact=False):

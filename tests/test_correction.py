@@ -19,7 +19,7 @@ from fuchslin.correction import (
     solve_polynomial,
 )
 from fuchslin.exact import ExactComplex
-from fuchslin.matrices import CMatrix
+from fuchslin.matrices import CMatrix, SingularMatrixError, solve_array
 from fuchslin.model import AssumptionError, FuchsianSystem, singular_shifts
 from fuchslin.pnspace import induced_system
 from fuchslin.poly import VecPoly
@@ -284,6 +284,45 @@ def test_float_solve_overflow_partway_is_non_finite():
                             False)
     with pytest.raises(ArithmeticError, match="non-finite right-hand side"):
         solve_polynomial(system, g)
+
+
+def test_float_solve_array_form_matches_vecpoly_form():
+    # an induced block's rows reach the float solve as a (deg + 1, N)
+    # array: phi and y must come out bit for bit as from the VecPoly, with
+    # the same top coefficients dropped; here the top row's entries are
+    # all <= tol, so both forms drop it
+    rng = random.Random(23)
+    tol = 1e-12
+    for _ in range(8):
+        system = float_system(random_positive_system(rng, d_max=3))
+        block, _ = induced_system(system, rng.randint(2, 3))
+        g = float_vecpoly(random_vecpoly(rng, block.size,
+                                         rng.randint(1, 5) + block.s))
+        small = tuple(complex(rng.choice([0.0, tol, -tol / 2]), 0.0)
+                      for _ in range(block.size))
+        rows = np.array(g.coeffs + (small,), complex)
+        want = solve_polynomial(block, VecPoly.from_coeffs(
+            rows.tolist(), False, dim=block.size), tol)
+        got = solve_polynomial(block, rows, tol)
+        for array, poly in ((got.phi, want.phi), (got.y, want.y)):
+            coeffs = np.array(poly.coeffs, complex).reshape(-1, block.size)
+            assert array[:len(coeffs)].tobytes() == coeffs.tobytes()
+            assert not array[len(coeffs):].any()
+        assert len(got.y) == g.degree - block.s
+        # a non-finite coefficient y reads is a numeric failure in both forms
+        rows[-2, -1] = complex("inf")
+        for form in (rows, VecPoly.from_coeffs(rows.tolist(), False,
+                                               dim=block.size)):
+            with pytest.raises(ArithmeticError, match="non-finite"):
+                solve_polynomial(block, form, tol)
+
+
+def test_float_solve_array_overflow_raises_singular_matrix_error():
+    # the solution overflows to inf; the residual then reads inf or nan,
+    # which must raise SingularMatrixError, not numpy's RuntimeWarning
+    # (an error under the suite's warning filter)
+    with pytest.raises(SingularMatrixError, match="solve residual"):
+        solve_array(np.array([[1e-10]], complex), np.array([1e300], complex))
 
 
 # ----------------------------------------------------------------------

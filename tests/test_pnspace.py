@@ -15,6 +15,7 @@ from fuchslin.matrices import CMatrix, mat_eigenvalues
 from fuchslin.model import FuchsianSystem
 from fuchslin.pnspace import (
     PnBasis,
+    _int_row,
     conjugation_arrays,
     conjugation_columns,
     conjugation_matrix,
@@ -25,7 +26,7 @@ from fuchslin.pnspace import (
     pn_dimension,
     vectorize,
 )
-from fuchslin.poly import VecPoly
+from fuchslin.poly import sp_trim
 
 
 def test_multiindex_enumeration():
@@ -304,22 +305,42 @@ def test_float_block_arrays_match_per_item_reference(shape):
                     lin.b_infinity(), basis)).is_zero()
 
 
-def test_vectorize_roundtrip():
-    rng = random.Random(9)
-    basis = PnBasis(2, 3)
-    table = {}
-    for m in multiindices(2, 3):
-        if rng.random() < 0.6:
-            table[m] = VecPoly.from_coeffs(
-                [(ExactComplex(rng.randint(-3, 3)),
-                  ExactComplex(rng.randint(-3, 3)))
-                 for _ in range(rng.randint(1, 3))],
-                exact=True,
-            )
-    table = {m: p for m, p in table.items() if not p.is_zero()}
-    stacked = vectorize(table, basis, exact=True)
-    assert stacked.dim == basis.size
-    back = devectorize(stacked, basis, exact=True)
-    assert set(back) == set(table)
-    for m in table:
-        assert (back[m] - table[m]).is_zero()
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_store_rows_roundtrip(exact):
+    # store rows (row mu * d + i: component i of the monomial at position
+    # mu of multiindices(d, n)) -> basis order -> store rows
+    rng = random.Random(f"rows-{exact}")
+    for d in range(1, 4):
+        for n in range(0, 5):
+            monomials = multiindices(d, n)
+            width = rng.randint(1, 3)
+            rows = [sp_trim(tuple(
+                ExactComplex(Fraction(rng.randint(-3, 3), 2),
+                             rng.randint(-1, 1))
+                for _ in range(rng.choice([0, width]))))
+                for _ in range(len(monomials) * d)]
+            for basis in _bases(rng, d, n):
+                if exact:
+                    # integer rows over one denominator, None when empty
+                    store = [_int_row(r) for r in rows]
+                    stacked = vectorize(store, basis, exact=True)
+                    assert stacked.dim == basis.size
+                    coeff = stacked.coefficient
+                else:
+                    store = np.zeros((len(rows), width), complex)
+                    for r, row in enumerate(rows):
+                        store[r, :len(row)] = [complex(c) for c in row]
+                    stacked = vectorize(store, basis)
+                    assert stacked.shape == (width, basis.size)
+                    coeff = stacked.__getitem__
+                for pos, (m, i) in enumerate(basis.items):
+                    row = rows[monomials.index(m) * d + i]
+                    for k in range(width):
+                        want = row[k] if k < len(row) else 0
+                        assert coeff(k)[pos] == (want if exact
+                                                 else complex(want))
+                back = devectorize(stacked, basis, exact=exact)
+                if exact:
+                    assert back == store
+                else:
+                    assert np.array_equal(back, store)
