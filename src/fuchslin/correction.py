@@ -16,7 +16,13 @@ x^(k+S+1) is (k + B_inf) y_k plus terms of the y_j with j > k: the
 indicial equation at infinity.  One solve per k fixes y from the top down,
 and what is left of g at degrees <= S is phi.  The paper builds the same
 (unique) pair by expanding g in the lowered Rodrigues family; the tests
-keep that construction as the reference.
+keep that construction as the reference.  Float mode runs the recursion
+on complex128 arrays.  Exact mode runs it on per-degree lists of
+Fractions, real and imaginary parts apart (``SplitPoly``), with
+J_{B_inf}, QB and Q as sparse real entries read once per call: each k is
+one sparse Gauss-Jordan (``SparseMatrix.solve``), for the real and the
+imaginary parts as two columns when J_{B_inf}, QB and Q are real, and in
+the real 2N embedding otherwise.  Systems and induced blocks share it.
 
 ``local_taylor`` solves the same cleared equation as a Taylor series at one
 pole, from the bottom up.  In t = x - p_j, Q vanishes at t = 0, so the
@@ -46,14 +52,16 @@ from .exact import from_int
 from .matrices import (
     CMatrix,
     SingularMatrixError,
+    SparseMatrix,
     solve_linear,
+    split_entries,
     vec_add,
     vec_scale,
     vec_sub,
     vec_zero,
 )
 from .model import AssumptionError, singular_shifts
-from .poly import VecPoly, sp_eval, sp_taylor
+from .poly import SplitPoly, VecPoly, sp_eval, sp_taylor
 
 
 @dataclass
@@ -110,43 +118,101 @@ def solve_polynomial(system, g, tol=1e-12):
     non-unique.  The residues B_j enter no solve, and no spectral
     positivity or nonresonance between eigenvalues is needed.
 
-    ``g`` is a VecPoly or, in float mode, also a (deg + 1, N) complex array;
-    phi and y come back in its form.  Float mode first drops the top
-    coefficients whose entries are all <= tol.
+    ``g`` is a VecPoly or, in float mode, also a (deg + 1, N) complex array
+    and, in exact mode, a SplitPoly; phi and y come back in its form.
+    Float mode first drops the top coefficients whose entries are all
+    <= tol.
     """
     if (g.shape[1] if isinstance(g, np.ndarray) else g.dim) != system.size:
         raise ValueError("right-hand side dimension mismatch")
-    exact = system.exact
-    s = system.s
-    # a float block keeps J_{B_inf} as an array only
-    binf = system.b_infinity() if exact else system.float_arrays()[0]
+    if system.exact:
+        binf, lower = _exact_operators(system)
+    else:   # a float block keeps J_{B_inf} as an array only
+        binf = system.float_arrays()[0]
     tests = singular_shifts(binf, system.residue_spectrum("inf"), tol)
     bad = [k for k, _, singular in tests if singular]
     if bad:
         raise AssumptionError(
             f"k + B_inf singular at k={min(bad)}: (phi, y) not unique")
-    if not exact:
+    if not system.exact:
         return _solve_polynomial_float(system, g, tol)
+    if isinstance(g, VecPoly):
+        result = _solve_polynomial_exact(system.s, binf, lower,
+                                         SplitPoly.from_vecpoly(g))
+        return CorrectionResult(phi=result.phi.to_vecpoly(),
+                                y=result.y.to_vecpoly())
+    return _solve_polynomial_exact(system.s, binf, lower, g)
+
+
+def _exact_operators(system):
+    """What the exact recursion reads of ``system``, once per call.
+
+    J_{B_inf} as a SparseMatrix, and for j = 0 .. S + 1 what y_k leaves at
+    x^(k+j-1): k q_j y_k, with q_j as real (row offset, col offset, value)
+    blocks of size N, and QB's x^(j-1) coefficient applied to y_k, as real
+    (row, col, value) entries.  All are real when B_inf, QB and Q are, and
+    otherwise in the real 2N embedding, where a vector is its real parts
+    followed by its imaginary parts.
+    """
+    n = system.size
+    binf, qb = system.sparse_parts()
     q = system.q_poly()
-    rem = list(g.coeffs)
-    ys = []
-    for k in range(g.degree - s - 1, -1, -1):
+    embed = (any(v.im for entries in (binf, *qb) for _, _, v in entries)
+             or any(c.im for c in q))
+    lower = [(split_entries([(0, 0, q_j)], n, embed),
+              split_entries(qb[j - 1], n, embed) if j else [])
+             for j, q_j in enumerate(q[:-1])]
+    return SparseMatrix(n, binf, embed), lower
+
+
+def _solve_polynomial_exact(s, binf, lower, g):
+    """``solve_polynomial``'s exact recursion on a SplitPoly.
+
+    Each k is one ``SparseMatrix.solve`` of k + J_{B_inf}: with a real
+    operator, for the real and the imaginary parts of the right-hand side
+    as two columns; in the embedding, for both in one column of length
+    2N.  y_k's terms below x^(k+S+1) then leave the remainder entry by
+    entry, exact zeros skipped.
+    """
+    n = g.dim
+    if binf.embedded:
+        im = g.im or [[0] * n] * len(g.re)
+        parts = [[re + i for re, i in zip(g.re, im)]]
+    else:
+        parts = [g.re] if g.im is None else [g.re, g.im]
+    rem = [[list(v) for v in part] for part in parts]
+    top = len(g.re)
+    while top and not any(any(part[top - 1]) for part in rem):
+        top -= 1
+    ys = [None] * max(top - s - 1, 0)
+    for k in range(len(ys) - 1, -1, -1):
         try:
-            y_k = solve_linear(binf.add_scaled_identity(k), rem[k + s + 1], tol)
+            ys[k] = y_k = binf.solve([part[k + s + 1] for part in rem], k)
         except SingularMatrixError as err:
             raise AssumptionError(
-                f"k + B_inf singular at k={k}: {err}"
-            ) from None
-        ys.append(y_k)
+                f"k + B_inf singular at k={k}: {err}") from None
         # subtract k Q y_k x^(k-1) + (QB) y_k x^k below the eliminated top
-        for i, q_i in enumerate(q[:-1] if k else ()):
-            rem[i + k - 1] = vec_sub(rem[i + k - 1], vec_scale(k * q_i, y_k))
-        for i in range(s + 1):
-            rem[i + k] = vec_sub(rem[i + k], system.qb_matvec(i, y_k))
-    return CorrectionResult(
-        phi=VecPoly.from_coeffs(rem[: s + 1], exact, dim=system.size),
-        y=VecPoly.from_coeffs(ys[::-1], exact, dim=system.size),
-    )
+        for j, (q_j, qb_j) in enumerate(lower):
+            if not k + j:
+                continue
+            for t, column in zip([part[k + j - 1] for part in rem], y_k):
+                for ro, co, v in q_j if k else ():
+                    f = k * v
+                    for i in range(n):
+                        w = column[co + i]
+                        if w:
+                            t[ro + i] -= f * w
+                for r, c, v in qb_j:
+                    w = column[c]
+                    if w:
+                        t[r] -= v * w
+    phi = [part[:s + 1] for part in rem]
+    y = [[y_k[c] for y_k in ys] for c in range(len(rem))]
+    if binf.embedded:
+        phi, y = ([[v[:n] for v in a[0]], [v[n:] for v in a[0]]]
+                  for a in (phi, y))
+    return CorrectionResult(*(SplitPoly(n, a[0], a[1] if len(a) > 1 else None)
+                              for a in (phi, y)))
 
 
 def _solve_polynomial_float(system, g, tol):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 from .analytic import path_defect
@@ -53,37 +54,76 @@ def _require(cond, path, message):
         _fail(path, message)
 
 
-def _parse_part(value, path, exact):
+# a string that Fraction(int, int) reads as Fraction(str) would
+_INT_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+class _Refused(Exception):
+    """A scalar failed a check; ``where`` is the pointer inside the pair."""
+
+    def __init__(self, message, where=""):
+        super().__init__(message)
+        self.where = where
+
+
+def _part(value, exact, where):
     if isinstance(value, bool):
-        _fail(path, "expected a number, got a boolean")
+        raise _Refused("expected a number, got a boolean", where)
     if exact:
         if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, str):
             try:
-                return Fraction(value)
+                m = _INT_RATIO.fullmatch(value)
+                if m is None:
+                    return Fraction(value)
+                return (Fraction(int(m[1]), int(m[2])) if m[2]
+                        else Fraction(int(m[1])))
             except (ValueError, ZeroDivisionError):
-                _fail(path, f"not a valid rational: {value!r}")
+                raise _Refused(f"not a valid rational: {value!r}",
+                               where) from None
         if isinstance(value, float):
-            _fail(path, "floats are not accepted in exact mode; "
-                        "use integers or 'p/q' strings")
-        _fail(path, f"expected int or 'p/q' string, got {type(value).__name__}")
+            raise _Refused("floats are not accepted in exact mode; "
+                           "use integers or 'p/q' strings", where)
+        raise _Refused(
+            f"expected int or 'p/q' string, got {type(value).__name__}",
+            where)
     if isinstance(value, (int, float)):
         if isinstance(value, float) and not math.isfinite(value):
-            _fail(path, "non-finite number")
+            raise _Refused("non-finite number", where)
         return float(value)
-    _fail(path, f"expected a number, got {type(value).__name__}")
+    raise _Refused(f"expected a number, got {type(value).__name__}", where)
+
+
+def _scalar(node, exact):
+    """A strict [re, im] pair in the requested ring."""
+    if not isinstance(node, list) or len(node) != 2:
+        raise _Refused("expected a [re, im] pair")
+    real = _part(node[0], exact, "/0")
+    imag = _part(node[1], exact, "/1")
+    if exact:
+        return ExactComplex(real, imag)
+    return complex(real, imag)
 
 
 def _parse_scalar(node, path, exact):
-    """A strict [re, im] pair in the requested ring."""
-    if not isinstance(node, list) or len(node) != 2:
-        _fail(path, "expected a [re, im] pair")
-    re = _parse_part(node[0], path + "/0", exact)
-    im = _parse_part(node[1], path + "/1", exact)
-    if exact:
-        return ExactComplex(re, im)
-    return complex(re, im)
+    """``_scalar``, failing at pointer ``path``."""
+    try:
+        return _scalar(node, exact)
+    except _Refused as bad:
+        _fail(path + bad.where, bad)
+
+
+def _parse_row(row, path, k, exact):
+    """The scalars of row ``k`` below ``path``, a list of [re, im] pairs;
+    the pointer of a refused entry is made only then."""
+    out = []
+    try:
+        for node in row:
+            out.append(_scalar(node, exact))
+    except _Refused as bad:
+        _fail(f"{path}/{k}/{len(out)}{bad.where}", bad)
+    return out
 
 
 def _parse_matrix(node, path, d, exact):
@@ -93,10 +133,7 @@ def _parse_matrix(node, path, d, exact):
     for r, row in enumerate(node):
         if not isinstance(row, list) or len(row) != d:
             _fail(f"{path}/{r}", f"expected {d} entries")
-        rows.append([
-            _parse_scalar(entry, f"{path}/{r}/{c}", exact)
-            for c, entry in enumerate(row)
-        ])
+        rows.append(_parse_row(row, path, r, exact))
     return CMatrix.from_rows(rows, exact)
 
 
@@ -108,10 +145,7 @@ def _parse_vecpoly(node, path, d, exact):
     for k, row in enumerate(node):
         if not isinstance(row, list) or len(row) != d:
             _fail(f"{path}/{k}", f"expected {d} component entries")
-        coeffs.append(tuple(
-            _parse_scalar(entry, f"{path}/{k}/{i}", exact)
-            for i, entry in enumerate(row)
-        ))
+        coeffs.append(tuple(_parse_row(row, path, k, exact)))
     return VecPoly.from_coeffs(coeffs, exact, dim=d)
 
 

@@ -8,8 +8,8 @@ homogeneous degree n satisfies a linear problem
     d_x h_n + (d_w h_n) A w - A h_n = (1/Q) (g_n - phi_n)
 
 whose left-hand operator, written in the canonical monomial basis, is
-exactly a Fuchsian system of the induced size (applied matrix-free; only
-k + J_{B_inf} is a dense matrix) -- so the polynomial correction solver
+exactly a Fuchsian system of the induced size (kept sparse in exact mode,
+as arrays in float mode) -- so the polynomial correction solver
 produces the unique obstruction phi_n of x-degree <= S and the coefficient
 h_n in one stroke.  The right-hand side g_n collects the already-known
 orders: compositions of f and of the lower obstruction terms with w + h.

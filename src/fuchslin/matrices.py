@@ -1,15 +1,21 @@
-"""Small dense matrices over either scalar ring.
+"""Small dense matrices over either scalar ring, and the exact elimination.
 
 Matrices here are tiny (a system of size d induces blocks of size
 d*(n+d-1)!/(n!(d-1)!), a few dozen at most), so these are plain tuples of
 tuples with straightforward O(n^3) algorithms.  Float-mode solves and all
-eigenvalues go through numpy; exact-mode solves do Gauss-Jordan elimination
-in the Gaussian rationals, pivoting on the first exactly nonzero entry (never
-on a float magnitude, which can underflow to zero or overflow) and skipping
-the products with the exact zeros that fill the sparse induced blocks.
+eigenvalues go through numpy.  Every exact solve is one routine,
+``SparseMatrix.solve``: sparse Gauss-Jordan over the rationals on rows
+{col: Fraction}, a real matrix as itself and a Gaussian-rational one as its
+real 2n embedding [[A, -B], [B, A]].  It pivots on exactly nonzero entries
+only (never on a float magnitude, which can underflow to zero or overflow),
+takes a live row with the fewest entries next (a triangular matrix in any
+order is then back-substitution) and never multiplies by an exact zero.
 """
 
 from __future__ import annotations
+
+import heapq
+from fractions import Fraction
 
 import numpy as np
 
@@ -84,6 +90,11 @@ class CMatrix:
 
     def col(self, j):
         return tuple(r[j] for r in self.rows)
+
+    def entries(self):
+        """(row, col, value) of every nonzero entry, row by row."""
+        return [(r, c, v) for r, row in enumerate(self.rows)
+                for c, v in enumerate(row) if v]
 
     def to_numpy(self):
         return np.array(
@@ -302,28 +313,138 @@ def solve_array(an, rhs, tol=1e-12):
 
 
 def _solve_exact(a, cols):
+    """Exact solutions of a x = c for each column c of Gaussian rationals:
+    a real ``a`` takes the real and imaginary parts of every column as
+    columns of one elimination, a nonreal one its real 2n embedding."""
     n = a.n_rows
-    work = [list(r) + [c[i] for c in cols] for i, r in enumerate(a.rows)]
-    width = n + len(cols)
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if work[r][k]), None)
-        if pivot_row is None:
-            raise SingularMatrixError(f"exact pivot vanished at column {k}")
-        if pivot_row != k:
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-        # columns < k of the pivot row are already zero; only its nonzero
-        # columns enter the other rows
-        row_k = work[k]
-        inv = ExactComplex(1) / row_k[k]
-        pivot = [(j, row_k[j] * inv) for j in range(k, width) if row_k[j]]
-        for j, v in pivot:
-            row_k[j] = v
-        for r in range(n):
-            row = work[r]
-            f = row[k]
-            if r != k and f:
-                for j, v in pivot:
-                    row[j] = row[j] - f * v
-    return [
-        tuple(work[i][n + j] for i in range(n)) for j in range(width - n)
-    ]
+    op = SparseMatrix(n, a.entries())
+    if op.embedded:
+        xs = op.solve([[z.re for z in c] + [z.im for z in c] for c in cols])
+        return [tuple(map(ExactComplex, x[:n], x[n:])) for x in xs]
+    xs = op.solve([[z.re for z in c] for c in cols]
+                  + [[z.im for z in c] for c in cols])
+    return [tuple(map(ExactComplex, re, im))
+            for re, im in zip(xs, xs[len(cols):])]
+
+
+def split_entries(entries, n, embed):
+    """Real (row, col, Fraction) entries of Gaussian-rational ones: their
+    real parts, or with ``embed`` the real 2n embedding [[A, -B], [B, A]]
+    of the n x n matrix A + iB they list."""
+    out = []
+    for r, c, v in entries:
+        if v.re:
+            out.append((r, c, v.re))
+            if embed:
+                out.append((r + n, c + n, v.re))
+        if embed and v.im:
+            out += [(r, c + n, -v.im), (r + n, c, v.im)]
+    return out
+
+
+class SparseMatrix:
+    """A square Gaussian-rational matrix as real sparse rows {col: Fraction}
+    for the exact elimination: the n x n matrix itself when every entry is
+    real and ``embed`` is false, else its real 2n embedding
+    [[A, -B], [B, A]], which acts on a vector as its real parts followed by
+    its imaginary parts.  ``entries`` are the nonzero (row, col, value)."""
+
+    __slots__ = ("size", "rows", "embedded", "entries")
+    exact = True    # read as CMatrix.exact is, e.g. by model.singular_shifts
+
+    def __init__(self, n, entries, embed=False):
+        self.entries = entries
+        self.embedded = embed or any(v.im for _, _, v in entries)
+        self.size = 2 * n if self.embedded else n
+        self.rows = [{} for _ in range(self.size)]
+        for r, c, v in split_entries(entries, n, self.embedded):
+            self.rows[r][c] = v
+
+    def max_abs(self):
+        """Largest |entry| of the Gaussian-rational matrix, as a float."""
+        return max((abs(v) for _, _, v in self.entries), default=0.0)
+
+    def singular(self, shift=0):
+        """Whether this matrix plus ``shift`` I is singular."""
+        try:
+            self.solve([], shift)
+        except SingularMatrixError:
+            return True
+        return False
+
+    def solve(self, cols, shift=0):
+        """Solutions x of (A + shift I) x = c, one per real column c of
+        ``cols``; SingularMatrixError when A + shift I is singular.
+
+        Each step pivots on a live row with the fewest entries, at its
+        lowest column, and eliminates that column from the other live rows;
+        back-substitution in reverse pivot order then reads the pivot rows.
+        """
+        size = self.size
+        rows = [dict(r) for r in self.rows]
+        if shift:
+            shift = Fraction(shift)
+            for i, row in enumerate(rows):
+                v = row.get(i, 0) + shift
+                if v:
+                    row[i] = v
+                else:
+                    del row[i]
+        rhs = [[c[i] for c in cols] for i in range(size)]
+        where = [set() for _ in range(size)]   # live rows holding a column
+        for r, row in enumerate(rows):
+            for c in row:
+                where[c].add(r)
+        heap = [(len(row), r) for r, row in enumerate(rows)]
+        heapq.heapify(heap)
+        done = [False] * size
+        pivots = []
+        while heap:
+            length, p = heapq.heappop(heap)
+            row = rows[p]
+            if done[p] or length != len(row):
+                continue
+            if not row:
+                raise SingularMatrixError(
+                    f"exact pivot vanished after {len(pivots)} pivots")
+            done[p] = True
+            c = min(row)
+            pivots.append((p, c))
+            inv = 1 / row.pop(c)
+            for key in row:
+                row[key] *= inv
+                where[key].discard(p)
+            b = rhs[p]
+            b[:] = [v * inv if v else v for v in b]
+            for r in where[c]:
+                if r == p:
+                    continue
+                target = rows[r]
+                f = target.pop(c)
+                for key, v in row.items():
+                    w = target.get(key)
+                    if w is None:
+                        target[key] = -f * v
+                        where[key].add(r)
+                    else:
+                        w -= f * v
+                        if w:
+                            target[key] = w
+                        else:
+                            del target[key]
+                            where[key].discard(r)
+                tb = rhs[r]
+                for j, v in enumerate(b):
+                    if v:
+                        tb[j] -= f * v
+                heapq.heappush(heap, (len(target), r))
+            where[c] = ()
+        x = [None] * size
+        for p, c in reversed(pivots):
+            b = rhs[p]
+            for key, v in rows[p].items():
+                for j, u in enumerate(x[key]):
+                    if u:
+                        b[j] -= v * u
+            x[c] = b
+        return [list(col) for col in zip(*x)] if cols else []

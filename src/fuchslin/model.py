@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import from_int
-from .matrices import ShapeError, is_invertible, mat_eigenvalues
-from .pnspace import PnBasis, conjugation_matrix, multiindices
+from .matrices import CMatrix, ShapeError, SparseMatrix, mat_eigenvalues
+from .pnspace import PnBasis, conjugation_entries, multiindices
 from .poly import MatPoly, sp_diff, sp_eval, sp_from_roots
 
 
@@ -140,8 +140,14 @@ class FuchsianSystem:
             self._cache["qb"] = acc
         return self._cache["qb"]
 
-    def qb_matvec(self, i, v):
-        return self.qb_poly().coefficient(i).matvec(v)
+    def sparse_parts(self):
+        """B_inf and the x^i coefficients of QB, i = 0 .. S, as
+        (row, col, value) lists of their nonzero entries."""
+        if "sparse" not in self._cache:
+            qb = self.qb_poly()
+            self._cache["sparse"] = (self.b_infinity().entries(), [
+                qb.coefficient(i).entries() for i in range(self.s + 1)])
+        return self._cache["sparse"]
 
     def float_arrays(self):
         """B_inf as a complex128 matrix and the x^i coefficients of QB,
@@ -255,7 +261,8 @@ def singular_shifts(mat, values, tol, degree=0):
     exact elimination of k + T, T built only then; the others are not
     singular.  A shift found singular that way has margin 0.0.  Returns
     one (k, margin, singular) per value, in order.  Float mode reads
-    nothing of ``mat``, which may then be a complex array.
+    nothing of ``mat``, which may then be a complex array.  In exact mode
+    ``mat`` is a CMatrix or, with ``degree`` 0, a SparseMatrix.
     """
     proposals = [(k, abs(z + k))
                  for z in values for k in (max(0, round(-z.real)),)]
@@ -264,10 +271,13 @@ def singular_shifts(mat, values, tol, degree=0):
     window = _SHIFT_WINDOW * max(1.0, mat.max_abs()) * (degree + 1)
     near = {k for k, margin in proposals if margin <= window}
     if near:
-        op = mat if degree == 0 else conjugation_matrix(
-            mat, PnBasis(mat.n_rows, degree))
-        near = {k for k in near
-                if not is_invertible(op.add_scaled_identity(k))}
+        op = mat
+        if degree:
+            basis = PnBasis(mat.n_rows, degree)
+            op = SparseMatrix(basis.size, conjugation_entries(mat, basis))
+        elif isinstance(mat, CMatrix):
+            op = SparseMatrix(mat.n_rows, mat.entries())
+        near = {k for k in near if op.singular(k)}
     return [(k, 0.0, True) if margin <= window and k in near
             else (k, margin, False) for k, margin in proposals]
 

@@ -24,12 +24,14 @@ result.
 
 Substituting the residues A_j for M gives the size-N system each
 homogeneous block of the conjugacy equation satisfies; ``induced_system``
-applies it matrix-free in exact mode, with J_{B_inf} the one dense matrix,
-and keeps only the arrays of J_{B_inf} and of QB's coefficients in float
-mode.  ``vectorize`` / ``devectorize`` translate between basis order and
-the engine's store rows (row mu * d + i: component i of the monomial at
-position mu of ``multiindices(d, n)``; complex128 arrays, or in exact
-mode integer rows, numerator tuples over one denominator).
+keeps J_{B_inf} and J of QB's coefficients as sparse (row, col, value)
+entries in exact mode, with no dense N x N matrix unless one is asked
+for, and as complex128 arrays in float mode.  ``vectorize`` /
+``devectorize`` translate between basis order and the engine's store rows
+(row mu * d + i: component i of the monomial at position mu of
+``multiindices(d, n)``): complex128 arrays, or in exact mode integer rows
+(numerator tuples over one denominator) and the per-degree Fraction lists
+of a ``SplitPoly``, with no ``ExactComplex`` in between.
 """
 
 from __future__ import annotations
@@ -40,8 +42,10 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import ExactComplex, from_int
-from .matrices import CMatrix, ShapeError, mat_eigenvalues, vec_zero
-from .poly import VecPoly
+from .matrices import CMatrix, ShapeError, mat_eigenvalues
+from .poly import SplitPoly
+
+_ZERO = Fraction(0)
 
 
 def multiindices(d, n):
@@ -219,11 +223,22 @@ def conjugation_columns(mat, basis):
 
 def conjugation_matrix(mat, basis):
     """The dense N x N form of ``conjugation_columns``."""
-    rows = [[from_int(0, mat.exact)] * basis.size for _ in range(basis.size)]
-    for col, entries in enumerate(conjugation_columns(mat, basis)):
-        for row, value in entries.items():
-            rows[row][col] = value
-    return CMatrix(tuple(map(tuple, rows)), mat.exact)
+    return _dense(conjugation_entries(mat, basis), basis.size, mat.exact)
+
+
+def conjugation_entries(mat, basis):
+    """(row, col, value) of the nonzero entries of J_mat in ``basis``."""
+    return [(row, col, value)
+            for col, entries in enumerate(conjugation_columns(mat, basis))
+            for row, value in entries.items()]
+
+
+def _dense(entries, size, exact):
+    """The size x size CMatrix with the given nonzero entries."""
+    rows = [[from_int(0, exact)] * size for _ in range(size)]
+    for row, col, value in entries:
+        rows[row][col] = value
+    return CMatrix(tuple(map(tuple, rows)), exact)
 
 
 def conjugation_spectrum(mat, basis, eigenvalues=None):
@@ -244,27 +259,30 @@ def conjugation_spectrum(mat, basis, eigenvalues=None):
 class InducedBlock:
     """The degree-n block of a Fuchsian system.
 
-    J is linear in M.  Exact mode applies J of the x^i coefficient of the
-    d x d QB matrix-free (``qb_matvec``), and J_{B_inf}, for the k-shifts,
-    is its one N x N matrix.  Float mode keeps only ``float_arrays``, J of
-    QB's coefficients and of B_inf built in one ``conjugation_arrays``
-    call; its ``b_infinity`` is made from them when asked for.
+    J is linear in M.  Exact mode keeps J of B_inf and of the x^i
+    coefficients of the d x d QB as (row, col, value) lists of their
+    nonzero entries (``sparse_parts``), read from ``conjugation_columns``;
+    the exact recursion of ``solve_polynomial`` runs on them, and the dense
+    ``b_infinity`` is built only when asked for.  Float mode keeps only
+    ``float_arrays``, J of QB's coefficients and of B_inf built in one
+    ``conjugation_arrays`` call; its ``b_infinity`` is made from them when
+    asked for.
     """
 
-    __slots__ = ("size", "s", "exact", "q_poly", "_binf", "_spec", "_qb",
-                 "_arrays")
+    __slots__ = ("size", "s", "exact", "q_poly", "_binf", "_spec",
+                 "_sparse", "_arrays")
 
     def __init__(self, linear, basis):
         self.size, self.s, self.exact = basis.size, linear.s, linear.exact
         self.q_poly = linear.q_poly
         self._spec = conjugation_spectrum(linear.b_infinity(), basis,
                                           linear.residue_spectrum("inf"))
-        self._binf = self._qb = self._arrays = None
+        self._binf = self._sparse = self._arrays = None
         if self.exact:
-            self._binf = conjugation_matrix(linear.b_infinity(), basis)
             qb = linear.qb_poly()
-            self._qb = [conjugation_columns(qb.coefficient(i), basis)
-                        for i in range(self.s + 1)]
+            self._sparse = (conjugation_entries(linear.b_infinity(), basis), [
+                conjugation_entries(qb.coefficient(i), basis)
+                for i in range(self.s + 1)])
         else:
             binf, qb = linear.float_arrays()
             stack = conjugation_arrays(np.concatenate([qb, binf[None]]),
@@ -272,37 +290,33 @@ class InducedBlock:
             self._arrays = stack[-1], stack[:-1]
 
     def b_infinity(self):
-        """J_{B_inf} as a CMatrix; a float block builds it on first use."""
+        """J_{B_inf} as a CMatrix, built on first use."""
         if self._binf is None:
-            self._binf = CMatrix.from_numpy(self._arrays[0])
+            self._binf = (_dense(self._sparse[0], self.size, True) if self.exact
+                          else CMatrix.from_numpy(self._arrays[0]))
         return self._binf
 
     def residue_spectrum(self, j):
         """Eigenvalues of J_{B_inf} from those of B_inf (j is 'inf')."""
         return self._spec
 
+    def sparse_parts(self):
+        """Exact mode: J_{B_inf} and J of the x^i coefficients of QB,
+        i = 0 .. S, as (row, col, value) lists of their nonzero entries."""
+        return self._sparse
+
     def float_arrays(self):
         """J_{B_inf} as a complex128 matrix and the x^i coefficients of QB,
         i = 0 .. S, as one (S + 1, N, N) array; for an exact block, built
         on first use."""
         if self._arrays is None:
-            qb = np.zeros((self.s + 1, self.size, self.size), complex)
-            for i, cols in enumerate(self._qb):
-                for col, entries in enumerate(cols):
-                    for row, value in entries.items():
-                        qb[i, row, col] = complex(value)
-            self._arrays = self._binf.to_numpy(), qb
+            binf, qb = self._sparse
+            arrays = np.zeros((self.s + 2, self.size, self.size), complex)
+            for i, entries in enumerate([*qb, binf]):
+                for row, col, value in entries:
+                    arrays[i, row, col] = complex(value)
+            self._arrays = arrays[-1], arrays[:-1]
         return self._arrays
-
-    def qb_matvec(self, i, v):
-        """(x^i coefficient of the block's QB) applied to v."""
-        if not self.exact:
-            return tuple((self._arrays[1][i] @ np.array(v, complex)).tolist())
-        out = list(vec_zero(self.size, self.exact))
-        for vc, col in zip(v, self._qb[i]):
-            for row, value in col.items():
-                out[row] = out[row] + value * vc
-        return tuple(out)
 
 
 def induced_system(linear, n, basis=None):
@@ -324,15 +338,23 @@ def induced_system(linear, n, basis=None):
 
 def _int_row(coeffs):
     """Integer row of a trimmed tuple of ExactComplex, None if empty."""
-    if not coeffs:
+    return _parts_row([c.re for c in coeffs], [c.im for c in coeffs])
+
+
+def _parts_row(re, im):
+    """Integer row of the Fractions ``re`` and ``im`` (None: all zero) of
+    one component's coefficients, with its zero top degrees trimmed; None
+    if nothing is left."""
+    n = len(re)
+    while n and not (re[n - 1] or im and im[n - 1]):
+        n -= 1
+    if not n:
         return None
-    den = math.lcm(*(c.re.denominator for c in coeffs),
-                   *(c.im.denominator for c in coeffs))
-    re = tuple(c.re.numerator * (den // c.re.denominator) for c in coeffs)
-    if not any(c.im for c in coeffs):
-        return den, re, None
-    return den, re, tuple(c.im.numerator * (den // c.im.denominator)
-                          for c in coeffs)
+    parts = [re[:n]] + ([im[:n]] if im and any(im[:n]) else [])
+    den = math.lcm(*(v.denominator for part in parts for v in part))
+    re, im = [tuple(v.numerator * (den // v.denominator) for v in part)
+              for part in parts] + [None] * (2 - len(parts))
+    return den, re, im
 
 
 def _scalars(row):
@@ -354,20 +376,39 @@ def _slots(basis):
 
 def vectorize(rows, basis, exact=False):
     """Store rows in basis order: a (deg + 1, N) array from (N, deg + 1)
-    complex rows, or in exact mode a length-N VecPoly from N integer rows."""
+    complex rows, or in exact mode a SplitPoly from N integer rows."""
     if len(rows) != basis.size:
         raise ShapeError("row count does not match basis size")
-    perm = np.argsort(_slots(basis))
-    if exact:
-        return VecPoly.from_components([_scalars(rows[r]) for r in perm], True)
-    return rows[perm].T
+    if not exact:
+        return rows[np.argsort(_slots(basis))].T
+    size = basis.size
+    width = max((len(row[1]) for row in rows if row is not None), default=0)
+    re = [[_ZERO] * size for _ in range(width)]
+    im = None
+    for pos, row in zip(_slots(basis).tolist(), rows):
+        if row is None:
+            continue
+        den, nums_re, nums_im = row
+        for k, v in enumerate(nums_re):
+            if v:
+                re[k][pos] = Fraction(v, den)
+        if nums_im is not None:
+            if im is None:
+                im = [[_ZERO] * size for _ in range(width)]
+            for k, v in enumerate(nums_im):
+                if v:
+                    im[k][pos] = Fraction(v, den)
+    return SplitPoly(size, re, im)
 
 
 def devectorize(stacked, basis, exact=False):
     """Inverse of vectorize: the store rows of a stacked array or, in exact
-    mode, of a stacked VecPoly."""
+    mode, of a SplitPoly."""
     if (stacked.dim if exact else stacked.shape[1]) != basis.size:
         raise ShapeError("stacked vector length does not match basis size")
-    if exact:
-        return [_int_row(stacked.component(s)) for s in _slots(basis)]
-    return stacked[:, _slots(basis)].T
+    if not exact:
+        return stacked[:, _slots(basis)].T
+    re, im = stacked.re, stacked.im
+    return [_parts_row([v[pos] for v in re],
+                       im and [v[pos] for v in im])
+            for pos in _slots(basis).tolist()]

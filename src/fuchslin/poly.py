@@ -16,8 +16,9 @@ is dropped deliberately, not accidentally.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
-from .exact import from_int, scalar_is_zero
+from .exact import ExactComplex, from_int, scalar_is_zero
 from .matrices import (
     CMatrix,
     ShapeError,
@@ -291,6 +292,35 @@ class VecPoly:
 
     def __repr__(self):
         return f"VecPoly(dim={self.dim}, degree={self.degree})"
+
+
+class SplitPoly(NamedTuple):
+    """An exact vector polynomial as per-degree lists of Fractions, real and
+    imaginary parts apart: ``re[k][i]`` is the real part of component i at
+    x^k, ``im`` the imaginary parts alike, or None when all are zero.  Top
+    degrees may be zero.  The exact recursion of ``solve_polynomial`` runs
+    on this form."""
+
+    dim: int
+    re: list
+    im: list | None
+
+    @classmethod
+    def from_vecpoly(cls, p):
+        im = [[z.im for z in v] for v in p.coeffs]
+        return cls(p.dim, [[z.re for z in v] for v in p.coeffs],
+                   im if any(map(any, im)) else None)
+
+    def coefficient(self, k):
+        """The x^k coefficient as a tuple of ExactComplex."""
+        if k >= len(self.re):
+            return (ExactComplex(0),) * self.dim
+        return tuple(map(ExactComplex, self.re[k],
+                         self.im[k] if self.im else [0] * self.dim))
+
+    def to_vecpoly(self):
+        return VecPoly.from_coeffs(map(self.coefficient, range(len(self.re))),
+                                   True, dim=self.dim)
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from fuchslin.matrices import (
     CMatrix,
     ShapeError,
     SingularMatrixError,
+    SparseMatrix,
     is_invertible,
     mat_inverse,
     solve_linear,
@@ -232,6 +233,52 @@ def test_exact_solve_dense_gaussian_rationals():
             for singular in (dependent, column):
                 with pytest.raises(SingularMatrixError):
                     solve_linear(CMatrix.from_rows(singular, exact=True), rhs)
+
+
+@pytest.mark.parametrize("embed", [False, True], ids=["real", "embedded"])
+def test_sparse_solve_columns_shifts_and_embedding(embed):
+    # SparseMatrix.solve: several real columns at once, shifted by k I, on
+    # a real matrix or on the 2n embedding of a Gaussian-rational one; the
+    # complex reading of an embedded solution solves the complex system
+    rng = random.Random(f"sparse-{embed}")
+
+    def value():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 7)))
+
+    for n in range(1, 8):
+        for _ in range(4):
+            entries = [(r, c, ExactComplex(value(), value() if embed else 0))
+                       for r in range(n) for c in range(n)
+                       if r == c or rng.random() < 0.3]
+            entries = [e for e in entries if e[2]]
+            op = SparseMatrix(n, entries)
+            assert op.embedded == (embed and any(v.im for *_, v in entries))
+            rows = [[ExactComplex(0)] * n for _ in range(n)]
+            for r, c, v in entries:
+                rows[r][c] = v
+            for shift in range(3):
+                shifted = CMatrix.from_rows(rows, True).add_scaled_identity(
+                    shift)
+                cols = [[value() for _ in range(op.size)] for _ in range(3)]
+                try:
+                    xs = op.solve(cols, shift)
+                except SingularMatrixError:
+                    assert not is_invertible(shifted)
+                    assert op.singular(shift)
+                    continue
+                assert not op.singular(shift)
+                for c, x in zip(cols, xs):
+                    if op.embedded:
+                        z = tuple(map(ExactComplex, x[:n], x[n:]))
+                        assert shifted.matvec(z) == tuple(
+                            map(ExactComplex, c[:n], c[n:]))
+                    else:
+                        assert shifted.matvec(tuple(map(ExactComplex, x))) \
+                            == tuple(map(ExactComplex, c))
+    # -2 on the diagonal: singular exactly at the shift 2
+    op = SparseMatrix(2, [(0, 0, ExactComplex(-2)), (0, 1, ExactComplex(1)),
+                          (1, 1, ExactComplex(3, 1))], embed)
+    assert [op.singular(k) for k in range(4)] == [False, False, True, False]
 
 
 def test_exact_pivot_never_goes_through_a_float():

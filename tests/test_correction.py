@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fuchslin import correction
 from fuchslin.analytic import float_system, float_vecpoly
 from fuchslin.correction import (
     local_taylor,
@@ -21,8 +22,8 @@ from fuchslin.correction import (
 from fuchslin.exact import ExactComplex
 from fuchslin.matrices import CMatrix, SingularMatrixError, solve_array
 from fuchslin.model import AssumptionError, FuchsianSystem, singular_shifts
-from fuchslin.pnspace import induced_system
-from fuchslin.poly import VecPoly
+from fuchslin.pnspace import conjugation_matrix, induced_system
+from fuchslin.poly import MatPoly, SplitPoly, VecPoly
 from fuchslin.rodrigues import RodriguesFamily, shifted_system
 
 
@@ -206,6 +207,148 @@ def test_matches_rodrigues_expansion():
         result = solve_polynomial(system, g)
         assert (result.phi - phi).is_zero()
         assert (result.y - y).is_zero()
+
+
+def random_gaussian_system(rng, d, s, kind):
+    """Exact system whose recursion runs in one of its three layouts.
+
+    ``real``: real poles and residues, so a complex right-hand side is two
+    real columns; ``complex-poles``: real residues at nonreal poles, so Q
+    and QB are nonreal; ``complex``: nonreal poles and residues.  The
+    residues are upper triangular with real parts of the diagonal in
+    [1/2, 3], so no k + B_inf is singular on any block.
+    """
+    def entry(re_range, im_range):
+        return ExactComplex(Fraction(rng.randint(*re_range), 2),
+                            Fraction(rng.randint(*im_range), 3))
+
+    poles = []
+    while len(poles) < s + 2:
+        c = entry((-6, 6), (0, 0) if kind == "real" else (-3, 3))
+        if all(c != p for p in poles):
+            poles.append(c)
+    mats = []
+    for _ in range(s + 2):
+        rows = [[ExactComplex(0)] * d for _ in range(d)]
+        for i in range(d):
+            rows[i][i] = entry((1, 6), (-2, 2) if kind == "complex" else (0, 0))
+            for j in range(i + 1, d):
+                rows[i][j] = entry((-2, 2), (-2, 2) if kind == "complex"
+                                   else (0, 0))
+        mats.append(CMatrix.from_rows(rows, True))
+    return FuchsianSystem(tuple(poles), tuple(mats))
+
+
+def complex_vecpoly(rng, d, degree):
+    return VecPoly.from_coeffs(
+        [tuple(ExactComplex(Fraction(rng.randint(-5, 5), rng.choice([1, 2])),
+                            Fraction(rng.randint(-3, 3), rng.choice([1, 3])))
+               for _ in range(d)) for _ in range(degree)]
+        + [(ExactComplex(1, 1),) * d], exact=True, dim=d)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex-poles", "complex"])
+def test_exact_recursion_on_gaussian_rational_systems(kind):
+    # the real recursion (two columns) and the 2N embedding against the
+    # paper's Rodrigues expansion, with the cleared equation
+    # Q y' + (QB) y = g - phi checked exactly
+    rng = random.Random(f"gaussian-{kind}")
+    for _ in range(12):
+        system = random_gaussian_system(rng, rng.randint(1, 3),
+                                        rng.randint(0, 2), kind)
+        s = system.s
+        g = complex_vecpoly(rng, system.size, rng.randint(s + 1, s + 4))
+        coeffs = RodriguesFamily(shifted_system(system)).expand(g)
+        base = RodriguesFamily(system)
+        y = VecPoly.zero(system.size, True)
+        for n in range(s + 1, len(coeffs)):
+            y = y + base.member_times_vector(n - s - 1, coeffs[n])
+        assert correction._exact_operators(system)[0].embedded \
+            == (kind != "real")
+        result = solve_polynomial(system, g)
+        phi = VecPoly.from_coeffs(coeffs[: s + 1], True, dim=system.size)
+        assert (result.phi - phi).is_zero()
+        assert (result.y - y).is_zero()
+        assert cleared_residual(system, g, result.phi, result.y).is_zero()
+        assert result.y.degree == g.degree - s - 1
+
+
+def block_residual(system, block, basis, g, phi, y):
+    """Q y' + (QB)_block y - (g - phi) for an induced block, with its QB
+    from the dense conjugation matrices of the system's QB coefficients
+    and of B_inf (the x^(S+1) coefficient)."""
+    qb = system.qb_poly()
+    dense = MatPoly.from_coeffs(
+        [conjugation_matrix(qb.coefficient(i), basis)
+         for i in range(system.s + 1)]
+        + [conjugation_matrix(system.b_infinity(), basis)], True)
+    lhs = y.derivative().mul_sp(block.q_poly()) + dense.mul_vec(y)
+    return lhs - (g - phi)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex-poles", "complex"])
+def test_exact_recursion_on_gaussian_rational_blocks(kind):
+    # the same on induced blocks, where J_{B_inf} and QB are sparse: the
+    # identity holds exactly, the SplitPoly form gives what the VecPoly
+    # form gives, and the float recursion agrees
+    rng = random.Random(f"gaussian-block-{kind}")
+    solved = 0
+    while solved < 6:
+        system = random_gaussian_system(rng, rng.randint(1, 3),
+                                        rng.randint(0, 1), kind)
+        block, basis = induced_system(system, rng.randint(2, 3))
+        if any(singular for _, _, singular in singular_shifts(
+                block.b_infinity(), block.residue_spectrum("inf"), 1e-12)):
+            continue    # a value <lambda, m> - lambda_i is a negative int
+        solved += 1
+        assert correction._exact_operators(block)[0].embedded \
+            == (kind != "real")
+        g = complex_vecpoly(rng, block.size, rng.randint(1, 4) + block.s)
+        result = solve_polynomial(block, g)
+        assert block_residual(system, block, basis, g, result.phi,
+                              result.y).is_zero()
+        split = solve_polynomial(block, SplitPoly.from_vecpoly(g))
+        assert split.phi.to_vecpoly().coeffs == result.phi.coeffs
+        assert split.y.to_vecpoly().coeffs == result.y.coeffs
+        float_block, _ = induced_system(float_system(system), basis.n)
+        got = solve_polynomial(float_block, float_vecpoly(g))
+        scale = max(1.0, float_vecpoly(result.y).max_abs(),
+                    float_vecpoly(g).max_abs())
+        assert (got.y - float_vecpoly(result.y)).max_abs() <= 1e-10 * scale
+
+
+def test_exact_recursion_singular_shift_raises():
+    # B_inf = [[-2, i], [0, 1 + i]] is singular at k = 2, both through the
+    # shift check and, with that check reporting nothing, inside the
+    # recursion's own elimination
+    half_i = ExactComplex(0, Fraction(1, 2))
+    residue = CMatrix.from_rows(
+        [[ExactComplex(-1), half_i],
+         [ExactComplex(0), ExactComplex(Fraction(1, 2), Fraction(1, 2))]],
+        True)
+    system = FuchsianSystem((ExactComplex(0, 1), ExactComplex(1)),
+                            (residue, residue))
+    g = VecPoly.from_coeffs(
+        [(ExactComplex(0), ExactComplex(0))] * 3
+        + [(ExactComplex(1), ExactComplex(0, 2))] * 2, True, dim=2)
+    with pytest.raises(AssumptionError, match=re.escape(
+            "k + B_inf singular at k=2")):
+        solve_polynomial(system, g)
+    # on the degree-2 block J_{B_inf} has the value 2 (-2) - (-2) = -2
+    block, _ = induced_system(system, 2)
+    with pytest.raises(AssumptionError, match=re.escape(
+            "k + B_inf singular at k=2")):
+        solve_polynomial(block, complex_vecpoly(random.Random(5),
+                                                block.size, 4))
+    unchecked = pytest.MonkeyPatch()
+    unchecked.setattr(correction, "singular_shifts",
+                      lambda mat, values, tol: [])
+    try:
+        with pytest.raises(AssumptionError, match=re.escape(
+                "k + B_inf singular at k=2: exact pivot vanished")):
+            solve_polynomial(system, g)
+    finally:
+        unchecked.undo()
 
 
 def test_dimension_mismatch_rejected():

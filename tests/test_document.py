@@ -64,6 +64,80 @@ def test_happy_path_float_and_fraction_strings():
     assert floaty.matrices[0].entry(0, 0) == 1.0 + 0j
 
 
+# accepted strings and what they read as: the integer and "p/q" forms take
+# a fast path, every other string still goes to Fraction(str)
+ACCEPTED = [("3/2", Fraction(3, 2)), ("-3/2", Fraction(-3, 2)),
+            ("6/4", Fraction(3, 2)), ("007/004", Fraction(7, 4)),
+            ("-0", Fraction(0)), ("12", Fraction(12)), ("1.5", Fraction(3, 2)),
+            ("1e2", Fraction(100)), (" 3/2 ", Fraction(3, 2)),
+            ("+3", Fraction(3)), (7, Fraction(7)), (-4, Fraction(-4))]
+
+# refused values, the pointer of the real part of a matrix entry, and the
+# message after it
+REFUSED = [
+    ("3/0", "not a valid rational: '3/0'"),
+    ("abc", "not a valid rational: 'abc'"),
+    ("3/-2", "not a valid rational: '3/-2'"),
+    ("", "not a valid rational: ''"),
+    (1.5, "floats are not accepted in exact mode; use integers or 'p/q' "
+          "strings"),
+    (True, "expected a number, got a boolean"),
+    (None, "expected int or 'p/q' string, got NoneType"),
+]
+
+
+@pytest.mark.parametrize("text, want", ACCEPTED,
+                         ids=[repr(t) for t, _ in ACCEPTED])
+def test_exact_rational_syntax(text, want):
+    data = scalar_doc(matrices=[[[[text, 0]]], [[[1, text]]]])
+    doc = SystemDocument.from_dict(data, exact=True)
+    assert doc.matrices[0].entry(0, 0) == ExactComplex(want)
+    assert doc.matrices[1].entry(0, 0) == ExactComplex(1, want)
+    table = parse_series_table([{"m": [2], "coeff": [[[0, 0]], [[text, 1]]]}],
+                               1, True)
+    assert table[(2,)].coeffs[1] == (ExactComplex(want, 1),)
+
+
+@pytest.mark.parametrize("value, message", REFUSED,
+                         ids=[repr(v) for v, _ in REFUSED])
+def test_exact_refusals_name_the_field(value, message):
+    # every place a scalar is read names the same part with the same message
+    cases = [
+        (scalar_doc(poles=[[-1, 0], [value, 0]]), "/poles/1/0"),
+        (scalar_doc(matrices=[[[[1, 0]]], [[[1, value]]]]),
+         "/matrices/1/0/0/1"),
+        (scalar_doc(nonlinearity=[{"multiindex": [2],
+                                   "coeff": [[[1, 0]], [[value, 0]]]}]),
+         "/nonlinearity/0/coeff/1/0/0"),
+    ]
+    for data, pointer in cases:
+        with pytest.raises(SchemaError) as err:
+            SystemDocument.from_dict(data, exact=True)
+        assert str(err.value) == f"{pointer}: {message}"
+    with pytest.raises(SchemaError) as err:
+        parse_series_table([{"m": [2], "coeff": [[[1, 0]], [[0, value]]]}],
+                           1, True)
+    assert str(err.value) == f"/series/0/coeff/1/0/1: {message}"
+
+
+def test_float_refusals_name_the_field():
+    for value, message in ((True, "expected a number, got a boolean"),
+                           ("1/2", "expected a number, got str"),
+                           (math.inf, "non-finite number")):
+        with pytest.raises(SchemaError) as err:
+            SystemDocument.from_dict(
+                scalar_doc(matrices=[[[[1, 0]]], [[[1, value]]]]),
+                exact=False)
+        assert str(err.value) == f"/matrices/1/0/0/1: {message}"
+    with pytest.raises(SchemaError) as err:
+        SystemDocument.from_dict(scalar_doc(poles=[[-1, 0], [1]]), exact=False)
+    assert str(err.value) == "/poles/1: expected a [re, im] pair"
+    with pytest.raises(SchemaError) as err:
+        SystemDocument.from_dict(
+            scalar_doc(matrices=[[[[1, 0]]], [[[1, 0, 0]]]]), exact=True)
+    assert str(err.value) == "/matrices/1/0/0: expected a [re, im] pair"
+
+
 def test_pole_count_mismatch():
     with pytest.raises(SchemaError) as err:
         SystemDocument.from_dict(scalar_doc(poles=[[-1, 0]]), exact=True)

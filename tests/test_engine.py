@@ -1164,6 +1164,30 @@ def test_block_enumeration_is_immaterial():
         assert m1 == m2 and (p1 - p2).is_zero()
 
 
+@pytest.mark.parametrize("case", ["gaussian-rational", "dense-residues"])
+def test_exact_block_enumeration_gives_identical_tables(case):
+    # the exact block solve pivots by row lengths, so a permuted basis
+    # eliminates in another order: the tables must still be byte-identical
+    # (Gaussian-rational data runs the 2N embedding, dense residues give
+    # a J_{B_inf} that no enumeration makes triangular)
+    linear, terms = (_gaussian_rational_case() if case == "gaussian-rational"
+                     else _dense_residue_d3_case())
+    nl = NonlinearSystem(linear, terms)
+
+    def shuffled(d, n):
+        items = list(PnBasis(d, n).items)
+        random.Random(f"{case}-{n}").shuffle(items)
+        return PnBasis(d, n, order=items)
+
+    for runner in (linearize, normal_form):
+        tables = [runner(nl, 4, basis_factory=factory)
+                  for factory in (None, shuffled)]
+        canonical, permuted = (
+            dumps_canonical([series_table_json(t) for t in pair])
+            for pair in tables)
+        assert permuted == canonical
+
+
 # ----------------------------------------------------------------------
 # guard rails
 # ----------------------------------------------------------------------

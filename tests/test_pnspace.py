@@ -185,15 +185,20 @@ def test_induced_block_matches_dense_reference(shape):
         assert block.s == s and block.exact
         assert block.q_poly() == lin.q_poly()
 
-        # the x^i coefficient of QB, applied matrix-free, against dense
+        # the sparse x^i coefficients of QB, and J_{B_inf}, against dense:
+        # the same nonzero entries, and the same product with a vector
         v = tuple(ExactComplex(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
                   for _ in range(basis.size))
-        for i in range(s + 1):
-            dense = conjugation_matrix(lin.qb_poly().coefficient(i), basis)
-            assert block.qb_matvec(i, v) == dense.matvec(v)
-
-        # the one dense matrix is J of the residue sum
+        binf_entries, qb_entries = block.sparse_parts()
         total = conjugation_matrix(lin.b_infinity(), basis)
+        denses = [conjugation_matrix(lin.qb_poly().coefficient(i), basis)
+                  for i in range(s + 1)] + [total]
+        for entries, dense in zip([*qb_entries, binf_entries], denses):
+            assert sorted(entries) == sorted(dense.entries())
+            out = [ExactComplex(0)] * basis.size
+            for row, col, value in entries:
+                out[row] = out[row] + value * v[col]
+            assert tuple(out) == dense.matvec(v)
         assert (block.b_infinity() - total).is_zero()
 
         # J is linear in M: what the matrix-free QB relies on
