@@ -16,13 +16,16 @@ x^(k+S+1) is (k + B_inf) y_k plus terms of the y_j with j > k: the
 indicial equation at infinity.  One solve per k fixes y from the top down,
 and what is left of g at degrees <= S is phi.  The paper builds the same
 (unique) pair by expanding g in the lowered Rodrigues family; the tests
-keep that construction as the reference.  Float mode runs the recursion
-on complex128 arrays.  Exact mode runs it on per-degree lists of
-Fractions, real and imaginary parts apart (``SplitPoly``), with
-J_{B_inf}, QB and Q as sparse real entries read once per call: each k is
+keep that construction as the reference.  Systems and induced blocks
+share it, and both hand it QB's S + 2 coefficients in one form
+(``qb_coefficients``), the top one B_inf (J_{B_inf} for a block), from
+which the shift test at infinity reads too.  Float mode runs the
+recursion on complex128 arrays.  Exact mode runs it on per-degree lists
+of Fractions, real and imaginary parts apart (``SplitPoly``), with the
+coefficients and Q as sparse real entries read once per call: each k is
 one sparse Gauss-Jordan (``SparseMatrix.solve``), for the real and the
-imaginary parts as two columns when J_{B_inf}, QB and Q are real, and in
-the real 2N embedding otherwise.  Systems and induced blocks share it.
+imaginary parts as two columns when QB and Q are real, and in the real
+2N embedding otherwise.
 
 ``local_taylor`` solves the same cleared equation as a Taylor series at one
 pole, from the bottom up.  In t = x - p_j, Q vanishes at t = 0, so the
@@ -125,23 +128,29 @@ def solve_polynomial(system, g, tol=1e-12):
     """
     if (g.shape[1] if isinstance(g, np.ndarray) else g.dim) != system.size:
         raise ValueError("right-hand side dimension mismatch")
-    if system.exact:
-        binf, lower = _exact_operators(system)
-    else:   # a float block keeps J_{B_inf} as an array only
-        binf = system.float_arrays()[0]
-    tests = singular_shifts(binf, system.residue_spectrum("inf"), tol)
-    bad = [k for k, _, singular in tests if singular]
+    bad = _singular_shifts_at_infinity(system, tol)
     if bad:
         raise AssumptionError(
             f"k + B_inf singular at k={min(bad)}: (phi, y) not unique")
     if not system.exact:
         return _solve_polynomial_float(system, g, tol)
+    binf, lower = _exact_operators(system)
     if isinstance(g, VecPoly):
         result = _solve_polynomial_exact(system.s, binf, lower,
                                          SplitPoly.from_vecpoly(g))
         return CorrectionResult(phi=result.phi.to_vecpoly(),
                                 y=result.y.to_vecpoly())
     return _solve_polynomial_exact(system.s, binf, lower, g)
+
+
+def _singular_shifts_at_infinity(system, tol):
+    """The k >= 0 at which k + B_inf is singular, as
+    ``model.singular_shifts`` decides, read from QB's top coefficient."""
+    binf = system.qb_coefficients()[-1]
+    if system.exact:
+        binf = SparseMatrix(system.size, binf)
+    tests = singular_shifts(binf, system.residue_spectrum("inf"), tol)
+    return [k for k, _, singular in tests if singular]
 
 
 def _exact_operators(system):
@@ -155,14 +164,14 @@ def _exact_operators(system):
     followed by its imaginary parts.
     """
     n = system.size
-    binf, qb = system.sparse_parts()
+    coeffs = system.qb_coefficients()
     q = system.q_poly()
-    embed = (any(v.im for entries in (binf, *qb) for _, _, v in entries)
+    embed = (any(im for entries in coeffs for *_, im in entries)
              or any(c.im for c in q))
-    lower = [(split_entries([(0, 0, q_j)], n, embed),
-              split_entries(qb[j - 1], n, embed) if j else [])
+    lower = [(split_entries([(0, 0, q_j.re, q_j.im)], n, embed),
+              split_entries(coeffs[j - 1], n, embed) if j else [])
              for j, q_j in enumerate(q[:-1])]
-    return SparseMatrix(n, binf, embed), lower
+    return SparseMatrix(n, coeffs[-1], embed), lower
 
 
 def _solve_polynomial_exact(s, binf, lower, g):
@@ -227,7 +236,8 @@ def _solve_polynomial_float(system, g, tol):
     right-hand sides and residuals checked after it.
     """
     s, n = system.s, system.size
-    binf, qb = system.float_arrays()
+    coeffs = system.qb_coefficients()
+    binf, qb = coeffs[-1], coeffs[:-1]
     q = np.array(system.q_poly(), dtype=complex)
     array = isinstance(g, np.ndarray)
     rem = np.array(g if array else g.coeffs, dtype=complex).reshape(-1, n)
@@ -379,9 +389,7 @@ def _local_taylor_float(system, pole_index, rhs, order, tol):
     if bad:
         raise AssumptionError(f"k + B_{pole_index} singular at k={min(bad)}")
     q = np.array(sp_taylor(system.q_poly(), center), dtype=complex)
-    binf, qb = system.float_arrays()
-    # QB's top coefficient (x^(S+1)) is B_inf; r[b] is R_b
-    r = np.array(sp_taylor(np.concatenate([qb, binf[None]]), center))
+    r = np.array(sp_taylor(system.qb_coefficients(), center))   # r[b] is R_b
     given = np.array(rhs.coeffs, dtype=complex).reshape(-1, d)
     if not np.isfinite(given).all():
         raise ArithmeticError("non-finite right-hand side in a float solve")
@@ -475,9 +483,7 @@ def solution_uniqueness_check(system, tol=1e-12):
     True when every k + B_inf with k >= 0 is invertible; None (with a
     warning) when one is singular.
     """
-    tests = singular_shifts(system.b_infinity(),
-                            system.residue_spectrum("inf"), tol)
-    bad = [k for k, _, singular in tests if singular]
+    bad = _singular_shifts_at_infinity(system, tol)
     if bad:
         warnings.warn(
             f"uniqueness check skipped: k + B_inf singular at k={min(bad)}",

@@ -5,11 +5,13 @@ d*(n+d-1)!/(n!(d-1)!), a few dozen at most), so these are plain tuples of
 tuples with straightforward O(n^3) algorithms.  Float-mode solves and all
 eigenvalues go through numpy.  Every exact solve is one routine,
 ``SparseMatrix.solve``: sparse Gauss-Jordan over the rationals on rows
-{col: Fraction}, a real matrix as itself and a Gaussian-rational one as its
-real 2n embedding [[A, -B], [B, A]].  It pivots on exactly nonzero entries
-only (never on a float magnitude, which can underflow to zero or overflow),
-takes a live row with the fewest entries next (a triangular matrix in any
-order is then back-substitution) and never multiplies by an exact zero.
+{col: Fraction}, built from the (row, col, re, im) Fraction entries of a
+matrix (``CMatrix.entries``), a real matrix as itself and a
+Gaussian-rational one as its real 2n embedding [[A, -B], [B, A]].  It
+pivots on exactly nonzero entries only (never on a float magnitude, which
+can underflow to zero or overflow), takes a live row with the fewest
+entries next (a triangular matrix in any order is then back-substitution)
+and never multiplies by an exact zero.
 """
 
 from __future__ import annotations
@@ -92,8 +94,9 @@ class CMatrix:
         return tuple(r[j] for r in self.rows)
 
     def entries(self):
-        """(row, col, value) of every nonzero entry, row by row."""
-        return [(r, c, v) for r, row in enumerate(self.rows)
+        """(row, col, re, im) of every nonzero entry of an exact matrix,
+        row by row, its real and imaginary parts as Fractions."""
+        return [(r, c, v.re, v.im) for r, row in enumerate(self.rows)
                 for c, v in enumerate(row) if v]
 
     def to_numpy(self):
@@ -328,17 +331,17 @@ def _solve_exact(a, cols):
 
 
 def split_entries(entries, n, embed):
-    """Real (row, col, Fraction) entries of Gaussian-rational ones: their
+    """Real (row, col, Fraction) entries of (row, col, re, im) ones: their
     real parts, or with ``embed`` the real 2n embedding [[A, -B], [B, A]]
     of the n x n matrix A + iB they list."""
     out = []
-    for r, c, v in entries:
-        if v.re:
-            out.append((r, c, v.re))
+    for r, c, re, im in entries:
+        if re:
+            out.append((r, c, re))
             if embed:
-                out.append((r + n, c + n, v.re))
-        if embed and v.im:
-            out += [(r, c + n, -v.im), (r + n, c, v.im)]
+                out.append((r + n, c + n, re))
+        if embed and im:
+            out += [(r, c + n, -im), (r + n, c, im)]
     return out
 
 
@@ -347,14 +350,14 @@ class SparseMatrix:
     for the exact elimination: the n x n matrix itself when every entry is
     real and ``embed`` is false, else its real 2n embedding
     [[A, -B], [B, A]], which acts on a vector as its real parts followed by
-    its imaginary parts.  ``entries`` are the nonzero (row, col, value)."""
+    its imaginary parts.  ``entries`` are the (row, col, re, im) of the
+    nonzero entries, as ``CMatrix.entries`` lists them."""
 
     __slots__ = ("size", "rows", "embedded", "entries")
-    exact = True    # read as CMatrix.exact is, e.g. by model.singular_shifts
 
     def __init__(self, n, entries, embed=False):
         self.entries = entries
-        self.embedded = embed or any(v.im for _, _, v in entries)
+        self.embedded = embed or any(im for *_, im in entries)
         self.size = 2 * n if self.embedded else n
         self.rows = [{} for _ in range(self.size)]
         for r, c, v in split_entries(entries, n, self.embedded):
@@ -362,7 +365,8 @@ class SparseMatrix:
 
     def max_abs(self):
         """Largest |entry| of the Gaussian-rational matrix, as a float."""
-        return max((abs(v) for _, _, v in self.entries), default=0.0)
+        return max((abs(complex(float(re), float(im)))
+                    for _, _, re, im in self.entries), default=0.0)
 
     def singular(self, shift=0):
         """Whether this matrix plus ``shift`` I is singular."""

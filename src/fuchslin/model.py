@@ -9,7 +9,9 @@ with distinct finite poles p_j and constant square residue matrices B_j.
 objects everyone needs: the monic pole polynomial Q = prod (x - p_j), its
 derivative, the cofactors Q/(x - p_j) (assembled as products, never by
 division), the product Q(x)B(x) as a matrix polynomial, and the residue sum
-at infinity.
+at infinity.  ``qb_coefficients`` is the one operator form the solvers
+read: QB's S + 2 coefficients, the top one B_inf, as one complex128 array
+or, in exact mode, as (row, col, re, im) Fraction entries.
 
 ``NonlinearSystem`` couples such a linear part with a polynomial
 nonlinearity given term-by-term: for each monomial u^m (|m| >= 2) a vector
@@ -140,23 +142,18 @@ class FuchsianSystem:
             self._cache["qb"] = acc
         return self._cache["qb"]
 
-    def sparse_parts(self):
-        """B_inf and the x^i coefficients of QB, i = 0 .. S, as
-        (row, col, value) lists of their nonzero entries."""
-        if "sparse" not in self._cache:
+    def qb_coefficients(self):
+        """QB's x^i coefficients, i = 0 .. S + 1, the top one B_inf: one
+        (S + 2, d, d) complex128 array, or in exact mode per coefficient
+        the (row, col, re, im) of its nonzero entries."""
+        if "coeffs" not in self._cache:
             qb = self.qb_poly()
-            self._cache["sparse"] = (self.b_infinity().entries(), [
-                qb.coefficient(i).entries() for i in range(self.s + 1)])
-        return self._cache["sparse"]
-
-    def float_arrays(self):
-        """B_inf as a complex128 matrix and the x^i coefficients of QB,
-        i = 0 .. S, as one (S + 1, d, d) array."""
-        if "arrays" not in self._cache:
-            qb = self.qb_poly()
-            self._cache["arrays"] = (self.b_infinity().to_numpy(), np.array(
-                [qb.coefficient(i).to_numpy() for i in range(self.s + 1)]))
-        return self._cache["arrays"]
+            mats = [qb.coefficient(i) for i in range(self.s + 1)]
+            mats.append(self.b_infinity())
+            self._cache["coeffs"] = (
+                [m.entries() for m in mats] if self.exact
+                else np.array([m.to_numpy() for m in mats]))
+        return self._cache["coeffs"]
 
     def lagrange_basis(self, j):
         """The degree-(S+1) polynomial that is 1 at p_j and 0 at other poles."""
@@ -262,11 +259,13 @@ def singular_shifts(mat, values, tol, degree=0):
     singular.  A shift found singular that way has margin 0.0.  Returns
     one (k, margin, singular) per value, in order.  Float mode reads
     nothing of ``mat``, which may then be a complex array.  In exact mode
-    ``mat`` is a CMatrix or, with ``degree`` 0, a SparseMatrix.
+    ``mat`` is a CMatrix or, with ``degree`` 0, a SparseMatrix; J of a
+    CMatrix is built as sparse real entries from the plan of its block.
     """
     proposals = [(k, abs(z + k))
                  for z in values for k in (max(0, round(-z.real)),)]
-    if isinstance(mat, np.ndarray) or not mat.exact:
+    if not (isinstance(mat, SparseMatrix)
+            or isinstance(mat, CMatrix) and mat.exact):
         return [(k, margin, margin <= tol) for k, margin in proposals]
     window = _SHIFT_WINDOW * max(1.0, mat.max_abs()) * (degree + 1)
     near = {k for k, margin in proposals if margin <= window}
@@ -274,7 +273,8 @@ def singular_shifts(mat, values, tol, degree=0):
         op = mat
         if degree:
             basis = PnBasis(mat.n_rows, degree)
-            op = SparseMatrix(basis.size, conjugation_entries(mat, basis))
+            op = SparseMatrix(basis.size,
+                              conjugation_entries(mat.entries(), basis))
         elif isinstance(mat, CMatrix):
             op = SparseMatrix(mat.n_rows, mat.entries())
         near = {k for k in near if op.singular(k)}

@@ -15,18 +15,21 @@ straight from the spectrum of M.
 J_M is linear in M, and which entry of M adds into which entry of J_M,
 with which integer coefficient, depends only on (d, n).  Those
 O(N (d^2 + d)) terms are listed once per (d, n), in the canonical basis,
-and cached as a sparse plan in the form each mode reads: exact mode adds
-each nonzero entry of M, times each of its coefficients once, into sparse
-columns; float mode builds J of a whole stack of matrices as complex128
-arrays, one gather and one scatter-add per rank of a term within its
-entry.  A custom basis permutes the rows and columns of the canonical
-result.
+and cached as a sparse plan in the form each mode reads: exact mode
+multiplies each nonzero real or imaginary part of an entry of M by each
+of its coefficients once and adds the products into sparse
+(row, col, re, im) entries (J has integer coefficients, so
+J(A + iB) = J(A) + i J(B)); float mode builds J of a whole stack of
+matrices as complex128 arrays, one gather and one scatter-add per rank of
+a term within its entry.  A custom basis permutes the rows and columns of
+the canonical result.
 
 Substituting the residues A_j for M gives the size-N system each
-homogeneous block of the conjugacy equation satisfies; ``induced_system``
-keeps J_{B_inf} and J of QB's coefficients as sparse (row, col, value)
-entries in exact mode, with no dense N x N matrix unless one is asked
-for, and as complex128 arrays in float mode.  ``vectorize`` /
+homogeneous block of the conjugacy equation satisfies.  ``induced_system``
+keeps it in the system's one operator form, ``qb_coefficients``: J of
+QB's S + 2 coefficients, J_{B_inf} on top, as one complex128 array, or in
+exact mode as (row, col, re, im) Fraction entries, with no dense N x N
+matrix and no ``ExactComplex`` arithmetic.  ``vectorize`` /
 ``devectorize`` translate between basis order and the engine's store rows
 (row mu * d + i: component i of the monomial at position mu of
 ``multiindices(d, n)``): complex128 arrays, or in exact mode integer rows
@@ -41,7 +44,7 @@ import math
 from fractions import Fraction
 import numpy as np
 
-from .exact import ExactComplex, from_int
+from .exact import ExactComplex
 from .matrices import CMatrix, ShapeError, mat_eigenvalues
 from .poly import SplitPoly
 
@@ -166,9 +169,9 @@ def conjugation_arrays(mats, basis):
     in ``basis``.
 
     Layer t of the plan adds the t-th term of every entry at once, so each
-    entry sums its terms one after another in the defining order, as
-    ``conjugation_columns`` does (``np.add.reduceat`` groups the terms of a
-    run pairwise, which rounds differently).
+    entry sums its terms one after another in the defining order
+    (``np.add.reduceat`` groups the terms of a run pairwise, which rounds
+    differently).
     """
     d, size = basis.d, basis.size
     mats = np.asarray(mats, dtype=complex)
@@ -185,60 +188,49 @@ def conjugation_arrays(mats, basis):
     return out[:, slot[:, None], slot]
 
 
-def conjugation_columns(mat, basis):
-    """Columns {row: value} of q -> (d_w q) M w - M q in ``basis``.
+def conjugation_entries(entries, basis):
+    """J_M in ``basis`` as the (row, col, re, im) of its nonzero entries,
+    for the exact M whose nonzero entries are the (row, col, re, im)
+    ``entries`` (``CMatrix.entries``).
 
-    Linear in M; each of at most d^2 + d entries is a sum of entries of M.
-    Only nonzero entries are kept: a zero entry of M, or a sum that
-    cancels, stores nothing.  Exact mode multiplies each nonzero entry of
-    M once per coefficient and adds the product into the entries it feeds;
-    float mode reads the nonzero entries of ``conjugation_arrays``.
+    J has integer coefficients, so J(A + iB) = J(A) + i J(B): each nonzero
+    real or imaginary part of an entry of M is multiplied once per
+    coefficient it enters J with, and added into the entries it feeds.
     """
     d = basis.d
-    if mat.shape != (d, d):
-        raise ShapeError(f"matrix must be {d}x{d} for this basis")
-    if not mat.exact:
-        op = conjugation_arrays([mat.to_numpy()], basis)[0]
-        return [{int(r): complex(op[r, c]) for r in np.flatnonzero(op[:, c])}
-                for c in range(basis.size)]
-    cols = [{} for _ in range(basis.size)]
-    values = (v for row in mat.rows for v in row)
-    for value, feeds in zip(values, _exact_feeds(d, basis.n)):
-        if not value:
-            continue
-        for coef, slots in feeds:
-            scaled = value * coef
-            for col, row in slots:
-                entries = cols[col]
-                entries[row] = entries[row] + scaled if row in entries \
-                    else scaled
-    if basis.positions is None:
-        return [{row: v for row, v in col.items() if v} for col in cols]
-    pos = basis.positions.tolist()
-    out = [None] * basis.size
-    for col, entries in enumerate(cols):
-        out[pos[col]] = {pos[row]: v for row, v in entries.items() if v}
+    feeds = _exact_feeds(d, basis.n)
+    parts = ({}, {})    # (col, row) -> Fraction, real and imaginary
+    for j, k, *values in entries:
+        for part, value in zip(parts, values):
+            if not value:
+                continue
+            for coef, slots in feeds[j * d + k]:
+                scaled = value * coef
+                for slot in slots:
+                    part[slot] = part[slot] + scaled if slot in part \
+                        else scaled
+    re, im = parts
+    pos = None if basis.positions is None else basis.positions.tolist()
+    out = []
+    for col, row in dict.fromkeys([*re, *im]):
+        a, b = re.get((col, row), _ZERO), im.get((col, row), _ZERO)
+        if a or b:
+            out.append((row, col, a, b) if pos is None
+                       else (pos[row], pos[col], a, b))
     return out
 
 
 def conjugation_matrix(mat, basis):
-    """The dense N x N form of ``conjugation_columns``."""
-    return _dense(conjugation_entries(mat, basis), basis.size, mat.exact)
-
-
-def conjugation_entries(mat, basis):
-    """(row, col, value) of the nonzero entries of J_mat in ``basis``."""
-    return [(row, col, value)
-            for col, entries in enumerate(conjugation_columns(mat, basis))
-            for row, value in entries.items()]
-
-
-def _dense(entries, size, exact):
-    """The size x size CMatrix with the given nonzero entries."""
-    rows = [[from_int(0, exact)] * size for _ in range(size)]
-    for row, col, value in entries:
-        rows[row][col] = value
-    return CMatrix(tuple(map(tuple, rows)), exact)
+    """J_mat in ``basis`` as a dense N x N CMatrix, from the same plan."""
+    if mat.shape != (basis.d, basis.d):
+        raise ShapeError(f"matrix must be {basis.d}x{basis.d} for this basis")
+    if not mat.exact:
+        return CMatrix.from_numpy(conjugation_arrays([mat.to_numpy()],
+                                                     basis)[0])
+    rows = [[ExactComplex(0)] * basis.size for _ in range(basis.size)]
+    for row, col, re, im in conjugation_entries(mat.entries(), basis):
+        rows[row][col] = ExactComplex(re, im)
+    return CMatrix(tuple(map(tuple, rows)), True)
 
 
 def conjugation_spectrum(mat, basis, eigenvalues=None):
@@ -259,64 +251,32 @@ def conjugation_spectrum(mat, basis, eigenvalues=None):
 class InducedBlock:
     """The degree-n block of a Fuchsian system.
 
-    J is linear in M.  Exact mode keeps J of B_inf and of the x^i
-    coefficients of the d x d QB as (row, col, value) lists of their
-    nonzero entries (``sparse_parts``), read from ``conjugation_columns``;
-    the exact recursion of ``solve_polynomial`` runs on them, and the dense
-    ``b_infinity`` is built only when asked for.  Float mode keeps only
-    ``float_arrays``, J of QB's coefficients and of B_inf built in one
-    ``conjugation_arrays`` call; its ``b_infinity`` is made from them when
-    asked for.
+    Its operator is QB's S + 2 coefficients, each replaced by its J, with
+    J_{B_inf} on top (``qb_coefficients``), in the form the system keeps
+    them: one (S + 2, N, N) complex128 array from one ``conjugation_arrays``
+    call, or in exact mode per coefficient the (row, col, re, im) of its
+    nonzero entries from ``conjugation_entries``.
     """
 
-    __slots__ = ("size", "s", "exact", "q_poly", "_binf", "_spec",
-                 "_sparse", "_arrays")
+    __slots__ = ("size", "s", "exact", "q_poly", "_spec", "_coeffs")
 
     def __init__(self, linear, basis):
         self.size, self.s, self.exact = basis.size, linear.s, linear.exact
         self.q_poly = linear.q_poly
         self._spec = conjugation_spectrum(linear.b_infinity(), basis,
                                           linear.residue_spectrum("inf"))
-        self._binf = self._sparse = self._arrays = None
-        if self.exact:
-            qb = linear.qb_poly()
-            self._sparse = (conjugation_entries(linear.b_infinity(), basis), [
-                conjugation_entries(qb.coefficient(i), basis)
-                for i in range(self.s + 1)])
-        else:
-            binf, qb = linear.float_arrays()
-            stack = conjugation_arrays(np.concatenate([qb, binf[None]]),
-                                       basis)
-            self._arrays = stack[-1], stack[:-1]
-
-    def b_infinity(self):
-        """J_{B_inf} as a CMatrix, built on first use."""
-        if self._binf is None:
-            self._binf = (_dense(self._sparse[0], self.size, True) if self.exact
-                          else CMatrix.from_numpy(self._arrays[0]))
-        return self._binf
+        coeffs = linear.qb_coefficients()
+        self._coeffs = ([conjugation_entries(c, basis) for c in coeffs]
+                        if self.exact else conjugation_arrays(coeffs, basis))
 
     def residue_spectrum(self, j):
         """Eigenvalues of J_{B_inf} from those of B_inf (j is 'inf')."""
         return self._spec
 
-    def sparse_parts(self):
-        """Exact mode: J_{B_inf} and J of the x^i coefficients of QB,
-        i = 0 .. S, as (row, col, value) lists of their nonzero entries."""
-        return self._sparse
-
-    def float_arrays(self):
-        """J_{B_inf} as a complex128 matrix and the x^i coefficients of QB,
-        i = 0 .. S, as one (S + 1, N, N) array; for an exact block, built
-        on first use."""
-        if self._arrays is None:
-            binf, qb = self._sparse
-            arrays = np.zeros((self.s + 2, self.size, self.size), complex)
-            for i, entries in enumerate([*qb, binf]):
-                for row, col, value in entries:
-                    arrays[i, row, col] = complex(value)
-            self._arrays = arrays[-1], arrays[:-1]
-        return self._arrays
+    def qb_coefficients(self):
+        """J of QB's x^i coefficients, i = 0 .. S + 1, the top one
+        J_{B_inf} (see the class docstring for the form)."""
+        return self._coeffs
 
 
 def induced_system(linear, n, basis=None):

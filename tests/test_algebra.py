@@ -247,15 +247,16 @@ def test_sparse_solve_columns_shifts_and_embedding(embed):
 
     for n in range(1, 8):
         for _ in range(4):
-            entries = [(r, c, ExactComplex(value(), value() if embed else 0))
+            entries = [(r, c, value(), value() if embed else Fraction(0))
                        for r in range(n) for c in range(n)
                        if r == c or rng.random() < 0.3]
-            entries = [e for e in entries if e[2]]
+            entries = [e for e in entries if e[2] or e[3]]
             op = SparseMatrix(n, entries)
-            assert op.embedded == (embed and any(v.im for *_, v in entries))
+            assert op.embedded == (embed and any(im for *_, im in entries))
             rows = [[ExactComplex(0)] * n for _ in range(n)]
-            for r, c, v in entries:
-                rows[r][c] = v
+            for r, c, re, im in entries:
+                rows[r][c] = ExactComplex(re, im)
+            assert op.max_abs() == CMatrix.from_rows(rows, True).max_abs()
             for shift in range(3):
                 shifted = CMatrix.from_rows(rows, True).add_scaled_identity(
                     shift)
@@ -276,8 +277,9 @@ def test_sparse_solve_columns_shifts_and_embedding(embed):
                         assert shifted.matvec(tuple(map(ExactComplex, x))) \
                             == tuple(map(ExactComplex, c))
     # -2 on the diagonal: singular exactly at the shift 2
-    op = SparseMatrix(2, [(0, 0, ExactComplex(-2)), (0, 1, ExactComplex(1)),
-                          (1, 1, ExactComplex(3, 1))], embed)
+    op = SparseMatrix(2, [(0, 0, Fraction(-2), Fraction(0)),
+                          (0, 1, Fraction(1), Fraction(0)),
+                          (1, 1, Fraction(3), Fraction(1))], embed)
     assert [op.singular(k) for k in range(4)] == [False, False, True, False]
 
 

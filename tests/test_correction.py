@@ -297,8 +297,7 @@ def test_exact_recursion_on_gaussian_rational_blocks(kind):
         system = random_gaussian_system(rng, rng.randint(1, 3),
                                         rng.randint(0, 1), kind)
         block, basis = induced_system(system, rng.randint(2, 3))
-        if any(singular for _, _, singular in singular_shifts(
-                block.b_infinity(), block.residue_spectrum("inf"), 1e-12)):
+        if correction._singular_shifts_at_infinity(block, 1e-12):
             continue    # a value <lambda, m> - lambda_i is a negative int
         solved += 1
         assert correction._exact_operators(block)[0].embedded \
@@ -349,6 +348,48 @@ def test_exact_recursion_singular_shift_raises():
             solve_polynomial(system, g)
     finally:
         unchecked.undo()
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_uniqueness_check_on_blocks_names_the_shift_the_solve_raises_on(
+        exact):
+    # solution_uniqueness_check and solve_polynomial read one shift test
+    # off the block's top coefficient J_{B_inf}: the check returns True
+    # where the solve runs, and otherwise warns with the k the solve
+    # raises on
+    rng = random.Random(f"unique-{exact}")
+    half_i = ExactComplex(0, Fraction(1, 2))
+    residue = CMatrix.from_rows(
+        [[ExactComplex(-1), half_i],
+         [ExactComplex(0), ExactComplex(Fraction(1, 2), Fraction(1, 2))]],
+        True)
+    systems = [FuchsianSystem((ExactComplex(0, 1), ExactComplex(1)),
+                              (residue, residue))]
+    systems += [random_gaussian_system(rng, rng.randint(1, 3),
+                                       rng.randint(0, 1), kind)
+                for kind in ("real", "complex") for _ in range(4)]
+    verdicts = []
+    for system in systems:
+        if not exact:
+            system = float_system(system)
+        block, _ = induced_system(system, rng.randint(2, 3))
+        g = complex_vecpoly(rng, block.size, block.s + 4)
+        if not exact:
+            g = float_vecpoly(g)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            verdict = solution_uniqueness_check(block)
+        verdicts.append(verdict)
+        if verdict:
+            assert not caught
+            solve_polynomial(block, g)
+            continue
+        assert verdict is None and len(caught) == 1
+        k = re.search(r"singular at k=(\d+)$", str(caught[0].message))[1]
+        with pytest.raises(AssumptionError, match=re.escape(
+                f"k + B_inf singular at k={k}: (phi, y) not unique")):
+            solve_polynomial(block, g)
+    assert True in verdicts and None in verdicts
 
 
 def test_dimension_mismatch_rejected():
@@ -402,7 +443,7 @@ def test_float_solve_rejects_a_shift_whose_residual_fails():
                                      [[-0.5, 0.1], [0, 0.5]]), [(0, 0)])
     block, _ = induced_system(lin, 2)
     assert not any(singular for _, _, singular in singular_shifts(
-        block.b_infinity(), block.residue_spectrum("inf"), 1e-12))
+        block.qb_coefficients()[-1], block.residue_spectrum("inf"), 1e-12))
     for top, error in ((1.0, None), (1e300, "k=3: solve residual")):
         g = VecPoly.from_coeffs(
             [(0j,) * 6] * 2 + [tuple(top * (i + 1) + 0j for i in range(6))]

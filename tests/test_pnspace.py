@@ -17,7 +17,7 @@ from fuchslin.pnspace import (
     PnBasis,
     _int_row,
     conjugation_arrays,
-    conjugation_columns,
+    conjugation_entries,
     conjugation_matrix,
     conjugation_spectrum,
     devectorize,
@@ -185,21 +185,22 @@ def test_induced_block_matches_dense_reference(shape):
         assert block.s == s and block.exact
         assert block.q_poly() == lin.q_poly()
 
-        # the sparse x^i coefficients of QB, and J_{B_inf}, against dense:
+        # J of QB's x^i coefficients, J_{B_inf} on top, against dense:
         # the same nonzero entries, and the same product with a vector
         v = tuple(ExactComplex(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
                   for _ in range(basis.size))
-        binf_entries, qb_entries = block.sparse_parts()
+        coeffs = block.qb_coefficients()
         total = conjugation_matrix(lin.b_infinity(), basis)
         denses = [conjugation_matrix(lin.qb_poly().coefficient(i), basis)
                   for i in range(s + 1)] + [total]
-        for entries, dense in zip([*qb_entries, binf_entries], denses):
+        assert len(coeffs) == len(denses) == s + 2
+        for entries, dense in zip(coeffs, denses):
             assert sorted(entries) == sorted(dense.entries())
             out = [ExactComplex(0)] * basis.size
-            for row, col, value in entries:
-                out[row] = out[row] + value * v[col]
+            for row, col, re, im in entries:
+                out[row] = out[row] + ExactComplex(re, im) * v[col]
             assert tuple(out) == dense.matvec(v)
-        assert (block.b_infinity() - total).is_zero()
+        assert sorted(coeffs[-1]) == sorted(total.entries())
 
         # J is linear in M: what the matrix-free QB relies on
         cs = [ExactComplex(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
@@ -280,8 +281,15 @@ def test_conjugation_plan_matches_per_item_reference(shape):
             mat = _random_exact_matrix(rng, d, shape)
             fmat = _random_float_matrix(rng, d, shape)
             for basis in _bases(rng, d, n):
-                assert conjugation_columns(mat, basis) == \
-                    _reference_columns(mat, basis)
+                want = _reference_columns(mat, basis)
+                dense = conjugation_matrix(mat, basis)
+                assert [{row: dense.entry(row, col)
+                         for row in range(basis.size) if dense.entry(row, col)}
+                        for col in range(basis.size)] == want
+                assert sorted(conjugation_entries(mat.entries(), basis)) == \
+                    sorted((row, col, v.re, v.im)
+                           for col, entries in enumerate(want)
+                           for row, v in entries.items())
                 want = _reference_array(fmat, basis)
                 assert np.array_equal(
                     conjugation_arrays([fmat.to_numpy()], basis)[0], want)
@@ -300,14 +308,95 @@ def test_float_block_arrays_match_per_item_reference(shape):
         for n in range(2, 5):
             for basis in _bases(rng, d, n):
                 block, _ = induced_system(lin, n, basis=basis)
-                binf, qb = block.float_arrays()
+                coeffs = block.qb_coefficients()
+                assert coeffs.shape == (s + 2, basis.size, basis.size)
                 assert np.array_equal(
-                    binf, _reference_array(lin.b_infinity(), basis))
-                assert np.array_equal(qb, [
+                    coeffs[-1], _reference_array(lin.b_infinity(), basis))
+                assert np.array_equal(coeffs[:-1], [
                     _reference_array(lin.qb_poly().coefficient(i), basis)
                     for i in range(s + 1)])
-                assert (block.b_infinity() - conjugation_matrix(
-                    lin.b_infinity(), basis)).is_zero()
+                assert np.array_equal(coeffs[-1], conjugation_matrix(
+                    lin.b_infinity(), basis).to_numpy())
+
+
+def _random_system(rng, d, s, exact, kind):
+    """A FuchsianSystem of size d with S = s: exact residues from
+    ``_random_exact_matrix``, with imaginary parts in thirds when ``kind``
+    is "gaussian", or their float images."""
+    poles = [ExactComplex(v) for v in rng.sample(range(-4, 5), s + 2)]
+    mats = []
+    for _ in range(s + 2):
+        mat = _random_exact_matrix(rng, d, "full")
+        if kind == "gaussian":
+            mat = CMatrix.from_rows(
+                [[ExactComplex(v.re, Fraction(rng.randint(-3, 3), 3))
+                  for v in row] for row in mat.rows], True)
+        mats.append(mat if exact else CMatrix.from_numpy(mat.to_numpy()))
+    if not exact:
+        poles = [complex(p) for p in poles]
+    return FuchsianSystem(tuple(poles), tuple(mats))
+
+
+@pytest.mark.parametrize("kind", ["real", "gaussian"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_block_operator_is_j_of_each_qb_coefficient(exact, kind):
+    # the block's one operator form: S + 2 coefficients, the x^i one J of
+    # QB's x^i coefficient, the top one J_{B_inf}, in the canonical and in
+    # a shuffled basis, equal to conjugation_matrix and to the per-item
+    # reference
+    rng = random.Random(f"operator-{exact}-{kind}")
+    for d in range(1, 5):
+        s = d % 3
+        lin = _random_system(rng, d, s, exact, kind)
+        qb = lin.qb_poly()
+        mats = [qb.coefficient(i) for i in range(s + 1)] + [lin.b_infinity()]
+        for n in range(2, 5):
+            for basis in _bases(rng, d, n):
+                block, _ = induced_system(lin, n, basis=basis)
+                coeffs = block.qb_coefficients()
+                assert len(coeffs) == s + 2
+                for got, mat in zip(coeffs, mats):
+                    dense = conjugation_matrix(mat, basis)
+                    if exact:
+                        assert sorted(got) == sorted(dense.entries())
+                        assert all(re or im for *_, re, im in got)
+                    else:
+                        assert np.array_equal(got, dense.to_numpy())
+                        assert np.array_equal(got,
+                                              _reference_array(mat, basis))
+
+
+def test_exact_block_is_built_without_exact_complex_arithmetic(monkeypatch):
+    # J is applied to the real and imaginary parts of QB's coefficients
+    # apart, as Fractions: with the system's QB and spectrum at infinity
+    # cached (as the assumption checks leave them), building an exact
+    # block calls no ExactComplex operator
+    calls = []
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls.append(name)
+            return method(*args)
+        return wrapper
+
+    rng = random.Random("no-exact-complex")
+    for d, s, n in ((1, 0, 3), (2, 1, 2), (3, 1, 3), (4, 0, 2)):
+        lin = _random_system(rng, d, s, True, "gaussian")
+        lin.qb_poly()
+        lin.residue_spectrum("inf")
+        with monkeypatch.context() as patch:
+            for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                         "__mul__", "__rmul__", "__truediv__",
+                         "__rtruediv__", "__pow__", "__neg__"):
+                patch.setattr(ExactComplex, name,
+                              counted(name, getattr(ExactComplex, name)))
+            ExactComplex(1) + ExactComplex(2)   # the counter counts
+            assert calls == ["__add__"]
+            calls.clear()
+            block, basis = induced_system(lin, n)
+            assert calls == []
+        assert sorted(block.qb_coefficients()[-1]) == sorted(
+            conjugation_matrix(lin.b_infinity(), basis).entries())
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
