@@ -34,8 +34,12 @@ i < k: the indicial equation at p_j.  One solve per k gives the solution
 analytic at that pole, which the analytic route's certificate compares
 with its continued solution.  Exact mode solves each k + B_j exactly.
 Float mode runs on complex128 arrays: k + B_j differs between k only on
-its diagonal, so one batched inverse serves every k, and the solves are
-checked together after the recursion.
+its diagonal, so one batched inverse serves every k.
+
+Both float recursions check their solves once, after the loop, with
+``matrices.first_failed_solve``, the rule ``solve_array`` applies to one
+solve: the top k down at infinity, k = 0 up at a pole, and the first
+solve refused in that order raises, as a per-k ``solve_array`` would.
 
 ``shift_up`` / ``pull_back_correction`` implement one rung of the shift
 ladder: when residue spectra have nonpositive real parts, the substitution
@@ -53,9 +57,9 @@ import numpy as np
 
 from .exact import from_int
 from .matrices import (
-    CMatrix,
     SingularMatrixError,
     SparseMatrix,
+    first_failed_solve,
     solve_linear,
     split_entries,
     vec_add,
@@ -128,13 +132,14 @@ def solve_polynomial(system, g, tol=1e-12):
     """
     if (g.shape[1] if isinstance(g, np.ndarray) else g.dim) != system.size:
         raise ValueError("right-hand side dimension mismatch")
-    bad = _singular_shifts_at_infinity(system, tol)
+    binf, lower = (_exact_operators(system) if system.exact
+                   else (None, None))
+    bad = _singular_shifts_at_infinity(system, tol, binf)
     if bad:
         raise AssumptionError(
             f"k + B_inf singular at k={min(bad)}: (phi, y) not unique")
     if not system.exact:
         return _solve_polynomial_float(system, g, tol)
-    binf, lower = _exact_operators(system)
     if isinstance(g, VecPoly):
         result = _solve_polynomial_exact(system.s, binf, lower,
                                          SplitPoly.from_vecpoly(g))
@@ -143,12 +148,16 @@ def solve_polynomial(system, g, tol=1e-12):
     return _solve_polynomial_exact(system.s, binf, lower, g)
 
 
-def _singular_shifts_at_infinity(system, tol):
+def _singular_shifts_at_infinity(system, tol, binf=None):
     """The k >= 0 at which k + B_inf is singular, as
-    ``model.singular_shifts`` decides, read from QB's top coefficient."""
-    binf = system.qb_coefficients()[-1]
-    if system.exact:
-        binf = SparseMatrix(system.size, binf)
+    ``model.singular_shifts`` decides, read from QB's top coefficient or,
+    when given, from the SparseMatrix ``binf`` of it that the exact
+    recursion solves with (its 2N embedding is singular exactly when the
+    complex matrix is)."""
+    if binf is None:
+        binf = system.qb_coefficients()[-1]
+        if system.exact:
+            binf = SparseMatrix(system.size, binf)
     tests = singular_shifts(binf, system.residue_spectrum("inf"), tol)
     return [k for k, _, singular in tests if singular]
 
@@ -229,11 +238,10 @@ def _solve_polynomial_float(system, g, tol):
     is J_{B_inf} shifted on its diagonal, the remainder one (deg + 1, N)
     array.
 
-    Each k is one ``np.linalg.solve``.  The checks a per-k ``solve_array``
-    makes run once (``_raise_first_failure``): the recursion stops only at
-    the largest k whose given right-hand side is not finite, or at a
-    solve that raises, and whatever overflows on the way shows in the
-    right-hand sides and residuals checked after it.
+    Each k is one ``np.linalg.solve``, and ``first_failed_solve`` checks
+    them all once, from the top k down, after the recursion: only a solve
+    that raises ends it early, and whatever overflows on the way shows in
+    the right-hand sides and residuals checked after it.
     """
     s, n = system.s, system.size
     coeffs = system.qb_coefficients()
@@ -244,18 +252,17 @@ def _solve_polynomial_float(system, g, tol):
     top = np.flatnonzero(~(np.abs(rem) <= tol).all(axis=1))
     rem = rem[:top[-1] + 1 if top.size else 0]
     ys = np.zeros((max(len(rem) - s - 1, 0), n), complex)
-    given = np.flatnonzero(~np.isfinite(rem[s + 1:]).all(axis=1))
-    stop = int(given[-1]) if len(given) else -1
-    singular = None
+    ks = np.arange(len(ys) - 1, -1, -1)
+    ran = len(ks)   # the solves before one that raises
     shifted = binf.copy()
     diag, shifted_diag = np.diagonal(binf), shifted.reshape(-1)[::n + 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(len(ys) - 1, stop, -1):
+        for i, k in enumerate(ks.tolist()):
             np.add(diag, k, out=shifted_diag)
             try:
                 y_k = np.linalg.solve(shifted, rem[k + s + 1])
-            except np.linalg.LinAlgError as err:
-                stop, singular = k, err
+            except np.linalg.LinAlgError:
+                ran = i
                 break
             ys[k] = y_k
             # subtract k Q y_k x^(k-1) + (QB) y_k x^k below the eliminated
@@ -263,7 +270,10 @@ def _solve_polynomial_float(system, g, tol):
             if k:
                 rem[k - 1:k + s + 1] -= k * q[:-1, None] * y_k
             rem[k:k + s + 1] -= qb @ y_k
-        _raise_first_failure(binf, ys, rem[s + 1:], stop, singular, tol)
+    ks = ks[:ran + 1]
+    failed = first_failed_solve(binf, ks, ys[ks[:ran]], rem[ks + s + 1], tol)
+    if failed:
+        _raise_refusal("B_inf", *failed)
     phi, y = rem[:s + 1], ys
     if not array:
         phi, y = (VecPoly.from_coeffs(map(tuple, a.tolist()), False, dim=n)
@@ -271,45 +281,12 @@ def _solve_polynomial_float(system, g, tol):
     return CorrectionResult(phi=phi, y=y)
 
 
-def _raise_first_failure(binf, ys, used, stop, singular, tol):
-    """Raise what a per-k ``solve_array`` loop would have raised first.
-
-    ``used[k]`` is the right-hand side the solve at k used, ``ys[k]`` its
-    solution for k > ``stop``; at ``stop`` (if >= 0) the recursion ended,
-    with the LinAlgError ``singular`` or on a non-finite right-hand side.
-    The failure at the largest k wins: there, a non-finite right-hand side
-    raises ArithmeticError; a singular solve, or a residual
-    |J y_k + k y_k - used[k]| above max(1, max|k + J| max|y_k|) *
-    max(tol, 1e-12) * 1e4, raises AssumptionError.
-    """
-    ks = np.arange(max(stop, 0), len(ys))
-    finite = np.isfinite(used[ks]).all(axis=1)
-    y = ys[ks]
-    diag = np.diagonal(binf)
-    off = np.abs(binf)
-    np.fill_diagonal(off, 0.0)
-    shift_max = np.maximum(off.max(), np.abs(diag + ks[:, None]).max(axis=1))
-    scale = np.fmax(1.0, shift_max * np.abs(y).max(axis=1, initial=0.0))
-    resid = np.abs(y @ binf.T + ks[:, None] * y - used[ks]).max(axis=1)
-    failed = ~finite | (ks > stop) & (
-        ~np.isfinite(resid) | (resid > scale * max(tol, 1e-12) * 1e4))
-    if stop >= 0:
-        failed[0] = True
-    if not failed.any():
-        return
-    at = np.flatnonzero(failed)[-1]
-    k = int(ks[at])
-    if not finite[at]:
-        raise ArithmeticError("non-finite right-hand side in a float solve")
-    if k == stop:
-        raise AssumptionError(f"k + B_inf singular at k={k}: {singular}")
-    # the residual as ``solve_array`` computes it, for the same message
-    shifted = binf.copy()
-    np.fill_diagonal(shifted, diag + k)
-    resid = np.max(np.abs(shifted @ ys[k] - used[k]))
-    raise AssumptionError(
-        f"k + B_inf singular at k={k}: solve residual {resid:.3e} exceeds "
-        "tolerance (near-singular matrix)")
+def _raise_refusal(label, k, error):
+    """Raise a failed float solve of k + ``label``: a non-finite
+    right-hand side as it is, any other failure as an AssumptionError."""
+    if isinstance(error, ArithmeticError):
+        raise error
+    raise AssumptionError(f"k + {label} singular at k={k}: {error}")
 
 
 def local_taylor(system, pole_index, rhs, order, tol=1e-12):
@@ -338,16 +315,8 @@ def local_taylor(system, pole_index, rhs, order, tol=1e-12):
     q = sp_taylor(system.q_poly(), center, True)
     inv_q1 = from_int(1, True) / q[1]
     qb = system.qb_poly()
-    entries = [[sp_taylor(qb.entry(r, c), center, True) for c in range(d)]
-               for r in range(d)]
-    zero = from_int(0, True)
-    r_blocks = [
-        CMatrix.from_rows(
-            [[e[b] if b < len(e) else zero for e in row] for row in entries],
-            True,
-        )
-        for b in range(1, len(q) - 1)
-    ]
+    r_blocks = sp_taylor([qb.coefficient(i) for i in range(len(q) - 1)],
+                         center, True)[1:]   # R_1 .. R_(S+1)
     rem = rhs.taylor_at(center)[:count]
     rem += [vec_zero(d, True)] * (count - len(rem))
     b_j = system.residues[pole_index]
@@ -376,9 +345,10 @@ def _local_taylor_float(system, pole_index, rhs, order, tol):
     rem[k].  Each k is then one d x d product and one slice update of the
     (count + S + 1, d) remainder, as in ``_solve_polynomial_float``: y_k's
     terms k q_a y_k and R_(a-1) y_k, a = 2 .. S + 2, land together on
-    t^(k+1) .. t^(k+S+1).  The checks of a per-k ``solve_array`` run once:
-    singular shifts up front (``model.singular_shifts``), a non-finite
-    right-hand side before and after the loop, and every residual after it.
+    t^(k+1) .. t^(k+S+1).  Singular shifts are refused up front
+    (``model.singular_shifts``); ``first_failed_solve`` then checks every
+    solve once, from k = 0 up, after the recursion, and the first k it
+    refuses is the one a per-k ``solve_array`` would have raised on.
     """
     s, d = system.s, system.size
     center = system.poles[pole_index]
@@ -390,13 +360,8 @@ def _local_taylor_float(system, pole_index, rhs, order, tol):
         raise AssumptionError(f"k + B_{pole_index} singular at k={min(bad)}")
     q = np.array(sp_taylor(system.q_poly(), center), dtype=complex)
     r = np.array(sp_taylor(system.qb_coefficients(), center))   # r[b] is R_b
-    given = np.array(rhs.coeffs, dtype=complex).reshape(-1, d)
-    if not np.isfinite(given).all():
-        raise ArithmeticError("non-finite right-hand side in a float solve")
-    given = np.array(sp_taylor(given, center)).reshape(-1, d)[:count]
-    rem = np.zeros((count + s + 1, d), complex)
-    rem[:len(given)] = given
-    shifted = np.repeat(b_j.to_numpy()[None], count, axis=0)
+    b_j = b_j.to_numpy()
+    shifted = np.repeat(b_j[None], count, axis=0)
     shifted[:, range(d), range(d)] += np.arange(count)[:, None]
     try:
         inverses = np.linalg.inv(shifted) / q[1]
@@ -405,21 +370,18 @@ def _local_taylor_float(system, pole_index, rhs, order, tol):
             f"k + B_{pole_index} singular at some k <= {order}: {err}"
         ) from None
     ys = np.empty((count, d), complex)
-    for k in range(count):
-        ys[k] = y_k = inverses[k] @ rem[k]
-        rem[k + 1:k + s + 2] -= k * q[2:, None] * y_k + r[1:] @ y_k
-    used = rem[:count] / q[1]
-    if not np.isfinite(used).all():
-        raise ArithmeticError("non-finite right-hand side in a float solve")
-    scale = np.maximum(1.0, np.abs(shifted).max(axis=(1, 2))
-                       * np.abs(ys).max(axis=1))
-    resid = np.abs((shifted @ ys[:, :, None])[:, :, 0] - used).max(axis=1)
-    failed = np.flatnonzero(~(resid <= scale * max(tol, 1e-12) * 1e4))
-    if len(failed):
-        k = failed[0]
-        raise AssumptionError(
-            f"k + B_{pole_index} singular at k={k}: solve residual "
-            f"{resid[k]:.3e} exceeds tolerance (near-singular matrix)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        given = np.array(rhs.coeffs, dtype=complex).reshape(-1, d)
+        given = np.array(sp_taylor(given, center)).reshape(-1, d)[:count]
+        rem = np.zeros((count + s + 1, d), complex)
+        rem[:len(given)] = given
+        for k in range(count):
+            ys[k] = y_k = inverses[k] @ rem[k]
+            rem[k + 1:k + s + 2] -= k * q[2:, None] * y_k + r[1:] @ y_k
+        used = rem[:count] / q[1]
+    failed = first_failed_solve(b_j, np.arange(count), ys, used, tol)
+    if failed:
+        _raise_refusal(f"B_{pole_index}", *failed)
     return TaylorSolution(pole_index, center, list(map(tuple, ys.tolist())))
 
 

@@ -2,8 +2,10 @@
 
 The whole library runs over one of two scalar rings: ordinary python
 ``complex`` (float mode) or :class:`ExactComplex`, a Gaussian rational built
-on :class:`fractions.Fraction` (exact mode).  Everything downstream is
-generic in the scalar, so the two modes share all code paths.
+on :class:`fractions.Fraction` (exact mode).  The dense matrix and
+polynomial types are generic in the scalar and serve both modes; the hot
+paths are not: exact mode solves on sparse rows of Fractions and composes
+on integer rows, float mode runs both on complex128 arrays.
 
 Mixing the two rings in one expression is a bug, not a convenience; an
 ``ExactComplex`` combined with a float raises ``TypeError`` so precision is

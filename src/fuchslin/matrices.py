@@ -3,7 +3,12 @@
 Matrices here are tiny (a system of size d induces blocks of size
 d*(n+d-1)!/(n!(d-1)!), a few dozen at most), so these are plain tuples of
 tuples with straightforward O(n^3) algorithms.  Float-mode solves and all
-eigenvalues go through numpy.  Every exact solve is one routine,
+eigenvalues go through numpy, and every float solve is accepted by one
+rule, ``first_failed_solve``: a finite right-hand side and a residual
+within a bound scaled by the matrix and the solution.  ``solve_array``
+applies it to one solve, and the correction's recursions to all their
+shifts k + M at once.  ``solve_linear`` takes one vector right-hand
+side.  Every exact solve is one routine,
 ``SparseMatrix.solve``: sparse Gauss-Jordan over the rationals on rows
 {col: Fraction}, built from the (row, col, re, im) Fraction entries of a
 matrix (``CMatrix.entries``), a real matrix as itself and a
@@ -90,9 +95,6 @@ class CMatrix:
     def entry(self, i, j):
         return self.rows[i][j]
 
-    def col(self, j):
-        return tuple(r[j] for r in self.rows)
-
     def entries(self):
         """(row, col, re, im) of every nonzero entry of an exact matrix,
         row by row, its real and imaginary parts as Fractions."""
@@ -150,6 +152,8 @@ class CMatrix:
         return CMatrix(
             tuple(tuple(s * a for a in r) for r in self.rows), self.exact
         )
+
+    __rmul__ = scale   # s * M, as in a Taylor shift of matrix coefficients
 
     def __matmul__(self, other):
         if not isinstance(other, CMatrix):
@@ -247,87 +251,94 @@ def mat_eigenvalues(m):
 
 
 def solve_linear(a, b, tol=1e-12):
-    """Solve a x = b for a vector (tuple) or matrix right-hand side.
+    """Solve a x = b for a vector (tuple) b.
 
     Exact mode eliminates in the Gaussian rationals and raises
-    SingularMatrixError on a structurally singular pivot.  Float mode uses
-    numpy and validates the residual so near-singular systems fail loudly
-    instead of returning noise; a non-finite right-hand side raises
-    ArithmeticError, since no matrix could make its residual small.
+    SingularMatrixError on a structurally singular pivot.  Float mode is
+    ``solve_array``, which checks the solve so near-singular systems fail
+    loudly instead of returning noise.
     """
     if not a.is_square:
         raise ShapeError("solve needs a square matrix")
-    mat_rhs = isinstance(b, CMatrix)
-    if mat_rhs:
-        if b.n_rows != a.n_rows:
-            raise ShapeError("rhs height mismatch")
-        cols = [b.col(j) for j in range(b.n_cols)]
-    else:
-        if len(b) != a.n_rows:
-            raise ShapeError("rhs length mismatch")
-        cols = [tuple(b)]
-
+    if len(b) != a.n_rows:
+        raise ShapeError("rhs length mismatch")
     if a.exact:
-        sol_cols = _solve_exact(a, cols)
-    else:
-        sol_cols = _solve_float(a, cols, tol)
-
-    if mat_rhs:
-        return CMatrix(tuple(zip(*sol_cols)), a.exact)
-    return sol_cols[0]
-
-
-def mat_inverse(a, tol=1e-12):
-    return solve_linear(a, CMatrix.identity(a.n_rows, a.exact), tol)
-
-
-def is_invertible(a, tol=1e-12):
-    try:
-        mat_inverse(a, tol)
-        return True
-    except SingularMatrixError:
-        return False
-
-
-def _solve_float(a, cols, tol):
-    x = solve_array(a.to_numpy(), np.array(cols, dtype=complex).T, tol)
-    return [tuple(complex(v) for v in x[:, j]) for j in range(x.shape[1])]
+        return _solve_exact(a, b)
+    x = solve_array(a.to_numpy(), np.array(b, dtype=complex), tol)
+    return tuple(complex(v) for v in x)
 
 
 def solve_array(an, rhs, tol=1e-12):
-    """Solve ``an @ x = rhs`` for complex128 arrays, checked as
-    ``solve_linear`` checks a float solve: a non-finite right-hand side
-    raises ArithmeticError, a singular matrix or a residual above the
-    bound SingularMatrixError."""
-    if not np.isfinite(rhs).all():
-        raise ArithmeticError("non-finite right-hand side in a float solve")
+    """Solve ``an @ x = rhs`` for a complex128 matrix and vector, checked by
+    ``first_failed_solve``: a non-finite right-hand side raises
+    ArithmeticError, a singular matrix or a residual above the bound
+    SingularMatrixError."""
     try:
-        x = np.linalg.solve(an, rhs)
-    except np.linalg.LinAlgError as err:
-        raise SingularMatrixError(str(err)) from None
-    scale = max(1.0, float(np.max(np.abs(an))) * float(np.max(np.abs(x), initial=0.0)))
-    with np.errstate(over="ignore", invalid="ignore"):  # x may overflow
-        resid = np.max(np.abs(an @ x - rhs), initial=0.0)
-    if not np.isfinite(resid) or resid > scale * max(tol, 1e-12) * 1e4:
-        raise SingularMatrixError(
-            f"solve residual {resid:.3e} exceeds tolerance (near-singular matrix)"
-        )
-    return x
+        xs = np.linalg.solve(an, rhs)[None]
+    except np.linalg.LinAlgError:
+        xs = np.empty((0, len(rhs)), complex)
+    failed = first_failed_solve(an, [0], xs, rhs[None], tol)
+    if failed:
+        raise failed[1]
+    return xs[0]
 
 
-def _solve_exact(a, cols):
-    """Exact solutions of a x = c for each column c of Gaussian rationals:
-    a real ``a`` takes the real and imaginary parts of every column as
-    columns of one elimination, a nonreal one its real 2n embedding."""
+def first_failed_solve(mat, ks, xs, rhs, tol=1e-12):
+    """The first of the float solves (mat + k I) x = rhs, k in ``ks`` in
+    the order given, that float mode refuses, as (k, error); None when
+    every one passes.
+
+    Row i of ``xs`` and of ``rhs`` is the solution and the right-hand side
+    at ks[i].  ``xs`` may stop one row short: the solve after its last row
+    raised numpy's LinAlgError.  A solve fails on a non-finite right-hand
+    side (ArithmeticError), on a LinAlgError, and on a residual
+    |(mat + k I) x - rhs| that is not finite or exceeds
+    max(1, max|mat + k I| max|x|) * max(tol, 1e-12) * 10^4
+    (SingularMatrixError).  The residuals are taken for every solve at
+    once; the message recomputes the failing one's as (mat + k I) x - rhs.
+    """
+    ks = np.asarray(ks)
+    ran = len(xs)
+    failed = ~np.isfinite(rhs).all(axis=1)
+    off = np.abs(mat)
+    np.fill_diagonal(off, 0.0)
+    shift_max = np.maximum(off.max(), np.abs(np.diagonal(mat)
+                                             + ks[:ran, None]).max(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):   # x may overflow
+        scale = np.fmax(1.0, shift_max * np.abs(xs).max(axis=1, initial=0.0))
+        resid = np.abs(xs @ mat.T + ks[:ran, None] * xs - rhs[:ran]).max(
+            axis=1, initial=0.0)
+        failed[:ran] |= ~np.isfinite(resid) | (
+            resid > scale * max(tol, 1e-12) * 1e4)
+    failed[ran:] = True
+    if not failed.any():
+        return None
+    i = int(np.argmax(failed))
+    k = int(ks[i])
+    if not np.isfinite(rhs[i]).all():
+        return k, ArithmeticError("non-finite right-hand side in a float "
+                                  "solve")
+    if i == ran:
+        return k, SingularMatrixError("Singular matrix")
+    shifted = mat.copy()
+    np.fill_diagonal(shifted, np.diagonal(mat) + k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = np.max(np.abs(shifted @ xs[i] - rhs[i]))
+    return k, SingularMatrixError(
+        f"solve residual {resid:.3e} exceeds tolerance (near-singular matrix)")
+
+
+def _solve_exact(a, b):
+    """The exact solution of a x = b for a vector b of Gaussian rationals:
+    a real ``a`` takes b's real and imaginary parts as two columns of one
+    elimination, a nonreal one its real 2n embedding."""
     n = a.n_rows
     op = SparseMatrix(n, a.entries())
+    re, im = [z.re for z in b], [z.im for z in b]
     if op.embedded:
-        xs = op.solve([[z.re for z in c] + [z.im for z in c] for c in cols])
-        return [tuple(map(ExactComplex, x[:n], x[n:])) for x in xs]
-    xs = op.solve([[z.re for z in c] for c in cols]
-                  + [[z.im for z in c] for c in cols])
-    return [tuple(map(ExactComplex, re, im))
-            for re, im in zip(xs, xs[len(cols):])]
+        x, = op.solve([re + im])
+        return tuple(map(ExactComplex, x[:n], x[n:]))
+    return tuple(map(ExactComplex, *op.solve([re, im])))
 
 
 def split_entries(entries, n, embed):

@@ -9,9 +9,11 @@ with distinct finite poles p_j and constant square residue matrices B_j.
 objects everyone needs: the monic pole polynomial Q = prod (x - p_j), its
 derivative, the cofactors Q/(x - p_j) (assembled as products, never by
 division), the product Q(x)B(x) as a matrix polynomial, and the residue sum
-at infinity.  ``qb_coefficients`` is the one operator form the solvers
-read: QB's S + 2 coefficients, the top one B_inf, as one complex128 array
-or, in exact mode, as (row, col, re, im) Fraction entries.
+at infinity B_inf.  QB is built by direct sums: its x^i coefficient is
+sum_j cofactor_j[i] B_j, and its top one is B_inf, since every cofactor
+is monic.  ``qb_coefficients`` is the one operator form the solvers read:
+QB's S + 2 coefficients, the top one B_inf, as one complex128 array or,
+in exact mode, as (row, col, re, im) Fraction entries.
 
 ``NonlinearSystem`` couples such a linear part with a polynomial
 nonlinearity given term-by-term: for each monomial u^m (|m| >= 2) a vector
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import from_int
+from .exact import from_int, scalar_is_zero
 from .matrices import CMatrix, ShapeError, SparseMatrix, mat_eigenvalues
 from .pnspace import PnBasis, conjugation_entries, multiindices
 from .poly import MatPoly, sp_diff, sp_eval, sp_from_roots
@@ -134,12 +136,22 @@ class FuchsianSystem:
         return self._cache[key]
 
     def qb_poly(self):
-        """Q(x)B(x) = sum_j cofactor_j(x) * B_j as a matrix polynomial."""
+        """Q(x)B(x) = sum_j cofactor_j(x) * B_j as a matrix polynomial: its
+        x^i coefficient is sum_j cofactor_j[i] B_j, exact-zero cofactor
+        coefficients skipped, and its x^(S+1) one B_inf, since every
+        cofactor is monic."""
         if "qb" not in self._cache:
-            acc = MatPoly.zero(self.size, self.size, self.exact)
-            for j, res in enumerate(self.residues):
-                acc = acc + MatPoly.constant(res).mul_sp(self.cofactor(j))
-            self._cache["qb"] = acc
+            cofactors = [self.cofactor(j) for j in range(self.n_poles)]
+            mats = []
+            for i in range(self.s + 1):
+                acc = CMatrix.zeros(self.size, self.size, self.exact)
+                for cof, res in zip(cofactors, self.residues):
+                    if not scalar_is_zero(cof[i]):
+                        acc = acc + res.scale(cof[i])
+                mats.append(acc)
+            mats.append(self.b_infinity())
+            self._cache["qb"] = MatPoly.from_coeffs(
+                mats, self.exact, (self.size, self.size))
         return self._cache["qb"]
 
     def qb_coefficients(self):

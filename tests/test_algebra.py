@@ -16,8 +16,6 @@ from fuchslin.matrices import (
     ShapeError,
     SingularMatrixError,
     SparseMatrix,
-    is_invertible,
-    mat_inverse,
     solve_linear,
     vec_zero,
 )
@@ -179,15 +177,13 @@ def test_exact_solve_and_inverse_random():
             mat, rhs = _random_exact_system(rng, kind)
             sol = solve_linear(mat, rhs)
             assert mat.matvec(sol) == rhs, kind
-            inv = mat_inverse(mat)
-            assert (mat @ inv - CMatrix.identity(mat.n_rows, True)).is_zero()
 
 
 def test_singular_matrix_raises():
     mat = CMatrix.from_rows([[1, 2], [2, 4]], exact=True)
     with pytest.raises(SingularMatrixError):
         solve_linear(mat, (ExactComplex(1), ExactComplex(0)))
-    assert not is_invertible(mat)
+    assert SparseMatrix(2, mat.entries()).singular()
     # sparse and structurally singular: a zero column, and two equal rows
     # whose dependence shows only after elimination
     for rows in ([[1, 0, 2, 0], [0, 0, 3, 0], [0, 0, 0, 1], [4, 0, 0, 5]],
@@ -197,7 +193,7 @@ def test_singular_matrix_raises():
         )
         with pytest.raises(SingularMatrixError):
             solve_linear(sparse, vec_zero(sparse.n_rows, True))
-        assert not is_invertible(sparse)
+        assert SparseMatrix(sparse.n_rows, sparse.entries()).singular()
     matf = CMatrix.from_rows([[1.0, 2.0], [2.0, 4.0]], exact=False)
     with pytest.raises(SingularMatrixError):
         solve_linear(matf, (1.0 + 0j, 0.0 + 0j))
@@ -264,7 +260,7 @@ def test_sparse_solve_columns_shifts_and_embedding(embed):
                 try:
                     xs = op.solve(cols, shift)
                 except SingularMatrixError:
-                    assert not is_invertible(shifted)
+                    assert SparseMatrix(n, shifted.entries()).singular()
                     assert op.singular(shift)
                     continue
                 assert not op.singular(shift)
@@ -295,7 +291,7 @@ def test_exact_pivot_never_goes_through_a_float():
         rhs = (ExactComplex(3), ExactComplex(5))
         x = solve_linear(mat, rhs)
         assert mat.matvec(x) == rhs
-        assert is_invertible(mat)
+        assert not SparseMatrix(2, mat.entries()).singular()
 
 
 def test_float_solve_accuracy():

@@ -20,7 +20,12 @@ from fuchslin.correction import (
     solve_polynomial,
 )
 from fuchslin.exact import ExactComplex
-from fuchslin.matrices import CMatrix, SingularMatrixError, solve_array
+from fuchslin.matrices import (
+    CMatrix,
+    SingularMatrixError,
+    first_failed_solve,
+    solve_array,
+)
 from fuchslin.model import AssumptionError, FuchsianSystem, singular_shifts
 from fuchslin.pnspace import conjugation_matrix, induced_system
 from fuchslin.poly import MatPoly, SplitPoly, VecPoly
@@ -509,6 +514,31 @@ def test_float_solve_array_overflow_raises_singular_matrix_error():
         solve_array(np.array([[1e-10]], complex), np.array([1e300], complex))
 
 
+def test_first_failed_solve_reports_the_first_failure_in_the_order_given():
+    # (2 + k) x = rhs for k = 0 .. 3: a wrong x at k = 1 fails its
+    # residual and the right-hand side at k = 3 is not finite, so the
+    # ascending order meets k = 1 first and the descending order k = 3
+    mat = np.array([[2.0 + 0j]])
+    rhs = np.array([[1], [1], [1], [np.inf]], complex)
+    xs = np.array([[1 / 2], [5], [1 / 4], [np.inf]], complex)
+    k, error = first_failed_solve(mat, [0, 1, 2, 3], xs, rhs)
+    assert k == 1 and isinstance(error, SingularMatrixError)
+    assert str(error) == ("solve residual 1.400e+01 exceeds tolerance "
+                          "(near-singular matrix)")
+    k, error = first_failed_solve(mat, [3, 2, 1, 0], xs[::-1], rhs[::-1])
+    assert k == 3 and isinstance(error, ArithmeticError)
+    assert first_failed_solve(mat, [0, 2], xs[[0, 2]], rhs[[0, 2]]) is None
+    # one solution short: the solve at the last k raised LinAlgError, which
+    # fails there unless a solve before it fails, or its own right-hand
+    # side is not finite
+    k, error = first_failed_solve(mat, [2, 0], xs[[2]], rhs[[2, 0]])
+    assert k == 0 and str(error) == "Singular matrix"
+    k, error = first_failed_solve(mat, [1, 3], xs[[1]], rhs[[1, 3]])
+    assert k == 1 and isinstance(error, SingularMatrixError)
+    k, error = first_failed_solve(mat, [0, 3], xs[[0]], rhs[[0, 3]])
+    assert k == 3 and isinstance(error, ArithmeticError)
+
+
 # ----------------------------------------------------------------------
 # local_taylor
 # ----------------------------------------------------------------------
@@ -650,6 +680,18 @@ def test_local_taylor_float_rejects_non_finite_rhs():
     rhs = VecPoly.from_coeffs([(1 + 0j,), (complex("inf"),)], exact=False)
     with pytest.raises(ArithmeticError, match="non-finite"):
         local_taylor(system, 0, rhs, order=4)
+
+
+def test_local_taylor_float_refuses_the_first_failing_shift():
+    # B_0 = -2 + 1e-10 has float margin 1e-10 at k = 2, above tol, and the
+    # solve there turns 1e300 into inf: that shift is refused, not the
+    # non-finite right-hand sides the overflow then leaves at k > 2
+    system, g = float_problem((-1, 1), ([[-2 + 1e-10]], [[0.5]]),
+                              [(0,), (0,), (1e300,)])
+    with pytest.raises(AssumptionError, match=re.escape(
+            "k + B_0 singular at k=2: solve residual inf exceeds tolerance "
+            "(near-singular matrix)")):
+        local_taylor(system, 0, g, 4)
 
 
 # ----------------------------------------------------------------------
