@@ -9,37 +9,36 @@ most S and polynomial solution y such that
 
     y' + B(x) y = (1/Q) (g(x) - phi(x)).
 
-``solve_polynomial`` does this by descending back-substitution on the
-cleared equation Q y' + (QB) y = g - phi.  Q is monic of degree S+2 and QB
-has degree S+1 with leading coefficient B_inf, so the coefficient of
-x^(k+S+1) is (k + B_inf) y_k plus terms of the y_j with j > k: the
-indicial equation at infinity.  One solve per k fixes y from the top down,
-and what is left of g at degrees <= S is phi.  The paper builds the same
-(unique) pair by expanding g in the lowered Rodrigues family; the tests
-keep that construction as the reference.  Systems and induced blocks
-share it, and both hand it QB's S + 2 coefficients in one form
-(``qb_coefficients``), the top one B_inf (J_{B_inf} for a block), from
-which the shift test at infinity reads too.  Float mode runs the
-recursion on complex128 arrays.  Exact mode runs it on per-degree lists
-of Fractions, real and imaginary parts apart (``SplitPoly``), with the
-coefficients and Q as sparse real entries read once per call: each k is
-one sparse Gauss-Jordan (``SparseMatrix.solve``), for the real and the
-imaginary parts as two columns when QB and Q are real, and in the real
-2N embedding otherwise.
+Both phi and the solution analytic at a pole come from one recursion on
+the cleared equation Q y' + (QB) y = g - phi, read from either end.  With
+q_i and R_i the coefficients of Q and QB in a variable t, y_k t^k leaves
+k q_i y_k + R_(i-1) y_k at t^(k+i-1), i = 0 .. S + 2: one term, the
+pivot, is solved for y_k, and the others leave the remainder.
+``solve_polynomial`` reads it from the top in x, where the pivot is
+(k + B_inf) y_k at x^(k+S+1), the indicial equation at infinity, and what
+is left of g at degrees <= S is phi.  The paper builds the same (unique)
+pair by expanding g in the lowered Rodrigues family; the tests keep that
+construction as the reference.  Systems and induced blocks both hand it
+QB's S + 2 coefficients (``qb_coefficients``), the top one B_inf
+(J_{B_inf} for a block).  ``local_taylor`` reads it from the bottom in
+t = x - p_j, where Q vanishes and the pivot is Q'(p_j) (k + B_j) y_k at
+t^k: the solution analytic at p_j, which the analytic route's
+certificate compares with its continued solution.
 
-``local_taylor`` solves the same cleared equation as a Taylor series at one
-pole, from the bottom up.  In t = x - p_j, Q vanishes at t = 0, so the
-coefficient of t^k is Q'(p_j) (k + B_j) y_k plus terms of the y_i with
-i < k: the indicial equation at p_j.  One solve per k gives the solution
-analytic at that pole, which the analytic route's certificate compares
-with its continued solution.  Exact mode solves each k + B_j exactly.
-Float mode runs on complex128 arrays: k + B_j differs between k only on
-its diagonal, so one batched inverse serves every k.
-
-Both float recursions check their solves once, after the loop, with
+Both ends refuse a singular shift up front (``model.singular_shifts``).
+Exact mode runs one loop, ``_recur_exact``, on per-degree lists of
+Fractions, real and imaginary parts apart (``SplitPoly``), with q, R and
+the pivot as sparse real entries (at a pole divided by Q'(p_j), so the
+pivot is k + B_j): each k is one sparse Gauss-Jordan
+(``SparseMatrix.solve``), for the real and imaginary parts as two columns
+when Q and QB are real, in the real 2N embedding otherwise.  Float mode
+runs one loop, ``_recur_float``, on complex128 arrays, with the per-k
+solve each end measured fastest: ``np.linalg.solve`` of B_inf shifted on
+its diagonal at infinity (a batched inverse there was slower and less
+accurate at d = 4), and at a pole the rows of one batched inverse of
+k + B_j for all k (per-k solves were slower on the analytic route).
 ``matrices.first_failed_solve``, the rule ``solve_array`` applies to one
-solve: the top k down at infinity, k = 0 up at a pole, and the first
-solve refused in that order raises, as a per-k ``solve_array`` would.
+solve, then checks the solves in the order solved.
 
 ``shift_up`` / ``pull_back_correction`` implement one rung of the shift
 ladder: when residue spectra have nonpositive real parts, the substitution
@@ -64,8 +63,6 @@ from .matrices import (
     split_entries,
     vec_add,
     vec_scale,
-    vec_sub,
-    vec_zero,
 )
 from .model import AssumptionError, singular_shifts
 from .poly import SplitPoly, VecPoly, sp_eval, sp_taylor
@@ -118,7 +115,8 @@ class ShiftStep:
 def solve_polynomial(system, g, tol=1e-12):
     """Unique polynomial correction and solution for a polynomial rhs.
 
-    Raises AssumptionError when some k + B_inf with k >= 0 is singular, as
+    The recursion from the top: pivot k + B_inf, k descending.  Raises
+    AssumptionError when some k + B_inf with k >= 0 is singular, as
     ``model.singular_shifts`` decides (exactly in exact mode, by ``tol`` in
     float mode): below deg g - S the recursion cannot solve, and above it
     a singular shift may carry a polynomial kernel that makes (phi, y)
@@ -132,235 +130,225 @@ def solve_polynomial(system, g, tol=1e-12):
     """
     if (g.shape[1] if isinstance(g, np.ndarray) else g.dim) != system.size:
         raise ValueError("right-hand side dimension mismatch")
-    binf, lower = (_exact_operators(system) if system.exact
-                   else (None, None))
-    bad = _singular_shifts_at_infinity(system, tol, binf)
+    ops = _exact_operators(system) if system.exact else (None,)
+    bad = _singular_ks(system, "inf", tol, ops[0])
     if bad:
         raise AssumptionError(
             f"k + B_inf singular at k={min(bad)}: (phi, y) not unique")
     if not system.exact:
         return _solve_polynomial_float(system, g, tol)
+    split = g if isinstance(g, SplitPoly) else SplitPoly.from_vecpoly(g)
+    top = len(split.re)
+    while top and not any(any(part[top - 1])
+                          for part in (split.re, split.im) if part):
+        top -= 1
+    rem, y = _recur_exact(*ops, split, range(top - system.s - 2, -1, -1),
+                          len(split.re), "B_inf")
+    phi = SplitPoly(split.dim, rem.re[:system.s + 1],
+                    rem.im and rem.im[:system.s + 1])
     if isinstance(g, VecPoly):
-        result = _solve_polynomial_exact(system.s, binf, lower,
-                                         SplitPoly.from_vecpoly(g))
-        return CorrectionResult(phi=result.phi.to_vecpoly(),
-                                y=result.y.to_vecpoly())
-    return _solve_polynomial_exact(system.s, binf, lower, g)
+        phi, y = phi.to_vecpoly(), y.to_vecpoly()
+    return CorrectionResult(phi=phi, y=y)
 
 
-def _singular_shifts_at_infinity(system, tol, binf=None):
-    """The k >= 0 at which k + B_inf is singular, as
-    ``model.singular_shifts`` decides, read from QB's top coefficient or,
-    when given, from the SparseMatrix ``binf`` of it that the exact
-    recursion solves with (its 2N embedding is singular exactly when the
-    complex matrix is)."""
-    if binf is None:
-        binf = system.qb_coefficients()[-1]
-        if system.exact:
-            binf = SparseMatrix(system.size, binf)
-    tests = singular_shifts(binf, system.residue_spectrum("inf"), tol)
+def local_taylor(system, pole_index, rhs, order, tol=1e-12):
+    """Taylor solution of Q y' + (QB) y = rhs at pole ``pole_index``.
+
+    The recursion from the bottom: in t = x - p_j, Q has the Taylor
+    coefficients q_i with q_0 = 0 and q_1 = Q'(p_j), and QB has R_i with
+    R_0 = Q'(p_j) B_j, so the pivot is Q'(p_j) (k + B_j) y_k at t^k, k
+    ascending to ``order``, and y_k's other terms land above it.  This is
+    the unique solution analytic at p_j whenever every k + B_j is
+    invertible.
+
+    Raises ValueError when rhs has the wrong dimension and, before any
+    solve, AssumptionError "k + B_j singular at k=..." for the least
+    k <= order at which ``model.singular_shifts`` finds k + B_j singular
+    (exactly in exact mode, by ``tol`` in float mode).
+    """
+    if rhs.dim != system.size:
+        raise ValueError("right-hand side dimension mismatch")
+    ops = _exact_operators(system, pole_index) if system.exact else (None,)
+    bad = [k for k in _singular_ks(system, pole_index, tol, ops[0])
+           if k <= order]
+    if bad:
+        raise AssumptionError(f"k + B_{pole_index} singular at k={min(bad)}")
+    if not system.exact:
+        return _local_taylor_float(system, pole_index, rhs, order, tol)
+    center, count = system.poles[pole_index], order + 1
+    given = rhs.scale(1 / sp_eval(system.q_prime(), center)).taylor_at(center)
+    given = SplitPoly.from_vecpoly(VecPoly.from_coeffs(given[:count], True,
+                                                       dim=system.size))
+    _, y = _recur_exact(*ops, given, range(count), count + system.s + 1,
+                        f"B_{pole_index}")
+    return TaylorSolution(pole_index, center,
+                          list(map(y.coefficient, range(count))))
+
+
+def _singular_ks(system, label, tol, pivot):
+    """The k >= 0 at which k + B_label (``label`` "inf" or a pole index) is
+    singular, as ``model.singular_shifts`` decides: in exact mode on
+    ``pivot``, the SparseMatrix the recursion solves with (its 2N
+    embedding is singular exactly when the complex matrix is)."""
+    tests = singular_shifts(pivot, system.residue_spectrum(label), tol)
     return [k for k, _, singular in tests if singular]
 
 
-def _exact_operators(system):
+def _exact_operators(system, pole_index=None):
     """What the exact recursion reads of ``system``, once per call.
 
-    J_{B_inf} as a SparseMatrix, and for j = 0 .. S + 1 what y_k leaves at
-    x^(k+j-1): k q_j y_k, with q_j as real (row offset, col offset, value)
-    blocks of size N, and QB's x^(j-1) coefficient applied to y_k, as real
-    (row, col, value) entries.  All are real when B_inf, QB and Q are, and
+    q_i and R_i are the coefficients of Q and QB in x at infinity, or in
+    t = x - p_j divided by Q'(p_j) at pole ``pole_index``.  Returns the
+    pivot term's R_(i-1) as a SparseMatrix, its i (S + 2 at infinity, 1 at
+    a pole), and for every other i with a nonzero term (i, q_i as real
+    (row offset, col offset, value) blocks of size N, R_(i-1) as real
+    (row, col, value) entries).  All are real when Q and QB are, and
     otherwise in the real 2N embedding, where a vector is its real parts
     followed by its imaginary parts.
     """
     n = system.size
-    coeffs = system.qb_coefficients()
-    q = system.q_poly()
+    q, coeffs = system.q_poly(), system.qb_coefficients()
+    at = len(q) - 1
+    if pole_index is not None:
+        center, qb = system.poles[pole_index], system.qb_poly()
+        q = sp_taylor(q, center, True)
+        inv_q1 = 1 / q[1]
+        coeffs = [(inv_q1 * r).entries() for r in sp_taylor(
+            [qb.coefficient(i) for i in range(at)], center, True)]
+        q, at = [inv_q1 * c for c in q], 1
     embed = (any(im for entries in coeffs for *_, im in entries)
              or any(c.im for c in q))
-    lower = [(split_entries([(0, 0, q_j.re, q_j.im)], n, embed),
-              split_entries(coeffs[j - 1], n, embed) if j else [])
-             for j, q_j in enumerate(q[:-1])]
-    return SparseMatrix(n, coeffs[-1], embed), lower
+    terms = [(i, split_entries([(0, 0, q_i.re, q_i.im)], n, embed),
+              split_entries(coeffs[i - 1], n, embed) if i else [])
+             for i, q_i in enumerate(q) if i != at]
+    return (SparseMatrix(n, coeffs[at - 1], embed), at,
+            [term for term in terms if term[1] or term[2]])
 
 
-def _solve_polynomial_exact(s, binf, lower, g):
-    """``solve_polynomial``'s exact recursion on a SplitPoly.
+def _recur_exact(pivot, at, terms, g, ks, rows, label):
+    """The exact recursion on the SplitPoly ``g`` zero-padded to ``rows``
+    degrees, k in the order ``ks``, with ``_exact_operators``' pivot, at
+    and terms.
 
-    Each k is one ``SparseMatrix.solve`` of k + J_{B_inf}: with a real
-    operator, for the real and the imaginary parts of the right-hand side
-    as two columns; in the embedding, for both in one column of length
-    2N.  y_k's terms below x^(k+S+1) then leave the remainder entry by
-    entry, exact zeros skipped.
+    The remainder is real columns of per-degree rows: g's real and
+    imaginary parts as two, or in the embedding one of length 2N.  Each k
+    is one ``SparseMatrix.solve`` of k + pivot on row k + at - 1; y_k's
+    other terms then leave the remainder entry by entry, exact zeros
+    skipped.  Returns what no y_k absorbed and y, as SplitPolys.
     """
-    n = g.dim
-    if binf.embedded:
+    n, size = g.dim, pivot.size
+    if pivot.embedded:
         im = g.im or [[0] * n] * len(g.re)
-        parts = [[re + i for re, i in zip(g.re, im)]]
+        rem = [[re + i for re, i in zip(g.re, im)]]
     else:
-        parts = [g.re] if g.im is None else [g.re, g.im]
-    rem = [[list(v) for v in part] for part in parts]
-    top = len(g.re)
-    while top and not any(any(part[top - 1]) for part in rem):
-        top -= 1
-    ys = [None] * max(top - s - 1, 0)
-    for k in range(len(ys) - 1, -1, -1):
+        rem = [[list(v) for v in part]
+               for part in ([g.re] if g.im is None else [g.re, g.im])]
+    for part in rem:
+        part += [[0] * size for _ in range(rows - len(part))]
+    ys = [None] * len(ks)
+    for k in ks:
         try:
-            ys[k] = y_k = binf.solve([part[k + s + 1] for part in rem], k)
+            ys[k] = y_k = pivot.solve([part[k + at - 1] for part in rem], k)
         except SingularMatrixError as err:
             raise AssumptionError(
-                f"k + B_inf singular at k={k}: {err}") from None
-        # subtract k Q y_k x^(k-1) + (QB) y_k x^k below the eliminated top
-        for j, (q_j, qb_j) in enumerate(lower):
-            if not k + j:
+                f"k + {label} singular at k={k}: {err}") from None
+        for i, q_i, qb_i in terms:
+            q_i = q_i if k else ()   # k q_i y_k vanishes at k = 0
+            if not (q_i or qb_i):
                 continue
-            for t, column in zip([part[k + j - 1] for part in rem], y_k):
-                for ro, co, v in q_j if k else ():
+            for t, column in zip([part[k + i - 1] for part in rem], y_k):
+                for ro, co, v in q_i:
                     f = k * v
-                    for i in range(n):
-                        w = column[co + i]
+                    for j in range(n):
+                        w = column[co + j]
                         if w:
-                            t[ro + i] -= f * w
-                for r, c, v in qb_j:
+                            t[ro + j] -= f * w
+                for r, c, v in qb_i:
                     w = column[c]
                     if w:
                         t[r] -= v * w
-    phi = [part[:s + 1] for part in rem]
-    y = [[y_k[c] for y_k in ys] for c in range(len(rem))]
-    if binf.embedded:
-        phi, y = ([[v[:n] for v in a[0]], [v[n:] for v in a[0]]]
-                  for a in (phi, y))
-    return CorrectionResult(*(SplitPoly(n, a[0], a[1] if len(a) > 1 else None)
-                              for a in (phi, y)))
+    out = [rem, [[y_k[c] for y_k in ys] for c in range(len(rem))]]
+    if pivot.embedded:
+        out = [[[v[:n] for v in a[0]], [v[n:] for v in a[0]]] for a in out]
+    return [SplitPoly(n, a[0], a[1] if len(a) > 1 else None) for a in out]
+
+
+def _recur_float(solve, q, r, at, rem, ks, mat, label, tol):
+    """The float recursion on the (rows, N) complex128 remainder ``rem``,
+    k in the order of the array ``ks``, with ``q`` and ``r`` the
+    coefficients of Q and QB, ``at`` the pivot's i, and ``solve(k, row)``
+    giving y_k from row k + at - 1.  Returns the y_k by k.
+
+    The other terms lie all below the pivot at infinity and all above it
+    at a pole, so y_k leaves them in two slice updates: k q_i y_k, then
+    R_(i-1) y_k.  Only a solve that raises LinAlgError ends the loop
+    early.  ``first_failed_solve`` then checks the solves as
+    (k + mat) y_k = row / q_at (q_at is 1 at infinity), in the order run,
+    so what overflowed shows there: the first refused raises
+    AssumptionError "k + ``label`` singular at k=...", or ArithmeticError
+    on a non-finite row.
+    """
+    lo, hi = (0, at) if at == len(q) - 1 else (at + 1, len(q))
+    lo_r = max(lo, 1)
+    q_terms, r_terms = q[lo:hi, None], r[lo_r - 1:hi - 1]
+    ys = np.zeros((len(ks), rem.shape[1]), complex)
+    ran = len(ks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, k in enumerate(ks.tolist()):
+            try:
+                ys[k] = y_k = solve(k, rem[k + at - 1])
+            except np.linalg.LinAlgError:
+                ran = i
+                break
+            if k:
+                rem[k + lo - 1:k + hi - 1] -= k * q_terms * y_k
+            rem[k + lo_r - 1:k + hi - 1] -= r_terms @ y_k
+        ks = ks[:ran + 1]
+        failed = first_failed_solve(mat, ks, ys[ks[:ran]],
+                                    rem[ks + at - 1] / q[at], tol)
+    if failed:
+        k, error = failed
+        if isinstance(error, ArithmeticError):
+            raise error
+        raise AssumptionError(f"k + {label} singular at k={k}: {error}")
+    return ys
 
 
 def _solve_polynomial_float(system, g, tol):
-    """``solve_polynomial``'s recursion on complex128 arrays: k + J_{B_inf}
-    is J_{B_inf} shifted on its diagonal, the remainder one (deg + 1, N)
-    array.
-
-    Each k is one ``np.linalg.solve``, and ``first_failed_solve`` checks
-    them all once, from the top k down, after the recursion: only a solve
-    that raises ends it early, and whatever overflows on the way shows in
-    the right-hand sides and residuals checked after it.
-    """
+    """``solve_polynomial``'s float end: each k is one ``np.linalg.solve``
+    of J_{B_inf} shifted on its diagonal."""
     s, n = system.s, system.size
-    coeffs = system.qb_coefficients()
-    binf, qb = coeffs[-1], coeffs[:-1]
-    q = np.array(system.q_poly(), dtype=complex)
+    r = system.qb_coefficients()
+    binf = r[-1]
     array = isinstance(g, np.ndarray)
     rem = np.array(g if array else g.coeffs, dtype=complex).reshape(-1, n)
     top = np.flatnonzero(~(np.abs(rem) <= tol).all(axis=1))
     rem = rem[:top[-1] + 1 if top.size else 0]
-    ys = np.zeros((max(len(rem) - s - 1, 0), n), complex)
-    ks = np.arange(len(ys) - 1, -1, -1)
-    ran = len(ks)   # the solves before one that raises
     shifted = binf.copy()
     diag, shifted_diag = np.diagonal(binf), shifted.reshape(-1)[::n + 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, k in enumerate(ks.tolist()):
-            np.add(diag, k, out=shifted_diag)
-            try:
-                y_k = np.linalg.solve(shifted, rem[k + s + 1])
-            except np.linalg.LinAlgError:
-                ran = i
-                break
-            ys[k] = y_k
-            # subtract k Q y_k x^(k-1) + (QB) y_k x^k below the eliminated
-            # top
-            if k:
-                rem[k - 1:k + s + 1] -= k * q[:-1, None] * y_k
-            rem[k:k + s + 1] -= qb @ y_k
-    ks = ks[:ran + 1]
-    failed = first_failed_solve(binf, ks, ys[ks[:ran]], rem[ks + s + 1], tol)
-    if failed:
-        _raise_refusal("B_inf", *failed)
-    phi, y = rem[:s + 1], ys
+
+    def solve(k, row):
+        np.add(diag, k, out=shifted_diag)
+        return np.linalg.solve(shifted, row)
+
+    y = _recur_float(solve, np.array(system.q_poly(), dtype=complex), r,
+                     s + 2, rem, np.arange(len(rem) - s - 2, -1, -1), binf,
+                     "B_inf", tol)
+    phi = rem[:s + 1]
     if not array:
         phi, y = (VecPoly.from_coeffs(map(tuple, a.tolist()), False, dim=n)
                   for a in (phi, y))
     return CorrectionResult(phi=phi, y=y)
 
 
-def _raise_refusal(label, k, error):
-    """Raise a failed float solve of k + ``label``: a non-finite
-    right-hand side as it is, any other failure as an AssumptionError."""
-    if isinstance(error, ArithmeticError):
-        raise error
-    raise AssumptionError(f"k + {label} singular at k={k}: {error}")
-
-
-def local_taylor(system, pole_index, rhs, order, tol=1e-12):
-    """Taylor solution of Q y' + (QB) y = rhs at pole ``pole_index``.
-
-    The bottom-up twin of ``solve_polynomial``.  In t = x - p_j, Q has the
-    Taylor coefficients q_a with q_0 = 0 and q_1 = Q'(p_j), and QB has the
-    coefficients R_b with R_0 = Q'(p_j) B_j.  The coefficient of t^k is
-    then Q'(p_j) (k + B_j) y_k plus terms of the y_i with i < k: one solve
-    per k, after which y_k's own terms, k q_a y_k at t^(a+k-1) for a >= 2
-    and R_b y_k at t^(b+k) for b >= 1, leave the remainder.  This is the
-    unique solution analytic at p_j whenever every k + B_j is invertible.
-
-    Raises ValueError when rhs has the wrong dimension and AssumptionError
-    when some k + B_j with k <= order is singular.  Float mode runs on
-    complex128 arrays (``_local_taylor_float``); exact mode solves each k
-    exactly.
-    """
-    if rhs.dim != system.size:
-        raise ValueError("right-hand side dimension mismatch")
-    if not system.exact:
-        return _local_taylor_float(system, pole_index, rhs, order, tol)
-    d = system.size
-    center = system.poles[pole_index]
-    count = order + 1
-    q = sp_taylor(system.q_poly(), center, True)
-    inv_q1 = from_int(1, True) / q[1]
-    qb = system.qb_poly()
-    r_blocks = sp_taylor([qb.coefficient(i) for i in range(len(q) - 1)],
-                         center, True)[1:]   # R_1 .. R_(S+1)
-    rem = rhs.taylor_at(center)[:count]
-    rem += [vec_zero(d, True)] * (count - len(rem))
-    b_j = system.residues[pole_index]
-    ys = []
-    for k in range(count):
-        try:
-            y_k = solve_linear(b_j.add_scaled_identity(k),
-                               vec_scale(inv_q1, rem[k]), tol)
-        except SingularMatrixError as err:
-            raise AssumptionError(
-                f"k + B_{pole_index} singular at k={k}: {err}"
-            ) from None
-        ys.append(y_k)
-        for a in range(2, min(len(q), count - k + 1)):
-            rem[a + k - 1] = vec_sub(rem[a + k - 1], vec_scale(k * q[a], y_k))
-        for b, r_b in enumerate(r_blocks[: count - k - 1], start=1):
-            rem[b + k] = vec_sub(rem[b + k], r_b.matvec(y_k))
-    return TaylorSolution(pole_index, center, ys)
-
-
 def _local_taylor_float(system, pole_index, rhs, order, tol):
-    """``local_taylor``'s recursion on complex128 arrays.
-
-    k + B_j differs between k only on its diagonal, so one batched inverse
-    of the stack k = 0 .. order, divided by Q'(p_j), gives every y_k from
-    rem[k].  Each k is then one d x d product and one slice update of the
-    (count + S + 1, d) remainder, as in ``_solve_polynomial_float``: y_k's
-    terms k q_a y_k and R_(a-1) y_k, a = 2 .. S + 2, land together on
-    t^(k+1) .. t^(k+S+1).  Singular shifts are refused up front
-    (``model.singular_shifts``); ``first_failed_solve`` then checks every
-    solve once, from k = 0 up, after the recursion, and the first k it
-    refuses is the one a per-k ``solve_array`` would have raised on.
-    """
+    """``local_taylor``'s float end: one batched inverse of k + B_j,
+    k = 0 .. order, divided by Q'(p_j), gives each y_k from its row."""
     s, d = system.s, system.size
-    center = system.poles[pole_index]
-    count = order + 1
-    b_j = system.residues[pole_index]
-    tests = singular_shifts(b_j, system.residue_spectrum(pole_index), tol)
-    bad = [k for k, _, singular in tests if singular and k < count]
-    if bad:
-        raise AssumptionError(f"k + B_{pole_index} singular at k={min(bad)}")
+    center, count = system.poles[pole_index], order + 1
     q = np.array(sp_taylor(system.q_poly(), center), dtype=complex)
-    r = np.array(sp_taylor(system.qb_coefficients(), center))   # r[b] is R_b
-    b_j = b_j.to_numpy()
+    r = np.array(sp_taylor(system.qb_coefficients(), center))   # r[i] is R_i
+    b_j = system.residues[pole_index].to_numpy()
     shifted = np.repeat(b_j[None], count, axis=0)
     shifted[:, range(d), range(d)] += np.arange(count)[:, None]
     try:
@@ -369,19 +357,13 @@ def _local_taylor_float(system, pole_index, rhs, order, tol):
         raise AssumptionError(
             f"k + B_{pole_index} singular at some k <= {order}: {err}"
         ) from None
-    ys = np.empty((count, d), complex)
     with np.errstate(over="ignore", invalid="ignore"):
         given = np.array(rhs.coeffs, dtype=complex).reshape(-1, d)
         given = np.array(sp_taylor(given, center)).reshape(-1, d)[:count]
-        rem = np.zeros((count + s + 1, d), complex)
-        rem[:len(given)] = given
-        for k in range(count):
-            ys[k] = y_k = inverses[k] @ rem[k]
-            rem[k + 1:k + s + 2] -= k * q[2:, None] * y_k + r[1:] @ y_k
-        used = rem[:count] / q[1]
-    failed = first_failed_solve(b_j, np.arange(count), ys, used, tol)
-    if failed:
-        _raise_refusal(f"B_{pole_index}", *failed)
+    rem = np.zeros((count + s + 1, d), complex)
+    rem[:len(given)] = given
+    ys = _recur_float(lambda k, row: inverses[k] @ row, q, r, 1, rem,
+                      np.arange(count), b_j, f"B_{pole_index}", tol)
     return TaylorSolution(pole_index, center, list(map(tuple, ys.tolist())))
 
 
@@ -445,7 +427,8 @@ def solution_uniqueness_check(system, tol=1e-12):
     True when every k + B_inf with k >= 0 is invertible; None (with a
     warning) when one is singular.
     """
-    bad = _singular_shifts_at_infinity(system, tol)
+    bad = _singular_ks(system, "inf", tol, _exact_operators(system)[0]
+                       if system.exact else None)
     if bad:
         warnings.warn(
             f"uniqueness check skipped: k + B_inf singular at k={min(bad)}",

@@ -298,8 +298,8 @@ class SplitPoly(NamedTuple):
     """An exact vector polynomial as per-degree lists of Fractions, real and
     imaginary parts apart: ``re[k][i]`` is the real part of component i at
     x^k, ``im`` the imaginary parts alike, or None when all are zero.  Top
-    degrees may be zero.  The exact recursion of ``solve_polynomial`` runs
-    on this form."""
+    degrees may be zero.  The exact recursion of ``correction`` runs on
+    this form, at infinity and at a pole."""
 
     dim: int
     re: list

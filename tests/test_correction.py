@@ -23,6 +23,7 @@ from fuchslin.exact import ExactComplex
 from fuchslin.matrices import (
     CMatrix,
     SingularMatrixError,
+    SparseMatrix,
     first_failed_solve,
     solve_array,
 )
@@ -302,7 +303,8 @@ def test_exact_recursion_on_gaussian_rational_blocks(kind):
         system = random_gaussian_system(rng, rng.randint(1, 3),
                                         rng.randint(0, 1), kind)
         block, basis = induced_system(system, rng.randint(2, 3))
-        if correction._singular_shifts_at_infinity(block, 1e-12):
+        if correction._singular_ks(
+                block, "inf", 1e-12, correction._exact_operators(block)[0]):
             continue    # a value <lambda, m> - lambda_i is a negative int
         solved += 1
         assert correction._exact_operators(block)[0].embedded \
@@ -642,6 +644,50 @@ def test_local_taylor_float_matches_exact():
             assert err <= 1e-12 * scale, (j, err / scale)
 
 
+def exact_system(poles, residues):
+    """Exact system from (re, im) pairs: poles, and rows of residues."""
+    def z(v):
+        return ExactComplex(*map(Fraction, v))
+    return FuchsianSystem(
+        tuple(map(z, poles)),
+        tuple(CMatrix.from_rows([[z(v) for v in row] for row in rows], True)
+              for rows in residues))
+
+
+def test_local_taylor_exact_runs_on_the_sparse_elimination(monkeypatch):
+    # a nonreal pole and dense Gaussian-rational residues put the exact
+    # series in the real 2N embedding: each k is one SparseMatrix.solve,
+    # no generic solve runs, and the series solves the cleared equation
+    # exactly through t^order
+    system = exact_system(
+        [("1/2", "1/2"), (-1, 0), (2, 0)],
+        [[[(1, "1/2"), ("1/3", 0)], [("-1/2", 0), ("3/2", -1)]],
+         [[(2, 0), (0, 1)], [("1/2", 0), (1, 0)]],
+         [[("1/2", 0), (-1, "1/3")], [("1/4", 0), ("5/2", 0)]]])
+    g = complex_vecpoly(random.Random(3), 2, 3)
+    order = 8
+    assert correction._exact_operators(system, 0)[0].embedded
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_linear called")
+
+    solves, exact_solve = [], SparseMatrix.solve
+
+    def counted(self, cols, shift=0):
+        solves.append(shift)
+        return exact_solve(self, cols, shift)
+
+    monkeypatch.setattr(correction, "solve_linear", refuse)
+    monkeypatch.setattr(SparseMatrix, "solve", counted)
+    sol = local_taylor(system, 0, g, order)
+    assert solves == list(range(order + 1))
+    center = system.poles[0]
+    y = VecPoly.from_coeffs(sol.coefficients, exact=True, dim=2)
+    y = VecPoly.from_coeffs(y.taylor_at(-center), exact=True, dim=2)
+    resid = cleared_residual(system, g, VecPoly.zero(2, exact=True), y)
+    assert all(not v for c in resid.taylor_at(center)[: order + 1] for v in c)
+
+
 def test_local_taylor_eval_consistency():
     system = scalar_system(1, 1)
     third = ExactComplex(Fraction(1, 3))
@@ -664,15 +710,27 @@ def test_local_taylor_rejects_dimension_mismatch():
 
 def test_local_taylor_singular_shift():
     # B_0 = -2: k + B_0 vanishes at k = 2, so a series through t^2 has no
-    # solution analytic at -1, while one through t^1 still does
-    system = scalar_system(-2, Fraction(1, 2))
-    g = VecPoly.from_coeffs([(ExactComplex(1),), (ExactComplex(3),)],
-                            exact=True)
-    for sys_, rhs in ((system, g), (float_system(system), float_vecpoly(g))):
-        with pytest.raises(AssumptionError, match="k=2"):
-            local_taylor(sys_, 0, rhs, order=5)
-        assert len(local_taylor(sys_, 0, rhs, order=1).coefficients) == 2
-        assert len(local_taylor(sys_, 1, rhs, order=5).coefficients) == 6
+    # solution analytic at -1, while one through t^1 still does; the same
+    # for the nonreal B_0 with eigenvalues -2 and 1/2 + i.  Both rings
+    # refuse before any solve, with one message.
+    scalar = (scalar_system(-2, Fraction(1, 2)),
+              VecPoly.from_coeffs([(ExactComplex(1),), (ExactComplex(3),)],
+                                  exact=True))
+    nonreal = (exact_system(
+        [(-1, 0), (1, 0)],
+        [[[(-2, 0), (0, 1)], [(0, 0), ("1/2", 1)]],
+         [[("1/2", 0), (0, 0)], [(1, 0), (1, 1)]]]),
+        complex_vecpoly(random.Random(5), 2, 2))
+    for system, g in (scalar, nonreal):
+        messages = []
+        for sys_, rhs in ((system, g),
+                          (float_system(system), float_vecpoly(g))):
+            with pytest.raises(AssumptionError, match="k=2") as err:
+                local_taylor(sys_, 0, rhs, order=5)
+            messages.append(str(err.value))
+            assert len(local_taylor(sys_, 0, rhs, order=1).coefficients) == 2
+            assert len(local_taylor(sys_, 1, rhs, order=5).coefficients) == 6
+        assert messages == ["k + B_0 singular at k=2"] * 2
 
 
 def test_local_taylor_float_rejects_non_finite_rhs():
