@@ -26,12 +26,17 @@ t^k: the solution analytic at p_j, which the analytic route's
 certificate compares with its continued solution.
 
 Both ends refuse a singular shift up front (``model.singular_shifts``).
-Exact mode runs one loop, ``_recur_exact``, on per-degree lists of
-Fractions, real and imaginary parts apart (``SplitPoly``), with q, R and
-the pivot as sparse real entries (at a pole divided by Q'(p_j), so the
-pivot is k + B_j): each k is one sparse Gauss-Jordan
-(``SparseMatrix.solve``), for the real and imaginary parts as two columns
-when Q and QB are real, in the real 2N embedding otherwise.  Float mode
+Exact mode runs one loop, ``_recur_exact``, on integer rows: per degree,
+integer numerators over one denominator, real and imaginary parts apart
+(``SplitPoly``), with q_i and R_(i-1) cleared once per call to sparse
+real integer entries over one denominator per term (at a pole divided by
+Q'(p_j), so the pivot is k + B_j).  Each k is one sparse Gauss-Jordan
+(``SparseMatrix.solve``), which takes the pivot row and gives y_k as
+integers over one denominator, for the real and imaginary parts as two
+columns when Q and QB are real, in the real 2N embedding otherwise; y_k's
+other terms then leave the remainder as integer multiply-adds, each row
+updated once to the lcm of its denominator and theirs.  In the loop,
+Fraction arithmetic happens only inside that elimination.  Float mode
 runs one loop, ``_recur_float``, on complex128 arrays, with the per-k
 solve each end measured fastest: ``np.linalg.solve`` of B_inf shifted on
 its diagonal at infinity (a batched inverse there was slower and less
@@ -49,12 +54,13 @@ system down to the original one.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import from_int
+from .exact import clear_denominators, from_int
 from .matrices import (
     SingularMatrixError,
     SparseMatrix,
@@ -144,8 +150,9 @@ def solve_polynomial(system, g, tol=1e-12):
         top -= 1
     rem, y = _recur_exact(*ops, split, range(top - system.s - 2, -1, -1),
                           len(split.re), "B_inf")
-    phi = SplitPoly(split.dim, rem.re[:system.s + 1],
-                    rem.im and rem.im[:system.s + 1])
+    cut = system.s + 1
+    phi = rem._replace(den=rem.den[:cut], re=rem.re[:cut],
+                       im=rem.im and rem.im[:cut])
     if isinstance(g, VecPoly):
         phi, y = phi.to_vecpoly(), y.to_vecpoly()
     return CorrectionResult(phi=phi, y=y)
@@ -200,11 +207,12 @@ def _exact_operators(system, pole_index=None):
     q_i and R_i are the coefficients of Q and QB in x at infinity, or in
     t = x - p_j divided by Q'(p_j) at pole ``pole_index``.  Returns the
     pivot term's R_(i-1) as a SparseMatrix, its i (S + 2 at infinity, 1 at
-    a pole), and for every other i with a nonzero term (i, q_i as real
-    (row offset, col offset, value) blocks of size N, R_(i-1) as real
-    (row, col, value) entries).  All are real when Q and QB are, and
-    otherwise in the real 2N embedding, where a vector is its real parts
-    followed by its imaginary parts.
+    a pole), and for every other i with a nonzero term (i, den, q_i as
+    real (row offset, col offset, value) blocks of size N, R_(i-1) as real
+    (row, col, value) entries), the values integers over the term's one
+    denominator ``den``.  All are real when Q and QB are, and otherwise in
+    the real 2N embedding, where a vector is its real parts followed by
+    its imaginary parts.
     """
     n = system.size
     q, coeffs = system.q_poly(), system.qb_coefficients()
@@ -218,11 +226,29 @@ def _exact_operators(system, pole_index=None):
         q, at = [inv_q1 * c for c in q], 1
     embed = (any(im for entries in coeffs for *_, im in entries)
              or any(c.im for c in q))
-    terms = [(i, split_entries([(0, 0, q_i.re, q_i.im)], n, embed),
-              split_entries(coeffs[i - 1], n, embed) if i else [])
-             for i, q_i in enumerate(q) if i != at]
-    return (SparseMatrix(n, coeffs[at - 1], embed), at,
-            [term for term in terms if term[1] or term[2]])
+    terms = []
+    for i, q_i in enumerate(q):
+        entries = coeffs[i - 1] if i else []
+        if i == at or not (q_i or entries):
+            continue
+        den, entries = _cleared([(0, 0, q_i.re, q_i.im), *entries], embed)
+        terms.append((i, den, split_entries(entries[:1], n, embed),
+                      split_entries(entries[1:], n, embed)))
+    return SparseMatrix(n, coeffs[at - 1], embed), at, terms
+
+
+def _cleared(entries, embed):
+    """(den, entries): the (row, col, re, im) Fraction ``entries`` as
+    integers over one denominator.  Without ``embed`` every imaginary part
+    is zero, and only the real parts are read."""
+    if embed:
+        den, nums = clear_denominators(
+            [v for *_, re, im in entries for v in (re, im)])
+        parts = zip(nums[::2], nums[1::2])
+    else:
+        den, nums = clear_denominators([re for *_, re, _ in entries])
+        parts = ((re, 0) for re in nums)
+    return den, [(r, c, *part) for (r, c, *_), part in zip(entries, parts)]
 
 
 def _recur_exact(pivot, at, terms, g, ks, rows, label):
@@ -230,13 +256,17 @@ def _recur_exact(pivot, at, terms, g, ks, rows, label):
     degrees, k in the order ``ks``, with ``_exact_operators``' pivot, at
     and terms.
 
-    The remainder is real columns of per-degree rows: g's real and
-    imaginary parts as two, or in the embedding one of length 2N.  Each k
-    is one ``SparseMatrix.solve`` of k + pivot on row k + at - 1; y_k's
-    other terms then leave the remainder entry by entry, exact zeros
-    skipped.  Returns what no y_k absorbed and y, as SplitPolys.
+    The remainder is integer columns of per-degree rows over one
+    denominator per degree: g's real and imaginary parts as two, or in
+    the embedding one of length 2N.  Each k is one ``SparseMatrix.solve``
+    of k + pivot on row k + at - 1, which gives y_k in the same form.  For
+    each other term i, y_k's contribution k q_i y_k + R_(i-1) y_k to row
+    k + i - 1 is summed in integers, exact zeros skipped, and leaves the
+    row in one update to the lcm of the two denominators.  Returns what no
+    y_k absorbed and y, as SplitPolys.
     """
     n, size = g.dim, pivot.size
+    dens = list(g.den) + [1] * (rows - len(g.den))
     if pivot.embedded:
         im = g.im or [[0] * n] * len(g.re)
         rem = [[re + i for re, i in zip(g.re, im)]]
@@ -247,30 +277,45 @@ def _recur_exact(pivot, at, terms, g, ks, rows, label):
         part += [[0] * size for _ in range(rows - len(part))]
     ys = [None] * len(ks)
     for k in ks:
+        row = k + at - 1
         try:
-            ys[k] = y_k = pivot.solve([part[k + at - 1] for part in rem], k)
+            ys[k] = den_y, y_k = pivot.solve(
+                (dens[row], [part[row] for part in rem]), k)
         except SingularMatrixError as err:
             raise AssumptionError(
                 f"k + {label} singular at k={k}: {err}") from None
-        for i, q_i, qb_i in terms:
+        if not any(map(any, y_k)):
+            continue
+        for i, den_i, q_i, qb_i in terms:
             q_i = q_i if k else ()   # k q_i y_k vanishes at k = 0
             if not (q_i or qb_i):
                 continue
-            for t, column in zip([part[k + i - 1] for part in rem], y_k):
+            t = k + i - 1
+            den_t, den_c = dens[t], den_i * den_y
+            common = math.gcd(den_t, den_c)
+            row_up, acc_up = den_c // common, den_t // common
+            dens[t] = den_t * row_up
+            for part, column in zip(rem, y_k):
+                acc = [0] * size
                 for ro, co, v in q_i:
-                    f = k * v
+                    v *= k
                     for j in range(n):
                         w = column[co + j]
                         if w:
-                            t[ro + j] -= f * w
+                            acc[ro + j] += v * w
                 for r, c, v in qb_i:
                     w = column[c]
                     if w:
-                        t[r] -= v * w
-    out = [rem, [[y_k[c] for y_k in ys] for c in range(len(rem))]]
+                        acc[r] += v * w
+                part[t] = [a * row_up - b * acc_up
+                           for a, b in zip(part[t], acc)]
+    out = [(dens, rem), ([y[0] for y in ys],
+                         [[y[1][c] for y in ys] for c in range(len(rem))])]
     if pivot.embedded:
-        out = [[[v[:n] for v in a[0]], [v[n:] for v in a[0]]] for a in out]
-    return [SplitPoly(n, a[0], a[1] if len(a) > 1 else None) for a in out]
+        out = [(d, [[v[:n] for v in a[0]], [v[n:] for v in a[0]]])
+               for d, a in out]
+    return [SplitPoly(n, d, a[0], a[1] if len(a) > 1 else None)
+            for d, a in out]
 
 
 def _recur_float(solve, q, r, at, rem, ks, mat, label, tol):

@@ -71,8 +71,8 @@ import numpy as np
 from .correction import solve_polynomial
 from .exact import from_int
 from .model import AssumptionError, check_nonlinear_assumption
-from .pnspace import (_int_row, _scalars, devectorize, induced_system,
-                      multiindices, vectorize)
+from .pnspace import (_int_row, _reduced_row, _scalars, devectorize,
+                      induced_system, multiindices, vectorize)
 from .poly import VecPoly, sp_trim
 from .matrices import ShapeError
 
@@ -691,14 +691,7 @@ def _reduce(buckets):
             re[k] += f * v
         for k, v in enumerate(p_im):
             im[k] += f * v
-    n = width
-    while n and not (re[n - 1] or im[n - 1]):
-        n -= 1
-    if not n:
-        return None
-    g = math.gcd(den, *re[:n], *im[:n])
-    return (den // g, tuple(v // g for v in re[:n]),
-            tuple(v // g for v in im[:n]) if any(im) else None)
+    return _reduced_row(den, re, im)
 
 
 def _row_store(exact, d, order_max):

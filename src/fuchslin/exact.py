@@ -4,8 +4,10 @@ The whole library runs over one of two scalar rings: ordinary python
 ``complex`` (float mode) or :class:`ExactComplex`, a Gaussian rational built
 on :class:`fractions.Fraction` (exact mode).  The dense matrix and
 polynomial types are generic in the scalar and serve both modes; the hot
-paths are not: exact mode solves on sparse rows of Fractions and composes
-on integer rows, float mode runs both on complex128 arrays.
+paths are not: exact mode eliminates on sparse rows of Fractions, and runs
+the correction's recursion and the composition on integer rows over one
+denominator (``clear_denominators``); float mode runs them on complex128
+arrays.
 
 Mixing the two rings in one expression is a bug, not a convenience; an
 ``ExactComplex`` combined with a float raises ``TypeError`` so precision is
@@ -18,6 +20,7 @@ products and their gcds, and give the same Gaussian rational.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 _RAT = (int, Fraction)
@@ -180,6 +183,15 @@ def _parse_rational(value):
     if isinstance(value, str):
         return Fraction(value)
     raise ValueError(f"not an exact rational: {value!r}")
+
+
+def clear_denominators(values):
+    """Rationals ``values`` as (den, numerators): integers over their least
+    common denominator, read off numerator and denominator with no
+    Fraction arithmetic.  An empty ``values`` gives (1, [])."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return den, [n * (den // d) for n, d in ratios]
 
 
 # -- generic scalar helpers (work for both rings) ------------------------

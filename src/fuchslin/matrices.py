@@ -12,21 +12,26 @@ side.  Every exact solve is one routine,
 ``SparseMatrix.solve``: sparse Gauss-Jordan over the rationals on rows
 {col: Fraction}, built from the (row, col, re, im) Fraction entries of a
 matrix (``CMatrix.entries``), a real matrix as itself and a
-Gaussian-rational one as its real 2n embedding [[A, -B], [B, A]].  It
-pivots on exactly nonzero entries only (never on a float magnitude, which
-can underflow to zero or overflow), takes a live row with the fewest
-entries next (a triangular matrix in any order is then back-substitution)
-and never multiplies by an exact zero.
+Gaussian-rational one as its real 2n embedding [[A, -B], [B, A]].  Its
+right-hand sides and solutions are integer columns over one positive
+denominator, (den, columns), the solution's the least one; the matrix
+stays in Fractions, whose entries are small, and the elimination is the
+only place where the two meet.  It pivots on exactly nonzero entries only
+(never on a float magnitude, which can underflow to zero or overflow),
+takes a live row with the fewest entries next (a triangular matrix in any
+order is then back-substitution) and never multiplies by an exact zero.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from .exact import ExactComplex, coerce_scalar, from_int, scalar_is_zero
+from .exact import (ExactComplex, clear_denominators, coerce_scalar, from_int,
+                    scalar_is_zero)
 
 
 class ShapeError(ValueError):
@@ -334,11 +339,11 @@ def _solve_exact(a, b):
     elimination, a nonreal one its real 2n embedding."""
     n = a.n_rows
     op = SparseMatrix(n, a.entries())
-    re, im = [z.re for z in b], [z.im for z in b]
-    if op.embedded:
-        x, = op.solve([re + im])
-        return tuple(map(ExactComplex, x[:n], x[n:]))
-    return tuple(map(ExactComplex, *op.solve([re, im])))
+    den, nums = clear_denominators([z.re for z in b] + [z.im for z in b])
+    den, x = op.solve((den, [nums] if op.embedded else [nums[:n], nums[n:]]))
+    re, im = (x[0][:n], x[0][n:]) if op.embedded else x
+    return tuple(ExactComplex(Fraction(u, den), Fraction(v, den))
+                 for u, v in zip(re, im))
 
 
 def split_entries(entries, n, embed):
@@ -362,41 +367,54 @@ class SparseMatrix:
     real and ``embed`` is false, else its real 2n embedding
     [[A, -B], [B, A]], which acts on a vector as its real parts followed by
     its imaginary parts.  ``entries`` are the (row, col, re, im) of the
-    nonzero entries, as ``CMatrix.entries`` lists them."""
+    nonzero entries, as ``CMatrix.entries`` lists them.  The real rows are
+    built from them on the first solve, so the Fraction arithmetic on the
+    matrix all happens in the elimination."""
 
-    __slots__ = ("size", "rows", "embedded", "entries")
+    __slots__ = ("size", "embedded", "entries", "_rows")
 
     def __init__(self, n, entries, embed=False):
         self.entries = entries
         self.embedded = embed or any(im for *_, im in entries)
         self.size = 2 * n if self.embedded else n
-        self.rows = [{} for _ in range(self.size)]
-        for r, c, v in split_entries(entries, n, self.embedded):
-            self.rows[r][c] = v
+        self._rows = None
 
     def max_abs(self):
         """Largest |entry| of the Gaussian-rational matrix, as a float."""
         return max((abs(complex(float(re), float(im)))
                     for _, _, re, im in self.entries), default=0.0)
 
+    def _real_rows(self):
+        """The real rows {col: Fraction}, built on the first call."""
+        if self._rows is None:
+            n = self.size // 2 if self.embedded else self.size
+            self._rows = [{} for _ in range(self.size)]
+            for r, c, v in split_entries(self.entries, n, self.embedded):
+                self._rows[r][c] = v
+        return self._rows
+
     def singular(self, shift=0):
         """Whether this matrix plus ``shift`` I is singular."""
         try:
-            self.solve([], shift)
+            self.solve((1, []), shift)
         except SingularMatrixError:
             return True
         return False
 
     def solve(self, cols, shift=0):
-        """Solutions x of (A + shift I) x = c, one per real column c of
-        ``cols``; SingularMatrixError when A + shift I is singular.
+        """Solutions x of (A + shift I) x = c for the real columns c of
+        ``cols``, given as (den, numerators): integer columns over one
+        positive denominator.  Returns x in the same form, its denominator
+        the least one; SingularMatrixError when A + shift I is singular.
 
-        Each step pivots on a live row with the fewest entries, at its
-        lowest column, and eliminates that column from the other live rows;
-        back-substitution in reverse pivot order then reads the pivot rows.
+        The elimination solves for den x, on Fractions: each step pivots on
+        a live row with the fewest entries, at its lowest column, and
+        eliminates that column from the other live rows; back-substitution
+        in reverse pivot order then reads the pivot rows.
         """
+        den, cols = cols
         size = self.size
-        rows = [dict(r) for r in self.rows]
+        rows = [dict(r) for r in self._real_rows()]
         if shift:
             shift = Fraction(shift)
             for i, row in enumerate(rows):
@@ -462,4 +480,10 @@ class SparseMatrix:
                     if u:
                         b[j] -= v * u
             x[c] = b
-        return [list(col) for col in zip(*x)] if cols else []
+        # den x over the lcm of its denominators, then x itself: only
+        # factors of den can be common to the numerators and den
+        lcm, nums = clear_denominators([v for b in x for v in b])
+        common = math.gcd(den, *nums)
+        nums = [v // common for v in nums]
+        return lcm * (den // common), [nums[j::len(cols)]
+                                       for j in range(len(cols))]

@@ -33,8 +33,10 @@ matrix and no ``ExactComplex`` arithmetic.  ``vectorize`` /
 ``devectorize`` translate between basis order and the engine's store rows
 (row mu * d + i: component i of the monomial at position mu of
 ``multiindices(d, n)``): complex128 arrays, or in exact mode integer rows
-(numerator tuples over one denominator) and the per-degree Fraction lists
-of a ``SplitPoly``, with no ``ExactComplex`` in between.
+both ways, store rows (numerator tuples over one denominator) and the
+per-degree integer rows of a ``SplitPoly``, with no Fraction in between;
+on the way out each store row is reduced once, with one gcd, to its
+canonical (den, re, im) form.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import math
 from fractions import Fraction
 import numpy as np
 
-from .exact import ExactComplex
+from .exact import ExactComplex, clear_denominators
 from .matrices import CMatrix, ShapeError, mat_eigenvalues
 from .poly import SplitPoly
 
@@ -298,23 +300,29 @@ def induced_system(linear, n, basis=None):
 
 def _int_row(coeffs):
     """Integer row of a trimmed tuple of ExactComplex, None if empty."""
-    return _parts_row([c.re for c in coeffs], [c.im for c in coeffs])
-
-
-def _parts_row(re, im):
-    """Integer row of the Fractions ``re`` and ``im`` (None: all zero) of
-    one component's coefficients, with its zero top degrees trimmed; None
-    if nothing is left."""
-    n = len(re)
-    while n and not (re[n - 1] or im and im[n - 1]):
-        n -= 1
-    if not n:
+    if not coeffs:
         return None
-    parts = [re[:n]] + ([im[:n]] if im and any(im[:n]) else [])
-    den = math.lcm(*(v.denominator for part in parts for v in part))
-    re, im = [tuple(v.numerator * (den // v.denominator) for v in part)
-              for part in parts] + [None] * (2 - len(parts))
-    return den, re, im
+    n = len(coeffs)
+    den, nums = clear_denominators([c.re for c in coeffs]
+                                   + [c.im for c in coeffs])
+    return den, tuple(nums[:n]), tuple(nums[n:]) if any(nums[n:]) else None
+
+
+def _reduced_row(den, re, im):
+    """The integer row of the numerator sequences ``re`` and ``im`` over
+    ``den``: trailing zero degrees trimmed and one gcd divided out; None
+    when nothing is left."""
+    if not (any(re) or any(im)):
+        return None
+    n = len(re)
+    while not (re[n - 1] or im[n - 1]):
+        n -= 1
+    re, im = tuple(re[:n]), tuple(im[:n]) if any(im) else None
+    g = math.gcd(den, *re, *(im or ()))
+    if g == 1:
+        return den, re, im
+    return (den // g, tuple(v // g for v in re),
+            im and tuple(v // g for v in im))
 
 
 def _scalars(row):
@@ -336,39 +344,47 @@ def _slots(basis):
 
 def vectorize(rows, basis, exact=False):
     """Store rows in basis order: a (deg + 1, N) array from (N, deg + 1)
-    complex rows, or in exact mode a SplitPoly from N integer rows."""
+    complex rows, or in exact mode a SplitPoly from N integer rows, every
+    degree over the lcm of the rows' denominators."""
     if len(rows) != basis.size:
         raise ShapeError("row count does not match basis size")
     if not exact:
         return rows[np.argsort(_slots(basis))].T
     size = basis.size
-    width = max((len(row[1]) for row in rows if row is not None), default=0)
-    re = [[_ZERO] * size for _ in range(width)]
-    im = None
-    for pos, row in zip(_slots(basis).tolist(), rows):
-        if row is None:
-            continue
-        den, nums_re, nums_im = row
-        for k, v in enumerate(nums_re):
-            if v:
-                re[k][pos] = Fraction(v, den)
-        if nums_im is not None:
-            if im is None:
-                im = [[_ZERO] * size for _ in range(width)]
-            for k, v in enumerate(nums_im):
-                if v:
-                    im[k][pos] = Fraction(v, den)
-    return SplitPoly(size, re, im)
+    live = [(pos, row) for pos, row in zip(_slots(basis).tolist(), rows)
+            if row is not None]
+    den = math.lcm(*(row[0] for _, row in live))
+    width = max((len(row[1]) for _, row in live), default=0)
+    parts = [[(0,) * width] * size, None]
+    for pos, (d, *nums) in live:
+        f = den // d
+        for k, part in enumerate(nums):
+            if part is None:
+                continue
+            if parts[k] is None:
+                parts[k] = [(0,) * width] * size
+            parts[k][pos] = ((part if f == 1 else tuple(v * f for v in part))
+                             + (0,) * (width - len(part)))
+    re, im = (part and [list(v) for v in zip(*part)] for part in parts)
+    return SplitPoly(size, [den] * width, re, im)
 
 
 def devectorize(stacked, basis, exact=False):
     """Inverse of vectorize: the store rows of a stacked array or, in exact
-    mode, of a SplitPoly."""
+    mode, of a SplitPoly, each brought to the lcm of the degrees'
+    denominators and reduced with one gcd."""
     if (stacked.dim if exact else stacked.shape[1]) != basis.size:
         raise ShapeError("stacked vector length does not match basis size")
     if not exact:
         return stacked[:, _slots(basis)].T
-    re, im = stacked.re, stacked.im
-    return [_parts_row([v[pos] for v in re],
-                       im and [v[pos] for v in im])
+    if not stacked.re:
+        return [None] * basis.size
+    den = math.lcm(*stacked.den)
+    scale = [den // d for d in stacked.den]
+    parts = [stacked.re, stacked.im or [[0] * basis.size] * len(scale)]
+    if any(f != 1 for f in scale):
+        parts = [[[v * f for v in row] for row, f in zip(part, scale)]
+                 for part in parts]
+    re, im = (list(zip(*part)) for part in parts)
+    return [_reduced_row(den, re[pos], im[pos])
             for pos in _slots(basis).tolist()]

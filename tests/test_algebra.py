@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -10,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuchslin.exact import ExactComplex, coerce_scalar, from_int, to_complex
+from fuchslin.exact import (
+    ExactComplex,
+    clear_denominators,
+    coerce_scalar,
+    from_int,
+    to_complex,
+)
 from fuchslin.matrices import (
     CMatrix,
     ShapeError,
@@ -233,9 +240,11 @@ def test_exact_solve_dense_gaussian_rationals():
 
 @pytest.mark.parametrize("embed", [False, True], ids=["real", "embedded"])
 def test_sparse_solve_columns_shifts_and_embedding(embed):
-    # SparseMatrix.solve: several real columns at once, shifted by k I, on
-    # a real matrix or on the 2n embedding of a Gaussian-rational one; the
-    # complex reading of an embedded solution solves the complex system
+    # SparseMatrix.solve: several real columns at once, given and returned
+    # as integers over one denominator (the least one on the way out),
+    # shifted by k I, on a real matrix or on the 2n embedding of a
+    # Gaussian-rational one; the complex reading of an embedded solution
+    # solves the complex system
     rng = random.Random(f"sparse-{embed}")
 
     def value():
@@ -257,13 +266,19 @@ def test_sparse_solve_columns_shifts_and_embedding(embed):
                 shifted = CMatrix.from_rows(rows, True).add_scaled_identity(
                     shift)
                 cols = [[value() for _ in range(op.size)] for _ in range(3)]
+                den, nums = clear_denominators([v for c in cols for v in c])
+                nums = [nums[j * op.size:(j + 1) * op.size] for j in range(3)]
                 try:
-                    xs = op.solve(cols, shift)
+                    den_x, xs = op.solve((den, nums), shift)
                 except SingularMatrixError:
                     assert SparseMatrix(n, shifted.entries()).singular()
                     assert op.singular(shift)
                     continue
                 assert not op.singular(shift)
+                assert len(xs) == 3 and all(len(x) == op.size for x in xs)
+                assert den_x > 0 and all(type(v) is int for x in xs for v in x)
+                assert math.gcd(den_x, *(v for x in xs for v in x)) == 1
+                xs = [[Fraction(v, den_x) for v in x] for x in xs]
                 for c, x in zip(cols, xs):
                     if op.embedded:
                         z = tuple(map(ExactComplex, x[:n], x[n:]))

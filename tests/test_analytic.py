@@ -35,6 +35,7 @@ from fuchslin.exact import ExactComplex
 from fuchslin.matrices import CMatrix
 from fuchslin.model import AssumptionError, FuchsianSystem
 from fuchslin.poly import VecPoly, sp_taylor
+from fuchslin.rodrigues import RodriguesFamily, shifted_system
 
 
 def scalar_system(b0, b1, exact=True):
@@ -401,6 +402,34 @@ def test_step_planner_edge_cases():
     )
     assert g.degree == system.s + 4
     _close(rhs_moment(system, g), REFERENCE_XI_DEGREE_5)
+
+
+@pytest.mark.parametrize("scale", [1, 2, Fraction(1, 3)],
+                         ids=["s=1", "s=2", "s=1/3"])
+def test_lowered_rodrigues_family_is_multiply_orthogonal(scale):
+    # the paper's multiple orthogonality: with the residues scaled by s,
+    # every member P_n, n = S + 1 .. S + 7, of the lowered family
+    # (residues B_j - I, shifted_system) has vanishing moments
+    # int_{p_0}^{p_j} Q^{-1} W P_n v dx, j = 1 .. S + 1, against the
+    # system's own weight W, for every unit vector v, relative to
+    # max|P_n v|; the unlowered family's do not (the control: its largest
+    # relative moment is of order one)
+    base = _reference_system()
+    system = FuchsianSystem(base.poles, tuple(
+        r.scale(ExactComplex(scale)) for r in base.residues))
+    s, d = system.s, system.size
+    ratios = {}
+    for name, family in (("lowered", RodriguesFamily(shifted_system(system))),
+                         ("unlowered", RodriguesFamily(system))):
+        for n in range(s + 1, s + 8):
+            for i in range(d):
+                v = tuple(ExactComplex(int(i == j)) for j in range(d))
+                p = family.member_times_vector(n, v)
+                xi = rhs_moment(system, p)
+                ratios.setdefault(name, []).append(
+                    max(abs(z) for vec in xi for z in vec) / p.max_abs())
+    assert max(ratios["lowered"]) <= 1e-12
+    assert max(ratios["unlowered"]) >= 0.1
 
 
 def test_stacked_factor_series_matches_per_centre():

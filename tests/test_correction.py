@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fuchslin import correction
 from fuchslin.analytic import float_system, float_vecpoly
@@ -28,7 +30,13 @@ from fuchslin.matrices import (
     solve_array,
 )
 from fuchslin.model import AssumptionError, FuchsianSystem, singular_shifts
-from fuchslin.pnspace import conjugation_matrix, induced_system
+from fuchslin.pnspace import (
+    PnBasis,
+    conjugation_matrix,
+    devectorize,
+    induced_system,
+    vectorize,
+)
 from fuchslin.poly import MatPoly, SplitPoly, VecPoly
 from fuchslin.rodrigues import RodriguesFamily, shifted_system
 
@@ -295,8 +303,9 @@ def block_residual(system, block, basis, g, phi, y):
 @pytest.mark.parametrize("kind", ["real", "complex-poles", "complex"])
 def test_exact_recursion_on_gaussian_rational_blocks(kind):
     # the same on induced blocks, where J_{B_inf} and QB are sparse: the
-    # identity holds exactly, the SplitPoly form gives what the VecPoly
-    # form gives, and the float recursion agrees
+    # identity holds exactly, the SplitPoly form (integer rows over one
+    # positive denominator per degree) gives what the VecPoly form gives,
+    # and the float recursion agrees
     rng = random.Random(f"gaussian-block-{kind}")
     solved = 0
     while solved < 6:
@@ -314,6 +323,12 @@ def test_exact_recursion_on_gaussian_rational_blocks(kind):
         assert block_residual(system, block, basis, g, result.phi,
                               result.y).is_zero()
         split = solve_polynomial(block, SplitPoly.from_vecpoly(g))
+        for part in (split.phi, split.y):
+            assert part.dim == block.size and len(part.den) == len(part.re)
+            assert all(type(d) is int and d > 0 for d in part.den)
+            assert all(type(v) is int and len(row) == block.size
+                       for rows in (part.re, part.im or []) for row in rows
+                       for v in row)
         assert split.phi.to_vecpoly().coeffs == result.phi.coeffs
         assert split.y.to_vecpoly().coeffs == result.y.coeffs
         float_block, _ = induced_system(float_system(system), basis.n)
@@ -321,6 +336,126 @@ def test_exact_recursion_on_gaussian_rational_blocks(kind):
         scale = max(1.0, float_vecpoly(result.y).max_abs(),
                     float_vecpoly(g).max_abs())
         assert (got.y - float_vecpoly(result.y)).max_abs() <= 1e-10 * scale
+
+
+_FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__floordiv__",
+                 "__rfloordiv__", "__mod__", "__rmod__", "__divmod__",
+                 "__rdivmod__", "__pow__", "__rpow__", "__neg__", "__pos__",
+                 "__abs__")
+
+
+def test_exact_block_solve_does_fraction_arithmetic_only_in_the_elimination(
+        monkeypatch):
+    # vectorize -> solve_polynomial -> devectorize on the store rows of a
+    # Gaussian-rational block (the 2N embedding) and of a real one, each
+    # with a complex right-hand side: every Fraction operation is made
+    # inside SparseMatrix.solve, the elimination of k + J, and the integer
+    # rows read what the VecPoly form gives
+    rng = random.Random("integer-rows")
+    exact_solve = SparseMatrix.solve
+    calls, solves, depth = [], [], [0]
+
+    def eliminating(self, cols, shift=0):
+        solves.append(shift)
+        depth[0] += 1
+        try:
+            return exact_solve(self, cols, shift)
+        finally:
+            depth[0] -= 1
+
+    def counted(name, op):
+        def wrapper(*args):
+            if not depth[0]:
+                calls.append(name)
+            return op(*args)
+        return wrapper
+
+    for kind in ("complex", "real"):
+        system = random_gaussian_system(rng, 2, 1, kind)
+        block, basis = induced_system(system, 3)
+        assert correction._exact_operators(block)[0].embedded \
+            == (kind == "complex")
+        g = complex_vecpoly(rng, block.size, block.s + 3)
+        rows = devectorize(SplitPoly.from_vecpoly(g), basis, exact=True)
+        want = solve_polynomial(block, g)
+        solves.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(SparseMatrix, "solve", eliminating)
+            for name in _FRACTION_OPS:
+                patch.setattr(Fraction, name,
+                              counted(name, getattr(Fraction, name)))
+            Fraction(1, 2) + Fraction(1, 3)   # the counter counts
+            assert calls == ["__add__"]
+            calls.clear()
+            result = solve_polynomial(block, vectorize(rows, basis, True))
+            phi, y = (devectorize(part, basis, True)
+                      for part in (result.phi, result.y))
+            assert calls == []
+        assert solves == list(range(g.degree - block.s - 1, -1, -1))
+        for got, part in ((phi, want.phi), (y, want.y)):
+            assert vectorize(got, basis, True).to_vecpoly().coeffs \
+                == part.coeffs
+
+
+_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_gaussian = st.builds(ExactComplex, _fraction,
+                      st.one_of(st.just(Fraction(0)), _fraction))
+
+
+@st.composite
+def _gaussian_block_problems(draw):
+    """A Gaussian-rational system (d <= 2, S <= 1), its order-n block
+    (n = 2, 3) in a shuffled basis and a right-hand side of degree
+    S + 1 .. S + 3."""
+    d, s = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    poles = draw(st.lists(_gaussian, min_size=s + 2, max_size=s + 2,
+                          unique=True))
+    residues = [CMatrix.from_rows([[draw(_gaussian) for _ in range(d)]
+                                   for _ in range(d)], True)
+                for _ in range(s + 2)]
+    n = draw(st.integers(2, 3))
+    order = draw(st.permutations(PnBasis(d, n).items))
+    degree = draw(st.integers(s + 1, s + 3))
+    size = len(order)
+    g = VecPoly.from_coeffs([[draw(_gaussian) for _ in range(size)]
+                             for _ in range(degree + 1)], True, dim=size)
+    return FuchsianSystem(poles, residues), n, order, g
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(problem=_gaussian_block_problems())
+def test_exact_block_recursion_properties(problem):
+    # on Gaussian-rational blocks in any basis order: the exact (phi, y)
+    # satisfy the cleared identity exactly, the float recursion agrees
+    # within 1e-10 relative, and the store rows of g and of the solution
+    # come through vectorize / devectorize unchanged, the same in the
+    # shuffled basis as in the canonical one
+    system, n, order, g = problem
+    basis = PnBasis(system.size, n, order)
+    block, _ = induced_system(system, n, basis)
+    assume(not correction._singular_ks(
+        block, "inf", 1e-12, correction._exact_operators(block)[0]))
+    result = solve_polynomial(block, g)
+    assert block_residual(system, block, basis, g, result.phi,
+                          result.y).is_zero()
+
+    float_block, _ = induced_system(float_system(system), n, basis)
+    got = solve_polynomial(float_block, float_vecpoly(g))
+    for part, want in ((got.phi, result.phi), (got.y, result.y)):
+        want = float_vecpoly(want)
+        scale = max(1.0, want.max_abs(), float_vecpoly(g).max_abs())
+        assert (part - want).max_abs() <= 1e-10 * scale
+
+    canonical = PnBasis(system.size, n)
+    rows = devectorize(SplitPoly.from_vecpoly(g), basis, exact=True)
+    assert devectorize(vectorize(rows, basis, True), basis, True) == rows
+    plain, _ = induced_system(system, n, canonical)
+    other = solve_polynomial(plain, vectorize(rows, canonical, True))
+    for shuffled, canon in ((result.phi, other.phi), (result.y, other.y)):
+        back = devectorize(SplitPoly.from_vecpoly(shuffled), basis, True)
+        assert back == devectorize(canon, canonical, True)
+        assert devectorize(vectorize(back, basis, True), basis, True) == back
 
 
 def test_exact_recursion_singular_shift_raises():

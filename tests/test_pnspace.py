@@ -415,11 +415,26 @@ def test_store_rows_roundtrip(exact):
                 for _ in range(len(monomials) * d)]
             for basis in _bases(rng, d, n):
                 if exact:
-                    # integer rows over one denominator, None when empty
+                    # integer rows over one denominator, None when empty,
+                    # to integer rows in basis order over one positive
+                    # denominator per degree
                     store = [_int_row(r) for r in rows]
                     stacked = vectorize(store, basis, exact=True)
                     assert stacked.dim == basis.size
-                    coeff = stacked.coefficient
+                    assert len(stacked.den) == len(stacked.re) <= width
+                    assert all(type(d) is int and d > 0 for d in stacked.den)
+                    assert all(type(v) is int and len(row) == basis.size
+                               for part in (stacked.re, stacked.im or [])
+                               for row in part for v in row)
+
+                    def coeff(k, stacked=stacked):
+                        if k >= len(stacked.re):
+                            return [0] * basis.size
+                        im = (stacked.im[k] if stacked.im
+                              else [0] * basis.size)
+                        return [ExactComplex(Fraction(a, stacked.den[k]),
+                                             Fraction(b, stacked.den[k]))
+                                for a, b in zip(stacked.re[k], im)]
                 else:
                     store = np.zeros((len(rows), width), complex)
                     for r, row in enumerate(rows):
