@@ -46,7 +46,7 @@ from .document import (
     series_table_json,
     vecpoly_json,
 )
-from .engine import SeriesTable, linearize, normal_form, verify_conjugacy
+from .engine import linearize, normal_form, verify_conjugacy
 from .matrices import SingularMatrixError
 from .model import (
     AssumptionError,
@@ -143,7 +143,7 @@ def cmd_check(args):
     linear = check_linear_assumption(system, tol=tol)
     payload = {"linear": _linear_report_json(linear), "nonlinear": None}
     failed = not linear.passed
-    if doc.nonlinearity:
+    if doc.f:
         if order is None:
             order = doc.options.get("order", doc.to_nonlinear().order_max())
         nonlinear = check_nonlinear_assumption(
@@ -262,14 +262,8 @@ def cmd_verify(args):
     if mode not in ("obstruction", "normal-form"):
         raise SchemaError(f"/tables/mode: unknown mode {mode!r}")
     d = doc.dimension
-    series_map = parse_series_table(node["series"], d, doc.exact, "/series")
-    h_map = parse_series_table(node["h"], d, doc.exact, "/h")
-    series = SeriesTable(d, doc.exact)
-    for m, p in sorted(series_map.items()):
-        series.set(m, p)
-    h = SeriesTable(d, doc.exact)
-    for m, p in sorted(h_map.items()):
-        h.set(m, p)
+    series = parse_series_table(node["series"], d, doc.exact, "/series")
+    h = parse_series_table(node["h"], d, doc.exact, "/h")
     if "order" in node and not is_order(node["order"]):
         raise SchemaError(f"/tables/order: expected an integer >= 2, got "
                           f"{node['order']!r}")

@@ -19,6 +19,17 @@ component.  In exact mode each pair part must be an integer or a
 ``"p/q"`` string — floats are refused so the rational pipeline never
 silently loses exactness.
 
+Polynomial payloads (the nonlinearity's and a tables file's ``coeff``)
+are read straight into the engine's store rows, one per component, and
+kept in a SeriesTable: in exact mode integer rows (den, re, im), each
+part read as (numerator, denominator) ints, an integer or ``"p/q"``
+string with one gcd and any other string as ``Fraction(str)`` reads it;
+in float mode (d, width) complex128 arrays.  Poles and matrices are read
+into ExactComplex / complex scalars.  ``series_table_json`` prints a
+table from the same rows, each exact scalar reduced with one gcd, so an
+exact tables file goes from JSON to JSON with no ExactComplex, Fraction
+or VecPoly in between.
+
 Validation failures raise SchemaError whose message starts with a
 ``/slash/separated`` pointer to the offending field.
 
@@ -34,10 +45,13 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
+
 from .analytic import path_defect
 from .exact import ExactComplex
 from .matrices import CMatrix
 from .model import FuchsianSystem, NonlinearSystem, coinciding_poles
+from .pnspace import SeriesTable, _ratio_row, term_ring
 from .poly import VecPoly
 
 
@@ -67,32 +81,43 @@ class _Refused(Exception):
 
 
 def _part(value, exact, where):
+    if exact:
+        return Fraction(*_ratio(value, where))
     if isinstance(value, bool):
         raise _Refused("expected a number, got a boolean", where)
-    if exact:
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            try:
-                m = _INT_RATIO.fullmatch(value)
-                if m is None:
-                    return Fraction(value)
-                return (Fraction(int(m[1]), int(m[2])) if m[2]
-                        else Fraction(int(m[1])))
-            except (ValueError, ZeroDivisionError):
-                raise _Refused(f"not a valid rational: {value!r}",
-                               where) from None
-        if isinstance(value, float):
-            raise _Refused("floats are not accepted in exact mode; "
-                           "use integers or 'p/q' strings", where)
-        raise _Refused(
-            f"expected int or 'p/q' string, got {type(value).__name__}",
-            where)
     if isinstance(value, (int, float)):
         if isinstance(value, float) and not math.isfinite(value):
             raise _Refused("non-finite number", where)
         return float(value)
     raise _Refused(f"expected a number, got {type(value).__name__}", where)
+
+
+def _ratio(value, where):
+    """An exact pair part as (numerator, denominator) in lowest terms, the
+    denominator positive: ints as they are, ``_INT_RATIO`` strings with
+    one gcd, every other string as Fraction(str) reads it."""
+    if isinstance(value, bool):
+        raise _Refused("expected a number, got a boolean", where)
+    if isinstance(value, int):
+        return int(value), 1
+    if isinstance(value, str):
+        m = _INT_RATIO.fullmatch(value)
+        try:
+            if m is None:
+                return Fraction(value).as_integer_ratio()
+            num, den = int(m[1]), int(m[2] or 1)
+            if not den:
+                raise ZeroDivisionError
+        except (ValueError, ZeroDivisionError):
+            raise _Refused(f"not a valid rational: {value!r}",
+                           where) from None
+        g = math.gcd(num, den)
+        return num // g, den // g
+    if isinstance(value, float):
+        raise _Refused("floats are not accepted in exact mode; "
+                       "use integers or 'p/q' strings", where)
+    raise _Refused(
+        f"expected int or 'p/q' string, got {type(value).__name__}", where)
 
 
 def _scalar(node, exact):
@@ -114,13 +139,13 @@ def _parse_scalar(node, path, exact):
         _fail(path + bad.where, bad)
 
 
-def _parse_row(row, path, k, exact):
-    """The scalars of row ``k`` below ``path``, a list of [re, im] pairs;
-    the pointer of a refused entry is made only then."""
+def _parse_row(row, path, k, read):
+    """The pairs of row ``k`` below ``path``, each read by ``read``; the
+    pointer of a refused entry is made only then."""
     out = []
     try:
         for node in row:
-            out.append(_scalar(node, exact))
+            out.append(read(node))
     except _Refused as bad:
         _fail(f"{path}/{k}/{len(out)}{bad.where}", bad)
     return out
@@ -133,20 +158,47 @@ def _parse_matrix(node, path, d, exact):
     for r, row in enumerate(node):
         if not isinstance(row, list) or len(row) != d:
             _fail(f"{path}/{r}", f"expected {d} entries")
-        rows.append(_parse_row(row, path, r, exact))
+        rows.append(_parse_row(row, path, r,
+                               lambda node: _scalar(node, exact)))
     return CMatrix.from_rows(rows, exact)
 
 
-def _parse_vecpoly(node, path, d, exact):
-    """Coefficients indexed x-power (ascending), then component."""
+def _exact_pair(node):
+    """A strict [re, im] pair as the (num, den) of each part."""
+    if not isinstance(node, list) or len(node) != 2:
+        raise _Refused("expected a [re, im] pair")
+    return _ratio(node[0], "/0"), _ratio(node[1], "/1")
+
+
+def _int_rows(coeffs):
+    """The integer rows of the components of the exact pairs
+    ``coeffs[k][i]``; None when every row is."""
+    rows = tuple(map(_ratio_row, zip(*coeffs)))
+    return rows if any(rows) else None
+
+
+def _array_rows(coeffs):
+    """The (d, width) complex128 rows of the complex ``coeffs[k][i]``,
+    trailing zero coefficient vectors dropped; None when nothing is
+    left."""
+    n = len(coeffs)
+    while n and not any(coeffs[n - 1]):
+        n -= 1
+    return np.array(coeffs[:n], complex).T if n else None
+
+
+def _parse_term(node, path, d, exact):
+    """A coefficient payload, indexed x-power (ascending), then component,
+    as the SeriesTable rows of its d components; None when it is zero."""
     if not isinstance(node, list) or not node:
         _fail(path, "expected a nonempty list of per-x-power coefficient rows")
+    read = _exact_pair if exact else lambda pair: _scalar(pair, False)
     coeffs = []
     for k, row in enumerate(node):
         if not isinstance(row, list) or len(row) != d:
             _fail(f"{path}/{k}", f"expected {d} component entries")
-        coeffs.append(tuple(_parse_row(row, path, k, exact)))
-    return VecPoly.from_coeffs(coeffs, exact, dim=d)
+        coeffs.append(_parse_row(row, path, k, read))
+    return (_int_rows if exact else _array_rows)(coeffs)
 
 
 _TOP_KEYS = {"dimension", "S", "poles", "matrices", "nonlinearity", "options"}
@@ -208,10 +260,16 @@ def _parse_options(node, path, poles):
 
 
 class SystemDocument:
-    """Validated description of a (non)linear Fuchsian problem."""
+    """Validated description of a (non)linear Fuchsian problem.
 
-    __slots__ = ("dimension", "s", "poles", "matrices", "nonlinearity",
-                 "options", "exact")
+    ``f`` holds the nonzero nonlinearity terms as a SeriesTable of store
+    rows (``nonlinearity``, a mapping or a SeriesTable, is copied into
+    it); the ``nonlinearity`` property builds their {m: VecPoly} mapping
+    on each read.
+    """
+
+    __slots__ = ("dimension", "s", "poles", "matrices", "f", "options",
+                 "exact")
 
     def __init__(self, dimension, s, poles, matrices, nonlinearity, options,
                  exact):
@@ -219,9 +277,14 @@ class SystemDocument:
         self.s = s
         self.poles = tuple(poles)
         self.matrices = tuple(matrices)
-        self.nonlinearity = dict(nonlinearity)
+        self.f = (nonlinearity.copy() if isinstance(nonlinearity, SeriesTable)
+                  else SeriesTable(dimension, exact, nonlinearity))
         self.options = dict(options)
         self.exact = exact
+
+    @property
+    def nonlinearity(self):
+        return self.f.terms
 
     @classmethod
     def from_dict(cls, data, exact=False):
@@ -259,7 +322,8 @@ class SystemDocument:
             for j, mat in enumerate(mats_node)
         ]
 
-        nonlinearity = {}
+        nonlinearity = SeriesTable(d, exact)
+        seen = set()
         if "nonlinearity" in data:
             nl_node = data["nonlinearity"]
             if not isinstance(nl_node, list):
@@ -284,11 +348,12 @@ class SystemDocument:
                 m = tuple(m_node)
                 _require(sum(m) >= 2, f"{ipath}/multiindex",
                          "total degree must be >= 2")
-                _require(m not in nonlinearity, f"{ipath}/multiindex",
+                _require(m not in seen, f"{ipath}/multiindex",
                          f"duplicate multiindex {list(m)}")
-                nonlinearity[m] = _parse_vecpoly(
-                    item["coeff"], f"{ipath}/coeff", d, exact
-                )
+                seen.add(m)
+                rows = _parse_term(item["coeff"], f"{ipath}/coeff", d, exact)
+                if rows is not None:
+                    nonlinearity.rows[m] = rows
 
         options = {}
         if "options" in data:
@@ -305,7 +370,7 @@ class SystemDocument:
             raise SchemaError(f"/: {exc}") from exc
 
     def to_nonlinear(self):
-        return NonlinearSystem(self.to_system(), self.nonlinearity)
+        return NonlinearSystem(self.to_system(), self.f)
 
 
 def load_document(path, exact=False):
@@ -374,26 +439,63 @@ def matpoly_json(p):
     return [matrix_json(p.coefficient(k)) for k in range(p.degree + 1)]
 
 
+def _ratio_json(v, den):
+    """v / den as an int or a reduced 'p/q' string, with one gcd."""
+    g = math.gcd(v, den)
+    return v // g if g == den else f"{v // g}/{den // g}"
+
+
+def _int_rows_json(rows):
+    """``vecpoly_json`` of a term from its integer rows."""
+    width = max(len(row[1]) for row in rows if row is not None)
+    comps = []
+    for row in rows:
+        if row is None:
+            comps.append([[0, 0]] * width)
+            continue
+        den, re, im = row
+        if den == 1:
+            parts = zip(re, im or [0] * len(re))
+        else:
+            parts = zip([_ratio_json(v, den) for v in re],
+                        [_ratio_json(v, den) for v in im] if im
+                        else [0] * len(re))
+        comps.append([list(pair) for pair in parts]
+                     + [[0, 0]] * (width - len(re)))
+    return [list(coeff) for coeff in zip(*comps)]
+
+
+def _array_rows_json(rows):
+    """``vecpoly_json`` of a term from its complex128 rows."""
+    return [[[z.real, z.imag] for z in coeff] for coeff in rows.T.tolist()]
+
+
 def series_table_json(table):
-    return [
-        {"m": list(m), "coeff": vecpoly_json(p)}
-        for m, p in table.items_sorted()
-    ]
+    """A SeriesTable as a list of {m, coeff}, each coefficient printed from
+    its store rows."""
+    write = _int_rows_json if table.exact else _array_rows_json
+    return [{"m": list(m), "coeff": write(rows)}
+            for m, rows in table.rows_sorted()]
 
 
 def parse_vector_polynomial(node, d, exact, path="/g"):
     """Public entry for rhs / coefficient payloads outside a document."""
-    return _parse_vecpoly(node, path, d, exact)
+    rows = _parse_term(node, path, d, exact)
+    if rows is None:
+        return VecPoly.zero(d, exact)
+    return term_ring(exact).poly(rows)
 
 
 def parse_series_table(node, d, exact, path="/series"):
-    """Inverse of series_table_json: a list of {m, coeff} into {m: VecPoly}.
+    """Inverse of series_table_json: a list of {m, coeff} into a
+    SeriesTable, each coefficient read straight into store rows.
 
     Every monomial has order >= 2, as in h, phi and psi.
     """
     if not isinstance(node, list):
         _fail(path, "expected a list of {m, coeff} entries")
-    out = {}
+    out = SeriesTable(d, exact)
+    seen = set()
     for k, item in enumerate(node):
         ipath = f"{path}/{k}"
         if not isinstance(item, dict) or set(item) != {"m", "coeff"}:
@@ -406,8 +508,12 @@ def parse_series_table(node, d, exact, path="/series"):
         m = tuple(m_node)
         _require(sum(m) >= 2, f"{ipath}/m",
                  f"term {list(m)} has order below 2")
-        _require(m not in out, f"{ipath}/m", f"duplicate multiindex {list(m)}")
-        out[m] = _parse_vecpoly(item["coeff"], f"{ipath}/coeff", d, exact)
+        _require(m not in seen, f"{ipath}/m",
+                 f"duplicate multiindex {list(m)}")
+        seen.add(m)
+        rows = _parse_term(item["coeff"], f"{ipath}/coeff", d, exact)
+        if rows is not None:
+            out.rows[m] = rows
     return out
 
 

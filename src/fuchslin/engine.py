@@ -39,8 +39,10 @@ in the normal-form mode, the Jacobian product [(d_w h) psi]_n.  A factor
 that is a w-part (w^(m - e_i) or w_i, coefficient 1) makes its pair a row
 copy.  The loop's caller adds h and the series to the store, order by
 order: the engine writes back its block solves, which take and give rows
-through ``vectorize`` / ``devectorize``, and makes its tables at the end;
-``verify_conjugacy`` adds each order of its tables once, and runs one
+through ``vectorize`` / ``devectorize``, and hands its output blocks to
+its tables at the end, as rows; ``verify_conjugacy`` adds each order of
+its tables, and of f, once as they are (a SeriesTable and
+``NonlinearSystem.f`` keep each term as store rows), and runs one
 more plan per order on the same store for the whole residual,
 Q d_x h + (d_w h)(QA) w - (QA) h less the composed rows (plus the series
 in the normal-form mode).  Float mode executes a plan on complex128
@@ -71,66 +73,9 @@ import numpy as np
 from .correction import solve_polynomial
 from .exact import from_int
 from .model import AssumptionError, check_nonlinear_assumption
-from .pnspace import (_int_row, _reduced_row, _scalars, devectorize,
+from .pnspace import (SeriesTable, _int_row, _reduced_row, devectorize,
                       induced_system, multiindices, vectorize)
 from .poly import VecPoly, sp_trim
-from .matrices import ShapeError
-
-
-class SeriesTable:
-    """Homogeneous term table: {monomial m: vector polynomial in x}.
-
-    Holds all orders of one formal series (h, phi, or psi); order n is the
-    slice with |m| = n.
-    """
-
-    __slots__ = ("dim", "exact", "terms")
-
-    def __init__(self, dim, exact, terms=None):
-        self.dim = dim
-        self.exact = exact
-        self.terms = {}
-        if terms:
-            for m, p in terms.items():
-                self.set(m, p)
-
-    def set(self, m, p):
-        m = tuple(int(v) for v in m)
-        if len(m) != self.dim:
-            raise ShapeError(f"monomial {m} does not match dimension {self.dim}")
-        if p.dim != self.dim:
-            raise ShapeError("table entry has wrong vector dimension")
-        if p.is_zero():
-            self.terms.pop(m, None)
-        else:
-            self.terms[m] = p
-
-    def get(self, m):
-        return self.terms.get(tuple(m))
-
-    def order_slice(self, n):
-        return {m: p for m, p in self.terms.items() if sum(m) == n}
-
-    def items_sorted(self):
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def max_order(self):
-        return max((sum(m) for m in self.terms), default=0)
-
-    def copy(self):
-        return SeriesTable(self.dim, self.exact, dict(self.terms))
-
-    def __iter__(self):
-        return iter(self.items_sorted())
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __repr__(self):
-        return (
-            f"SeriesTable(dim={self.dim}, terms={len(self.terms)}, "
-            f"order<={self.max_order()})"
-        )
 
 
 @dataclass
@@ -442,16 +387,16 @@ class _FloatRows:
                              :self.length[kind, order]]
 
     def field(self, kind, order, terms, less=None):
-        """Append order ``order`` of table ``terms``, less rows ``less``."""
+        """Append order ``order`` of ``terms``, a SeriesTable's rows, less
+        rows ``less``."""
         d = self.d
-        polys = [terms.get(m) for m in multiindices(d, order)]
-        width = max([len(p.coeffs) for p in polys if p is not None]
+        found = [terms.get(m) for m in multiindices(d, order)]
+        width = max([t.shape[1] for t in found if t is not None]
                     + [0 if less is None else less.shape[1]])
-        block = np.zeros((len(polys) * d, width), complex)
-        for pos, p in enumerate(polys):
-            if p is not None and p.coeffs:
-                block[pos * d:pos * d + d, :len(p.coeffs)] = \
-                    np.array(p.coeffs).T
+        block = np.zeros((len(found) * d, width), complex)
+        for pos, t in enumerate(found):
+            if t is not None:
+                block[pos * d:pos * d + d, :t.shape[1]] = t
         if less is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 block[:, :less.shape[1]] -= less
@@ -511,7 +456,9 @@ class _FloatRows:
                 int(self.length[kind, order].max(initial=0)))
 
     def table(self, out, order):
-        """{monomial: VecPoly} of an output with rows mu * d + i."""
+        """SeriesTable rows of the nonzero terms of an output with rows
+        mu * d + i, each copied out and trimmed to its last nonzero
+        x-column."""
         d = self.d
         monomials = multiindices(d, order)
         if not out.shape[1]:
@@ -519,13 +466,10 @@ class _FloatRows:
         blocks = out.reshape(len(monomials), d, out.shape[1])
         nonzero = blocks.any(axis=1)
         lengths = out.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
-        return {
-            monomials[pos]: VecPoly(d, tuple(map(
-                tuple, blocks[pos, :, :lengths[pos]].T.tolist())), False)
-            for pos in np.flatnonzero(nonzero.any(axis=1)).tolist()
-        }
+        return {monomials[pos]: blocks[pos, :, :lengths[pos]].copy()
+                for pos in np.flatnonzero(nonzero.any(axis=1)).tolist()}
 
-    def magnitude(self, out, order):
+    def magnitude(self, out):
         """Largest absolute coefficient of an output (see ``_magnitude``)."""
         return min(float(np.abs(out).max(initial=0.0)), sys.float_info.max)
 
@@ -569,12 +513,10 @@ class _ExactRows:
             return self.rows[start:start + _count(self.d, order) * self.d]
 
     def field(self, kind, order, terms, less=None):
-        d = self.d
+        empty = (None,) * self.d
         block = []
-        for m in multiindices(d, order):
-            p = terms.get(m)
-            block += ([_int_row(p.component(i)) for i in range(d)]
-                      if p is not None else [None] * d)
+        for m in multiindices(self.d, order):
+            block += terms.get(m, empty)
         if less is not None:
             block = list(map(_difference, block, less))
         self.add(kind, order, block)
@@ -621,17 +563,23 @@ class _ExactRows:
 
     def table(self, out, order):
         d = self.d
-        return {
-            m: VecPoly.from_components(
-                [_scalars(r) for r in out[pos * d:pos * d + d]], True)
-            for pos, m in enumerate(multiindices(d, order))
-            if any(r is not None for r in out[pos * d:pos * d + d])
-        }
+        return {m: rows for pos, m in enumerate(multiindices(d, order))
+                for rows in [tuple(out[pos * d:pos * d + d])]
+                if any(r is not None for r in rows)}
 
-    def magnitude(self, out, order):
-        if all(r is None for r in out):
+    def magnitude(self, out):
+        """``_magnitude`` of an output, read off its rows: a coefficient
+        v / den converts to the float Fraction(v, den) gives."""
+        live = [row for row in out if row is not None]
+        if not live:
             return 0.0
-        return max(map(_magnitude, self.table(out, order).values()))
+        try:
+            top = max(abs(complex(v / den, w / den))
+                      for den, re, im in live
+                      for v, w in zip(re, im or itertools.repeat(0)))
+        except OverflowError:
+            return sys.float_info.max
+        return min(max(top, math.ulp(0.0)), sys.float_info.max)
 
 
 def _derivative(row):
@@ -724,25 +672,30 @@ def compose_series(f_terms, h_table, extra, order_max, mode="obstruction"):
     """
     if mode not in ("obstruction", "normal-form"):
         raise ValueError(f"unknown mode {mode!r}")
-    rows = _row_store(h_table.exact, h_table.dim, order_max)
-    parts = _compose_rows(f_terms, rows, order_max, mode, extra is not None)
-    for n in range(2, order_max + 1):
-        if n > 2:
-            rows.field(_H, n - 1, h_table.terms)
-        for k in range(max(2, n - 1), n + 1) if extra is not None else ():
-            rows.field(_E, k, extra.terms)
-        yield rows.table(next(parts), n)
-
-
-def _compose_rows(f_terms, rows, order_max, mode, extra):
-    """``compose_series`` on ``rows``, yielding output rows.  Before order n
-    the caller adds the order-(n - 1) blocks of h and, if ``extra``, of
-    extra; an obstruction part also subtracts an extra block of order n."""
-    by_order = {}
-    for m, p in f_terms.items():
+    for m in f_terms:
         if sum(m) < 2:
             raise ValueError(f"term {m} of f has order below 2")
-        by_order.setdefault(sum(m), {})[m] = p
+    d, exact = h_table.dim, h_table.exact
+    rows = _row_store(exact, d, order_max)
+    parts = _compose_rows(SeriesTable(d, exact, f_terms).rows, rows,
+                          order_max, mode, extra is not None)
+    for n in range(2, order_max + 1):
+        if n > 2:
+            rows.field(_H, n - 1, h_table.rows)
+        for k in range(max(2, n - 1), n + 1) if extra is not None else ():
+            rows.field(_E, k, extra.rows)
+        yield SeriesTable.from_rows(d, exact,
+                                    rows.table(next(parts), n)).terms
+
+
+def _compose_rows(f_rows, rows, order_max, mode, extra):
+    """``compose_series`` on ``rows``, yielding output rows, for f given as
+    a SeriesTable's rows.  Before order n the caller adds the order-(n - 1)
+    blocks of h and, if ``extra``, of extra; an obstruction part also
+    subtracts an extra block of order n."""
+    by_order = {}
+    for m, t in f_rows.items():
+        by_order.setdefault(sum(m), {})[m] = t
     fold = mode == "obstruction" and extra
     jacobian = mode == "normal-form" and extra
     # highest order of a term of f - extra, and so of a power in the table
@@ -805,16 +758,16 @@ def _run_engine(nonlinear, order_max, mode, tol, resonance_tol,
         )
     d, exact = nonlinear.size, nonlinear.exact
     rows = _row_store(exact, d, order_max)
-    parts = _compose_rows(nonlinear.nonlinearity, rows, order_max, mode, True)
+    parts = _compose_rows(nonlinear.f.rows, rows, order_max, mode, True)
     for n, g in enumerate(parts, start=2):
         custom = None if basis_factory is None else basis_factory(d, n)
         block, basis = induced_system(nonlinear.linear, n, basis=custom)
         result = solve_polynomial(block, vectorize(g, basis, exact), tol)
         rows.add(_E, n, devectorize(result.phi, basis, exact))
         rows.add(_H, n, devectorize(result.y, basis, exact))
-    return tuple(SeriesTable(d, exact, {
-        m: p for n in range(2, order_max + 1)
-        for m, p in rows.table(rows.block(kind, n), n).items()})
+    return tuple(SeriesTable.from_rows(d, exact, {
+        m: t for n in range(2, order_max + 1)
+        for m, t in rows.table(rows.block(kind, n), n).items()})
         for kind in (_E, _H))
 
 
@@ -840,7 +793,7 @@ def verify_conjugacy(nonlinear, series, h, order_max, mode="obstruction",
     if mode not in ("obstruction", "normal-form"):
         raise ValueError(f"unknown mode {mode!r}")
     for name, table in (("series", series), ("h", h)):
-        for m in table.terms:
+        for m in table.rows:
             if sum(m) < 2:
                 raise ValueError(f"term {m} of {name} has order below 2")
     linear = nonlinear.linear
@@ -855,14 +808,14 @@ def verify_conjugacy(nonlinear, series, h, order_max, mode="obstruction",
                        for m in multiindices(d, 1) for l in range(d)])
     rows.polys(_C, 0, [linear.q_poly(), (from_int(1, exact),)])
     for n in range(2, order_max + 1):
-        rows.field(_E, n, series.terms)
-    parts = _compose_rows(nonlinear.nonlinearity, rows, order_max, mode, True)
+        rows.field(_E, n, series.rows)
+    parts = _compose_rows(nonlinear.f.rows, rows, order_max, mode, True)
     for n, rhs in enumerate(parts, start=2):
-        rows.field(_H, n, h.terms)
+        rows.field(_H, n, h.rows)
         rows.derive(_D, n, _H)
         rows.add(_R, n, rhs)
         report.residuals[n] = rows.magnitude(
-            rows.run(_verify_pairs(d, n, normal)), n)
+            rows.run(_verify_pairs(d, n, normal)))
     return report
 
 

@@ -41,7 +41,8 @@ import numpy as np
 
 from .exact import from_int, scalar_is_zero
 from .matrices import CMatrix, ShapeError, SparseMatrix, mat_eigenvalues
-from .pnspace import PnBasis, conjugation_entries, multiindices
+from .pnspace import (PnBasis, SeriesTable, conjugation_entries,
+                      multiindices)
 from .poly import MatPoly, sp_diff, sp_eval, sp_from_roots
 
 
@@ -365,15 +366,20 @@ class NonlinearSystem:
 
     The nonlinearity is a mapping {multi-index m: vector polynomial in x}
     holding the coefficient of u^m; every multi-index has total degree at
-    least 2 and length equal to the system size.
+    least 2 and length equal to the system size.  It may also be given as
+    a SeriesTable.  ``f`` keeps it as a SeriesTable, each term as the
+    engine's store rows, which is all the engine reads; ``nonlinearity``
+    builds the {m: VecPoly} mapping of its nonzero terms on each read.
     """
 
-    __slots__ = ("linear", "nonlinearity")
+    __slots__ = ("linear", "f")
 
     def __init__(self, linear, nonlinearity):
         d = linear.size
-        terms = {}
-        for m, coeff in nonlinearity.items():
+        table = nonlinearity if isinstance(nonlinearity, SeriesTable) \
+            else None
+        terms = nonlinearity if table is None else table.rows
+        for m, coeff in terms.items():
             m = tuple(int(v) for v in m)
             if len(m) != d:
                 raise ShapeError(
@@ -386,14 +392,19 @@ class NonlinearSystem:
                     f"monomial {m} has order {sum(m)} < 2; linear terms "
                     "belong to the linear part"
                 )
-            if coeff.dim != d:
-                raise ShapeError("nonlinearity coefficient dimension mismatch")
-            if coeff.exact != linear.exact:
-                raise ShapeError("mixed exact/float nonlinearity")
-            if not coeff.is_zero():
-                terms[m] = coeff
+            if table is None:
+                _check_coefficient(coeff.dim, coeff.exact, linear)
+        if table is None:
+            table = SeriesTable(d, linear.exact, nonlinearity)
+        else:
+            _check_coefficient(table.dim, table.exact, linear)
+            table = table.copy()
         self.linear = linear
-        self.nonlinearity = terms
+        self.f = table
+
+    @property
+    def nonlinearity(self):
+        return self.f.terms
 
     @property
     def size(self):
@@ -404,7 +415,7 @@ class NonlinearSystem:
         return self.linear.exact
 
     def order_max(self):
-        return max((sum(m) for m in self.nonlinearity), default=0)
+        return self.f.max_order()
 
     def x_degree(self):
         return max((c.degree for c in self.nonlinearity.values()), default=-1)
@@ -412,5 +423,13 @@ class NonlinearSystem:
     def __repr__(self):
         return (
             f"NonlinearSystem(size={self.size}, "
-            f"terms={len(self.nonlinearity)}, order<={self.order_max()})"
+            f"terms={len(self.f)}, order<={self.order_max()})"
         )
+
+
+def _check_coefficient(dim, exact, linear):
+    """A nonlinearity coefficient's vector size and ring against ``linear``."""
+    if dim != linear.size:
+        raise ShapeError("nonlinearity coefficient dimension mismatch")
+    if exact != linear.exact:
+        raise ShapeError("mixed exact/float nonlinearity")

@@ -46,9 +46,9 @@ import math
 from fractions import Fraction
 import numpy as np
 
-from .exact import ExactComplex, clear_denominators
+from .exact import ExactComplex
 from .matrices import CMatrix, ShapeError, mat_eigenvalues
-from .poly import SplitPoly
+from .poly import SplitPoly, VecPoly
 
 _ZERO = Fraction(0)
 
@@ -298,14 +298,27 @@ def induced_system(linear, n, basis=None):
     return InducedBlock(linear, basis), basis
 
 
-def _int_row(coeffs):
-    """Integer row of a trimmed tuple of ExactComplex, None if empty."""
-    if not coeffs:
+def _ratio_row(parts):
+    """Integer row of a scalar polynomial given as the (num, den) of each
+    coefficient's real and imaginary part: trailing zero degrees trimmed,
+    the numerators over the lcm of the denominators, ``im`` None when
+    every imaginary part is zero; None when nothing is left."""
+    n = len(parts)
+    while n and not (parts[n - 1][0][0] or parts[n - 1][1][0]):
+        n -= 1
+    if not n:
         return None
-    n = len(coeffs)
-    den, nums = clear_denominators([c.re for c in coeffs]
-                                   + [c.im for c in coeffs])
-    return den, tuple(nums[:n]), tuple(nums[n:]) if any(nums[n:]) else None
+    parts = parts[:n]
+    den = math.lcm(*(q for pair in parts for _, q in pair))
+    re = tuple(p * (den // q) for (p, q), _ in parts)
+    im = tuple(p * (den // q) for _, (p, q) in parts)
+    return den, re, im if any(im) else None
+
+
+def _int_row(coeffs):
+    """Integer row of a tuple of ExactComplex, None if it is zero."""
+    return _ratio_row([(c.re.as_integer_ratio(), c.im.as_integer_ratio())
+                       for c in coeffs])
 
 
 def _reduced_row(den, re, im):
@@ -334,6 +347,119 @@ def _scalars(row):
         return tuple(ExactComplex(Fraction(v, den)) for v in re)
     return tuple(ExactComplex(Fraction(v, den), Fraction(w, den))
                  for v, w in zip(re, im))
+
+
+class _IntTerms:
+    """An exact term as the store's integer rows of its components."""
+
+    @staticmethod
+    def rows(p):
+        return tuple(_int_row(p.component(i)) for i in range(p.dim))
+
+    @staticmethod
+    def poly(rows):
+        return VecPoly.from_components([_scalars(r) for r in rows], True)
+
+
+class _ArrayTerms:
+    """A float term as a (d, width) complex128 array, row i component i."""
+
+    @staticmethod
+    def rows(p):
+        return np.array(p.coeffs, complex).T
+
+    @staticmethod
+    def poly(rows):
+        return VecPoly(len(rows), tuple(map(tuple, rows.T.tolist())), False)
+
+
+def term_ring(exact):
+    """The VecPoly <-> store rows conversions of a term in one ring."""
+    return _IntTerms if exact else _ArrayTerms
+
+
+class SeriesTable:
+    """Homogeneous term table: {monomial m: vector polynomial in x}.
+
+    Holds all orders of one formal series (h, phi, psi, or the f of a
+    system); order n is the slice with |m| = n.  ``rows`` keeps each
+    nonzero term as the engine's store rows of its d components, one
+    storage for both rings: in exact mode a tuple of integer rows
+    (den, re, im), None for a zero component, in float mode a (d, width)
+    complex128 array.  The engine, the document reader and the writer
+    hand these rows on as they are; a VecPoly is built only when a caller
+    reads a term (``get``, ``terms``, ``order_slice``, ``items_sorted``,
+    iteration), and ``set`` converts one back.
+    """
+
+    __slots__ = ("dim", "exact", "rows", "_ring")
+
+    def __init__(self, dim, exact, terms=None):
+        self.dim = dim
+        self.exact = exact
+        self.rows = {}
+        self._ring = term_ring(exact)
+        if terms:
+            for m, p in terms.items():
+                self.set(m, p)
+
+    @classmethod
+    def from_rows(cls, dim, exact, rows):
+        """A table holding ``rows``, {monomial: rows} of nonzero terms, as
+        they are."""
+        table = cls(dim, exact)
+        table.rows = rows
+        return table
+
+    def set(self, m, p):
+        m = tuple(int(v) for v in m)
+        if len(m) != self.dim:
+            raise ShapeError(
+                f"monomial {m} does not match dimension {self.dim}")
+        if p.dim != self.dim:
+            raise ShapeError("table entry has wrong vector dimension")
+        if p.is_zero():
+            self.rows.pop(m, None)
+        else:
+            self.rows[m] = self._ring.rows(p)
+
+    def get(self, m):
+        rows = self.rows.get(tuple(m))
+        return None if rows is None else self._ring.poly(rows)
+
+    @property
+    def terms(self):
+        """{monomial: VecPoly} of every term, built on each read."""
+        return {m: self._ring.poly(rows) for m, rows in self.rows.items()}
+
+    def order_slice(self, n):
+        return {m: self._ring.poly(rows) for m, rows in self.rows.items()
+                if sum(m) == n}
+
+    def rows_sorted(self):
+        """(monomial, rows) of every term, by order, then monomial."""
+        return sorted(self.rows.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+
+    def items_sorted(self):
+        return [(m, self._ring.poly(rows)) for m, rows in self.rows_sorted()]
+
+    def max_order(self):
+        return max((sum(m) for m in self.rows), default=0)
+
+    def copy(self):
+        return SeriesTable.from_rows(self.dim, self.exact, dict(self.rows))
+
+    def __iter__(self):
+        return iter(self.items_sorted())
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __repr__(self):
+        return (
+            f"SeriesTable(dim={self.dim}, terms={len(self.rows)}, "
+            f"order<={self.max_order()})"
+        )
 
 
 def _slots(basis):

@@ -294,6 +294,48 @@ def test_sparse_solve_columns_shifts_and_embedding(embed):
     assert [op.singular(k) for k in range(4)] == [False, False, True, False]
 
 
+@pytest.mark.parametrize("embed", [False, True], ids=["real", "embedded"])
+def test_sparse_solve_one_by_one_matches_the_elimination(embed):
+    # a 1 x 1 solve, of a real a or of the 2 x 2 embedding of a + ib, is
+    # one division in integers; padded to diag(a + ib, 1) the same solve
+    # runs the general elimination, which must give the same (den, x) and,
+    # at a shift where a + k vanishes, raise the same message
+    rng = random.Random(f"one-by-one-{embed}")
+
+    def value():
+        return Fraction(rng.randint(-9, 9),
+                        rng.choice((1, 2, 3, 7, 10 ** 30 + 1)))
+
+    one = (1, 1, Fraction(1), Fraction(0))
+    singular = 0
+    for case in range(80):
+        re = -Fraction(rng.randint(0, 3)) if case % 4 == 0 else value()
+        im = value() if embed and case % 8 else Fraction(0)
+        entries = [(0, 0, re, im)] if re or im else []
+        op, padded = SparseMatrix(1, entries, embed), \
+            SparseMatrix(2, entries + [one], embed)
+        assert op.size == (2 if embed else 1) and padded.size == 2 * op.size
+        for shift in range(4):
+            cols = [[rng.randint(-20, 20) for _ in range(op.size)]
+                    for _ in range(rng.randint(0, 3))]
+            den = rng.choice((1, 6, 10 ** 20))
+            # the padded vector: real parts, then imaginary parts
+            wide = [[c[0], 0] + ([c[1], 0] if embed else []) for c in cols]
+            try:
+                want = padded.solve((den, wide), shift)
+            except SingularMatrixError as err:
+                with pytest.raises(SingularMatrixError) as got:
+                    op.solve((den, cols), shift)
+                assert str(got.value) == str(err)
+                singular += 1
+                continue
+            den_x, xs = op.solve((den, cols), shift)
+            assert den_x == want[0]
+            assert [[x[0], 0] + ([x[1], 0] if embed else []) for x in xs] \
+                == want[1]
+    assert singular >= 4
+
+
 def test_exact_pivot_never_goes_through_a_float():
     # 10^-400 is 0.0 as a float and 10^400 overflows; the exact solve
     # must see the first as a nonzero pivot and never convert the second.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -9,7 +10,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fuchslin import cli, document, engine, exact, model, pnspace
 from fuchslin.cli import main
+from fuchslin.poly import VecPoly
 
 
 SCALAR_DOC = {
@@ -70,6 +73,20 @@ def test_check_passes_clean_system(tmp_path, capsys):
     assert payload["passed"] is True
     assert payload["linear"]["passed"] is True
     assert payload["nonlinear"]["passed"] is True
+
+
+def test_check_treats_zero_terms_as_a_linear_system(tmp_path, capsys):
+    # a nonlinearity whose terms are all zero leaves the system linear:
+    # no nonlinear report, with or without an order (without one, the
+    # nonlinear check at order 0 used to end in a traceback)
+    data = dict(SCALAR_DOC, nonlinearity=[{"multiindex": [2],
+                                           "coeff": [[[0, 0]], [["0/3", 0]]]}])
+    data.pop("options")
+    doc = write_doc(tmp_path, data)
+    for extra in ([], ["--order", "3"]):
+        code, out, _ = run(capsys, ["check", doc, "--exact"] + extra)
+        assert code == 0
+        assert json.loads(out)["nonlinear"] is None
 
 
 def test_check_rejects_resonant_spectrum(tmp_path, capsys):
@@ -588,6 +605,169 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     run(capsys, ["correct", doc, "--g", "[[[0,0]],[[0,0]],[[1,0]]]",
                  "--analytic", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+# the Gaussian-rational document of the CI smoke run: d = 2, S = 1,
+# nonreal poles and residues, coefficients of x-degree S + 1
+GAUSS_DOC = {
+    "dimension": 2,
+    "S": 1,
+    "poles": [[0, 1], [0, -1], ["1/2", "1/3"]],
+    "matrices": [
+        [[[1, "1/4"], ["1/3", "-1/2"]], [[0, "1/5"], ["6/5", "-1/3"]]],
+        [[["3/2", "-1/3"], ["1/4", 1]], [["-1/2", "1/3"], ["7/5", "1/5"]]],
+        [[["6/5", "1/2"], ["-1/3", 0]], [["1/4", "-1/4"], ["11/10", "-1/5"]]],
+    ],
+    "nonlinearity": [
+        {"multiindex": [2, 0],
+         "coeff": [[[1, "1/2"], [0, 0]], [[0, 0], [0, -1]],
+                   [["1/3", 0], [1, "1/4"]]]},
+        {"multiindex": [1, 1],
+         "coeff": [[[0, 1], ["1/3", 0]], [[0, 0], [0, 0]],
+                   [[-1, "1/2"], [0, 0]]]},
+        {"multiindex": [0, 3],
+         "coeff": [[[1, 0], ["1/2", "-1/2"]], [[0, "1/4"], [0, 0]],
+                   [[0, 0], [1, 0]]]},
+    ],
+}
+
+# sha256 of the tables ``--exact --order 5`` writes for GAUSS_DOC, recorded
+# while they were still written through VecPoly values of ExactComplex
+GAUSS_TABLES = {
+    "linearize":
+        "75be943d641e7ee7347c35f1d8f6ca2e6c774231a243336d64ea2571e0e2f459",
+    "normal-form":
+        "19f39323cb383e9fcec5e03fb8130e0bdd043a7c09b52aafaaa38a1c5e237854",
+}
+
+
+def _written(q, form):
+    """Fraction q in another accepted form: 'unreduced' p/q strings (and
+    '-0'), or 'decimal' strings, '+n' and exponent forms where q has one."""
+    if form == "unreduced":
+        return "-0" if not q else f"{3 * q.numerator}/{3 * q.denominator}"
+    if q.denominator == 1:
+        return f"+{q}" if q > 0 else f"{q}e0"
+    k = next((k for k in range(1, 4) if (q * 10 ** k).denominator == 1),
+             None)
+    if k is None:
+        return f"{2 * q.numerator}/{2 * q.denominator}"
+    digits = f"{abs(q * 10 ** k).numerator:0{k + 1}d}"
+    return f"{'-' if q < 0 else ''}{digits[:-k]}.{digits[-k:]}"
+
+
+def _rewritten(data, form):
+    """GAUSS_DOC with every scalar part written in ``form``."""
+    def pair(p):
+        return [_written(Fraction(v), form) for v in p]
+
+    def rows(node):
+        return [pair(p) for p in node] if isinstance(node[0][0], (int, str)) \
+            else [rows(n) for n in node]
+
+    out = dict(data, poles=[pair(p) for p in data["poles"]],
+               matrices=[rows(m) for m in data["matrices"]])
+    out["nonlinearity"] = [dict(t, coeff=rows(t["coeff"]))
+                           for t in data["nonlinearity"]]
+    return out
+
+
+def test_exact_tables_of_a_nonreal_document_are_byte_identical(tmp_path,
+                                                               capsys):
+    # the console script's exact tables on Gaussian-rational data, with
+    # imaginary rows throughout, equal the recorded ones byte for byte, and
+    # the same document written with unreduced and decimal scalars gives
+    # the same bytes; every verify reads an exact residual of 0
+    assert _written(Fraction(-6, 5), "decimal") == "-1.2"
+    assert _written(Fraction(1, 4), "decimal") == "0.25"
+    for form in (None, "unreduced", "decimal"):
+        data = GAUSS_DOC if form is None else _rewritten(GAUSS_DOC, form)
+        assert data != GAUSS_DOC or form is None
+        doc = write_doc(tmp_path, data, f"{form}.json")
+        for command, digest in GAUSS_TABLES.items():
+            tables = tmp_path / f"{form}-{command}.json"
+            code, _, err = run(capsys, [command, doc, "--exact", "--order",
+                                        "5", "--out", str(tables)])
+            assert code == 0, err
+            assert hashlib.sha256(tables.read_bytes()).hexdigest() == \
+                digest, (form, command)
+            if form is None:
+                code, out, _ = run(capsys, ["verify", doc, "--exact",
+                                            "--tables", str(tables)])
+                assert code == 0 and json.loads(out)["max_residual"] == 0
+
+
+_FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__floordiv__",
+                 "__rfloordiv__", "__mod__", "__rmod__", "__divmod__",
+                 "__rdivmod__", "__pow__", "__rpow__", "__neg__", "__pos__",
+                 "__abs__")
+
+
+def test_exact_cli_keeps_one_row_form_from_json_to_json(tmp_path, capsys,
+                                                        monkeypatch):
+    # linearize, normal-form and verify --exact on GAUSS_DOC: reading the
+    # nonlinearity and the tables, handing rows between the row store and
+    # the tables, and writing the tables build no ExactComplex and do no
+    # Fraction arithmetic or construction, and no command builds a VecPoly
+    doc = write_doc(tmp_path, GAUSS_DOC)
+    counts, depth, entered = {}, [0], set()
+
+    def phase(original):
+        def wrapper(*args, **kwargs):
+            entered.add(original.__qualname__)
+            depth[0] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    def counted(name, original, always=False):
+        def wrapper(*args, **kwargs):
+            if depth[0] or always:
+                counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for owner, name in ((document, "_parse_term"),
+                            (cli, "series_table_json"),
+                            (engine._ExactRows, "field"),
+                            (engine._ExactRows, "table"),
+                            (pnspace.SeriesTable, "from_rows"),
+                            (model.NonlinearSystem, "__init__")):
+            original = owner.__dict__[name]
+            if isinstance(original, classmethod):
+                original = classmethod(phase(original.__func__))
+            else:
+                original = phase(original)
+            patch.setattr(owner, name, original)
+        for name in _FRACTION_OPS:
+            patch.setattr(Fraction, name,
+                          counted(name, getattr(Fraction, name)))
+        patch.setattr(Fraction, "__new__", staticmethod(
+            counted("Fraction", Fraction.__new__)))
+        patch.setattr(exact.ExactComplex, "__init__",
+                      counted("ExactComplex", exact.ExactComplex.__init__))
+        patch.setattr(exact, "_real", counted("ExactComplex", exact._real))
+        patch.setattr(VecPoly, "__init__",
+                      counted("VecPoly", VecPoly.__init__, always=True))
+        depth[0] += 1
+        Fraction(1, 2) + exact.ExactComplex(1)   # the counters count
+        depth[0] -= 1
+        assert set(counts) == {"Fraction", "__add__", "ExactComplex"}
+        counts.clear()
+        for command in ("linearize", "normal-form"):
+            tables = str(tmp_path / f"{command}.json")
+            assert run(capsys, [command, doc, "--exact", "--order", "4",
+                                "--out", tables])[0] == 0
+            assert run(capsys, ["verify", doc, "--exact",
+                                "--tables", tables])[0] == 0
+    assert counts == {}
+    assert entered == {"_parse_term", "series_table_json", "_ExactRows.field",
+                       "_ExactRows.table", "SeriesTable.from_rows",
+                       "NonlinearSystem.__init__"}
 
 
 def test_environment_does_not_set_tolerances(tmp_path, capsys,

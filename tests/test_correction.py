@@ -676,6 +676,41 @@ def test_first_failed_solve_reports_the_first_failure_in_the_order_given():
     assert k == 3 and isinstance(error, ArithmeticError)
 
 
+def test_single_solve_keeps_the_stacked_rule():
+    # one solve skips the stack, not the rule: for each case the verdict
+    # on k alone equals the stacked one on the same solve taken twice, and
+    # a near-singular solve through solve_array is still refused
+    mat = np.array([[2.0 + 1j, 0.5], [0.25, -1j]])
+    big = np.array([[1e10, 0], [0, 1]], complex)
+    good = np.linalg.solve(mat + 3 * np.eye(2), [1, 2j])
+    cases = [(mat, 3, [good], [1, 2j]),            # accepted
+             (mat, 3, [good * 1.1], [1, 2j]),      # residual too large
+             (mat, 0, [good], [np.inf, 1]),        # non-finite right side
+             (mat, 1, [], [1, 1]),                 # LinAlgError: no x
+             (mat, 2, [[np.inf, 0]], [1, 1]),      # x overflowed
+             (mat, 0, [[np.nan, 1]], [1, 1]),      # nan bound and residual
+             (big, 0, [[1e300, 0]], [1, 1])]       # inf residual, inf bound
+    verdicts = []
+    for mat, k, xs, rhs in cases:
+        xs = np.array(xs, complex).reshape(-1, 2)
+        rhs = np.array([rhs], complex)
+        one = first_failed_solve(mat, [k], xs, rhs)
+        two = first_failed_solve(mat, [k, k], np.concatenate([xs, xs]),
+                                 np.concatenate([rhs, rhs]))
+        assert (one is None) == (two is None)
+        if one is not None:
+            assert one[0] == two[0] == k
+            assert type(one[1]) is type(two[1])
+            assert str(one[1]) == str(two[1])
+        verdicts.append(None if one is None else type(one[1]).__name__)
+    assert verdicts == [None, "SingularMatrixError", "ArithmeticError",
+                        "SingularMatrixError", "SingularMatrixError",
+                        "SingularMatrixError", "SingularMatrixError"]
+    near = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -40]], complex)
+    with pytest.raises(SingularMatrixError, match="solve residual"):
+        solve_array(near, np.array([0, 1e300], complex))
+
+
 # ----------------------------------------------------------------------
 # local_taylor
 # ----------------------------------------------------------------------

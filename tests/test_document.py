@@ -9,6 +9,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuchslin.document import (
     SchemaError,
@@ -22,7 +24,7 @@ from fuchslin.document import (
     vecpoly_json,
 )
 from fuchslin.engine import SeriesTable
-from fuchslin.exact import ExactComplex
+from fuchslin.exact import ExactComplex, clear_denominators
 from fuchslin.poly import VecPoly
 
 
@@ -95,7 +97,7 @@ def test_exact_rational_syntax(text, want):
     assert doc.matrices[1].entry(0, 0) == ExactComplex(1, want)
     table = parse_series_table([{"m": [2], "coeff": [[[0, 0]], [[text, 1]]]}],
                                1, True)
-    assert table[(2,)].coeffs[1] == (ExactComplex(want, 1),)
+    assert table.get((2,)).coeffs[1] == (ExactComplex(want, 1),)
 
 
 @pytest.mark.parametrize("value, message", REFUSED,
@@ -316,8 +318,8 @@ def test_series_table_roundtrip():
          (ExactComplex(2), ExactComplex(0))], True, dim=2))
     node = series_table_json(table)
     back = parse_series_table(node, 2, True)
-    assert set(back) == {(2, 0), (0, 3)}
-    for m, p in back.items():
+    assert set(back.rows) == {(2, 0), (0, 3)}
+    for m, p in back.terms.items():
         assert (p - table.get(m)).is_zero()
     with pytest.raises(SchemaError):
         parse_series_table(node + node, 2, True)   # duplicates
@@ -346,3 +348,118 @@ def test_dumps_canonical_rejects_bad_values():
         dumps_canonical({1: "x"})
     with pytest.raises(TypeError):
         dumps_canonical({"v": object()})
+
+
+# ----------------------------------------------------------------------
+# the exact reader and writer against Fraction(str)
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def _written_rational(draw):
+    """(JSON value, the Fraction it stands for), in one of the accepted
+    forms of ACCEPTED: int, reduced and unreduced 'p/q', leading zeros,
+    '-0', '+n', padded, decimal and exponent strings, and integers above
+    2^1100 as ints and strings."""
+    form = draw(st.sampled_from(["int", "ratio", "unreduced", "zeros",
+                                 "minus zero", "plus", "padded", "decimal",
+                                 "exponent", "huge int", "huge string"]))
+    num = draw(st.integers(-40, 40))
+    den = draw(st.sampled_from([1, 2, 3, 4, 6, 7, 12]))
+    if form == "int":
+        return num, Fraction(num)
+    if form == "ratio":
+        q = Fraction(num, den)
+        return f"{q.numerator}/{q.denominator}", q
+    if form == "unreduced":
+        k = draw(st.integers(2, 9))
+        return f"{num * k}/{den * k}", Fraction(num, den)
+    if form == "zeros":
+        return f"{'-' if num < 0 else ''}00{abs(num)}/0{den}", \
+            Fraction(num, den)
+    if form == "minus zero":
+        return "-0", Fraction(0)
+    if form == "plus":
+        return f"+{abs(num)}", Fraction(abs(num))
+    if form == "padded":
+        return f" {num}/{den} ", Fraction(num, den)
+    if form == "decimal":
+        places = draw(st.integers(1, 3))
+        text = f"{num / 10 ** places:.{places}f}"
+        return text, Fraction(num, 10 ** places)
+    if form == "exponent":
+        e = draw(st.integers(-3, 3))
+        return f"{num}e{e}", Fraction(num) * Fraction(10) ** e
+    big = draw(st.integers(2 ** 1100, 2 ** 1200)) * (1 if num >= 0 else -1)
+    return (big, Fraction(big)) if form == "huge int" \
+        else (f"{big}/{den}", Fraction(big, den))
+
+
+@st.composite
+def _written_terms(draw):
+    """d, and a coefficient payload with the Fractions it stands for,
+    indexed x-power, then component, then re / im."""
+    d = draw(st.integers(1, 3))
+    zero = st.just((0, Fraction(0)))
+    part = st.one_of(zero, _written_rational())
+    coeffs = draw(st.lists(st.lists(st.tuples(part, part), min_size=d,
+                                    max_size=d), min_size=1, max_size=4))
+    node = [[[re[0], im[0]] for re, im in row] for row in coeffs]
+    values = [[(re[1], im[1]) for re, im in row] for row in coeffs]
+    return d, node, values
+
+
+def _reference_rows(values, d):
+    """The rows Fraction(str) and clear_denominators give, per component:
+    trailing zero degrees trimmed, None for a zero component."""
+    rows = []
+    for i in range(d):
+        comp = [v[i] for v in values]
+        while comp and not any(comp[-1]):
+            comp.pop()
+        if not comp:
+            rows.append(None)
+            continue
+        den, nums = clear_denominators([re for re, _ in comp]
+                                       + [im for _, im in comp])
+        re, im = tuple(nums[:len(comp)]), tuple(nums[len(comp):])
+        rows.append((den, re, im if any(im) else None))
+    return tuple(rows)
+
+
+def _canonical(q):
+    return q.numerator if q.denominator == 1 else \
+        f"{q.numerator}/{q.denominator}"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_written_terms())
+def test_exact_reader_and_writer_match_fraction_strings(case):
+    # every accepted form reads to the integer rows Fraction(str) and
+    # clear_denominators give, in a tables file and in a document's
+    # nonlinearity alike, and the writer prints each scalar back from
+    # its row in reduced canonical form
+    d, node, values = case
+    want = _reference_rows(values, d)
+    zero = all(row is None for row in want)
+    m = [2] + [0] * (d - 1)
+    table = parse_series_table([{"m": m, "coeff": node}], d, True)
+    doc = SystemDocument.from_dict({
+        "dimension": d, "S": 0, "poles": [[-1, 0], [1, 0]],
+        "matrices": [[[[int(r == c), 0] for c in range(d)]
+                      for r in range(d)]] * 2,
+        "nonlinearity": [{"multiindex": m, "coeff": node}]}, exact=True)
+    for got in (table, doc.f):
+        assert got.rows == ({} if zero else {tuple(m): want})
+    if zero:
+        assert series_table_json(table) == []
+        return
+    width = max(len(row[1]) for row in want if row is not None)
+    printed = [[[_canonical(re), _canonical(im)] for re, im in v]
+               for v in values[:width]]
+    assert series_table_json(table) == [{"m": m, "coeff": printed}]
+    want = VecPoly.from_coeffs(
+        [tuple(ExactComplex(re, im) for re, im in v) for v in values],
+        True, dim=d)
+    for got in (table.get(m), doc.nonlinearity[tuple(m)]):
+        assert (got - want).is_zero()

@@ -27,7 +27,7 @@ from fuchslin.engine import (
 from fuchslin.exact import ExactComplex
 from fuchslin.matrices import CMatrix, ShapeError
 from fuchslin.model import AssumptionError, FuchsianSystem, NonlinearSystem
-from fuchslin.pnspace import PnBasis
+from fuchslin.pnspace import PnBasis, _scalars
 from fuchslin.poly import VecPoly
 
 
@@ -474,7 +474,7 @@ def _check_exact_executor(rng, pairs_list, seen):
         gaussian = rng.random() < 0.5
         blocks[key] = [_random_exact_row(rng, gaussian) for _ in range(count)]
         rows = [engine._int_row(r) for r in blocks[key]]
-        assert [engine._scalars(r) for r in rows] == blocks[key]
+        assert [_scalars(r) for r in rows] == blocks[key]
         store.add(*key, rows)
     for pairs in pairs_list:
         bufs, dens = _reference_run(blocks, pairs)
@@ -482,7 +482,7 @@ def _check_exact_executor(rng, pairs_list, seen):
             want = tuple(buf)
             while want and not want[-1]:
                 want = want[:-1]
-            assert engine._scalars(row) == want
+            assert _scalars(row) == want
             if buf and not want:
                 seen.add("cancels to zero")
             elif len(want) < len(buf):
@@ -540,7 +540,7 @@ def test_exact_executor_cancellation_and_reduction():
         [tuple(map(np.array, c)) for c in copies])
     out = store.run(pairs)
     assert out[1] is None and out[3] == (1, (1,), None)
-    got = [engine._scalars(r) for r in out]
+    got = [_scalars(r) for r in out]
     assert got == [
         (ExactComplex(Fraction(1, 4)),),
         (),

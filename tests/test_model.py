@@ -21,7 +21,7 @@ from fuchslin.model import (
     check_linear_assumption,
     check_nonlinear_assumption,
 )
-from fuchslin.pnspace import multiindices
+from fuchslin.pnspace import SeriesTable, multiindices
 from fuchslin.poly import VecPoly, sp_degree, sp_eval, sp_mul
 
 
@@ -194,6 +194,31 @@ def test_nonlinear_system_validation():
     nsys = NonlinearSystem(lin, {(2,): VecPoly.zero(1, True)})
     assert nsys.order_max() == 0
     assert nsys.x_degree() == -1
+
+
+def test_nonlinear_system_keeps_f_as_store_rows():
+    # f is a SeriesTable of store rows, given as a mapping or as a table:
+    # the same checks apply, the table is copied, and ``nonlinearity``
+    # reads the nonzero terms back as VecPolys
+    lin = scalar_system(1, 1)
+    p = VecPoly.from_coeffs([(ExactComplex(Fraction(1, 2), 3),),
+                             (ExactComplex(0),), (ExactComplex(-2),)], True)
+    table = SeriesTable(1, True, {(2,): p, (3,): VecPoly.zero(1, True)})
+    for given in ({(2,): p, (3,): VecPoly.zero(1, True)}, table):
+        nsys = NonlinearSystem(lin, given)
+        assert nsys.f.rows == {(2,): ((2, (1, 0, -4), (6, 0, 0)),)}
+        assert list(nsys.nonlinearity) == [(2,)]
+        assert (nsys.nonlinearity[(2,)] - p).is_zero()
+        assert nsys.order_max() == 2 and nsys.x_degree() == 2
+    table.set((2,), VecPoly.zero(1, True))
+    assert nsys.f.rows and not table.rows
+    assert NonlinearSystem(lin, SeriesTable(1, True)).order_max() == 0
+    with pytest.raises(ValueError, match="order 1 < 2"):
+        NonlinearSystem(lin, SeriesTable(1, True, {(1,): p}))
+    with pytest.raises(ShapeError, match="dimension mismatch"):
+        NonlinearSystem(lin, SeriesTable(2, True))
+    with pytest.raises(ShapeError, match="mixed exact/float"):
+        NonlinearSystem(lin, SeriesTable(1, False))
 
 
 def test_spectra_are_cached_floats():
