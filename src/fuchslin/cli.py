@@ -143,14 +143,16 @@ def cmd_check(args):
     linear = check_linear_assumption(system, tol=tol)
     payload = {"linear": _linear_report_json(linear), "nonlinear": None}
     failed = not linear.passed
-    if doc.f:
+    if doc.monomials:
         if order is None:
             order = doc.options.get("order", doc.to_nonlinear().order_max())
-        nonlinear = check_nonlinear_assumption(
-            doc.to_nonlinear(), order, tol
-        )
-        payload["nonlinear"] = _nonlinear_report_json(nonlinear)
-        failed = failed or not nonlinear.passed
+        # terms that are all zero have no order of their own to check up to
+        if order >= 2:
+            nonlinear = check_nonlinear_assumption(
+                doc.to_nonlinear(), order, tol
+            )
+            payload["nonlinear"] = _nonlinear_report_json(nonlinear)
+            failed = failed or not nonlinear.passed
     payload["passed"] = not failed
     return payload, _EXIT_ASSUMPTION if failed else _EXIT_OK
 

@@ -51,7 +51,7 @@ from .analytic import path_defect
 from .exact import ExactComplex
 from .matrices import CMatrix
 from .model import FuchsianSystem, NonlinearSystem, coinciding_poles
-from .pnspace import SeriesTable, _ratio_row, term_ring
+from .pnspace import SeriesTable, _ratio_row, _term_poly
 from .poly import VecPoly
 
 
@@ -262,29 +262,31 @@ def _parse_options(node, path, poles):
 class SystemDocument:
     """Validated description of a (non)linear Fuchsian problem.
 
-    ``f`` holds the nonzero nonlinearity terms as a SeriesTable of store
-    rows (``nonlinearity``, a mapping or a SeriesTable, is copied into
-    it); the ``nonlinearity`` property builds their {m: VecPoly} mapping
-    on each read.
+    ``f`` is the SeriesTable of the nonzero nonlinearity terms, read
+    straight into store rows, which ``to_nonlinear`` hands on as it is;
+    ``monomials`` lists every multi-index the document gives, in its
+    order, zero terms included.  The ``nonlinearity`` property builds
+    their {m: VecPoly} mapping on each read.
     """
 
-    __slots__ = ("dimension", "s", "poles", "matrices", "f", "options",
-                 "exact")
+    __slots__ = ("dimension", "s", "poles", "matrices", "f", "monomials",
+                 "options", "exact")
 
-    def __init__(self, dimension, s, poles, matrices, nonlinearity, options,
+    def __init__(self, dimension, s, poles, matrices, f, monomials, options,
                  exact):
         self.dimension = dimension
         self.s = s
         self.poles = tuple(poles)
         self.matrices = tuple(matrices)
-        self.f = (nonlinearity.copy() if isinstance(nonlinearity, SeriesTable)
-                  else SeriesTable(dimension, exact, nonlinearity))
+        self.f = f
+        self.monomials = tuple(monomials)
         self.options = dict(options)
         self.exact = exact
 
     @property
     def nonlinearity(self):
-        return self.f.terms
+        zero = VecPoly.zero(self.dimension, self.exact)
+        return {m: self.f.get(m) or zero for m in self.monomials}
 
     @classmethod
     def from_dict(cls, data, exact=False):
@@ -322,8 +324,8 @@ class SystemDocument:
             for j, mat in enumerate(mats_node)
         ]
 
-        nonlinearity = SeriesTable(d, exact)
-        seen = set()
+        f = SeriesTable(d, exact)
+        seen = {}
         if "nonlinearity" in data:
             nl_node = data["nonlinearity"]
             if not isinstance(nl_node, list):
@@ -350,16 +352,16 @@ class SystemDocument:
                          "total degree must be >= 2")
                 _require(m not in seen, f"{ipath}/multiindex",
                          f"duplicate multiindex {list(m)}")
-                seen.add(m)
+                seen[m] = None
                 rows = _parse_term(item["coeff"], f"{ipath}/coeff", d, exact)
                 if rows is not None:
-                    nonlinearity.rows[m] = rows
+                    f.rows[m] = rows
 
         options = {}
         if "options" in data:
             options = _parse_options(data["options"], "/options", poles)
 
-        return cls(d, s, poles, matrices, nonlinearity, options, exact)
+        return cls(d, s, poles, matrices, f, seen, options, exact)
 
     def to_system(self):
         try:
@@ -370,7 +372,7 @@ class SystemDocument:
             raise SchemaError(f"/: {exc}") from exc
 
     def to_nonlinear(self):
-        return NonlinearSystem(self.to_system(), self.f)
+        return NonlinearSystem._of_table(self.to_system(), self.f)
 
 
 def load_document(path, exact=False):
@@ -483,7 +485,7 @@ def parse_vector_polynomial(node, d, exact, path="/g"):
     rows = _parse_term(node, path, d, exact)
     if rows is None:
         return VecPoly.zero(d, exact)
-    return term_ring(exact).poly(rows)
+    return _term_poly(rows, exact)
 
 
 def parse_series_table(node, d, exact, path="/series"):

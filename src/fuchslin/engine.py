@@ -73,8 +73,8 @@ import numpy as np
 from .correction import solve_polynomial
 from .exact import from_int
 from .model import AssumptionError, check_nonlinear_assumption
-from .pnspace import (SeriesTable, _int_row, _reduced_row, devectorize,
-                      induced_system, multiindices, vectorize)
+from .pnspace import (SeriesTable, _int_row, _reduced_row, _term_poly,
+                      devectorize, induced_system, multiindices, vectorize)
 from .poly import VecPoly, sp_trim
 
 
@@ -684,8 +684,8 @@ def compose_series(f_terms, h_table, extra, order_max, mode="obstruction"):
             rows.field(_H, n - 1, h_table.rows)
         for k in range(max(2, n - 1), n + 1) if extra is not None else ():
             rows.field(_E, k, extra.rows)
-        yield SeriesTable.from_rows(d, exact,
-                                    rows.table(next(parts), n)).terms
+        yield {m: _term_poly(t, exact)
+               for m, t in rows.table(next(parts), n).items()}
 
 
 def _compose_rows(f_rows, rows, order_max, mode, extra):

@@ -304,53 +304,33 @@ def first_failed_solve(mat, ks, xs, rhs, tol=1e-12):
     """
     ks = np.asarray(ks)
     ran = len(xs)
-    if len(ks) == 1:
-        # one solve: the same bound on mat + k I itself, with no stack
-        k = int(ks[0])
-        with np.errstate(over="ignore", invalid="ignore"):   # x may overflow
-            bound = np.abs(_shifted(mat, k) if k else mat).max() * np.abs(
-                xs).max(initial=0.0)
-            resid = np.abs(xs @ mat.T + k * xs - rhs[:ran]).max(initial=0.0)
-        scale = bound if bound > 1.0 else 1.0    # as np.fmax: nan gives 1
-        if ran and np.isfinite(rhs).all() and math.isfinite(resid) and \
-                resid <= scale * max(tol, 1e-12) * 1e4:
-            return None
-        i = 0
-    else:
-        failed = ~np.isfinite(rhs).all(axis=1)
-        off = np.abs(mat)
-        np.fill_diagonal(off, 0.0)
-        shift_max = np.maximum(off.max(), np.abs(
-            np.diagonal(mat) + ks[:ran, None]).max(axis=1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = np.fmax(1.0, shift_max * np.abs(xs).max(axis=1,
-                                                             initial=0.0))
-            resid = np.abs(xs @ mat.T + ks[:ran, None] * xs - rhs[:ran]).max(
-                axis=1, initial=0.0)
-            failed[:ran] |= ~np.isfinite(resid) | (
-                resid > scale * max(tol, 1e-12) * 1e4)
-        failed[ran:] = True
-        if not failed.any():
-            return None
-        i = int(np.argmax(failed))
-        k = int(ks[i])
+    failed = ~np.isfinite(rhs).all(axis=1)
+    off = np.abs(mat)
+    np.fill_diagonal(off, 0.0)
+    shift_max = np.maximum(off.max(), np.abs(np.diagonal(mat)
+                                             + ks[:ran, None]).max(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):   # x may overflow
+        scale = np.fmax(1.0, shift_max * np.abs(xs).max(axis=1, initial=0.0))
+        resid = np.abs(xs @ mat.T + ks[:ran, None] * xs - rhs[:ran]).max(
+            axis=1, initial=0.0)
+        failed[:ran] |= ~np.isfinite(resid) | (
+            resid > scale * max(tol, 1e-12) * 1e4)
+    failed[ran:] = True
+    if not failed.any():
+        return None
+    i = int(np.argmax(failed))
+    k = int(ks[i])
     if not np.isfinite(rhs[i]).all():
         return k, ArithmeticError("non-finite right-hand side in a float "
                                   "solve")
     if i == ran:
         return k, SingularMatrixError("Singular matrix")
-    shifted = _shifted(mat, k)
+    shifted = mat.copy()
+    np.fill_diagonal(shifted, np.diagonal(mat) + k)
     with np.errstate(over="ignore", invalid="ignore"):
         resid = np.max(np.abs(shifted @ xs[i] - rhs[i]))
     return k, SingularMatrixError(
         f"solve residual {resid:.3e} exceeds tolerance (near-singular matrix)")
-
-
-def _shifted(mat, k):
-    """mat + k I, a new array."""
-    out = mat.copy()
-    np.fill_diagonal(out, np.diagonal(mat) + k)
-    return out
 
 
 def _solve_exact(a, b):
@@ -430,14 +410,10 @@ class SparseMatrix:
         The elimination solves for den x, on Fractions: each step pivots on
         a live row with the fewest entries, at its lowest column, and
         eliminates that column from the other live rows; back-substitution
-        in reverse pivot order then reads the pivot rows.  A 1 x 1 matrix,
-        or the embedding of one, skips it: its solve is one division, done
-        in integers (``_solve_scalar``).
+        in reverse pivot order then reads the pivot rows.
         """
         den, cols = cols
         size = self.size
-        if size == 1 or size == 2 and self.embedded:
-            return self._solve_scalar(den, cols, shift)
         rows = [dict(r) for r in self._real_rows()]
         if shift:
             shift = Fraction(shift)
@@ -511,23 +487,3 @@ class SparseMatrix:
         nums = [v // common for v in nums]
         return lcm * (den // common), [nums[j::len(cols)]
                                        for j in range(len(cols))]
-
-    def _solve_scalar(self, den, cols, shift):
-        """``solve`` of a 1 x 1 matrix a + ib, itself or its real 2 x 2
-        embedding, in integers: with a + shift + ib = (u + iv) / w,
-        x = w c (u - iv) / (den (u^2 + v^2)), reduced by one gcd."""
-        re, im = self.entries[0][2:] if self.entries else (0, 0)
-        s, t = (shift, 1) if isinstance(shift, int) \
-            else Fraction(shift).as_integer_ratio()
-        (p, q), (r, o) = re.as_integer_ratio(), im.as_integer_ratio()
-        u, v, w = (p * t + s * q) * o, r * q * t, q * t * o
-        if not (u or v):
-            raise SingularMatrixError("exact pivot vanished after 0 pivots")
-        if self.embedded:
-            den *= u * u + v * v
-            x = [[w * (u * a + v * b), w * (u * b - v * a)] for a, b in cols]
-        else:
-            den *= abs(u)
-            x = [[w * a if u > 0 else -w * a] for a, in cols]
-        common = math.gcd(den, *(n for col in x for n in col))
-        return den // common, [[n // common for n in col] for col in x]

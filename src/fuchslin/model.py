@@ -366,20 +366,18 @@ class NonlinearSystem:
 
     The nonlinearity is a mapping {multi-index m: vector polynomial in x}
     holding the coefficient of u^m; every multi-index has total degree at
-    least 2 and length equal to the system size.  It may also be given as
-    a SeriesTable.  ``f`` keeps it as a SeriesTable, each term as the
-    engine's store rows, which is all the engine reads; ``nonlinearity``
-    builds the {m: VecPoly} mapping of its nonzero terms on each read.
+    least 2 and length equal to the system size.  ``f`` keeps its nonzero
+    terms as a SeriesTable, each term as the engine's store rows, which is
+    all the engine reads; ``nonlinearity`` builds their read-only
+    {m: VecPoly} mapping on each read.
     """
 
     __slots__ = ("linear", "f")
 
     def __init__(self, linear, nonlinearity):
         d = linear.size
-        table = nonlinearity if isinstance(nonlinearity, SeriesTable) \
-            else None
-        terms = nonlinearity if table is None else table.rows
-        for m, coeff in terms.items():
+        terms = {}
+        for m, coeff in nonlinearity.items():
             m = tuple(int(v) for v in m)
             if len(m) != d:
                 raise ShapeError(
@@ -392,15 +390,22 @@ class NonlinearSystem:
                     f"monomial {m} has order {sum(m)} < 2; linear terms "
                     "belong to the linear part"
                 )
-            if table is None:
-                _check_coefficient(coeff.dim, coeff.exact, linear)
-        if table is None:
-            table = SeriesTable(d, linear.exact, nonlinearity)
-        else:
-            _check_coefficient(table.dim, table.exact, linear)
-            table = table.copy()
+            if coeff.dim != d:
+                raise ShapeError("nonlinearity coefficient dimension mismatch")
+            if coeff.exact != linear.exact:
+                raise ShapeError("mixed exact/float nonlinearity")
+            terms[m] = coeff
         self.linear = linear
-        self.f = table
+        self.f = SeriesTable(d, linear.exact, terms)
+
+    @classmethod
+    def _of_table(cls, linear, f):
+        """The system whose f is the SeriesTable ``f``, kept as it is: its
+        size and ring are those of ``linear`` and its monomials have order
+        at least 2, as a document's nonlinearity is read."""
+        system = cls.__new__(cls)
+        system.linear, system.f = linear, f
+        return system
 
     @property
     def nonlinearity(self):
@@ -425,11 +430,3 @@ class NonlinearSystem:
             f"NonlinearSystem(size={self.size}, "
             f"terms={len(self.f)}, order<={self.order_max()})"
         )
-
-
-def _check_coefficient(dim, exact, linear):
-    """A nonlinearity coefficient's vector size and ring against ``linear``."""
-    if dim != linear.size:
-        raise ShapeError("nonlinearity coefficient dimension mismatch")
-    if exact != linear.exact:
-        raise ShapeError("mixed exact/float nonlinearity")

@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from types import MappingProxyType
 import numpy as np
 
 from .exact import ExactComplex
@@ -349,33 +350,20 @@ def _scalars(row):
                  for v, w in zip(re, im))
 
 
-class _IntTerms:
-    """An exact term as the store's integer rows of its components."""
-
-    @staticmethod
-    def rows(p):
+def _term_rows(p, exact):
+    """A SeriesTable's rows of the vector polynomial ``p``: in exact mode
+    the integer rows of its components, else its (d, width) complex128
+    array, row i component i."""
+    if exact:
         return tuple(_int_row(p.component(i)) for i in range(p.dim))
+    return np.array(p.coeffs, complex).T
 
-    @staticmethod
-    def poly(rows):
+
+def _term_poly(rows, exact):
+    """The vector polynomial of a SeriesTable's rows (see ``_term_rows``)."""
+    if exact:
         return VecPoly.from_components([_scalars(r) for r in rows], True)
-
-
-class _ArrayTerms:
-    """A float term as a (d, width) complex128 array, row i component i."""
-
-    @staticmethod
-    def rows(p):
-        return np.array(p.coeffs, complex).T
-
-    @staticmethod
-    def poly(rows):
-        return VecPoly(len(rows), tuple(map(tuple, rows.T.tolist())), False)
-
-
-def term_ring(exact):
-    """The VecPoly <-> store rows conversions of a term in one ring."""
-    return _IntTerms if exact else _ArrayTerms
+    return VecPoly(len(rows), tuple(map(tuple, rows.T.tolist())), False)
 
 
 class SeriesTable:
@@ -392,13 +380,12 @@ class SeriesTable:
     iteration), and ``set`` converts one back.
     """
 
-    __slots__ = ("dim", "exact", "rows", "_ring")
+    __slots__ = ("dim", "exact", "rows")
 
     def __init__(self, dim, exact, terms=None):
         self.dim = dim
         self.exact = exact
         self.rows = {}
-        self._ring = term_ring(exact)
         if terms:
             for m, p in terms.items():
                 self.set(m, p)
@@ -421,27 +408,30 @@ class SeriesTable:
         if p.is_zero():
             self.rows.pop(m, None)
         else:
-            self.rows[m] = self._ring.rows(p)
+            self.rows[m] = _term_rows(p, self.exact)
 
     def get(self, m):
         rows = self.rows.get(tuple(m))
-        return None if rows is None else self._ring.poly(rows)
+        return None if rows is None else _term_poly(rows, self.exact)
 
     @property
     def terms(self):
-        """{monomial: VecPoly} of every term, built on each read."""
-        return {m: self._ring.poly(rows) for m, rows in self.rows.items()}
+        """Read-only {monomial: VecPoly} of every term, built on each read;
+        ``set`` changes the table."""
+        return MappingProxyType({m: _term_poly(rows, self.exact)
+                                 for m, rows in self.rows.items()})
 
     def order_slice(self, n):
-        return {m: self._ring.poly(rows) for m, rows in self.rows.items()
-                if sum(m) == n}
+        return {m: _term_poly(rows, self.exact)
+                for m, rows in self.rows.items() if sum(m) == n}
 
     def rows_sorted(self):
         """(monomial, rows) of every term, by order, then monomial."""
         return sorted(self.rows.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def items_sorted(self):
-        return [(m, self._ring.poly(rows)) for m, rows in self.rows_sorted()]
+        return [(m, _term_poly(rows, self.exact))
+                for m, rows in self.rows_sorted()]
 
     def max_order(self):
         return max((sum(m) for m in self.rows), default=0)
@@ -451,6 +441,9 @@ class SeriesTable:
 
     def __iter__(self):
         return iter(self.items_sorted())
+
+    def __contains__(self, m):
+        return tuple(m) in self.rows
 
     def __len__(self):
         return len(self.rows)

@@ -296,10 +296,9 @@ def test_sparse_solve_columns_shifts_and_embedding(embed):
 
 @pytest.mark.parametrize("embed", [False, True], ids=["real", "embedded"])
 def test_sparse_solve_one_by_one_matches_the_elimination(embed):
-    # a 1 x 1 solve, of a real a or of the 2 x 2 embedding of a + ib, is
-    # one division in integers; padded to diag(a + ib, 1) the same solve
-    # runs the general elimination, which must give the same (den, x) and,
-    # at a shift where a + k vanishes, raise the same message
+    # a 1 x 1 solve, of a real a or of the 2 x 2 embedding of a + ib, must
+    # give the same (den, x) as the same solve padded to diag(a + ib, 1)
+    # and, at a shift where a + k vanishes, raise the same message
     rng = random.Random(f"one-by-one-{embed}")
 
     def value():

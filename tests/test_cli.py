@@ -75,18 +75,23 @@ def test_check_passes_clean_system(tmp_path, capsys):
     assert payload["nonlinear"]["passed"] is True
 
 
-def test_check_treats_zero_terms_as_a_linear_system(tmp_path, capsys):
-    # a nonlinearity whose terms are all zero leaves the system linear:
-    # no nonlinear report, with or without an order (without one, the
-    # nonlinear check at order 0 used to end in a traceback)
-    data = dict(SCALAR_DOC, nonlinearity=[{"multiindex": [2],
-                                           "coeff": [[[0, 0]], [["0/3", 0]]]}])
+def test_check_on_zero_terms_checks_the_order_asked_for(tmp_path, capsys):
+    # terms that are all zero have no order of their own: without an order
+    # check gives no nonlinear report (it used to end in a traceback on an
+    # order-0 check), with one it checks up to it and refuses a resonant
+    # linear part, as linearize does at the same order
+    data = dict(RESONANT_DOC, nonlinearity=[
+        {"multiindex": [2, 0], "coeff": [[["0/3", 0], [0, 0]]]}])
     data.pop("options")
     doc = write_doc(tmp_path, data)
-    for extra in ([], ["--order", "3"]):
-        code, out, _ = run(capsys, ["check", doc, "--exact"] + extra)
-        assert code == 0
-        assert json.loads(out)["nonlinear"] is None
+    code, out, _ = run(capsys, ["check", doc, "--exact"])
+    assert code == 0 and json.loads(out)["nonlinear"] is None
+    code, out, _ = run(capsys, ["check", doc, "--exact", "--order", "3"])
+    payload = json.loads(out)
+    assert code == 2 and payload["nonlinear"]["order_max"] == 3
+    assert payload["nonlinear"]["violations"]
+    code, _, _ = run(capsys, ["linearize", doc, "--exact", "--order", "3"])
+    assert code == 2
 
 
 def test_check_rejects_resonant_spectrum(tmp_path, capsys):
@@ -736,7 +741,7 @@ def test_exact_cli_keeps_one_row_form_from_json_to_json(tmp_path, capsys,
                             (engine._ExactRows, "field"),
                             (engine._ExactRows, "table"),
                             (pnspace.SeriesTable, "from_rows"),
-                            (model.NonlinearSystem, "__init__")):
+                            (model.NonlinearSystem, "_of_table")):
             original = owner.__dict__[name]
             if isinstance(original, classmethod):
                 original = classmethod(phase(original.__func__))
@@ -767,7 +772,7 @@ def test_exact_cli_keeps_one_row_form_from_json_to_json(tmp_path, capsys,
     assert counts == {}
     assert entered == {"_parse_term", "series_table_json", "_ExactRows.field",
                        "_ExactRows.table", "SeriesTable.from_rows",
-                       "NonlinearSystem.__init__"}
+                       "NonlinearSystem._of_table"}
 
 
 def test_environment_does_not_set_tolerances(tmp_path, capsys,

@@ -677,9 +677,9 @@ def test_first_failed_solve_reports_the_first_failure_in_the_order_given():
 
 
 def test_single_solve_keeps_the_stacked_rule():
-    # one solve skips the stack, not the rule: for each case the verdict
-    # on k alone equals the stacked one on the same solve taken twice, and
-    # a near-singular solve through solve_array is still refused
+    # one solve keeps the stacked rule: for each case the verdict on k
+    # alone equals the stacked one on the same solve taken twice, and a
+    # near-singular solve through solve_array is refused
     mat = np.array([[2.0 + 1j, 0.5], [0.25, -1j]])
     big = np.array([[1e10, 0], [0, 1]], complex)
     good = np.linalg.solve(mat + 3 * np.eye(2), [1, 2j])

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from fuchslin.document import SystemDocument
 from fuchslin.exact import ExactComplex
 from fuchslin.matrices import CMatrix, ShapeError
 from fuchslin.model import (
@@ -21,7 +22,7 @@ from fuchslin.model import (
     check_linear_assumption,
     check_nonlinear_assumption,
 )
-from fuchslin.pnspace import SeriesTable, multiindices
+from fuchslin.pnspace import multiindices
 from fuchslin.poly import VecPoly, sp_degree, sp_eval, sp_mul
 
 
@@ -197,28 +198,30 @@ def test_nonlinear_system_validation():
 
 
 def test_nonlinear_system_keeps_f_as_store_rows():
-    # f is a SeriesTable of store rows, given as a mapping or as a table:
-    # the same checks apply, the table is copied, and ``nonlinearity``
-    # reads the nonzero terms back as VecPolys
+    # f is a SeriesTable of the nonzero terms' store rows; ``nonlinearity``
+    # reads them back as a read-only mapping of VecPolys, and a document's
+    # system takes the document's table as it is
     lin = scalar_system(1, 1)
     p = VecPoly.from_coeffs([(ExactComplex(Fraction(1, 2), 3),),
                              (ExactComplex(0),), (ExactComplex(-2),)], True)
-    table = SeriesTable(1, True, {(2,): p, (3,): VecPoly.zero(1, True)})
-    for given in ({(2,): p, (3,): VecPoly.zero(1, True)}, table):
-        nsys = NonlinearSystem(lin, given)
-        assert nsys.f.rows == {(2,): ((2, (1, 0, -4), (6, 0, 0)),)}
-        assert list(nsys.nonlinearity) == [(2,)]
-        assert (nsys.nonlinearity[(2,)] - p).is_zero()
-        assert nsys.order_max() == 2 and nsys.x_degree() == 2
-    table.set((2,), VecPoly.zero(1, True))
-    assert nsys.f.rows and not table.rows
-    assert NonlinearSystem(lin, SeriesTable(1, True)).order_max() == 0
-    with pytest.raises(ValueError, match="order 1 < 2"):
-        NonlinearSystem(lin, SeriesTable(1, True, {(1,): p}))
-    with pytest.raises(ShapeError, match="dimension mismatch"):
-        NonlinearSystem(lin, SeriesTable(2, True))
-    with pytest.raises(ShapeError, match="mixed exact/float"):
-        NonlinearSystem(lin, SeriesTable(1, False))
+    nsys = NonlinearSystem(lin, {(2,): p, (3,): VecPoly.zero(1, True)})
+    assert nsys.f.rows == {(2,): ((2, (1, 0, -4), (6, 0, 0)),)}
+    assert list(nsys.nonlinearity) == [(2,)]
+    assert (nsys.nonlinearity[(2,)] - p).is_zero()
+    assert nsys.order_max() == 2 and nsys.x_degree() == 2
+    with pytest.raises(TypeError):
+        nsys.nonlinearity[(3,)] = p
+    doc = SystemDocument.from_dict({
+        "dimension": 1, "S": 0, "poles": [[-1, 0], [1, 0]],
+        "matrices": [[[[1, 0]]], [[[1, 0]]]],
+        "nonlinearity": [{"multiindex": [2], "coeff": [[["1/2", 3]], [[0, 0]],
+                                                       [[-2, 0]]]},
+                         {"multiindex": [3], "coeff": [[[0, 0]]]}]},
+        exact=True)
+    assert doc.to_nonlinear().f is doc.f
+    assert doc.f.rows == nsys.f.rows and doc.monomials == ((2,), (3,))
+    assert (doc.nonlinearity[(2,)] - p).is_zero()
+    assert doc.nonlinearity[(3,)].is_zero()
 
 
 def test_spectra_are_cached_floats():
