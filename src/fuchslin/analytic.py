@@ -412,7 +412,7 @@ def _factor_series(c_blocks, residues=None):
 def _check_resonance(ctx, j):
     """Raise ResonanceError if two eigenvalues of B_j differ by a nonzero
     integer within ``ctx.resonance_tol``."""
-    lam = np.linalg.eigvals(ctx.res[j])
+    lam = ctx.system.residue_spectrum(j)
     for a in range(len(lam)):
         for b in range(len(lam)):
             diff = lam[a] - lam[b]

@@ -137,20 +137,18 @@ def _nonlinear_report_json(report):
 
 def cmd_check(args):
     doc = _load(args)
-    system = doc.to_system()
+    system = doc.to_nonlinear()
     order = _flag_order(args)
     tol = _resolve_resonance_tol(args, doc)
-    linear = check_linear_assumption(system, tol=tol)
+    linear = check_linear_assumption(system.linear, tol=tol)
     payload = {"linear": _linear_report_json(linear), "nonlinear": None}
     failed = not linear.passed
     if doc.monomials:
         if order is None:
-            order = doc.options.get("order", doc.to_nonlinear().order_max())
+            order = doc.options.get("order", system.order_max())
         # terms that are all zero have no order of their own to check up to
         if order >= 2:
-            nonlinear = check_nonlinear_assumption(
-                doc.to_nonlinear(), order, tol
-            )
+            nonlinear = check_nonlinear_assumption(system, order, tol)
             payload["nonlinear"] = _nonlinear_report_json(nonlinear)
             failed = failed or not nonlinear.passed
     payload["passed"] = not failed

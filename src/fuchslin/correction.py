@@ -28,17 +28,19 @@ certificate compares with its continued solution.
 Both ends refuse a singular shift up front (``model.singular_shifts``).
 Exact mode runs one loop, ``_recur_exact``, on integer rows: per degree,
 integer numerators over one denominator, real and imaginary parts apart
-(``SplitPoly``), with q_i and R_(i-1) cleared once per call to sparse
-real integer entries over one denominator per term (at a pole divided by
-Q'(p_j), so the pivot is k + B_j).  Each k is one sparse Gauss-Jordan
-(``SparseMatrix.solve``), which takes the pivot row and gives y_k as
-integers over one denominator, for the real and imaginary parts as two
-columns when Q and QB are real, in the real 2N embedding otherwise; y_k's
-other terms then leave the remainder as integer multiply-adds, each row
-updated once to the lcm of its denominator and theirs.  In the loop,
-Fraction arithmetic happens only inside that elimination.  Float mode
-runs one loop, ``_recur_float``, on complex128 arrays, with the per-k
-solve each end measured fastest: ``np.linalg.solve`` of B_inf shifted on
+(``SplitPoly``), with q_i and R_(i-1), whose entries arrive as integers
+over one denominator (``qb_coefficients``), brought once per call to
+sparse real integer entries over one denominator per term (at a pole
+divided by Q'(p_j), so the pivot is k + B_j).  Each k is one sparse
+Gauss-Jordan (``SparseMatrix.solve``), which takes the pivot row and
+gives y_k as integers over one denominator, for the real and imaginary
+parts as two columns when Q and QB are real, in the real 2N embedding
+otherwise; y_k's other terms then leave the remainder as integer
+multiply-adds, each row updated once to the lcm of its denominator and
+theirs.  From the block's construction on, Fraction arithmetic happens
+only inside that elimination.  Float mode runs one loop,
+``_recur_float``, on complex128 arrays, with the per-k solve each end
+measured fastest: ``np.linalg.solve`` of B_inf shifted on
 its diagonal at infinity (a batched inverse there was slower and less
 accurate at d = 4), and at a pole the rows of one batched inverse of
 k + B_j for all k (per-k solves were slower on the analytic route).
@@ -209,10 +211,10 @@ def _exact_operators(system, pole_index=None):
     pivot term's R_(i-1) as a SparseMatrix, its i (S + 2 at infinity, 1 at
     a pole), and for every other i with a nonzero term (i, den, q_i as
     real (row offset, col offset, value) blocks of size N, R_(i-1) as real
-    (row, col, value) entries), the values integers over the term's one
-    denominator ``den``.  All are real when Q and QB are, and otherwise in
-    the real 2N embedding, where a vector is its real parts followed by
-    its imaginary parts.
+    (row, col, value) entries), the values integers over the term's least
+    common denominator ``den``.  All are real when Q and QB are, and
+    otherwise in the real 2N embedding, where a vector is its real parts
+    followed by its imaginary parts.
     """
     n = system.size
     q, coeffs = system.q_poly(), system.qb_coefficients()
@@ -224,31 +226,21 @@ def _exact_operators(system, pole_index=None):
         coeffs = [(inv_q1 * r).entries() for r in sp_taylor(
             [qb.coefficient(i) for i in range(at)], center, True)]
         q, at = [inv_q1 * c for c in q], 1
-    embed = (any(im for entries in coeffs for *_, im in entries)
+    embed = (any(im for _, entries in coeffs for *_, im in entries)
              or any(c.im for c in q))
     terms = []
     for i, q_i in enumerate(q):
-        entries = coeffs[i - 1] if i else []
+        den_r, entries = coeffs[i - 1] if i else (1, [])
         if i == at or not (q_i or entries):
             continue
-        den, entries = _cleared([(0, 0, q_i.re, q_i.im), *entries], embed)
-        terms.append((i, den, split_entries(entries[:1], n, embed),
-                      split_entries(entries[1:], n, embed)))
+        den_q, (re, im) = clear_denominators([q_i.re, q_i.im])
+        den = math.lcm(den_q, den_r)
+        up_q, up_r = den // den_q, den // den_r
+        q_i = [(0, 0, re * up_q, im * up_q)]
+        qb_i = [(r, c, a * up_r, b * up_r) for r, c, a, b in entries]
+        terms.append((i, den, split_entries(q_i, n, embed),
+                      split_entries(qb_i, n, embed)))
     return SparseMatrix(n, coeffs[at - 1], embed), at, terms
-
-
-def _cleared(entries, embed):
-    """(den, entries): the (row, col, re, im) Fraction ``entries`` as
-    integers over one denominator.  Without ``embed`` every imaginary part
-    is zero, and only the real parts are read."""
-    if embed:
-        den, nums = clear_denominators(
-            [v for *_, re, im in entries for v in (re, im)])
-        parts = zip(nums[::2], nums[1::2])
-    else:
-        den, nums = clear_denominators([re for *_, re, _ in entries])
-        parts = ((re, 0) for re in nums)
-    return den, [(r, c, *part) for (r, c, *_), part in zip(entries, parts)]
 
 
 def _recur_exact(pivot, at, terms, g, ks, rows, label):

@@ -407,16 +407,11 @@ def load_document(path, exact=False):
 # ----------------------------------------------------------------------
 
 
-def _fraction_json(q):
-    if q.denominator == 1:
-        return int(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def scalar_json(value):
     """[re, im] pair; exact values as ints / 'p/q' strings, floats as-is."""
     if isinstance(value, ExactComplex):
-        return [_fraction_json(value.re), _fraction_json(value.im)]
+        return [_ratio_json(*value.re.as_integer_ratio()),
+                _ratio_json(*value.im.as_integer_ratio())]
     z = complex(value)
     return [z.real, z.imag]
 

@@ -75,7 +75,7 @@ from .exact import from_int
 from .model import AssumptionError, check_nonlinear_assumption
 from .pnspace import (SeriesTable, _int_row, _reduced_row, _term_poly,
                       devectorize, induced_system, multiindices, vectorize)
-from .poly import VecPoly, sp_trim
+from .poly import sp_trim
 
 
 @dataclass
@@ -470,7 +470,8 @@ class _FloatRows:
                 for pos in np.flatnonzero(nonzero.any(axis=1)).tolist()}
 
     def magnitude(self, out):
-        """Largest absolute coefficient of an output (see ``_magnitude``)."""
+        """Largest absolute coefficient of an output as a float, at most
+        ``sys.float_info.max`` (the rule of ``_ExactRows.magnitude``)."""
         return min(float(np.abs(out).max(initial=0.0)), sys.float_info.max)
 
 
@@ -568,8 +569,11 @@ class _ExactRows:
                 if any(r is not None for r in rows)}
 
     def magnitude(self, out):
-        """``_magnitude`` of an output, read off its rows: a coefficient
-        v / den converts to the float Fraction(v, den) gives."""
+        """Largest absolute coefficient of an output as a float, 0.0 only
+        when it is exactly zero: a nonzero magnitude below the float range
+        reads as the smallest positive float, one above it as
+        ``sys.float_info.max``.  A coefficient v / den converts to the
+        float Fraction(v, den) gives."""
         live = [row for row in out if row is not None]
         if not live:
             return 0.0
@@ -784,8 +788,8 @@ def verify_conjugacy(nonlinear, series, h, order_max, mode="obstruction",
     normal-form:  ... = f(x, w + h) - series(x, w) - (d_w h) series(x, w)
 
     checked order by order through ``order_max``; the report holds the
-    maximal absolute coefficient of the difference per order (see
-    ``_magnitude``).  Exact mode decides zero exactly: the report's
+    maximal absolute coefficient of the difference per order (the row
+    store's ``magnitude``).  Exact mode decides zero exactly: the report's
     tolerance is 0 whatever ``tol`` is, so it passes exactly when every
     difference is exactly zero.  A term of order below 2 in ``series`` or
     ``h`` raises ValueError; terms above ``order_max`` are not read.
@@ -819,19 +823,6 @@ def verify_conjugacy(nonlinear, series, h, order_max, mode="obstruction",
     return report
 
 
-def _magnitude(p):
-    """Largest absolute coefficient of ``p`` as a float, 0.0 only when
-    ``p`` is exactly zero.  A nonzero magnitude below the float range reads
-    as the smallest positive float, one above it as ``sys.float_info.max``.
-    """
-    if p.is_zero():
-        return 0.0
-    try:
-        return min(max(float(p.max_abs()), math.ulp(0.0)), sys.float_info.max)
-    except OverflowError:
-        return sys.float_info.max
-
-
 @dataclass
 class ModeComparison:
     """Where (and whether) the two canonical corrections separate."""
@@ -862,25 +853,23 @@ def compare_modes(nonlinear, order_max, tol=1e-12, resonance_tol=1e-9):
     beyond.  Returns a ModeComparison whose ``differences`` maps each
     monomial where the corrections differ to the max absolute coefficient
     of the difference (floats, even in exact mode, for easy inspection;
-    see ``_magnitude``).
+    the row store's ``magnitude``), in monomial order.  The differences
+    are taken on the tables' rows.
     """
     phi, h1 = linearize(nonlinear, order_max, tol, resonance_tol)
     psi, h2 = normal_form(nonlinear, order_max, tol, resonance_tol)
+    rows = _row_store(nonlinear.exact, nonlinear.size, order_max)
     diffs = {}
-    keys = sorted(set(m for m, _ in phi) | set(m for m, _ in psi))
-    d = nonlinear.size
-    exact = nonlinear.exact
-    for m in keys:
-        a = phi.get(m) or VecPoly.zero(d, exact)
-        b = psi.get(m) or VecPoly.zero(d, exact)
-        delta = a - b
-        if not delta.is_zero():
-            diffs[m] = _magnitude(delta)
+    for n in range(2, order_max + 1):
+        rows.field(_E, n, psi.rows)
+        rows.field(_H, n, phi.rows, rows.block(_E, n))
+        for m, part in rows.table(rows.block(_H, n), n).items():
+            diffs[m] = rows.magnitude(part)
     return ModeComparison(
         order_max=order_max,
         phi=phi,
         psi=psi,
         h_obstruction=h1,
         h_normal_form=h2,
-        differences=diffs,
+        differences=dict(sorted(diffs.items())),
     )

@@ -200,10 +200,6 @@ def from_int(k, exact):
     return ExactComplex(k) if exact else complex(k)
 
 
-def to_complex(z):
-    return complex(z)
-
-
 def scalar_is_zero(z, tol=0.0):
     """Zero test: identical-to-zero in exact mode, |z| <= tol in float mode."""
     if isinstance(z, ExactComplex):

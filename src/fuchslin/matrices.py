@@ -8,18 +8,20 @@ rule, ``first_failed_solve``: a finite right-hand side and a residual
 within a bound scaled by the matrix and the solution.  ``solve_array``
 applies it to one solve, and the correction's recursions to all their
 shifts k + M at once.  ``solve_linear`` takes one vector right-hand
-side.  Every exact solve is one routine,
-``SparseMatrix.solve``: sparse Gauss-Jordan over the rationals on rows
-{col: Fraction}, built from the (row, col, re, im) Fraction entries of a
-matrix (``CMatrix.entries``), a real matrix as itself and a
-Gaussian-rational one as its real 2n embedding [[A, -B], [B, A]].  Its
-right-hand sides and solutions are integer columns over one positive
-denominator, (den, columns), the solution's the least one; the matrix
-stays in Fractions, whose entries are small, and the elimination is the
-only place where the two meet.  It pivots on exactly nonzero entries only
-(never on a float magnitude, which can underflow to zero or overflow),
-takes a live row with the fewest entries next (a triangular matrix in any
-order is then back-substitution) and never multiplies by an exact zero.
+side.  Every exact solve is one routine, ``SparseMatrix.solve``: sparse
+Gauss-Jordan over the rationals on rows {col: Fraction}, built from a
+matrix's one exact entry form (``CMatrix.entries``),
+(den, [(row, col, re, im), ...]) with integer parts over one
+denominator, a real matrix as itself and a Gaussian-rational one as its
+real 2n embedding [[A, -B], [B, A]].  Its right-hand sides and solutions
+are integer columns over one positive denominator, (den, columns), the
+solution's the least one.  Only the elimination turns the matrix's
+integers into Fractions, whose entries are small, and it is the one
+place where Fraction arithmetic happens.  It pivots on exactly nonzero
+entries only (never on a float magnitude, which can underflow to zero or
+overflow), takes a live row with the fewest entries next (a triangular
+matrix in any order is then back-substitution) and never multiplies by
+an exact zero.
 """
 
 from __future__ import annotations
@@ -101,10 +103,15 @@ class CMatrix:
         return self.rows[i][j]
 
     def entries(self):
-        """(row, col, re, im) of every nonzero entry of an exact matrix,
-        row by row, its real and imaginary parts as Fractions."""
-        return [(r, c, v.re, v.im) for r, row in enumerate(self.rows)
+        """The nonzero entries of an exact matrix as (den, [(row, col, re,
+        im), ...]), row by row: their real and imaginary parts integers
+        over their least common denominator."""
+        live = [(r, c, v) for r, row in enumerate(self.rows)
                 for c, v in enumerate(row) if v]
+        den, nums = clear_denominators([x for *_, v in live
+                                        for x in (v.re, v.im)])
+        return den, [(r, c, re, im) for (r, c, _), re, im
+                     in zip(live, nums[::2], nums[1::2])]
 
     def to_numpy(self):
         return np.array(
@@ -347,9 +354,9 @@ def _solve_exact(a, b):
 
 
 def split_entries(entries, n, embed):
-    """Real (row, col, Fraction) entries of (row, col, re, im) ones: their
+    """Real (row, col, value) entries of (row, col, re, im) ones: their
     real parts, or with ``embed`` the real 2n embedding [[A, -B], [B, A]]
-    of the n x n matrix A + iB they list."""
+    of the n x n matrix A + iB they list, the values as given."""
     out = []
     for r, c, re, im in entries:
         if re:
@@ -366,31 +373,34 @@ class SparseMatrix:
     for the exact elimination: the n x n matrix itself when every entry is
     real and ``embed`` is false, else its real 2n embedding
     [[A, -B], [B, A]], which acts on a vector as its real parts followed by
-    its imaginary parts.  ``entries`` are the (row, col, re, im) of the
-    nonzero entries, as ``CMatrix.entries`` lists them.  The real rows are
-    built from them on the first solve, so the Fraction arithmetic on the
-    matrix all happens in the elimination."""
+    its imaginary parts.  ``entries`` is (den, [(row, col, re, im), ...]),
+    the nonzero entries' integer parts over one denominator, as
+    ``CMatrix.entries`` gives them.  The real rows, each value
+    Fraction(v, den), are built on the first solve, so the Fraction
+    arithmetic on the matrix all happens in the elimination."""
 
     __slots__ = ("size", "embedded", "entries", "_rows")
 
     def __init__(self, n, entries, embed=False):
         self.entries = entries
-        self.embedded = embed or any(im for *_, im in entries)
+        self.embedded = embed or any(im for *_, im in entries[1])
         self.size = 2 * n if self.embedded else n
         self._rows = None
 
     def max_abs(self):
         """Largest |entry| of the Gaussian-rational matrix, as a float."""
-        return max((abs(complex(float(re), float(im)))
-                    for _, _, re, im in self.entries), default=0.0)
+        den, entries = self.entries
+        return max((abs(complex(re / den, im / den))
+                    for _, _, re, im in entries), default=0.0)
 
     def _real_rows(self):
         """The real rows {col: Fraction}, built on the first call."""
         if self._rows is None:
             n = self.size // 2 if self.embedded else self.size
+            den, entries = self.entries
             self._rows = [{} for _ in range(self.size)]
-            for r, c, v in split_entries(self.entries, n, self.embedded):
-                self._rows[r][c] = v
+            for r, c, v in split_entries(entries, n, self.embedded):
+                self._rows[r][c] = Fraction(v, den)
         return self._rows
 
     def singular(self, shift=0):

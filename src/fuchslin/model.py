@@ -13,7 +13,9 @@ at infinity B_inf.  QB is built by direct sums: its x^i coefficient is
 sum_j cofactor_j[i] B_j, and its top one is B_inf, since every cofactor
 is monic.  ``qb_coefficients`` is the one operator form the solvers read:
 QB's S + 2 coefficients, the top one B_inf, as one complex128 array or,
-in exact mode, as (row, col, re, im) Fraction entries.
+in exact mode, per coefficient in the one exact entry form
+(``CMatrix.entries``): (den, [(row, col, re, im), ...]), the nonzero
+entries' integer parts over their least common denominator.
 
 ``NonlinearSystem`` couples such a linear part with a polynomial
 nonlinearity given term-by-term: for each monomial u^m (|m| >= 2) a vector
@@ -158,7 +160,7 @@ class FuchsianSystem:
     def qb_coefficients(self):
         """QB's x^i coefficients, i = 0 .. S + 1, the top one B_inf: one
         (S + 2, d, d) complex128 array, or in exact mode per coefficient
-        the (row, col, re, im) of its nonzero entries."""
+        its (den, [(row, col, re, im), ...]) (``CMatrix.entries``)."""
         if "coeffs" not in self._cache:
             qb = self.qb_poly()
             mats = [qb.coefficient(i) for i in range(self.s + 1)]
@@ -273,7 +275,8 @@ def singular_shifts(mat, values, tol, degree=0):
     one (k, margin, singular) per value, in order.  Float mode reads
     nothing of ``mat``, which may then be a complex array.  In exact mode
     ``mat`` is a CMatrix or, with ``degree`` 0, a SparseMatrix; J of a
-    CMatrix is built as sparse real entries from the plan of its block.
+    CMatrix is built as integer entries over one denominator from the
+    plan of its block.
     """
     proposals = [(k, abs(z + k))
                  for z in values for k in (max(0, round(-z.real)),)]
@@ -421,9 +424,6 @@ class NonlinearSystem:
 
     def order_max(self):
         return self.f.max_order()
-
-    def x_degree(self):
-        return max((c.degree for c in self.nonlinearity.values()), default=-1)
 
     def __repr__(self):
         return (

@@ -16,20 +16,22 @@ J_M is linear in M, and which entry of M adds into which entry of J_M,
 with which integer coefficient, depends only on (d, n).  Those
 O(N (d^2 + d)) terms are listed once per (d, n), in the canonical basis,
 and cached as a sparse plan in the form each mode reads: exact mode
-multiplies each nonzero real or imaginary part of an entry of M by each
-of its coefficients once and adds the products into sparse
-(row, col, re, im) entries (J has integer coefficients, so
-J(A + iB) = J(A) + i J(B)); float mode builds J of a whole stack of
-matrices as complex128 arrays, one gather and one scatter-add per rank of
-a term within its entry.  A custom basis permutes the rows and columns of
-the canonical result.
+takes M's integer parts over one denominator (``CMatrix.entries``),
+multiplies each nonzero real or imaginary numerator by each of its
+coefficients once and adds the products into integer (row, col, re, im)
+entries over the same denominator, with one gcd divided out at the end
+(J has integer coefficients, so J(A + iB) = J(A) + i J(B)); float mode
+builds J of a whole stack of matrices as complex128 arrays, one gather
+and one scatter-add per rank of a term within its entry.  A custom basis
+permutes the rows and columns of the canonical result.
 
 Substituting the residues A_j for M gives the size-N system each
 homogeneous block of the conjugacy equation satisfies.  ``induced_system``
 keeps it in the system's one operator form, ``qb_coefficients``: J of
 QB's S + 2 coefficients, J_{B_inf} on top, as one complex128 array, or in
-exact mode as (row, col, re, im) Fraction entries, with no dense N x N
-matrix and no ``ExactComplex`` arithmetic.  ``vectorize`` /
+exact mode per coefficient as (den, [(row, col, re, im), ...]), integer
+parts over one denominator, with no dense N x N matrix and no
+``ExactComplex`` or ``Fraction`` arithmetic.  ``vectorize`` /
 ``devectorize`` translate between basis order and the engine's store rows
 (row mu * d + i: component i of the monomial at position mu of
 ``multiindices(d, n)``): complex128 arrays, or in exact mode integer rows
@@ -50,9 +52,6 @@ import numpy as np
 from .exact import ExactComplex
 from .matrices import CMatrix, ShapeError, mat_eigenvalues
 from .poly import SplitPoly, VecPoly
-
-_ZERO = Fraction(0)
-
 
 def multiindices(d, n):
     """All m in N^d with |m| = n, lexicographically ascending."""
@@ -192,17 +191,21 @@ def conjugation_arrays(mats, basis):
 
 
 def conjugation_entries(entries, basis):
-    """J_M in ``basis`` as the (row, col, re, im) of its nonzero entries,
-    for the exact M whose nonzero entries are the (row, col, re, im)
-    ``entries`` (``CMatrix.entries``).
+    """J_M in ``basis`` as (den, [(row, col, re, im), ...]), the integer
+    parts of its nonzero entries over their least common denominator, for
+    the exact M whose nonzero entries are ``entries`` in that form
+    (``CMatrix.entries``).
 
-    J has integer coefficients, so J(A + iB) = J(A) + i J(B): each nonzero
-    real or imaginary part of an entry of M is multiplied once per
-    coefficient it enters J with, and added into the entries it feeds.
+    J has integer coefficients, so J(A + iB) = J(A) + i J(B), and J of
+    M's numerators over M's denominator is J_M: each nonzero real or
+    imaginary numerator of an entry of M is multiplied once per
+    coefficient it enters J with and added into the entries it feeds, and
+    one gcd is divided out at the end.
     """
     d = basis.d
     feeds = _exact_feeds(d, basis.n)
-    parts = ({}, {})    # (col, row) -> Fraction, real and imaginary
+    den, entries = entries
+    parts = ({}, {})    # (col, row) -> int, real and imaginary
     for j, k, *values in entries:
         for part, value in zip(parts, values):
             if not value:
@@ -210,17 +213,17 @@ def conjugation_entries(entries, basis):
             for coef, slots in feeds[j * d + k]:
                 scaled = value * coef
                 for slot in slots:
-                    part[slot] = part[slot] + scaled if slot in part \
-                        else scaled
+                    part[slot] = part.get(slot, 0) + scaled
     re, im = parts
     pos = None if basis.positions is None else basis.positions.tolist()
     out = []
     for col, row in dict.fromkeys([*re, *im]):
-        a, b = re.get((col, row), _ZERO), im.get((col, row), _ZERO)
+        a, b = re.get((col, row), 0), im.get((col, row), 0)
         if a or b:
             out.append((row, col, a, b) if pos is None
                        else (pos[row], pos[col], a, b))
-    return out
+    g = math.gcd(den, *(v for *_, a, b in out for v in (a, b)))
+    return den // g, [(row, col, a // g, b // g) for row, col, a, b in out]
 
 
 def conjugation_matrix(mat, basis):
@@ -231,8 +234,9 @@ def conjugation_matrix(mat, basis):
         return CMatrix.from_numpy(conjugation_arrays([mat.to_numpy()],
                                                      basis)[0])
     rows = [[ExactComplex(0)] * basis.size for _ in range(basis.size)]
-    for row, col, re, im in conjugation_entries(mat.entries(), basis):
-        rows[row][col] = ExactComplex(re, im)
+    den, entries = conjugation_entries(mat.entries(), basis)
+    for row, col, re, im in entries:
+        rows[row][col] = ExactComplex(Fraction(re, den), Fraction(im, den))
     return CMatrix(tuple(map(tuple, rows)), True)
 
 
@@ -257,8 +261,9 @@ class InducedBlock:
     Its operator is QB's S + 2 coefficients, each replaced by its J, with
     J_{B_inf} on top (``qb_coefficients``), in the form the system keeps
     them: one (S + 2, N, N) complex128 array from one ``conjugation_arrays``
-    call, or in exact mode per coefficient the (row, col, re, im) of its
-    nonzero entries from ``conjugation_entries``.
+    call, or in exact mode per coefficient its integer entries over one
+    denominator, (den, [(row, col, re, im), ...]), from
+    ``conjugation_entries``.
     """
 
     __slots__ = ("size", "s", "exact", "q_poly", "_spec", "_coeffs")

@@ -46,10 +46,6 @@ def sp_trim(coeffs, tol=0.0):
     return tuple(coeffs)
 
 
-def sp_degree(coeffs):
-    return len(coeffs) - 1
-
-
 def sp_mul(a, b, exact=False):
     if not a or not b:
         return ()

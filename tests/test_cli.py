@@ -540,6 +540,48 @@ def test_verify_mode_follows_tables(tmp_path, capsys):
     assert payload["max_residual"] == 0
 
 
+BAD_TABLES = {
+    "invalid JSON": ('{"series": [', "/tables: invalid JSON: "),
+    "no h": ('{"series": []}',
+             "/tables: expected an object with series and h"),
+    "not an object": ('[[], []]',
+                      "/tables: expected an object with series and h"),
+    "unknown mode": ('{"series": [], "h": [], "mode": "fast"}',
+                     "/tables/mode: unknown mode 'fast'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TABLES))
+def test_verify_refuses_malformed_tables(tmp_path, capsys, case):
+    text, message = BAD_TABLES[case]
+    doc = write_doc(tmp_path, SCALAR_DOC)
+    tables = tmp_path / "tables.json"
+    tables.write_text(text)
+    code, out, err = run(capsys,
+                         ["verify", doc, "--exact", "--tables", str(tables)])
+    assert code == 3 and out == ""
+    assert message in err
+
+
+def test_verify_order_falls_back_to_the_tables_highest_order(tmp_path,
+                                                             capsys):
+    # no --order and no order in the tables: verify reads up to the
+    # highest order of a term, not the document's options.order (4)
+    doc = write_doc(tmp_path, SCALAR_DOC)
+    tables = tmp_path / "tables.json"
+    run(capsys, ["linearize", doc, "--exact", "--order", "3",
+                 "--out", str(tables)])
+    saved = json.loads(tables.read_text())
+    del saved["order"]
+    assert max(sum(e["m"]) for e in saved["h"] + saved["series"]) == 3
+    tables.write_text(json.dumps(saved))
+    code, out, _ = run(capsys,
+                       ["verify", doc, "--exact", "--tables", str(tables)])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["order"] == 3 and set(payload["residuals"]) == {"2", "3"}
+
+
 def test_order_is_required_somewhere(tmp_path, capsys):
     data = {k: v for k, v in SCALAR_DOC.items() if k != "options"}
     doc = write_doc(tmp_path, data)

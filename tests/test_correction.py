@@ -287,6 +287,27 @@ def test_exact_recursion_on_gaussian_rational_systems(kind):
         assert result.y.degree == g.degree - s - 1
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_exact_split_rhs_with_zero_top_degrees(kind):
+    # zero top degrees of a SplitPoly right-hand side are trimmed before
+    # the recursion: (phi, y) are those of the trimmed g, in both layouts
+    rng = random.Random(f"zero-tops-{kind}")
+    for _ in range(4):
+        system = random_gaussian_system(rng, rng.randint(1, 2),
+                                        rng.randint(0, 1), kind)
+        g = complex_vecpoly(rng, system.size, system.s + rng.randint(1, 3))
+        split = SplitPoly.from_vecpoly(g)
+        zeros = [[0] * system.size] * 2
+        padded = split._replace(den=split.den + [1, 6],
+                                re=split.re + zeros,
+                                im=split.im and split.im + zeros)
+        want = solve_polynomial(system, g)
+        got = solve_polynomial(system, padded)
+        assert len(got.y.re) == len(want.y.coeffs)
+        assert got.phi.to_vecpoly().coeffs == want.phi.coeffs
+        assert got.y.to_vecpoly().coeffs == want.y.coeffs
+
+
 def block_residual(system, block, basis, g, phi, y):
     """Q y' + (QB)_block y - (g - phi) for an induced block, with its QB
     from the dense conjugation matrices of the system's QB coefficients
@@ -347,11 +368,14 @@ _FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
 
 def test_exact_block_solve_does_fraction_arithmetic_only_in_the_elimination(
         monkeypatch):
-    # vectorize -> solve_polynomial -> devectorize on the store rows of a
-    # Gaussian-rational block (the 2N embedding) and of a real one, each
-    # with a complex right-hand side: every Fraction operation is made
-    # inside SparseMatrix.solve, the elimination of k + J, and the integer
-    # rows read what the VecPoly form gives
+    # induced_system -> vectorize -> solve_polynomial -> devectorize on the
+    # store rows of a Gaussian-rational block (the 2N embedding) and of a
+    # real one, each with a complex right-hand side: with the system's
+    # set-up cached (QB's coefficients and the spectrum at infinity, as
+    # the assumption checks leave them), every Fraction operation of the
+    # block's construction and solve is made inside SparseMatrix.solve,
+    # the elimination of k + J, and the integer rows read what the VecPoly
+    # form gives
     rng = random.Random("integer-rows")
     exact_solve = SparseMatrix.solve
     calls, solves, depth = [], [], [0]
@@ -373,6 +397,8 @@ def test_exact_block_solve_does_fraction_arithmetic_only_in_the_elimination(
 
     for kind in ("complex", "real"):
         system = random_gaussian_system(rng, 2, 1, kind)
+        system.qb_coefficients()
+        system.residue_spectrum("inf")
         block, basis = induced_system(system, 3)
         assert correction._exact_operators(block)[0].embedded \
             == (kind == "complex")
@@ -388,6 +414,7 @@ def test_exact_block_solve_does_fraction_arithmetic_only_in_the_elimination(
             Fraction(1, 2) + Fraction(1, 3)   # the counter counts
             assert calls == ["__add__"]
             calls.clear()
+            block, _ = induced_system(system, 3)
             result = solve_polynomial(block, vectorize(rows, basis, True))
             phi, y = (devectorize(part, basis, True)
                       for part in (result.phi, result.y))
@@ -922,9 +949,44 @@ def test_local_taylor_float_refuses_the_first_failing_shift():
         local_taylor(system, 0, g, 4)
 
 
+# B = [[-2, 1], [-1, 0]] is a Jordan block at -1 whose float eigenvalues
+# are -1 +- 1.5e-8i: the float shift test passes k = 1, and LAPACK's exact
+# zero pivot in 1 + B then ends the solve there
+JORDAN = ([[-2.0, 1.0], [-1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
+
+
+def test_float_jordan_block_stops_at_lapacks_zero_pivot():
+    system, g = float_problem((-1, 1), JORDAN, [(1, 0), (0, 1), (1, 1)])
+    for label in ("inf", 0):
+        assert [(k, singular) for k, _, singular in singular_shifts(
+            None, system.residue_spectrum(label), 1e-12)] \
+            == [(1, False), (1, False)]
+    with pytest.raises(AssumptionError) as err:
+        solve_polynomial(system, g)
+    assert str(err.value) == "k + B_inf singular at k=1: Singular matrix"
+    with pytest.raises(AssumptionError) as err:
+        local_taylor(system, 0, g, 3)
+    assert str(err.value) \
+        == "k + B_0 singular at some k <= 3: Singular matrix"
+
+
 # ----------------------------------------------------------------------
 # the shift ladder
 # ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_shift_up_refuses_a_singular_residue(exact):
+    system = scalar_system(0, 1)
+    g = VecPoly.from_coeffs([(ExactComplex(1),)], exact=True)
+    reason = "exact pivot vanished after 0 pivots"
+    if not exact:
+        system, g, reason = float_system(system), float_vecpoly(g), \
+            "Singular matrix"
+    with pytest.raises(AssumptionError) as err:
+        shift_up(system, g)
+    assert str(err.value) \
+        == f"residue B_0 singular; ladder step undefined: {reason}"
 
 
 def test_shift_up_frozen_values():

@@ -243,6 +243,114 @@ def test_nonlinearity_validation():
     assert "duplicate" in str(err.value)
 
 
+TERM = {"multiindex": [2], "coeff": [[[1, 0]]]}
+SCHEMA_REFUSALS = {
+    "matrix count": (
+        {"matrices": [[[[1, 0]]]]},
+        "/matrices: expected 2 matrices for S = 0"),
+    "matrix row count": (
+        {"matrices": [[], [[[1, 0]]]]},
+        "/matrices/0: expected 1 rows"),
+    "matrix row length": (
+        {"matrices": [[[[1, 0]]], [[[1, 0], [1, 0]]]]},
+        "/matrices/1/0: expected 1 entries"),
+    "non-list payload": (
+        {"nonlinearity": [{"multiindex": [2], "coeff": {"0": 1}}]},
+        "/nonlinearity/0/coeff: expected a nonempty list of per-x-power "
+        "coefficient rows"),
+    "empty payload": (
+        {"nonlinearity": [{"multiindex": [2], "coeff": []}]},
+        "/nonlinearity/0/coeff: expected a nonempty list of per-x-power "
+        "coefficient rows"),
+    "non-list coefficient row": (
+        {"nonlinearity": [{"multiindex": [2], "coeff": [[[1, 0]], 5]}]},
+        "/nonlinearity/0/coeff/1: expected 1 component entries"),
+    "non-object options": (
+        {"options": [4]},
+        "/options: expected an object"),
+    "non-object paths": (
+        {"options": {"paths": [[-1, 0], [1, 0]]}},
+        "/options/paths: expected an object keyed by pole index"),
+    "non-integer path key": (
+        {"options": {"paths": {"one": [[-1, 0], [1, 0]]}}},
+        "/options/paths/one: key must be a pole index"),
+    "empty waypoint list": (
+        {"options": {"paths": {"1": []}}},
+        "/options/paths/1: expected a list of waypoints"),
+    "non-list nonlinearity": (
+        {"nonlinearity": TERM},
+        "/nonlinearity: expected a list of terms"),
+    "non-object term": (
+        {"nonlinearity": [[2]]},
+        "/nonlinearity/0: expected an object"),
+    "unknown term field": (
+        {"nonlinearity": [dict(TERM, order=2)]},
+        "/nonlinearity/0/order: unknown field"),
+    "term without coeff": (
+        {"nonlinearity": [{"multiindex": [2]}]},
+        "/nonlinearity/0/coeff: missing required field"),
+}
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("case", sorted(SCHEMA_REFUSALS))
+def test_schema_refusals_name_the_field(case, exact):
+    overrides, message = SCHEMA_REFUSALS[case]
+    with pytest.raises(SchemaError) as err:
+        SystemDocument.from_dict(scalar_doc(**overrides), exact=exact)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("root", [[scalar_doc()], "doc", None])
+def test_document_root_must_be_an_object(root):
+    with pytest.raises(SchemaError) as err:
+        SystemDocument.from_dict(root, exact=True)
+    assert str(err.value) == "/: document root must be an object"
+
+
+TABLE_REFUSALS = {
+    "non-list table": (
+        {"m": [2], "coeff": [[[1, 0]]]},
+        "/h: expected a list of {m, coeff} entries"),
+    "non-object entry": (
+        [[[2], [[[1, 0]]]]],
+        "/h/0: expected an object with keys m, coeff"),
+    "entry with another key": (
+        [{"m": [2], "coeff": [[[1, 0]]], "order": 2}],
+        "/h/0: expected an object with keys m, coeff"),
+    "entry without coeff": (
+        [{"m": [2]}],
+        "/h/0: expected an object with keys m, coeff"),
+    "monomial of another length": (
+        [{"m": [2, 0], "coeff": [[[1, 0]]]}],
+        "/h/0/m: expected 1 nonnegative integers"),
+    "negative exponent": (
+        [{"m": [-2], "coeff": [[[1, 0]]]}],
+        "/h/0/m: expected 1 nonnegative integers"),
+    "boolean exponent": (
+        [{"m": [True], "coeff": [[[1, 0]]]}],
+        "/h/0/m: expected 1 nonnegative integers"),
+    "order below two": (
+        [{"m": [1], "coeff": [[[1, 0]]]}],
+        "/h/0/m: term [1] has order below 2"),
+    "duplicate monomial": (
+        [{"m": [2], "coeff": [[[1, 0]]]}, {"m": [2], "coeff": [[[0, 0]]]}],
+        "/h/1/m: duplicate multiindex [2]"),
+    "malformed coeff": (
+        [{"m": [3], "coeff": [[[1, 0, 0]]]}],
+        "/h/0/coeff/0/0: expected a [re, im] pair"),
+}
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("case", sorted(TABLE_REFUSALS))
+def test_series_table_refusals_name_the_entry(case, exact):
+    node, message = TABLE_REFUSALS[case]
+    with pytest.raises(SchemaError) as err:
+        parse_series_table(node, 1, exact, "/h")
+    assert str(err.value) == message
+
+
 def test_load_document_json(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(scalar_doc()), encoding="utf-8")

@@ -153,6 +153,21 @@ def test_upper_triangular_preserved():
         assert op.entry(pos, pos) == ExactComplex(expected)
 
 
+def _values(form):
+    """{(row, col): ExactComplex} of an exact entry form
+    (den, [(row, col, re, im), ...]), checked to be one: int parts of
+    distinct nonzero entries over their least positive denominator."""
+    den, entries = form
+    nums = [v for *_, re, im in entries for v in (re, im)]
+    assert type(den) is int and den > 0 and math.gcd(den, *nums) == 1
+    assert all(type(v) is int for v in nums)
+    assert all(re or im for *_, re, im in entries)
+    values = {(row, col): ExactComplex(Fraction(re, den), Fraction(im, den))
+              for row, col, re, im in entries}
+    assert len(values) == len(entries)
+    return values
+
+
 def _random_exact_matrix(rng, d, shape):
     """Rational d x d matrix: 'upper' / 'lower' triangular or 'full'."""
     rows = []
@@ -194,13 +209,14 @@ def test_induced_block_matches_dense_reference(shape):
         denses = [conjugation_matrix(lin.qb_poly().coefficient(i), basis)
                   for i in range(s + 1)] + [total]
         assert len(coeffs) == len(denses) == s + 2
-        for entries, dense in zip(coeffs, denses):
-            assert sorted(entries) == sorted(dense.entries())
+        for form, dense in zip(coeffs, denses):
+            entries = _values(form)
+            assert entries == _values(dense.entries())
             out = [ExactComplex(0)] * basis.size
-            for row, col, re, im in entries:
-                out[row] = out[row] + ExactComplex(re, im) * v[col]
+            for (row, col), z in entries.items():
+                out[row] = out[row] + z * v[col]
             assert tuple(out) == dense.matvec(v)
-        assert sorted(coeffs[-1]) == sorted(total.entries())
+        assert _values(coeffs[-1]) == _values(total.entries())
 
         # J is linear in M: what the matrix-free QB relies on
         cs = [ExactComplex(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
@@ -286,10 +302,10 @@ def test_conjugation_plan_matches_per_item_reference(shape):
                 assert [{row: dense.entry(row, col)
                          for row in range(basis.size) if dense.entry(row, col)}
                         for col in range(basis.size)] == want
-                assert sorted(conjugation_entries(mat.entries(), basis)) == \
-                    sorted((row, col, v.re, v.im)
-                           for col, entries in enumerate(want)
-                           for row, v in entries.items())
+                assert _values(conjugation_entries(mat.entries(),
+                                                   basis)) == \
+                    {(row, col): v for col, entries in enumerate(want)
+                     for row, v in entries.items()}
                 want = _reference_array(fmat, basis)
                 assert np.array_equal(
                     conjugation_arrays([fmat.to_numpy()], basis)[0], want)
@@ -358,8 +374,7 @@ def test_block_operator_is_j_of_each_qb_coefficient(exact, kind):
                 for got, mat in zip(coeffs, mats):
                     dense = conjugation_matrix(mat, basis)
                     if exact:
-                        assert sorted(got) == sorted(dense.entries())
-                        assert all(re or im for *_, re, im in got)
+                        assert _values(got) == _values(dense.entries())
                     else:
                         assert np.array_equal(got, dense.to_numpy())
                         assert np.array_equal(got,
@@ -368,9 +383,9 @@ def test_block_operator_is_j_of_each_qb_coefficient(exact, kind):
 
 def test_exact_block_is_built_without_exact_complex_arithmetic(monkeypatch):
     # J is applied to the real and imaginary parts of QB's coefficients
-    # apart, as Fractions: with the system's QB and spectrum at infinity
-    # cached (as the assumption checks leave them), building an exact
-    # block calls no ExactComplex operator
+    # apart, as integers over one denominator: with the system's QB and
+    # spectrum at infinity cached (as the assumption checks leave them),
+    # building an exact block calls no ExactComplex operator
     calls = []
 
     def counted(name, method):
@@ -395,7 +410,7 @@ def test_exact_block_is_built_without_exact_complex_arithmetic(monkeypatch):
             calls.clear()
             block, basis = induced_system(lin, n)
             assert calls == []
-        assert sorted(block.qb_coefficients()[-1]) == sorted(
+        assert _values(block.qb_coefficients()[-1]) == _values(
             conjugation_matrix(lin.b_infinity(), basis).entries())
 
 
