@@ -6,13 +6,18 @@ analyticity of
 
     y(x) = W(x)^{-1} integral_{p_0}^{x} Q^{-1} W (g - phi) dt
 
-at every pole, where W solves the transposed-side equation W' = W B.  With
-all residue spectra in the open right half plane the integrals converge,
-and analyticity at p_1 .. p_{S+1} pins phi through the block system
+at every pole, where W solves the transposed-side equation W' = W B.
+Analyticity at p_1 .. p_{S+1} pins phi through the block system
 
     sum_i M_{ji} phi_i = xi_j,
     M_{ja} = integral_{p_0}^{p_j} x^a Q^{-1} W dx,
     xi_j   = integral_{p_0}^{p_j} Q^{-1} W g dx = sum_a M_{ja} g_a.
+
+Each endpoint term t^{B_j + k - 1} H_k integrates to t^{B_j + k}
+(B_j + k)^{-1} H_k: the integral, or off the right half plane its
+continuation in the exponent.  That needs only every k + B_j invertible
+(``check_linear_assumption``), so the moment system is solved on the
+given system whatever the sign of its spectra.
 
 The transport computes only the moment matrices M_{ja}, for every power
 a below n_x = max(S + 1, deg g + 1); each integral against a polynomial is
@@ -49,19 +54,12 @@ one next to an end within that end's tolerance (1e-12 relative at p_0,
 given for target pole j must start at p_0 and end at p_j
 (``path_defect``); any other raises ValueError.
 
-Spectra with nonpositive real parts are first moved right by the shift
-ladder from the correction module; the ladder count is the smallest
-integer making every real part strictly positive.  Corrections are pulled
-back down rung by rung, and the returned handle carries the whole
-composition y = y_0 + y_1 + Q * (next rung).
-
 The certificate compares, near every pole, the continued solution with
-that composition applied against the local series of the original problem
-(``correction.local_taylor`` with right-hand side g - phi, on complex128
-arrays with one batched inverse of k + B_j for all k).  Every k + B_j is
-invertible, so the series is the unique solution analytic at the pole,
-and the comparison checks the shift ladder and its pull-back as well as
-the transport.
+the local series of the problem corrected by phi (``correction.local_taylor``
+with right-hand side g - phi, on complex128 arrays with one batched
+inverse of k + B_j for all k).  Every k + B_j is invertible, so the series
+is the unique solution analytic at the pole, and the comparison checks
+the transport and the continued endpoint integrals.
 
 Everything here runs in floating point; exact systems are converted on
 entry (phi keeps only as much accuracy as the quadrature tolerance).
@@ -87,15 +85,10 @@ import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import expm
 
-from .correction import (
-    CorrectionResult,
-    local_taylor,
-    pull_back_correction,
-    shift_up,
-)
+from .correction import CorrectionResult, local_taylor
 from .matrices import CMatrix
 from .model import AssumptionError, FuchsianSystem, check_linear_assumption
-from .poly import VecPoly, sp_eval
+from .poly import VecPoly
 
 
 class ResonanceError(AssumptionError):
@@ -478,8 +471,11 @@ def _pole_blocks(ctx, asked, n_x):
 def _endpoint_sum(bj, t_end, blocks, tol):
     """t_end^B and sum_k t_end^{B + k} (B + k)^{-1} H_k for every block.
 
-    ``blocks`` stacks the matrix series H^(a) as (n_blocks, count, d, d);
-    all go through one (B + k) solve per k, and t_end^B is computed once.
+    The sum is the integral from the pole of sum_k t^{B + k - 1} H_k,
+    continued in the exponent: it is valid whenever every B + k is
+    invertible, whatever the sign of the spectrum of B.  ``blocks``
+    stacks the matrix series H^(a) as (n_blocks, count, d, d); all go
+    through one (B + k) solve per k, and t_end^B is computed once.
     Each block's last term is checked against that block's own sum.
     Returns (t_end^B, the (n_blocks, d, d) sums), *without* the leading
     constant; the caller multiplies by the anchor (basepoint) or matching
@@ -775,28 +771,24 @@ def continue_w(system, start, path, tol=1e-10):
     return CMatrix.from_numpy(w)
 
 
-def _min_real_part(system):
-    """Least real part over the residue spectra at the finite poles."""
-    return min(ev.real for j in range(system.n_poles)
-               for ev in system.residue_spectrum(j))
-
-
 def _require_positive_spectra(system):
-    worst = _min_real_part(system)
+    """Raise AssumptionError unless every residue spectrum at the finite
+    poles lies in the open right half plane."""
+    worst = min(ev.real for j in range(system.n_poles)
+                for ev in system.residue_spectrum(j))
     if worst <= 0.0:
         raise AssumptionError(
             f"moment integrals need all residue spectra in the open right "
             f"half plane; minimal real part is {worst:.6g}"
         )
-    return worst
 
 
 def moments(system, paths=None, tol=1e-10):
     """The moment blocks M_{ji} = integral_{p_0}^{p_j} x^i Q^{-1} W dx for
     j = 1..S+1, i = 0..S.
 
-    Requires every residue spectrum strictly in the right half plane
-    (apply the shift ladder first otherwise).  ``paths`` maps target pole
+    Requires every residue spectrum strictly in the right half plane,
+    where these are the integrals themselves.  ``paths`` maps target pole
     index to a PathSpec or a waypoint sequence; defaults are straight
     bulged paths.  A path that ``path_defect`` refuses raises ValueError.
     """
@@ -851,24 +843,20 @@ def _paths_for(system, paths):
 
 
 class AnalyticSolutionHandle:
-    """Lazy representation of the analytic solution y on the original system.
+    """Lazy representation of the analytic solution y.
 
-    The top of the shift ladder holds an integral representation
-    y_top = W^{-1} integral Q^{-1} W (g_top - phi_top); each rung below
-    composes y = y_0 + y_1 + Q * (rung above).  Evaluation continues the
-    integral along a default (or given) path and composes the ladder onto
-    it.  ``taylor_at_pole`` builds the local series at a pole from the
-    original problem alone: the solution of Q y' + (QB) y = g - phi that is
-    analytic there, so the ladder never enters it.
+    y = W^{-1} integral_{p_0}^{x} Q^{-1} W (g - phi) dt on the solved
+    system, with the endpoint integral at p_0 continued where its spectrum
+    leaves the right half plane.  ``ctx`` is that system's ``_Context``
+    and ``corrected`` the float VecPoly g - phi.  Evaluation continues the
+    integral along a default (or given) path.  ``taylor_at_pole`` builds
+    the local series at a pole: the solution of Q y' + (QB) y = g - phi
+    that is analytic there.
     """
 
-    def __init__(self, ctx_top, ladder, corrected_top, original, corrected,
-                 tol):
-        self._ctx_top = ctx_top
-        self._ladder = ladder              # list of (y0, y1) float VecPolys
-        self._corrected_top = corrected_top  # g_top - phi_top, float VecPoly
-        self._original = original          # original float system
-        self._corrected = corrected        # g - phi, float VecPoly
+    def __init__(self, ctx, corrected, tol):
+        self._ctx = ctx
+        self._corrected = corrected
         self.tol = tol
         self.certificate = None            # set by solve_analytic
 
@@ -877,7 +865,7 @@ class AnalyticSolutionHandle:
         must run from pole 0 to x; a path that ends elsewhere raises
         ValueError."""
         x = complex(x)
-        ctx = self._ctx_top
+        ctx = self._ctx
         if path is not None:
             if not isinstance(path, PathSpec):
                 path = PathSpec(tuple(path))
@@ -890,38 +878,30 @@ class AnalyticSolutionHandle:
             return series.eval(x)
         if path is None:
             path = default_path(ctx.system, x)
-        n_x = len(self._corrected_top.coeffs)
+        n_x = len(self._corrected.coeffs)
         result = _transport_passes(ctx, [path], n_x, match_target=False)[0]
-        return self._continued(x, result.w_mid, result.mats_mid)
+        return self._continued(result.w_mid, result.mats_mid)
 
-    def _continued(self, x, w, mats):
-        """y(x) from W(x) = ``w`` and the partial moments ``mats`` to x:
-        y_top = W^{-1} times their contraction with g_top - phi_top, composed
-        down the ladder."""
-        y = np.linalg.solve(w, _contract(mats, self._corrected_top))
-        q = self._original.q_poly()
-        qx = complex(sp_eval(q, x))
-        for y0, y1 in reversed(self._ladder):
-            base = np.array([complex(c) for c in y0.eval(x)])
-            base += np.array([complex(c) for c in y1.eval(x)])
-            y = base + qx * y
+    def _continued(self, w, mats):
+        """y from W = ``w`` and the partial moments ``mats`` at one point:
+        W^{-1} times their contraction with g - phi."""
+        y = np.linalg.solve(w, _contract(mats, self._corrected))
         return tuple(complex(v) for v in y)
 
     def taylor_at_pole(self, pole_index, order=30):
-        return local_taylor(self._original, pole_index, self._corrected,
+        return local_taylor(self._ctx.system, pole_index, self._corrected,
                             order)
 
 
 def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
     """Correction phi and analytic solution handle for a polynomial rhs.
 
-    Checks integer-shift invertibility, applies as many ladder rungs as
-    needed to move every residue spectrum into the open right half plane,
-    determines the top correction from the moment block system, pulls it
-    back down, and certifies the result a posteriori: near every pole the
-    continued solution, composed down the ladder, matches the local series
-    of the original problem corrected by phi within 10 * tol (relative to
-    the solution scale).
+    Checks integer-shift invertibility, determines phi from the moment
+    block system of the given system (whatever the sign of its spectra;
+    the Frobenius factors refuse a resonant residue), and certifies the
+    result a posteriori: near every pole the continued solution matches
+    the local series of the problem corrected by phi within 10 * tol
+    (relative to the solution scale).
     """
     report = check_linear_assumption(system, tol=resonance_tol)
     if not report.passed:
@@ -930,34 +910,17 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
             f"integer shift k + B_{v.residue} singular at k={v.k}; "
             "the correction problem is not uniquely solvable"
         )
-    sysf = float_system(system)
     gf = float_vecpoly(g)
-    specs = _paths_for(sysf, paths)
+    ctx = _Context(system, tol, resonance_tol)
+    specs = _paths_for(ctx.system, paths)
 
-    worst = _min_real_part(sysf)
-    n_shift = 0 if worst > 0.0 else int(math.floor(-worst)) + 1
-
-    ladder_systems = [sysf]
-    ladder_rhs = [gf]
-    steps = []
-    for _ in range(n_shift):
-        step = shift_up(ladder_systems[-1], ladder_rhs[-1], tol)
-        steps.append(step)
-        ladder_systems.append(step.system)
-        ladder_rhs.append(step.rhs)
-
-    top_sys = ladder_systems[-1]
-    top_g = ladder_rhs[-1]
-    ctx_top = _Context(top_sys, tol, resonance_tol)
-    _require_positive_spectra(ctx_top.system)
-
-    s = top_sys.s
-    d = top_sys.size
-    n_x = max(s + 1, len(top_g.coeffs))
-    passes = _transport_passes(ctx_top, specs, n_x)
+    s = ctx.system.s
+    d = ctx.d
+    n_x = max(s + 1, len(gf.coeffs))
+    passes = _transport_passes(ctx, specs, n_x)
     # row block j is [M_{j0} .. M_{jS}]; its right side is xi_j
     big = np.vstack([np.hstack(r.mats[:s + 1]) for r in passes])
-    rhs = np.concatenate([_contract(r.mats, top_g) for r in passes])
+    rhs = np.concatenate([_contract(r.mats, gf) for r in passes])
     try:
         sol = np.linalg.solve(big, rhs)
     except np.linalg.LinAlgError as err:
@@ -971,24 +934,12 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
             f"moment system solve residual {resid:.3e} too large"
         )
 
-    phi_top = VecPoly.from_coeffs(
+    phi = VecPoly.from_coeffs(
         [tuple(complex(v) for v in sol[i * d:(i + 1) * d])
          for i in range(s + 1)],
         exact=False, dim=d,
     )
-
-    # pull the correction back down the ladder
-    phi = phi_top
-    ladder_parts = []
-    for r in range(len(steps) - 1, -1, -1):
-        phi_low, y1 = pull_back_correction(ladder_systems[r], phi, tol)
-        ladder_parts.append((steps[r].particular, y1))
-        phi = phi_low
-    ladder_parts.reverse()
-
-    handle = AnalyticSolutionHandle(
-        ctx_top, ladder_parts, top_g - phi_top, sysf, gf - phi, tol
-    )
+    handle = AnalyticSolutionHandle(ctx, gf - phi, tol)
 
     handle.certificate = _certify(passes, handle, tol)
     if not handle.certificate.passed:
@@ -1006,15 +957,15 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
 
 
 def _certify(passes, handle, tol):
-    """Continuation vs the original problem's local series at every pole.
+    """Continuation vs the local series of g - phi at every pole.
 
     The continued value at each checkpoint is ``handle._continued``: W^{-1}
-    times one contraction of the partial moments there with g_top - phi_top.
+    times one contraction of the partial moments there with g - phi.
     """
     report = CertificateReport(tol=tol)
 
     # pole 0 is checked at the basepoint, every other pole at the stop
-    # point of its pass: ladder-composed continued value vs local series
+    # point of its pass: continued value vs local series
     first = passes[0]
     checkpoints = [(0, first.start_point, first.mats_start, first.w_start)]
     checkpoints += [
@@ -1022,7 +973,7 @@ def _certify(passes, handle, tol):
         for j, r in enumerate(passes, start=1)
     ]
     for j, point, mats, w in checkpoints:
-        value = np.array(handle._continued(point, w, mats))
+        value = np.array(handle._continued(w, mats))
         series = handle.taylor_at_pole(j, order=_cert_order(tol))
         ref = np.array(series.eval(point))
         scale = max(float(np.max(np.abs(ref))), float(np.max(np.abs(value))))

@@ -61,20 +61,13 @@ _EXIT_SCHEMA = 3
 _EXIT_NUMERIC = 4
 
 
-def _resolve_tol(args, doc, default):
-    if args.tol is not None:
-        return args.tol
-    if "tol" in doc.options:
-        return doc.options["tol"]
-    return default
-
-
-def _resolve_resonance_tol(args, doc):
-    if getattr(args, "resonance_tol", None) is not None:
-        return args.resonance_tol
-    if "resonance_tol" in doc.options:
-        return doc.options["resonance_tol"]
-    return 1e-9
+def _resolve(args, doc, key, default):
+    """Option ``key``: the flag, else the document's options, else
+    ``default``."""
+    flag = getattr(args, key)
+    if flag is not None:
+        return flag
+    return doc.options.get(key, default)
 
 
 def _flag_order(args):
@@ -139,7 +132,7 @@ def cmd_check(args):
     doc = _load(args)
     system = doc.to_nonlinear()
     order = _flag_order(args)
-    tol = _resolve_resonance_tol(args, doc)
+    tol = _resolve(args, doc, "resonance_tol", 1e-9)
     linear = check_linear_assumption(system.linear, tol=tol)
     payload = {"linear": _linear_report_json(linear), "nonlinear": None}
     failed = not linear.passed
@@ -191,10 +184,10 @@ def cmd_correct(args):
     if args.analytic:
         # The moment/continuation route runs in floating point even for an
         # exact document; only the algebraic route stays rational.
-        tol = _resolve_tol(args, doc, 1e-10)
+        tol = _resolve(args, doc, "tol", 1e-10)
         result = solve_analytic(
             system, g, tol=tol, paths=doc.options.get("paths"),
-            resonance_tol=_resolve_resonance_tol(args, doc),
+            resonance_tol=_resolve(args, doc, "resonance_tol", 1e-9),
         )
         cert = result.y.certificate
         payload = {
@@ -215,7 +208,7 @@ def cmd_correct(args):
             },
         }
         return payload, _EXIT_OK
-    tol = _resolve_tol(args, doc, 1e-12)
+    tol = _resolve(args, doc, "tol", 1e-12)
     result = solve_polynomial(system, g, tol)
     payload = {"phi": vecpoly_json(result.phi), "y": vecpoly_json(result.y)}
     return payload, _EXIT_OK
@@ -226,8 +219,8 @@ def _run_pipeline(args, mode):
     mode = mode or doc.options.get("mode") or "obstruction"
     nonlinear = doc.to_nonlinear()
     order = _resolve_order(args, doc)
-    tol = _resolve_tol(args, doc, 1e-12)
-    rtol = _resolve_resonance_tol(args, doc)
+    tol = _resolve(args, doc, "tol", 1e-12)
+    rtol = _resolve(args, doc, "resonance_tol", 1e-9)
     runner = linearize if mode == "obstruction" else normal_form
     series, h = runner(nonlinear, order, tol, rtol)
     payload = {
@@ -272,7 +265,7 @@ def cmd_verify(args):
         order = node.get("order")
     if order is None:
         order = max(series.max_order(), h.max_order(), 2)
-    tol = _resolve_tol(args, doc, 1e-9)
+    tol = _resolve(args, doc, "tol", 1e-9)
     report = verify_conjugacy(nonlinear, series, h, order, mode, tol)
     payload = {
         "mode": mode,

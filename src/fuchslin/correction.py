@@ -47,11 +47,12 @@ k + B_j for all k (per-k solves were slower on the analytic route).
 ``matrices.first_failed_solve``, the rule ``solve_array`` applies to one
 solve, then checks the solves in the order solved.
 
-``shift_up`` / ``pull_back_correction`` implement one rung of the shift
-ladder: when residue spectra have nonpositive real parts, the substitution
-y = y_0 + Q ytilde moves the problem to residues B_j + I; the pull-back
-solves a short polynomial problem to carry a correction of the lifted
-system down to the original one.
+``shift_up`` / ``pull_back_correction`` implement one rung of the paper's
+shift ladder: the substitution y = y_0 + Q ytilde moves the problem to
+residues B_j + I, and the pull-back solves a short polynomial problem to
+carry a correction of the lifted system down to the original one.  The
+analytic route does not use them: its endpoint series continue the moment
+integrals to spectra outside the right half plane.
 """
 
 from __future__ import annotations

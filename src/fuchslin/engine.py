@@ -731,8 +731,9 @@ def linearize(nonlinear, order_max, tol=1e-12, resonance_tol=1e-9,
     check fails.  ``basis_factory(d, n)`` may override the block basis
     enumeration; the output is enumeration-independent.
     """
+    _require_nonresonance(nonlinear, order_max, resonance_tol)
     return _run_engine(nonlinear, order_max, "obstruction", tol,
-                       resonance_tol, basis_factory)
+                       basis_factory)
 
 
 def normal_form(nonlinear, order_max, tol=1e-12, resonance_tol=1e-9,
@@ -746,12 +747,13 @@ def normal_form(nonlinear, order_max, tol=1e-12, resonance_tol=1e-9,
     psi matches the obstruction series at order 2 but in general diverges
     from it at higher orders; see ``compare_modes``.
     """
+    _require_nonresonance(nonlinear, order_max, resonance_tol)
     return _run_engine(nonlinear, order_max, "normal-form", tol,
-                       resonance_tol, basis_factory)
+                       basis_factory)
 
 
-def _run_engine(nonlinear, order_max, mode, tol, resonance_tol,
-                basis_factory=None):
+def _require_nonresonance(nonlinear, order_max, resonance_tol):
+    """Raise AssumptionError when the nonresonance check fails."""
     report = check_nonlinear_assumption(nonlinear, order_max, resonance_tol)
     if not report.passed:
         v = report.violations[0]
@@ -760,6 +762,11 @@ def _run_engine(nonlinear, order_max, mode, tol, resonance_tol,
             f"{v.monomial}, component {v.component}, k={v.k} "
             f"(|value| = {v.margin:.3e})"
         )
+
+
+def _run_engine(nonlinear, order_max, mode, tol, basis_factory=None):
+    """Both series of ``mode`` through ``order_max``, the nonresonance
+    check already passed."""
     d, exact = nonlinear.size, nonlinear.exact
     rows = _row_store(exact, d, order_max)
     parts = _compose_rows(nonlinear.f.rows, rows, order_max, mode, True)
@@ -854,10 +861,12 @@ def compare_modes(nonlinear, order_max, tol=1e-12, resonance_tol=1e-9):
     monomial where the corrections differ to the max absolute coefficient
     of the difference (floats, even in exact mode, for easy inspection;
     the row store's ``magnitude``), in monomial order.  The differences
-    are taken on the tables' rows.
+    are taken on the tables' rows.  The nonresonance check runs once, for
+    both modes.
     """
-    phi, h1 = linearize(nonlinear, order_max, tol, resonance_tol)
-    psi, h2 = normal_form(nonlinear, order_max, tol, resonance_tol)
+    _require_nonresonance(nonlinear, order_max, resonance_tol)
+    phi, h1 = _run_engine(nonlinear, order_max, "obstruction", tol)
+    psi, h2 = _run_engine(nonlinear, order_max, "normal-form", tol)
     rows = _row_store(nonlinear.exact, nonlinear.size, order_max)
     diffs = {}
     for n in range(2, order_max + 1):

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from fuchslin import analytic
+from fuchslin import analytic, correction
 from fuchslin.analytic import (
     RHO,
+    AnalyticSolutionHandle,
     PathSpec,
     QuadratureError,
     ResonanceError,
@@ -30,7 +31,7 @@ from fuchslin.analytic import (
     _neighbor_blocks,
     _pole_blocks,
 )
-from fuchslin.correction import pull_back_correction, solve_polynomial
+from fuchslin.correction import solve_polynomial
 from fuchslin.exact import ExactComplex
 from fuchslin.matrices import CMatrix
 from fuchslin.model import AssumptionError, FuchsianSystem
@@ -602,7 +603,8 @@ def test_endpoint_sum_stacks_blocks_with_their_own_convergence_test():
 # the benchmark's analytic-route jobs with the largest share of the
 # 10 * tol certificate allowance, written out as literals: poles,
 # residues and the rows of g (ascending powers).  Both have one
-# nonpositive residue, so shift-ladder rungs run first.
+# nonpositive residue, so the basepoint's endpoint integrals are continued
+# past the right half plane.
 TIGHTEST_CERTIFICATE_JOBS = {
     # seed 4, round 4, job 17 (d = 3, S = 2)
     "seed4-r4-j17": (
@@ -681,8 +683,8 @@ def test_solve_analytic_scalar_quadratic():
 
 
 def test_solve_analytic_ladder_case():
-    # nonpositive spectra: one shift rung engages; the unique answer is
-    # phi = 1 with y identically zero
+    # nonpositive spectra, solved with no shift ladder; the unique answer
+    # is phi = 1 with y identically zero
     system = scalar_system(Fraction(-1, 4), Fraction(-1, 4))
     g = VecPoly.from_coeffs([(ExactComplex(1),)], exact=True)
     result = solve_analytic(system, g, tol=1e-10)
@@ -703,7 +705,7 @@ def three_pole_system(residues):
 
 def test_zero_rhs_contracts_to_zero():
     # g = 0 reaches every contraction with no coefficients at all; the
-    # residue -3/2 needs two shift-ladder rungs first
+    # residue -3/2 is outside the right half plane
     system = three_pole_system(("1/2", "3/4", "-3/2"))
     zero = VecPoly.zero(1, exact=True)
     result = solve_analytic(system, zero)
@@ -717,20 +719,77 @@ def test_zero_rhs_contracts_to_zero():
     assert rhs_moment(positive, zero) == [(0j,), (0j,)]
 
 
-def test_certificate_checks_the_ladder_pull_back(monkeypatch):
-    # the local series solves the original problem, so a wrong y_1 from
-    # the pull-back shows in the continued value and nowhere else
+def test_certificate_checks_the_continued_value(monkeypatch):
+    # the local series solves the corrected problem at each pole, so a
+    # continued value that is off fails the certificate; with spectra
+    # -1/4 the endpoint integrals are continued past the right half plane
     system = scalar_system(Fraction(-1, 4), Fraction(-1, 4))
     g = monomial_rhs(2)
     assert solve_analytic(system, g, tol=1e-10).y.certificate.passed
+    continued = AnalyticSolutionHandle._continued
 
-    def off_pull_back(system, phi_lifted, tol=1e-12):
-        phi, y1 = pull_back_correction(system, phi_lifted, tol)
-        return phi, y1 + VecPoly.constant((1e-3,) * y1.dim)
+    def off_continued(self, w, mats):
+        return tuple(v + 1e-3 for v in continued(self, w, mats))
 
-    monkeypatch.setattr(analytic, "pull_back_correction", off_pull_back)
+    monkeypatch.setattr(AnalyticSolutionHandle, "_continued", off_continued)
     with pytest.raises(QuadratureError, match="certificate failed"):
         solve_analytic(system, g, tol=1e-10)
+
+
+def test_nonpositive_spectra_build_no_shifted_system(monkeypatch):
+    # the solve and eval run on the given system: no shift ladder
+    system = three_pole_system(("1/2", "-1/4", "-3/2"))
+    g = monomial_rhs(2)
+    reference = solve_polynomial(system, g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the shift ladder ran")
+
+    monkeypatch.setattr(FuchsianSystem, "shift", refuse)
+    monkeypatch.setattr(correction, "shift_up", refuse)
+    monkeypatch.setattr(correction, "pull_back_correction", refuse)
+    result = solve_analytic(system, g)
+    assert result.y.certificate.passed
+    assert abs(result.phi.coefficient(0)[0]
+               - complex(reference.phi.coefficient(0)[0])) <= 1e-8
+    # 0.2 + 0.7j is continued from the basepoint, 1.05 takes pole 1's series
+    for x in (0.2 + 0.7j, 1.05):
+        want = complex(reference.y.eval(
+            ExactComplex(Fraction(x.real), Fraction(x.imag)))[0])
+        assert abs(result.y.eval(x)[0] - want) <= 1e-8 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("s, bound", [
+    (Fraction(-19, 10), 1e-10),
+    (Fraction(-29, 10), 2e-8),
+    (Fraction(-37, 10), 1e-6),
+])
+def test_strongly_negative_spectra_match_the_exact_correction(s, bound):
+    # _reference_system with every residue times s: the least real part is
+    # -1.9 * 1/3 down to -3.7 * 7/6, and phi's error grows with cond(M)
+    # (measured 2.2e-11, 4.4e-9 and 2.3e-7 relative to max|phi|; each
+    # bound is at least 4x that)
+    base = _reference_system()
+    system = FuchsianSystem(base.poles, tuple(
+        CMatrix.from_rows([[ExactComplex(s) * v for v in row]
+                           for row in m.rows], True)
+        for m in base.residues))
+    g = VecPoly.from_coeffs(
+        [(ExactComplex(1), ExactComplex(-1)),
+         (ExactComplex(0), ExactComplex(2)),
+         (ExactComplex(Fraction(1, 2)), ExactComplex(0))],
+        exact=True, dim=2,
+    )
+    result = solve_analytic(system, g)
+    assert result.y.certificate.passed
+    want = solve_polynomial(system, g).phi
+    scale = max(1.0, max(abs(complex(v)) for row in want.coeffs
+                         for v in row))
+    err = max(abs(complex(a) - complex(b))
+              for i in range(system.s + 1)
+              for a, b in zip(result.phi.coefficient(i),
+                              want.coefficient(i)))
+    assert err <= bound * scale
 
 
 def test_route_agreement_random_systems():
@@ -865,8 +924,9 @@ def test_waypoint_within_an_end_tolerance_merges_into_it():
 
 def ladder_system(rng, d, s, negative):
     """Exact system with upper triangular residues and poles at least 1
-    apart; with ``negative`` one residue's spectrum is negative, so the
-    solve climbs the shift ladder.  Every k + B_inf is invertible."""
+    apart; with ``negative`` one residue's spectrum is negative, so that
+    pole's endpoint integrals are continued past the right half plane.
+    Every k + B_inf is invertible."""
     poles = []
     while len(poles) < s + 2:
         c = Fraction(rng.randint(-6, 6), 2)
@@ -903,7 +963,9 @@ def test_eval_near_a_pole_matches_the_exact_solution(d):
             system = ladder_system(rng, d, s, negative)
             g = random_vecpoly(rng, d, rng.randint(s + 1, s + 4))
             y = solve_analytic(system, g).y
-            assert bool(y._ladder) == negative
+            least = min(ev.real for j in range(system.n_poles)
+                        for ev in system.residue_spectrum(j))
+            assert (least <= 0) == negative
             reference = solve_polynomial(system, g).y
             poles = [complex(p) for p in system.poles]
             series_at = []

@@ -65,6 +65,22 @@ def run(capsys, argv):
 # ----------------------------------------------------------------------
 
 
+def test_tolerances_resolve_flag_then_document_then_default(tmp_path):
+    bare = write_doc(tmp_path, SCALAR_DOC, "bare.json")
+    given = write_doc(tmp_path, dict(SCALAR_DOC, options={
+        "order": 4, "tol": 1e-7, "resonance_tol": 1e-5}), "given.json")
+    parser = cli.build_parser()
+    for flags, path, tol, resonance_tol in (
+            ([], bare, 1e-12, 1e-9),
+            ([], given, 1e-7, 1e-5),
+            (["--tol", "1e-3", "--resonance-tol", "1e-2"], given, 1e-3, 1e-2),
+    ):
+        args = parser.parse_args(["linearize", path, *flags])
+        doc = cli._load(args)
+        assert cli._resolve(args, doc, "tol", 1e-12) == tol
+        assert cli._resolve(args, doc, "resonance_tol", 1e-9) == resonance_tol
+
+
 def test_check_passes_clean_system(tmp_path, capsys):
     doc = write_doc(tmp_path, SCALAR_DOC)
     code, out, _ = run(capsys, ["check", doc, "--exact"])

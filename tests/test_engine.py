@@ -783,6 +783,38 @@ def test_mode_divergence_frozen_example():
     assert crossed.max_residual > 0.0
 
 
+def test_compare_modes_checks_nonresonance_once(monkeypatch):
+    calls = []
+    check = engine.check_nonlinear_assumption
+
+    def counted(nonlinear, order_max, tol):
+        calls.append(order_max)
+        return check(nonlinear, order_max, tol)
+
+    monkeypatch.setattr(engine, "check_nonlinear_assumption", counted)
+    nl = random_nonresonant(random.Random(37))
+    compare_modes(nl, 3)
+    assert calls == [3]
+    linearize(nl, 3)
+    normal_form(nl, 4)
+    assert calls == [3, 3, 4]
+    # a resonant system is refused with one message by all three
+    linear = FuchsianSystem(
+        (ExactComplex(-1), ExactComplex(1)),
+        (
+            CMatrix.from_rows([[ec(1), ec(0)], [ec(0), ec(2)]], True),
+            CMatrix.from_rows([[ec(1), ec(0)], [ec(0), ec(1)]], True),
+        ),
+    )
+    resonant = NonlinearSystem(linear, {(2, 0): vp([[1, 0]], d=2)})
+    messages = set()
+    for runner in (linearize, normal_form, compare_modes):
+        with pytest.raises(AssumptionError,
+                           match="^nonlinear nonresonance fails at") as err:
+            runner(resonant, 3)
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
 def test_degree_bound_and_exact_residuals_random():
     rng = random.Random(41)
     for _ in range(4):
