@@ -45,8 +45,8 @@ slice of that stack.  The Frobenius factors and the x^a / Q_j series of
 all the poles a solve needs are built together too, at the largest term
 count any path asks for, and the endpoint series blocks are cached per
 solve, so the basepoint's are built once for all paths and every
-``eval``.  At each endpoint pole, t^{B_j} is computed once and every
-series block goes through one stacked (B_j + k) solve.  The path must
+``eval``.  At each endpoint pole every series block goes through one
+stacked (B_j + k) solve.  The path must
 keep clear of every pole; one that meets a pole raises QuadratureError.
 A waypoint repeated in a row, at either end too, is dropped, and so is
 one next to an end within that end's tolerance (1e-12 relative at p_0,
@@ -54,7 +54,11 @@ one next to an end within that end's tolerance (1e-12 relative at p_0,
 given for target pole j must start at p_0 and end at p_j
 (``path_defect``); any other raises ValueError.
 
-The certificate compares, near every pole, the continued solution with
+The moment solve refuses (QuadratureError) a block system whose
+cond(M) times the unit roundoff exceeds 1e3 * tol, the factor of its
+residual check: cond(M) u estimates the solve's relative error a priori,
+and the report keeps it (``CertificateReport.cond``).  The certificate
+then compares, near every pole, the continued solution with
 the local series of the problem corrected by phi (``correction.local_taylor``
 with right-hand side g - phi, on complex128 arrays with one batched
 inverse of k + B_j for all k).  Every k + B_j is invertible, so the series
@@ -64,14 +68,22 @@ the transport and the continued endpoint integrals.
 Everything here runs in floating point; exact systems are converted on
 entry (phi keeps only as much accuracy as the quadrature tolerance).
 
-Normalization: W is anchored at the basepoint as
+Normalization: the paper's W is anchored at the basepoint as
 
     W = K_0 (x - p_0)^{B_0} Phi_0(x),   K_0 = prod_{k>0} (p_0 - p_k)^{B_k}
 
-(principal logarithms, ascending k).  In the commuting case -- dimension
-one in particular -- this is exactly prod_j (x - p_j)^{B_j}.  phi itself is
-invariant under any constant left factor on W, so the anchor only fixes
-the reported moment values.
+(principal logarithms, ascending k); in the commuting case -- dimension
+one in particular -- this is exactly prod_j (x - p_j)^{B_j}.  The transport
+works in each path's own frame instead: a path leaving p_0 at
+a = p_0 + t_a starts from W = Phi_0(t_a) and the partial moments
+sum_k t_a^k (B_0 + k)^{-1} H_k, the anchored values without their common
+left factor K_0 t_a^{B_0}, and at the target pole the factor t_b^{B_j} of
+the matching constant cancels against the one of the endpoint sum.  A
+left factor on one block row of the moment system and its right side
+leaves phi unchanged, and one shared by W and its partial moments leaves
+y unchanged, so the solve, the certificate and ``eval`` compute no matrix
+exponential.  Only ``moments`` and ``rhs_moment``, which report the
+integrals themselves, multiply each pass by K_0 t_a^{B_0}.
 """
 
 from __future__ import annotations
@@ -152,6 +164,7 @@ class CertificateReport:
 
     tol: float
     checks: list = field(default_factory=list)
+    cond: float = math.nan   # 2-norm cond(M) of the moment block system
 
     @property
     def passed(self):
@@ -240,6 +253,10 @@ def default_path(system, target):
     return PathSpec(tuple(points))
 
 
+# Unit roundoff of float64: the moment solve refuses a system whose
+# cond(M) times it exceeds 1e3 * tol, the residual check's factor.
+UNIT_ROUNDOFF = 2.0 ** -53
+
 # A path starts at the basepoint, and ends at the point it evaluates at,
 # within POINT_TOL relative to max(1, |point|); it ends at a pole within
 # POLE_TOL (``_Context.pole_index``).
@@ -296,10 +313,11 @@ class _Context:
         ]
         self.step_terms = self.series_count(RHO)
         k = np.arange(self.step_terms)
-        self.hilbert = 1.0 / (k[:, None] + k[None, :] + 1)
+        # 1 / (m + l + 1), its columns l in descending order as in
+        # ``_factor_rows``
+        self.hilbert = 1.0 / (k[:, None] + k[None, ::-1] + 1)
         self._frob = {}
         self._blocks = {}
-        self._anchor = None
 
     # nearest-gap based endpoint radius, kept inside the adjacent segment
     def eps_at(self, j, segment_len):
@@ -354,13 +372,11 @@ class _Context:
 
     def anchor(self):
         """K_0 = prod_{k>0} (p_0 - p_k)^{B_k}, principal logs, ascending k."""
-        if self._anchor is None:
-            acc = np.eye(self.d, dtype=complex)
-            for k in range(1, len(self.poles)):
-                base = self.poles[0] - self.poles[k]
-                acc = acc @ expm(cmath.log(base) * self.res[k])
-            self._anchor = acc
-        return self._anchor
+        acc = np.eye(self.d, dtype=complex)
+        for k in range(1, len(self.poles)):
+            acc = acc @ expm(cmath.log(self.poles[0] - self.poles[k])
+                             * self.res[k])
+        return acc
 
     def pole_index(self, point, tol=POLE_TOL):
         for j, p in enumerate(self.poles):
@@ -377,8 +393,15 @@ def _factor_series(c_blocks, residues=None):
     (n, d, d) stack of the residues B at n poles this is the Frobenius
     factor W = t^B Phi of each, one stacked Sylvester solve per k; with
     ``residues`` None (B = 0, regular points) it is the Taylor series of
-    Phi' = Phi sum_l C_l t^l.  Returns the (n, count, d, d) stack.
+    Phi' = Phi sum_l C_l t^l.  Returns the (n, count, d, d) stack, a view
+    of ``_factor_rows``.
     """
+    return _factor_rows(c_blocks, residues).transpose(0, 2, 1, 3)[:, ::-1]
+
+
+def _factor_rows(c_blocks, residues=None):
+    """``_factor_series`` in the recursion's own layout: the contiguous
+    (n, d, count, d) stack whose [:, :, count - 1 - k] holds Phi_k."""
     n, count, d, _ = c_blocks.shape
     c_rows = c_blocks.reshape(n, count * d, d)
     # block count-1-k of ``rev`` holds Phi_k, so the history
@@ -399,7 +422,7 @@ def _factor_series(c_blocks, residues=None):
             rhs = np.linalg.solve(sylvester + k * shift,
                                   rhs.reshape(n, d * d, 1)).reshape(n, d, d)
         rev[:, :, (count - 1 - k) * d:(count - k) * d] = rhs
-    return rev.reshape(n, d, count, d).transpose(0, 2, 1, 3)[:, ::-1]
+    return rev.reshape(n, d, count, d)
 
 
 def _check_resonance(ctx, j):
@@ -428,7 +451,7 @@ def _neighbor_blocks(ctx, ratios, count):
     n, n_poles = ratios.shape
     powers = np.cumprod(
         np.broadcast_to(ratios[:, None], (n, count, n_poles)), axis=1)
-    return -np.tensordot(powers, ctx.res, axes=1)
+    return np.tensordot(powers, -ctx.res, axes=1)
 
 
 # ----------------------------------------------------------------------
@@ -469,17 +492,17 @@ def _pole_blocks(ctx, asked, n_x):
 
 
 def _endpoint_sum(bj, t_end, blocks, tol):
-    """t_end^B and sum_k t_end^{B + k} (B + k)^{-1} H_k for every block.
+    """sum_k t_end^k (B + k)^{-1} H_k for every block.
 
-    The sum is the integral from the pole of sum_k t^{B + k - 1} H_k,
-    continued in the exponent: it is valid whenever every B + k is
-    invertible, whatever the sign of the spectrum of B.  ``blocks``
+    t_end^B times this sum is the integral from the pole of
+    sum_k t^{B + k - 1} H_k, continued in the exponent: it is valid
+    whenever every B + k is invertible, whatever the sign of the spectrum
+    of B.  The factor t_end^B is left out: it is a left factor shared
+    with the Frobenius factor t^B Phi at the same point, so the transport
+    works in that point's frame (``_transport_passes``).  ``blocks``
     stacks the matrix series H^(a) as (n_blocks, count, d, d); all go
-    through one (B + k) solve per k, and t_end^B is computed once.
-    Each block's last term is checked against that block's own sum.
-    Returns (t_end^B, the (n_blocks, d, d) sums), *without* the leading
-    constant; the caller multiplies by the anchor (basepoint) or matching
-    constant (target pole).
+    through one (B + k) solve per k.  Each block's last term is checked
+    against that block's own sum.  Returns the (n_blocks, d, d) sums.
     """
     n_blocks, count, d = blocks.shape[:3]
     cols = blocks.transpose(1, 2, 0, 3).reshape(count, d, n_blocks * d)
@@ -496,9 +519,7 @@ def _endpoint_sum(bj, t_end, blocks, tol):
                 f"endpoint series did not converge (last term {tail:.3e} "
                 f"after {count} terms)"
             )
-    t_b = expm(cmath.log(t_end) * bj)
-    mats = (t_b @ acc).reshape(d, n_blocks, d).transpose(1, 0, 2)
-    return t_b, mats
+    return acc.reshape(d, n_blocks, d).transpose(1, 0, 2)
 
 
 # ----------------------------------------------------------------------
@@ -528,6 +549,8 @@ def _transport_passes(ctx, paths, n_x, match_target=True):
     """W and the moment matrices integral x^a Q^{-1} W dx, a < n_x, from
     the basepoint pole along each of ``paths``: to its target pole when
     ``match_target``, and partial ones at the start and stop points.
+    Each path's values are in its own frame, the anchored ones without
+    the left factor K_0 t_a^{B_0} of its start point (module docstring).
 
     The paths go through each stage together: every path's start (the
     endpoint sum at p_0), every path's step plan, one ``_step_factors``
@@ -581,15 +604,14 @@ def _transport_passes(ctx, paths, n_x, match_target=True):
     ctx.build_frobenius({j for j, _ in asked}, max(c for _, c in asked))
     blocks = ctx.pole_blocks(asked, n_x)
 
-    anchor = ctx.anchor()
+    # each path works in its start point's frame: W = Phi_0(t_a), the
+    # basepoint's factor t_a^{B_0} Phi_0 without its left factor t_a^{B_0}
     starts = []
     for points, count0, *_ in legs:
         ta = points[0] - p0
-        t_b0, sums0 = _endpoint_sum(ctx.res[0], ta, blocks[0, count0],
-                                    ctx.tol)
-        w_start = anchor @ t_b0 @ _eval_series_mat(ctx.frobenius(0, count0),
-                                                   ta)
-        starts.append((w_start, anchor @ sums0))
+        starts.append((_eval_series_mat(ctx.frobenius(0, count0), ta),
+                       _endpoint_sum(ctx.res[0], ta, blocks[0, count0],
+                                     ctx.tol)))
 
     plans = [_plan_steps(ctx, leg[0]) for leg in legs]
     factors = _step_factors(ctx, np.concatenate([c for c, _ in plans]),
@@ -602,11 +624,13 @@ def _transport_passes(ctx, paths, n_x, match_target=True):
         w_mid, mats_mid = _chain(w_start, mats_start, steps)
         mats = mats_mid
         if match_target:
+            # W = C t_b^{B_j} Phi_j(t_b) at the stop point, and the target's
+            # integral is C t_b^{B_j} sums_t: t_b^{B_j} cancels
             tb = points[-1] - target
-            t_bt, sums_t = _endpoint_sum(ctx.res[jt], tb, blocks[jt, count_t],
-                                         ctx.tol)
-            w_loc = t_bt @ _eval_series_mat(ctx.frobenius(jt, count_t), tb)
-            mats = mats - w_mid @ np.linalg.inv(w_loc) @ sums_t
+            sums_t = _endpoint_sum(ctx.res[jt], tb, blocks[jt, count_t],
+                                   ctx.tol)
+            phi_t = _eval_series_mat(ctx.frobenius(jt, count_t), tb)
+            mats = mats - w_mid @ np.linalg.solve(phi_t, sums_t)
         out.append(_PassResult(
             mats=mats,
             w_mid=w_mid, mid_point=points[-1], mats_mid=mats_mid,
@@ -643,7 +667,7 @@ def _chain(w, mats, factors):
     """W and the integrals after the steps ``factors`` (``_step_factors``
     rows) from W = ``w`` with integrals ``mats`` so far."""
     # the path's integrals are summed apart from the start values, which
-    # can be far larger (anchor and endpoint series), and added once
+    # can be far larger (endpoint series), and added once
     path_ints = np.zeros_like(mats)
     for step in factors:
         wf = w @ step
@@ -687,16 +711,17 @@ def _step_factors(ctx, centres, lengths, n_x):
     n = len(centres)
     delta = centres[:, None] - ctx.pole_array
     ratios = -lengths[:, None] / delta
-    phi = _factor_series(_neighbor_blocks(ctx, ratios, count))
-    rows = np.empty((n, 1 + n_x, count), dtype=complex)
-    rows[:, 0] = 1.0
+    phi = _factor_rows(_neighbor_blocks(ctx, ratios, count))
+    out = np.empty((n, 1 + n_x, ctx.d, ctx.d), dtype=complex)
+    out[:, 0] = phi.sum(axis=2)
     if n_x:
-        # h/Q(c + t) = (h / prod delta_k) prod_k 1/(1 - r_k t), scaled
-        rows[:, 1:] = _power_over_q(centres, lengths, ratios,
-                                    lengths / np.prod(delta, axis=1),
-                                    n_x, count) @ ctx.hilbert
-    d = ctx.d
-    return (rows @ phi.reshape(n, count, d * d)).reshape(n, 1 + n_x, d, d)
+        # h/Q(c + t) = (h / prod delta_k) prod_k 1/(1 - r_k t), scaled;
+        # the weight of each Phi^_m, m descending as in ``phi``
+        weights = _power_over_q(centres, lengths, ratios,
+                                lengths / np.prod(delta, axis=1),
+                                n_x, count) @ ctx.hilbert
+        out[:, 1:] = (weights[:, None] @ phi).transpose(0, 2, 1, 3)
+    return out
 
 
 def _power_over_q(centres, lengths, ratios, scale, n_x, count):
@@ -793,7 +818,7 @@ def moments(system, paths=None, tol=1e-10):
     bulged paths.  A path that ``path_defect`` refuses raises ValueError.
     """
     passes = _moment_passes(system, paths, tol, system.s + 1)
-    return [[CMatrix.from_numpy(m) for m in r.mats] for r in passes]
+    return [[CMatrix.from_numpy(m) for m in mats] for mats in passes]
 
 
 def rhs_moment(system, g, paths=None, tol=1e-10):
@@ -805,17 +830,24 @@ def rhs_moment(system, g, paths=None, tol=1e-10):
     """
     gf = float_vecpoly(g)
     passes = _moment_passes(system, paths, tol, len(gf.coeffs))
-    return [tuple(complex(v) for v in _contract(r.mats, gf)) for r in passes]
+    return [tuple(complex(v) for v in _contract(mats, gf))
+            for mats in passes]
 
 
 def _moment_passes(system, paths, tol, n_x):
-    """``_transport_passes`` to every target pole of ``system``, with
-    ``paths`` as for ``moments``; the spectra must be in the right half
+    """The moment matrices of ``_transport_passes`` to every target pole
+    of ``system``, with ``paths`` as for ``moments``, in the anchored
+    normalization: each pass times K_0 t_a^{B_0}, the left factor its
+    start point a leaves out.  The spectra must be in the right half
     plane."""
     sysf = float_system(system)
     specs = _paths_for(sysf, paths)
     _require_positive_spectra(sysf)
-    return _transport_passes(_Context(sysf, tol), specs, n_x)
+    ctx = _Context(sysf, tol)
+    anchor = ctx.anchor()
+    return [anchor @ expm(cmath.log(r.start_point - ctx.poles[0])
+                          * ctx.res[0]) @ r.mats
+            for r in _transport_passes(ctx, specs, n_x)]
 
 
 def _paths_for(system, paths):
@@ -901,7 +933,9 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
     the Frobenius factors refuse a resonant residue), and certifies the
     result a posteriori: near every pole the continued solution matches
     the local series of the problem corrected by phi within 10 * tol
-    (relative to the solution scale).
+    (relative to the solution scale).  A block system with
+    cond(M) u > 1e3 * tol (u = 2^-53) is refused with QuadratureError
+    before the solve; ``certificate.cond`` holds cond(M).
     """
     report = check_linear_assumption(system, tol=resonance_tol)
     if not report.passed:
@@ -921,12 +955,17 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
     # row block j is [M_{j0} .. M_{jS}]; its right side is xi_j
     big = np.vstack([np.hstack(r.mats[:s + 1]) for r in passes])
     rhs = np.concatenate([_contract(r.mats, gf) for r in passes])
+    # a-priori estimate: the solve loses about cond(M) u relative
     try:
-        sol = np.linalg.solve(big, rhs)
+        cond = float(np.linalg.cond(big))
     except np.linalg.LinAlgError as err:
+        raise QuadratureError(f"moment block system: {err}") from None
+    if not cond * UNIT_ROUNDOFF <= 1e3 * tol:
         raise QuadratureError(
-            f"moment block system is singular: {err}"
-        ) from None
+            f"moment block system too ill-conditioned: cond(M) = "
+            f"{cond:.3e}, cond(M) u = {cond * UNIT_ROUNDOFF:.3e} > 1e3 * tol"
+        )
+    sol = np.linalg.solve(big, rhs)
     resid = float(np.max(np.abs(big @ sol - rhs)))
     scale = max(1.0, float(np.max(np.abs(rhs))))
     if resid > 1e3 * tol * scale:
@@ -941,7 +980,7 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
     )
     handle = AnalyticSolutionHandle(ctx, gf - phi, tol)
 
-    handle.certificate = _certify(passes, handle, tol)
+    handle.certificate = _certify(passes, handle, tol, cond)
     if not handle.certificate.passed:
         worst_check = max(
             handle.certificate.checks,
@@ -956,13 +995,14 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
     return CorrectionResult(phi=phi, y=handle)
 
 
-def _certify(passes, handle, tol):
+def _certify(passes, handle, tol, cond):
     """Continuation vs the local series of g - phi at every pole.
 
     The continued value at each checkpoint is ``handle._continued``: W^{-1}
     times one contraction of the partial moments there with g - phi.
+    ``cond`` is cond(M) of the solved moment system, kept in the report.
     """
-    report = CertificateReport(tol=tol)
+    report = CertificateReport(tol=tol, cond=cond)
 
     # pole 0 is checked at the basepoint, every other pole at the stop
     # point of its pass: continued value vs local series
