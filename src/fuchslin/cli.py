@@ -195,6 +195,7 @@ def cmd_correct(args):
             "certificate": {
                 "passed": cert.passed,
                 "max_difference": cert.max_difference,
+                "phi_gap": cert.phi_gap,
                 "checks": [
                     {
                         "pole_index": c.pole_index,

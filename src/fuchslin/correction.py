@@ -22,8 +22,9 @@ construction as the reference.  Systems and induced blocks both hand it
 QB's S + 2 coefficients (``qb_coefficients``), the top one B_inf
 (J_{B_inf} for a block).  ``local_taylor`` reads it from the bottom in
 t = x - p_j, where Q vanishes and the pivot is Q'(p_j) (k + B_j) y_k at
-t^k: the solution analytic at p_j, which the analytic route's
-certificate compares with its continued solution.
+t^k: the solution analytic at p_j, which the analytic route's solution
+handle evaluates near a pole.  The analytic route's certificate compares
+its phi and continued solution with ``solve_polynomial``'s.
 
 Both ends refuse a singular shift up front (``model.singular_shifts``).
 Exact mode runs one loop, ``_recur_exact``, on integer rows: per degree,
@@ -134,8 +135,8 @@ def solve_polynomial(system, g, tol=1e-12):
 
     ``g`` is a VecPoly or, in float mode, also a (deg + 1, N) complex array
     and, in exact mode, a SplitPoly; phi and y come back in its form.
-    Float mode first drops the top coefficients whose entries are all
-    <= tol.
+    Both modes first drop only top coefficients that are exactly zero, so
+    rescaling g rescales phi and y: a tiny top coefficient is a term.
     """
     if (g.shape[1] if isinstance(g, np.ndarray) else g.dim) != system.size:
         raise ValueError("right-hand side dimension mismatch")
@@ -360,7 +361,7 @@ def _solve_polynomial_float(system, g, tol):
     binf = r[-1]
     array = isinstance(g, np.ndarray)
     rem = np.array(g if array else g.coeffs, dtype=complex).reshape(-1, n)
-    top = np.flatnonzero(~(np.abs(rem) <= tol).all(axis=1))
+    top = np.flatnonzero(rem.any(axis=1))
     rem = rem[:top[-1] + 1 if top.size else 0]
     shifted = binf.copy()
     diag, shifted_diag = np.diagonal(binf), shifted.reshape(-1)[::n + 1]

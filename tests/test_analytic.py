@@ -33,7 +33,8 @@ from fuchslin.analytic import (
 from fuchslin.correction import solve_polynomial
 from fuchslin.exact import ExactComplex
 from fuchslin.matrices import CMatrix
-from fuchslin.model import AssumptionError, FuchsianSystem
+from fuchslin.model import (AssumptionError, FuchsianSystem,
+                            check_linear_assumption)
 from fuchslin.poly import VecPoly, sp_taylor
 from fuchslin.rodrigues import RodriguesFamily, shifted_system
 
@@ -734,6 +735,26 @@ def test_certificate_checks_the_continued_value(monkeypatch):
         solve_analytic(system, g, tol=1e-10)
 
 
+def test_certificate_checks_phi_against_the_recursion(monkeypatch):
+    # the reference phi comes from the recursion at infinity; one that
+    # differs from the route's by more than 10 * tol fails the
+    # certificate even when the continued solution matches
+    system, g = _scaled_reference(Fraction(1))
+    certificate = solve_analytic(system, g).y.certificate
+    assert certificate.passed and certificate.phi_gap <= 1e-14
+    solve = analytic.solve_polynomial
+
+    def off_phi(*args, **kwargs):
+        ref = solve(*args, **kwargs)
+        return correction.CorrectionResult(phi=ref.phi + 1e-8, y=ref.y)
+
+    monkeypatch.setattr(analytic, "solve_polynomial", off_phi)
+    with pytest.raises(QuadratureError, match=r"certificate failed: against "
+                       r"the polynomial solution, phi is off by \d\.\d+e-09 "
+                       r"and the continued solution by \d\.\d+e-1[4-6]"):
+        solve_analytic(system, g)
+
+
 def test_nonpositive_spectra_build_no_shifted_system(monkeypatch):
     # the solve and eval run on the given system: no shift ladder
     system = three_pole_system(("1/2", "-1/4", "-3/2"))
@@ -759,35 +780,52 @@ def test_nonpositive_spectra_build_no_shifted_system(monkeypatch):
 
 @pytest.mark.parametrize("s, bound", [
     (Fraction(-19, 10), 1e-10),
-    (Fraction(-29, 10), 2e-8),
-    (Fraction(-37, 10), 1e-6),
+    (Fraction(-29, 10), None),
+    (Fraction(-37, 10), None),
 ])
 def test_strongly_negative_spectra_match_the_exact_correction(s, bound):
     # _reference_system with every residue times s: the least real part is
     # -1.9 * 1/3 down to -3.7 * 7/6, and phi's error grows with cond(M)
-    # (measured 2.2e-11, 4.4e-9 and 2.3e-7 relative to max|phi|; each
-    # bound is at least 4x that)
-    base = _reference_system()
-    system = FuchsianSystem(base.poles, tuple(
-        CMatrix.from_rows([[ExactComplex(s) * v for v in row]
-                           for row in m.rows], True)
-        for m in base.residues))
-    g = VecPoly.from_coeffs(
-        [(ExactComplex(1), ExactComplex(-1)),
-         (ExactComplex(0), ExactComplex(2)),
-         (ExactComplex(Fraction(1, 2)), ExactComplex(0))],
-        exact=True, dim=2,
-    )
+    # (measured 2.2e-11, 4.4e-9 and 2.3e-7 relative to max|phi|; the bound
+    # is at least 4x that).  At s = -2.9 and -3.7 the error exceeds
+    # 10 * tol, so the certificate refuses phi there.
+    system, g = _scaled_reference(s)
+    if bound is None:
+        with pytest.raises(QuadratureError, match="certificate failed"):
+            solve_analytic(system, g)
+        return
     result = solve_analytic(system, g)
     assert result.y.certificate.passed
     want = solve_polynomial(system, g).phi
-    scale = max(1.0, max(abs(complex(v)) for row in want.coeffs
-                         for v in row))
-    err = max(abs(complex(a) - complex(b))
-              for i in range(system.s + 1)
-              for a, b in zip(result.phi.coefficient(i),
-                              want.coefficient(i)))
-    assert err <= bound * scale
+    assert _phi_error(system, result.phi, want) <= bound
+
+
+# s from -47/10 to -13/10 in steps of 1/10, and four positive values
+CONTRACT_SWEEP = [Fraction(-k, 10) for k in range(47, 12, -1)] \
+    + [Fraction(v) for v in (1, 5, 7, 10)]
+
+
+@pytest.mark.parametrize("s", CONTRACT_SWEEP, ids=str)
+def test_a_certified_phi_is_within_ten_tol_of_the_exact_correction(s):
+    # the route's error contract on _reference_system times s: either the
+    # certificate passes and phi is within 10 * tol of the exact
+    # correction relative to max(1, max|phi|), or the solve refuses with
+    # QuadratureError; where some k + B_j is singular (s = -4, -16/5,
+    # -12/5, -2, -8/5) the problem has no unique answer and the solve
+    # refuses it with AssumptionError before any transport
+    system, g = _scaled_reference(s)
+    if not check_linear_assumption(system).passed:
+        with pytest.raises(AssumptionError, match="singular"):
+            solve_analytic(system, g)
+        return
+    try:
+        result = solve_analytic(system, g)
+    except QuadratureError:
+        return
+    certificate = result.y.certificate
+    assert certificate.passed
+    want = solve_polynomial(system, g).phi
+    assert _phi_error(system, result.phi, want) <= 10 * certificate.tol
 
 
 def _scaled_reference(s):

@@ -345,6 +345,7 @@ def test_correct_analytic_certificate(tmp_path, capsys):
     assert cert["passed"] is True
     assert len(cert["checks"]) == 2
     assert cert["max_difference"] <= 1e-9
+    assert cert["phi_gap"] <= 1e-9
 
 
 def test_correct_analytic_path_through_a_pole(tmp_path, capsys):

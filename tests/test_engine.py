@@ -832,6 +832,55 @@ def test_degree_bound_and_exact_residuals_random():
         assert report2.max_residual == 0.0
 
 
+# ----------------------------------------------------------------------
+# changes of variables
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e-5])
+def test_float_linearize_follows_a_change_of_units(lam):
+    # u = lam v turns f_m into lam^(|m|-1) f_m, and phi_m, h_m scale the
+    # same way: float linearize of the scaled system, scaled back, must
+    # match exact linearize term by term, relative to max(1, |term|)
+    order = 5
+    for seed in range(24):
+        nl = random_nonresonant(random.Random(seed))
+        want = linearize(nl, order)
+        scaled = NonlinearSystem(float_system(nl.linear), {
+            m: float_vecpoly(p).scale(lam ** (sum(m) - 1))
+            for m, p in nl.nonlinearity.items()})
+        zero = VecPoly.zero(nl.linear.size)
+        for exact_table, float_table in zip(want, linearize(scaled, order)):
+            exact_terms, float_terms = exact_table.terms, float_table.terms
+            for m in exact_terms.keys() | float_terms.keys():
+                a = float_vecpoly(exact_terms.get(m, zero))
+                b = float_terms.get(m, zero).scale(lam ** (1 - sum(m)))
+                assert (a - b).max_abs() <= 1e-12 * max(1.0, a.max_abs()), \
+                    (seed, m)
+
+
+@pytest.mark.parametrize("run", [linearize, normal_form])
+def test_exact_tables_follow_a_translation_in_x(run):
+    # x = xi + nu moves the poles to p_j - nu, keeps the residues and
+    # turns f(x, u) into f(xi + nu, u); by uniqueness every table term is
+    # the old one Taylor-shifted by nu, exactly
+    nu = ExactComplex(Fraction(3, 7), Fraction(-1, 5))
+
+    def shifted(p):
+        return VecPoly.from_coeffs(p.taylor_at(nu), exact=True, dim=p.dim)
+
+    for seed in range(20):
+        nl = random_nonresonant(random.Random(seed), d_max=3)
+        linear = nl.linear
+        moved = NonlinearSystem(
+            FuchsianSystem(tuple(p - nu for p in linear.poles),
+                           linear.residues),
+            {m: shifted(p) for m, p in nl.nonlinearity.items()})
+        for want, got in zip(run(nl, 4), run(moved, 4)):
+            assert {m: shifted(p).coeffs for m, p in want} \
+                == {m: p.coeffs for m, p in got}, seed
+
+
 def _sympy_scalar(c):
     return (sp.Rational(c.re.numerator, c.re.denominator)
             + sp.I * sp.Rational(c.im.numerator, c.im.denominator))
