@@ -34,7 +34,6 @@ from .analytic import QuadratureError, solve_analytic
 from .correction import solve_polynomial
 from .document import (
     SchemaError,
-    SystemDocument,
     dumps_canonical,
     is_order,
     load_document,

@@ -40,13 +40,12 @@ otherwise; y_k's other terms then leave the remainder as integer
 multiply-adds, each row updated once to the lcm of its denominator and
 theirs.  From the block's construction on, Fraction arithmetic happens
 only inside that elimination.  Float mode runs one loop,
-``_recur_float``, on complex128 arrays, with the per-k solve each end
-measured fastest: ``np.linalg.solve`` of B_inf shifted on
-its diagonal at infinity (a batched inverse there was slower and less
-accurate at d = 4), and at a pole the rows of one batched inverse of
-k + B_j for all k (per-k solves were slower on the analytic route).
-``matrices.first_failed_solve``, the rule ``solve_array`` applies to one
-solve, then checks the solves in the order solved.
+``_recur_float``, on complex128 arrays, with the same operators (at a pole
+q_i, R_i and the right-hand side divided by Q'(p_j) up front) and the same
+solve at both ends: per k one ``np.linalg.solve`` of the pivot, B_inf or
+B_j, shifted by k on its diagonal.  ``matrices.first_failed_solve``, the
+rule ``solve_array`` applies to one solve, then checks the solves
+(k + B) y_k = row in the order solved.
 
 ``shift_up`` / ``pull_back_correction`` implement one rung of the paper's
 shift ladder: the substitution y = y_0 + Q ytilde moves the problem to
@@ -167,10 +166,10 @@ def local_taylor(system, pole_index, rhs, order, tol=1e-12):
 
     The recursion from the bottom: in t = x - p_j, Q has the Taylor
     coefficients q_i with q_0 = 0 and q_1 = Q'(p_j), and QB has R_i with
-    R_0 = Q'(p_j) B_j, so the pivot is Q'(p_j) (k + B_j) y_k at t^k, k
-    ascending to ``order``, and y_k's other terms land above it.  This is
-    the unique solution analytic at p_j whenever every k + B_j is
-    invertible.
+    R_0 = Q'(p_j) B_j.  Both modes divide q_i, R_i and rhs by Q'(p_j)
+    first, so the pivot is (k + B_j) y_k at t^k, k ascending to
+    ``order``, and y_k's other terms land above it.  This is the unique
+    solution analytic at p_j whenever every k + B_j is invertible.
 
     Raises ValueError when rhs has the wrong dimension and, before any
     solve, AssumptionError "k + B_j singular at k=..." for the least
@@ -179,21 +178,31 @@ def local_taylor(system, pole_index, rhs, order, tol=1e-12):
     """
     if rhs.dim != system.size:
         raise ValueError("right-hand side dimension mismatch")
+    center, count, n = system.poles[pole_index], order + 1, system.size
+    label = f"B_{pole_index}"
     ops = _exact_operators(system, pole_index) if system.exact else (None,)
     bad = [k for k in _singular_ks(system, pole_index, tol, ops[0])
            if k <= order]
     if bad:
-        raise AssumptionError(f"k + B_{pole_index} singular at k={min(bad)}")
-    if not system.exact:
-        return _local_taylor_float(system, pole_index, rhs, order, tol)
-    center, count = system.poles[pole_index], order + 1
-    given = rhs.scale(1 / sp_eval(system.q_prime(), center)).taylor_at(center)
-    given = SplitPoly.from_vecpoly(VecPoly.from_coeffs(given[:count], True,
-                                                       dim=system.size))
-    _, y = _recur_exact(*ops, given, range(count), count + system.s + 1,
-                        f"B_{pole_index}")
-    return TaylorSolution(pole_index, center,
-                          list(map(y.coefficient, range(count))))
+        raise AssumptionError(f"k + {label} singular at k={min(bad)}")
+    if system.exact:
+        given = rhs.scale(1 / sp_eval(system.q_prime(), center))
+        given = SplitPoly.from_vecpoly(VecPoly.from_coeffs(
+            given.taylor_at(center)[:count], True, dim=n))
+        _, y = _recur_exact(*ops, given, range(count), count + system.s + 1,
+                            label)
+        return TaylorSolution(pole_index, center,
+                              list(map(y.coefficient, range(count))))
+    q = np.array(sp_taylor(system.q_poly(), center), dtype=complex)
+    r = np.array(sp_taylor(system.qb_coefficients(), center)) / q[1]
+    rem = np.zeros((count + system.s + 1, n), complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        given = np.array(rhs.coeffs, dtype=complex).reshape(-1, n)
+        given = np.array(sp_taylor(given, center)).reshape(-1, n)[:count]
+        rem[:len(given)] = given / q[1]
+    ys = _recur_float(q / q[1], r, 1, system.residues[pole_index].to_numpy(),
+                      rem, np.arange(count), label, tol)
+    return TaylorSolution(pole_index, center, list(map(tuple, ys.tolist())))
 
 
 def _singular_ks(system, label, tol, pivot):
@@ -223,10 +232,10 @@ def _exact_operators(system, pole_index=None):
     at = len(q) - 1
     if pole_index is not None:
         center, qb = system.poles[pole_index], system.qb_poly()
-        q = sp_taylor(q, center, True)
+        q = sp_taylor(q, center)
         inv_q1 = 1 / q[1]
         coeffs = [(inv_q1 * r).entries() for r in sp_taylor(
-            [qb.coefficient(i) for i in range(at)], center, True)]
+            [qb.coefficient(i) for i in range(at)], center)]
         q, at = [inv_q1 * c for c in q], 1
     embed = (any(im for _, entries in coeffs for *_, im in entries)
              or any(c.im for c in q))
@@ -312,30 +321,33 @@ def _recur_exact(pivot, at, terms, g, ks, rows, label):
             for d, a in out]
 
 
-def _recur_float(solve, q, r, at, rem, ks, mat, label, tol):
+def _recur_float(q, r, at, mat, rem, ks, label, tol):
     """The float recursion on the (rows, N) complex128 remainder ``rem``,
     k in the order of the array ``ks``, with ``q`` and ``r`` the
-    coefficients of Q and QB, ``at`` the pivot's i, and ``solve(k, row)``
-    giving y_k from row k + at - 1.  Returns the y_k by k.
+    coefficients of Q and QB scaled so that q_at = 1, ``at`` the pivot's
+    i, and ``mat`` the pivot R_(at-1).  Returns the y_k by k.
 
-    The other terms lie all below the pivot at infinity and all above it
-    at a pole, so y_k leaves them in two slice updates: k q_i y_k, then
-    R_(i-1) y_k.  Only a solve that raises LinAlgError ends the loop
-    early.  ``first_failed_solve`` then checks the solves as
-    (k + mat) y_k = row / q_at (q_at is 1 at infinity), in the order run,
-    so what overflowed shows there: the first refused raises
-    AssumptionError "k + ``label`` singular at k=...", or ArithmeticError
-    on a non-finite row.
+    Each k is one ``np.linalg.solve`` of ``mat`` shifted on its diagonal
+    by k, on row k + at - 1.  The other terms lie all below the pivot at
+    infinity and all above it at a pole, so y_k leaves them in two slice
+    updates: k q_i y_k, then R_(i-1) y_k.  Only a solve that raises
+    LinAlgError ends the loop early.  ``first_failed_solve`` then checks
+    the solves (k + mat) y_k = row in the order run, so what overflowed
+    shows there: the first refused raises AssumptionError "k + ``label``
+    singular at k=...", or ArithmeticError on a non-finite row.
     """
     lo, hi = (0, at) if at == len(q) - 1 else (at + 1, len(q))
     lo_r = max(lo, 1)
     q_terms, r_terms = q[lo:hi, None], r[lo_r - 1:hi - 1]
     ys = np.zeros((len(ks), rem.shape[1]), complex)
+    shifted = mat.copy()
+    diag, shifted_diag = np.diagonal(mat), shifted.reshape(-1)[::len(mat) + 1]
     ran = len(ks)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, k in enumerate(ks.tolist()):
+            np.add(diag, k, out=shifted_diag)
             try:
-                ys[k] = y_k = solve(k, rem[k + at - 1])
+                ys[k] = y_k = np.linalg.solve(shifted, rem[k + at - 1])
             except np.linalg.LinAlgError:
                 ran = i
                 break
@@ -343,8 +355,8 @@ def _recur_float(solve, q, r, at, rem, ks, mat, label, tol):
                 rem[k + lo - 1:k + hi - 1] -= k * q_terms * y_k
             rem[k + lo_r - 1:k + hi - 1] -= r_terms @ y_k
         ks = ks[:ran + 1]
-        failed = first_failed_solve(mat, ks, ys[ks[:ran]],
-                                    rem[ks + at - 1] / q[at], tol)
+        failed = first_failed_solve(mat, ks, ys[ks[:ran]], rem[ks + at - 1],
+                                    tol)
     if failed:
         k, error = failed
         if isinstance(error, ArithmeticError):
@@ -354,56 +366,22 @@ def _recur_float(solve, q, r, at, rem, ks, mat, label, tol):
 
 
 def _solve_polynomial_float(system, g, tol):
-    """``solve_polynomial``'s float end: each k is one ``np.linalg.solve``
-    of J_{B_inf} shifted on its diagonal."""
+    """``solve_polynomial``'s float end, with pivot J_{B_inf} (Q is monic,
+    so q_(S+2) = 1)."""
     s, n = system.s, system.size
     r = system.qb_coefficients()
-    binf = r[-1]
     array = isinstance(g, np.ndarray)
     rem = np.array(g if array else g.coeffs, dtype=complex).reshape(-1, n)
     top = np.flatnonzero(rem.any(axis=1))
     rem = rem[:top[-1] + 1 if top.size else 0]
-    shifted = binf.copy()
-    diag, shifted_diag = np.diagonal(binf), shifted.reshape(-1)[::n + 1]
-
-    def solve(k, row):
-        np.add(diag, k, out=shifted_diag)
-        return np.linalg.solve(shifted, row)
-
-    y = _recur_float(solve, np.array(system.q_poly(), dtype=complex), r,
-                     s + 2, rem, np.arange(len(rem) - s - 2, -1, -1), binf,
+    y = _recur_float(np.array(system.q_poly(), dtype=complex), r, s + 2,
+                     r[-1], rem, np.arange(len(rem) - s - 2, -1, -1),
                      "B_inf", tol)
     phi = rem[:s + 1]
     if not array:
         phi, y = (VecPoly.from_coeffs(map(tuple, a.tolist()), False, dim=n)
                   for a in (phi, y))
     return CorrectionResult(phi=phi, y=y)
-
-
-def _local_taylor_float(system, pole_index, rhs, order, tol):
-    """``local_taylor``'s float end: one batched inverse of k + B_j,
-    k = 0 .. order, divided by Q'(p_j), gives each y_k from its row."""
-    s, d = system.s, system.size
-    center, count = system.poles[pole_index], order + 1
-    q = np.array(sp_taylor(system.q_poly(), center), dtype=complex)
-    r = np.array(sp_taylor(system.qb_coefficients(), center))   # r[i] is R_i
-    b_j = system.residues[pole_index].to_numpy()
-    shifted = np.repeat(b_j[None], count, axis=0)
-    shifted[:, range(d), range(d)] += np.arange(count)[:, None]
-    try:
-        inverses = np.linalg.inv(shifted) / q[1]
-    except np.linalg.LinAlgError as err:
-        raise AssumptionError(
-            f"k + B_{pole_index} singular at some k <= {order}: {err}"
-        ) from None
-    with np.errstate(over="ignore", invalid="ignore"):
-        given = np.array(rhs.coeffs, dtype=complex).reshape(-1, d)
-        given = np.array(sp_taylor(given, center)).reshape(-1, d)[:count]
-    rem = np.zeros((count + s + 1, d), complex)
-    rem[:len(given)] = given
-    ys = _recur_float(lambda k, row: inverses[k] @ row, q, r, 1, rem,
-                      np.arange(count), b_j, f"B_{pole_index}", tol)
-    return TaylorSolution(pole_index, center, list(map(tuple, ys.tolist())))
 
 
 def shift_up(system, g, tol=1e-12):

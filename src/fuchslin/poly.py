@@ -98,7 +98,7 @@ def sp_divmod(num, den, exact=False):
     return sp_trim(quot), sp_trim(rem)
 
 
-def sp_taylor(a, center, exact=False):
+def sp_taylor(a, center):
     """Coefficients of a(center + t) in powers of t (same length)."""
     out = list(a)
     n = len(out)
@@ -255,7 +255,7 @@ class VecPoly:
     def taylor_at(self, center):
         """Coefficient vectors of self(center + t) in powers of t."""
         comps = [
-            sp_taylor(tuple(v[i] for v in self.coeffs), center, self.exact)
+            sp_taylor(tuple(v[i] for v in self.coeffs), center)
             for i in range(self.dim)
         ]
         n = len(self.coeffs)

@@ -1063,8 +1063,9 @@ def ladder_system(rng, d, s, negative):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_eval_near_a_pole_matches_the_exact_solution(d):
-    # 0.02 gap from a pole, eval takes the pole's local series; it must
-    # agree with the exact polynomial solution within 1e-6 max(1, |y|)
+    # 0.02 gap from a pole and at the pole itself, eval takes the pole's
+    # local series; it must agree with the exact polynomial solution within
+    # 1e-6 max(1, |y|)
     rng = random.Random(f"eval-near-pole-{d}")
     for s in range(3):
         for negative in (False, True):
@@ -1082,15 +1083,54 @@ def test_eval_near_a_pole_matches_the_exact_solution(d):
                 series_at.append(j) or taylor_at_pole(j, order))
             for j, p in enumerate(poles):
                 gap = min(abs(p - q) for q in poles if q != p)
-                x = p + 0.02 * gap * complex(math.cos(j + 0.7),
-                                             math.sin(j + 0.7))
-                got = y.eval(x)
-                want = [complex(v) for v in reference.eval(
-                    ExactComplex(Fraction(x.real), Fraction(x.imag)))]
-                size = max([1.0] + [abs(v) for v in want])
-                assert max(abs(a - b) for a, b in zip(got, want)) \
-                    <= 1e-6 * size, (s, negative, j)
-            assert series_at == list(range(s + 2))
+                near = p + 0.02 * gap * complex(math.cos(j + 0.7),
+                                                math.sin(j + 0.7))
+                for x in (near, p):
+                    got = y.eval(x)
+                    want = [complex(v) for v in reference.eval(
+                        ExactComplex(Fraction(x.real), Fraction(x.imag)))]
+                    size = max([1.0] + [abs(v) for v in want])
+                    assert max(abs(a - b) for a, b in zip(got, want)) \
+                        <= 1e-6 * size, (s, negative, j, x)
+            assert series_at == [j for j in range(s + 2) for _ in range(2)]
+
+
+def test_solve_analytic_follows_a_translation_and_a_scaling():
+    # x = xi + nu moves the poles to p_j - nu (off the real axis), keeps
+    # the residues and turns g(x) into g(xi + nu): phi is the old one
+    # Taylor-shifted by nu and y(x) is the new solution at x - nu; eps g
+    # gives eps phi and eps y.  Each within 10 tol of max(1, |old|).
+    nu = ExactComplex(Fraction(3, 7), Fraction(-1, 5))
+    eps = ExactComplex(Fraction(2, 3 * 10**6), Fraction(-1, 3 * 10**6))
+    x, tol = 0.25 + 0.8j, 1e-10
+    rng = random.Random("analytic-symmetry")
+    for d in (1, 2, 3):
+        for s in range(3):
+            for negative in (False, True):
+                system = ladder_system(rng, d, s, negative)
+                g = random_vecpoly(rng, d, rng.randint(s + 1, s + 4))
+                want = solve_analytic(system, g, tol)
+                moved = solve_analytic(
+                    FuchsianSystem(tuple(p - nu for p in system.poles),
+                                   system.residues),
+                    VecPoly.from_coeffs(g.taylor_at(nu), exact=True, dim=d),
+                    tol)
+                scaled = solve_analytic(system, g.scale(eps), tol)
+                phi = want.phi.taylor_at(complex(nu))
+                y = want.y.eval(x)
+                for law, old, new in (
+                        ("translated phi", phi, moved.phi.coeffs),
+                        ("translated y", [y], [moved.y.eval(x - complex(nu))]),
+                        ("scaled phi", want.phi.coeffs, [
+                            [v / complex(eps) for v in c]
+                            for c in scaled.phi.coeffs]),
+                        ("scaled y", [y], [[v / complex(eps)
+                                            for v in scaled.y.eval(x)]])):
+                    assert len(old) == len(new), law
+                    size = max([1.0] + [abs(v) for c in old for v in c])
+                    err = max(abs(a - b) for ca, cb in zip(old, new)
+                              for a, b in zip(ca, cb))
+                    assert err <= 10 * tol * size, (d, s, negative, law)
 
 
 def test_eval_rejects_a_path_that_ends_elsewhere():

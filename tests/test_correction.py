@@ -842,6 +842,77 @@ def test_local_taylor_float_matches_exact():
             assert err <= 1e-12 * scale, (j, err / scale)
 
 
+# x = xi + NU moves the poles to p_j - NU, keeps the residues and turns
+# g(x) into g(xi + NU); EPS scales the right-hand side
+NU = ExactComplex(Fraction(3, 7), Fraction(-1, 5))
+EPS = ExactComplex(Fraction(2, 3 * 10**6), Fraction(-1, 3 * 10**6))
+
+
+def translated(system, g):
+    """The system and right-hand side in xi = x - NU."""
+    return (FuchsianSystem(tuple(p - NU for p in system.poles),
+                           system.residues), shifted_by_nu(g))
+
+
+def shifted_by_nu(p):
+    return VecPoly.from_coeffs(p.taylor_at(NU), exact=True, dim=p.dim)
+
+
+def test_solve_polynomial_follows_a_translation_and_a_scaling():
+    # by uniqueness phi and y are the old ones Taylor-shifted by NU, and
+    # EPS g gives EPS phi and EPS y, exactly
+    rng = random.Random(43)
+    draws = 0
+    while draws < 20:
+        system = random_full_system(rng)
+        if any(singular for _, _, singular in singular_shifts(
+                system.residue_matrix("inf"),
+                system.residue_spectrum("inf"), 0.0)):
+            continue
+        draws += 1
+        g = complex_vecpoly(rng, system.size, rng.randint(0, system.s + 4))
+        want = solve_polynomial(system, g)
+        got = solve_polynomial(*translated(system, g))
+        assert got.phi.coeffs == shifted_by_nu(want.phi).coeffs
+        assert got.y.coeffs == shifted_by_nu(want.y).coeffs
+        got = solve_polynomial(system, g.scale(EPS))
+        assert got.phi.coeffs == want.phi.scale(EPS).coeffs
+        assert got.y.coeffs == want.y.scale(EPS).coeffs
+
+
+def test_local_taylor_follows_a_translation_and_a_scaling():
+    # the series at p_j - NU of the translated problem has the old
+    # coefficients, and EPS g scales them by EPS: exactly in exact mode,
+    # and in float mode within 1e-12 of exact, scaled by the gap to the
+    # nearest other pole as in test_local_taylor_float_matches_exact
+    rng = random.Random(47)
+    order, eps = 8, complex(EPS)
+    for _ in range(20):
+        system = random_full_system(rng)
+        g = complex_vecpoly(rng, system.size, rng.randint(0, system.s + 3))
+        moved, moved_g = translated(system, g)
+        for j, center in enumerate(system.poles):
+            want = local_taylor(system, j, g, order).coefficients
+            assert local_taylor(moved, j, moved_g, order).coefficients == want
+            assert local_taylor(system, j, g.scale(EPS), order).coefficients \
+                == [tuple(EPS * v for v in c) for c in want]
+            gap = min(abs(complex(center - p)) for p in system.poles
+                      if p != center)
+            want = [[complex(v) for v in c] for c in want]
+            scale = max([1.0] + [gap ** k * abs(v)
+                                 for k, c in enumerate(want) for v in c])
+            for got in (
+                    local_taylor(float_system(moved), j,
+                                 float_vecpoly(moved_g), order).coefficients,
+                    [[v / eps for v in c] for c in local_taylor(
+                        float_system(system), j,
+                        float_vecpoly(g).scale(eps), order).coefficients]):
+                err = max(gap ** k * abs(a - b)
+                          for k, (ca, cb) in enumerate(zip(got, want))
+                          for a, b in zip(ca, cb))
+                assert err <= 1e-12 * scale, (j, err / scale)
+
+
 def exact_system(poles, residues):
     """Exact system from (re, im) pairs: poles, and rows of residues."""
     def z(v):
@@ -967,8 +1038,7 @@ def test_float_jordan_block_stops_at_lapacks_zero_pivot():
     assert str(err.value) == "k + B_inf singular at k=1: Singular matrix"
     with pytest.raises(AssumptionError) as err:
         local_taylor(system, 0, g, 3)
-    assert str(err.value) \
-        == "k + B_0 singular at some k <= 3: Singular matrix"
+    assert str(err.value) == "k + B_0 singular at k=1: Singular matrix"
 
 
 # ----------------------------------------------------------------------

@@ -837,7 +837,7 @@ def test_degree_bound_and_exact_residuals_random():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("lam", [1e-3, 1e-5])
+@pytest.mark.parametrize("lam", [1e-3, 1e-5, 1e-6, 1e3])
 def test_float_linearize_follows_a_change_of_units(lam):
     # u = lam v turns f_m into lam^(|m|-1) f_m, and phi_m, h_m scale the
     # same way: float linearize of the scaled system, scaled back, must
