@@ -32,18 +32,22 @@ questions.  ``compare_modes`` reports where they separate;
 One loop composes the right-hand sides on one row store, in blocks of
 coefficient rows: P[p, k] holds slice k of (w + h)^m for every m of order
 p, built once from the power one lower in its last nonzero index.  Order
-n follows a pair plan, built by index arithmetic once per (d, n, p_max)
-and cached: triples (row, row, target row) giving the new blocks P[p, n],
-which read h below order n, then the terms of f - extra of order n and,
-in the normal-form mode, the Jacobian product [(d_w h) psi]_n.  A factor
-that is a w-part (w^(m - e_i) or w_i, coefficient 1) makes its pair a row
-copy.  The loop's caller adds h and the series to the store, order by
-order: the engine writes back its block solves, which take and give rows
-through ``vectorize`` / ``devectorize``, and hands its output blocks to
-its tables at the end, as rows; ``verify_conjugacy`` adds each order of
-its tables, and of f, once as they are (a SeriesTable and
-``NonlinearSystem.f`` keep each term as store rows), and runs one
-more plan per order on the same store for the whole residual,
+n follows a pair plan (``plans.py``): triples (row, row, target row)
+giving the new blocks P[p, n], which read h below order n, then the terms
+of f - extra of order n and, in the normal-form mode, the Jacobian
+product [(d_w h) psi]_n.  A factor that is a w-part (w^(m - e_i) or w_i,
+coefficient 1) makes its pair a row copy.  A run asks for its plans
+once; those of its orders not built yet in the process are built
+together and kept for the rest of the process, so a later run to the
+same or a lower order builds none, and a fresh process (each CLI
+command) builds its plans again.  The loop's caller adds h and the
+series to the store, order by order: the engine writes back its block
+solves, which take and give rows through ``vectorize`` /
+``devectorize``, and hands its output blocks to its tables at the end,
+as rows; ``verify_conjugacy`` adds each order of its tables, and of f,
+once as they are (a SeriesTable and ``NonlinearSystem.f`` keep each term
+as store rows), and runs one more plan per order on the same store for
+the whole residual,
 Q d_x h + (d_w h)(QA) w - (QA) h less the composed rows (plus the series
 in the normal-form mode).  Float mode executes a plan on complex128
 arrays (one gather, one batched row convolution, one sum per run of equal
@@ -61,18 +65,18 @@ not associative; a fixed order makes it deterministic).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .correction import solve_polynomial
 from .exact import from_int
 from .model import AssumptionError, check_nonlinear_assumption
+from .plans import (_C, _D, _E, _H, _R, _T, _count, _run_plans,
+                    _verify_plans)
 from .pnspace import (SeriesTable, _int_row, _reduced_row, _term_poly,
                       devectorize, induced_system, multiindices, vectorize)
 from .poly import sp_trim
@@ -96,259 +100,11 @@ class ConjugacyReport:
 
 
 # ----------------------------------------------------------------------
-# pair plans: which coefficient rows multiply into which
-# ----------------------------------------------------------------------
-
-# A composition run keeps its x-polynomials as coefficient rows, appended
-# block by block to one row store.  A field block (kind _T for the terms
-# of f - extra, _E for the extra terms, _H for h) holds the order-k part
-# of a vector field, row mu * d + i for the monomial at position mu of
-# ``multiindices(d, k)`` and component i.  The power block P[q, k] (kind
-# _H - 1 + q) holds slice k of (w + h)^m for every m of order q, row
-# mu * N_q + m; P[1, k] is h's field block, its m read as the component.
-# The verifier adds kind _D for the x-derivative of h's block, _R for the
-# composed right-hand side, _C for the rows Q and 1 (order 0), and (QA)w
-# as the extra block of order 1.
-_T, _E, _D, _R, _C, _H = range(6)
-# coefficients in one batch of row products (4 MB of complex128)
-_BATCH = 1 << 18
-
-
-def _count(d, k):
-    return math.comb(k + d - 1, d - 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _exponents(d, k):
-    """(N_k, d) exponents of the order-k monomials, in ``multiindices``
-    order."""
-    return np.array(multiindices(d, k), dtype=np.intp).reshape(-1, d)
-
-
-@functools.lru_cache(maxsize=None)
-def _monomial_keys(d, top):
-    """Weights of a base-(top + 1) key, keys of every monomial of order at
-    most top in ascending order, and each one's position in its order."""
-    weights = (top + 1) ** np.arange(d - 1, -1, -1, dtype=np.intp)
-    keys = np.concatenate([_exponents(d, k) @ weights
-                           for k in range(top + 1)])
-    pos = np.concatenate([np.arange(_count(d, k)) for k in range(top + 1)])
-    order = np.argsort(keys)
-    return weights, keys[order], pos[order]
-
-
-def _positions(d, top, exps):
-    """Position of each row of ``exps`` (orders <= top) in its order."""
-    weights, keys, pos = _monomial_keys(d, top)
-    return pos[np.searchsorted(keys, exps @ weights)]
-
-
-def _last_index(exps):
-    """Index of the last nonzero entry of each row."""
-    return exps.shape[1] - 1 - np.argmax(exps[:, ::-1] > 0, axis=1)
-
-
-class _Pairs(NamedTuple):
-    """Row products and row copies summing into ``size`` output rows.
-
-    A row is named by three arrays (kind, order, row in its block).
-    Product p adds ``scale[p]`` (1 if None) times the convolution of rows
-    a_p and b_p to output row ``target[p]``; copy c adds row c to
-    ``c_target[c]``.  Both are sorted by target; ``starts`` and
-    ``c_starts`` open the runs of equal targets.
-    """
-
-    size: int
-    a: tuple
-    b: tuple
-    scale: object
-    target: np.ndarray
-    starts: np.ndarray
-    c: tuple
-    c_target: np.ndarray
-    c_starts: np.ndarray
-
-
-def _stack(parts, width):
-    """Concatenated columns of ``parts``, as int32 to halve cached plans."""
-    if not parts:
-        return [np.zeros(0, np.int32)] * width
-    return [np.concatenate(col).astype(np.int32) for col in zip(*parts)]
-
-
-def _sorted_runs(target):
-    """Stable order by target, and where each run of one target starts."""
-    order = np.argsort(target, kind="stable")
-    t = target[order]
-    return order, np.flatnonzero(np.concatenate(([t.size > 0],
-                                                 t[1:] != t[:-1])))
-
-
-def _make_pairs(size, products, copies):
-    """_Pairs from parts (a_kind, a_order, a_row, b_kind, b_order, b_row,
-    target, scale) and copy parts (kind, order, row, target)."""
-    prod = _stack(products, 8)
-    order, starts = _sorted_runs(prod[6])
-    prod = [col[order] for col in prod]
-    scale = None if np.all(prod[7] == 1) else prod[7]
-    copy = _stack(copies, 4)
-    c_order, c_starts = _sorted_runs(copy[3])
-    copy = [col[c_order] for col in copy]
-    return _Pairs(size, tuple(prod[:3]), tuple(prod[3:6]), scale, prod[6],
-                  starts, tuple(copy[:3]), copy[3], c_starts)
-
-
-def _full(value, like):
-    return np.full(like.size, value, np.intp)
-
-
-@functools.lru_cache(maxsize=None)
-def _splits(d, n):
-    """Every pair of monomials (mu_a, mu_b) of orders >= 1 summing to
-    order n: the order of mu_a, the positions of mu_a, mu_b and the sum,
-    and the exponents of mu_a and of the sum."""
-    parts = []
-    for b in range(1, n):
-        ea, eb = _exponents(d, b), _exponents(d, n - b)
-        ia = np.repeat(np.arange(len(ea)), len(eb))
-        ib = np.tile(np.arange(len(eb)), len(ea))
-        total = ea[ia] + eb[ib]
-        parts.append((_full(b, ia), ia, ib, _positions(d, n, total), ea[ia],
-                      total))
-    return tuple(np.concatenate(col) for col in zip(*parts))
-
-
-def _power_pairs(d, n, top):
-    """Pairs giving P[p, n] for p = 2 .. min(top, n - 1), stacked in p, and
-    each block's (kind, start, stop) in the output.
-
-    Slice n of (w + h)^m is the sum over b of slice b of (w + h)^(m - e_i)
-    times slice n - b of (w + h)_i, i the last nonzero index of m.  Where
-    one factor is its w-part, w^(m - e_i) at b = p - 1 or w_i at
-    n - b = 1, it is a monomial with coefficient 1 and the pair copies the
-    other factor's row.
-    """
-    ps = np.arange(2, min(top, n - 1) + 1)
-    n_n = _count(d, n)
-    sizes = np.array([_count(d, p) for p in ps], dtype=np.intp)
-    stops = np.cumsum(sizes * n_n)
-    blocks = [(_H - 1 + p, start, stop) for p, start, stop
-              in zip(ps.tolist(), (stops - sizes * n_n).tolist(),
-                     stops.tolist())]
-    if not ps.size:
-        return _make_pairs(0, [], []), blocks
-    exps = np.concatenate([_exponents(d, p) for p in ps])
-    q_r = np.repeat(ps - 1, sizes)
-    m_r = np.concatenate([np.arange(s) for s in sizes])
-    size_r = np.repeat(sizes, sizes)
-    lower_size_r = np.repeat([_count(d, p - 1) for p in ps], sizes)
-    base_r = np.repeat(stops - sizes * n_n, sizes)
-    i_r = _last_index(exps)
-    lower = exps.copy()
-    lower[np.arange(len(lower)), i_r] -= 1
-    lower_pos = _positions(d, n, lower)
-    lower_row = np.where(q_r == 1, _last_index(lower), lower_pos)
-
-    b, mu_a, mu_b, mu = _splits(d, n)[:4]
-    j = n - b
-    # w^(m - e_i) has only the row m - e_i, and w_i only the row e_i, which
-    # sits at position d - 1 - i of the order-1 monomials
-    keep = (b > q_r[:, None]) | ((b == q_r[:, None])
-                                 & (mu_a == lower_pos[:, None]))
-    keep &= (j > 1) | (mu_b == d - 1 - i_r[:, None])
-    r, s = np.nonzero(keep)
-    target = base_r[r] + mu[s] * size_r[r] + m_r[r]
-    low = (_H - 1 + q_r[r], b[s], mu_a[s] * lower_size_r[r] + lower_row[r])
-    unit = (_full(_H, r), j[s], mu_b[s] * d + i_r[r])
-    copy_unit = b[s] == q_r[r]
-    copy_low = j[s] == 1
-    prod = ~(copy_unit | copy_low)
-    products = [tuple(x[prod] for x in low + unit)
-                + (target[prod], _full(1, target[prod]))]
-    copies = [tuple(x[copy_unit] for x in unit) + (target[copy_unit],),
-              tuple(x[copy_low] for x in low) + (target[copy_low],)]
-    return _make_pairs(int(stops[-1]), products, copies), blocks
-
-
-def _term_pairs(d, n, top):
-    """Parts giving [sum_m T_m (w + h)^m]_n, rows mu * d + i, from T[p] and
-    P[p, n] for p <= min(top, n); at p = n, (w + h)^m starts with w^m."""
-    n_n = _count(d, n)
-    ps = np.arange(2, min(top, n - 1) + 1)
-    sizes = np.array([_count(d, p) for p in ps], dtype=np.intp)
-    # one pair per (term monomial m of order p, component i, mu)
-    p_r = np.repeat(np.repeat(ps, sizes), d * n_n)
-    m = np.repeat(np.concatenate([np.arange(s) for s in sizes] or [[]]),
-                  d * n_n).astype(np.intp)
-    i = np.tile(np.repeat(np.arange(d), n_n), int(sizes.sum()))
-    mu = np.tile(np.arange(n_n), int(sizes.sum()) * d)
-    products = [(_full(_T, m), p_r, m * d + i, _H - 1 + p_r, _full(n, m),
-                 mu * np.repeat(np.repeat(sizes, sizes), d * n_n) + m,
-                 mu * d + i, _full(1, m))]
-    copies = []
-    if n <= top:
-        rows = np.arange(n_n * d)
-        copies.append((_full(_T, rows), _full(n, rows), rows, rows))
-    return products, copies
-
-
-@functools.lru_cache(maxsize=None)
-def _jacobian_pairs(d, n, low, high, sign):
-    """Parts giving sign * [(d_w h) V]_n from h's blocks (kind _H) of orders
-    a = low .. high and V's blocks (kind _E) of orders n + 1 - a: h_m w^m
-    times V_l at w^v lands on m - e_l + v with factor m_l."""
-    a, mu_a, mu_v, _, ea, total = _splits(d, n + 1)
-    s, l = np.nonzero(ea * ((a >= low) & (a <= high))[:, None])
-    target = total[s]
-    target[np.arange(s.size), l] -= 1
-    target = np.repeat(_positions(d, n, target) * d, d)
-    s, l = np.repeat(s, d), np.repeat(l, d)
-    i = np.tile(np.arange(d), s.size // d)
-    return (_full(_H, s), a[s], mu_a[s] * d + i, _full(_E, s),
-            n + 1 - a[s], mu_v[s] * d + l, target + i, sign * ea[s, l])
-
-
-@functools.lru_cache(maxsize=None)
-def _order_plan(d, n, top, jacobian):
-    """The pair plan of order n, shared by both rings: the pairs of the new
-    power blocks with their places, then those of the right-hand side
-    [sum_m T_m (w + h)^m]_n, less [(d_w h) E]_n if ``jacobian``."""
-    power, blocks = _power_pairs(d, n, top)
-    products, copies = _term_pairs(d, n, top)
-    if jacobian:
-        products.append(_jacobian_pairs(d, n, 2, n - 1, -1))
-    return power, blocks, _make_pairs(_count(d, n) * d, products, copies)
-
-
-@functools.lru_cache(maxsize=None)
-def _verify_pairs(d, n, normal):
-    """Pairs giving the order-n residual of the conjugacy identity,
-    Q d_x h + (d_w h)(QA)w - (QA)h - rhs, plus the series block if
-    ``normal``, from the verifier's blocks: h's (kind _H), its x-derivative
-    (_D), the composed right-hand side (_R), (QA)w (_E, order 1), the
-    series (_E, order n) and the rows Q and 1 (_C, order 0)."""
-    rows = np.arange(_count(d, n) * d)
-    # target mu * d + i gets -(QA)_il times h_l; (QA)_il is component i of
-    # (QA)w at w_l, which sits at position d - 1 - l of the order-1
-    # monomials
-    target = np.repeat(rows, d)
-    mu, i = np.divmod(target, d)
-    l = np.tile(np.arange(d), rows.size)
-    qa_h = (_full(_H, target), _full(n, target), mu * d + l,
-            _full(_E, target), _full(1, target), (d - 1 - l) * d + i,
-            target, _full(-1, target))
-    q_dh = (_full(_D, rows), _full(n, rows), rows, _full(_C, rows),
-            _full(0, rows), _full(0, rows), rows, _full(1, rows))
-    rhs = (_full(_R, rows), _full(n, rows), rows, _full(_C, rows),
-           _full(0, rows), _full(1, rows), rows, _full(-1, rows))
-    copies = [(_full(_E, rows), _full(n, rows), rows, rows)] if normal else []
-    return _make_pairs(rows.size, [_jacobian_pairs(d, n, n, n, 1), qa_h, q_dh,
-                                   rhs], copies)
-
-
-# ----------------------------------------------------------------------
 # the two executors of a plan
 # ----------------------------------------------------------------------
+
+# coefficients in one batch of row products (4 MB of complex128)
+_BATCH = 1 << 18
 
 
 class _FloatRows:
@@ -704,13 +460,13 @@ def _compose_rows(f_rows, rows, order_max, mode, extra):
     jacobian = mode == "normal-form" and extra
     # highest order of a term of f - extra, and so of a power in the table
     top = order_max if fold else min(max(by_order, default=0), order_max)
-    for n in range(2, order_max + 1):
+    plans = _run_plans(rows.d, order_max, top, jacobian)
+    for n, (power, blocks, rhs) in enumerate(plans, start=2):
         # T[n] enters order n only through w^m; the engine knows extra's
         # order-n terms only after it, so T[n - 1] is read again here
         for k in range(max(2, n - 1), min(top, n) + 1):
             rows.field(_T, k, by_order.get(k, {}),
                        rows.block(_E, k) if fold else None)
-        power, blocks, rhs = _order_plan(rows.d, n, min(top, n), jacobian)
         new = rows.run(power)
         for kind, start, stop in blocks:
             rows.add(kind, n, new[start:stop])
@@ -821,12 +577,12 @@ def verify_conjugacy(nonlinear, series, h, order_max, mode="obstruction",
     for n in range(2, order_max + 1):
         rows.field(_E, n, series.rows)
     parts = _compose_rows(nonlinear.f.rows, rows, order_max, mode, True)
-    for n, rhs in enumerate(parts, start=2):
+    plans = _verify_plans(d, order_max, normal)
+    for n, rhs, plan in zip(range(2, order_max + 1), parts, plans):
         rows.field(_H, n, h.rows)
         rows.derive(_D, n, _H)
         rows.add(_R, n, rhs)
-        report.residuals[n] = rows.magnitude(
-            rows.run(_verify_pairs(d, n, normal)))
+        report.residuals[n] = rows.magnitude(rows.run(plan))
     return report
 
 

@@ -43,8 +43,7 @@ import numpy as np
 
 from .exact import from_int, scalar_is_zero
 from .matrices import CMatrix, ShapeError, SparseMatrix, mat_eigenvalues
-from .pnspace import (PnBasis, SeriesTable, conjugation_entries,
-                      multiindices)
+from .pnspace import PnBasis, SeriesTable, _monomials, conjugation_entries
 from .poly import MatPoly, sp_diff, sp_eval, sp_from_roots
 
 
@@ -280,22 +279,58 @@ def singular_shifts(mat, values, tol, degree=0):
     """
     proposals = [(k, abs(z + k))
                  for z in values for k in (max(0, round(-z.real)),)]
-    if not (isinstance(mat, SparseMatrix)
-            or isinstance(mat, CMatrix) and mat.exact):
+    scale = _exact_scale(mat)
+    if scale is None:
         return [(k, margin, margin <= tol) for k, margin in proposals]
-    window = _SHIFT_WINDOW * max(1.0, mat.max_abs()) * (degree + 1)
-    near = {k for k, margin in proposals if margin <= window}
-    if near:
-        op = mat
-        if degree:
-            basis = PnBasis(mat.n_rows, degree)
-            op = SparseMatrix(basis.size,
-                              conjugation_entries(mat.entries(), basis))
-        elif isinstance(mat, CMatrix):
-            op = SparseMatrix(mat.n_rows, mat.entries())
-        near = {k for k in near if op.singular(k)}
+    window = scale * (degree + 1)
+    near = _singular_near(mat, {k for k, margin in proposals
+                                if margin <= window}, degree)
     return [(k, 0.0, True) if margin <= window and k in near
             else (k, margin, False) for k, margin in proposals]
+
+
+def _shift_arrays(mat, values, tol, degrees):
+    """``singular_shifts`` on a complex array of values, value v a value
+    of the block of degree ``degrees[v]``: the shifts (as floats), margins
+    and flags as arrays, each margin bit for bit the one
+    ``singular_shifts`` gives.  That keeps its per-value loop for its
+    callers, which pass a few values at a time."""
+    k = np.maximum(np.rint(-values.real), 0.0)
+    # hypot, as abs() of a Python complex: np.abs rounds differently
+    shifted = values + k
+    margin = np.hypot(shifted.real, shifted.imag)
+    scale = _exact_scale(mat)
+    if scale is None:
+        return k, margin, margin <= tol
+    close = margin <= scale * (degrees + 1)
+    singular = np.zeros_like(close)
+    for degree in np.unique(degrees[close]).tolist():
+        here = close & (degrees == degree)
+        near = _singular_near(mat, set(map(int, k[here].tolist())), degree)
+        singular |= here & np.isin(k, list(near))
+    return k, np.where(singular, 0.0, margin), singular
+
+
+def _exact_scale(mat):
+    """The exact-confirmation window per unit of (degree + 1); None in
+    float mode."""
+    if isinstance(mat, SparseMatrix) or isinstance(mat, CMatrix) and mat.exact:
+        return _SHIFT_WINDOW * max(1.0, mat.max_abs())
+    return None
+
+
+def _singular_near(mat, shifts, degree):
+    """The shifts k for which k + T is singular, by exact elimination."""
+    if not shifts:
+        return set()
+    op = mat
+    if degree:
+        basis = PnBasis(mat.n_rows, degree)
+        op = SparseMatrix(basis.size,
+                          conjugation_entries(mat.entries(), basis))
+    elif isinstance(mat, CMatrix):
+        op = SparseMatrix(mat.n_rows, mat.entries())
+    return {k for k in shifts if op.singular(k)}
 
 
 def check_linear_assumption(system, tol=1e-9):
@@ -328,29 +363,36 @@ def check_nonlinear_assumption(nonlinear, order_max, tol=1e-9):
     """Certify k + <lambda, m> - lambda_i != 0 up to monomial order order_max.
 
     Runs per residue spectrum of the linear part (including the residue
-    sum) and per monomial order n, deciding the shifts of J_{B_j} on the
-    degree-n block with ``singular_shifts``.
+    sum), deciding the shifts of J_{B_j} on the degree-n blocks by the
+    rule of ``singular_shifts``, with the values <lambda, m> - lambda_i
+    of every slot (m, i) of every order n and their proposals as arrays.
     """
     system = nonlinear.linear
     d = system.size
+    exps, off, counts = _monomials(d, max(order_max, 2))
+    exps = exps[off[2]:off[order_max + 1]]
+    orders = np.arange(2, order_max + 1)
+    degrees = orders.repeat(counts[2:order_max + 1] * d)
     violations = []
     min_margin = math.inf
     for label, spectrum in system.all_spectra():
-        mat = system.residue_matrix(label)
-        for order in range(2, order_max + 1):
-            slots, values = [], []
-            for m in multiindices(d, order):
-                shift = sum(mi * ev for mi, ev in zip(m, spectrum))
-                for i, ev_i in enumerate(spectrum):
-                    slots.append((m, i))
-                    values.append(shift - ev_i)
-            tests = singular_shifts(mat, values, tol, order)
-            for (m, i), base, (k, margin, singular) in zip(slots, values,
-                                                         tests):
-                min_margin = min(min_margin, margin)
-                if singular:
-                    violations.append(
-                        NonlinearViolation(label, m, i, k, base + k, margin))
+        ev = np.array(spectrum, complex)
+        # <lambda, m> summed one component after another, as sum() does
+        shift = np.zeros(len(exps), complex)
+        for j in range(d):
+            shift = shift + exps[:, j] * ev[j]
+        values = (shift[:, None] - ev).ravel()    # slot (m, i), m major
+        if not values.size:
+            continue
+        k, margin, singular = _shift_arrays(system.residue_matrix(label),
+                                            values, tol, degrees)
+        min_margin = min(min_margin, float(margin.min()))
+        for slot in np.flatnonzero(singular).tolist():
+            row, i = divmod(slot, d)
+            shift_k = int(k[slot])
+            violations.append(NonlinearViolation(
+                label, tuple(exps[row].tolist()), i, shift_k,
+                complex(values[slot]) + shift_k, float(margin[slot])))
     return NonlinearAssumptionReport(
         passed=not violations,
         order_max=order_max,

@@ -110,30 +110,81 @@ class PnBasis:
         return f"PnBasis(d={self.d}, n={self.n}, size={self.size})"
 
 
+@functools.lru_cache(maxsize=None)
+def _exponents(d, k):
+    """(N_k, d) exponents of the order-k monomials, in ``multiindices``
+    order."""
+    return np.array(multiindices(d, k), dtype=np.intp).reshape(-1, d)
+
+
+def _monomials(d, top):
+    """Exponents of every monomial of order <= top, order by order in
+    ``multiindices`` order, where each order starts (the total last) and
+    how many each has, both int32.  Tables are kept for tops 3 mod 4, so
+    it may list up to three more orders."""
+    return _monomial_table(d, top | 3)
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_table(d, top):
+    counts = np.array([math.comb(k + d - 1, d - 1) for k in range(top + 1)],
+                      np.int32)
+    return (np.concatenate([_exponents(d, k) for k in range(top + 1)]),
+            np.concatenate(([0], counts.cumsum())).astype(np.int32), counts)
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_keys(d, top):
+    """Weights of a base-(top + 1) key, keys of every monomial of order at
+    most top in ascending order, and each one's position in its order."""
+    exps, off, counts = _monomial_table(d, top)
+    weights = (top + 1) ** np.arange(d - 1, -1, -1, dtype=np.intp)
+    keys = exps @ weights
+    order = np.argsort(keys)
+    pos = np.arange(len(exps), dtype=np.int32) - off[:-1].repeat(counts)
+    return weights, keys[order], pos[order]
+
+
+def _positions(d, top, exps):
+    """Position of each row of ``exps`` (orders <= top) in its order, as
+    int32."""
+    weights, keys, pos = _monomial_keys(d, top | 3)
+    return pos[np.searchsorted(keys, exps @ weights)]
+
+
 def _conjugation_terms(d, n):
     """J_M in the canonical basis as its terms: entry e = j d + k of M,
     times an integer coefficient, adds into J_M[row, col].
 
+    Column col = i N_n + mu is the basis map w^m e_i, m at position mu.
+    It takes m_j M[j, k] at row (m - e_j + e_k, i) for each j with
+    m_j > 0 and each k, then -M[k, i] at row (m, k) for each k.
     Returns arrays (row N + col, e, coefficient), sorted by target with a
-    stable sort, so each target keeps the order the defining loop adds its
-    terms in, and each term's rank among its target's terms.
+    stable sort, so each target keeps the order of that list, and each
+    term's rank among its target's terms.
     """
-    basis = PnBasis(d, n)
-    size = basis.size
-    terms = []
-    for col, (m, i) in enumerate(basis.items):
-        for j in range(d):
-            if m[j] == 0:
-                continue
-            for k in range(d):
-                target = list(m)
-                target[j] -= 1
-                target[k] += 1
-                terms.append((basis.index(target, i) * size + col,
-                              j * d + k, m[j]))
-        for k in range(d):
-            terms.append((basis.index(m, k) * size + col, k * d + i, -1))
-    target, entry, coef = np.array(terms, np.intp).T
+    exps = _exponents(d, n)
+    count = len(exps)
+    size = d * count
+    i, mu = np.divmod(np.arange(size), count)
+    m = exps[mu]
+    eye = np.eye(d, dtype=np.intp)
+    # per column, the d * d terms (j, k), then the d terms k; a term with
+    # m_j = 0 is dropped below, so its exponents are clipped at 0 only to
+    # have a position (of order up to n + 1)
+    moved = m[:, None, None] - eye[:, None] + eye
+    rows = np.concatenate([
+        (i[:, None] * count + _positions(d, n + 1, np.maximum(
+            moved, 0).reshape(-1, d)).reshape(size, d * d)),
+        np.arange(d) * count + mu[:, None]], axis=1)
+    entry = np.broadcast_to(np.concatenate([
+        np.arange(d * d), np.arange(d) * d]), rows.shape).copy()
+    entry[:, d * d:] += i[:, None]
+    coef = np.concatenate([np.repeat(m, d, axis=1),
+                           np.full((size, d), -1)], axis=1)
+    live = coef != 0
+    target = (rows * size + np.arange(size)[:, None])[live]
+    entry, coef = entry[live], coef[live]
     order = np.argsort(target, kind="stable")
     target, entry, coef = target[order], entry[order], coef[order]
     starts = np.flatnonzero(np.concatenate(([True],

@@ -7,13 +7,14 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from fuchslin import engine
+from fuchslin import engine, plans
 from fuchslin.analytic import float_system, float_vecpoly
 from fuchslin.document import dumps_canonical, series_table_json
 from fuchslin.engine import (
@@ -506,14 +507,18 @@ def test_exact_executor_matches_scalar_reference(d, n_max):
     # the integer rows give exactly the reference's ExactComplex sums
     rng = random.Random(f"exact-executor-{d}")
     seen = set()
+    runs = {top: {jacobian: plans._run_plans(d, n_max, top, jacobian)
+                  for jacobian in (False, True)} for top in (3, n_max)}
+    verify = {normal: plans._verify_plans(d, n_max, normal)
+              for normal in (False, True)}
     for n in range(2, n_max + 1):
         for top in sorted({min(3, n), n}):
             for jacobian in (False, True):
-                power, _, rhs = engine._order_plan(d, n, top, jacobian)
+                run = runs[3 if top == 3 else n_max][jacobian]
+                power, _, rhs = run[n - 2]
                 _check_exact_executor(rng, [power, rhs], seen)
         for normal in (False, True):
-            _check_exact_executor(rng, [engine._verify_pairs(d, n, normal)],
-                                  seen)
+            _check_exact_executor(rng, [verify[normal][n - 2]], seen)
     assert seen == {"cancels to zero", "trailing zeros", "imaginary part",
                     "denominator reduces to 1", "negative scale"}
 
@@ -532,12 +537,14 @@ def test_exact_executor_cancellation_and_reduction():
     store = engine._ExactRows(1, 1, 1)
     store.add(0, 0, [engine._int_row(r) for r in rows])
     zeros = [0] * 5
-    products = [(zeros, zeros, [0, 2, 0, 2, 3], zeros, zeros, [1, 2, 2, 0, 1],
-                 [0, 0, 1, 1, 2], [1, 1, 1, -1, 3])]
-    copies = [([0] * 3, [0] * 3, [1, 0, 1], [2, 3, 3])]
-    pairs = engine._make_pairs(
-        4, [tuple(map(np.array, p)) for p in products],
-        [tuple(map(np.array, c)) for c in copies])
+    products = (zeros, zeros, [0, 2, 0, 2, 3], zeros, zeros, [1, 2, 2, 0, 1],
+                [0, 0, 1, 1, 2], [1, 1, 1, -1, 3])
+    copies = ([0] * 3, [0] * 3, [1, 0, 1], [2, 3, 3])
+    pairs, = plans._plans(
+        [4], np.array(products, np.int32), plans._cut([4], [2, 2, 1, 0]),
+        np.array(copies, np.int32), plans._cut([4], [0, 0, 1, 2]))
+    assert pairs.starts.tolist() == [0, 2, 4]
+    assert pairs.c_starts.tolist() == [0, 1]
     out = store.run(pairs)
     assert out[1] is None and out[3] == (1, (1,), None)
     got = [_scalars(r) for r in out]
@@ -552,6 +559,262 @@ def test_exact_executor_cancellation_and_reduction():
         while buf and not buf[-1]:
             buf.pop()
     assert got == [tuple(buf) for buf in want]
+
+
+# Every plan a run builds, frozen: one sha256 per plan over its arrays
+# cast to int64 (so the dtype does not enter), recorded from the per-order
+# builders the run-wide ones replaced.  Keys: ("order", d, n, top,
+# jacobian) for the power pairs, their blocks and the right-hand side, and
+# ("verify", d, n, normal).
+PLAN_DIGESTS = {
+    ('order', 1, 2, 2, 0):
+        "94d50980ae53d9fb92892c5dd5db0feb63299ce142cfc63a20e104f61123ab6a",
+    ('order', 1, 2, 2, 1):
+        "94d50980ae53d9fb92892c5dd5db0feb63299ce142cfc63a20e104f61123ab6a",
+    ('verify', 1, 2, 0):
+        "9fa3172503f4404393429766b5faf576681c3f257e9dd7bfe669b65646640177",
+    ('verify', 1, 2, 1):
+        "a8c6ee9646d60edbb1bb4e57ac3a1dca50da46c53810bddf681980a93bef7b92",
+    ('order', 1, 3, 3, 0):
+        "c5a03d8606ed5beeb3a43ce8977b06c93bdeced7b6731144bca5d0ec188a0ead",
+    ('order', 1, 3, 3, 1):
+        "05dd1e734f68b1781608e6c6446158f35a5cfc1c695bf18a4753e477e763ff67",
+    ('verify', 1, 3, 0):
+        "bff7405952f1592170c975f87bf7349d4f8100e2c5e92f74558e1dc2a39839c3",
+    ('verify', 1, 3, 1):
+        "5763dd6857b6fe7458b389160e29725641c04eb0d6be8315e113681e5bfb1b2b",
+    ('order', 1, 4, 3, 0):
+        "98adea1fed4529e1885a2c6cba6b9bbaef716b8cd00c9a3ccef5eddbcc6ee1d5",
+    ('order', 1, 4, 3, 1):
+        "5b6848cb6e6b30cff77fa328327670401ecb9487546a75f48d9086f0fb2bbcf4",
+    ('order', 1, 4, 4, 0):
+        "451cda306678001dd7e767896c6ac7390b634ecc60fbb991f7f2037fad182ead",
+    ('order', 1, 4, 4, 1):
+        "c63d1bde5347582c2365dd6958ce8dfbcf2dab47cb006a6b30e56d8498008b9e",
+    ('verify', 1, 4, 0):
+        "26205035aa448b1220a3a67171ab2764b34bb0d1bf86689222ceba46e29a3594",
+    ('verify', 1, 4, 1):
+        "263ebe08e913dad0a1d359d4ccef3d0159e3d9232a7c7f019a999f7b3bae08f2",
+    ('order', 1, 5, 3, 0):
+        "d50135864d41797fe866a336dd639fc0eb997c213351f29d5f983c7cf90cf5fa",
+    ('order', 1, 5, 3, 1):
+        "9d27cd1748969fe04e2783056121adc129af38f00bd8d180335f20ab33f71655",
+    ('order', 1, 5, 5, 0):
+        "ee5b36fdac78c7a9e4453397f457679bf205d5afc025a9d7c1cf23e9ba82e1d8",
+    ('order', 1, 5, 5, 1):
+        "673f674d80885bdc4730c4c3223817bca2566f6fae89f78e6de67c593cf78611",
+    ('verify', 1, 5, 0):
+        "7e1f864347c00e1f79229e4ad0127ac60b278561d83f32b6f25383efee01b9f5",
+    ('verify', 1, 5, 1):
+        "1b5c5bd36491f0d49198a56d1e608e91382d12b17ff7aec9978daf761b91770c",
+    ('order', 1, 6, 3, 0):
+        "04d2af1c10d1b2d9ff011396504cf7330e362467c3a48b374cd72613d12b9b0c",
+    ('order', 1, 6, 3, 1):
+        "a0b6be19b689d256744dc0423a121e877b9ef8e2a8ef667cb9dd8842805245e2",
+    ('order', 1, 6, 6, 0):
+        "0136d5338c799aa74d6fe4c48830f98fc6df4fc8d4f603c311f3ec566870cfa1",
+    ('order', 1, 6, 6, 1):
+        "642612d7268321a8293dc9d07ce321bca349d797f90eb0ebbe2b0f48bdceaad1",
+    ('verify', 1, 6, 0):
+        "6e79a8d372fe88f425c37d06cd9f8e33ff0f1430fc87a6eec00e7da90452b9d7",
+    ('verify', 1, 6, 1):
+        "afa6302d9ca52706717b9c47a82a3f046c9a588dad81a089cc26fbe8626a4984",
+    ('order', 2, 2, 2, 0):
+        "00abdb65271ae9884a31498a171976c78e8816efabb05daa8ff3c90f667e7a8f",
+    ('order', 2, 2, 2, 1):
+        "00abdb65271ae9884a31498a171976c78e8816efabb05daa8ff3c90f667e7a8f",
+    ('verify', 2, 2, 0):
+        "b91443844a963142b892c570ab06dc7748429921635bc28e105a46c765b24a5a",
+    ('verify', 2, 2, 1):
+        "b33443d10e419cf8fd3a35db58bc45565e98bb01ac1de4350847478678e17791",
+    ('order', 2, 3, 3, 0):
+        "c040c3fe2e7113def8b3a7a71a56c46073f0416115c602afd48f1788e3e47aea",
+    ('order', 2, 3, 3, 1):
+        "669f250a4d870a2b0ef43952ef0abc270d6323f34079cb6e1eda4acf323b72d5",
+    ('verify', 2, 3, 0):
+        "ee21ef1ecee606c1e2264ce7773e515d9c92c6ce98f41abee9d6e09201cd3493",
+    ('verify', 2, 3, 1):
+        "50cbed3a59d65c572497a0a9a71feb1d658c8d39c4622112fd99f3ceaf60565f",
+    ('order', 2, 4, 3, 0):
+        "9ff4365a70c38c67ab71b0fda1940f0863b2137e3f4392aab2b658b329483907",
+    ('order', 2, 4, 3, 1):
+        "0a1a949a10df4c5da8040f8c61db845b8843fa51cc08495843e567e7ca9ab76d",
+    ('order', 2, 4, 4, 0):
+        "97003eba6cbb597dbf3fa71fd2edee36fcf04d1ab36e63820644617a999a3d24",
+    ('order', 2, 4, 4, 1):
+        "36b55fe27e9148fe90db16ad0fb01cf13593f9cd80d6d703bb1f291443dfb8ee",
+    ('verify', 2, 4, 0):
+        "163a32197448e04a74cabb8a1c024f99bd7345bc17ed51023ba2d9b827d7a7b1",
+    ('verify', 2, 4, 1):
+        "a629b6c31c4972855de4ddf2d880727cc4d02875d2d6aebe06515e8cf59750d6",
+    ('order', 2, 5, 3, 0):
+        "93053e7a39aaaf96565a39ee62c174d3fd00ee2bc2f0e7debfaf9aa5505d3c79",
+    ('order', 2, 5, 3, 1):
+        "2d92f89883d0ad27973c293ee4b3a7a88b38e4b655003ff16d2f01cb764eb640",
+    ('order', 2, 5, 5, 0):
+        "aabece65b798bf96fc05b1f085ae5c774d18bc5c624a818a84c1f1e80f3056d3",
+    ('order', 2, 5, 5, 1):
+        "dcf7dbb6e62a8ae7d9d3e6f4d75de24a7ba67e71e095c62d0be232111b88e3a9",
+    ('verify', 2, 5, 0):
+        "e9ed3875733b1f9b9aa0aeb87568129fabd498e722907a6edc2abe5e303a6447",
+    ('verify', 2, 5, 1):
+        "f11f9e8ccced545ac8232ba9c2f709d962cec77bd550d5b6126718f4579d8854",
+    ('order', 2, 6, 3, 0):
+        "3740190c45949ec02cbb23e16e3d26ff03d6db60b21137fda37be45164e7306a",
+    ('order', 2, 6, 3, 1):
+        "f1af131a1e5c52fa663bec3d7aaeae6ab041a789426b4631aad4b294fab750d0",
+    ('order', 2, 6, 6, 0):
+        "ce37ad188a54d4284e72cd7d5c2d6d68c8258210c72644be7868015616617c07",
+    ('order', 2, 6, 6, 1):
+        "0fc5e700f4aaa753468091146690fa5a055fd2dee038c0601c010cdc7c0af76c",
+    ('verify', 2, 6, 0):
+        "358c6a84c51e5a80ace3dda2c2897b1f8fa0534a0901b65a313ca2f5af160622",
+    ('verify', 2, 6, 1):
+        "24f5214f2591ae00ee96ea3cff3c013cd49adfbbbf5d38a61f8dda6551e84577",
+    ('order', 3, 2, 2, 0):
+        "75b7e1a74c1a9217849989288446323d1388bceadaf0522506ae10f954e57add",
+    ('order', 3, 2, 2, 1):
+        "75b7e1a74c1a9217849989288446323d1388bceadaf0522506ae10f954e57add",
+    ('verify', 3, 2, 0):
+        "adb830cc1ba3237d6588593b6e09da3cfc15d3e479fcededf3a679c920f0dbab",
+    ('verify', 3, 2, 1):
+        "2383322ebb2bb8ddb27f8b85c7e9e5efd5e229bdaaccfa8ce86340201b76a76e",
+    ('order', 3, 3, 3, 0):
+        "6e2dcebd9fc9b5fc28a3bf09fbba54cea03f67436d91b3160bb09c4e5668eefa",
+    ('order', 3, 3, 3, 1):
+        "94da0fee45eee8f142d475da580a8db15ed3888dabc6bc9e171d1dca4ebaec76",
+    ('verify', 3, 3, 0):
+        "08beda296d0d45d5f89736f02813363b5b3186bcf268f3ca21a1ef396c42561b",
+    ('verify', 3, 3, 1):
+        "cae0d88cb19e619a894623d40ebcfc40b17312a6bcafa9ad8241fe5996627c7b",
+    ('order', 3, 4, 3, 0):
+        "809e6cef193c67a13bd931c093909dcd992105c9ad6935e5173f3e445b356479",
+    ('order', 3, 4, 3, 1):
+        "e2f543b8ecb365fee7feb71e2fb9f5084421d5ab71a658f4e12f55c12369c046",
+    ('order', 3, 4, 4, 0):
+        "a1aedeb39ca658716146d1a3861295561708d62ac53cdf3a9f771a2802bc923d",
+    ('order', 3, 4, 4, 1):
+        "0bd1b72a78165c4af5d765fa0c88e27d72d0a436351ef139e1c2057a4af26681",
+    ('verify', 3, 4, 0):
+        "e604d4effb2cec0e04ee8901dd60ef02abfa72e1d7487fceb06cf97a8b3cf08d",
+    ('verify', 3, 4, 1):
+        "8516abe430191a136676fc5a7e118514ced7f5142f483feb6951888cf1f8f5cd",
+    ('order', 3, 5, 3, 0):
+        "43c7294cedc6ee97eaec86dec219e5fe1b1bd34dfa7ce53bc3b97da7c1a5241e",
+    ('order', 3, 5, 3, 1):
+        "c36d084554029df36ad950f24514e1ebe7d20b2a17146b30eefd9567afa6c0eb",
+    ('order', 3, 5, 5, 0):
+        "96b2a5171a26e5361dfbba8dec94831b8b924635aa911d4c292b01accac38d61",
+    ('order', 3, 5, 5, 1):
+        "61e245a125f750a806bcb910b5be09beec9fa23a1f12b52d954767f5cdb3f416",
+    ('verify', 3, 5, 0):
+        "149b31a3c19b506ff7911630676c1aa1f50d99e5782db7c765a0209e77ec8579",
+    ('verify', 3, 5, 1):
+        "525927fbb0b168c572f770127d80ff346afad25b044cdc817abe2c20f3d23ec9",
+    ('order', 3, 6, 3, 0):
+        "422bae7d5331d86bb50c57a34b495048d6ee238ce8f9c362d18a33c62a46f214",
+    ('order', 3, 6, 3, 1):
+        "3f9391be6ebf970190cd1ccb11f7dadf9195d9c9e3bf0f104d175293080bdeb5",
+    ('order', 3, 6, 6, 0):
+        "bf68baacbf6354e5db797e546ff6a6701dc24083c28ee4636d958be91b0990cb",
+    ('order', 3, 6, 6, 1):
+        "6c02ff3d3d660a1dbba5f5765a7e3697f533f0c71a131048ea5b92054d3b8a9e",
+    ('verify', 3, 6, 0):
+        "6076d5570fadec08d15fdc199bc1c2d3c98ee3934c4a3d7b76579012607a4627",
+    ('verify', 3, 6, 1):
+        "e4f1cce07d7a606010260745cf931da04a77efbb4605f47cb6fb92dea6ebf0e6",
+}
+
+
+def _plan_digest(*parts):
+    """sha256 of a plan's parts (_Pairs, or a power plan's blocks): each
+    array as int64 with its shape, a missing scale as b"none"."""
+    digest = hashlib.sha256()
+    for part in parts:
+        for value in ([part.size, *part.a, *part.b, part.scale, part.target,
+                       part.starts, *part.c, part.c_target, part.c_starts]
+                      if isinstance(part, plans._Pairs) else [part]):
+            if value is None:
+                digest.update(b"none")
+                continue
+            value = np.asarray(value, dtype=np.int64)
+            digest.update(np.array(value.shape, np.int64).tobytes())
+            digest.update(value.tobytes())
+    return digest.hexdigest()
+
+
+def _built_plans(d, order_max, tops=(3,)):
+    """Digests of the plans of runs to ``order_max`` at each top in
+    ``tops`` in both modes, and of the verifier's, from an empty cache."""
+    plans._PLANS.clear()
+    got = {}
+    for top in tops:
+        for jacobian in (False, True):
+            run = plans._run_plans(d, order_max, top, jacobian)
+            for n, plan in enumerate(run, start=2):
+                got["order", d, n, min(top, n), int(jacobian)] = \
+                    _plan_digest(*plan)
+    for normal in (False, True):
+        for n, plan in enumerate(plans._verify_plans(d, order_max, normal),
+                                 start=2):
+            got["verify", d, n, int(normal)] = _plan_digest(plan)
+    return got
+
+
+def test_plans_match_frozen_digests():
+    got = {}
+    for d in (1, 2, 3):
+        # top 6 first: the top-3 power plans are then read off its plans
+        got.update(_built_plans(d, 6, tops=(6, 3)))
+    assert got == PLAN_DIGESTS
+    for key, plan in plans._PLANS.items():
+        p = plan[0] if key[0] == "power" else plan
+        for col in (*p.a, *p.b, p.target, *p.c, p.c_target):
+            assert col.dtype == np.int32, key
+        assert p.scale is None or p.scale.dtype == np.int32, key
+        assert p.starts.dtype == p.c_starts.dtype == np.intp, key
+
+
+def test_plans_of_an_order_do_not_depend_on_the_run():
+    # order n's plans from a run to N equal those of a run to n, built from
+    # an empty cache or next to cached lower orders
+    for d, order_max in ((1, 9), (2, 7), (3, 5)):
+        full = _built_plans(d, order_max, tops=(2, 3, order_max))
+        for n in range(2, order_max + 1):
+            alone = _built_plans(d, n, tops=(2, 3, order_max))
+            assert alone == {k: v for k, v in full.items() if k[2] <= n}
+        plans._PLANS.clear()
+        for n in range(2, order_max + 1):
+            for top in (order_max, 3, 2):
+                for jacobian in (False, True):
+                    plan = plans._run_plans(d, n, top, jacobian)[-1]
+                    assert _plan_digest(*plan) == \
+                        full["order", d, n, min(top, n), int(jacobian)]
+            for normal in (False, True):
+                plan = plans._verify_plans(d, n, normal)[-1]
+                assert _plan_digest(plan) == full["verify", d, n, int(normal)]
+
+
+def test_plan_memory_at_d4():
+    # orders 2 .. 7 of both modes with the verifier, then order 8 of the
+    # obstruction mode: per-order builders, with the full rows x splits
+    # cross product, peaked at 131.4 MB holding 52.6 MB on this build
+    # (tracemalloc); the run-wide ones must stay under 59.25 MB and hold
+    # at most 43.4 MB
+    plans._PLANS.clear()
+    tracemalloc.start()
+    try:
+        for jacobian in (False, True):
+            plans._run_plans(4, 7, 7, jacobian)
+        for normal in (False, True):
+            plans._verify_plans(4, 7, normal)
+        plans._run_plans(4, 8, 8, False)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        plans._PLANS.clear()
+    assert peak <= 118.5e6 / 2
+    assert held <= 43.4e6
 
 
 # ----------------------------------------------------------------------
@@ -878,6 +1141,61 @@ def test_exact_tables_follow_a_translation_in_x(run):
             {m: shifted(p) for m, p in nl.nonlinearity.items()})
         for want, got in zip(run(nl, 4), run(moved, 4)):
             assert {m: shifted(p).coeffs for m, p in want} \
+                == {m: p.coeffs for m, p in got}, seed
+
+
+@pytest.mark.parametrize("run", [linearize, normal_form])
+def test_exact_tables_follow_a_monomial_basis_change(run):
+    # u = P v with (P v)_k = s_k v_pi(k), pi a permutation and s_k nonzero
+    # Gaussian rationals: B_j becomes P^-1 B_j P, entry (pi(k), pi(l)) =
+    # s_l B_j[k, l] / s_k, and a term g(x) u^m becomes P^-1 g(x) (P v)^m =
+    # prod_k s_k^(m_k) times the vector with component pi(k) equal to
+    # g_k / s_k, at v^m' with m'_pi(k) = m_k: a relabelled, rescaled term,
+    # no composition.  By uniqueness the tables transform so, term for term
+    for seed in range(20):
+        rng = random.Random(f"basis-change-{seed}")
+        nl = random_nonresonant(rng, d_max=3)
+        d = nl.size
+        pi = rng.sample(range(d), d)
+        s = [ExactComplex(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                   rng.randint(1, 4)),
+                          Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+             for _ in range(d)]
+
+        def moved(table):
+            out = {}
+            for m, g in table.items():
+                factor = ExactComplex(1)
+                for s_k, m_k in zip(s, m):
+                    factor = factor * s_k ** m_k
+                new = [0] * d
+                for k, m_k in enumerate(m):
+                    new[pi[k]] = m_k
+                coeffs = []
+                for vec in g.coeffs:
+                    comp = [None] * d
+                    for k in range(d):
+                        comp[pi[k]] = vec[k] * factor / s[k]
+                    coeffs.append(tuple(comp))
+                out[tuple(new)] = VecPoly.from_coeffs(coeffs, exact=True,
+                                                      dim=d)
+            return out
+
+        def conjugated(b):
+            rows = [[None] * d for _ in range(d)]
+            for k in range(d):
+                for l in range(d):
+                    rows[pi[k]][pi[l]] = s[l] * b.entry(k, l) / s[k]
+            return CMatrix.from_rows(rows, True)
+
+        linear = nl.linear
+        changed = NonlinearSystem(
+            FuchsianSystem(linear.poles,
+                           tuple(map(conjugated, linear.residues))),
+            moved(nl.nonlinearity))
+        order = 5 if d < 3 else 4
+        for want, got in zip(run(nl, order), run(changed, order)):
+            assert {m: p.coeffs for m, p in moved(dict(want)).items()} \
                 == {m: p.coeffs for m, p in got}, seed
 
 

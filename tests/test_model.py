@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from fuchslin import engine
 from fuchslin.document import SystemDocument
 from fuchslin.exact import ExactComplex
 from fuchslin.matrices import CMatrix, ShapeError
@@ -21,6 +22,7 @@ from fuchslin.model import (
     NonlinearViolation,
     check_linear_assumption,
     check_nonlinear_assumption,
+    singular_shifts,
 )
 from fuchslin.pnspace import multiindices
 from fuchslin.poly import VecPoly, sp_eval, sp_mul
@@ -350,3 +352,98 @@ def test_float_checks_match_brute_force_sweep():
         assert pairs[1][0].order_max == pairs[1][1].order_max
     # the draw exercises both outcomes
     assert seen_violation > 10 and seen_clean > 10
+
+
+def _loop_nonlinear_check(nonlinear, order_max, tol=1e-9):
+    """Reference: the per-slot loop the array check replaced, one Python
+    sum and one ``singular_shifts`` list per (label, order)."""
+    system = nonlinear.linear
+    d = system.size
+    violations = []
+    min_margin = math.inf
+    for label, spectrum in system.all_spectra():
+        mat = system.residue_matrix(label)
+        for order in range(2, order_max + 1):
+            slots, values = [], []
+            for m in multiindices(d, order):
+                shift = sum(mi * ev for mi, ev in zip(m, spectrum))
+                for i, ev_i in enumerate(spectrum):
+                    slots.append((m, i))
+                    values.append(shift - ev_i)
+            tests = singular_shifts(mat, values, tol, order)
+            for (m, i), base, (k, margin, singular) in zip(slots, values,
+                                                         tests):
+                min_margin = min(min_margin, margin)
+                if singular:
+                    violations.append(
+                        NonlinearViolation(label, m, i, k, base + k, margin))
+    return NonlinearAssumptionReport(
+        passed=not violations,
+        order_max=order_max,
+        min_margin=float(min_margin),
+        violations=violations,
+    )
+
+
+def random_exact_system(rng, d, s):
+    """``random_float_system``'s shape over Gaussian rationals: upper
+    triangular residues whose diagonals are often (half-)integers, plus a
+    dense one now and then."""
+    poles = [ExactComplex(p) for p in rng.sample(range(-6, 7), s + 2)]
+    residues = []
+    for _ in range(s + 2):
+        rows = [[ExactComplex(0)] * d for _ in range(d)]
+        for i in range(d):
+            kind = rng.randrange(4)
+            rows[i][i] = (ExactComplex(-rng.randint(0, 4)) if kind == 0 else
+                          ExactComplex(Fraction(rng.randint(-9, 9), 2))
+                          if kind == 1 else
+                          ExactComplex(Fraction(rng.randint(-8, 8), 7),
+                                       Fraction(rng.randint(1, 6), 5)))
+            for j in range(i + 1, d):
+                rows[i][j] = ExactComplex(rng.randint(-3, 3),
+                                          rng.randint(-1, 1))
+        if rng.random() < 0.2:
+            rows = [[v + ExactComplex(rng.randint(-2, 2)) for v in row]
+                    for row in rows]
+        residues.append(CMatrix.from_rows(rows, True))
+    return FuchsianSystem(poles, residues)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_nonlinear_check_matches_the_per_slot_loop(exact, monkeypatch):
+    """The array check reports exactly what the per-slot loop did: the
+    same violations (values and margins bit for bit), min_margin bits and
+    AssumptionError text."""
+    rng = random.Random(f"nonlinear-array-{exact}")
+    outcomes = set()
+    for trial in range(24):
+        d = rng.randint(1, 3)
+        s = rng.randint(0, 2)
+        system = (random_exact_system if exact else random_float_system)(
+            rng, d, s)
+        nonlinear = NonlinearSystem(system, {})
+        order = rng.randint(2, 6 if d < 3 else 4)
+        tol = rng.choice((1e-9, 1e-11))
+        got = check_nonlinear_assumption(nonlinear, order, tol)
+        want = _loop_nonlinear_check(nonlinear, order, tol)
+        assert got.passed == want.passed, trial
+        assert got.min_margin.hex() == want.min_margin.hex(), trial
+        assert got.violations == want.violations, trial
+        assert [(v.value.real.hex(), v.value.imag.hex(), v.margin.hex(),
+                 type(v.k)) for v in got.violations] == \
+            [(v.value.real.hex(), v.value.imag.hex(), v.margin.hex(),
+              type(v.k)) for v in want.violations], trial
+        outcomes.add(got.passed)
+        if not got.passed:
+            messages = []
+            for check in (check_nonlinear_assumption,
+                          _loop_nonlinear_check):
+                monkeypatch.setattr(engine, "check_nonlinear_assumption",
+                                    check)
+                with pytest.raises(AssumptionError) as err:
+                    engine.linearize(nonlinear, order, resonance_tol=tol)
+                messages.append(str(err.value))
+            monkeypatch.undo()
+            assert messages[0] == messages[1], trial
+    assert outcomes == {False, True}
