@@ -32,9 +32,11 @@ at the far pole.  A Taylor step from a centre c has length RHO times the
 distance from c to the nearest pole; it sums the series of the local
 factor Phi (W(c + t) = W(c) Phi(t)), whose coefficients come from the
 Frobenius recursion with no residue at c, and integrates it term by term
-against the series of x^a / Q.  One helper, ``_power_over_q``, gives that
-series for the steps and, leaving the pole's own factor out as its
-Frobenius recursion does, x^a / Q_j for the endpoint blocks.  The steps
+against the series of x^a / Q.  B is Fuchsian, so its Taylor blocks at c
+are S + 2 geometric sequences and the recursion keeps one running sum per
+pole; 1/Q solves the scalar system with residue -1 at every pole, so the
+steps read h / Q from one more diagonal entry.  ``_power_over_q`` gives
+x^a / Q_j for the endpoint blocks.  The steps
 depend only on the path and the poles, not on W, so one solve transports
 all its paths together (``_transport_passes``, which also takes
 ``eval``'s single path): it computes every path's start at the basepoint,
@@ -313,10 +315,17 @@ class _Context:
             min(abs(p - q) for q in self.poles if q is not p)
             for p in self.poles
         ]
+        # one more diagonal entry -1 at every pole, whose factor is 1/Q; the
+        # steps keep diag(Phi, q) as [Phi | q e_0], and at d = 1 [0 | q] as
+        # a second row, so that one step's product is a matrix product too
+        self.step_res = np.pad(self.res, ((0, 0), (0, 1), (0, 1)))
+        self.step_res[:, -1, -1] = -1
+        m = max(self.d, 2)
+        self.step_start = np.eye(m, self.d + 1) \
+            + np.eye(m, self.d + 1, self.d)
         self.step_terms = self.series_count(RHO)
         k = np.arange(self.step_terms)
-        # 1 / (m + l + 1), its columns l in descending order as in
-        # ``_factor_rows``
+        # 1 / (l + m + 1), its columns m descending as in ``_factor_rows``
         self.hilbert = 1.0 / (k[:, None] + k[None, ::-1] + 1)
         self._frob = {}
         self._blocks = {}
@@ -348,10 +357,9 @@ class _Context:
             return
         for j in todo:
             _check_resonance(self, j)
-        ratios = self.pole_ratios(todo)
-        stack = _factor_series(_neighbor_blocks(self, ratios, count),
-                               self.res[todo])
-        self._frob.update(zip(todo, stack))
+        rows = _factor_rows(self.pole_ratios(todo), self.res,
+                            np.eye(self.d), count, self.res[todo])
+        self._frob.update(zip(todo, rows[::-1].transpose(1, 0, 2, 3)))
 
     def pole_ratios(self, poles):
         """r_k = -1/(p_j - p_k) of a unit step from each p_j in ``poles``,
@@ -387,44 +395,46 @@ class _Context:
         return None
 
 
-def _factor_series(c_blocks, residues=None):
-    """Phi_0 = I and k Phi_k + B Phi_k - Phi_k B = sum_{l<k} Phi_{k-1-l} C_l.
+def _factor_rows(ratios, res, start, count, residues=None):
+    """Phi_0 = ``start``, k Phi_k + B Phi_k - Phi_k B = sum_{l<k} Phi_{k-1-l}
+    C_l to ``count`` terms, C_l = -sum_j r_j^{l+1} B_j, r_j = -h/(c - p_j).
 
-    ``c_blocks`` stacks the C_l of n centres as (n, count, d, d); the
-    recursion runs once over k for all of them.  With ``residues`` the
-    (n, d, d) stack of the residues B at n poles this is the Frobenius
+    ``ratios`` holds the r_j of n centres c, one row each (a zero leaves
+    pole j out), and ``res`` the (P, e, e) stack of the B_j.  With
+    ``residues`` the (n, e, e) residues B at n poles this is the Frobenius
     factor W = t^B Phi of each, one stacked Sylvester solve per k; with
-    ``residues`` None (B = 0, regular points) it is the Taylor series of
-    Phi' = Phi sum_l C_l t^l.  Returns the (n, count, d, d) stack, a view
-    of ``_factor_rows``.
+    ``residues`` None (B = 0) it is ``start`` (m, e) times the Taylor
+    series of Phi' = Phi sum_l C_l t^l, Phi(0) = I.  The history sum
+    is -sum_j A_j B_j, A_j = sum_{l<k} r_j^{l+1} Phi_{k-1-l} = r_j (A_j +
+    Phi_{k-1}) kept as running sums: one product (n m, P e) x (P e, e) per
+    k, per pole for Frobenius factors so that their bits do not depend on
+    the stack.  Returns the contiguous (count, n, m, e) stack whose
+    [count - 1 - k] is Phi_k.
     """
-    return _factor_rows(c_blocks, residues).transpose(0, 2, 1, 3)[:, ::-1]
-
-
-def _factor_rows(c_blocks, residues=None):
-    """``_factor_series`` in the recursion's own layout: the contiguous
-    (n, d, count, d) stack whose [:, :, count - 1 - k] holds Phi_k."""
-    n, count, d, _ = c_blocks.shape
-    c_rows = c_blocks.reshape(n, count * d, d)
-    # block count-1-k of ``rev`` holds Phi_k, so the history
-    # [Phi_{k-1} .. Phi_0] is one contiguous slice
-    rev = np.zeros((n, d, count * d), dtype=complex)
-    rev[:, :, (count - 1) * d:] = np.eye(d)
+    n, n_poles = ratios.shape
+    m, e = start.shape
+    rev = np.empty((count, n, m, e), dtype=complex)
+    rev[-1] = start
+    sums = np.zeros((n, m, n_poles, e), dtype=complex)
+    neg_res = -res.reshape(n_poles * e, e)
     if residues is not None:
-        eye = np.eye(d, dtype=complex)
+        eye = np.eye(e, dtype=complex)
         # k X + B X - X B = R on row-major vec(X), one operator per pole
         sylvester = np.stack([np.kron(b, eye) - np.kron(eye, b.T)
                               for b in residues])
-        shift = np.eye(d * d, dtype=complex)
     for k in range(1, count):
-        rhs = rev[:, :, (count - k) * d:] @ c_rows[:, :k * d]
+        sums += rev[count - k, :, :, None]
+        sums *= ratios[:, None, :, None]
         if residues is None:
-            rhs /= k
+            np.matmul(sums.reshape(n * m, n_poles * e), neg_res,
+                      out=rev[count - 1 - k].reshape(n * m, e))
+            rev[count - 1 - k] /= k
         else:
-            rhs = np.linalg.solve(sylvester + k * shift,
-                                  rhs.reshape(n, d * d, 1)).reshape(n, d, d)
-        rev[:, :, (count - 1 - k) * d:(count - k) * d] = rhs
-    return rev.reshape(n, d, count, d)
+            rhs = sums.reshape(n, e, n_poles * e) @ neg_res
+            rev[count - 1 - k] = np.linalg.solve(
+                sylvester + k * np.eye(e * e),
+                rhs.reshape(n, e * e, 1)).reshape(n, e, e)
+    return rev
 
 
 def _check_resonance(ctx, j):
@@ -441,19 +451,6 @@ def _check_resonance(ctx, j):
                     f"(within {ctx.resonance_tol:g}); no power-series "
                     "fundamental factor at this pole"
                 )
-
-
-def _neighbor_blocks(ctx, ratios, count):
-    """Blocks C_l h^{l+1}, l < count, of sum_k B_k/(x - p_k) at centres c.
-
-    ``ratios`` holds r_k = -h/(c - p_k), one row per centre; a zero leaves
-    pole k out (the Frobenius factor at p_k itself).
-    C_l h^{l+1} = -sum_k r_k^{l+1} B_k.  Returns (n, count, d, d).
-    """
-    n, n_poles = ratios.shape
-    powers = np.cumprod(
-        np.broadcast_to(ratios[:, None], (n, count, n_poles)), axis=1)
-    return np.tensordot(powers, -ctx.res, axes=1)
 
 
 # ----------------------------------------------------------------------
@@ -478,17 +475,13 @@ def _pole_blocks(ctx, asked, n_x):
     to ``count`` terms, for every (j, count) in ``asked``.
 
     H^(a) = (x^a / Q_j) Phi as a matrix series, with Q_j the pole-j
-    cofactor of Q; x^a / Q_j is ``_power_over_q`` at centre p_j with unit
-    length and pole j left out, for all the poles in one call at the
-    largest count.  Returns one (n_x, count, d, d) stack per request.
+    cofactor of Q; x^a / Q_j is ``_power_over_q``, for all the poles in
+    one call at the largest count.  Returns one (n_x, count, d, d) stack
+    per request.
     """
     poles = sorted({j for j, _ in asked})
-    scale = [1.0 / np.prod(ctx.poles[j] - np.delete(ctx.pole_array, j))
-             for j in poles]
-    series = _power_over_q(ctx.pole_array[poles], np.ones(len(poles)),
-                           ctx.pole_ratios(poles), np.array(scale), n_x,
-                           max(c for _, c in asked))
-    scalars = dict(zip(poles, series))
+    scalars = dict(zip(poles, _power_over_q(ctx, poles, n_x,
+                                            max(c for _, c in asked))))
     return [np.einsum("kla,lbc->akbc", _lower_toeplitz(scalars[j][:, :c].T),
                       ctx.frobenius(j, c)) for j, c in asked]
 
@@ -512,15 +505,14 @@ def _endpoint_sum(bj, t_end, blocks, tol):
     shifted = bj + k[:, None, None] * np.eye(d, dtype=complex)
     terms = np.linalg.solve(shifted, cols) * (t_end ** k)[:, None, None]
     acc = terms.sum(axis=0)
-    for i in range(n_blocks):
-        cols_of_block = slice(i * d, (i + 1) * d)
-        tail = float(np.max(np.abs(terms[-1][:, cols_of_block])))
-        scale = max(1.0, float(np.max(np.abs(acc[:, cols_of_block]))))
-        if tail > 50 * tol * scale:
-            raise QuadratureError(
-                f"endpoint series did not converge (last term {tail:.3e} "
-                f"after {count} terms)"
-            )
+    # per block: the largest entry of its last term and of its sum
+    tail, size = np.abs([terms[-1], acc]).reshape(2, d, -1, d).max(axis=(1, 3))
+    failed = np.flatnonzero(tail > 50 * tol * np.maximum(size, 1.0))
+    if failed.size:
+        raise QuadratureError(
+            f"endpoint series did not converge (last term "
+            f"{tail[failed[0]]:.3e} after {count} terms)"
+        )
     return acc.reshape(d, n_blocks, d).transpose(1, 0, 2)
 
 
@@ -707,48 +699,52 @@ def _step_factors(ctx, centres, lengths, n_x):
     One row per step (c, h), stacked as (n_steps, 1 + n_x, d, d).  With
     hats for scaling by h^k: (k + 1) Phi^_{k+1} = sum_l Phi^_{k-l} C^_l,
     Phi(h) = sum_k Phi^_k, and with s^ the scaled series of x^a / Q the
-    integral is sum_{m,l} Phi^_m s^_l h / (m + l + 1).
+    integral is sum_{m,l} Phi^_m s^_l h / (m + l + 1).  The recursion runs
+    on ``ctx.step_res``, whose extra entry's factor Q(c) / Q(c + h u) is
+    h / Q over h / Q(c).
     """
-    count = ctx.step_terms
-    n = len(centres)
+    n, d = len(centres), ctx.d
     delta = centres[:, None] - ctx.pole_array
-    ratios = -lengths[:, None] / delta
-    phi = _factor_rows(_neighbor_blocks(ctx, ratios, count))
-    out = np.empty((n, 1 + n_x, ctx.d, ctx.d), dtype=complex)
-    out[:, 0] = phi.sum(axis=2)
-    if n_x:
-        # h/Q(c + t) = (h / prod delta_k) prod_k 1/(1 - r_k t), scaled;
-        # the weight of each Phi^_m, m descending as in ``phi``
-        weights = _power_over_q(centres, lengths, ratios,
-                                lengths / np.prod(delta, axis=1),
-                                n_x, count) @ ctx.hilbert
-        out[:, 1:] = (weights[:, None] @ phi).transpose(0, 2, 1, 3)
+    rows = _factor_rows(-lengths[:, None] / delta, ctx.step_res,
+                        ctx.step_start, ctx.step_terms)
+    out = np.empty((n, 1 + n_x, d, d), dtype=complex)
+    # Phi(h) sums whole rows, so each entry adds its terms in k order
+    out[:, 0] = rows.sum(axis=0)[:, :d, :d]
+    over_q = rows[::-1, :, 0, d].T * (lengths / np.prod(delta, 1))[:, None]
+    # the weight of each Phi^_m in the integrals, m descending as in
+    # ``rows``, for 32 steps at a time to bound the weights' memory
+    for i in range(0, n, 32):
+        part = slice(i, i + 32)
+        weights = _times_powers(over_q[part], centres[part], lengths[part],
+                                n_x) @ ctx.hilbert
+        phi = np.moveaxis(rows[:, part, :d, :d], 0, 2)
+        out[part, 1:] = np.moveaxis(weights[:, None] @ phi, 1, 2)
     return out
 
 
-def _power_over_q(centres, lengths, ratios, scale, n_x, count):
-    """Series of scale * x^a prod_k 1/(1 - r_k u), x = c + h u, a < n_x.
-
-    One row per centre c with length h, pole ratios r_k and prefactor
-    ``scale``, to ``count`` terms in u, stacked as (n, n_x, count).  A step
-    passes r_k = -h/(c - p_k) and scale h / prod_k (c - p_k), giving the
-    scaled series of h x^a / Q; pole j passes h = 1, r_j = 0 and
-    1 / prod_{k != j} (p_j - p_k), giving x^a / Q_j.
-    """
-    out = np.empty((len(centres), n_x, count), dtype=complex)
-    s = np.zeros((len(centres), count), dtype=complex)
+def _power_over_q(ctx, poles, n_x, count):
+    """x^a / Q_j = x^a prod_{k != j} 1/((p_j - p_k)(1 - r_k t)), x = p_j + t,
+    a < n_x, to ``count`` terms per pole j of ``poles``: (n, n_x, count)."""
+    s = np.zeros((len(poles), count), dtype=complex)
     s[:, 0] = 1.0
-    # dividing by 1 - r u is s[l] += r s[l-1], one pole at a time
-    for r in ratios.T:
+    # dividing by 1 - r t is s[l] += r s[l-1], one pole at a time
+    for r in ctx.pole_ratios(poles).T:
         for l in range(1, count):
             s[:, l] += r * s[:, l - 1]
-    s *= scale[:, None]
+    s *= np.array([1.0 / np.prod(ctx.poles[j] - np.delete(ctx.pole_array, j))
+                   for j in poles])[:, None]
+    return _times_powers(s, ctx.pole_array[poles], np.ones(len(poles)), n_x)
+
+
+def _times_powers(s, centres, lengths, n_x):
+    """x^a s(u), a < n_x, x = c + h u, for series ``s`` (n, count) in u at
+    n centres c with lengths h: (n, n_x, count)."""
+    out = np.empty((len(s), n_x, s.shape[1]), dtype=complex)
     for a in range(n_x):
         out[:, a] = s
         # x^(a+1): multiply by x = c + h u term by term
-        shifted = np.zeros_like(s)
-        shifted[:, 1:] = s[:, :-1]
-        s = centres[:, None] * s + lengths[:, None] * shifted
+        s = centres[:, None] * s
+        s[:, 1:] += lengths[:, None] * out[:, a, :-1]
     return out
 
 

@@ -550,8 +550,8 @@ def verify_conjugacy(nonlinear, series, h, order_max, mode="obstruction",
     obstruction:  Q d_x h + (d_w h)(QA)w - (QA)h = [f - series](x, w + h)
     normal-form:  ... = f(x, w + h) - series(x, w) - (d_w h) series(x, w)
 
-    checked order by order through ``order_max``; the report holds the
-    maximal absolute coefficient of the difference per order (the row
+    checked order by order from 2 through ``order_max``; the report holds
+    the maximal absolute coefficient of the difference per order (the row
     store's ``magnitude``).  Exact mode decides zero exactly: the report's
     tolerance is 0 whatever ``tol`` is, so it passes exactly when every
     difference is exactly zero.  A term of order below 2 in ``series`` or
@@ -569,6 +569,8 @@ def verify_conjugacy(nonlinear, series, h, order_max, mode="obstruction",
     normal = mode == "normal-form"
 
     report = ConjugacyReport(mode=mode, tol=0.0 if exact else tol)
+    if order_max < 2:
+        return report
     rows = _row_store(exact, d, order_max)
     # (QA) w as a field block: column s of QA at the monomial w_s
     rows.polys(_E, 1, [qa.entry(l, m.index(1))

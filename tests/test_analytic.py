@@ -25,9 +25,8 @@ from fuchslin.analytic import (
     solve_analytic,
     _Context,
     _endpoint_sum,
-    _factor_series,
+    _factor_rows,
     _lower_toeplitz,
-    _neighbor_blocks,
     _pole_blocks,
 )
 from fuchslin.correction import solve_polynomial
@@ -433,6 +432,11 @@ def test_lowered_rodrigues_family_is_multiply_orthogonal(scale):
     assert max(ratios["unlowered"]) >= 0.1
 
 
+def _factor_series(*args):
+    """``_factor_rows`` as the (n, count, m, e) stack of the Phi_k."""
+    return _factor_rows(*args)[::-1].transpose(1, 0, 2, 3)
+
+
 def test_stacked_factor_series_matches_per_centre():
     ctx = _Context(_reference_system(), 1e-10)
     count = ctx.step_terms
@@ -444,12 +448,12 @@ def test_stacked_factor_series_matches_per_centre():
     ratios = -(RHO * dist * heads)[:, None] / (centres[:, None]
                                                 - ctx.pole_array)
     assert len({tuple(np.round(np.abs(r), 6)) for r in ratios}) == 3
-    stacked = _factor_series(_neighbor_blocks(ctx, ratios, count))
-    assert stacked.shape == (3, count, 2, 2)
+    stacked = _factor_series(ratios, ctx.step_res, ctx.step_start, count)
+    assert stacked.shape == (3, count, 2, 3)
     for i in range(3):
-        single = _factor_series(_neighbor_blocks(ctx, ratios[i:i + 1],
-                                                 count))
-        assert single.shape == (1, count, 2, 2)
+        single = _factor_series(ratios[i:i + 1], ctx.step_res,
+                                ctx.step_start, count)
+        assert single.shape == (1, count, 2, 3)
         for k in range(count):
             want = single[0, k]
             scale = float(np.max(np.abs(want)))
@@ -465,12 +469,141 @@ def test_stacked_frobenius_factors_match_per_pole():
         ratios = np.zeros((1, 3), dtype=complex)
         others = np.arange(3) != j
         ratios[0, others] = -1.0 / (ctx.poles[j] - ctx.pole_array[others])
-        single = _factor_series(_neighbor_blocks(ctx, ratios, count),
+        single = _factor_series(ratios, ctx.res, np.eye(2), count,
                                 ctx.res[j:j + 1])
         assert single.shape == (1, count, 2, 2)
         assert np.array_equal(ctx.frobenius(j, count), single[0])
         # a shorter request is the same factor, truncated
         assert np.array_equal(ctx.frobenius(j, 7), single[0, :7])
+
+
+def _history_blocks(res, ratios, count):
+    """C_l h^{l+1} = -sum_k r_k^{l+1} B_k, l < count, of sum_k B_k/(x - p_k)
+    at the centres of ``ratios`` (one row each): (n, count, d, d).  The
+    factor recursion's input before it kept running sums over the poles."""
+    n, n_poles = ratios.shape
+    powers = np.cumprod(
+        np.broadcast_to(ratios[:, None], (n, count, n_poles)), axis=1)
+    return np.tensordot(powers, -res, axes=1)
+
+
+def _history_factor_series(c_blocks, residues=None):
+    """k Phi_k + B Phi_k - Phi_k B = sum_{l<k} Phi_{k-1-l} C_l as one
+    product of Phi's whole history with the C_l per k: the recursion the
+    running sums replaced.  Returns (n, count, d, d)."""
+    n, count, d, _ = c_blocks.shape
+    c_rows = c_blocks.reshape(n, count * d, d)
+    rev = np.zeros((n, d, count * d), dtype=complex)
+    rev[:, :, (count - 1) * d:] = np.eye(d)
+    if residues is not None:
+        eye = np.eye(d, dtype=complex)
+        sylvester = np.stack([np.kron(b, eye) - np.kron(eye, b.T)
+                              for b in residues])
+        shift = np.eye(d * d, dtype=complex)
+    for k in range(1, count):
+        rhs = rev[:, :, (count - k) * d:] @ c_rows[:, :k * d]
+        if residues is None:
+            rhs /= k
+        else:
+            rhs = np.linalg.solve(sylvester + k * shift,
+                                  rhs.reshape(n, d * d, 1)).reshape(n, d, d)
+        rev[:, :, (count - 1 - k) * d:(count - k) * d] = rhs
+    return rev.reshape(n, d, count, d).transpose(0, 2, 1, 3)[:, ::-1]
+
+
+def _cascade_over_q(ratios, scale, count):
+    """scale * prod_k 1/(1 - r_k u) by dividing by one 1 - r_k u at a time:
+    the series the steps took h / Q from before the recursion gave it."""
+    s = np.zeros((len(ratios), count), dtype=complex)
+    s[:, 0] = 1.0
+    for r in ratios.T:
+        for l in range(1, count):
+            s[:, l] += r * s[:, l - 1]
+    return s * scale[:, None]
+
+
+def _assert_termwise_close(got, want, size, rtol):
+    """Each term of ``got`` within ``rtol`` of ``want``'s, relative to
+    ``size``'s: a bound on the terms of the sum that term adds up."""
+    axes = tuple(range(2, want.ndim))
+    gap = np.max(np.abs(got - want), axis=axes) if axes else abs(got - want)
+    bound = np.max(size, axis=axes) if axes else size
+    assert np.all(gap <= rtol * bound), np.max(gap / bound)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("s", [0, 1, 2])
+def test_running_sums_match_the_history_recursion(d, s):
+    rng = np.random.default_rng(100 * d + s)
+    n_poles = s + 2
+    res = 0.4 * (rng.standard_normal((n_poles, d, d))
+                 + 1j * rng.standard_normal((n_poles, d, d)))
+    count = 48
+    # ratios r_k = -h/(c - p_k) of five steps, the largest of each RHO
+    ratios = rng.standard_normal((5, n_poles)) \
+        * np.exp(2j * math.pi * rng.random((5, n_poles)))
+    ratios *= RHO / np.max(np.abs(ratios), axis=1, keepdims=True)
+    # the steps' form: one more diagonal entry -1, and the rows
+    # [Phi | q e_0], with [0 | q] too at d = 1 (``_Context.step_start``)
+    step_res = np.zeros((n_poles, d + 1, d + 1), dtype=complex)
+    step_res[:, :d, :d] = res
+    step_res[:, d, d] = -1.0
+    m = max(d, 2)
+    start = np.eye(m, d + 1) + np.eye(m, d + 1, d)
+    got = _factor_series(ratios, step_res, start, count)
+
+    # the same recursions on |r_k| and |B_k| bound every term each sum adds
+    def size(ratios):
+        return _history_factor_series(_history_blocks(
+            -np.abs(res), np.abs(ratios), count)).real
+
+    _assert_termwise_close(
+        got[:, :, :d, :d],
+        _history_factor_series(_history_blocks(res, ratios, count)),
+        size(ratios), 1e-14)
+    # the extra column is prod_k 1/(1 - r_k u) in row 0 (and in the extra
+    # row at d = 1), zero in the other rows of Phi
+    assert not np.any(got[:, :, 1:d, d]) and not np.any(got[:, :, d:, :d])
+    for row in ([0, 1] if d == 1 else [0]):
+        _assert_termwise_close(
+            got[:, :, row, d], _cascade_over_q(ratios, np.ones(5), count),
+            _cascade_over_q(np.abs(ratios), np.ones(5), count).real, 1e-14)
+    # Frobenius factors: pole i's own ratio is zero and its residue enters
+    # the Sylvester solve
+    ratios[np.arange(n_poles), np.arange(n_poles)] = 0.0
+    frob = ratios[:n_poles]
+    _assert_termwise_close(
+        _factor_series(frob, res, np.eye(d), count, res),
+        _history_factor_series(_history_blocks(res, frob, count), res),
+        size(frob), 1e-14)
+
+
+@pytest.mark.parametrize("system", [_reference_system(),
+                                    scalar_system("1/2", "-3/4")])
+def test_step_factors_match_the_history_recursion(system):
+    ctx = _Context(system, 1e-10)
+    count, n_x = ctx.step_terms, 3
+    centres = np.array([0.0, 0.3 + 0.5j, -0.4 - 0.9j])
+    dist = np.min(np.abs(centres[:, None] - ctx.pole_array), axis=1)
+    lengths = RHO * dist * np.array([1.0, 1j, -0.6 + 0.8j])
+    delta = centres[:, None] - ctx.pole_array
+    ratios = -lengths[:, None] / delta
+    phi = _history_factor_series(_history_blocks(ctx.res, ratios, count))
+    over_q = _cascade_over_q(ratios, lengths / np.prod(delta, axis=1), count)
+    m = np.arange(count)
+    got = analytic._step_factors(ctx, centres, lengths, n_x)
+    for i in range(3):
+        want = [phi[i].sum(axis=0)]
+        for a in range(n_x):
+            # x^a h / Q as a series in u, x = c + h u
+            power = np.polynomial.polynomial.polypow(
+                [centres[i], lengths[i]], a)
+            s_a = np.convolve(over_q[i], power)[:count]
+            weights = s_a @ (1.0 / (m[:, None] + m[None, :] + 1))
+            want.append(np.einsum("m,mij->ij", weights, phi[i]))
+        for got_block, want_block in zip(got[i], want):
+            assert np.max(np.abs(got_block - want_block)) \
+                <= 1e-14 * np.max(np.abs(want_block))
 
 
 def test_transport_passes_match_one_pass_per_path():
@@ -597,6 +730,32 @@ def test_endpoint_sum_stacks_blocks_with_their_own_convergence_test():
     blocks[0, -1] = 1e-5 / abs(t_end) ** (count - 1)
     with pytest.raises(QuadratureError, match="did not converge"):
         _endpoint_sum(bj, t_end, blocks, 1e-10)
+
+
+def test_endpoint_sum_names_the_first_block_that_does_not_converge():
+    bj = np.array([[0.75, 0.5], [0.2, 1.25]], dtype=complex)
+    t_end = 0.3 - 0.1j
+    count = 30
+    decay = (0.5 ** np.arange(count))[:, None, None]
+    rng = np.random.default_rng(7)
+    blocks = decay * rng.standard_normal((3, count, 2, 2))
+
+    def last_term(i):
+        return float(np.max(np.abs(
+            t_end ** (count - 1)
+            * np.linalg.solve(bj + (count - 1) * np.eye(2), blocks[i, -1]))))
+
+    # blocks 1 and 2 end on a large last term; block 1's is reported
+    grow = abs(t_end) ** (1 - count)
+    blocks[1, -1] = grow * np.array([[1e-3, 0.0], [2e-3, 0.0]])
+    blocks[2, -1] = grow * np.array([[0.0, 5.0], [0.0, 1.0]])
+    want = (f"endpoint series did not converge (last term "
+            f"{last_term(1):.3e} after 30 terms)")
+    with pytest.raises(QuadratureError) as err:
+        _endpoint_sum(bj, t_end, blocks, 1e-10)
+    assert str(err.value) == want
+    assert want != (f"endpoint series did not converge (last term "
+                    f"{last_term(2):.3e} after 30 terms)")
 
 
 # the benchmark's analytic-route jobs with the largest share of the

@@ -880,6 +880,40 @@ def test_solve_polynomial_follows_a_translation_and_a_scaling():
         assert got.y.coeffs == want.y.scale(EPS).coeffs
 
 
+# x = MU xi moves the poles to p_j / MU and keeps the residues
+MU = ExactComplex(Fraction(5, 3), Fraction(-1, 2))
+
+
+def dilated_by_mu(p, factor):
+    """factor * p(MU xi) as a polynomial in xi."""
+    return VecPoly.from_coeffs(
+        [tuple(v * factor * MU ** k for v in c)
+         for k, c in enumerate(p.coeffs)], exact=True, dim=p.dim)
+
+
+def test_solve_polynomial_follows_a_dilation():
+    # Q(MU xi) = MU^(S+2) Q~(xi) and (QB)(MU xi) = MU^(S+1) (Q~B~)(xi), so
+    # Q y' + (QB) y = g - phi in x is MU^(S+1) times the same equation in
+    # xi for y~(xi) = y(MU xi) and g~(xi) = MU^-(S+1) g(MU xi); by
+    # uniqueness phi~(xi) = MU^-(S+1) phi(MU xi), exactly
+    rng = random.Random(53)
+    draws = 0
+    while draws < 20:
+        system = random_full_system(rng)
+        if any(singular for _, _, singular in singular_shifts(
+                system.residue_matrix("inf"),
+                system.residue_spectrum("inf"), 0.0)):
+            continue
+        draws += 1
+        g = complex_vecpoly(rng, system.size, rng.randint(0, system.s + 4))
+        shrink = ExactComplex(1) / MU ** (system.s + 1)
+        want = solve_polynomial(system, g)
+        got = solve_polynomial(
+            FuchsianSystem(tuple(p / MU for p in system.poles),
+                           system.residues), dilated_by_mu(g, shrink))
+        assert got.phi.coeffs == dilated_by_mu(want.phi, shrink).coeffs
+        assert got.y.coeffs == dilated_by_mu(want.y, ExactComplex(1)).coeffs
+
 def test_local_taylor_follows_a_translation_and_a_scaling():
     # the series at p_j - NU of the translated problem has the old
     # coefficients, and EPS g scales them by EPS: exactly in exact mode,

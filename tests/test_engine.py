@@ -1095,6 +1095,24 @@ def test_degree_bound_and_exact_residuals_random():
         assert report2.max_residual == 0.0
 
 
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("mode", ["obstruction", "normal-form"])
+def test_verify_below_order_two_is_empty_and_passes(exact, mode):
+    # linearize and normal_form to order 0 or 1 return empty tables, and
+    # verifying them checks no order
+    nl = random_nonresonant(random.Random(11), d_max=2)
+    if not exact:
+        nl = NonlinearSystem(float_system(nl.linear), {
+            m: float_vecpoly(p) for m, p in nl.nonlinearity.items()})
+    run = linearize if mode == "obstruction" else normal_form
+    for order in (0, 1):
+        series, h = run(nl, order)
+        assert len(series) == 0 and len(h) == 0
+        report = verify_conjugacy(nl, series, h, order, mode=mode)
+        assert report.residuals == {} and report.passed
+        assert report.tol == (0.0 if exact else 1e-9)
+
+
 # ----------------------------------------------------------------------
 # changes of variables
 # ----------------------------------------------------------------------
@@ -1197,6 +1215,36 @@ def test_exact_tables_follow_a_monomial_basis_change(run):
         for want, got in zip(run(nl, order), run(changed, order)):
             assert {m: p.coeffs for m, p in moved(dict(want)).items()} \
                 == {m: p.coeffs for m, p in got}, seed
+
+
+@pytest.mark.parametrize("run", [linearize, normal_form])
+def test_exact_tables_follow_a_dilation_in_x(run):
+    # x = mu xi moves the poles to p_j / mu and keeps the residues; as
+    # Q(mu xi) = mu^(S+2) Q~(xi), f(x, u) / Q becomes f~(xi, u) / Q~ with
+    # f~(xi, u) = mu^-(S+1) f(mu xi, u) once u' is taken in xi.  By
+    # uniqueness phi~_m(xi) = mu^-(S+1) phi_m(mu xi) (psi likewise, the
+    # x-degree <= S kept) and h~_m(xi) = h_m(mu xi), exactly
+    mu = ExactComplex(Fraction(5, 3), Fraction(-1, 2))
+
+    def dilated(p, factor):
+        return VecPoly.from_coeffs(
+            [tuple(v * factor * mu ** k for v in c)
+             for k, c in enumerate(p.coeffs)], exact=True, dim=p.dim)
+
+    for seed in range(20):
+        nl = random_nonresonant(random.Random(f"dilation-{seed}"), d_max=3)
+        linear = nl.linear
+        shrink = ExactComplex(1) / mu ** (linear.s + 1)
+        moved = NonlinearSystem(
+            FuchsianSystem(tuple(p / mu for p in linear.poles),
+                           linear.residues),
+            {m: dilated(p, shrink) for m, p in nl.nonlinearity.items()})
+        order = 5 if nl.size < 3 else 4
+        (series, h), (got_series, got_h) = run(nl, order), run(moved, order)
+        assert {m: dilated(p, shrink).coeffs for m, p in series} \
+            == {m: p.coeffs for m, p in got_series}, seed
+        assert {m: dilated(p, ExactComplex(1)).coeffs for m, p in h} \
+            == {m: p.coeffs for m, p in got_h}, seed
 
 
 def _sympy_scalar(c):
