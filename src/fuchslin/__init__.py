@@ -6,9 +6,9 @@ The package computes, in exact rational or floating complex arithmetic:
   first-order operators (a Rodrigues-type construction), in which the
   polynomial correction problem becomes triangular,
 * the unique polynomial correction phi (x-degree <= S) making a
-  nonhomogeneous Fuchsian system solvable in polynomials, plus the
-  solution — or, for non-polynomial data, an analytic solution handle
-  built from moment integrals along complex paths,
+  nonhomogeneous Fuchsian system with polynomial data solvable in
+  polynomials, plus the solution, by a recursion or, as an analytic
+  solution handle, from moment integrals along complex paths,
 * order-by-order formal linearizations and normal forms of nonlinear
   perturbations u' = A(x)u + f(x, u)/Q, together with a check of the
   conjugacy identity each satisfies.

@@ -95,14 +95,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# Not called: bench/tracing.py looks this name up to time the integrator.
-from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.linalg import expm
 
 from .correction import CorrectionResult, local_taylor, solve_polynomial
 from .matrices import CMatrix
 from .model import AssumptionError, FuchsianSystem, check_linear_assumption
 from .poly import VecPoly
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's ``solve_ivp``, imported on call.  Nothing here calls it:
+    bench/tracing.py wraps this name to time the integrator, and a plain
+    function keeps scipy off the package's import path."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 class ResonanceError(AssumptionError):
@@ -147,6 +152,7 @@ class FundamentalSolution:
 
     def w_local(self, x):
         """t^{B} Phi(x) with the principal branch of log t."""
+        from scipy.linalg import expm
         t = complex(x) - self.center
         return expm(cmath.log(t) * self.residue) @ self.eval_phi(x)
 
@@ -382,6 +388,7 @@ class _Context:
 
     def anchor(self):
         """K_0 = prod_{k>0} (p_0 - p_k)^{B_k}, principal logs, ascending k."""
+        from scipy.linalg import expm
         acc = np.eye(self.d, dtype=complex)
         for k in range(1, len(self.poles)):
             acc = acc @ expm(cmath.log(self.poles[0] - self.poles[k])
@@ -838,6 +845,7 @@ def _moment_passes(system, paths, tol, n_x):
     normalization: each pass times K_0 t_a^{B_0}, the left factor its
     start point a leaves out.  The spectra must be in the right half
     plane."""
+    from scipy.linalg import expm
     sysf = float_system(system)
     specs = _paths_for(sysf, paths)
     _require_positive_spectra(sysf)

@@ -26,7 +26,7 @@ t^k: the solution analytic at p_j, which the analytic route's solution
 handle evaluates near a pole.  The analytic route's certificate compares
 its phi and continued solution with ``solve_polynomial``'s.
 
-Both ends refuse a singular shift up front (``model.singular_shifts``).
+Both ends refuse the shifts ``model.singular_shifts`` flags, up front.
 Exact mode runs one loop, ``_recur_exact``, on integer rows: per degree,
 integer numerators over one denominator, real and imaginary parts apart
 (``SplitPoly``), with q_i and R_(i-1), whose entries arrive as integers
@@ -210,8 +210,8 @@ def _singular_ks(system, label, tol, pivot):
     singular, as ``model.singular_shifts`` decides: in exact mode on
     ``pivot``, the SparseMatrix the recursion solves with (its 2N
     embedding is singular exactly when the complex matrix is)."""
-    tests = singular_shifts(pivot, system.residue_spectrum(label), tol)
-    return [k for k, _, singular in tests if singular]
+    k, _, bad = singular_shifts(pivot, system.residue_spectrum(label), tol)
+    return [int(v) for v in k[bad].tolist()]
 
 
 def _exact_operators(system, pole_index=None):

@@ -29,9 +29,10 @@ the solvers are valid:
 * nonlinear: k + (lambda, m) - lambda_i never vanishes for natural k and
   monomial orders 2 .. order_max, per residue spectrum lambda.
 
-Both, and the correction solver, decide each integer shift by one rule,
-``singular_shifts``: float eigenvalues propose the nearest shift, float
-mode rejects it by tolerance, exact mode by exact elimination.
+Both, and the correction solver, decide every integer shift by the one
+rule ``singular_shifts``, on arrays: float eigenvalues, of a residue or of
+a block (``pnspace._slot_values``), propose the nearest shift; float mode
+rejects it by tolerance, exact mode by exact elimination.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ import numpy as np
 
 from .exact import from_int, scalar_is_zero
 from .matrices import CMatrix, ShapeError, SparseMatrix, mat_eigenvalues
-from .pnspace import PnBasis, SeriesTable, _monomials, conjugation_entries
+from .pnspace import (PnBasis, SeriesTable, _monomials, _slot_values,
+                      conjugation_entries)
 from .poly import MatPoly, sp_diff, sp_eval, sp_from_roots
 
 
@@ -260,41 +262,24 @@ class NonlinearAssumptionReport:
 _SHIFT_WINDOW = 1e-3
 
 
-def singular_shifts(mat, values, tol, degree=0):
+def singular_shifts(mat, values, tol, degrees=0):
     """Propose one integer shift per value and decide whether it is singular.
 
-    ``values`` are float eigenvalues of T: of ``mat`` itself when
-    ``degree`` is 0, else of J_mat on the degree-``degree`` block (the
-    values <lambda, m> - lambda_i).  For each z the proposal is
-    k = max(0, round(-Re z)), the k >= 0 that minimises the margin
-    |z + k|.  Float mode calls k + T singular when the margin is <= tol.
-    Exact mode ignores tol: proposals within the window are decided by
-    exact elimination of k + T, T built only then; the others are not
-    singular.  A shift found singular that way has margin 0.0.  Returns
-    one (k, margin, singular) per value, in order.  Float mode reads
-    nothing of ``mat``, which may then be a complex array.  In exact mode
-    ``mat`` is a CMatrix or, with ``degree`` 0, a SparseMatrix; J of a
-    CMatrix is built as integer entries over one denominator from the
+    ``values`` (an array or a list) are float eigenvalues of T: of ``mat``
+    itself where their degree is 0, else of J_mat on the block of that
+    degree (``pnspace._slot_values``); ``degrees`` is one int or one per
+    value.  For each z the proposal is k = max(0, round(-Re z)), the
+    k >= 0 that minimises the margin |z + k|.  Float mode calls k + T
+    singular when the margin is <= tol.  Exact mode ignores tol: only
+    proposals within the window are decided, by exact elimination of
+    k + T, T built only then, and one found singular has margin 0.0.
+    Returns the arrays (k as floats, margin, singular), in the order of
+    ``values``.  Float mode reads nothing of ``mat`` (it may be None).  In
+    exact mode ``mat`` is a CMatrix or, at degree 0, a SparseMatrix; J of
+    a CMatrix is built as integer entries over one denominator from the
     plan of its block.
     """
-    proposals = [(k, abs(z + k))
-                 for z in values for k in (max(0, round(-z.real)),)]
-    scale = _exact_scale(mat)
-    if scale is None:
-        return [(k, margin, margin <= tol) for k, margin in proposals]
-    window = scale * (degree + 1)
-    near = _singular_near(mat, {k for k, margin in proposals
-                                if margin <= window}, degree)
-    return [(k, 0.0, True) if margin <= window and k in near
-            else (k, margin, False) for k, margin in proposals]
-
-
-def _shift_arrays(mat, values, tol, degrees):
-    """``singular_shifts`` on a complex array of values, value v a value
-    of the block of degree ``degrees[v]``: the shifts (as floats), margins
-    and flags as arrays, each margin bit for bit the one
-    ``singular_shifts`` gives.  That keeps its per-value loop for its
-    callers, which pass a few values at a time."""
+    values = np.asarray(values, complex)
     k = np.maximum(np.rint(-values.real), 0.0)
     # hypot, as abs() of a Python complex: np.abs rounds differently
     shifted = values + k
@@ -302,9 +287,10 @@ def _shift_arrays(mat, values, tol, degrees):
     scale = _exact_scale(mat)
     if scale is None:
         return k, margin, margin <= tol
+    degrees = np.zeros(len(values), int) + degrees
     close = margin <= scale * (degrees + 1)
     singular = np.zeros_like(close)
-    for degree in np.unique(degrees[close]).tolist():
+    for degree in set(degrees[close].tolist()):
         here = close & (degrees == degree)
         near = _singular_near(mat, set(map(int, k[here].tolist())), degree)
         singular |= here & np.isin(k, list(near))
@@ -321,8 +307,6 @@ def _exact_scale(mat):
 
 def _singular_near(mat, shifts, degree):
     """The shifts k for which k + T is singular, by exact elimination."""
-    if not shifts:
-        return set()
     op = mat
     if degree:
         basis = PnBasis(mat.n_rows, degree)
@@ -347,10 +331,11 @@ def check_linear_assumption(system, tol=1e-9):
         radius = max((abs(ev) for ev in spectrum), default=0.0)
         k_checked = max(k_checked, int(math.ceil(radius)) + 1)
         tests = singular_shifts(system.residue_matrix(label), spectrum, tol)
-        for ev, (k, margin, singular) in zip(spectrum, tests):
+        for ev, k, margin, singular in zip(spectrum,
+                                           *(a.tolist() for a in tests)):
             min_margin = min(min_margin, margin)
             if singular:
-                violations.append(LinearViolation(label, k, ev, margin))
+                violations.append(LinearViolation(label, int(k), ev, margin))
     return LinearAssumptionReport(
         passed=not violations,
         k_checked=k_checked,
@@ -363,30 +348,22 @@ def check_nonlinear_assumption(nonlinear, order_max, tol=1e-9):
     """Certify k + <lambda, m> - lambda_i != 0 up to monomial order order_max.
 
     Runs per residue spectrum of the linear part (including the residue
-    sum), deciding the shifts of J_{B_j} on the degree-n blocks by the
-    rule of ``singular_shifts``, with the values <lambda, m> - lambda_i
-    of every slot (m, i) of every order n and their proposals as arrays.
+    sum), deciding the shifts of J_{B_j} on the degree-n blocks by
+    ``singular_shifts``, with the values <lambda, m> - lambda_i of every
+    slot (m, i) of every order n (``pnspace._slot_values``) as one array.
     """
     system = nonlinear.linear
     d = system.size
     exps, off, counts = _monomials(d, max(order_max, 2))
     exps = exps[off[2]:off[order_max + 1]]
-    orders = np.arange(2, order_max + 1)
-    degrees = orders.repeat(counts[2:order_max + 1] * d)
+    degrees = np.arange(2, order_max + 1).repeat(counts[2:order_max + 1] * d)
     violations = []
     min_margin = math.inf
     for label, spectrum in system.all_spectra():
-        ev = np.array(spectrum, complex)
-        # <lambda, m> summed one component after another, as sum() does
-        shift = np.zeros(len(exps), complex)
-        for j in range(d):
-            shift = shift + exps[:, j] * ev[j]
-        values = (shift[:, None] - ev).ravel()    # slot (m, i), m major
-        if not values.size:
-            continue
-        k, margin, singular = _shift_arrays(system.residue_matrix(label),
-                                            values, tol, degrees)
-        min_margin = min(min_margin, float(margin.min()))
+        values = _slot_values(spectrum, exps).ravel()    # slot (m, i)
+        k, margin, singular = singular_shifts(system.residue_matrix(label),
+                                              values, tol, degrees)
+        min_margin = min(min_margin, float(margin.min(initial=math.inf)))
         for slot in np.flatnonzero(singular).tolist():
             row, i = divmod(slot, d)
             shift_k = int(k[slot])

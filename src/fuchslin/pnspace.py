@@ -10,7 +10,7 @@ ordering makes the conjugation operator
 
 upper triangular whenever M is upper triangular, with diagonal
 <lambda, m> - lambda_i -- which is why its spectrum can be predicted
-straight from the spectrum of M.
+straight from the spectrum of M (``_slot_values``, for its shifts too).
 
 J_M is linear in M, and which entry of M adds into which entry of J_M,
 with which integer coefficient, depends only on (d, n).  Those
@@ -300,10 +300,21 @@ def conjugation_spectrum(mat, basis, eigenvalues=None):
     ``mat`` is triangular with its diagonal in order.
     """
     lam = mat_eigenvalues(mat) if eigenvalues is None else eigenvalues
-    out = []
-    for m, i in basis.items:
-        out.append(sum(mj * lj for mj, lj in zip(m, lam)) - lam[i])
-    return out
+    values = _slot_values(lam, _exponents(basis.d, basis.n)).T.ravel()
+    if basis.positions is not None:
+        values = values[np.argsort(basis.positions)]
+    return values.tolist()
+
+
+def _slot_values(eigenvalues, exps):
+    """<lambda, m> - lambda_i, row m of ``exps``, column i, as a complex
+    array, with <lambda, m> summed one component after another, as sum()
+    does: the values whose shifts ``model.singular_shifts`` decides."""
+    lam = np.asarray(eigenvalues, complex)
+    shift = np.zeros(len(exps), complex)
+    for j in range(len(lam)):
+        shift = shift + exps[:, j] * lam[j]
+    return shift[:, None] - lam
 
 
 class InducedBlock:

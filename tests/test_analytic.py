@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fuchslin import analytic, correction
 from fuchslin.analytic import (
@@ -1015,14 +1016,15 @@ def _phi_error(system, phi, want):
 
 def test_solve_and_eval_run_no_matrix_exponential(monkeypatch):
     # each path works in its own frame: no anchor K_0 and no t^B at
-    # either end, so neither the solve nor eval calls expm
+    # either end, so neither the solve nor eval calls expm (imported from
+    # scipy.linalg where it is used)
     system, g = _scaled_reference(Fraction(1))
     reference = solve_polynomial(system, g)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a matrix exponential ran")
 
-    monkeypatch.setattr(analytic, "expm", refuse)
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
     monkeypatch.setattr(_Context, "anchor", refuse)
     result = solve_analytic(system, g)
     assert result.y.certificate.passed

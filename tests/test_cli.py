@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import re
+import subprocess
 import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -870,3 +875,38 @@ def test_toml_document(tmp_path, capsys):
     code, out, _ = run(capsys, ["check", str(path), "--exact"])
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_console_commands_load_no_scipy(tmp_path):
+    """In a fresh interpreter, ``import fuchslin.cli`` and the exact and
+    float ``linearize``, the exact ``verify`` and ``correct --analytic`` on
+    README's example load no scipy module: only ``moments``,
+    ``rhs_moment`` and ``w_local`` import it."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    doc = tmp_path / "doc.json"
+    doc.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1),
+                   encoding="utf-8")
+    script = textwrap.dedent("""
+        import sys
+        from fuchslin.cli import main
+        doc, tables = sys.argv[1:]
+        codes = [
+            main(["linearize", doc, "--exact", "--order", "6",
+                  "--out", tables]),
+            main(["verify", doc, "--exact", "--tables", tables]),
+            main(["linearize", doc, "--order", "6"]),
+            main(["correct", doc, "--g", "[[[0,0]],[[0,0]],[[1,0]]]",
+                  "--analytic"]),
+        ]
+        print(codes, sorted(m for m in sys.modules
+                            if m.split(".")[0] == "scipy"))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(doc), str(tmp_path / "t.json")],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"

@@ -20,6 +20,8 @@ from fuchslin.model import (
     NonlinearAssumptionReport,
     NonlinearSystem,
     NonlinearViolation,
+    _exact_scale,
+    _singular_near,
     check_linear_assumption,
     check_nonlinear_assumption,
     singular_shifts,
@@ -354,9 +356,47 @@ def test_float_checks_match_brute_force_sweep():
     assert seen_violation > 10 and seen_clean > 10
 
 
+def _loop_singular_shifts(mat, values, tol, degree=0):
+    """Reference: the shift rule one value at a time, as a list of
+    (k, margin, singular) with k an int; ``singular_shifts`` gives the
+    same on arrays, the margins bit for bit."""
+    proposals = [(k, abs(z + k))
+                 for z in values for k in (max(0, round(-z.real)),)]
+    scale = _exact_scale(mat)
+    if scale is None:
+        return [(k, margin, margin <= tol) for k, margin in proposals]
+    window = scale * (degree + 1)
+    near = _singular_near(mat, {k for k, margin in proposals
+                                if margin <= window}, degree)
+    return [(k, 0.0, True) if margin <= window and k in near
+            else (k, margin, False) for k, margin in proposals]
+
+
+def _loop_linear_check(system, tol=1e-9):
+    """Reference: ``check_linear_assumption`` with the per-value rule."""
+    violations = []
+    min_margin = math.inf
+    k_checked = 0
+    for label, spectrum in system.all_spectra():
+        radius = max((abs(ev) for ev in spectrum), default=0.0)
+        k_checked = max(k_checked, int(math.ceil(radius)) + 1)
+        tests = _loop_singular_shifts(system.residue_matrix(label),
+                                      spectrum, tol)
+        for ev, (k, margin, singular) in zip(spectrum, tests):
+            min_margin = min(min_margin, margin)
+            if singular:
+                violations.append(LinearViolation(label, k, ev, margin))
+    return LinearAssumptionReport(
+        passed=not violations,
+        k_checked=k_checked,
+        min_margin=float(min_margin),
+        violations=violations,
+    )
+
+
 def _loop_nonlinear_check(nonlinear, order_max, tol=1e-9):
     """Reference: the per-slot loop the array check replaced, one Python
-    sum and one ``singular_shifts`` list per (label, order)."""
+    sum and one ``_loop_singular_shifts`` list per (label, order)."""
     system = nonlinear.linear
     d = system.size
     violations = []
@@ -370,7 +410,7 @@ def _loop_nonlinear_check(nonlinear, order_max, tol=1e-9):
                 for i, ev_i in enumerate(spectrum):
                     slots.append((m, i))
                     values.append(shift - ev_i)
-            tests = singular_shifts(mat, values, tol, order)
+            tests = _loop_singular_shifts(mat, values, tol, order)
             for (m, i), base, (k, margin, singular) in zip(slots, values,
                                                          tests):
                 min_margin = min(min_margin, margin)
@@ -447,3 +487,74 @@ def test_nonlinear_check_matches_the_per_slot_loop(exact, monkeypatch):
             monkeypatch.undo()
             assert messages[0] == messages[1], trial
     assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_linear_check_matches_the_per_value_loop(exact):
+    """``check_linear_assumption`` on the array rule reports exactly what
+    the per-value rule did: violations with k an int, margins and
+    min_margin bit for bit, and k_checked."""
+    rng = random.Random(f"linear-array-{exact}")
+    outcomes = set()
+    for trial in range(60):
+        system = (random_exact_system if exact else random_float_system)(
+            rng, rng.randint(1, 3), rng.randint(0, 2))
+        tol = rng.choice((1e-9, 1e-11))
+        got = check_linear_assumption(system, tol)
+        want = _loop_linear_check(system, tol)
+        assert got == want, trial
+        assert got.min_margin.hex() == want.min_margin.hex(), trial
+        assert [(type(v.k), v.margin.hex()) for v in got.violations] == \
+            [(int, v.margin.hex()) for v in want.violations], trial
+        outcomes.add(got.passed)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_singular_shifts_matches_the_per_value_loop(exact):
+    """Per residue, on its spectrum (degree 0) and on the slot values of
+    the degree-2 and -3 blocks in one call (one degree per value), the
+    arrays hold the per-value rule's k, margins (bit for bit) and flags."""
+    rng = random.Random(f"shift-arrays-{exact}")
+    singular_seen = 0
+    for trial in range(24):
+        system = (random_exact_system if exact else random_float_system)(
+            rng, rng.randint(1, 3), rng.randint(0, 2))
+        for label, spectrum in system.all_spectra():
+            mat = system.residue_matrix(label)
+            blocks = [(list(spectrum), 0)] + [
+                ([sum(mi * ev for mi, ev in zip(m, spectrum)) - ev_i
+                  for m in multiindices(system.size, n)
+                  for ev_i in spectrum], n) for n in (2, 3)]
+            for pieces, degrees in (
+                    (blocks[:1], 0),
+                    (blocks[1:], [n for values, n in blocks[1:]
+                                  for _ in values])):
+                k, margin, singular = singular_shifts(
+                    mat, [v for values, _ in pieces for v in values], 1e-9,
+                    degrees)
+                want = [t for values, n in pieces
+                        for t in _loop_singular_shifts(mat, values, 1e-9, n)]
+                assert [int(v) for v in k.tolist()] == [t[0] for t in want]
+                assert [v.hex() for v in margin.tolist()] == \
+                    [float(t[1]).hex() for t in want], trial
+                assert singular.tolist() == [t[2] for t in want], trial
+                singular_seen += sum(t[2] for t in want)
+    assert singular_seen
+
+
+def test_exact_shift_is_decided_per_degree():
+    """A shift k found singular on one block decides nothing on another:
+    with lambda = (-1, 10^-4) the value -1 is exact at degree 2, slot
+    ((2, 0), 0), while at degree 3 slot ((2, 1), 0) only comes within
+    10^-4 of it, so k = 1 is a violation there and not here."""
+    diag = CMatrix.from_rows([[ExactComplex(-1), ExactComplex(0)],
+                              [ExactComplex(0),
+                               ExactComplex(Fraction(1, 10**4))]], True)
+    system = FuchsianSystem((ExactComplex(-1), ExactComplex(1)),
+                            (diag, CMatrix.zeros(2, 2, True)))
+    nonlinear = NonlinearSystem(system, {})
+    got = check_nonlinear_assumption(nonlinear, 3)
+    assert got == _loop_nonlinear_check(nonlinear, 3)
+    slots = {(v.monomial, v.component, v.k) for v in got.violations}
+    assert ((2, 0), 0, 1) in slots and ((2, 1), 0, 1) not in slots

@@ -137,6 +137,40 @@ def test_spectrum_prediction_random():
         assert cost[rows, cols].max() < 1e-8
 
 
+def _bits(values):
+    return [(type(z), z.real.hex(), z.imag.hex()) for z in values]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_spectrum_on_permuted_bases_is_the_canonical_list_reordered(exact):
+    """On a shuffled basis the spectrum is the canonical one reordered
+    slot by slot, and the canonical one is <lambda, m> - lambda_i summed
+    per slot by Python's sum(), both bit for bit."""
+    rng = random.Random(f"spectrum-permuted-{exact}")
+    for trial in range(30):
+        d, n = rng.randint(1, 3), rng.randint(0, 4)
+        if exact:
+            rows = [[ExactComplex(Fraction(rng.randint(-9, 9),
+                                           rng.randint(1, 4)),
+                                  Fraction(rng.randint(-3, 3), 5))
+                     for _ in range(d)] for _ in range(d)]
+        else:
+            rows = [[complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+                     for _ in range(d)] for _ in range(d)]
+        mat = CMatrix.from_rows(rows, exact)
+        lam = mat_eigenvalues(mat)
+        canonical = PnBasis(d, n)
+        want = [sum(mj * lj for mj, lj in zip(m, lam)) - lam[i]
+                for m, i in canonical.items]
+        assert _bits(conjugation_spectrum(mat, canonical)) == _bits(want)
+        items = list(canonical.items)
+        rng.shuffle(items)
+        basis = PnBasis(d, n, order=items)
+        by_slot = dict(zip(canonical.items, want))
+        assert _bits(conjugation_spectrum(mat, basis, lam)) == \
+            _bits([by_slot[item] for item in basis.items]), trial
+
+
 def test_upper_triangular_preserved():
     mat = CMatrix.from_rows(
         [[2, 1, 0], [0, 3, 5], [0, 0, 4]], exact=True

@@ -10,10 +10,6 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "fuchslin"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
-# Imported and never called: bench/tracing.py looks the name up to time the
-# integrator (tests/test_bench_targets.py pins it).
-KEPT = {("analytic.py", "solve_ivp")}
-
 
 def unused_imports(source):
     """The names ``source`` binds by import and never reads, in order."""
@@ -40,5 +36,4 @@ def test_unused_imports_are_found():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
-    unused = unused_imports((SRC / module).read_text(encoding="utf-8"))
-    assert [name for name in unused if (module, name) not in KEPT] == []
+    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
