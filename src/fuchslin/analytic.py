@@ -98,7 +98,8 @@ import numpy as np
 
 from .correction import CorrectionResult, local_taylor, solve_polynomial
 from .matrices import CMatrix
-from .model import AssumptionError, FuchsianSystem, check_linear_assumption
+from .model import (AssumptionError, FuchsianSystem, check_linear_assumption,
+                    singular_shifts)
 from .poly import VecPoly
 
 
@@ -228,10 +229,7 @@ def default_path(system, target):
     poles = [complex(p) for p in system.poles]
     p0 = poles[0]
     target = complex(target)
-    gaps = [
-        min(abs(p - q) for q in poles if q is not p) for p in poles
-    ]
-    r = 0.1 * min(gaps)
+    r = 0.1 * min(_pole_gaps(poles))
     d = target - p0
     length = abs(d)
     if length == 0:
@@ -278,6 +276,10 @@ def _within(z, point, tol):
     return abs(z - point) <= tol * max(1.0, abs(point))
 
 
+def _pole_gaps(poles):
+    return [min(abs(p - q) for q in poles if q is not p) for p in poles]
+
+
 def path_defect(poles, key, waypoints):
     """Why ``waypoints`` cannot be the path to target pole ``key``, or None.
 
@@ -317,10 +319,7 @@ class _Context:
         self.pole_array = np.array(self.poles, dtype=complex)
         self.res = np.array([m.to_numpy() for m in self.system.residues],
                             dtype=complex)
-        self.gaps = [
-            min(abs(p - q) for q in self.poles if q is not p)
-            for p in self.poles
-        ]
+        self.gaps = _pole_gaps(self.poles)
         # one more diagonal entry -1 at every pole, whose factor is 1/Q; the
         # steps keep diag(Phi, q) as [Phi | q e_0], and at d = 1 [0 | q] as
         # a second row, so that one step's product is a matrix product too
@@ -445,19 +444,19 @@ def _factor_rows(ratios, res, start, count, residues=None):
 
 
 def _check_resonance(ctx, j):
-    """Raise ResonanceError if two eigenvalues of B_j differ by a nonzero
-    integer within ``ctx.resonance_tol``."""
-    lam = ctx.system.residue_spectrum(j)
-    for a in range(len(lam)):
-        for b in range(len(lam)):
-            diff = lam[a] - lam[b]
-            near = round(diff.real)
-            if near != 0 and abs(diff - near) <= ctx.resonance_tol:
-                raise ResonanceError(
-                    f"residue {j}: eigenvalues differ by the integer {near} "
-                    f"(within {ctx.resonance_tol:g}); no power-series "
-                    "fundamental factor at this pole"
-                )
+    """Raise ResonanceError if k + ad(B_j), the Frobenius recursion's shift,
+    is singular at some k >= 1 by ``model.singular_shifts``: its values are
+    the differences of B_j's eigenvalues, two of which then differ by k."""
+    lam = np.asarray(ctx.system.residue_spectrum(j), complex)
+    k, _, singular = singular_shifts(None, (lam[:, None] - lam).ravel(),
+                                     ctx.resonance_tol)
+    hit = k[singular & (k >= 1)]
+    if hit.size:
+        raise ResonanceError(
+            f"residue {j}: eigenvalues differ by the integer {int(hit[0])} "
+            f"(within {ctx.resonance_tol:g}); no power-series "
+            "fundamental factor at this pole"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -657,7 +656,7 @@ def _require_pole_free(ctx, points):
             if delta != 0:
                 u = ((p - a) * delta.conjugate()).real / abs(delta) ** 2
                 u = min(1.0, max(0.0, u))
-            if abs(p - (a + u * delta)) <= 1e-9 * max(1.0, abs(p)):
+            if _within(a + u * delta, p, POLE_TOL):
                 raise QuadratureError(
                     f"path segment {a} -> {b} meets pole {j} at {p}; "
                     "the transport needs a pole-free path"
@@ -793,7 +792,7 @@ def continue_w(system, start, path, tol=1e-10):
     else:
         points = [complex(p) for p in path]
     x0, w0 = start
-    if abs(complex(x0) - points[0]) > 1e-9 * max(1.0, abs(points[0])):
+    if not _within(complex(x0), points[0], POLE_TOL):
         raise ValueError("path must begin at the start point")
     w = w0.to_numpy() if isinstance(w0, CMatrix) else np.asarray(w0, dtype=complex)
     steps = _step_factors(ctx, *_plan_steps(ctx, points), 0)

@@ -226,9 +226,9 @@ class _FloatRows:
                 for pos in np.flatnonzero(nonzero.any(axis=1)).tolist()}
 
     def magnitude(self, out):
-        """Largest absolute coefficient of an output as a float, at most
-        ``sys.float_info.max`` (the rule of ``_ExactRows.magnitude``)."""
-        return min(float(np.abs(out).max(initial=0.0)), sys.float_info.max)
+        """Largest absolute coefficient of an output as a float: an inf or a
+        nan reads as ``sys.float_info.max`` (``_ExactRows.magnitude``)."""
+        return float(np.fmin(np.abs(out).max(initial=0.0), sys.float_info.max))
 
 
 def _convolve(a, b):

@@ -3,13 +3,13 @@
 Matrices here are tiny (a system of size d induces blocks of size
 d*(n+d-1)!/(n!(d-1)!), a few dozen at most), so these are plain tuples of
 tuples with straightforward O(n^3) algorithms.  Float-mode solves and all
-eigenvalues go through numpy, and every float solve is accepted by one
-rule, ``first_failed_solve``: a finite right-hand side and a residual
-within a bound scaled by the matrix and the solution.  ``solve_array``
-applies it to one solve, and the correction's recursions to all their
-shifts k + M at once.  ``solve_linear`` takes one vector right-hand
-side.  Every exact solve is one routine, ``SparseMatrix.solve``: sparse
-Gauss-Jordan over the rationals on rows {col: Fraction}, built from a
+eigenvalues go through numpy.  One rule, ``first_failed_solve``, accepts
+the float solves of ``solve_linear`` (``solve_array``) and of the
+correction's recursions (all shifts k + M at once): a finite right-hand
+side and a residual within a bound scaled by the matrix and the
+solution.  The analytic route's certificate checks its own.  Every exact
+solve is one routine, ``SparseMatrix.solve``: sparse Gauss-Jordan over
+the rationals on rows {col: Fraction}, built from a
 matrix's one exact entry form (``CMatrix.entries``),
 (den, [(row, col, re, im), ...]) with integer parts over one
 denominator, a real matrix as itself and a Gaussian-rational one as its
@@ -254,12 +254,15 @@ def mat_eigenvalues(m):
     """Eigenvalues as a list of python complex, always via floating point.
 
     Exact matrices are converted to complex first, so in exact mode a
-    spectrum only proposes: ``model.singular_shifts`` confirms each nearby
-    integer shift by exact elimination before it rejects an input.
+    spectrum only proposes: ``model.singular_shifts`` decides each nearby
+    shift exactly.  A non-finite entry raises ArithmeticError.
     """
     if not m.is_square:
         raise ShapeError("eigenvalues need a square matrix")
-    return [complex(z) for z in np.linalg.eigvals(m.to_numpy())]
+    a = m.to_numpy()
+    if not np.isfinite(a).all():
+        raise ArithmeticError("eigenvalues of a non-finite matrix")
+    return [complex(z) for z in np.linalg.eigvals(a)]
 
 
 def solve_linear(a, b, tol=1e-12):

@@ -12,11 +12,12 @@ A run asks for the plans of all its orders at once (``_run_plans``,
 ``_verify_plans``).  Those not built yet in the process are built
 together, in one pass of array operations, and kept in ``_PLANS`` for the
 rest of the process, so a later run to the same or a lower order builds
-none; nothing is built at import.  The power pairs are enumerated as
-ranges of a split table, with no cross product of rows and splits; the
-right-hand side and the verifier expand a table of entries per target
-monomial over its d components.  Every plan lists its pairs by target,
-and each target's pairs in one fixed order, which the frozen plan
+none; nothing is built at import.  A power plan is built at full top only;
+a lower top reads its prefix (``_lower_top_powers``).  The power pairs are
+enumerated as ranges of a split table, with no cross product of rows and
+splits; the right-hand side and the verifier expand a table of entries per
+target monomial over its d components.  Every plan lists its pairs by
+target, and each target's pairs in one fixed order, which the frozen plan
 digests of ``tests/test_engine.py`` pin: float sums follow it.
 """
 
@@ -41,8 +42,8 @@ from .pnspace import _monomials, _positions
 # composed right-hand side, _C for the rows Q and 1 (order 0), and (QA)w
 # as the extra block of order 1.
 _T, _E, _D, _R, _C, _H = range(6)
-# every plan built in this process, by ("power", d, n, top),
-# ("rhs", d, n, top, jacobian) and ("verify", d, n, normal)
+# every plan built in this process, by ("power", d, n, top) (a prefix of
+# top n's), ("rhs", d, n, top, jacobian) and ("verify", d, n, normal)
 _PLANS = {}
 
 
@@ -177,30 +178,26 @@ def _run_plans(d, order_max, top, jacobian):
 
 
 def _lower_top_powers(d, orders, top):
-    """Power plans of ``orders`` at ``top``, by key.  Where the order's
-    plan at top n is built, its blocks p <= top come first and its pairs
-    run by target, so the plan is its prefix; the others are built
-    together."""
-    plans, build = {}, []
-    for n in orders:
-        full = _PLANS.get(("power", d, n, n))
-        if full is None:
-            build.append(n)
-            continue
-        pairs, blocks = full
-        blocks = blocks[:max(top - 1, 0)]
-        size = blocks[-1][2] if blocks else 0
-        cut = int(pairs.target.searchsorted(size))
-        c_cut = int(pairs.c_target.searchsorted(size))
-        plans["power", d, n, min(top, n)] = _Pairs(
-            size, tuple(a[:cut] for a in pairs.a),
-            tuple(b[:cut] for b in pairs.b), None, pairs.target[:cut],
-            pairs.starts[:pairs.starts.searchsorted(cut)],
-            tuple(c[:c_cut] for c in pairs.c), pairs.c_target[:c_cut],
-            pairs.c_starts[:pairs.c_starts.searchsorted(c_cut)]), blocks
-    if build:
-        plans.update({("power", d, n, min(top, n)): plan for n, plan
-                      in zip(build, _power_plans(d, build, top))})
+    """Power plans of ``orders`` at ``top``, by key, each a prefix of the
+    order's plan at full top n (built first where missing), made of views:
+    its blocks p <= top come first and its pairs run by target."""
+    full = _cached([("power", d, n, n) for n in orders],
+                   lambda ns: {("power", d, n, n): plan for n, plan
+                               in zip(ns, _power_plans(d, ns))})
+    plans = {}
+    for n, (pairs, blocks) in zip(orders, full):
+        if top < n - 1:
+            blocks = blocks[:max(top - 1, 0)]
+            size = blocks[-1][2] if blocks else 0
+            cut = int(pairs.target.searchsorted(size))
+            c_cut = int(pairs.c_target.searchsorted(size))
+            pairs = _Pairs(
+                size, tuple(a[:cut] for a in pairs.a),
+                tuple(b[:cut] for b in pairs.b), None, pairs.target[:cut],
+                pairs.starts[:pairs.starts.searchsorted(cut)],
+                tuple(c[:c_cut] for c in pairs.c), pairs.c_target[:c_cut],
+                pairs.c_starts[:pairs.c_starts.searchsorted(c_cut)])
+        plans["power", d, n, min(top, n)] = pairs, blocks
     return plans
 
 
@@ -214,10 +211,10 @@ def _verify_plans(d, order_max, normal):
                                for mode, plan in zip((False, True), plans)})
 
 
-def _power_plans(d, orders, top):
-    """(pairs, blocks) giving the power blocks P[p, n] for p = 2 ..
-    min(top, n - 1), stacked in p, for each n in ``orders``; a block is
-    (kind, start, stop) in the output.
+def _power_plans(d, orders):
+    """(pairs, blocks) giving the power blocks P[p, n] for p = 2 .. n - 1,
+    stacked in p, for each n in ``orders``; a block is (kind, start, stop)
+    in the output.
 
     Row mu of slice n of (w + h)^m sums, over the splits mu = mu_a + mu_b
     with mu_a of order b, row mu_a of slice b of (w + h)^(m - e_i) times
@@ -238,7 +235,7 @@ def _power_plans(d, orders, top):
     for n in orders:
         blocks.append([])
         stop = 0
-        for p in range(2, min(top, n - 1) + 1):
+        for p in range(2, n):
             start, stop = stop, stop + _count(d, p) * _count(d, n)
             blocks[-1].append((_H - 1 + p, start, stop))
             segments.append((n, p, start))
@@ -255,7 +252,7 @@ def _power_plans(d, orders, top):
     lower_row = np.where(q == 1, _last_index(lower),
                          _positions(d, top_n, lower)).astype(np.int32)
     # products: the splits of mu with q < b < n - 1, grouped by mu
-    split_n, split_b = np.array([(k, b) for k in orders if top >= 2
+    split_n, split_b = np.array([(k, b) for k in orders
                                  for b in range(2, k - 1)],
                                 np.int32).reshape(-1, 2).T
     k, ia, ib, _, total = _splits(d, top_n, split_n, split_b)

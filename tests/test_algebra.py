@@ -22,6 +22,7 @@ from fuchslin.matrices import (
     ShapeError,
     SingularMatrixError,
     SparseMatrix,
+    mat_eigenvalues,
     solve_linear,
     vec_zero,
 )
@@ -352,6 +353,18 @@ def test_exact_pivot_never_goes_through_a_float():
         x = solve_linear(mat, rhs)
         assert mat.matvec(x) == rhs
         assert not SparseMatrix(2, mat.entries()).singular()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
+                                 complex(1.0, math.inf)])
+def test_eigenvalues_of_a_non_finite_matrix_raise_arithmetic_error(bad):
+    # a float residue sum that overflowed reaches the spectrum as an inf;
+    # numpy would raise its own LinAlgError, which no caller maps
+    m = CMatrix.from_rows([[1.0, 0.0], [bad, 2.0]], False)
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        mat_eigenvalues(m)
+    finite = CMatrix.from_rows([[1.0, 0.0], [3.0, 2.0]], False)
+    assert sorted(mat_eigenvalues(finite), key=abs) == [1.0, 2.0]
 
 
 def test_float_solve_accuracy():

@@ -710,6 +710,56 @@ def test_frobenius_local_checks_only_the_pole_asked_for():
         frobenius_local(system, 0, order=10)
 
 
+def _loop_resonance(spectrum, tol):
+    """The integer two of ``spectrum`` differ by within ``tol``, nonzero,
+    from a loop over the ordered pairs, or None: the per-pair rule the
+    Frobenius factor's check used before it asked ``singular_shifts``."""
+    for a in spectrum:
+        for b in spectrum:
+            near = round((a - b).real)
+            if near != 0 and abs(a - b - near) <= tol:
+                return near
+    return None
+
+
+def test_resonance_check_matches_the_per_pair_loop():
+    # random spectra of three poles, eigenvalues an integer apart up to a
+    # perturbation below, at or above the tolerance, or not near at all:
+    # the first pole the check refuses is the loop's, named in the message
+    rng = random.Random("frobenius-resonance")
+
+    class Spectra:
+        def __init__(self, spectra):
+            self.residue_spectrum = spectra.__getitem__
+
+    counts = {True: 0, False: 0}
+    for _ in range(4000):
+        tol = rng.choice([1e-9, 1e-6, 0.25, 0.5])
+        spectra = []
+        for _ in range(3):
+            base = complex(rng.uniform(-3, 3), rng.choice([0, 1]) *
+                           rng.uniform(-3, 3))
+            spectra.append([base + rng.randint(-3, 3) + rng.choice(
+                [0, tol / 2, -tol, tol, 2 * tol, 1j * tol, 0.5,
+                 rng.uniform(-1, 1)]) for _ in range(rng.randint(1, 4))])
+        ctx = type("Ctx", (), {"system": Spectra(spectra),
+                               "resonance_tol": tol})
+        want = next((j for j, lam in enumerate(spectra)
+                     if _loop_resonance(lam, tol) is not None), None)
+        got = None
+        for j in range(3):
+            try:
+                analytic._check_resonance(ctx, j)
+            except ResonanceError as exc:
+                got = j
+                named = int(re.search(r"integer (-?\d+)", str(exc))[1])
+                assert str(exc).startswith(f"residue {j}:") and named >= 1
+                break
+        assert got == want, (spectra, tol)
+        counts[want is None] += 1
+    assert min(counts.values()) >= 500, counts
+
+
 def test_endpoint_sum_stacks_blocks_with_their_own_convergence_test():
     bj = np.array([[0.75, 0.5], [0.2, 1.25]], dtype=complex)
     t_end = 0.3 - 0.1j

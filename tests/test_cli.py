@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -492,6 +493,43 @@ def test_verify_rejects_corrupted_tables(tmp_path, capsys):
     )
     assert code == 4
     assert json.loads(out)["passed"] is False
+
+
+def test_verify_reports_nan_residuals_of_overflowing_float_tables(
+        tmp_path, capsys):
+    # float tables whose h coefficients are +-1e308 in turn: the residuals
+    # are inf - inf, a nan, read as the float maximum, so the report still
+    # serializes and the verification fails with exit 4
+    doc = write_doc(tmp_path, SCALAR_DOC)
+    tables = str(tmp_path / "tables.json")
+    assert run(capsys, ["linearize", doc, "--order", "3",
+                        "--out", tables])[0] == 0
+    saved = json.loads(open(tables).read())
+    signs = itertools.cycle([1e308, -1e308])
+    for entry in saved["h"]:
+        entry["coeff"] = [[[next(signs), next(signs)] for _ in row]
+                          for row in entry["coeff"]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(saved))
+    code, out, err = run(capsys, ["verify", doc, "--tables", str(bad)])
+    assert code == 4 and err == ""
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["residuals"] == {"2": sys.float_info.max,
+                                    "3": sys.float_info.max}
+
+
+def test_overflowing_residue_sum_is_a_numeric_failure(tmp_path, capsys):
+    # residues 1.5e308 at -1 and 1: B_inf = -(B_0 + B_1) overflows to
+    # -inf, whose spectrum is a numeric failure (exit 4), not a traceback
+    doc = write_doc(tmp_path, {"dimension": 1, "S": 0,
+                               "poles": [[-1, 0], [1, 0]],
+                               "matrices": [[[[1.5e308, 0]]],
+                                            [[[1.5e308, 0]]]]})
+    for argv in (["check", doc], ["linearize", doc, "--order", "3"]):
+        code, _, err = run(capsys, argv)
+        assert code == 4, (argv, err)
+        assert err.startswith("numeric failure:") and "non-finite" in err
 
 
 def test_normal_form_command_and_mode_flag_agree(tmp_path, capsys):

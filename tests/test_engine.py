@@ -764,7 +764,7 @@ def _built_plans(d, order_max, tops=(3,)):
 def test_plans_match_frozen_digests():
     got = {}
     for d in (1, 2, 3):
-        # top 6 first: the top-3 power plans are then read off its plans
+        # every power plan is built at full top; top 3 reads its prefix
         got.update(_built_plans(d, 6, tops=(6, 3)))
     assert got == PLAN_DIGESTS
     for key, plan in plans._PLANS.items():
@@ -793,6 +793,37 @@ def test_plans_of_an_order_do_not_depend_on_the_run():
             for normal in (False, True):
                 plan = plans._verify_plans(d, n, normal)[-1]
                 assert _plan_digest(plan) == full["verify", d, n, int(normal)]
+
+
+def test_normal_form_cuts_its_power_plans_from_the_full_top_ones(
+        monkeypatch):
+    # f of order 2 only: a normal form to order 5 runs at top 2, and in a
+    # fresh process too each order's power plan is a prefix of the one at
+    # full top, no second build
+    runs = []
+
+    def recorded(*args):
+        runs.append((args, plans._run_plans(*args)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(engine, "_run_plans", recorded)
+    plans._PLANS.clear()
+    normal_form(NonlinearSystem(scalar_linear(1, 1), {(2,): vp([[1]])}), 5)
+    cut = 0
+    for (d, order_max, top, jacobian), run in runs:
+        full = plans._run_plans(d, order_max, order_max, jacobian)
+        for n, (power, blocks, _), (whole, _, _) in zip(itertools.count(2),
+                                                        run, full):
+            if n <= top + 1:
+                assert power is whole
+                continue
+            assert len(blocks) == top - 1 and power.size < whole.size
+            for a, b in ((power.target, whole.target),
+                         (power.a[0], whole.a[0]),
+                         (power.c_target, whole.c_target)):
+                assert np.shares_memory(a, b), n
+            cut += 1
+    assert cut == 2
 
 
 def test_plan_memory_at_d4():
@@ -875,6 +906,27 @@ def test_corrupted_substitution_fails_verification(delta, residual):
         assert report.max_residual > 1.0e-9
     else:
         assert report.max_residual == residual
+
+
+def test_float_verifier_reads_a_nan_residual_as_the_float_maximum():
+    # h's coefficients 1e308 - 1e308 i: Q d_x h - (QA)h sums inf - inf, a
+    # nan, which must read as the float maximum as an inf does, not fail
+    # the report's serialization; compare_modes reads the same magnitude
+    nl = NonlinearSystem(float_system(scalar_linear(1, 1)),
+                         {(2,): float_vecpoly(vp([[0], [1]]))})
+    phi, h = linearize(nl, 3)
+    assert sorted(h.terms) == [(2,), (3,)]
+    huge = float_vecpoly(vp([[[10**308, -10**308]]]))
+    bad = SeriesTable(1, False, {(2,): huge, (3,): huge})
+    report = verify_conjugacy(nl, phi, bad, 3)
+    assert report.residuals == {2: sys.float_info.max, 3: sys.float_info.max}
+    assert not report.passed
+    rows = engine._row_store(False, 1, 3)
+    for values, want in (([], 0.0), ([1.0, -2j], 2.0),
+                         ([math.inf, 1.0], sys.float_info.max),
+                         ([math.nan, 1.0], sys.float_info.max),
+                         ([complex(0.0, math.nan)], sys.float_info.max)):
+        assert rows.magnitude(np.array([values], complex)) == want, values
 
 
 # The verifier runs each order's residual as one pair plan; the reference
