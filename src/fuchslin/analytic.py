@@ -1001,9 +1001,9 @@ def _certify(passes, handle, g, phi, cond):
     the solved moment system, kept in the report.
     """
     ref = solve_polynomial(handle._ctx.system, np.array(
-        g.coeffs, dtype=complex).reshape(-1, handle._ctx.d))
+        g.coeffs, dtype=complex).reshape(-1, handle._ctx.d).T)
     phi_ref = np.zeros_like(phi)
-    phi_ref[:len(ref.phi)] = ref.phi
+    phi_ref[:ref.phi.shape[1]] = ref.phi.T
     report = CertificateReport(tol=handle.tol, cond=cond, phi_gap=float(
         np.max(np.abs(phi - phi_ref)) / max(1.0, np.max(np.abs(phi)))))
     first = passes[0]
@@ -1014,7 +1014,7 @@ def _certify(passes, handle, g, phi, cond):
     ]
     for j, point, mats, w in checkpoints:
         value = np.array(handle._continued(w, mats))
-        want = point ** np.arange(len(ref.y)) @ ref.y
+        want = point ** np.arange(ref.y.shape[1]) @ ref.y.T
         scale = max(float(np.max(np.abs(want))),
                     float(np.max(np.abs(value))))
         diff = float(np.max(np.abs(value - want)))

@@ -14,9 +14,11 @@ Exit codes: 0 success; 2 assumption/resonance failure (the check or a
 solver precondition rejected the input); 3 schema error (message points
 at the offending field); 4 numeric failure (quadrature/certificate or a
 failed verification).  Every ``--order``, and the ``order`` of a tables
-file, is an integer >= 2 like ``options.order``; the terms of a tables
-file have order >= 2; each ``options.paths`` entry runs from pole 0 to the
-target pole its key names (``analytic.path_defect``).
+file, is an integer >= 2 like ``options.order``; ``--tol`` and
+``--resonance-tol`` are positive finite numbers like ``options.tol`` and
+``options.resonance_tol``; the terms of a tables file have order >= 2;
+each ``options.paths`` entry runs from pole 0 to the target pole its key
+names (``analytic.path_defect``).
 
 ``linearize`` takes its mode from ``--mode``, else from the document's
 ``options.mode``, else obstruction; ``verify`` takes it from ``--mode``,
@@ -35,6 +37,7 @@ from .correction import solve_polynomial
 from .document import (
     SchemaError,
     dumps_canonical,
+    _is_tolerance,
     is_order,
     load_document,
     matpoly_json,
@@ -75,6 +78,15 @@ def _flag_order(args):
         raise SchemaError(f"/options/order: --order {args.order}: expected "
                           f"an integer >= 2")
     return args.order
+
+
+def _flag_tolerances(args):
+    """``--tol`` and ``--resonance-tol`` must be tolerances, as options."""
+    for key in ("tol", "resonance_tol"):
+        value = getattr(args, key)
+        if value is not None and not _is_tolerance(value):
+            raise SchemaError(f"/options/{key}: --{key.replace('_', '-')} "
+                              f"{value}: expected a positive finite number")
 
 
 def _resolve_order(args, doc):
@@ -359,6 +371,7 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        _flag_tolerances(args)
         payload, code = args.func(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

@@ -26,24 +26,28 @@ t^k: the solution analytic at p_j, which the analytic route's solution
 handle evaluates near a pole.  The analytic route's certificate compares
 its phi and continued solution with ``solve_polynomial``'s.
 
-Both ends refuse the shifts ``model.singular_shifts`` flags, up front.
-Exact mode runs one loop, ``_recur_exact``, on integer rows: per degree,
-integer numerators over one denominator, real and imaginary parts apart
-(``SplitPoly``), with q_i and R_(i-1), whose entries arrive as integers
-over one denominator (``qb_coefficients``), brought once per call to
-sparse real integer entries over one denominator per term (at a pole
-divided by Q'(p_j), so the pivot is k + B_j).  Each k is one sparse
-Gauss-Jordan (``SparseMatrix.solve``), which takes the pivot row and
-gives y_k as integers over one denominator, for the real and imaginary
-parts as two columns when Q and QB are real, in the real 2N embedding
-otherwise; y_k's other terms then leave the remainder as integer
-multiply-adds, each row updated once to the lcm of its denominator and
-theirs.  From the block's construction on, Fraction arithmetic happens
-only inside that elimination.  Float mode runs one loop,
-``_recur_float``, on complex128 arrays, with the same operators (at a pole
-q_i, R_i and the right-hand side divided by Q'(p_j) up front) and the same
-solve at both ends: per k one ``np.linalg.solve`` of the pivot, B_inf or
-B_j, shifted by k on its diagonal.  ``matrices.first_failed_solve``, the
+A vector crosses this module's boundary as a VecPoly or as the engine's
+store rows of its N components (``pnspace``): an (N, width) complex128
+array, or in exact mode N integer rows (den, re, im), None for a zero
+component; each recursion keeps its per-degree layout to itself.  Both
+ends refuse the shifts ``model.singular_shifts`` flags, up front.  Exact
+mode runs one loop, ``_recur_exact``, on integer numerators over one
+denominator per degree, real and imaginary parts apart, with q_i and
+R_(i-1), whose entries arrive as integers over one denominator
+(``qb_coefficients``), brought once per call to sparse real integer
+entries over one denominator per term (at a pole divided by Q'(p_j), so
+the pivot is k + B_j).  Each k is one sparse Gauss-Jordan
+(``SparseMatrix.solve``), which takes the pivot row and gives y_k as
+integers over one denominator, for the real and imaginary parts as two
+columns when Q and QB are real, in the real 2N embedding otherwise; y_k's
+other terms then leave the remainder as integer multiply-adds, each row
+updated once to the lcm of its denominator and theirs.  From the block's
+construction on, Fraction arithmetic happens only inside that
+elimination.  Float mode runs one loop, ``_recur_float``, on the rows
+transposed to a (width, N) complex128 array, with the same operators (at
+a pole q_i, R_i and the right-hand side divided by Q'(p_j) up front) and
+the same solve at both ends: per k one ``np.linalg.solve`` of the pivot,
+B_inf or B_j, shifted by k on its diagonal.  ``first_failed_solve``, the
 rule ``solve_array`` applies to one solve, then checks the solves
 (k + B) y_k = row in the order solved.
 
@@ -74,7 +78,8 @@ from .matrices import (
     vec_scale,
 )
 from .model import AssumptionError, singular_shifts
-from .poly import SplitPoly, VecPoly, sp_eval, sp_taylor
+from .pnspace import _reduced_row, _term_poly, _term_rows
+from .poly import VecPoly, sp_eval, sp_taylor
 
 
 @dataclass
@@ -132,32 +137,29 @@ def solve_polynomial(system, g, tol=1e-12):
     non-unique.  The residues B_j enter no solve, and no spectral
     positivity or nonresonance between eigenvalues is needed.
 
-    ``g`` is a VecPoly or, in float mode, also a (deg + 1, N) complex array
-    and, in exact mode, a SplitPoly; phi and y come back in its form.
-    Both modes first drop only top coefficients that are exactly zero, so
-    rescaling g rescales phi and y: a tiny top coefficient is a term.
+    ``g`` is a VecPoly or the store rows of its N components: an (N, width)
+    complex array, or in exact mode a list of N integer rows (den, re, im),
+    None for a zero component (``pnspace``).  phi and y come back in g's
+    form, rows in and rows out in both rings.  Only top coefficients that
+    are exactly zero are dropped, so rescaling g rescales phi and y: a
+    tiny top coefficient is a term.
     """
-    if (g.shape[1] if isinstance(g, np.ndarray) else g.dim) != system.size:
+    if (g.dim if isinstance(g, VecPoly) else len(g)) != system.size:
         raise ValueError("right-hand side dimension mismatch")
     ops = _exact_operators(system) if system.exact else (None,)
     bad = _singular_ks(system, "inf", tol, ops[0])
     if bad:
         raise AssumptionError(
             f"k + B_inf singular at k={min(bad)}: (phi, y) not unique")
-    if not system.exact:
-        return _solve_polynomial_float(system, g, tol)
-    split = g if isinstance(g, SplitPoly) else SplitPoly.from_vecpoly(g)
-    top = len(split.re)
-    while top and not any(any(part[top - 1])
-                          for part in (split.re, split.im) if part):
-        top -= 1
-    rem, y = _recur_exact(*ops, split, range(top - system.s - 2, -1, -1),
-                          len(split.re), "B_inf")
-    cut = system.s + 1
-    phi = rem._replace(den=rem.den[:cut], re=rem.re[:cut],
-                       im=rem.im and rem.im[:cut])
+    rows = _term_rows(g, system.exact) if isinstance(g, VecPoly) else g
+    if system.exact:
+        top = max((len(row[1]) for row in rows if row), default=0)
+        phi, y = _recur_exact(*ops, rows, range(top - system.s - 2, -1, -1),
+                              top, "B_inf", system.s + 1)
+    else:
+        phi, y = _solve_polynomial_float(system, rows, tol)
     if isinstance(g, VecPoly):
-        phi, y = phi.to_vecpoly(), y.to_vecpoly()
+        phi, y = (_term_poly(part, system.exact) for part in (phi, y))
     return CorrectionResult(phi=phi, y=y)
 
 
@@ -187,10 +189,11 @@ def local_taylor(system, pole_index, rhs, order, tol=1e-12):
         raise AssumptionError(f"k + {label} singular at k={min(bad)}")
     if system.exact:
         given = rhs.scale(1 / sp_eval(system.q_prime(), center))
-        given = SplitPoly.from_vecpoly(VecPoly.from_coeffs(
-            given.taylor_at(center)[:count], True, dim=n))
-        _, y = _recur_exact(*ops, given, range(count), count + system.s + 1,
-                            label)
+        given = VecPoly.from_coeffs(given.taylor_at(center)[:count], True,
+                                    dim=n)
+        _, y = _recur_exact(*ops, _term_rows(given, True), range(count),
+                            count + system.s + 1, label, 0)
+        y = _term_poly(y, True)
         return TaylorSolution(pole_index, center,
                               list(map(y.coefficient, range(count))))
     q = np.array(sp_taylor(system.q_poly(), center), dtype=complex)
@@ -254,30 +257,36 @@ def _exact_operators(system, pole_index=None):
     return SparseMatrix(n, coeffs[at - 1], embed), at, terms
 
 
-def _recur_exact(pivot, at, terms, g, ks, rows, label):
-    """The exact recursion on the SplitPoly ``g`` zero-padded to ``rows``
-    degrees, k in the order ``ks``, with ``_exact_operators``' pivot, at
-    and terms.
+def _recur_exact(pivot, at, terms, g, ks, rows, label, cut):
+    """The exact recursion on g, the integer rows of N components, zero-
+    padded to ``rows`` degrees, k in the order ``ks``, with
+    ``_exact_operators``' pivot, at and terms.
 
-    The remainder is integer columns of per-degree rows over one
-    denominator per degree: g's real and imaginary parts as two, or in
-    the embedding one of length 2N.  Each k is one ``SparseMatrix.solve``
-    of k + pivot on row k + at - 1, which gives y_k in the same form.  For
-    each other term i, y_k's contribution k q_i y_k + R_(i-1) y_k to row
-    k + i - 1 is summed in integers, exact zeros skipped, and leaves the
-    row in one update to the lcm of the two denominators.  Returns what no
-    y_k absorbed and y, as SplitPolys.
+    The remainder is per degree integer columns over one denominator per
+    degree, every degree starting over the lcm of g's denominators: the
+    real and imaginary parts as two, or in the embedding one of length 2N.
+    Each k is one ``SparseMatrix.solve`` of k + pivot on row k + at - 1,
+    which gives y_k in the same form.  For each other term i, y_k's
+    contribution k q_i y_k + R_(i-1) y_k to row k + i - 1 is summed in
+    integers, exact zeros skipped, and leaves the row in one update to the
+    lcm of the two denominators.  Returns the remainder's first ``cut``
+    degrees and y, each as the integer rows of N components.
     """
-    n, size = g.dim, pivot.size
-    dens = list(g.den) + [1] * (rows - len(g.den))
+    n, size = len(g), pivot.size
+    den = math.lcm(*(row[0] for row in g if row))
+    parts = [[(0,) * rows] * n, [(0,) * rows] * n]
+    for pos, row in enumerate(g):
+        for part, num in zip(parts, row[1:] if row else ()):
+            if num is not None:
+                f = den // row[0]
+                part[pos] = ((num if f == 1 else tuple(v * f for v in num))
+                             + (0,) * (rows - len(num)))
     if pivot.embedded:
-        im = g.im or [[0] * n] * len(g.re)
-        rem = [[re + i for re, i in zip(g.re, im)]]
+        rem = [[list(v) for v in zip(*parts[0], *parts[1])]]
     else:
-        rem = [[list(v) for v in part]
-               for part in ([g.re] if g.im is None else [g.re, g.im])]
-    for part in rem:
-        part += [[0] * size for _ in range(rows - len(part))]
+        rem = [[list(v) for v in zip(*part)]
+               for part in parts[:1 + any(row and row[2] for row in g)]]
+    dens = [den] * rows
     ys = [None] * len(ks)
     for k in ks:
         row = k + at - 1
@@ -312,13 +321,28 @@ def _recur_exact(pivot, at, terms, g, ks, rows, label):
                         acc[r] += v * w
                 part[t] = [a * row_up - b * acc_up
                            for a, b in zip(part[t], acc)]
-    out = [(dens, rem), ([y[0] for y in ys],
-                         [[y[1][c] for y in ys] for c in range(len(rem))])]
-    if pivot.embedded:
-        out = [(d, [[v[:n] for v in a[0]], [v[n:] for v in a[0]]])
-               for d, a in out]
-    return [SplitPoly(n, d, a[0], a[1] if len(a) > 1 else None)
-            for d, a in out]
+    y = [[y_k[1][c] for y_k in ys] for c in range(len(rem))]
+    return [_component_rows(d, cols, n, pivot.embedded)
+            for d, cols in ((dens[:cut], [part[:cut] for part in rem]),
+                            ([y_k[0] for y_k in ys], y))]
+
+
+def _component_rows(dens, parts, n, embedded):
+    """The integer rows of N components from ``_recur_exact``'s per-degree
+    integer columns over the denominators ``dens``: every degree brought
+    to their lcm, each component reduced with one gcd."""
+    if not dens:
+        return [None] * n
+    if embedded:
+        parts = [[v[:n] for v in parts[0]], [v[n:] for v in parts[0]]]
+    den = math.lcm(*dens)
+    scale = [den // d for d in dens]
+    if any(f != 1 for f in scale):
+        parts = [[[v * f for v in vec] for vec, f in zip(part, scale)]
+                 for part in parts]
+    re = list(zip(*parts[0]))
+    im = list(zip(*parts[1])) if len(parts) > 1 else [(0,) * len(dens)] * n
+    return [_reduced_row(den, a, b) for a, b in zip(re, im)]
 
 
 def _recur_float(q, r, at, mat, rem, ks, label, tol):
@@ -365,23 +389,17 @@ def _recur_float(q, r, at, mat, rem, ks, label, tol):
     return ys
 
 
-def _solve_polynomial_float(system, g, tol):
-    """``solve_polynomial``'s float end, with pivot J_{B_inf} (Q is monic,
-    so q_(S+2) = 1)."""
-    s, n = system.s, system.size
-    r = system.qb_coefficients()
-    array = isinstance(g, np.ndarray)
-    rem = np.array(g if array else g.coeffs, dtype=complex).reshape(-1, n)
+def _solve_polynomial_float(system, rows, tol):
+    """``solve_polynomial``'s float end on the (N, width) rows ``rows``,
+    with pivot J_{B_inf} (Q is monic, so q_(S+2) = 1): phi and y as rows."""
+    s, r = system.s, system.qb_coefficients()
+    rem = np.array(rows.T, dtype=complex, order="C")
     top = np.flatnonzero(rem.any(axis=1))
     rem = rem[:top[-1] + 1 if top.size else 0]
     y = _recur_float(np.array(system.q_poly(), dtype=complex), r, s + 2,
                      r[-1], rem, np.arange(len(rem) - s - 2, -1, -1),
                      "B_inf", tol)
-    phi = rem[:s + 1]
-    if not array:
-        phi, y = (VecPoly.from_coeffs(map(tuple, a.tolist()), False, dim=n)
-                  for a in (phi, y))
-    return CorrectionResult(phi=phi, y=y)
+    return rem[:s + 1].T, y.T
 
 
 def shift_up(system, g, tol=1e-12):

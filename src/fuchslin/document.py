@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -51,7 +52,7 @@ from .analytic import path_defect
 from .exact import ExactComplex
 from .matrices import CMatrix
 from .model import FuchsianSystem, NonlinearSystem, coinciding_poles
-from .pnspace import SeriesTable, _ratio_row, _term_poly
+from .pnspace import SeriesTable, _ratio_row, _term_poly, _term_rows
 from .poly import VecPoly
 
 
@@ -212,6 +213,12 @@ def is_order(value):
         and value >= 2
 
 
+def _is_tolerance(value):
+    """Whether ``value`` is a tolerance: a positive finite number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and 0 < value <= sys.float_info.max
+
+
 def _parse_options(node, path, poles):
     if not isinstance(node, dict):
         _fail(path, "expected an object")
@@ -226,8 +233,8 @@ def _parse_options(node, path, poles):
     for key in ("tol", "resonance_tol"):
         if key in node:
             v = node[key]
-            _require(isinstance(v, (int, float)) and not isinstance(v, bool)
-                     and v > 0, f"{path}/{key}", "expected a positive number")
+            _require(_is_tolerance(v), f"{path}/{key}",
+                     "expected a positive finite number")
             out[key] = float(v)
     if "mode" in node:
         v = node["mode"]
@@ -422,12 +429,9 @@ def matrix_json(mat):
 
 
 def vecpoly_json(p):
-    if p.is_zero():
-        return [[scalar_json(v) for v in p.coefficient(0)]]
-    return [
-        [scalar_json(v) for v in p.coefficient(k)]
-        for k in range(p.degree + 1)
-    ]
+    """A vector polynomial's payload, written from its store rows."""
+    rows = _term_rows(p, p.exact)
+    return (_int_rows_json if p.exact else _array_rows_json)(rows)
 
 
 def matpoly_json(p):
@@ -443,8 +447,9 @@ def _ratio_json(v, den):
 
 
 def _int_rows_json(rows):
-    """``vecpoly_json`` of a term from its integer rows."""
-    width = max(len(row[1]) for row in rows if row is not None)
+    """The payload of a term's integer rows; the zero polynomial's is one
+    coefficient of zero pairs."""
+    width = max((len(row[1]) for row in rows if row is not None), default=1)
     comps = []
     for row in rows:
         if row is None:
@@ -463,8 +468,10 @@ def _int_rows_json(rows):
 
 
 def _array_rows_json(rows):
-    """``vecpoly_json`` of a term from its complex128 rows."""
-    return [[[z.real, z.imag] for z in coeff] for coeff in rows.T.tolist()]
+    """The payload of a term's complex128 rows; the zero polynomial's is
+    one coefficient of zero pairs."""
+    return [[[z.real, z.imag] for z in coeff]
+            for coeff in rows.T.tolist() or [[0j] * len(rows)]]
 
 
 def series_table_json(table):

@@ -42,12 +42,12 @@ together and kept for the rest of the process, so a later run to the
 same or a lower order builds none, and a fresh process (each CLI
 command) builds its plans again.  The loop's caller adds h and the
 series to the store, order by order: the engine writes back its block
-solves, which take and give rows through ``vectorize`` /
-``devectorize``, and hands its output blocks to its tables at the end,
-as rows; ``verify_conjugacy`` adds each order of its tables, and of f,
-once as they are (a SeriesTable and ``NonlinearSystem.f`` keep each term
-as store rows), and runs one more plan per order on the same store for
-the whole residual,
+solves, which take and give store rows (``vectorize`` / ``devectorize``
+only put them in basis order and back), and hands its output blocks to
+its tables at the end, as rows; ``verify_conjugacy`` adds each order of
+its tables, and of f, once as they are (a SeriesTable and
+``NonlinearSystem.f`` keep each term as store rows), and runs one more
+plan per order on the same store for the whole residual,
 Q d_x h + (d_w h)(QA) w - (QA) h less the composed rows (plus the series
 in the normal-form mode).  Float mode executes a plan on complex128
 arrays (one gather, one batched row convolution, one sum per run of equal

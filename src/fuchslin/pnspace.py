@@ -32,13 +32,11 @@ QB's S + 2 coefficients, J_{B_inf} on top, as one complex128 array, or in
 exact mode per coefficient as (den, [(row, col, re, im), ...]), integer
 parts over one denominator, with no dense N x N matrix and no
 ``ExactComplex`` or ``Fraction`` arithmetic.  ``vectorize`` /
-``devectorize`` translate between basis order and the engine's store rows
-(row mu * d + i: component i of the monomial at position mu of
-``multiindices(d, n)``): complex128 arrays, or in exact mode integer rows
-both ways, store rows (numerator tuples over one denominator) and the
-per-degree integer rows of a ``SplitPoly``, with no Fraction in between;
-on the way out each store row is reduced once, with one gcd, to its
-canonical (den, re, im) form.
+``devectorize`` permute the engine's store rows (row mu * d + i:
+component i of the monomial at position mu of ``multiindices(d, n)``)
+into basis order and back, as they are: complex128 array rows, or in
+exact mode integer rows (den, re, im), the form in which
+``correction.solve_polynomial`` takes and gives a block's vectors.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ import numpy as np
 
 from .exact import ExactComplex
 from .matrices import CMatrix, ShapeError, mat_eigenvalues
-from .poly import SplitPoly, VecPoly
+from .poly import VecPoly
 
 def multiindices(d, n):
     """All m in N^d with |m| = n, lexicographically ascending."""
@@ -423,14 +421,16 @@ def _term_rows(p, exact):
     array, row i component i."""
     if exact:
         return tuple(_int_row(p.component(i)) for i in range(p.dim))
-    return np.array(p.coeffs, complex).T
+    return np.array(p.coeffs, complex).reshape(-1, p.dim).T
 
 
 def _term_poly(rows, exact):
-    """The vector polynomial of a SeriesTable's rows (see ``_term_rows``)."""
+    """The vector polynomial of a SeriesTable's rows (see ``_term_rows``),
+    top coefficients that are exactly zero dropped."""
     if exact:
         return VecPoly.from_components([_scalars(r) for r in rows], True)
-    return VecPoly(len(rows), tuple(map(tuple, rows.T.tolist())), False)
+    return VecPoly.from_coeffs(map(tuple, rows.T.tolist()), False,
+                               dim=len(rows))
 
 
 class SeriesTable:
@@ -529,48 +529,18 @@ def _slots(basis):
 
 
 def vectorize(rows, basis, exact=False):
-    """Store rows in basis order: a (deg + 1, N) array from (N, deg + 1)
-    complex rows, or in exact mode a SplitPoly from N integer rows, every
-    degree over the lcm of the rows' denominators."""
+    """Store rows in basis order: row p of the result is the store row of
+    the component at basis position p, rows of an (N, width) complex array
+    or, in exact mode, of a list of integer rows."""
     if len(rows) != basis.size:
         raise ShapeError("row count does not match basis size")
-    if not exact:
-        return rows[np.argsort(_slots(basis))].T
-    size = basis.size
-    live = [(pos, row) for pos, row in zip(_slots(basis).tolist(), rows)
-            if row is not None]
-    den = math.lcm(*(row[0] for _, row in live))
-    width = max((len(row[1]) for _, row in live), default=0)
-    parts = [[(0,) * width] * size, None]
-    for pos, (d, *nums) in live:
-        f = den // d
-        for k, part in enumerate(nums):
-            if part is None:
-                continue
-            if parts[k] is None:
-                parts[k] = [(0,) * width] * size
-            parts[k][pos] = ((part if f == 1 else tuple(v * f for v in part))
-                             + (0,) * (width - len(part)))
-    re, im = (part and [list(v) for v in zip(*part)] for part in parts)
-    return SplitPoly(size, [den] * width, re, im)
+    order = np.argsort(_slots(basis))
+    return [rows[p] for p in order.tolist()] if exact else rows[order]
 
 
 def devectorize(stacked, basis, exact=False):
-    """Inverse of vectorize: the store rows of a stacked array or, in exact
-    mode, of a SplitPoly, each brought to the lcm of the degrees'
-    denominators and reduced with one gcd."""
-    if (stacked.dim if exact else stacked.shape[1]) != basis.size:
+    """Inverse of vectorize: basis-order rows back in store order."""
+    if len(stacked) != basis.size:
         raise ShapeError("stacked vector length does not match basis size")
-    if not exact:
-        return stacked[:, _slots(basis)].T
-    if not stacked.re:
-        return [None] * basis.size
-    den = math.lcm(*stacked.den)
-    scale = [den // d for d in stacked.den]
-    parts = [stacked.re, stacked.im or [[0] * basis.size] * len(scale)]
-    if any(f != 1 for f in scale):
-        parts = [[[v * f for v in row] for row, f in zip(part, scale)]
-                 for part in parts]
-    re, im = (list(zip(*part)) for part in parts)
-    return [_reduced_row(den, re[pos], im[pos])
-            for pos in _slots(basis).tolist()]
+    slots = _slots(basis)
+    return [stacked[p] for p in slots.tolist()] if exact else stacked[slots]

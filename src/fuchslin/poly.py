@@ -6,10 +6,7 @@ arithmetic never leaves int).
 
 Scalar polynomials are bare tuples manipulated by the ``sp_*`` functions;
 :class:`VecPoly` and :class:`MatPoly` wrap tuples of coefficient vectors /
-matrices and carry their dimension and scalar ring.  :class:`SplitPoly` is
-the exact correction's one working form: per degree, integer numerators
-over one denominator, real and imaginary parts apart; ``from_vecpoly``
-and ``to_vecpoly`` convert at the boundary.
+matrices and carry their dimension and scalar ring.
 
 Arithmetic only strips coefficients that are exactly zero; lossy trimming
 against a tolerance is always an explicit ``trim(tol)`` call so float noise
@@ -19,10 +16,8 @@ is dropped deliberately, not accidentally.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import NamedTuple
 
-from .exact import ExactComplex, clear_denominators, from_int, scalar_is_zero
+from .exact import from_int, scalar_is_zero
 from .matrices import (
     CMatrix,
     ShapeError,
@@ -292,44 +287,6 @@ class VecPoly:
 
     def __repr__(self):
         return f"VecPoly(dim={self.dim}, degree={self.degree})"
-
-
-class SplitPoly(NamedTuple):
-    """An exact vector polynomial as integer rows over one denominator per
-    degree, real and imaginary parts apart: component i at x^k is
-    (re[k][i] + i im[k][i]) / den[k], with den[k] > 0 and ``im`` None when
-    every imaginary part is zero.  Top degrees may be zero.  The exact
-    recursion of ``correction`` runs on this form, at infinity and at a
-    pole; ``pnspace.vectorize`` builds it from the engine's store rows and
-    ``from_vecpoly`` from a VecPoly, neither with Fraction arithmetic."""
-
-    dim: int
-    den: list
-    re: list
-    im: list | None
-
-    @classmethod
-    def from_vecpoly(cls, p):
-        den, re, im = [], [], []
-        for v in p.coeffs:
-            d, nums = clear_denominators([z.re for z in v] + [z.im for z in v])
-            den.append(d)
-            re.append(nums[:p.dim])
-            im.append(nums[p.dim:])
-        return cls(p.dim, den, re, im if any(map(any, im)) else None)
-
-    def coefficient(self, k):
-        """The x^k coefficient as a tuple of ExactComplex."""
-        if k >= len(self.re):
-            return (ExactComplex(0),) * self.dim
-        den = self.den[k]
-        return tuple(ExactComplex(Fraction(a, den), Fraction(b, den))
-                     for a, b in zip(self.re[k], self.im[k] if self.im
-                                     else [0] * self.dim))
-
-    def to_vecpoly(self):
-        return VecPoly.from_coeffs(map(self.coefficient, range(len(self.re))),
-                                   True, dim=self.dim)
 
 
 # ----------------------------------------------------------------------

@@ -141,6 +141,13 @@ def test_default_path_straight_when_clear():
     assert len(path.waypoints) == 2
 
 
+def test_default_path_refuses_the_basepoint_as_target():
+    system = scalar_system(1, 1)
+    with pytest.raises(ValueError, match="path target coincides with the "
+                                         "basepoint"):
+        default_path(system, system.poles[0])
+
+
 def test_pathspec_validation():
     with pytest.raises(ValueError):
         PathSpec((1.0,))
@@ -217,6 +224,9 @@ def test_continue_w_scalar_closed_form():
     # a homotopic detour through the lower half plane gives the same value
     detour = continue_w(system, start, [0.0, -0.4j, 0.5 - 0.4j, 0.5])
     assert abs(detour.entry(0, 0) - (-0.75)) <= 1e-8
+    # a PathSpec gives what its waypoint list gives
+    spec = continue_w(system, start, PathSpec((0.0, -0.4j, 0.5 - 0.4j, 0.5)))
+    assert spec.entry(0, 0) == detour.entry(0, 0)
 
 
 def test_continue_w_diagonal_closed_form_near_a_pole():
@@ -902,6 +912,21 @@ def test_solve_analytic_ladder_case():
     assert abs(result.y.eval(0.5)[0]) <= 1e-7
     series = result.y.taylor_at_pole(0, order=20)
     assert max(abs(c[0]) for c in series.coefficients) <= 1e-7
+
+
+def test_solve_analytic_refuses_paths_given_as_a_list():
+    with pytest.raises(ValueError, match="paths must map target pole "
+                                         "indices to paths"):
+        solve_analytic(scalar_system(1, 1), monomial_rhs(2),
+                       paths=[[-1.0, 1.0]])
+
+
+def test_eval_refuses_a_path_that_does_not_start_at_pole_0():
+    # the path ends at x = 0.5 but starts at 0.2i, not at pole 0 (-1)
+    y = solve_analytic(scalar_system(1, 1), monomial_rhs(2)).y
+    with pytest.raises(ValueError, match="path must start at the basepoint "
+                                         "pole"):
+        y.eval(0.5, [0.2j, 0.5])
 
 
 def three_pole_system(residues):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -284,6 +285,68 @@ def test_schema_error_reports_pointer(tmp_path, capsys):
     assert "/poles" in err
 
 
+def _tables_off_by_five(tmp_path, capsys):
+    """README's example and its order-3 tables with 5 added to every
+    coefficient of h: verify reads max_residual 10 and exits 4."""
+    doc = write_doc(tmp_path, SCALAR_DOC)
+    tables = str(tmp_path / "tables.json")
+    assert run(capsys, ["linearize", doc, "--order", "3",
+                        "--out", tables])[0] == 0
+    node = json.loads(Path(tables).read_text(encoding="utf-8"))
+    for entry in node["h"]:
+        entry["coeff"] = [[[re + 5, im] for re, im in row]
+                          for row in entry["coeff"]]
+    Path(tables).write_text(json.dumps(node), encoding="utf-8")
+    code, out, _ = run(capsys, ["verify", doc, "--tables", tables])
+    assert code == 4 and json.loads(out)["max_residual"] == 10
+    return doc, tables
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("check", "--resonance-tol", "nan"),
+    ("check", "--resonance-tol", "-1"),
+    ("check", "--resonance-tol", "inf"),
+    ("check", "--resonance-tol", "0"),
+    ("check", "--tol", "nan"),
+    ("linearize", "--resonance-tol", "nan"),
+    ("linearize", "--tol", "inf"),
+    ("verify", "--tol", "inf"),
+    ("verify", "--tol", "nan"),
+    ("verify", "--tol", "-1"),
+])
+def test_tolerance_flags_must_be_positive_and_finite(tmp_path, capsys,
+                                                     command, flag, value):
+    # nan, a negative or an infinite tolerance made check pass a margin of
+    # exactly 0 and verify pass a residual of 10; each is now refused as
+    # the document's options are, exit 3 with an /options pointer
+    if command == "verify":
+        doc, tables = _tables_off_by_five(tmp_path, capsys)
+        argv = ["verify", doc, "--tables", tables]
+    else:
+        argv = [command, write_doc(tmp_path, RESONANT_DOC), "--order", "3"]
+        assert run(capsys, argv)[0] == 2
+    code, out, err = run(capsys, argv + [flag, value])
+    key = flag[2:].replace("-", "_")
+    assert code == 3 and out == ""
+    assert err == (f"schema error: /options/{key}: {flag} {float(value)}: "
+                   f"expected a positive finite number\n")
+
+
+@pytest.mark.parametrize("key, value", [("tol", math.inf),
+                                        ("tol", 10 ** 400),
+                                        ("resonance_tol", math.inf)],
+                         ids=["tol-inf", "tol-1e400", "resonance_tol-inf"])
+def test_document_tolerances_must_be_finite(tmp_path, capsys, key, value):
+    # json.load reads Infinity, which passed the old v > 0 test
+    doc, tables = _tables_off_by_five(tmp_path, capsys)
+    data = dict(SCALAR_DOC, options={"order": 4, key: value})
+    bad = write_doc(tmp_path, data, "bad.json")
+    code, out, err = run(capsys, ["verify", bad, "--tables", tables])
+    assert code == 3 and out == ""
+    assert err == (f"schema error: /options/{key}: expected a positive "
+                   f"finite number\n")
+
+
 def test_missing_file_is_schema_exit(tmp_path, capsys):
     code, _, err = run(capsys, ["check", str(tmp_path / "absent.json")])
     assert code == 3
@@ -331,6 +394,31 @@ def test_correct_g_from_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["phi"] == [[["1/3", 0]]]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("g, want", [
+    ("[[[0,0]]]", '{"phi":[[[0,0]]],"y":[[[0,0]]]}\n'),
+    ("[[[2,0]]]", '{"phi":[[[2,0]]],"y":[[[0,0]]]}\n'),
+    ("[[[1,0]],[[0,0]]]", '{"phi":[[[1,0]]],"y":[[[0,0]]]}\n'),
+])
+def test_correct_zero_and_low_degree_rhs_bytes(tmp_path, capsys, exact, g,
+                                               want):
+    # on README's example (S = 0): g = 0 gives zero phi and y, and a g of
+    # degree <= S (also with a trailing zero coefficient) is its own phi
+    # with y = 0; a zero polynomial prints as one coefficient of zero pairs
+    doc = write_doc(tmp_path, SCALAR_DOC)
+    code, out, _ = run(capsys, ["correct", doc, "--g", g]
+                       + ["--exact"] * exact)
+    assert code == 0 and out == want
+
+
+def test_correct_g_that_is_not_json_is_a_schema_error(tmp_path, capsys):
+    doc = write_doc(tmp_path, SCALAR_DOC)
+    code, out, err = run(capsys, ["correct", doc, "--exact",
+                                  "--g", "[[[1,0]]"])
+    assert code == 3 and out == ""
+    assert err.startswith("schema error: /g: invalid JSON: ")
 
 
 def test_correct_requires_g(tmp_path, capsys):

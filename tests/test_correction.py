@@ -33,11 +33,13 @@ from fuchslin.model import AssumptionError, FuchsianSystem, singular_shifts
 from fuchslin.pnspace import (
     PnBasis,
     conjugation_matrix,
+    _term_poly,
+    _term_rows,
     devectorize,
     induced_system,
     vectorize,
 )
-from fuchslin.poly import MatPoly, SplitPoly, VecPoly
+from fuchslin.poly import MatPoly, VecPoly
 from fuchslin.rodrigues import RodriguesFamily, shifted_system
 
 
@@ -289,23 +291,26 @@ def test_exact_recursion_on_gaussian_rational_systems(kind):
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
 def test_exact_split_rhs_with_zero_top_degrees(kind):
-    # zero top degrees of a SplitPoly right-hand side are trimmed before
-    # the recursion: (phi, y) are those of the trimmed g, in both layouts
+    # integer rows of a right-hand side whose numerators end in zeros, over
+    # a denominator six times too large: (phi, y) are those of the trimmed
+    # g, and come back as canonical rows, trimmed and reduced
     rng = random.Random(f"zero-tops-{kind}")
     for _ in range(4):
         system = random_gaussian_system(rng, rng.randint(1, 2),
                                         rng.randint(0, 1), kind)
         g = complex_vecpoly(rng, system.size, system.s + rng.randint(1, 3))
-        split = SplitPoly.from_vecpoly(g)
-        zeros = [[0] * system.size] * 2
-        padded = split._replace(den=split.den + [1, 6],
-                                re=split.re + zeros,
-                                im=split.im and split.im + zeros)
+        padded = [None if row is None else (
+            6 * row[0], *(part and tuple(6 * v for v in part) + (0, 0)
+                          for part in row[1:]))
+            for row in _term_rows(g, True)]
         want = solve_polynomial(system, g)
         got = solve_polynomial(system, padded)
-        assert len(got.y.re) == len(want.y.coeffs)
-        assert got.phi.to_vecpoly().coeffs == want.phi.coeffs
-        assert got.y.to_vecpoly().coeffs == want.y.coeffs
+        assert max(len(row[1]) for row in got.y if row) \
+            == len(want.y.coeffs)
+        assert _term_poly(got.phi, True).coeffs == want.phi.coeffs
+        assert _term_poly(got.y, True).coeffs == want.y.coeffs
+        assert got.phi == list(_term_rows(want.phi, True))
+        assert got.y == list(_term_rows(want.y, True))
 
 
 def block_residual(system, block, basis, g, phi, y):
@@ -324,9 +329,9 @@ def block_residual(system, block, basis, g, phi, y):
 @pytest.mark.parametrize("kind", ["real", "complex-poles", "complex"])
 def test_exact_recursion_on_gaussian_rational_blocks(kind):
     # the same on induced blocks, where J_{B_inf} and QB are sparse: the
-    # identity holds exactly, the SplitPoly form (integer rows over one
-    # positive denominator per degree) gives what the VecPoly form gives,
-    # and the float recursion agrees
+    # identity holds exactly, the row form (one integer row over one
+    # positive denominator per component) gives what the VecPoly form
+    # gives, and the float recursion agrees
     rng = random.Random(f"gaussian-block-{kind}")
     solved = 0
     while solved < 6:
@@ -343,15 +348,15 @@ def test_exact_recursion_on_gaussian_rational_blocks(kind):
         result = solve_polynomial(block, g)
         assert block_residual(system, block, basis, g, result.phi,
                               result.y).is_zero()
-        split = solve_polynomial(block, SplitPoly.from_vecpoly(g))
+        split = solve_polynomial(block, _term_rows(g, True))
         for part in (split.phi, split.y):
-            assert part.dim == block.size and len(part.den) == len(part.re)
-            assert all(type(d) is int and d > 0 for d in part.den)
-            assert all(type(v) is int and len(row) == block.size
-                       for rows in (part.re, part.im or []) for row in rows
-                       for v in row)
-        assert split.phi.to_vecpoly().coeffs == result.phi.coeffs
-        assert split.y.to_vecpoly().coeffs == result.y.coeffs
+            assert len(part) == block.size
+            live = [row for row in part if row is not None]
+            assert all(type(d) is int and d > 0 for d, _, _ in live)
+            assert all(type(v) is int and (im is None or len(im) == len(re))
+                       for _, re, im in live for v in re + (im or ()))
+        assert _term_poly(split.phi, True).coeffs == result.phi.coeffs
+        assert _term_poly(split.y, True).coeffs == result.y.coeffs
         float_block, _ = induced_system(float_system(system), basis.n)
         got = solve_polynomial(float_block, float_vecpoly(g))
         scale = max(1.0, float_vecpoly(result.y).max_abs(),
@@ -403,7 +408,7 @@ def test_exact_block_solve_does_fraction_arithmetic_only_in_the_elimination(
         assert correction._exact_operators(block)[0].embedded \
             == (kind == "complex")
         g = complex_vecpoly(rng, block.size, block.s + 3)
-        rows = devectorize(SplitPoly.from_vecpoly(g), basis, exact=True)
+        rows = devectorize(_term_rows(g, True), basis, exact=True)
         want = solve_polynomial(block, g)
         solves.clear()
         with monkeypatch.context() as patch:
@@ -421,7 +426,7 @@ def test_exact_block_solve_does_fraction_arithmetic_only_in_the_elimination(
             assert calls == []
         assert solves == list(range(g.degree - block.s - 1, -1, -1))
         for got, part in ((phi, want.phi), (y, want.y)):
-            assert vectorize(got, basis, True).to_vecpoly().coeffs \
+            assert _term_poly(vectorize(got, basis, True), True).coeffs \
                 == part.coeffs
 
 
@@ -475,12 +480,12 @@ def test_exact_block_recursion_properties(problem):
         assert (part - want).max_abs() <= 1e-10 * scale
 
     canonical = PnBasis(system.size, n)
-    rows = devectorize(SplitPoly.from_vecpoly(g), basis, exact=True)
+    rows = devectorize(_term_rows(g, True), basis, exact=True)
     assert devectorize(vectorize(rows, basis, True), basis, True) == rows
     plain, _ = induced_system(system, n, canonical)
     other = solve_polynomial(plain, vectorize(rows, canonical, True))
     for shuffled, canon in ((result.phi, other.phi), (result.y, other.y)):
-        back = devectorize(SplitPoly.from_vecpoly(shuffled), basis, True)
+        back = devectorize(_term_rows(shuffled, True), basis, True)
         assert back == devectorize(canon, canonical, True)
         assert devectorize(vectorize(back, basis, True), basis, True) == back
 
@@ -641,11 +646,11 @@ def test_float_solve_overflow_partway_is_non_finite():
 
 
 def test_float_solve_array_form_matches_vecpoly_form():
-    # an induced block's rows reach the float solve as a (deg + 1, N)
-    # array: phi and y must come out bit for bit as from the VecPoly, with
-    # the same top coefficients dropped; here the top row's entries are
-    # 0, tol or -tol / 2, and both forms drop it only when it is exactly
-    # zero: a coefficient of size tol is a term
+    # an induced block's rows reach the float solve as an (N, deg + 1)
+    # array of store rows: phi and y must come out bit for bit as from the
+    # VecPoly, with the same top coefficients dropped; here the top
+    # coefficient's entries are 0, tol or -tol / 2, and both forms drop it
+    # only when it is exactly zero: a coefficient of size tol is a term
     rng = random.Random(23)
     tol = 1e-12
     for _ in range(8):
@@ -655,19 +660,20 @@ def test_float_solve_array_form_matches_vecpoly_form():
                                          rng.randint(1, 5) + block.s))
         small = tuple(complex(rng.choice([0.0, tol, -tol / 2]), 0.0)
                       for _ in range(block.size))
-        rows = np.array(g.coeffs + (small,), complex)
+        coeffs = np.array(g.coeffs + (small,), complex)
         want = solve_polynomial(block, VecPoly.from_coeffs(
-            rows.tolist(), False, dim=block.size), tol)
-        got = solve_polynomial(block, rows, tol)
-        for array, poly in ((got.phi, want.phi), (got.y, want.y)):
-            coeffs = np.array(poly.coeffs, complex).reshape(-1, block.size)
-            assert array[:len(coeffs)].tobytes() == coeffs.tobytes()
-            assert not array[len(coeffs):].any()
-        assert len(got.y) == g.degree + any(small) - block.s
+            coeffs.tolist(), False, dim=block.size), tol)
+        got = solve_polynomial(block, coeffs.T, tol)
+        for rows, poly in ((got.phi, want.phi), (got.y, want.y)):
+            assert rows.shape[0] == block.size
+            expect = np.array(poly.coeffs, complex).reshape(-1, block.size)
+            assert rows.T[:len(expect)].tobytes() == expect.tobytes()
+            assert not rows.T[len(expect):].any()
+        assert got.y.shape[1] == g.degree + any(small) - block.s
         # a non-finite coefficient y reads is a numeric failure in both forms
-        rows[-2, -1] = complex("inf")
-        for form in (rows, VecPoly.from_coeffs(rows.tolist(), False,
-                                               dim=block.size)):
+        coeffs[-2, -1] = complex("inf")
+        for form in (coeffs.T, VecPoly.from_coeffs(coeffs.tolist(), False,
+                                                   dim=block.size)):
             with pytest.raises(ArithmeticError, match="non-finite"):
                 solve_polynomial(block, form, tol)
 
@@ -1091,6 +1097,17 @@ def test_shift_up_refuses_a_singular_residue(exact):
         shift_up(system, g)
     assert str(err.value) \
         == f"residue B_0 singular; ladder step undefined: {reason}"
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_shift_up_refuses_a_right_hand_side_of_the_wrong_dimension(exact):
+    system = scalar_system(1, 1)
+    g = VecPoly.from_coeffs([(ExactComplex(1), ExactComplex(2))],
+                            exact=True)
+    if not exact:
+        system, g = float_system(system), float_vecpoly(g)
+    with pytest.raises(ValueError, match="right-hand side dimension"):
+        shift_up(system, g)
 
 
 def test_shift_up_frozen_values():

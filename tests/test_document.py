@@ -220,6 +220,37 @@ def test_option_validation():
     assert pointer_of(err) == "/options/paths/01"
 
 
+@pytest.mark.parametrize("key", ["tol", "resonance_tol"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0, -1,
+                                   10 ** 400, True, "1e-9"],
+                         ids=["inf", "-inf", "nan", "0", "-1", "1e400",
+                              "true", "string"])
+def test_tolerance_options_are_positive_finite_numbers(key, value):
+    # one rule for both tolerances: json.load reads Infinity and NaN, and
+    # an integer past the float range is refused, not converted
+    with pytest.raises(SchemaError,
+                       match="expected a positive finite number") as err:
+        SystemDocument.from_dict(scalar_doc(options={key: value}), True)
+    assert pointer_of(err) == f"/options/{key}"
+    doc = SystemDocument.from_dict(scalar_doc(options={key: 10 ** 300}),
+                                   True)
+    assert doc.options[key] == 1e300
+
+
+def test_float_payload_drops_trailing_zero_coefficients():
+    # a trailing zero coefficient vector is no term, in a right-hand side
+    # and in a table entry, and an all-zero payload is the zero polynomial
+    p = parse_vector_polynomial([[[1, 0], [0, 2]], [[0, 0], [0, 0]]], 2,
+                                False)
+    assert p.coeffs == ((1 + 0j, 2j),)
+    assert parse_vector_polynomial([[[0, 0]], [[0.0, -0.0]]], 1,
+                                   False).is_zero()
+    table = parse_series_table(
+        [{"m": [2], "coeff": [[[0, 0]], [[3, 0]], [[0, 0]]]}], 1, False)
+    assert table.rows[(2,)].shape == (1, 2)
+    assert table.get((2,)).coeffs == ((0j,), (3 + 0j,))
+
+
 def test_nonlinearity_validation():
     bad_len = scalar_doc(
         nonlinearity=[{"multiindex": [2, 0], "coeff": [[[1, 0]]]}]

@@ -173,6 +173,14 @@ def test_compose_rejects_unknown_mode():
                             mode="direct"))
 
 
+@pytest.mark.parametrize("low", [(0,), (1,)])
+def test_compose_rejects_a_term_of_f_below_order_two(low):
+    f = {(2,): vp([[1]]), low: vp([[1]])}
+    with pytest.raises(ValueError, match=rf"term \({low[0]},\) of f has "
+                                         "order below 2"):
+        list(compose_series(f, SeriesTable(1, True), None, 3))
+
+
 @pytest.mark.parametrize("mode", ["obstruction", "normal-form"])
 @pytest.mark.parametrize("seed", range(6))
 def test_compose_reads_only_lower_orders_of_h(seed, mode):
@@ -1038,6 +1046,13 @@ def test_verifier_rejects_terms_below_order_two():
         bad.set(low, vp([[5]]))
         with pytest.raises(ValueError, match="of series has order below"):
             verify_conjugacy(nl, bad, h, 3, mode="normal-form")
+
+
+def test_verifier_rejects_an_unknown_mode():
+    nl = NonlinearSystem(scalar_linear(1, 1), {(2,): vp([[0], [1]])})
+    phi, h = linearize(nl, 3)
+    with pytest.raises(ValueError, match="unknown mode 'fast'"):
+        verify_conjugacy(nl, phi, h, 3, mode="fast")
 
 
 # ----------------------------------------------------------------------

@@ -465,32 +465,35 @@ def test_store_rows_roundtrip(exact):
             for basis in _bases(rng, d, n):
                 if exact:
                     # integer rows over one denominator, None when empty,
-                    # to integer rows in basis order over one positive
-                    # denominator per degree
+                    # to the same integer rows in basis order, each over
+                    # one positive denominator
                     store = [_int_row(r) for r in rows]
                     stacked = vectorize(store, basis, exact=True)
-                    assert stacked.dim == basis.size
-                    assert len(stacked.den) == len(stacked.re) <= width
-                    assert all(type(d) is int and d > 0 for d in stacked.den)
-                    assert all(type(v) is int and len(row) == basis.size
-                               for part in (stacked.re, stacked.im or [])
-                               for row in part for v in row)
+                    assert len(stacked) == basis.size
+                    live = [row for row in stacked if row is not None]
+                    assert all(type(d) is int and d > 0
+                               and len(re) <= width
+                               and (im is None or len(im) == len(re))
+                               for d, re, im in live)
+                    assert all(type(v) is int for _, re, im in live
+                               for v in re + (im or ()))
 
                     def coeff(k, stacked=stacked):
-                        if k >= len(stacked.re):
-                            return [0] * basis.size
-                        im = (stacked.im[k] if stacked.im
-                              else [0] * basis.size)
-                        return [ExactComplex(Fraction(a, stacked.den[k]),
-                                             Fraction(b, stacked.den[k]))
-                                for a, b in zip(stacked.re[k], im)]
+                        return [0 if row is None or k >= len(row[1])
+                                else ExactComplex(
+                                    Fraction(row[1][k], row[0]),
+                                    Fraction(row[2][k] if row[2] else 0,
+                                             row[0]))
+                                for row in stacked]
                 else:
                     store = np.zeros((len(rows), width), complex)
                     for r, row in enumerate(rows):
                         store[r, :len(row)] = [complex(c) for c in row]
                     stacked = vectorize(store, basis)
-                    assert stacked.shape == (width, basis.size)
-                    coeff = stacked.__getitem__
+                    assert stacked.shape == (basis.size, width)
+
+                    def coeff(k, stacked=stacked):
+                        return stacked[:, k]
                 for pos, (m, i) in enumerate(basis.items):
                     row = rows[monomials.index(m) * d + i]
                     for k in range(width):
