@@ -19,11 +19,12 @@ pivot, is solved for y_k, and the others leave the remainder.
 is left of g at degrees <= S is phi.  The paper builds the same (unique)
 pair by expanding g in the lowered Rodrigues family; the tests keep that
 construction as the reference.  Systems and induced blocks both hand it
-QB's S + 2 coefficients (``qb_coefficients``), the top one B_inf
-(J_{B_inf} for a block).  ``local_taylor`` reads it from the bottom in
-t = x - p_j, where Q vanishes and the pivot is Q'(p_j) (k + B_j) y_k at
-t^k: the solution analytic at p_j, which the analytic route's solution
-handle evaluates near a pole.  The analytic route's certificate compares
+Q's S + 3 coefficients (``q_coefficients``) and QB's S + 2
+(``qb_coefficients``), the top one B_inf (J_{B_inf} for a block).
+``local_taylor`` reads it from the bottom in t = x - p_j, where Q
+vanishes and the pivot is Q'(p_j) (k + B_j) y_k at t^k: the solution
+analytic at p_j, which the analytic route's solution handle evaluates
+near a pole.  The analytic route's certificate compares
 its phi and continued solution with ``solve_polynomial``'s.
 
 A vector crosses this module's boundary as a VecPoly or as the engine's
@@ -34,14 +35,15 @@ ends refuse the shifts ``model.singular_shifts`` flags, up front.  Exact
 mode runs one loop, ``_recur_exact``, on integer numerators over one
 denominator per degree, real and imaginary parts apart, with q_i and
 R_(i-1), whose entries arrive as integers over one denominator
-(``qb_coefficients``), brought once per call to sparse real integer
-entries over one denominator per term (at a pole divided by Q'(p_j), so
-the pivot is k + B_j).  Each k is one sparse Gauss-Jordan
-(``SparseMatrix.solve``), which takes the pivot row and gives y_k as
-integers over one denominator, for the real and imaginary parts as two
-columns when Q and QB are real, in the real 2N embedding otherwise; y_k's
-other terms then leave the remainder as integer multiply-adds, each row
-updated once to the lcm of its denominator and theirs.  From the block's
+(``q_coefficients``, ``qb_coefficients``), brought once per call to
+sparse real integer entries over one denominator per term (at a pole
+divided by Q'(p_j), so the pivot is k + B_j).  Each k is one sparse
+Gauss-Jordan (``SparseMatrix.solve``), which takes the pivot row and
+gives y_k as integers over one denominator, for the real and imaginary
+parts as two columns when Q and QB are real, in the real 2N embedding
+otherwise; y_k's other terms then leave the remainder as integer
+multiply-adds, each row updated once to the lcm of its denominator and
+theirs.  From the block's
 construction on, Fraction arithmetic happens only inside that
 elimination.  Float mode runs one loop, ``_recur_float``, on the rows
 transposed to a (width, N) complex128 array, with the same operators (at
@@ -220,8 +222,10 @@ def _singular_ks(system, label, tol, pivot):
 def _exact_operators(system, pole_index=None):
     """What the exact recursion reads of ``system``, once per call.
 
-    q_i and R_i are the coefficients of Q and QB in x at infinity, or in
-    t = x - p_j divided by Q'(p_j) at pole ``pole_index``.  Returns the
+    q_i and R_i are the coefficients of Q and QB in x at infinity, read
+    off the system's integer forms (``q_coefficients``,
+    ``qb_coefficients``), or in t = x - p_j divided by Q'(p_j) at pole
+    ``pole_index``, Taylor-shifted in ``ExactComplex``.  Returns the
     pivot term's R_(i-1) as a SparseMatrix, its i (S + 2 at infinity, 1 at
     a pole), and for every other i with a nonzero term (i, den, q_i as
     real (row offset, col offset, value) blocks of size N, R_(i-1) as real
@@ -231,23 +235,31 @@ def _exact_operators(system, pole_index=None):
     followed by its imaginary parts.
     """
     n = system.size
-    q, coeffs = system.q_poly(), system.qb_coefficients()
-    at = len(q) - 1
-    if pole_index is not None:
+    if pole_index is None:
+        # Q's integer row, each q_i over its own least denominator
+        den, re, im = system.q_coefficients()
+        q = []
+        for a, b in zip(re, im or (0,) * len(re)):
+            g = math.gcd(den, a, b)
+            q.append((den // g, a // g, b // g))
+        coeffs, at = system.qb_coefficients(), len(q) - 1
+    else:
         center, qb = system.poles[pole_index], system.qb_poly()
-        q = sp_taylor(q, center)
-        inv_q1 = 1 / q[1]
+        taylor = sp_taylor(system.q_poly(), center)
+        inv_q1 = 1 / taylor[1]
         coeffs = [(inv_q1 * r).entries() for r in sp_taylor(
-            [qb.coefficient(i) for i in range(at)], center)]
-        q, at = [inv_q1 * c for c in q], 1
+            [qb.coefficient(i) for i in range(len(taylor) - 1)], center)]
+        q = [(den, a, b) for den, (a, b) in (
+            clear_denominators([c.re, c.im])
+            for c in (inv_q1 * c for c in taylor))]
+        at = 1
     embed = (any(im for _, entries in coeffs for *_, im in entries)
-             or any(c.im for c in q))
+             or any(im for *_, im in q))
     terms = []
-    for i, q_i in enumerate(q):
+    for i, (den_q, re, im) in enumerate(q):
         den_r, entries = coeffs[i - 1] if i else (1, [])
-        if i == at or not (q_i or entries):
+        if i == at or not (re or im or entries):
             continue
-        den_q, (re, im) = clear_denominators([q_i.re, q_i.im])
         den = math.lcm(den_q, den_r)
         up_q, up_r = den // den_q, den // den_r
         q_i = [(0, 0, re * up_q, im * up_q)]
@@ -396,7 +408,7 @@ def _solve_polynomial_float(system, rows, tol):
     rem = np.array(rows.T, dtype=complex, order="C")
     top = np.flatnonzero(rem.any(axis=1))
     rem = rem[:top[-1] + 1 if top.size else 0]
-    y = _recur_float(np.array(system.q_poly(), dtype=complex), r, s + 2,
+    y = _recur_float(system.q_coefficients(), r, s + 2,
                      r[-1], rem, np.arange(len(rem) - s - 2, -1, -1),
                      "B_inf", tol)
     return rem[:s + 1].T, y.T

@@ -46,8 +46,10 @@ solves, which take and give store rows (``vectorize`` / ``devectorize``
 only put them in basis order and back), and hands its output blocks to
 its tables at the end, as rows; ``verify_conjugacy`` adds each order of
 its tables, and of f, once as they are (a SeriesTable and
-``NonlinearSystem.f`` keep each term as store rows), and runs one more
-plan per order on the same store for the whole residual,
+``NonlinearSystem.f`` keep each term as store rows) and Q and (QA) w
+once as rows read off the linear part's ``q_coefficients`` and
+``qb_coefficients``, and runs one more plan per order on the same store
+for the whole residual,
 Q d_x h + (d_w h)(QA) w - (QA) h less the composed rows (plus the series
 in the normal-form mode).  Float mode executes a plan on complex128
 arrays (one gather, one batched row convolution, one sum per run of equal
@@ -73,13 +75,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correction import solve_polynomial
-from .exact import from_int
 from .model import AssumptionError, check_nonlinear_assumption
 from .plans import (_C, _D, _E, _H, _R, _T, _count, _run_plans,
                     _verify_plans)
-from .pnspace import (SeriesTable, _int_row, _reduced_row, _term_poly,
-                      devectorize, induced_system, multiindices, vectorize)
-from .poly import sp_trim
+from .pnspace import (SeriesTable, _reduced_row, _term_poly, devectorize,
+                      induced_system, multiindices, vectorize)
 
 
 @dataclass
@@ -156,13 +156,6 @@ class _FloatRows:
         if less is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 block[:, :less.shape[1]] -= less
-        self.add(kind, order, block)
-
-    def polys(self, kind, order, polys):
-        """Append one row per scalar polynomial (tuple of coefficients)."""
-        block = np.zeros((len(polys), max(map(len, polys))), complex)
-        for r, p in enumerate(polys):
-            block[r, :len(p)] = p
         self.add(kind, order, block)
 
     def derive(self, kind, order, source):
@@ -277,9 +270,6 @@ class _ExactRows:
         if less is not None:
             block = list(map(_difference, block, less))
         self.add(kind, order, block)
-
-    def polys(self, kind, order, polys):
-        self.add(kind, order, [_int_row(sp_trim(p)) for p in polys])
 
     def derive(self, kind, order, source):
         self.add(kind, order, [*map(_derivative, self.block(source, order))])
@@ -563,19 +553,16 @@ def verify_conjugacy(nonlinear, series, h, order_max, mode="obstruction",
         for m in table.rows:
             if sum(m) < 2:
                 raise ValueError(f"term {m} of {name} has order below 2")
-    linear = nonlinear.linear
     d, exact = nonlinear.size, nonlinear.exact
-    qa = linear.qb_poly()
     normal = mode == "normal-form"
 
     report = ConjugacyReport(mode=mode, tol=0.0 if exact else tol)
     if order_max < 2:
         return report
     rows = _row_store(exact, d, order_max)
-    # (QA) w as a field block: column s of QA at the monomial w_s
-    rows.polys(_E, 1, [qa.entry(l, m.index(1))
-                       for m in multiindices(d, 1) for l in range(d)])
-    rows.polys(_C, 0, [linear.q_poly(), (from_int(1, exact),)])
+    qa, q = _linear_rows(nonlinear.linear)
+    rows.add(_E, 1, qa)
+    rows.add(_C, 0, q)
     for n in range(2, order_max + 1):
         rows.field(_E, n, series.rows)
     parts = _compose_rows(nonlinear.f.rows, rows, order_max, mode, True)
@@ -586,6 +573,29 @@ def verify_conjugacy(nonlinear, series, h, order_max, mode="obstruction",
         rows.add(_R, n, rhs)
         report.residuals[n] = rows.magnitude(rows.run(plan))
     return report
+
+
+def _linear_rows(linear):
+    """The store blocks of (QA) w, a field block of order 1 (row mu * d + l:
+    entry (l, s) of QA, w_s the monomial at position mu), and of Q and 1,
+    read off ``qb_coefficients`` and ``q_coefficients`` in either ring."""
+    coeffs, q = linear.qb_coefficients(), linear.q_coefficients()
+    d = linear.size
+    if not linear.exact:
+        one = np.zeros(len(q), complex)
+        one[0] = 1
+        return (coeffs.transpose(2, 1, 0)[::-1].reshape(d * d, -1),
+                np.array([q, one]))
+    den = math.lcm(*(c[0] for c in coeffs))
+    zero = [0] * len(coeffs)
+    parts = {}
+    for i, (den_i, entries) in enumerate(coeffs):
+        for l, s, re, im in entries:
+            part = parts.setdefault((l, s), ([*zero], [*zero]))
+            part[0][i], part[1][i] = re * (den // den_i), im * (den // den_i)
+    qa = [_reduced_row(den, *parts.get((l, m.index(1)), (zero, zero)))
+          for m in multiindices(d, 1) for l in range(d)]
+    return qa, [q, (1, (1,), None)]
 
 
 @dataclass

@@ -86,6 +86,17 @@ class CMatrix:
         return cls(tuple((zero,) * n_cols for _ in range(n_rows)), exact)
 
     @classmethod
+    def from_entries(cls, n, entries):
+        """The exact n x n matrix whose nonzero entries ``entries`` lists in
+        ``entries()``'s form, (den, [(row, col, re, im), ...])."""
+        den, entries = entries
+        zero = ExactComplex(0)
+        rows = [[zero] * n for _ in range(n)]
+        for r, c, re, im in entries:
+            rows[r][c] = ExactComplex(Fraction(re, den), Fraction(im, den))
+        return cls(tuple(map(tuple, rows)), True)
+
+    @classmethod
     def from_numpy(cls, arr):
         return cls(tuple(tuple(complex(v) for v in row) for row in arr), False)
 
@@ -259,7 +270,11 @@ def mat_eigenvalues(m):
     """
     if not m.is_square:
         raise ShapeError("eigenvalues need a square matrix")
-    a = m.to_numpy()
+    return array_eigenvalues(m.to_numpy())
+
+
+def array_eigenvalues(a):
+    """``mat_eigenvalues`` of a square complex128 array."""
     if not np.isfinite(a).all():
         raise ArithmeticError("eigenvalues of a non-finite matrix")
     return [complex(z) for z in np.linalg.eigvals(a)]
@@ -382,10 +397,10 @@ class SparseMatrix:
     Fraction(v, den), are built on the first solve, so the Fraction
     arithmetic on the matrix all happens in the elimination."""
 
-    __slots__ = ("size", "embedded", "entries", "_rows")
+    __slots__ = ("n", "size", "embedded", "entries", "_rows")
 
     def __init__(self, n, entries, embed=False):
-        self.entries = entries
+        self.n, self.entries = n, entries
         self.embedded = embed or any(im for *_, im in entries[1])
         self.size = 2 * n if self.embedded else n
         self._rows = None
@@ -399,10 +414,9 @@ class SparseMatrix:
     def _real_rows(self):
         """The real rows {col: Fraction}, built on the first call."""
         if self._rows is None:
-            n = self.size // 2 if self.embedded else self.size
             den, entries = self.entries
             self._rows = [{} for _ in range(self.size)]
-            for r, c, v in split_entries(entries, n, self.embedded):
+            for r, c, v in split_entries(entries, self.n, self.embedded):
                 self._rows[r][c] = Fraction(v, den)
         return self._rows
 

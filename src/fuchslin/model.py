@@ -8,14 +8,26 @@ with distinct finite poles p_j and constant square residue matrices B_j.
 ``FuchsianSystem`` stores the poles and residues and caches the derived
 objects everyone needs: the monic pole polynomial Q = prod (x - p_j), its
 derivative, the cofactors Q/(x - p_j) (assembled as products, never by
-division), the product Q(x)B(x) as a matrix polynomial, and the residue sum
-at infinity B_inf.  QB is built by direct sums: its x^i coefficient is
-sum_j cofactor_j[i] B_j, and its top one is B_inf, since every cofactor
-is monic.  ``qb_coefficients`` is the one operator form the solvers read:
-QB's S + 2 coefficients, the top one B_inf, as one complex128 array or,
-in exact mode, per coefficient in the one exact entry form
-(``CMatrix.entries``): (den, [(row, col, re, im), ...]), the nonzero
-entries' integer parts over their least common denominator.
+division), the product Q(x)B(x) as a matrix polynomial, the residue sum
+at infinity B_inf and the residues' float spectra.  QB is built by direct
+sums: its x^i coefficient is sum_j cofactor_j[i] B_j, and its top one is
+B_inf, since every cofactor is monic.  The solvers, the engine's verifier
+and the checks read two forms, in either ring: ``q_coefficients``, Q's
+S + 3 coefficients, and ``qb_coefficients``, QB's S + 2 coefficients, the
+top one B_inf.  Float mode gives them as complex128 arrays, built in
+complex arithmetic.  Exact mode builds them on Python integers from the
+poles' integer ratios and the residues' integer entries: Q as an integer
+row (den, re, im) (``pnspace``) and each QB coefficient in the one exact
+entry form (``CMatrix.entries``), (den, [(row, col, re, im), ...]), the
+nonzero entries' integer parts over their least common denominator.  Its
+spectra are taken of float arrays of those entries, num / den rounded as
+float(Fraction) rounds it, so they are those of ``CMatrix.to_numpy``; the
+exact checks decide shifts on SparseMatrix forms of the same entries.
+The ``ExactComplex`` values of ``q_poly``, ``cofactor``, ``qb_poly`` and
+``b_infinity`` are made from the integer rows only when asked for (the
+Rodrigues family, the shift ladder, the local series at a pole, API
+users); ``check``, ``correct``, ``linearize``, ``normal-form`` and
+``verify --exact`` build none of them.
 
 ``NonlinearSystem`` couples such a linear part with a polynomial
 nonlinearity given term-by-term: for each monomial u^m (|m| >= 2) a vector
@@ -39,13 +51,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .exact import from_int, scalar_is_zero
-from .matrices import CMatrix, ShapeError, SparseMatrix, mat_eigenvalues
-from .pnspace import (PnBasis, SeriesTable, _monomials, _slot_values,
-                      conjugation_entries)
+from .exact import (ExactComplex, clear_denominators, coerce_scalar,
+                    from_int, scalar_is_zero)
+from .matrices import (CMatrix, ShapeError, SparseMatrix, array_eigenvalues,
+                       mat_eigenvalues)
+from .pnspace import (PnBasis, SeriesTable, _monomials, _reduced_row,
+                      _scalars, _slot_values, conjugation_entries)
 from .poly import MatPoly, sp_diff, sp_eval, sp_from_roots
 
 
@@ -64,7 +79,16 @@ def coinciding_poles(poles, exact):
 
 
 class FuchsianSystem:
-    """Poles and residues of a Fuchsian linear part, with cached algebra."""
+    """Poles and residues of a Fuchsian linear part, with cached algebra.
+
+    Poles and residues share one ring: exact residues take poles that are
+    ``ExactComplex``, int or Fraction (kept as ``ExactComplex``), float
+    residues take any number but an ``ExactComplex``; anything else is a
+    ShapeError.  In exact mode Q, the cofactors, QB's coefficients and the
+    spectra are built on integers (``_exact_rows``), and the
+    ``ExactComplex`` forms of the public methods from them, only when
+    asked for.  Float mode builds them in complex arithmetic.
+    """
 
     __slots__ = (
         "poles", "residues", "exact", "_cache",
@@ -84,6 +108,12 @@ class FuchsianSystem:
         exact = residues[0].exact
         if any(m.exact != exact for m in residues):
             raise ShapeError("mixed exact/float residues")
+        rational = (ExactComplex, int, Fraction)
+        if any(not isinstance(p, rational) if exact
+               else isinstance(p, ExactComplex) for p in poles):
+            raise ShapeError("poles and residues in different rings")
+        if exact:
+            poles = tuple(coerce_scalar(p, True) for p in poles)
         clash = coinciding_poles(poles, exact)
         if clash:
             raise ValueError(
@@ -111,20 +141,68 @@ class FuchsianSystem:
 
     # -- cached derived objects ------------------------------------------
 
+    def _exact_rows(self, key):
+        """One part of exact mode's set-up, built on integers.  "residues":
+        the residues' integer entries (``CMatrix.entries``), and "binf",
+        B_inf's, their sum over the lcm of their denominators with one gcd
+        divided out, are built on the first call.  "q" and "cofactors", the
+        integer rows (den, re, im) (``pnspace``) of Q and of each cofactor
+        Q/(x - p_j), products of the linear factors (e x - a - ib) / e of
+        the poles (a + ib) / e, and "coeffs", QB's x^i coefficients,
+        i = 0 .. S + 1, are built on the first call that asks for one of
+        them.  QB's x^i coefficient is sum_j cofactor_j[i] B_j, summed the
+        same way, so it is exactly ``entries()`` of the matrix; the top one
+        is B_inf, since every cofactor is monic.
+        """
+        rows = self._cache.get("rows")
+        if rows is None:
+            residues = [m.entries() for m in self.residues]
+            ones = [(1, (1,), None)] * self.n_poles
+            rows = self._cache["rows"] = {
+                "residues": residues, "binf": _cofactor_sum(ones, residues, 0)}
+        if key not in rows:
+            roots = [(den, a, b) for den, (a, b) in
+                     (clear_denominators([p.re, p.im]) for p in self.poles)]
+            cofactors = [_root_product(roots[:j] + roots[j + 1:])
+                         for j in range(self.n_poles)]
+            rows.update(q=_root_product(roots), cofactors=cofactors, coeffs=[
+                _cofactor_sum(cofactors, rows["residues"], i)
+                for i in range(self.s + 1)] + [rows["binf"]])
+        return rows[key]
+
+    def _residue_entries(self, j):
+        """Exact residue j's integer entries; 'inf' gives B_inf's."""
+        return (self._exact_rows("binf") if j == "inf"
+                else self._exact_rows("residues")[j])
+
     def b_infinity(self):
         """Residue at infinity: the sum of all residues."""
         if "binf" not in self._cache:
-            acc = self.residues[0]
-            for m in self.residues[1:]:
-                acc = acc + m
+            if self.exact:
+                acc = CMatrix.from_entries(self.size,
+                                           self._residue_entries("inf"))
+            else:
+                acc = self.residues[0]
+                for m in self.residues[1:]:
+                    acc = acc + m
             self._cache["binf"] = acc
         return self._cache["binf"]
 
     def q_poly(self):
         """Monic scalar polynomial with simple zeros at the poles."""
         if "q" not in self._cache:
-            self._cache["q"] = sp_from_roots(self.poles, self.exact)
+            self._cache["q"] = (_scalars(self._exact_rows("q")) if self.exact
+                                else sp_from_roots(self.poles))
         return self._cache["q"]
+
+    def q_coefficients(self):
+        """Q's S + 3 coefficients in the form the solvers read: one
+        complex128 array, or in exact mode its integer row (den, re, im)."""
+        if self.exact:
+            return self._exact_rows("q")
+        if "qarr" not in self._cache:
+            self._cache["qarr"] = np.array(self.q_poly(), dtype=complex)
+        return self._cache["qarr"]
 
     def q_prime(self):
         if "qp" not in self._cache:
@@ -136,24 +214,29 @@ class FuchsianSystem:
         key = ("cof", j)
         if key not in self._cache:
             roots = [p for k, p in enumerate(self.poles) if k != j]
-            self._cache[key] = sp_from_roots(roots, self.exact)
+            self._cache[key] = (_scalars(self._exact_rows("cofactors")[j])
+                                if self.exact else sp_from_roots(roots))
         return self._cache[key]
 
     def qb_poly(self):
         """Q(x)B(x) = sum_j cofactor_j(x) * B_j as a matrix polynomial: its
         x^i coefficient is sum_j cofactor_j[i] B_j, exact-zero cofactor
         coefficients skipped, and its x^(S+1) one B_inf, since every
-        cofactor is monic."""
+        cofactor is monic.  Exact mode reads it off ``qb_coefficients``."""
         if "qb" not in self._cache:
-            cofactors = [self.cofactor(j) for j in range(self.n_poles)]
-            mats = []
-            for i in range(self.s + 1):
-                acc = CMatrix.zeros(self.size, self.size, self.exact)
-                for cof, res in zip(cofactors, self.residues):
-                    if not scalar_is_zero(cof[i]):
-                        acc = acc + res.scale(cof[i])
-                mats.append(acc)
-            mats.append(self.b_infinity())
+            if self.exact:
+                mats = [CMatrix.from_entries(self.size, c)
+                        for c in self.qb_coefficients()]
+            else:
+                cofactors = [self.cofactor(j) for j in range(self.n_poles)]
+                mats = []
+                for i in range(self.s + 1):
+                    acc = CMatrix.zeros(self.size, self.size)
+                    for cof, res in zip(cofactors, self.residues):
+                        if not scalar_is_zero(cof[i]):
+                            acc = acc + res.scale(cof[i])
+                    mats.append(acc)
+                mats.append(self.b_infinity())
             self._cache["qb"] = MatPoly.from_coeffs(
                 mats, self.exact, (self.size, self.size))
         return self._cache["qb"]
@@ -161,14 +244,15 @@ class FuchsianSystem:
     def qb_coefficients(self):
         """QB's x^i coefficients, i = 0 .. S + 1, the top one B_inf: one
         (S + 2, d, d) complex128 array, or in exact mode per coefficient
-        its (den, [(row, col, re, im), ...]) (``CMatrix.entries``)."""
+        its (den, [(row, col, re, im), ...]) (``CMatrix.entries``), built
+        on integers (``_exact_rows``)."""
+        if self.exact:
+            return self._exact_rows("coeffs")
         if "coeffs" not in self._cache:
             qb = self.qb_poly()
             mats = [qb.coefficient(i) for i in range(self.s + 1)]
             mats.append(self.b_infinity())
-            self._cache["coeffs"] = (
-                [m.entries() for m in mats] if self.exact
-                else np.array([m.to_numpy() for m in mats]))
+            self._cache["coeffs"] = np.array([m.to_numpy() for m in mats])
         return self._cache["coeffs"]
 
     def lagrange_basis(self, j):
@@ -185,10 +269,15 @@ class FuchsianSystem:
         return self.b_infinity() if j == "inf" else self.residues[j]
 
     def residue_spectrum(self, j):
-        """Float eigenvalues of residue j ('inf' for the residue sum)."""
+        """Float eigenvalues of residue j ('inf' for the residue sum); in
+        exact mode of the float array of its integer entries
+        (``_entries_array``), which rounds as ``CMatrix.to_numpy`` does."""
         key = ("spec", j)
         if key not in self._cache:
-            self._cache[key] = mat_eigenvalues(self.residue_matrix(j))
+            self._cache[key] = (
+                array_eigenvalues(_entries_array(self.size,
+                                                 self._residue_entries(j)))
+                if self.exact else mat_eigenvalues(self.residue_matrix(j)))
         return self._cache[key]
 
     def all_spectra(self):
@@ -211,6 +300,54 @@ class FuchsianSystem:
         return (
             f"FuchsianSystem(size={self.size}, poles={self.n_poles}, {kind})"
         )
+
+
+def _root_product(roots):
+    """The integer row (den, re, im) of prod (x - r), the roots r given as
+    (den, a, b), r = (a + ib) / den: each factor multiplies the Gaussian-
+    integer numerators by den x - a - ib and the denominator by den."""
+    den, re, im = 1, [1], [0]
+    for e, a, b in roots:
+        re, im = ([e * u - (a * x - b * y) for u, x, y in
+                   zip([0] + re, re + [0], im + [0])],
+                  [e * v - (a * y + b * x) for v, x, y in
+                   zip([0] + im, re + [0], im + [0])])
+        den *= e
+    return _reduced_row(den, re, im)
+
+
+def _cofactor_sum(cofactors, residues, i):
+    """sum_j cofactor_j[i] B_j in ``CMatrix.entries`` form: the terms, each
+    a cofactor's integer row and a residue's integer entries, summed over
+    the lcm of their denominators, with one gcd divided out."""
+    terms = []
+    for (den_c, re, im), (den_b, entries) in zip(cofactors, residues):
+        a, b = re[i], im[i] if im else 0
+        if (a or b) and entries:
+            terms.append((den_c * den_b, a, b, entries))
+    den = math.lcm(*(t[0] for t in terms))
+    sums = {}
+    for t, a, b, entries in terms:
+        a, b = a * (den // t), b * (den // t)
+        for r, c, x, y in entries:
+            acc = sums.setdefault((r, c), [0, 0])
+            acc[0] += a * x - b * y
+            acc[1] += a * y + b * x
+    live = [(r, c, x, y) for (r, c), (x, y) in sorted(sums.items())
+            if x or y]
+    g = math.gcd(den, *(v for *_, x, y in live for v in (x, y)))
+    return den // g, [(r, c, x // g, y // g) for r, c, x, y in live]
+
+
+def _entries_array(n, entries):
+    """The complex128 n x n array of integer entries (den, [(row, col, re,
+    im), ...]), each part num / den, which rounds as float(Fraction) does
+    (and raises OverflowError past the float range)."""
+    den, entries = entries
+    out = np.zeros((n, n), complex)
+    for r, c, x, y in entries:
+        out[r, c] = complex(x / den, y / den)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -275,9 +412,8 @@ def singular_shifts(mat, values, tol, degrees=0):
     k + T, T built only then, and one found singular has margin 0.0.
     Returns the arrays (k as floats, margin, singular), in the order of
     ``values``.  Float mode reads nothing of ``mat`` (it may be None).  In
-    exact mode ``mat`` is a CMatrix or, at degree 0, a SparseMatrix; J of
-    a CMatrix is built as integer entries over one denominator from the
-    plan of its block.
+    exact mode ``mat`` is a SparseMatrix or a CMatrix; J of it is built as
+    integer entries over one denominator from the plan of its block.
     """
     values = np.asarray(values, complex)
     k = np.maximum(np.rint(-values.real), 0.0)
@@ -307,14 +443,21 @@ def _exact_scale(mat):
 
 def _singular_near(mat, shifts, degree):
     """The shifts k for which k + T is singular, by exact elimination."""
-    op = mat
+    op = (SparseMatrix(mat.n_rows, mat.entries()) if isinstance(mat, CMatrix)
+          else mat)
     if degree:
-        basis = PnBasis(mat.n_rows, degree)
-        op = SparseMatrix(basis.size,
-                          conjugation_entries(mat.entries(), basis))
-    elif isinstance(mat, CMatrix):
-        op = SparseMatrix(mat.n_rows, mat.entries())
+        basis = PnBasis(op.n, degree)
+        op = SparseMatrix(basis.size, conjugation_entries(op.entries, basis))
     return {k for k in shifts if op.singular(k)}
+
+
+def _residue_operator(system, label):
+    """What ``singular_shifts`` reads of residue ``label`` (a pole index or
+    'inf'): nothing in float mode, in exact mode the SparseMatrix of its
+    integer entries."""
+    if not system.exact:
+        return None
+    return SparseMatrix(system.size, system._residue_entries(label))
 
 
 def check_linear_assumption(system, tol=1e-9):
@@ -330,7 +473,8 @@ def check_linear_assumption(system, tol=1e-9):
     for label, spectrum in system.all_spectra():
         radius = max((abs(ev) for ev in spectrum), default=0.0)
         k_checked = max(k_checked, int(math.ceil(radius)) + 1)
-        tests = singular_shifts(system.residue_matrix(label), spectrum, tol)
+        tests = singular_shifts(_residue_operator(system, label), spectrum,
+                                tol)
         for ev, k, margin, singular in zip(spectrum,
                                            *(a.tolist() for a in tests)):
             min_margin = min(min_margin, margin)
@@ -361,8 +505,8 @@ def check_nonlinear_assumption(nonlinear, order_max, tol=1e-9):
     min_margin = math.inf
     for label, spectrum in system.all_spectra():
         values = _slot_values(spectrum, exps).ravel()    # slot (m, i)
-        k, margin, singular = singular_shifts(system.residue_matrix(label),
-                                              values, tol, degrees)
+        k, margin, singular = singular_shifts(
+            _residue_operator(system, label), values, tol, degrees)
         min_margin = min(min_margin, float(margin.min(initial=math.inf)))
         for slot in np.flatnonzero(singular).tolist():
             row, i = divmod(slot, d)

@@ -30,8 +30,10 @@ homogeneous block of the conjugacy equation satisfies.  ``induced_system``
 keeps it in the system's one operator form, ``qb_coefficients``: J of
 QB's S + 2 coefficients, J_{B_inf} on top, as one complex128 array, or in
 exact mode per coefficient as (den, [(row, col, re, im), ...]), integer
-parts over one denominator, with no dense N x N matrix and no
-``ExactComplex`` or ``Fraction`` arithmetic.  ``vectorize`` /
+parts over one denominator, from the system's integer entries, with no
+dense N x N matrix and no ``ExactComplex`` or ``Fraction`` arithmetic.
+Its Q is the system's (``q_coefficients``) and the spectrum of J_{B_inf}
+is predicted from the system's float spectrum of B_inf.  ``vectorize`` /
 ``devectorize`` permute the engine's store rows (row mu * d + i:
 component i of the monomial at position mu of ``multiindices(d, n)``)
 into basis order and back, as they are: complex128 array rows, or in
@@ -282,20 +284,18 @@ def conjugation_matrix(mat, basis):
     if not mat.exact:
         return CMatrix.from_numpy(conjugation_arrays([mat.to_numpy()],
                                                      basis)[0])
-    rows = [[ExactComplex(0)] * basis.size for _ in range(basis.size)]
-    den, entries = conjugation_entries(mat.entries(), basis)
-    for row, col, re, im in entries:
-        rows[row][col] = ExactComplex(Fraction(re, den), Fraction(im, den))
-    return CMatrix(tuple(map(tuple, rows)), True)
+    return CMatrix.from_entries(basis.size,
+                                conjugation_entries(mat.entries(), basis))
 
 
 def conjugation_spectrum(mat, basis, eigenvalues=None):
     """Predicted eigenvalue for each basis slot: <lambda, m> - lambda_i.
 
     Pairs the i-th float eigenvalue of ``mat`` (``eigenvalues`` when
-    given, e.g. a cached spectrum) with component i, so the returned list
-    is exact as a multiset; the per-slot pairing is canonical only when
-    ``mat`` is triangular with its diagonal in order.
+    given, e.g. a cached spectrum, and then ``mat`` is not read and may be
+    None) with component i, so the returned list is exact as a multiset;
+    the per-slot pairing is canonical only when ``mat`` is triangular with
+    its diagonal in order.
     """
     lam = mat_eigenvalues(mat) if eigenvalues is None else eigenvalues
     values = _slot_values(lam, _exponents(basis.d, basis.n)).T.ravel()
@@ -318,20 +318,24 @@ def _slot_values(eigenvalues, exps):
 class InducedBlock:
     """The degree-n block of a Fuchsian system.
 
-    Its operator is QB's S + 2 coefficients, each replaced by its J, with
-    J_{B_inf} on top (``qb_coefficients``), in the form the system keeps
-    them: one (S + 2, N, N) complex128 array from one ``conjugation_arrays``
-    call, or in exact mode per coefficient its integer entries over one
-    denominator, (den, [(row, col, re, im), ...]), from
-    ``conjugation_entries``.
+    It hands the solver what a system does.  Q is the system's own
+    (``q_coefficients``: a complex128 array, or in exact mode its integer
+    row).  The operator is QB's S + 2 coefficients, each replaced by its
+    J, with J_{B_inf} on top (``qb_coefficients``), in the form the system
+    keeps them: one (S + 2, N, N) complex128 array from one
+    ``conjugation_arrays`` call, or in exact mode per coefficient its
+    integer entries over one denominator, (den, [(row, col, re, im), ...]),
+    from ``conjugation_entries`` on the system's integer entries.  The
+    spectrum of J_{B_inf} comes from the system's float spectrum of B_inf
+    alone (``conjugation_spectrum``); no matrix is read for it.
     """
 
-    __slots__ = ("size", "s", "exact", "q_poly", "_spec", "_coeffs")
+    __slots__ = ("size", "s", "exact", "q_coefficients", "_spec", "_coeffs")
 
     def __init__(self, linear, basis):
         self.size, self.s, self.exact = basis.size, linear.s, linear.exact
-        self.q_poly = linear.q_poly
-        self._spec = conjugation_spectrum(linear.b_infinity(), basis,
+        self.q_coefficients = linear.q_coefficients
+        self._spec = conjugation_spectrum(None, basis,
                                           linear.residue_spectrum("inf"))
         coeffs = linear.qb_coefficients()
         self._coeffs = ([conjugation_entries(c, basis) for c in coeffs]

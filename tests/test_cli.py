@@ -965,6 +965,64 @@ def test_exact_cli_keeps_one_row_form_from_json_to_json(tmp_path, capsys,
                        "NonlinearSystem._of_table"}
 
 
+_EXACT_COMPLEX_OPS = ("__mul__", "__rmul__", "__add__", "__radd__",
+                      "__sub__", "__rsub__", "__truediv__", "__rtruediv__")
+
+
+def test_exact_commands_do_no_exact_complex_arithmetic(tmp_path, capsys,
+                                                       monkeypatch):
+    # linearize, normal-form, verify and correct --exact on README's
+    # example and on GAUSS_DOC: the linear part's set-up (Q, QB, B_inf and
+    # the spectra) runs on integer rows like the rest, so no command adds,
+    # multiplies or divides an ExactComplex
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    docs = {"readme": (re.search(r"```json\n(.*?)```", readme, re.S)
+                       .group(1), "[[[0,0]],[[0,0]],[[1,0]]]"),
+            "gauss": (json.dumps(GAUSS_DOC),
+                      '[[[1,0],[0,1]],[[0,"1/2"],[2,0]],'
+                      '[["1/3",0],[0,0]],[[0,0],[1,-1]]]')}
+    counts = {}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in _EXACT_COMPLEX_OPS:
+        monkeypatch.setattr(exact.ExactComplex, name, counted(
+            name, getattr(exact.ExactComplex, name)))
+    exact.ExactComplex(1) * 2 + exact.ExactComplex(3)   # the counters count
+    assert counts == {"__mul__": 1, "__add__": 1}
+    counts.clear()
+    for name, (text, g) in docs.items():
+        doc = tmp_path / f"{name}.json"
+        doc.write_text(text, encoding="utf-8")
+        for command in ("linearize", "normal-form"):
+            tables = str(tmp_path / f"{name}-{command}.json")
+            assert run(capsys, [command, str(doc), "--exact", "--order", "4",
+                                "--out", tables])[0] == 0
+            assert run(capsys, ["verify", str(doc), "--exact",
+                                "--tables", tables])[0] == 0
+        assert run(capsys, ["correct", str(doc), "--exact", "--g", g])[0] == 0
+    assert counts == {}
+
+
+def test_exact_residue_past_the_float_range_is_a_numeric_failure(tmp_path,
+                                                                 capsys):
+    # the float spectrum of an exact residue 10^400 overflows: each command
+    # that takes it exits 4 with the conversion's message, no traceback
+    doc = write_doc(tmp_path, dict(SCALAR_DOC, matrices=[[[[10 ** 400, 0]]],
+                                                         [[[1, 0]]]]))
+    for argv in (["linearize", doc, "--exact", "--order", "3"],
+                 ["check", doc, "--exact"],
+                 ["correct", doc, "--exact", "--g", "[[[1,0]]]"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (4, ""), argv
+        assert err == ("numeric failure: integer division result too large "
+                       "for a float\n")
+
+
 def test_environment_does_not_set_tolerances(tmp_path, capsys,
                                              monkeypatch):
     # tolerances come from the flags, the document options or the builtin

@@ -322,7 +322,7 @@ def block_residual(system, block, basis, g, phi, y):
         [conjugation_matrix(qb.coefficient(i), basis)
          for i in range(system.s + 1)]
         + [conjugation_matrix(system.b_infinity(), basis)], True)
-    lhs = y.derivative().mul_sp(block.q_poly()) + dense.mul_vec(y)
+    lhs = y.derivative().mul_sp(system.q_poly()) + dense.mul_vec(y)
     return lhs - (g - phi)
 
 

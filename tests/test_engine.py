@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from fuchslin import engine, plans
+from fuchslin import engine, plans, pnspace
 from fuchslin.analytic import float_system, float_vecpoly
 from fuchslin.document import dumps_canonical, series_table_json
 from fuchslin.engine import (
@@ -482,7 +482,7 @@ def _check_exact_executor(rng, pairs_list, seen):
     for key, count in sorted(need.items()):
         gaussian = rng.random() < 0.5
         blocks[key] = [_random_exact_row(rng, gaussian) for _ in range(count)]
-        rows = [engine._int_row(r) for r in blocks[key]]
+        rows = [pnspace._int_row(r) for r in blocks[key]]
         assert [_scalars(r) for r in rows] == blocks[key]
         store.add(*key, rows)
     for pairs in pairs_list:
@@ -543,7 +543,7 @@ def test_exact_executor_cancellation_and_reduction():
             (ExactComplex(0), ExactComplex(1)),
             (ExactComplex(Fraction(1, 3), Fraction(1, 6)),)]
     store = engine._ExactRows(1, 1, 1)
-    store.add(0, 0, [engine._int_row(r) for r in rows])
+    store.add(0, 0, [pnspace._int_row(r) for r in rows])
     zeros = [0] * 5
     products = (zeros, zeros, [0, 2, 0, 2, 3], zeros, zeros, [1, 2, 2, 0, 1],
                 [0, 0, 1, 1, 2], [1, 1, 1, -1, 3])

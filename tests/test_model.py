@@ -6,12 +6,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuchslin import engine
 from fuchslin.document import SystemDocument
 from fuchslin.exact import ExactComplex
-from fuchslin.matrices import CMatrix, ShapeError
+from fuchslin.matrices import CMatrix, ShapeError, mat_eigenvalues
 from fuchslin.model import (
     AssumptionError,
     FuchsianSystem,
@@ -26,8 +29,9 @@ from fuchslin.model import (
     check_nonlinear_assumption,
     singular_shifts,
 )
-from fuchslin.pnspace import multiindices
-from fuchslin.poly import VecPoly, sp_eval, sp_mul
+from fuchslin.pnspace import _scalars, multiindices
+from fuchslin.poly import (MatPoly, VecPoly, sp_diff, sp_eval, sp_from_roots,
+                           sp_mul)
 
 
 def scalar_system(b0, b1, exact=True):
@@ -67,6 +71,108 @@ def test_validation_errors():
             (ExactComplex(-1), ExactComplex(1)),
             (CMatrix.identity(1, True), CMatrix.identity(1, False)),
         )
+
+
+def test_poles_in_another_ring_than_the_residues_are_refused():
+    # exact residues take exact poles, float residues float ones; ints and
+    # Fractions are exact, and exact mode keeps them as ExactComplex
+    one, onef = CMatrix.identity(1, True), CMatrix.identity(1, False)
+    for poles, mat in (((0.5 + 0j, 1 + 0j), one),
+                       ((ExactComplex(0), 1.0), one),
+                       ((ExactComplex(-1), ExactComplex(1)), onef),
+                       ((ExactComplex(-1), 1 + 0j), onef)):
+        with pytest.raises(ShapeError, match="different rings"):
+            FuchsianSystem(poles, (mat, mat))
+    system = FuchsianSystem((-1, Fraction(1, 2)), (one, one))
+    assert system.poles == (ExactComplex(-1), ExactComplex(Fraction(1, 2)))
+    assert all(isinstance(p, ExactComplex) for p in system.poles)
+    assert system.q_poly() == (ExactComplex(Fraction(-1, 2)),
+                               ExactComplex(Fraction(1, 2)), ExactComplex(1))
+    assert FuchsianSystem((-1, 1), (onef, onef)).q_poly() == (-1, 0, 1)
+
+
+def _reference_setup(system):
+    """Q, Q', the cofactors, QB, B_inf, the Lagrange basis and the residue
+    spectra of an exact system as the linear part's set-up built them in
+    ExactComplex arithmetic, before it ran on integer rows: products of
+    the linear factors, B_inf the sum of the residues, QB's x^i coefficient
+    sum_j cofactor_j[i] B_j with B_inf on top, the Lagrange basis the
+    cofactor over its value at its pole, and the spectra those of the
+    matrices converted to complex."""
+    poles, residues, d, s = (system.poles, system.residues, system.size,
+                             system.s)
+    q = sp_from_roots(poles, True)
+    cofactors = [sp_from_roots(poles[:j] + poles[j + 1:], True)
+                 for j in range(s + 2)]
+    b_inf = residues[0]
+    for m in residues[1:]:
+        b_inf = b_inf + m
+    mats = []
+    for i in range(s + 1):
+        acc = CMatrix.zeros(d, d, True)
+        for cof, res in zip(cofactors, residues):
+            if cof[i]:
+                acc = acc + res.scale(cof[i])
+        mats.append(acc)
+    qb = MatPoly.from_coeffs(mats + [b_inf], True, (d, d))
+    lagrange = []
+    for j, cof in enumerate(cofactors):
+        inv = ExactComplex(1) / sp_eval(cof, poles[j])
+        lagrange.append(tuple(inv * c for c in cof))
+    return {
+        "q": q, "q_prime": sp_diff(q), "cofactors": cofactors, "qb": qb,
+        "coeffs": [m.entries() for m in mats + [b_inf]], "b_inf": b_inf,
+        "lagrange": lagrange,
+        "spectra": [mat_eigenvalues(m) for m in residues + (b_inf,)],
+    }
+
+
+def _bits(values):
+    return np.asarray(values, complex).view(np.int64).tolist()
+
+
+# Parts zero, real or imaginary on purpose; poles may be +-10^400
+_part = st.one_of(st.just(Fraction(0)),
+                  st.fractions(min_value=-9, max_value=9, max_denominator=7))
+_entry = st.one_of(st.just(ExactComplex(0)), st.builds(ExactComplex, _part),
+                   st.builds(ExactComplex, st.just(0), _part),
+                   st.builds(ExactComplex, _part, _part))
+_pole = st.one_of(
+    st.builds(ExactComplex, _part, _part),
+    st.builds(ExactComplex, st.sampled_from([10 ** 400, -10 ** 400]), _part),
+    st.builds(ExactComplex, _part, st.sampled_from([10 ** 400, -10 ** 400])),
+    st.integers(-5, 5), _part)
+
+
+@st.composite
+def _exact_systems(draw):
+    d, s = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    poles = draw(st.lists(_pole, min_size=s + 2, max_size=s + 2,
+                          unique_by=ExactComplex.parse))
+    zero = CMatrix.zeros(d, d, True)
+    residues = [draw(st.one_of(st.just(zero), st.builds(
+        lambda rows: CMatrix(tuple(map(tuple, rows)), True),
+        st.lists(st.lists(_entry, min_size=d, max_size=d), min_size=d,
+                 max_size=d)))) for _ in range(s + 2)]
+    return FuchsianSystem(poles, residues)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(system=_exact_systems())
+def test_integer_setup_matches_the_exact_complex_construction(system):
+    want = _reference_setup(system)
+    assert system.q_poly() == want["q"]
+    assert system.q_prime() == want["q_prime"]
+    assert _scalars(system.q_coefficients()) == want["q"]
+    assert system.qb_coefficients() == want["coeffs"]
+    assert system.b_infinity() == want["b_inf"]
+    assert system.qb_poly().coeffs == want["qb"].coeffs
+    for j in range(system.n_poles):
+        assert system.cofactor(j) == want["cofactors"][j]
+        assert system.lagrange_basis(j) == want["lagrange"][j]
+    labels = [*range(system.n_poles), "inf"]
+    assert [_bits(system.residue_spectrum(j)) for j in labels] == \
+        [_bits(spectrum) for spectrum in want["spectra"]]
 
 
 def test_exact_poles_compare_exactly():

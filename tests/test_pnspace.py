@@ -232,7 +232,7 @@ def test_induced_block_matches_dense_reference(shape):
         block, basis = induced_system(lin, n)
         assert block.size == basis.size == pn_dimension(d, n)
         assert block.s == s and block.exact
-        assert block.q_poly() == lin.q_poly()
+        assert block.q_coefficients() == lin.q_coefficients()
 
         # J of QB's x^i coefficients, J_{B_inf} on top, against dense:
         # the same nonzero entries, and the same product with a vector
