@@ -49,9 +49,13 @@ elimination.  Float mode runs one loop, ``_recur_float``, on the rows
 transposed to a (width, N) complex128 array, with the same operators (at
 a pole q_i, R_i and the right-hand side divided by Q'(p_j) up front) and
 the same solve at both ends: per k one ``np.linalg.solve`` of the pivot,
-B_inf or B_j, shifted by k on its diagonal.  ``first_failed_solve``, the
-rule ``solve_array`` applies to one solve, then checks the solves
-(k + B) y_k = row in the order solved.
+B_inf or B_j, shifted by k on its diagonal.  A 1 x 1 pivot (every block
+of a d = 1 system, the paper's scalar case) runs the same loop on Python
+complex numbers instead, one division per k: numpy's per-call cost on
+one-element arrays was most of that loop's time.  It rounds differently
+from LAPACK in the last bit.  ``first_failed_solve``, the rule
+``solve_array`` applies to one solve, then checks the solves
+(k + B) y_k = row in the order solved, on either loop.
 
 ``shift_up`` / ``pull_back_correction`` implement one rung of the paper's
 shift ladder: the substitution y = y_0 + Q ytilde moves the problem to
@@ -363,33 +367,27 @@ def _recur_float(q, r, at, mat, rem, ks, label, tol):
     coefficients of Q and QB scaled so that q_at = 1, ``at`` the pivot's
     i, and ``mat`` the pivot R_(at-1).  Returns the y_k by k.
 
-    Each k is one ``np.linalg.solve`` of ``mat`` shifted on its diagonal
-    by k, on row k + at - 1.  The other terms lie all below the pivot at
-    infinity and all above it at a pole, so y_k leaves them in two slice
-    updates: k q_i y_k, then R_(i-1) y_k.  Only a solve that raises
-    LinAlgError ends the loop early.  ``first_failed_solve`` then checks
-    the solves (k + mat) y_k = row in the order run, so what overflowed
-    shows there: the first refused raises AssumptionError "k + ``label``
-    singular at k=...", or ArithmeticError on a non-finite row.
+    Each k solves ``mat`` shifted on its diagonal by k on row k + at - 1.
+    The other terms lie all below the pivot at infinity and all above it
+    at a pole, so y_k leaves them in two updates: k q_i y_k, then
+    R_(i-1) y_k.  An N x N pivot runs ``_array_steps``, one
+    ``np.linalg.solve`` per k; a 1 x 1 pivot (d = 1, the paper's scalar
+    case) runs ``_scalar_steps``, one Python complex division per k, which
+    skips numpy's per-call cost on one-element arrays.  The two round
+    differently in the last bit.  Only a solve that raises (LinAlgError,
+    or ZeroDivisionError on a pivot that is exactly 0) ends the loop
+    early.  ``first_failed_solve`` then checks the solves
+    (k + mat) y_k = row in the order run, so what overflowed shows there:
+    the first refused raises AssumptionError "k + ``label`` singular at
+    k=...", or ArithmeticError on a non-finite row.
     """
     lo, hi = (0, at) if at == len(q) - 1 else (at + 1, len(q))
     lo_r = max(lo, 1)
-    q_terms, r_terms = q[lo:hi, None], r[lo_r - 1:hi - 1]
     ys = np.zeros((len(ks), rem.shape[1]), complex)
-    shifted = mat.copy()
-    diag, shifted_diag = np.diagonal(mat), shifted.reshape(-1)[::len(mat) + 1]
-    ran = len(ks)
+    steps = _scalar_steps if len(mat) == 1 else _array_steps
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, k in enumerate(ks.tolist()):
-            np.add(diag, k, out=shifted_diag)
-            try:
-                ys[k] = y_k = np.linalg.solve(shifted, rem[k + at - 1])
-            except np.linalg.LinAlgError:
-                ran = i
-                break
-            if k:
-                rem[k + lo - 1:k + hi - 1] -= k * q_terms * y_k
-            rem[k + lo_r - 1:k + hi - 1] -= r_terms @ y_k
+        ran = steps(q[lo:hi], r[lo_r - 1:hi - 1], at - 1, lo - 1, lo_r - 1,
+                    mat, rem, ks.tolist(), ys)
         ks = ks[:ran + 1]
         failed = first_failed_solve(mat, ks, ys[ks[:ran]], rem[ks + at - 1],
                                     tol)
@@ -399,6 +397,51 @@ def _recur_float(q, r, at, mat, rem, ks, label, tol):
             raise error
         raise AssumptionError(f"k + {label} singular at k={k}: {error}")
     return ys
+
+
+def _array_steps(q_terms, r_terms, row, q_row, r_row, mat, rem, ks, ys):
+    """``_recur_float``'s loop for any N: for k in ``ks``, y_k solves
+    (mat + k) y_k = rem[k + row], then leaves k q_i y_k on the rows from
+    k + q_row and R_(i-1) y_k on the rows from k + r_row, in place.  Writes
+    y_k to ys[k] and returns how many solves ran before one raised
+    LinAlgError."""
+    q_terms, hi = q_terms[:, None], q_row + len(q_terms)
+    shifted = mat.copy()
+    diag, shifted_diag = np.diagonal(mat), shifted.reshape(-1)[::len(mat) + 1]
+    for i, k in enumerate(ks):
+        np.add(diag, k, out=shifted_diag)
+        try:
+            ys[k] = y_k = np.linalg.solve(shifted, rem[k + row])
+        except np.linalg.LinAlgError:
+            return i
+        if k:
+            rem[k + q_row:k + hi] -= k * q_terms * y_k
+        rem[k + r_row:k + hi] -= r_terms @ y_k
+    return len(ks)
+
+
+def _scalar_steps(q_terms, r_terms, row, q_row, r_row, mat, rem, ks, ys):
+    """``_array_steps`` for a 1 x 1 ``mat`` on Python complex numbers: the
+    same updates in the same order, on the remainder column held as a
+    list, written back to ``rem`` and ``ys`` at the end.  A pivot that is
+    exactly 0 ends the loop as numpy's LinAlgError does."""
+    col, m = rem[:, 0].tolist(), complex(mat[0, 0])
+    q_terms, r_terms = q_terms.tolist(), r_terms[:, 0, 0].tolist()
+    y = [0j] * len(ks)
+    ran = len(ks)
+    for i, k in enumerate(ks):
+        try:
+            y[k] = y_k = col[k + row] / (k + m)
+        except ZeroDivisionError:
+            ran = i
+            break
+        if k:
+            for j, q_i in enumerate(q_terms, k + q_row):
+                col[j] -= k * q_i * y_k
+        for j, r_i in enumerate(r_terms, k + r_row):
+            col[j] -= r_i * y_k
+    rem[:, 0], ys[:, 0] = col, y
+    return ran
 
 
 def _solve_polynomial_float(system, rows, tol):

@@ -747,6 +747,114 @@ def test_single_solve_keeps_the_stacked_rule():
 
 
 # ----------------------------------------------------------------------
+# the 1 x 1 float recursion against the array loop
+# ----------------------------------------------------------------------
+
+
+def _on_both_loops(monkeypatch, call):
+    """call() with a 1 x 1 pivot on the scalar loop, then on the array
+    loop (``correction._array_steps``, the path of every N >= 2); each
+    outcome as ("ok", value) or (error type, message)."""
+    outcomes = []
+    for array in (False, True):
+        with monkeypatch.context() as patch:
+            if array:
+                patch.setattr(correction, "_scalar_steps",
+                              correction._array_steps)
+            try:
+                outcomes.append(("ok", call()))
+            except (ArithmeticError, AssumptionError) as err:
+                outcomes.append((type(err), str(err)))
+    return outcomes
+
+
+def random_scalar_float_system(rng, s):
+    """Float d = 1 system with S + 2 poles at least 1 apart and complex
+    residues of real part in [1/2, 2]."""
+    poles = []
+    while len(poles) < s + 2:
+        p = complex(rng.randint(-6, 6) / 2, rng.choice([0, 1, -1]) / 2)
+        if all(abs(p - c) >= 1 for c in poles):
+            poles.append(p)
+    return FuchsianSystem(tuple(poles), tuple(
+        CMatrix.from_rows([[complex(rng.uniform(0.5, 2),
+                                    rng.uniform(-0.5, 0.5))]], False)
+        for _ in poles))
+
+
+def test_scalar_float_recursion_matches_the_array_loop(monkeypatch):
+    # d = 1, S = 0..2, deg g up to 20: solve_polynomial at infinity and
+    # local_taylor at a pole to order 40 on the scalar loop agree with the
+    # array loop on the same operators; the two round differently in the
+    # last bit, so to within 1e-13 of the solution's size
+    rng = random.Random(40)
+    differs = False
+    for s in (0, 1, 2):
+        for _ in range(12):
+            system = random_scalar_float_system(rng, s)
+            g = VecPoly.from_coeffs(
+                [(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),)
+                 for _ in range(rng.randint(0, 20) + 1)], False, dim=1)
+            pole, order = rng.randrange(s + 2), rng.randint(0, 40)
+
+            def at_infinity():
+                result = solve_polynomial(system, g)
+                return result.phi.coeffs, result.y.coeffs
+
+            def at_pole():
+                return (local_taylor(system, pole, g, order).coefficients,)
+
+            for call in (at_infinity, at_pole):
+                got, want = _on_both_loops(monkeypatch, call)
+                assert got[0] == want[0] == "ok"
+                for a, b in zip(got[1], want[1]):
+                    a, b = np.array(a, complex), np.array(b, complex)
+                    assert a.shape == b.shape
+                    scale = max(1.0, np.abs(b).max(initial=0.0))
+                    assert np.abs(a - b).max(initial=0.0) <= 1e-13 * scale
+                    differs |= a.tobytes() != b.tobytes()
+    # the two loops ran: some last bit differs
+    assert differs
+
+
+def _direct_recursion(poles, residues, coeffs):
+    """``_recur_float``'s arguments at infinity for a d = 1 float system,
+    as ``solve_polynomial`` builds them, but with no shift check first."""
+    system, _ = float_problem(poles, residues, coeffs)
+    s, q, r = system.s, system.q_coefficients(), system.qb_coefficients()
+    rem = np.array(coeffs, complex)
+    return (q, r, s + 2, r[-1], rem,
+            np.arange(len(rem) - s - 2, -1, -1), "B_inf", 1e-12)
+
+
+@pytest.mark.parametrize("case, error, message", [
+    # B_inf = -2: the pivot k + B_inf is exactly 0 at k = 2
+    (((-1, 1), ([[-1.0]], [[-1.0]]), [(0,), (1,), (2,), (3,)]),
+     AssumptionError, "k + B_inf singular at k=2: Singular matrix"),
+    (NEAR_SINGULAR, AssumptionError,
+     "k + B_inf singular at k=2: solve residual inf exceeds tolerance "
+     "(near-singular matrix)"),
+    (OVERFLOWS, ArithmeticError,
+     "non-finite right-hand side in a float solve"),
+    # deg g <= S: no k to solve, an empty y
+    (((-1, 1), ([[0.25]], [[0.25]]), [(1,)]), None, None),
+])
+def test_scalar_float_recursion_refuses_as_the_array_loop(
+        monkeypatch, case, error, message):
+    def call():
+        args = _direct_recursion(*case)
+        return correction._recur_float(*args), args[4]
+
+    got, want = _on_both_loops(monkeypatch, call)
+    if error is None:
+        assert got[0] == want[0] == "ok"
+        assert got[1][0].shape == want[1][0].shape == (0, 1)
+        assert got[1][1].tobytes() == want[1][1].tobytes()
+    else:
+        assert got == want == (error, message)
+
+
+# ----------------------------------------------------------------------
 # local_taylor
 # ----------------------------------------------------------------------
 

@@ -1441,7 +1441,16 @@ def test_s0_float_accuracy_at_order_16():
         (2,): VecPoly.from_coeffs([[1.0], [1.5], [1.5], [-0.5]], False, 1),
         (3,): VecPoly.from_coeffs([[0.5], [2.0], [-2.0], [-0.5]], False, 1),
     })
-    order = 16
+    for mode, n, relative in _relative_residuals(nl, 16):
+        assert relative <= 1e-9, (mode, n, relative)
+
+
+def _relative_residuals(nl, order):
+    """(mode, n, residual / size) for float linearize and normal_form to
+    ``order``: each order's conjugacy residual relative to max(1, largest
+    coefficient of h and of the series at that order), as the float-series
+    benchmark's check takes it."""
+    out = []
     for mode, runner in (("obstruction", linearize),
                          ("normal-form", normal_form)):
         series, h = runner(nl, order)
@@ -1452,7 +1461,36 @@ def test_s0_float_accuracy_at_order_16():
                 for p in list(h.order_slice(n).values())
                 + list(series.order_slice(n).values())
             ])
-            assert residual / size <= 1e-9, (mode, n, residual / size)
+            out.append((mode, n, residual / size))
+    return out
+
+
+@pytest.mark.parametrize("s", [0, 1])
+def test_scalar_float_accuracy_at_order_16(s):
+    # seeded d = 1 systems as the float-series benchmark draws them (poles
+    # half-integers in [-2, 2], residues in [1, 1.9], u^2 and u^3 terms
+    # of x-degree 3), to its d = 1 depth: every block is 1 x 1, so every
+    # solve runs the scalar loop of the float recursion
+    rng = random.Random(1600 + s)
+    for _ in range(2):
+        poles = []
+        while len(poles) < s + 2:
+            p = rng.randint(-4, 4) / 2
+            if p not in poles:
+                poles.append(p)
+        linear = FuchsianSystem(
+            tuple(complex(p) for p in poles),
+            tuple(CMatrix.from_rows([[rng.randint(10, 19) / 10 + 0j]], False)
+                  for _ in poles))
+        nl = NonlinearSystem(linear, {
+            (n,): VecPoly.from_coeffs(
+                [[rng.randint(-4, 4) / 2 + 0j] for _ in range(3)] + [[1.0]],
+                False, 1)
+            for n in (2, 3)})
+        report = _relative_residuals(nl, 16)
+        assert len(report) == 2 * 15
+        for mode, n, relative in report:
+            assert relative <= 1e-12, (s, mode, n, relative)
 
 
 def _full_residue_d3_case():
