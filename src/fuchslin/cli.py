@@ -12,9 +12,10 @@ emit canonical JSON reports on stdout or ``--out``:
 
 Exit codes: 0 success; 2 assumption/resonance failure (the check or a
 solver precondition rejected the input); 3 schema error (message points
-at the offending field); 4 numeric failure (quadrature/certificate or a
-failed verification).  Every ``--order``, and the ``order`` of a tables
-file, is an integer >= 2 like ``options.order``; ``--tol`` and
+at the offending field); 4 numeric failure (quadrature/certificate, a
+failed verification, or a report that would hold a non-finite number).
+Every ``--order``, and the ``order`` of a tables file, is an integer >= 2
+like ``options.order``; ``--tol`` and
 ``--resonance-tol`` are positive finite numbers like ``options.tol`` and
 ``options.resonance_tol``; the terms of a tables file have order >= 2;
 each ``options.paths`` entry runs from pole 0 to the target pole its key
@@ -373,6 +374,7 @@ def main(argv=None):
     try:
         _flag_tolerances(args)
         payload, code = args.func(args)
+        text = dumps_canonical(payload)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return _EXIT_SCHEMA
@@ -385,7 +387,6 @@ def main(argv=None):
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return _EXIT_SCHEMA
-    text = dumps_canonical(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

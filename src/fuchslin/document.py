@@ -60,6 +60,11 @@ class SchemaError(ValueError):
     """Document violates the schema; message points at the field."""
 
 
+class NonFiniteError(ValueError, ArithmeticError):
+    """A report holds an inf or a nan, which canonical JSON cannot write;
+    an arithmetic error, so the CLI exits 4 on it."""
+
+
 def _fail(path, message):
     raise SchemaError(f"{path}: {message}")
 
@@ -532,7 +537,7 @@ def _canon(value, out):
         out.append(str(value))
     elif isinstance(value, float):
         if not math.isfinite(value):
-            raise ValueError("cannot serialize non-finite float")
+            raise NonFiniteError("non-finite number in the report")
         out.append(format(value, ".17g"))
     elif isinstance(value, str):
         out.append(json.dumps(value, ensure_ascii=True))

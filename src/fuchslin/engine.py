@@ -52,12 +52,13 @@ once as rows read off the linear part's ``q_coefficients`` and
 for the whole residual,
 Q d_x h + (d_w h)(QA) w - (QA) h less the composed rows (plus the series
 in the normal-form mode).  Float mode executes a plan on complex128
-arrays (one gather, one batched row convolution, one sum per run of equal
-targets).  Exact mode runs the same pairs, skipping empty rows, on
-integer rows: numerator tuples over one positive denominator per row.  A
-product multiplies the denominators and convolves the numerators in
-plain ints; a target sums them in one bucket per denominator and reduces
-once, at the end, to the lcm of its buckets over one gcd.
+arrays (one gather per side, one strided row product per batch, one sum
+per run of equal targets).  Exact mode runs the same pairs, skipping
+empty rows, on integer rows: numerator tuples over one positive
+denominator per row.  A product multiplies the denominators and
+convolves the numerators in plain ints; a target sums them in one bucket
+per denominator and reduces once, at the end, to the lcm of its buckets
+over one gcd.
 
 All series loops iterate keys in sorted order, and the plans list
 monomials in sorted order, so results are bit-for-bit reproducible
@@ -103,13 +104,27 @@ class ConjugacyReport:
 # the two executors of a plan
 # ----------------------------------------------------------------------
 
-# coefficients in one batch of row products (4 MB of complex128)
+# coefficients in one batch of row products (4 MB of complex128), counted
+# as the longer side's padded window, the shorter side and the product,
+# each x-lengths la + lb - 1, lb and la + lb - 1 a row (``_convolve``)
 _BATCH = 1 << 18
 
 
+def _store_rows(off, side):
+    """Flat block ids and store rows of one side (kind, order, row) of a
+    plan: block id kind * orders + order, row off[kind, order] + row read
+    through it with one flat ``take``.  A block that was never added has
+    off -1."""
+    kind, order, row = side
+    ids = kind * off.shape[1] + order
+    return ids, off.take(ids) + row
+
+
 class _FloatRows:
-    """Row store of complex128 rows; a plan runs as one gather, one batched
-    row convolution and one summation of each run of equal targets."""
+    """Row store of complex128 rows; a plan runs as one gather of each
+    side, one strided row product per batch and one summation of each run
+    of equal targets, a fixed number of numpy calls per batch whatever the
+    x-lengths."""
 
     def __init__(self, d, kinds, orders):
         self.d = d
@@ -166,29 +181,31 @@ class _FloatRows:
     def run(self, pairs):
         """(pairs.size, x-length) array of the summed products and copies.
 
-        Each side is gathered only as long as its longest source block, and
-        products are taken in batches of whole runs of equal targets, about
-        _BATCH coefficients a batch, so that large plans stay in bounded
-        memory.  Overflow is left to show as a non-finite coefficient,
-        which the block solve reports; numpy's warnings about it are
-        silenced here.
+        Each side is gathered only as long as its longest source block,
+        the longer one into the padded window of ``_convolve``.  Products
+        are taken in batches of whole runs of equal targets, about _BATCH
+        coefficients of padded window, shorter side and product a batch,
+        so that large plans stay in bounded memory.  Overflow is left to show as a
+        non-finite coefficient, which the block solve reports; numpy's
+        warnings about it are silenced here.
         """
         left, la = self._index(pairs.a)
         right, lb = self._index(pairs.b)
         copy, lc = self._index(pairs.c)
         out = np.zeros((pairs.size, max(la + lb - 1, lc, 0)), complex)
+        if la < lb:
+            left, la, right, lb = right, lb, left, la
         data, starts, count = self.data, pairs.starts, pairs.target.size
         with np.errstate(over="ignore", invalid="ignore"):
             if la and lb:
-                step = _BATCH // (la + lb) + 1
+                step = _BATCH // (2 * la + 3 * lb - 2) + 1
                 cuts = [0] if count <= step else np.unique(np.searchsorted(
                     starts, np.arange(0, count, step), side="right") - 1)
                 for first, last in zip(cuts, list(cuts[1:]) + [None]):
                     runs = starts[first:last]
                     rows = slice(runs[0],
                                  count if last is None else starts[last])
-                    prod = _convolve(data[left[rows], :la],
-                                     data[right[rows], :lb])
+                    prod = _convolve(data, left[rows], la, right[rows], lb)
                     if pairs.scale is not None:
                         prod *= pairs.scale[rows, None]
                     out[pairs.target[runs], :prod.shape[1]] = \
@@ -198,11 +215,10 @@ class _FloatRows:
                     data[copy, :lc], pairs.c_starts, axis=0)
         return out
 
-    def _index(self, rows):
+    def _index(self, side):
         """Store rows and the longest source block's length of a side."""
-        kind, order, row = rows
-        return (self.off[kind, order] + row,
-                int(self.length[kind, order].max(initial=0)))
+        ids, rows = _store_rows(self.off, side)
+        return rows, int(self.length.take(ids).max(initial=0))
 
     def table(self, out, order):
         """SeriesTable rows of the nonzero terms of an output with rows
@@ -224,14 +240,26 @@ class _FloatRows:
         return float(np.fmin(np.abs(out).max(initial=0.0), sys.float_info.max))
 
 
-def _convolve(a, b):
-    """Row-wise polynomial products of the coefficient rows of a and b."""
-    if a.shape[1] < b.shape[1]:
-        a, b = b, a
-    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), complex)
-    for j in range(b.shape[1]):
-        out[:, j:j + a.shape[1]] += a * b[:, j, None]
-    return out
+def _convolve(data, long, ll, short, ls):
+    """Row-wise polynomial products of store rows ``long`` (x-length ll)
+    and ``short`` (x-length 1 <= ls <= ll), as one strided product.
+
+    The long rows a are gathered into one flat buffer, each row after
+    ls - 1 zeros and the last one before ls - 1 more, so that
+    win[r, j, k] = a[r, k - j] is a view of it with strides (row, -column,
+    column), zero where k - j falls outside a[r].  Then out[r, k] = sum_j b[r, j]
+    win[r, j, k] sums over j in ascending order, as adding a times one
+    column of b at a time does.  An inf or nan in b also meets the
+    padding zeros, so its product row is nan where that sum would have
+    skipped them.
+    """
+    rows, width = len(long), ll + ls - 1
+    pad = np.zeros(rows * width + ls - 1, complex)
+    pad[:rows * width].reshape(rows, width)[:, ls - 1:] = data[long, :ll]
+    step = pad.itemsize
+    win = np.ndarray((rows, ls, width), complex, pad, (ls - 1) * step,
+                     (width * step, -step, step))
+    return np.einsum("rj,rjk->rk", data[short, :ls], win)
 
 
 class _ExactRows:
@@ -278,10 +306,8 @@ class _ExactRows:
         """Integer rows of the summed products and copies, one per row."""
         rows, off, live = self.rows, self.off, self.live
         sums = [{} for _ in range(pairs.size)]
-        kind, order, row = pairs.a
-        left = off[kind, order] + row
-        kind, order, row = pairs.b
-        right = off[kind, order] + row
+        left = _store_rows(off, pairs.a)[1]
+        right = _store_rows(off, pairs.b)[1]
         keep = live[left] & live[right]
         scale = (pairs.scale[keep].tolist() if pairs.scale is not None
                  else itertools.repeat(1))
@@ -297,8 +323,7 @@ class _ExactRows:
                     _conv_into(acc_re, im_a, im_b, -s)
             if im_b is not None:
                 _conv_into(acc_im, re_a, im_b, s)
-        kind, order, row = pairs.c
-        src = off[kind, order] + row
+        src = _store_rows(off, pairs.c)[1]
         keep = live[src]
         for c, t in zip(src[keep].tolist(), pairs.c_target[keep].tolist()):
             den, re, im = rows[c]

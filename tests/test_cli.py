@@ -370,6 +370,28 @@ def test_polys_frozen_members(tmp_path, capsys):
     assert payload["C"][2] == [[[30, 0]]]
 
 
+@pytest.mark.parametrize("residues, argv", [
+    # README's example with the residue at -1 set to 1e200: the leading
+    # coefficient of P_2 overflows
+    ((1e200, 1), ["polys", "--order", "3"]),
+    # residues 1e-5 at -1 and 1, g = 1e308 (1 - x + x^2 + x^3): the
+    # obstruction overflows where every solve is finite
+    ((1e-5, 1e-5), ["correct", "--g",
+                    "[[[1e308,0]],[[-1e308,0]],[[1e308,0]],[[1e308,0]]]"]),
+])
+def test_non_finite_report_is_a_numeric_failure(tmp_path, capsys, residues,
+                                                argv):
+    # a report that holds an inf or a nan exits 4, writes nothing, and
+    # says so, in place of a traceback from the JSON writer
+    doc = write_doc(tmp_path, dict(SCALAR_DOC, matrices=[
+        [[[b, 0]]] for b in residues]))
+    out = tmp_path / "report.json"
+    code, stdout, err = run(capsys, [argv[0], doc, *argv[1:],
+                                     "--out", str(out)])
+    assert code == 4 and stdout == "" and not out.exists()
+    assert err == "numeric failure: non-finite number in the report\n"
+
+
 # ----------------------------------------------------------------------
 # correct
 # ----------------------------------------------------------------------

@@ -408,6 +408,141 @@ def test_float_products_do_not_depend_on_batch_size(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# the float row kernel against the column loop it replaces
+# ----------------------------------------------------------------------
+
+
+def _reference_convolve(a, b):
+    """Row-wise polynomial products of rows a and b: the longer side times
+    one column of the shorter side at a time, added into a zero output."""
+    if a.shape[1] < b.shape[1]:
+        a, b = b, a
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), complex)
+    for j in range(b.shape[1]):
+        out[:, j:j + a.shape[1]] += a * b[:, j, None]
+    return out
+
+
+def _random_rows(rng, count, width, integer):
+    """(count, width) complex rows: small Gaussian integers, which every
+    product and sum keeps exact, or normal deviates."""
+    if integer:
+        return rng.integers(-9, 10, (count, width)) \
+            + 1j * rng.integers(-9, 10, (count, width))
+    return rng.standard_normal((count, width)) \
+        + 1j * rng.standard_normal((count, width))
+
+
+# (rows, longer x-length, shorter x-length) of one batch
+KERNEL_SHAPES = [(0, 3, 2), (1, 1, 1), (9, 1, 1), (7, 4, 4), (40, 27, 27),
+                 (300, 9, 1), (3000, 5, 3), (1200, 13, 6), (64, 2, 1)]
+
+
+@pytest.mark.parametrize("integer", [True, False])
+def test_float_kernel_matches_the_column_loop(integer):
+    # integer-valued rows sum exactly in any order: bit for bit.  Normal
+    # deviates: within 1e-15 of sum |a||b| per coefficient, as a product
+    # may round differently in its last bit
+    rng = np.random.default_rng(41 + integer)
+    data = _random_rows(rng, 500, 30, integer)
+    for rows, ll, ls in KERNEL_SHAPES:
+        long, short = rng.integers(0, 500, (2, rows))
+        a, b = data[long, :ll], data[short, :ls]
+        got = engine._convolve(data, long, ll, short, ls)
+        want = _reference_convolve(a, b)
+        assert got.shape == want.shape == (rows, ll + ls - 1)
+        if integer:
+            assert np.array_equal(got, want), (rows, ll, ls)
+        else:
+            bound = 1e-15 * _reference_convolve(abs(a), abs(b)).real
+            assert (abs(got - want) <= bound).all(), (rows, ll, ls)
+
+
+def test_float_kernel_is_non_finite_where_the_column_loop_is():
+    # an inf operand: every coefficient the loop leaves non-finite is
+    # non-finite, and rows without one agree.  The padding zeros meet an
+    # inf of the shorter side, so its row also reads nan where the loop,
+    # which skips them, stays finite
+    rng = np.random.default_rng(7)
+    padded = 0
+    data = _random_rows(rng, 200, 12, False)
+    data[3, 2] = np.inf
+    data[5, 0] = complex(-np.inf, 1)
+    data[8, 1] = complex(0, np.inf)
+    for rows, ll, ls in [(60, 12, 4), (60, 5, 5), (60, 7, 1)]:
+        long, short = rng.integers(10, 200, (2, rows))
+        long[:3] = 3, 5, 8
+        short[3:6] = 3, 5, 8
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = engine._convolve(data, long, ll, short, ls)
+            want = _reference_convolve(data[long, :ll], data[short, :ls])
+        assert (~np.isfinite(got[~np.isfinite(want)])).all()
+        clean = np.isfinite(data[long, :ll]).all(axis=1) \
+            & np.isfinite(data[short, :ls]).all(axis=1)
+        assert clean[6:].all() and not clean.all()
+        assert np.allclose(got[clean], want[clean], rtol=1e-14, atol=0)
+        padded += (np.isnan(got) & np.isfinite(want)).sum()
+    assert padded
+
+
+@pytest.mark.parametrize("la, lb", [(3, 9), (6, 6), (9, 3), (1, 4), (1, 1)])
+def test_float_run_matches_the_column_loop(monkeypatch, la, lb):
+    # hand-made plans on integer rows of x-lengths la and lb, in batches of
+    # a few runs (_BATCH 64) and in one: each target is the scaled sum of
+    # its products plus its copies, bit for bit, whichever side is longer
+    rng = np.random.default_rng(la * 10 + lb)
+    store = engine._FloatRows(1, 3, 1)
+    blocks = [_random_rows(rng, 50, width, True) for width in (la, lb, 4)]
+    for kind, block in enumerate(blocks):
+        block[0, -1] = 1
+        store.add(kind, 0, block)
+    size, count, copies = 700, 3000, 200
+    target = np.sort(rng.integers(0, size, count))
+    c_target = np.sort(rng.integers(0, size, copies))
+    scale = rng.choice([-2, -1, 1, 3], count)
+    a, b, c = rng.integers(0, 50, (3, count))
+    zeros = np.zeros(count, int)
+    pairs, = plans._plans(
+        [size], np.array([zeros, zeros, a, zeros + 1, zeros, b, target, scale],
+                         np.int32),
+        plans._cut([size], np.bincount(target, minlength=size)),
+        np.array([zeros[:copies] + 2, zeros[:copies], c[:copies], c_target],
+                 np.int32),
+        plans._cut([size], np.bincount(c_target, minlength=size)))
+    want = np.zeros((size, max(la + lb - 1, 4)), complex)
+    prods = _reference_convolve(blocks[0][a], blocks[1][b]) * scale[:, None]
+    np.add.at(want, (target, slice(0, la + lb - 1)), prods)
+    np.add.at(want, (c_target, slice(0, 4)), blocks[2][c[:copies]])
+    assert np.array_equal(store.run(pairs), want)
+    monkeypatch.setattr(engine, "_BATCH", 64)
+    assert np.array_equal(store.run(pairs), want)
+
+
+def test_store_rows_match_two_dimensional_indexing():
+    # every side of the order plans of both modes and of the verifier
+    # plans, on random block offsets with blocks never added (off -1):
+    # flat block ids read the rows off[kind, order] + row and the block
+    # (kind, order) of each entry
+    rng = np.random.default_rng(3)
+    for d, n_max in ((1, 6), (2, 5), (3, 4)):
+        sides = [side for jacobian in (False, True)
+                 for run in plans._run_plans(d, n_max, n_max, jacobian)
+                 for pairs in run[::2] for side in (pairs.a, pairs.b, pairs.c)]
+        sides += [side for normal in (False, True)
+                  for pairs in plans._verify_plans(d, n_max, normal)
+                  for side in (pairs.a, pairs.b, pairs.c)]
+        kinds = 1 + max(int(s[0].max(initial=0)) for s in sides)
+        orders = 1 + max(int(s[1].max(initial=0)) for s in sides)
+        off = rng.integers(0, 10_000, (kinds, orders))
+        off[rng.random((kinds, orders)) < 0.3] = -1
+        assert (off == -1).any()
+        for kind, order, row in sides:
+            ids, rows = engine._store_rows(off, (kind, order, row))
+            assert np.array_equal(rows, off[kind, order] + row)
+            assert np.array_equal(np.divmod(ids, orders), (kind, order))
+
+
+# ----------------------------------------------------------------------
 # the exact executor against the scalar accumulation it replaces
 # ----------------------------------------------------------------------
 
