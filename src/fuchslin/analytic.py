@@ -897,6 +897,7 @@ class AnalyticSolutionHandle:
         self.tol = tol
         self.certificate = None            # set by solve_analytic
 
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def eval(self, x, path=None):
         """y(x), continued along ``path`` (default: ``default_path``), which
         must run from pole 0 to x; a path that ends elsewhere raises
@@ -930,6 +931,7 @@ class AnalyticSolutionHandle:
                             order)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
     """Correction phi and analytic solution handle for a polynomial rhs.
 
@@ -940,7 +942,9 @@ def solve_analytic(system, g, tol=1e-10, paths=None, resonance_tol=1e-9):
     a failed certificate raises QuadratureError.  A block system with
     cond(M) u > 1e3 * tol (u = 2^-53) is refused with QuadratureError
     before the solve; ``certificate.cond`` holds cond(M).  The returned
-    phi and y are the moment construction's own.
+    phi and y are the moment construction's own.  numpy's overflow,
+    invalid and divide warnings are off here and in ``eval``, as in the
+    engine and the recursions: a non-finite value reaches the refusals.
     """
     report = check_linear_assumption(system, tol=resonance_tol)
     if not report.passed:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .analytic import QuadratureError, solve_analytic
@@ -39,6 +38,7 @@ from .document import (
     SchemaError,
     dumps_canonical,
     _is_tolerance,
+    _loads,
     is_order,
     load_document,
     matpoly_json,
@@ -182,11 +182,8 @@ def _read_g(args, doc):
             text = fh.read()
     else:
         text = raw
-    try:
-        node = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"/g: invalid JSON: {exc}") from exc
-    return parse_vector_polynomial(node, doc.dimension, doc.exact)
+    return parse_vector_polynomial(_loads(text, "/g"), doc.dimension,
+                                   doc.exact)
 
 
 def cmd_correct(args):
@@ -257,10 +254,7 @@ def cmd_verify(args):
     doc = _load(args)
     nonlinear = doc.to_nonlinear()
     with open(args.tables, "r", encoding="utf-8") as fh:
-        try:
-            node = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"/tables: invalid JSON: {exc}") from exc
+        node = _loads(fh.read(), "/tables")
     if not isinstance(node, dict) or "series" not in node or "h" not in node:
         raise SchemaError("/tables: expected an object with series and h")
     mode = args.mode or node.get("mode") or doc.options.get("mode") \

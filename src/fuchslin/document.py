@@ -86,9 +86,8 @@ class _Refused(Exception):
         self.where = where
 
 
-def _part(value, exact, where):
-    if exact:
-        return Fraction(*_ratio(value, where))
+def _part(value, where):
+    """A float pair part as a float."""
     if isinstance(value, bool):
         raise _Refused("expected a number, got a boolean", where)
     if isinstance(value, (int, float)):
@@ -111,7 +110,10 @@ def _ratio(value, where):
         try:
             if m is None:
                 return Fraction(value).as_integer_ratio()
-            num, den = int(m[1]), int(m[2] or 1)
+            try:
+                num, den = int(m[1]), int(m[2] or 1)
+            except ValueError:      # past the int-str digit limit
+                num, den = _long_int(m[1]), _long_int(m[2] or "1")
             if not den:
                 raise ZeroDivisionError
         except (ValueError, ZeroDivisionError):
@@ -126,15 +128,60 @@ def _ratio(value, where):
         f"expected int or 'p/q' string, got {type(value).__name__}", where)
 
 
+# CPython refuses to convert an int of more than
+# sys.get_int_max_str_digits() decimal digits (4,300 by default, never
+# fewer than 640 unless unlimited) to or from a string.  The two
+# conversions below take such ints in pieces of at most _PIECE digits;
+# they run only where the plain conversion refused.
+_PIECE = 600
+
+
+def _long_int(text):
+    """int(text) of a decimal integer string, converted in pieces."""
+    digits = text.lstrip("-")
+    if len(digits) <= _PIECE:
+        value = int(digits)
+    else:
+        cut = len(digits) // 2
+        value = (_long_int(digits[:cut]) * 10 ** (len(digits) - cut)
+                 + _long_int(digits[cut:]))
+    return -value if text.startswith("-") else value
+
+
+def _long_str(n):
+    """str(n) of an int, converted in pieces."""
+    if n < 0:
+        return "-" + _long_str(-n)
+    if n.bit_length() <= 3.32 * _PIECE:
+        return str(n)
+    half = n.bit_length() * 3 // 20     # about half its digits
+    high, low = divmod(n, 10 ** half)
+    return _long_str(high) + _long_str(low).zfill(half)
+
+
+def _loads(text, where):
+    """The JSON value of ``text``, integer literals past the digit limit
+    included; invalid JSON is a SchemaError at pointer ``where``."""
+    try:
+        try:
+            return json.loads(text)
+        except ValueError as exc:
+            if isinstance(exc, json.JSONDecodeError):
+                raise
+            # an integer literal past the int-str digit limit
+            return json.loads(text, parse_int=_long_int)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
+
+
 def _scalar(node, exact):
     """A strict [re, im] pair in the requested ring."""
+    if exact:
+        re_ratio, im_ratio = _exact_pair(node)
+        return ExactComplex(Fraction(*re_ratio), Fraction(*im_ratio))
     if not isinstance(node, list) or len(node) != 2:
         raise _Refused("expected a [re, im] pair")
-    real = _part(node[0], exact, "/0")
-    imag = _part(node[1], exact, "/1")
-    if exact:
-        return ExactComplex(real, imag)
-    return complex(real, imag)
+    return complex(_part(node[0], "/0"), _part(node[1], "/1"))
 
 
 def _parse_scalar(node, path, exact):
@@ -407,10 +454,7 @@ def load_document(path, exact=False):
                 raise SchemaError(f"/: invalid TOML: {exc}") from exc
     else:
         with open(text_path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"/: invalid JSON: {exc}") from exc
+            data = _loads(fh.read(), "/")
     return SystemDocument.from_dict(data, exact)
 
 
@@ -448,7 +492,12 @@ def matpoly_json(p):
 def _ratio_json(v, den):
     """v / den as an int or a reduced 'p/q' string, with one gcd."""
     g = math.gcd(v, den)
-    return v // g if g == den else f"{v // g}/{den // g}"
+    if g == den:
+        return v // g
+    try:
+        return f"{v // g}/{den // g}"
+    except ValueError:          # past the int-str digit limit
+        return f"{_long_str(v // g)}/{_long_str(den // g)}"
 
 
 def _int_rows_json(rows):
@@ -534,7 +583,10 @@ def _canon(value, out):
     elif value is False:
         out.append("false")
     elif isinstance(value, int):
-        out.append(str(value))
+        try:
+            out.append(str(value))
+        except ValueError:      # past the int-str digit limit
+            out.append(_long_str(value))
     elif isinstance(value, float):
         if not math.isfinite(value):
             raise NonFiniteError("non-finite number in the report")

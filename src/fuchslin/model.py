@@ -5,29 +5,26 @@ A Fuchsian right-hand side is the rational matrix function
     B(x) = sum_j B_j / (x - p_j),    j = 0 .. S+1,
 
 with distinct finite poles p_j and constant square residue matrices B_j.
-``FuchsianSystem`` stores the poles and residues and caches the derived
-objects everyone needs: the monic pole polynomial Q = prod (x - p_j), its
-derivative, the cofactors Q/(x - p_j) (assembled as products, never by
-division), the product Q(x)B(x) as a matrix polynomial, the residue sum
-at infinity B_inf and the residues' float spectra.  QB is built by direct
-sums: its x^i coefficient is sum_j cofactor_j[i] B_j, and its top one is
-B_inf, since every cofactor is monic.  The solvers, the engine's verifier
-and the checks read two forms, in either ring: ``q_coefficients``, Q's
-S + 3 coefficients, and ``qb_coefficients``, QB's S + 2 coefficients, the
-top one B_inf.  Float mode gives them as complex128 arrays, built in
-complex arithmetic.  Exact mode builds them on Python integers from the
-poles' integer ratios and the residues' integer entries: Q as an integer
-row (den, re, im) (``pnspace``) and each QB coefficient in the one exact
-entry form (``CMatrix.entries``), (den, [(row, col, re, im), ...]), the
-nonzero entries' integer parts over their least common denominator.  Its
-spectra are taken of float arrays of those entries, num / den rounded as
-float(Fraction) rounds it, so they are those of ``CMatrix.to_numpy``; the
+``FuchsianSystem`` stores the poles and residues and builds, once and
+only when asked, one set-up of the linear part in its ring (``_forms``):
+the residues, their sum at infinity B_inf, the monic pole polynomial
+Q = prod (x - p_j), the cofactors Q/(x - p_j) (products of the other
+linear factors, never a division) and QB's coefficients, the x^i one
+sum_j cofactor_j[i] B_j and the top one B_inf, since every cofactor is
+monic.  Float mode holds complex128 arrays.  Exact mode holds Python
+integers, built from the poles' integer ratios and the residues' integer
+entries: Q and the cofactors as integer rows (den, re, im) (``pnspace``),
+each matrix in the one exact entry form (``CMatrix.entries``).  The
+solvers, the engine's verifier and the checks read the set-up itself:
+``q_coefficients``, Q's S + 3 coefficients, and ``qb_coefficients``, QB's
+S + 2.  The spectra are those of float arrays, in exact mode of the
+entries' num / den, rounded as ``CMatrix.to_numpy`` rounds them; the
 exact checks decide shifts on SparseMatrix forms of the same entries.
-The ``ExactComplex`` values of ``q_poly``, ``cofactor``, ``qb_poly`` and
-``b_infinity`` are made from the integer rows only when asked for (the
-Rodrigues family, the shift ladder, the local series at a pole, API
-users); ``check``, ``correct``, ``linearize``, ``normal-form`` and
-``verify --exact`` build none of them.
+``q_poly``, ``cofactor``, ``qb_poly`` and ``b_infinity`` (the Rodrigues
+family, the shift ladder, the local series at a pole, API users) are made
+from the set-up on request, one definition for both rings; ``check``,
+``correct``, ``linearize``, ``normal-form`` and ``verify --exact`` build
+none of them.
 
 ``NonlinearSystem`` couples such a linear part with a polynomial
 nonlinearity given term-by-term: for each monomial u^m (|m| >= 2) a vector
@@ -55,10 +52,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import (ExactComplex, clear_denominators, coerce_scalar,
-                    from_int, scalar_is_zero)
-from .matrices import (CMatrix, ShapeError, SparseMatrix, array_eigenvalues,
-                       mat_eigenvalues)
+from .exact import ExactComplex, clear_denominators, coerce_scalar, from_int
+from .matrices import CMatrix, ShapeError, SparseMatrix, array_eigenvalues
 from .pnspace import (PnBasis, SeriesTable, _monomials, _reduced_row,
                       _scalars, _slot_values, conjugation_entries)
 from .poly import MatPoly, sp_diff, sp_eval, sp_from_roots
@@ -84,10 +79,10 @@ class FuchsianSystem:
     Poles and residues share one ring: exact residues take poles that are
     ``ExactComplex``, int or Fraction (kept as ``ExactComplex``), float
     residues take any number but an ``ExactComplex``; anything else is a
-    ShapeError.  In exact mode Q, the cofactors, QB's coefficients and the
-    spectra are built on integers (``_exact_rows``), and the
-    ``ExactComplex`` forms of the public methods from them, only when
-    asked for.  Float mode builds them in complex arithmetic.
+    ShapeError.  Q, the cofactors, QB's coefficients, B_inf and the
+    spectra come from one set-up per ring (``_forms``): complex128 arrays
+    in float mode, integers in exact mode.  The public methods' polynomial
+    and matrix objects are made from it only when asked for.
     """
 
     __slots__ = (
@@ -141,68 +136,87 @@ class FuchsianSystem:
 
     # -- cached derived objects ------------------------------------------
 
-    def _exact_rows(self, key):
-        """One part of exact mode's set-up, built on integers.  "residues":
-        the residues' integer entries (``CMatrix.entries``), and "binf",
-        B_inf's, their sum over the lcm of their denominators with one gcd
-        divided out, are built on the first call.  "q" and "cofactors", the
-        integer rows (den, re, im) (``pnspace``) of Q and of each cofactor
-        Q/(x - p_j), products of the linear factors (e x - a - ib) / e of
-        the poles (a + ib) / e, and "coeffs", QB's x^i coefficients,
-        i = 0 .. S + 1, are built on the first call that asks for one of
-        them.  QB's x^i coefficient is sum_j cofactor_j[i] B_j, summed the
-        same way, so it is exactly ``entries()`` of the matrix; the top one
-        is B_inf, since every cofactor is monic.
+    def _forms(self, key):
+        """One part of the linear part's set-up, in the system's ring:
+        "residues" and "binf", B_inf, their sum in pole order, built on the
+        first call; "q" and "cofactors", Q and each Q/(x - p_j), and
+        "coeffs", QB's x^i coefficients sum_j cofactor_j[i] B_j (exact-zero
+        cofactor coefficients skipped) for i <= S with B_inf on top, built
+        on the first call that asks for one of them.  Float mode holds
+        complex128 arrays, Q and the cofactors from ``sp_from_roots``.
+        Exact mode holds integers: each matrix's entries
+        (``CMatrix.entries``), sums over the lcm of their terms'
+        denominators with one gcd divided out, and the integer rows
+        (den, re, im) (``pnspace``) of Q and the cofactors, products of the
+        linear factors (e x - a - ib) / e of the poles (a + ib) / e.
         """
-        rows = self._cache.get("rows")
-        if rows is None:
-            residues = [m.entries() for m in self.residues]
-            ones = [(1, (1,), None)] * self.n_poles
-            rows = self._cache["rows"] = {
-                "residues": residues, "binf": _cofactor_sum(ones, residues, 0)}
-        if key not in rows:
-            roots = [(den, a, b) for den, (a, b) in
-                     (clear_denominators([p.re, p.im]) for p in self.poles)]
-            cofactors = [_root_product(roots[:j] + roots[j + 1:])
-                         for j in range(self.n_poles)]
-            rows.update(q=_root_product(roots), cofactors=cofactors, coeffs=[
-                _cofactor_sum(cofactors, rows["residues"], i)
-                for i in range(self.s + 1)] + [rows["binf"]])
-        return rows[key]
+        forms = self._cache.get("forms")
+        if forms is None:
+            if self.exact:
+                residues = [m.entries() for m in self.residues]
+                binf = _cofactor_sum([(1, (1,), None)] * self.n_poles,
+                                     residues, 0)
+            else:
+                residues = np.array([m.to_numpy() for m in self.residues])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    binf = sum(residues[1:], residues[0])
+            forms = self._cache["forms"] = {"residues": residues,
+                                            "binf": binf}
+        if key not in forms:
+            residues, n = forms["residues"], self.n_poles
+            if self.exact:
+                roots = [(den, a, b) for den, (a, b) in
+                         (clear_denominators([p.re, p.im]) for p in self.poles)]
+                cofactors = [_root_product(roots[:j] + roots[j + 1:])
+                             for j in range(n)]
+                forms.update(q=_root_product(roots), coeffs=[
+                    _cofactor_sum(cofactors, residues, i)
+                    for i in range(self.s + 1)] + [forms["binf"]])
+            else:
+                poles = self.poles
+                cofactors = np.array([sp_from_roots(poles[:j] + poles[j + 1:])
+                                      for j in range(n)], complex)
+                coeffs = np.zeros((n, self.size, self.size), complex)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for cof, res in zip(cofactors, residues):
+                        live = np.flatnonzero(cof[:-1])
+                        coeffs[live] += cof[live, None, None] * res
+                coeffs[-1] = forms["binf"]
+                forms.update(q=np.array(sp_from_roots(poles), complex),
+                             coeffs=coeffs)
+            forms["cofactors"] = cofactors
+        return forms[key]
 
-    def _residue_entries(self, j):
-        """Exact residue j's integer entries; 'inf' gives B_inf's."""
-        return (self._exact_rows("binf") if j == "inf"
-                else self._exact_rows("residues")[j])
+    def _residue_form(self, j):
+        """Residue j's form (``_forms``); 'inf' gives B_inf's."""
+        return (self._forms("binf") if j == "inf"
+                else self._forms("residues")[j])
+
+    def _matrix(self, form):
+        """The CMatrix of a d x d form."""
+        return (CMatrix.from_entries(self.size, form) if self.exact
+                else CMatrix.from_numpy(form))
+
+    def _poly(self, form):
+        """The scalar polynomial of Q's or a cofactor's form."""
+        return _scalars(form) if self.exact else tuple(form.tolist())
 
     def b_infinity(self):
         """Residue at infinity: the sum of all residues."""
         if "binf" not in self._cache:
-            if self.exact:
-                acc = CMatrix.from_entries(self.size,
-                                           self._residue_entries("inf"))
-            else:
-                acc = self.residues[0]
-                for m in self.residues[1:]:
-                    acc = acc + m
-            self._cache["binf"] = acc
+            self._cache["binf"] = self._matrix(self._forms("binf"))
         return self._cache["binf"]
 
     def q_poly(self):
         """Monic scalar polynomial with simple zeros at the poles."""
         if "q" not in self._cache:
-            self._cache["q"] = (_scalars(self._exact_rows("q")) if self.exact
-                                else sp_from_roots(self.poles))
+            self._cache["q"] = self._poly(self._forms("q"))
         return self._cache["q"]
 
     def q_coefficients(self):
         """Q's S + 3 coefficients in the form the solvers read: one
         complex128 array, or in exact mode its integer row (den, re, im)."""
-        if self.exact:
-            return self._exact_rows("q")
-        if "qarr" not in self._cache:
-            self._cache["qarr"] = np.array(self.q_poly(), dtype=complex)
-        return self._cache["qarr"]
+        return self._forms("q")
 
     def q_prime(self):
         if "qp" not in self._cache:
@@ -210,50 +224,26 @@ class FuchsianSystem:
         return self._cache["qp"]
 
     def cofactor(self, j):
-        """Q(x)/(x - p_j), built as the product of the other linear factors."""
+        """Q(x)/(x - p_j), the product of the other linear factors."""
         key = ("cof", j)
         if key not in self._cache:
-            roots = [p for k, p in enumerate(self.poles) if k != j]
-            self._cache[key] = (_scalars(self._exact_rows("cofactors")[j])
-                                if self.exact else sp_from_roots(roots))
+            self._cache[key] = self._poly(self._forms("cofactors")[j])
         return self._cache[key]
 
     def qb_poly(self):
-        """Q(x)B(x) = sum_j cofactor_j(x) * B_j as a matrix polynomial: its
-        x^i coefficient is sum_j cofactor_j[i] B_j, exact-zero cofactor
-        coefficients skipped, and its x^(S+1) one B_inf, since every
-        cofactor is monic.  Exact mode reads it off ``qb_coefficients``."""
+        """Q(x)B(x) = sum_j cofactor_j(x) * B_j as a matrix polynomial, read
+        off ``qb_coefficients``."""
         if "qb" not in self._cache:
-            if self.exact:
-                mats = [CMatrix.from_entries(self.size, c)
-                        for c in self.qb_coefficients()]
-            else:
-                cofactors = [self.cofactor(j) for j in range(self.n_poles)]
-                mats = []
-                for i in range(self.s + 1):
-                    acc = CMatrix.zeros(self.size, self.size)
-                    for cof, res in zip(cofactors, self.residues):
-                        if not scalar_is_zero(cof[i]):
-                            acc = acc + res.scale(cof[i])
-                    mats.append(acc)
-                mats.append(self.b_infinity())
             self._cache["qb"] = MatPoly.from_coeffs(
-                mats, self.exact, (self.size, self.size))
+                map(self._matrix, self.qb_coefficients()), self.exact,
+                (self.size, self.size))
         return self._cache["qb"]
 
     def qb_coefficients(self):
         """QB's x^i coefficients, i = 0 .. S + 1, the top one B_inf: one
         (S + 2, d, d) complex128 array, or in exact mode per coefficient
-        its (den, [(row, col, re, im), ...]) (``CMatrix.entries``), built
-        on integers (``_exact_rows``)."""
-        if self.exact:
-            return self._exact_rows("coeffs")
-        if "coeffs" not in self._cache:
-            qb = self.qb_poly()
-            mats = [qb.coefficient(i) for i in range(self.s + 1)]
-            mats.append(self.b_infinity())
-            self._cache["coeffs"] = np.array([m.to_numpy() for m in mats])
-        return self._cache["coeffs"]
+        its (den, [(row, col, re, im), ...]) (``CMatrix.entries``)."""
+        return self._forms("coeffs")
 
     def lagrange_basis(self, j):
         """The degree-(S+1) polynomial that is 1 at p_j and 0 at other poles."""
@@ -274,10 +264,9 @@ class FuchsianSystem:
         (``_entries_array``), which rounds as ``CMatrix.to_numpy`` does."""
         key = ("spec", j)
         if key not in self._cache:
-            self._cache[key] = (
-                array_eigenvalues(_entries_array(self.size,
-                                                 self._residue_entries(j)))
-                if self.exact else mat_eigenvalues(self.residue_matrix(j)))
+            form = self._residue_form(j)
+            self._cache[key] = array_eigenvalues(
+                _entries_array(self.size, form) if self.exact else form)
         return self._cache[key]
 
     def all_spectra(self):
@@ -457,7 +446,7 @@ def _residue_operator(system, label):
     integer entries."""
     if not system.exact:
         return None
-    return SparseMatrix(system.size, system._residue_entries(label))
+    return SparseMatrix(system.size, system._residue_form(label))
 
 
 def check_linear_assumption(system, tol=1e-9):

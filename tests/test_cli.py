@@ -464,6 +464,19 @@ def test_correct_analytic_certificate(tmp_path, capsys):
     assert cert["phi_gap"] <= 1e-9
 
 
+def test_correct_analytic_overflow_is_one_numeric_failure_line(tmp_path,
+                                                              capsys):
+    # README's example with the residue at -1 set to 1e200: the route's
+    # Taylor factors overflow; it exits 4 with one line on stderr and no
+    # numpy warning (a warning is an error under the test configuration)
+    doc = write_doc(tmp_path, dict(SCALAR_DOC, matrices=[[[[1e200, 0]]],
+                                                         [[[1, 0]]]]))
+    code, out, err = run(capsys, ["correct", doc, "--analytic", "--g",
+                                  "[[[0,0]],[[0,0]],[[1,0]]]"])
+    assert (code, out) == (4, "")
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
+
 def test_correct_analytic_path_through_a_pole(tmp_path, capsys):
     data = dict(SCALAR_DOC, options={
         "order": 4, "paths": {"1": [[-1, 0], [1, 0], [0, 1], [1, 0]]},
@@ -1043,6 +1056,74 @@ def test_exact_residue_past_the_float_range_is_a_numeric_failure(tmp_path,
         assert (code, out) == (4, ""), argv
         assert err == ("numeric failure: integer division result too large "
                        "for a float\n")
+
+
+# A 4,400-digit integer: past CPython's default int <-> str limit of 4,300
+# digits, which json.dumps and str() keep to, so the tests write it as text
+_LONG_DIGITS = "1" + "0" * 4399
+
+
+def _write_long(tmp_path, data, digits):
+    """``write_doc`` of ``data`` with each "LONG" string replaced by the
+    JSON integer literal ``digits``."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(data).replace('"LONG"', digits),
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("entry", ["LONG", _LONG_DIGITS],
+                         ids=["literal", "string"])
+def test_document_integer_past_the_digit_limit_is_read(tmp_path, capsys,
+                                                       entry):
+    # a residue of 4,400 digits, as a JSON integer or an integer string, is
+    # a valid rational: it is read, and its float spectrum then overflows,
+    # exit 4 as for 10^400; the interpreter's digit limit is left as it is
+    limit = sys.get_int_max_str_digits()
+    doc = _write_long(tmp_path, dict(SCALAR_DOC, matrices=[[[[entry, 0]]],
+                                                           [[[1, 0]]]]),
+                      _LONG_DIGITS)
+    code, out, err = run(capsys, ["check", doc, "--exact"])
+    assert (code, out) == (4, "")
+    assert err == ("numeric failure: integer division result too large for "
+                   "a float\n")
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_g_integer_past_the_digit_limit_is_read_and_written(tmp_path,
+                                                            capsys):
+    # a constant g of 4,400 digits is its own phi when S = 0
+    doc = write_doc(tmp_path, SCALAR_DOC)
+    code, out, _ = run(capsys, ["correct", doc, "--exact",
+                                "--g", f"[[[{_LONG_DIGITS},0]]]"])
+    assert code == 0
+    assert out == '{"phi":[[[%s,0]]],"y":[[[0,0]]]}\n' % _LONG_DIGITS
+
+
+@pytest.mark.parametrize("residue, coeff, order, written", [
+    # README's example with the residue at -1 = 1 / 77...7 (1,500 sevens):
+    # the tables hold 'p/q' strings with a part past the limit
+    ("1/" + "7" * 1500, 1, "6", r'"[-0-9/]{4301,}"'),
+    # f = 6 * 10^4400 x u^2: the tables hold JSON integers past it
+    (1, "LONG", "3", r"[\[,]-?[0-9]{4301,}[\],]"),
+], ids=["long-denominator", "long-literal"])
+def test_tables_past_the_digit_limit_round_trip(tmp_path, capsys, residue,
+                                                coeff, order, written):
+    limit = sys.get_int_max_str_digits()
+    doc = _write_long(tmp_path, dict(
+        SCALAR_DOC, matrices=[[[[residue, 0]]], [[[1, 0]]]],
+        nonlinearity=[{"multiindex": [2], "coeff": [[[0, 0]], [[coeff, 0]]]}]),
+        "6" + "0" * 4400)
+    tables = tmp_path / "tables.json"
+    code, _, _ = run(capsys, ["linearize", doc, "--exact", "--order", order,
+                              "--out", str(tables)])
+    assert code == 0
+    assert re.search(written, tables.read_text(encoding="utf-8"))
+    code, out, _ = run(capsys, ["verify", doc, "--exact",
+                                "--tables", str(tables)])
+    assert code == 0
+    assert out.startswith('{"max_residual":0,') and '"passed":true' in out
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_environment_does_not_set_tolerances(tmp_path, capsys,

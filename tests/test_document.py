@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuchslin import document
 from fuchslin.document import (
     SchemaError,
     SystemDocument,
@@ -602,3 +603,24 @@ def test_exact_reader_and_writer_match_fraction_strings(case):
         True, dim=d)
     for got in (table.get(m), doc.nonlinearity[tuple(m)]):
         assert (got - want).is_zero()
+
+
+def test_long_integer_conversions_match_unlimited_str():
+    # the piecewise conversions against CPython's own with its int <-> str
+    # digit limit lifted for the comparison only: random ints of up to
+    # 60,000 bits, either sign, and runs of zeros and nines at the pieces'
+    # boundaries
+    rng = random.Random(11)
+    values = [rng.getrandbits(bits) * sign for bits in
+              (1, 64, 1990, 1993, 1994, 4000, 14300, 20000, 60000)
+              for sign in (1, -1)]
+    values += [10 ** k + off for k in (599, 600, 601, 1200, 4300, 4301, 9000)
+               for off in (-1, 0, 1)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [str(n) for n in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [document._long_str(n) for n in values] == want
+    assert [document._long_int(text) for text in want] == values

@@ -8,12 +8,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fuchslin import engine
 from fuchslin.document import SystemDocument
-from fuchslin.exact import ExactComplex
+from fuchslin.exact import ExactComplex, scalar_is_zero
 from fuchslin.matrices import CMatrix, ShapeError, mat_eigenvalues
 from fuchslin.model import (
     AssumptionError,
@@ -27,6 +27,7 @@ from fuchslin.model import (
     _singular_near,
     check_linear_assumption,
     check_nonlinear_assumption,
+    coinciding_poles,
     singular_shifts,
 )
 from fuchslin.pnspace import _scalars, multiindices
@@ -173,6 +174,123 @@ def test_integer_setup_matches_the_exact_complex_construction(system):
     labels = [*range(system.n_poles), "inf"]
     assert [_bits(system.residue_spectrum(j)) for j in labels] == \
         [_bits(spectrum) for spectrum in want["spectra"]]
+
+
+def _reference_float_setup(system):
+    """Q, the cofactors, B_inf, QB's coefficients and the residue spectra
+    of a float system as the linear part's set-up built them in CMatrix
+    arithmetic on Python complex numbers, before it ran on complex128
+    arrays: B_inf the sum of the residues in pole order, QB's x^i
+    coefficient a zero matrix plus res.scale(cofactor_j[i]) for each j
+    whose cofactor coefficient is not zero, B_inf on top.  A spectrum is
+    mat_eigenvalues' list, or the ArithmeticError it raised."""
+    poles, residues, d, s = (system.poles, system.residues, system.size,
+                             system.s)
+    cofactors = [sp_from_roots(poles[:j] + poles[j + 1:])
+                 for j in range(s + 2)]
+    b_inf = residues[0]
+    for m in residues[1:]:
+        b_inf = b_inf + m
+    mats = []
+    for i in range(s + 1):
+        acc = CMatrix.zeros(d, d)
+        for cof, res in zip(cofactors, residues):
+            if not scalar_is_zero(cof[i]):
+                acc = acc + res.scale(cof[i])
+        mats.append(acc)
+    return {
+        "q": sp_from_roots(poles), "cofactors": cofactors, "b_inf": b_inf,
+        "qb": _outcome(lambda: MatPoly.from_coeffs(mats + [b_inf], False,
+                                                   (d, d)).coeffs),
+        "coeffs": np.array([m.to_numpy() for m in mats + [b_inf]]),
+        "scale": [sum((abs(cof[i]) * np.abs(res.to_numpy())
+                       for cof, res in zip(cofactors, residues)),
+                      np.zeros((d, d))) for i in range(s + 1)],
+        "spectra": [_outcome(lambda: _bits(mat_eigenvalues(m)))
+                    for m in residues + (b_inf,)],
+    }
+
+
+def _outcome(make):
+    """``make()``, or the ArithmeticError it raised as "Type: text": a
+    spectrum refuses a non-finite matrix, and the trim of a matrix
+    polynomial an entry whose modulus overflows."""
+    try:
+        return make()
+    except ArithmeticError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _same_values(got, want, scale, exact_bits):
+    """Whether the complex arrays ``got`` and ``want`` agree: bit for bit
+    with ``exact_bits``, else within 1e-15 * ``scale`` wherever the scale
+    is finite, numpy's complex multiply being free to fuse its
+    multiply-adds where Python's does not (where a term's modulus
+    overflows, fusing may even decide whether a part is finite)."""
+    if exact_bits:
+        return _bits(got) == _bits(want)
+    bound = np.broadcast_to(1e-15 * np.asarray(scale), np.shape(want))
+    with np.errstate(over="ignore", invalid="ignore"):
+        close = np.abs(np.asarray(got) - want) <= bound
+    return bool(close[np.isfinite(bound)].all())
+
+
+# Parts zero of either sign, moderate, past the float range once summed or
+# infinite; poles in {-1, 0, 1} give cofactors with exact-zero coefficients
+_float_part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-9, 9),
+                        st.sampled_from([1e308, -1e308, 1.6e308, math.inf,
+                                         -math.inf]))
+_float_pole = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 1j, -1j]),
+                        st.complex_numbers(max_magnitude=5))
+
+
+@st.composite
+def _float_systems(draw):
+    d, s = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    real = draw(st.booleans())
+    poles = draw(st.lists(_float_pole, min_size=s + 2, max_size=s + 2))
+    assume(coinciding_poles(poles, False) is None)
+    entry = (st.builds(complex, _float_part) if real else
+             st.builds(complex, _float_part, _float_part))
+    zero = CMatrix.zeros(d, d)
+    residues = [draw(st.one_of(st.just(zero), st.builds(
+        lambda rows: CMatrix.from_rows(rows),
+        st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d,
+                 max_size=d)))) for _ in range(s + 2)]
+    return FuchsianSystem(poles, residues)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(system=_float_systems())
+def test_float_setup_matches_the_complex_construction(system):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _reference_float_setup(system)
+    # a product of real factors rounds alike with or without a fused add
+    exact_bits = all(complex(p).imag == 0 for p in system.poles) or all(
+        v.imag == 0 for m in system.residues for row in m.rows for v in row)
+    assert system.q_poly() == want["q"]
+    assert _bits(system.q_coefficients()) == _bits(want["q"])
+    for j in range(system.n_poles):
+        assert _bits(system.cofactor(j)) == _bits(want["cofactors"][j])
+    assert _bits(system.b_infinity().to_numpy()) == \
+        _bits(want["b_inf"].to_numpy())
+    coeffs = system.qb_coefficients()
+    assert coeffs.shape == want["coeffs"].shape
+    assert _bits(coeffs[-1]) == _bits(want["coeffs"][-1])
+    for got, ref, scale in zip(coeffs, want["coeffs"], want["scale"]):
+        assert _same_values(got, ref, scale, exact_bits)
+    qb = _outcome(lambda: system.qb_poly().coeffs)
+    if isinstance(want["qb"], str):
+        assert qb == want["qb"]
+    else:
+        assert len(qb) == len(want["qb"])
+        for i, (got, ref) in enumerate(zip(qb, want["qb"])):
+            scale = want["scale"][i] if i <= system.s else 0.0
+            assert _same_values(got.to_numpy(), ref.to_numpy(), scale,
+                                exact_bits or i > system.s)
+    labels = [*range(system.n_poles), "inf"]
+    assert [_outcome(lambda: _bits(system.residue_spectrum(j)))
+            for j in labels] == want["spectra"]
 
 
 def test_exact_poles_compare_exactly():
