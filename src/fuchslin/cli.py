@@ -37,6 +37,7 @@ from .correction import solve_polynomial
 from .document import (
     SchemaError,
     dumps_canonical,
+    dumps_exact,
     _is_tolerance,
     _loads,
     is_order,
@@ -45,6 +46,8 @@ from .document import (
     matrix_json,
     parse_series_table,
     parse_vector_polynomial,
+    parse_vector_rows,
+    rows_json,
     scalar_json,
     series_table_json,
     vecpoly_json,
@@ -173,7 +176,9 @@ def cmd_polys(args):
     return {"order": order, "P": polys, "C": leads}, _EXIT_OK
 
 
-def _read_g(args, doc):
+def _read_g(args, doc, parse):
+    """``--g`` read by ``parse``: ``document.parse_vector_polynomial``, or
+    ``document.parse_vector_rows`` for the store rows of its components."""
     raw = args.g
     if raw is None:
         raise SchemaError("/g: right-hand side is required; pass --g")
@@ -182,17 +187,16 @@ def _read_g(args, doc):
             text = fh.read()
     else:
         text = raw
-    return parse_vector_polynomial(_loads(text, "/g"), doc.dimension,
-                                   doc.exact)
+    return parse(_loads(text, "/g"), doc.dimension, doc.exact)
 
 
 def cmd_correct(args):
     doc = _load(args)
     system = doc.to_system()
-    g = _read_g(args, doc)
     if args.analytic:
         # The moment/continuation route runs in floating point even for an
         # exact document; only the algebraic route stays rational.
+        g = _read_g(args, doc, parse_vector_polynomial)
         tol = _resolve(args, doc, "tol", 1e-10)
         result = solve_analytic(
             system, g, tol=tol, paths=doc.options.get("paths"),
@@ -218,9 +222,11 @@ def cmd_correct(args):
             },
         }
         return payload, _EXIT_OK
+    g = _read_g(args, doc, parse_vector_rows)
     tol = _resolve(args, doc, "tol", 1e-12)
     result = solve_polynomial(system, g, tol)
-    payload = {"phi": vecpoly_json(result.phi), "y": vecpoly_json(result.y)}
+    payload = {"phi": rows_json(result.phi, doc.exact),
+               "y": rows_json(result.y, doc.exact)}
     return payload, _EXIT_OK
 
 
@@ -357,6 +363,16 @@ def build_parser():
     return parser
 
 
+def _float_free(args):
+    """Whether the command's report holds no float: exact tables,
+    families and polynomial corrections, whose scalars are ints and
+    'p/q' strings (``check``, ``verify`` and the analytic route report
+    float margins and residuals)."""
+    return args.exact and args.command in ("linearize", "normal-form",
+                                           "polys", "correct") \
+        and not getattr(args, "analytic", False)
+
+
 @functools.lru_cache(maxsize=None)
 def _parser():
     """The parser of ``main``, built once per process."""
@@ -368,7 +384,7 @@ def main(argv=None):
     try:
         _flag_tolerances(args)
         payload, code = args.func(args)
-        text = dumps_canonical(payload)
+        text = (dumps_exact if _float_free(args) else dumps_canonical)(payload)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return _EXIT_SCHEMA

@@ -19,23 +19,32 @@ component.  In exact mode each pair part must be an integer or a
 ``"p/q"`` string — floats are refused so the rational pipeline never
 silently loses exactness.
 
-Polynomial payloads (the nonlinearity's and a tables file's ``coeff``)
-are read straight into the engine's store rows, one per component, and
-kept in a SeriesTable: in exact mode integer rows (den, re, im), each
-part read as (numerator, denominator) ints, an integer or ``"p/q"``
-string with one gcd and any other string as ``Fraction(str)`` reads it;
-in float mode (d, width) complex128 arrays.  Poles and matrices are read
-into ExactComplex / complex scalars.  ``series_table_json`` prints a
+Exact numbers are read by one reader, ``_exact_row``: a sequence of
+pairs into one integer row (den, re, im), in one loop, int parts as
+they are and each string part as (numerator, denominator) ints, an
+integer or ``"p/q"`` string with one gcd and any other string as
+``Fraction(str)`` reads it.  Polynomial payloads (the nonlinearity's, a
+tables file's ``coeff`` and ``--g``) are read a component's column at a
+time into the engine's store rows, kept in a SeriesTable; in float mode
+they are (d, width) complex128 arrays.  Exact poles are read into their
+integer roots (den, a, b) and exact matrices, row-major as one row, into
+their integer entries (den, [(row, col, re, im), ...]), the forms the
+linear part's set-up starts from (``FuchsianSystem._of_forms``); float
+ones into complex scalars and a CMatrix.  ``series_table_json`` prints a
 table from the same rows, each exact scalar reduced with one gcd, so an
 exact tables file goes from JSON to JSON with no ExactComplex, Fraction
-or VecPoly in between.
+or VecPoly in between.  Integers past CPython's int-str digit limit are
+read and written by piecewise conversions, which run only where the
+plain one refused.
 
 Validation failures raise SchemaError whose message starts with a
-``/slash/separated`` pointer to the offending field.
+``/slash/separated`` pointer to the offending field; the reader reports
+the first bad pair a row-major read meets (``_locate``).
 
 ``dumps_canonical`` renders output JSON deterministically: object keys
 sorted, floats through ``format(x, '.17g')``, no whitespace variance —
-identical inputs give byte-identical reports.
+identical inputs give byte-identical reports.  ``dumps_exact`` gives the
+same bytes for a report with no float, written by json's C encoder.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ from .analytic import path_defect
 from .exact import ExactComplex
 from .matrices import CMatrix
 from .model import FuchsianSystem, NonlinearSystem, coinciding_poles
-from .pnspace import SeriesTable, _ratio_row, _term_poly, _term_rows
+from .pnspace import SeriesTable, _term_poly, _term_rows
 from .poly import VecPoly
 
 
@@ -100,32 +109,44 @@ def _part(value, where):
 def _ratio(value, where):
     """An exact pair part as (numerator, denominator) in lowest terms, the
     denominator positive: ints as they are, ``_INT_RATIO`` strings with
-    one gcd, every other string as Fraction(str) reads it."""
-    if isinstance(value, bool):
-        raise _Refused("expected a number, got a boolean", where)
-    if isinstance(value, int):
-        return int(value), 1
+    one gcd, every other string as Fraction(str) reads it, and past the
+    int-str digit limit as ``_long_ratio`` reads it."""
     if isinstance(value, str):
         m = _INT_RATIO.fullmatch(value)
         try:
             if m is None:
-                return Fraction(value).as_integer_ratio()
-            try:
-                num, den = int(m[1]), int(m[2] or 1)
-            except ValueError:      # past the int-str digit limit
-                num, den = _long_int(m[1]), _long_int(m[2] or "1")
+                try:
+                    return Fraction(value).as_integer_ratio()
+                except ValueError:
+                    num, den = _long_ratio(value)
+            else:
+                try:
+                    num, den = int(m[1]), int(m[2] or 1)
+                except ValueError:      # past the int-str digit limit
+                    num, den = _long_int(m[1]), _long_int(m[2] or "1")
             if not den:
                 raise ZeroDivisionError
         except (ValueError, ZeroDivisionError):
-            raise _Refused(f"not a valid rational: {value!r}",
+            raise _Refused(f"not a valid rational: {_shown(value)}",
                            where) from None
         g = math.gcd(num, den)
         return num // g, den // g
+    if isinstance(value, bool):
+        raise _Refused("expected a number, got a boolean", where)
+    if isinstance(value, int):
+        return int(value), 1
     if isinstance(value, float):
         raise _Refused("floats are not accepted in exact mode; "
                        "use integers or 'p/q' strings", where)
     raise _Refused(
         f"expected int or 'p/q' string, got {type(value).__name__}", where)
+
+
+def _shown(text, cap=40):
+    """repr(text), cut to its first ``cap`` characters when longer."""
+    if len(text) <= cap:
+        return repr(text)
+    return f"{text[:cap]!r}... ({len(text)} characters)"
 
 
 # CPython refuses to convert an int of more than
@@ -146,6 +167,25 @@ def _long_int(text):
         value = (_long_int(digits[:cut]) * 10 ** (len(digits) - cut)
                  + _long_int(digits[cut:]))
     return -value if text.startswith("-") else value
+
+
+# a decimal string as Fraction(str) reads it, without digit separators
+_DECIMAL = re.compile(r"\s*([-+]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?"
+                      r"(?:[eE]([-+]?[0-9]+))?\s*")
+
+
+def _long_ratio(text):
+    """(num, den) of a decimal string that Fraction(str) refused for its
+    length, its digits converted in pieces; ValueError if it is not
+    one."""
+    m = _DECIMAL.fullmatch(text)
+    if m is None:
+        raise ValueError(text)
+    sign, whole, part, exp = m.groups()
+    part = part or ""
+    num = _long_int(whole + part or "0") * (-1 if sign == "-" else 1)
+    shift = int(exp or 0) - len(part)
+    return (num * 10 ** shift, 1) if shift >= 0 else (num, 10 ** -shift)
 
 
 def _long_str(n):
@@ -174,20 +214,17 @@ def _loads(text, where):
         raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
 
 
-def _scalar(node, exact):
-    """A strict [re, im] pair in the requested ring."""
-    if exact:
-        re_ratio, im_ratio = _exact_pair(node)
-        return ExactComplex(Fraction(*re_ratio), Fraction(*im_ratio))
+def _scalar(node):
+    """A strict complex [re, im] pair."""
     if not isinstance(node, list) or len(node) != 2:
         raise _Refused("expected a [re, im] pair")
     return complex(_part(node[0], "/0"), _part(node[1], "/1"))
 
 
-def _parse_scalar(node, path, exact):
+def _parse_scalar(node, path):
     """``_scalar``, failing at pointer ``path``."""
     try:
-        return _scalar(node, exact)
+        return _scalar(node)
     except _Refused as bad:
         _fail(path + bad.where, bad)
 
@@ -204,30 +241,106 @@ def _parse_row(row, path, k, read):
     return out
 
 
-def _parse_matrix(node, path, d, exact):
-    if not isinstance(node, list) or len(node) != d:
-        _fail(path, f"expected {d} rows")
-    rows = []
-    for r, row in enumerate(node):
-        if not isinstance(row, list) or len(row) != d:
-            _fail(f"{path}/{r}", f"expected {d} entries")
-        rows.append(_parse_row(row, path, r,
-                               lambda node: _scalar(node, exact)))
-    return CMatrix.from_rows(rows, exact)
+def _exact_row(pairs):
+    """The integer row (den, re, im) of the exact [re, im] pairs ``pairs``
+    (``pnspace``), read in one loop: int parts as they are, every other
+    part by ``_ratio``, each numerator brought over the lcm of the
+    denominators read so far.  Trailing zero pairs are trimmed and ``im``
+    is None when every imaginary part is zero; None when nothing is left.
+    A bad pair raises _Refused, its position left to ``_locate``."""
+    den, re, im = 1, [], []
+    for pair in pairs:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise _Refused("expected a [re, im] pair")
+        a, b = pair
+        if type(a) is not int:
+            a, q = _ratio(a, "/0")
+            if den % q:
+                grow = q // math.gcd(den, q)
+                re, im = [v * grow for v in re], [v * grow for v in im]
+                den *= grow
+            a *= den // q
+        elif den != 1:
+            a *= den
+        if type(b) is not int:
+            b, q = _ratio(b, "/1")
+            if den % q:
+                grow = q // math.gcd(den, q)
+                re, im = [v * grow for v in re], [v * grow for v in im]
+                a, den = a * grow, den * grow
+            b *= den // q
+        elif den != 1:
+            b *= den
+        re.append(a)
+        im.append(b)
+    n = len(re)
+    while n and not (re[n - 1] or im[n - 1]):
+        n -= 1
+    if not n:
+        return None
+    return den, tuple(re[:n]), tuple(im[:n]) if any(im) else None
 
 
 def _exact_pair(node):
-    """A strict [re, im] pair as the (num, den) of each part."""
+    """A strict exact [re, im] pair as the (num, den) of each part."""
     if not isinstance(node, list) or len(node) != 2:
         raise _Refused("expected a [re, im] pair")
     return _ratio(node[0], "/0"), _ratio(node[1], "/1")
 
 
-def _int_rows(coeffs):
-    """The integer rows of the components of the exact pairs
-    ``coeffs[k][i]``; None when every row is."""
-    rows = tuple(map(_ratio_row, zip(*coeffs)))
-    return rows if any(rows) else None
+def _locate(node, path):
+    """Fail at the first refused pair, row-major, of the rows of exact
+    pairs ``node`` below ``path``, if there is one: ``_exact_row`` reads
+    by column and leaves the position of what it refuses to this scan."""
+    for k, row in enumerate(node):
+        _parse_row(row, path, k, _exact_pair)
+
+
+def _exact_grid(node, path, d, message, lines):
+    """The integer rows that ``_exact_row`` reads from ``lines(node)``,
+    ``node`` rows of d exact pairs each below ``path``.  A row of another
+    shape fails with ``message`` at its pointer, a bad pair before it
+    first; a bad pair fails at its own pointer, as a row-major read
+    would."""
+    for k, row in enumerate(node):
+        if not isinstance(row, list) or len(row) != d:
+            _locate(node[:k], path)
+            _fail(f"{path}/{k}", message)
+    try:
+        return [_exact_row(line) for line in lines(node)]
+    except _Refused:
+        _locate(node, path)
+        raise
+
+
+def _exact_root(node, path):
+    """An exact pole as its integer root (den, a, b), the pole
+    (a + ib) / den in lowest terms (``model.FuchsianSystem._of_forms``)."""
+    try:
+        den, (a,), im = _exact_row((node,)) or (1, (0,), None)
+    except _Refused as bad:
+        _fail(path + bad.where, bad)
+    return den, a, im[0] if im else 0
+
+
+def _parse_matrix(node, path, d, exact):
+    """A d x d matrix of pairs: a CMatrix, or in exact mode its integer
+    entries (den, [(row, col, re, im), ...]) (``CMatrix.entries``), read
+    row-major as one integer row."""
+    if not isinstance(node, list) or len(node) != d:
+        _fail(path, f"expected {d} rows")
+    if not exact:
+        rows = []
+        for r, row in enumerate(node):
+            if not isinstance(row, list) or len(row) != d:
+                _fail(f"{path}/{r}", f"expected {d} entries")
+            rows.append(_parse_row(row, path, r, _scalar))
+        return CMatrix.from_rows(rows, False)
+    [row] = _exact_grid(node, path, d, f"expected {d} entries",
+                        lambda node: [[pair for row in node for pair in row]])
+    den, re, im = row or (1, (), None)
+    return den, [(k // d, k % d, a, b) for k, (a, b) in
+                 enumerate(zip(re, im or (0,) * len(re))) if a or b]
 
 
 def _array_rows(coeffs):
@@ -242,16 +355,38 @@ def _array_rows(coeffs):
 
 def _parse_term(node, path, d, exact):
     """A coefficient payload, indexed x-power (ascending), then component,
-    as the SeriesTable rows of its d components; None when it is zero."""
+    as the SeriesTable rows of its d components; None when it is zero.
+    Exact payloads are read a component's column at a time
+    (``_exact_grid``)."""
     if not isinstance(node, list) or not node:
         _fail(path, "expected a nonempty list of per-x-power coefficient rows")
-    read = _exact_pair if exact else lambda pair: _scalar(pair, False)
+    message = f"expected {d} component entries"
+    if exact:
+        rows = tuple(_exact_grid(node, path, d, message,
+                                 lambda node: zip(*node)))
+        return rows if any(rows) else None
     coeffs = []
     for k, row in enumerate(node):
         if not isinstance(row, list) or len(row) != d:
-            _fail(f"{path}/{k}", f"expected {d} component entries")
-        coeffs.append(_parse_row(row, path, k, read))
-    return (_int_rows if exact else _array_rows)(coeffs)
+            _fail(f"{path}/{k}", message)
+        coeffs.append(_parse_row(row, path, k, _scalar))
+    return _array_rows(coeffs)
+
+
+def _monomial(node, path, d, seen, low):
+    """The multi-index ``node`` as a tuple: d nonnegative integers of total
+    degree >= 2 (else ``low``, by default naming the term's order) that
+    ``seen`` does not hold yet; any failure is at pointer ``path``."""
+    if (not isinstance(node, list) or len(node) != d
+            or any(isinstance(v, bool) or not isinstance(v, int) or v < 0
+                   for v in node)):
+        _fail(path, f"expected {d} nonnegative integers")
+    m = tuple(node)
+    if sum(m) < 2:
+        _fail(path, low or f"term {list(m)} has order below 2")
+    if m in seen:
+        _fail(path, f"duplicate multiindex {list(m)}")
+    return m
 
 
 _TOP_KEYS = {"dimension", "S", "poles", "matrices", "nonlinearity", "options"}
@@ -271,7 +406,10 @@ def _is_tolerance(value):
         and 0 < value <= sys.float_info.max
 
 
-def _parse_options(node, path, poles):
+def _parse_options(node, path, poles, exact):
+    """The options, each checked; paths are checked against the poles as
+    complex numbers, exact roots (den, a, b) read as a / den + i b / den
+    only then."""
     if not isinstance(node, dict):
         _fail(path, "expected an object")
     for key in node:
@@ -297,6 +435,8 @@ def _parse_options(node, path, poles):
         v = node["paths"]
         if not isinstance(v, dict):
             _fail(f"{path}/paths", "expected an object keyed by pole index")
+        if exact:
+            poles = [complex(a / den, b / den) for den, a, b in poles]
         paths = {}
         for key, waypoints in v.items():
             try:
@@ -305,10 +445,8 @@ def _parse_options(node, path, poles):
                 _fail(f"{path}/paths/{key}", "key must be a pole index")
             if not isinstance(waypoints, list) or not waypoints:
                 _fail(f"{path}/paths/{key}", "expected a list of waypoints")
-            pts = []
-            for k, wp in enumerate(waypoints):
-                z = _parse_scalar(wp, f"{path}/paths/{key}/{k}", False)
-                pts.append(complex(z))
+            pts = [_parse_scalar(wp, f"{path}/paths/{key}/{k}")
+                   for k, wp in enumerate(waypoints)]
             problem = (f"a second path to pole {idx}" if idx in paths
                        else path_defect(poles, idx, pts))
             if problem is not None:
@@ -321,26 +459,40 @@ def _parse_options(node, path, poles):
 class SystemDocument:
     """Validated description of a (non)linear Fuchsian problem.
 
-    ``f`` is the SeriesTable of the nonzero nonlinearity terms, read
-    straight into store rows, which ``to_nonlinear`` hands on as it is;
-    ``monomials`` lists every multi-index the document gives, in its
+    The linear part is kept as the reader made it: in exact mode each pole
+    as its integer root (den, a, b), the pole (a + ib) / den, and each
+    matrix as its integer entries (den, [(row, col, re, im), ...]), which
+    is what ``to_system`` hands the system (``FuchsianSystem._of_forms``);
+    in float mode complex poles and CMatrix residues.  ``to_system`` builds
+    the system once; ``poles`` and ``matrices`` are the system's, made on
+    request.  ``f`` is the SeriesTable of the nonzero nonlinearity terms,
+    read straight into store rows, which ``to_nonlinear`` hands on as it
+    is; ``monomials`` lists every multi-index the document gives, in its
     order, zero terms included.  The ``nonlinearity`` property builds
     their {m: VecPoly} mapping on each read.
     """
 
-    __slots__ = ("dimension", "s", "poles", "matrices", "f", "monomials",
+    __slots__ = ("dimension", "s", "_linear", "_system", "f", "monomials",
                  "options", "exact")
 
     def __init__(self, dimension, s, poles, matrices, f, monomials, options,
                  exact):
         self.dimension = dimension
         self.s = s
-        self.poles = tuple(poles)
-        self.matrices = tuple(matrices)
+        self._linear = (tuple(poles), tuple(matrices))
+        self._system = None
         self.f = f
         self.monomials = tuple(monomials)
         self.options = dict(options)
         self.exact = exact
+
+    @property
+    def poles(self):
+        return self.to_system().poles
+
+    @property
+    def matrices(self):
+        return self.to_system().residues
 
     @property
     def nonlinearity(self):
@@ -367,10 +519,8 @@ class SystemDocument:
         poles_node = data["poles"]
         if not isinstance(poles_node, list) or len(poles_node) != s + 2:
             _fail("/poles", f"expected {s + 2} poles for S = {s}")
-        poles = [
-            _parse_scalar(p, f"/poles/{j}", exact)
-            for j, p in enumerate(poles_node)
-        ]
+        read = _exact_root if exact else _parse_scalar
+        poles = [read(p, f"/poles/{j}") for j, p in enumerate(poles_node)]
         clash = coinciding_poles(poles, exact)
         if clash:
             _fail(f"/poles/{clash[1]}", "poles must be pairwise distinct")
@@ -396,21 +546,11 @@ class SystemDocument:
                 for key in item:
                     if key not in ("multiindex", "coeff"):
                         _fail(f"{ipath}/{key}", "unknown field")
-                _require("multiindex" in item, f"{ipath}/multiindex",
-                         "missing required field")
-                _require("coeff" in item, f"{ipath}/coeff",
-                         "missing required field")
-                m_node = item["multiindex"]
-                if (not isinstance(m_node, list) or len(m_node) != d
-                        or any(isinstance(v, bool) or not isinstance(v, int)
-                               or v < 0 for v in m_node)):
-                    _fail(f"{ipath}/multiindex",
-                          f"expected {d} nonnegative integers")
-                m = tuple(m_node)
-                _require(sum(m) >= 2, f"{ipath}/multiindex",
-                         "total degree must be >= 2")
-                _require(m not in seen, f"{ipath}/multiindex",
-                         f"duplicate multiindex {list(m)}")
+                for key in ("multiindex", "coeff"):
+                    if key not in item:
+                        _fail(f"{ipath}/{key}", "missing required field")
+                m = _monomial(item["multiindex"], f"{ipath}/multiindex", d,
+                              seen, "total degree must be >= 2")
                 seen[m] = None
                 rows = _parse_term(item["coeff"], f"{ipath}/coeff", d, exact)
                 if rows is not None:
@@ -418,17 +558,23 @@ class SystemDocument:
 
         options = {}
         if "options" in data:
-            options = _parse_options(data["options"], "/options", poles)
+            options = _parse_options(data["options"], "/options", poles,
+                                     exact)
 
         return cls(d, s, poles, matrices, f, seen, options, exact)
 
     def to_system(self):
-        try:
-            return FuchsianSystem(self.poles, self.matrices)
-        except SchemaError:
-            raise
-        except ValueError as exc:
-            raise SchemaError(f"/: {exc}") from exc
+        if self._system is None:
+            poles, matrices = self._linear
+            if self.exact:
+                self._system = FuchsianSystem._of_forms(self.dimension, poles,
+                                                        matrices)
+            else:
+                try:
+                    self._system = FuchsianSystem(poles, matrices)
+                except ValueError as exc:
+                    raise SchemaError(f"/: {exc}") from exc
+        return self._system
 
     def to_nonlinear(self):
         return NonlinearSystem._of_table(self.to_system(), self.f)
@@ -450,8 +596,15 @@ def load_document(path, exact=False):
         with open(text_path, "rb") as fh:
             try:
                 data = toml_reader.load(fh)
-            except toml_reader.TOMLDecodeError as exc:
+            except (toml_reader.TOMLDecodeError, UnicodeDecodeError) as exc:
                 raise SchemaError(f"/: invalid TOML: {exc}") from exc
+            except ValueError as exc:
+                # an integer literal past the int-str digit limit, which
+                # the TOML reader converts with no way round it
+                raise SchemaError(
+                    f"/: an integer has more than "
+                    f"{sys.get_int_max_str_digits()} digits; in TOML write "
+                    f"such integers as \"...\" strings") from exc
     else:
         with open(text_path, "r", encoding="utf-8") as fh:
             data = _loads(fh.read(), "/")
@@ -479,8 +632,18 @@ def matrix_json(mat):
 
 def vecpoly_json(p):
     """A vector polynomial's payload, written from its store rows."""
-    rows = _term_rows(p, p.exact)
-    return (_int_rows_json if p.exact else _array_rows_json)(rows)
+    return rows_json(_term_rows(p, p.exact), p.exact)
+
+
+def rows_json(rows, exact):
+    """The payload of a vector polynomial given as its store rows
+    (``parse_vector_rows``, ``correction.solve_polynomial``); top
+    coefficients that are exactly zero are dropped, as a VecPoly drops
+    them."""
+    if exact:
+        return _int_rows_json(rows)
+    live = np.flatnonzero(rows.any(axis=0))
+    return _array_rows_json(rows[:, :live[-1] + 1 if live.size else 0])
 
 
 def matpoly_json(p):
@@ -538,10 +701,18 @@ def series_table_json(table):
 
 def parse_vector_polynomial(node, d, exact, path="/g"):
     """Public entry for rhs / coefficient payloads outside a document."""
+    return _term_poly(parse_vector_rows(node, d, exact, path), exact)
+
+
+def parse_vector_rows(node, d, exact, path="/g"):
+    """A rhs / coefficient payload as the store rows of its d components,
+    as ``correction.solve_polynomial`` takes them: in exact mode d integer
+    rows, None for a zero component, in float mode a (d, width)
+    complex128 array, width 0 for the zero polynomial."""
     rows = _parse_term(node, path, d, exact)
     if rows is None:
-        return VecPoly.zero(d, exact)
-    return _term_poly(rows, exact)
+        return (None,) * d if exact else np.zeros((d, 0), complex)
+    return rows
 
 
 def parse_series_table(node, d, exact, path="/series"):
@@ -558,16 +729,7 @@ def parse_series_table(node, d, exact, path="/series"):
         ipath = f"{path}/{k}"
         if not isinstance(item, dict) or set(item) != {"m", "coeff"}:
             _fail(ipath, "expected an object with keys m, coeff")
-        m_node = item["m"]
-        if (not isinstance(m_node, list) or len(m_node) != d
-                or any(isinstance(v, bool) or not isinstance(v, int) or v < 0
-                       for v in m_node)):
-            _fail(f"{ipath}/m", f"expected {d} nonnegative integers")
-        m = tuple(m_node)
-        _require(sum(m) >= 2, f"{ipath}/m",
-                 f"term {list(m)} has order below 2")
-        _require(m not in seen, f"{ipath}/m",
-                 f"duplicate multiindex {list(m)}")
+        m = _monomial(item["m"], f"{ipath}/m", d, seen, None)
         seen.add(m)
         rows = _parse_term(item["coeff"], f"{ipath}/coeff", d, exact)
         if rows is not None:
@@ -621,3 +783,15 @@ def dumps_canonical(value):
     _canon(value, out)
     out.append("\n")
     return "".join(out)
+
+
+def dumps_exact(value):
+    """``dumps_canonical`` of a value that holds no float and only string
+    keys, such as an exact table or correction: the same bytes, written by
+    json's C encoder.  A value holding an int past the int-str digit
+    limit, which the encoder refuses, goes to ``dumps_canonical``."""
+    try:
+        return json.dumps(value, ensure_ascii=True, separators=(",", ":"),
+                          sort_keys=True) + "\n"
+    except ValueError:
+        return dumps_canonical(value)

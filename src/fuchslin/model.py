@@ -14,12 +14,15 @@ sum_j cofactor_j[i] B_j and the top one B_inf, since every cofactor is
 monic.  Float mode holds complex128 arrays.  Exact mode holds Python
 integers, built from the poles' integer ratios and the residues' integer
 entries: Q and the cofactors as integer rows (den, re, im) (``pnspace``),
-each matrix in the one exact entry form (``CMatrix.entries``).  The
-solvers, the engine's verifier and the checks read the set-up itself:
-``q_coefficients``, Q's S + 3 coefficients, and ``qb_coefficients``, QB's
-S + 2.  The spectra are those of float arrays, in exact mode of the
-entries' num / den, rounded as ``CMatrix.to_numpy`` rounds them; the
-exact checks decide shifts on SparseMatrix forms of the same entries.
+each matrix in the one exact entry form (``CMatrix.entries``).  A
+document's exact system starts from those integer forms, read straight
+from the JSON (``_of_forms``), and makes its ExactComplex poles and
+CMatrix residues only when they are read.  The solvers, the engine's
+verifier and the checks read the set-up itself: ``q_coefficients``, Q's
+S + 3 coefficients, and ``qb_coefficients``, QB's S + 2.  The spectra
+are those of float arrays, in exact mode of the entries' num / den,
+rounded as ``CMatrix.to_numpy`` rounds them; the exact checks decide
+shifts on SparseMatrix forms of the same entries.
 ``q_poly``, ``cofactor``, ``qb_poly`` and ``b_infinity`` (the Rodrigues
 family, the shift ladder, the local series at a pole, API users) are made
 from the set-up on request, one definition for both rings; ``check``,
@@ -85,9 +88,7 @@ class FuchsianSystem:
     and matrix objects are made from it only when asked for.
     """
 
-    __slots__ = (
-        "poles", "residues", "exact", "_cache",
-    )
+    __slots__ = ("exact", "size", "n_poles", "_poles", "_residues", "_cache")
 
     def __init__(self, poles, residues):
         poles = tuple(poles)
@@ -113,26 +114,49 @@ class FuchsianSystem:
         if clash:
             raise ValueError(
                 "poles %d and %d coincide within tolerance" % clash)
-        self.poles = poles
-        self.residues = residues
-        self.exact = exact
+        self.exact, self.size, self.n_poles = exact, size, len(poles)
+        self._poles, self._residues = poles, residues
         self._cache = {}
+
+    @classmethod
+    def _of_forms(cls, size, roots, residues):
+        """The exact system of the poles (a + ib) / den given as integer
+        roots (den, a, b) in lowest terms and of the size x size residues
+        given as integer entries (``CMatrix.entries``), kept as they are:
+        the set-up (``_forms``) starts from them, and ``poles`` and
+        ``residues`` build ExactComplex poles and CMatrix residues only
+        when read.  Nothing is checked; the caller (the document reader)
+        has checked what ``__init__`` checks."""
+        system = cls.__new__(cls)
+        system.exact, system.size, system.n_poles = True, size, len(roots)
+        system._poles = system._residues = None
+        system._cache = {"forms": {"roots": list(roots),
+                                   "residues": list(residues)}}
+        return system
 
     # -- basic shape -----------------------------------------------------
 
     @property
-    def size(self):
-        """Dimension of the vectors the system acts on."""
-        return self.residues[0].n_rows
+    def poles(self):
+        """The poles: ExactComplex in exact mode, as given in float mode."""
+        if self._poles is None:
+            self._poles = tuple(
+                ExactComplex(Fraction(a, den), Fraction(b, den))
+                for den, a, b in self._forms("roots"))
+        return self._poles
+
+    @property
+    def residues(self):
+        """The residues B_j as CMatrix."""
+        if self._residues is None:
+            self._residues = tuple(map(self._matrix,
+                                       self._forms("residues")))
+        return self._residues
 
     @property
     def s(self):
         """S in the pole count S+2."""
-        return len(self.poles) - 2
-
-    @property
-    def n_poles(self):
-        return len(self.poles)
+        return self.n_poles - 2
 
     # -- cached derived objects ------------------------------------------
 
@@ -144,29 +168,33 @@ class FuchsianSystem:
         cofactor coefficients skipped) for i <= S with B_inf on top, built
         on the first call that asks for one of them.  Float mode holds
         complex128 arrays, Q and the cofactors from ``sp_from_roots``.
-        Exact mode holds integers: each matrix's entries
-        (``CMatrix.entries``), sums over the lcm of their terms'
-        denominators with one gcd divided out, and the integer rows
-        (den, re, im) (``pnspace``) of Q and the cofactors, products of the
-        linear factors (e x - a - ib) / e of the poles (a + ib) / e.
+        Exact mode holds integers: "roots", each pole (a + ib) / den as
+        (den, a, b), and each matrix's entries (``CMatrix.entries``), both
+        as ``_of_forms`` takes them or read off the ExactComplex poles and
+        CMatrix residues; sums over the lcm of their terms' denominators
+        with one gcd divided out; and the integer rows (den, re, im)
+        (``pnspace``) of Q and the cofactors, products of the linear
+        factors (den x - a - ib) / den.
         """
         forms = self._cache.get("forms")
         if forms is None:
+            forms = self._cache["forms"] = (
+                {"roots": [_root(p) for p in self._poles],
+                 "residues": [m.entries() for m in self._residues]}
+                if self.exact else {"residues": np.array(
+                    [m.to_numpy() for m in self._residues])})
+        if "binf" not in forms:
+            residues = forms["residues"]
             if self.exact:
-                residues = [m.entries() for m in self.residues]
-                binf = _cofactor_sum([(1, (1,), None)] * self.n_poles,
-                                     residues, 0)
+                forms["binf"] = _cofactor_sum(
+                    [(1, (1,), None)] * self.n_poles, residues, 0)
             else:
-                residues = np.array([m.to_numpy() for m in self.residues])
                 with np.errstate(over="ignore", invalid="ignore"):
-                    binf = sum(residues[1:], residues[0])
-            forms = self._cache["forms"] = {"residues": residues,
-                                            "binf": binf}
+                    forms["binf"] = sum(residues[1:], residues[0])
         if key not in forms:
             residues, n = forms["residues"], self.n_poles
             if self.exact:
-                roots = [(den, a, b) for den, (a, b) in
-                         (clear_denominators([p.re, p.im]) for p in self.poles)]
+                roots = forms["roots"]
                 cofactors = [_root_product(roots[:j] + roots[j + 1:])
                              for j in range(n)]
                 forms.update(q=_root_product(roots), coeffs=[
@@ -289,6 +317,13 @@ class FuchsianSystem:
         return (
             f"FuchsianSystem(size={self.size}, poles={self.n_poles}, {kind})"
         )
+
+
+def _root(pole):
+    """The integer root (den, a, b) of an ExactComplex pole (a + ib) / den,
+    den the least common denominator of its parts."""
+    den, (a, b) = clear_denominators([pole.re, pole.im])
+    return den, a, b
 
 
 def _root_product(roots):

@@ -642,6 +642,37 @@ def test_verify_reports_nan_residuals_of_overflowing_float_tables(
                                     "3": sys.float_info.max}
 
 
+def _float_numbers(node):
+    """A document's node with every exact number read as a float."""
+    if isinstance(node, list):
+        return [_float_numbers(v) for v in node]
+    return float(Fraction(node))
+
+
+def test_float_tables_write_every_number_in_17g(tmp_path, capsys):
+    # float tables, through the console commands, print every number as
+    # format(x, '.17g'): 0.0 as 0, and 17 significant digits where repr
+    # would print fewer; README's example and GAUSS_DOC read as floats
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    gauss = dict(GAUSS_DOC, poles=_float_numbers(GAUSS_DOC["poles"]),
+                 matrices=_float_numbers(GAUSS_DOC["matrices"]),
+                 nonlinearity=[dict(term, coeff=_float_numbers(term["coeff"]))
+                               for term in GAUSS_DOC["nonlinearity"]])
+    docs = [write_doc(tmp_path, json.loads(re.search(
+        r"```json\n(.*?)```", readme, re.S).group(1)), "readme.json"),
+        write_doc(tmp_path, gauss, "gauss.json")]
+    seen = set()
+    for doc in docs:
+        for command in ("linearize", "normal-form"):
+            code, out, _ = run(capsys, [command, doc, "--order", "5"])
+            assert code == 0
+            tokens = re.findall(r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+]?[0-9]+)?",
+                                out)
+            assert all(tok == format(float(tok), ".17g") for tok in tokens)
+            seen.update(tokens)
+    assert "0" in seen and any(len(tok) > 18 for tok in seen)
+
+
 def test_overflowing_residue_sum_is_a_numeric_failure(tmp_path, capsys):
     # residues 1.5e308 at -1 and 1: B_inf = -(B_0 + B_1) overflows to
     # -inf, whose spectrum is a numeric failure (exit 4), not a traceback
@@ -1007,9 +1038,10 @@ _EXACT_COMPLEX_OPS = ("__mul__", "__rmul__", "__add__", "__radd__",
 def test_exact_commands_do_no_exact_complex_arithmetic(tmp_path, capsys,
                                                        monkeypatch):
     # linearize, normal-form, verify and correct --exact on README's
-    # example and on GAUSS_DOC: the linear part's set-up (Q, QB, B_inf and
-    # the spectra) runs on integer rows like the rest, so no command adds,
-    # multiplies or divides an ExactComplex
+    # example and on GAUSS_DOC: the document's poles and residues are read
+    # into integer forms, the linear part's set-up (Q, QB, B_inf and the
+    # spectra) runs on them, and --g and the correction stay store rows, so
+    # no command builds, adds, multiplies or divides an ExactComplex
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     docs = {"readme": (re.search(r"```json\n(.*?)```", readme, re.S)
                        .group(1), "[[[0,0]],[[0,0]],[[1,0]]]"),
@@ -1024,11 +1056,12 @@ def test_exact_commands_do_no_exact_complex_arithmetic(tmp_path, capsys,
             return original(*args, **kwargs)
         return wrapper
 
-    for name in _EXACT_COMPLEX_OPS:
+    for name in _EXACT_COMPLEX_OPS + ("__init__",):
         monkeypatch.setattr(exact.ExactComplex, name, counted(
             name, getattr(exact.ExactComplex, name)))
+    monkeypatch.setattr(exact, "_real", counted("_real", exact._real))
     exact.ExactComplex(1) * 2 + exact.ExactComplex(3)   # the counters count
-    assert counts == {"__mul__": 1, "__add__": 1}
+    assert counts == {"__init__": 3, "__mul__": 1, "__add__": 1, "_real": 2}
     counts.clear()
     for name, (text, g) in docs.items():
         doc = tmp_path / f"{name}.json"
@@ -1098,6 +1131,27 @@ def test_g_integer_past_the_digit_limit_is_read_and_written(tmp_path,
                                 "--g", f"[[[{_LONG_DIGITS},0]]]"])
     assert code == 0
     assert out == '{"phi":[[[%s,0]]],"y":[[[0,0]]]}\n' % _LONG_DIGITS
+
+
+def test_toml_integer_past_the_digit_limit_is_a_schema_error(tmp_path,
+                                                             capsys):
+    # a TOML reader converts integer literals itself, with no way round
+    # the digit limit: a 4,401-digit residue is a schema error at /, one
+    # line that says to write it as a string; so written, it is read, and
+    # refused as past the float range as in JSON
+    pytest.importorskip("tomllib" if sys.version_info >= (3, 11) else "tomli")
+    digits = "1" + "0" * 4400
+    path = tmp_path / "big.toml"
+    for entry, want in (
+            (digits, (3, "", f"schema error: /: an integer has more than "
+                             f"{sys.get_int_max_str_digits()} digits; in "
+                             f'TOML write such integers as "..." strings\n')),
+            (f'"{digits}"', (4, "", "numeric failure: integer division "
+                                    "result too large for a float\n"))):
+        path.write_text("\n".join([
+            "dimension = 1", "S = 0", "poles = [[-1, 0], [1, 0]]",
+            f"matrices = [[[[{entry}, 0]]], [[[1, 0]]]]"]), encoding="utf-8")
+        assert run(capsys, ["check", str(path), "--exact"]) == want
 
 
 @pytest.mark.parametrize("residue, coeff, order, written", [

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fuchslin import document
@@ -26,6 +26,8 @@ from fuchslin.document import (
 )
 from fuchslin.engine import SeriesTable
 from fuchslin.exact import ExactComplex, clear_denominators
+from fuchslin.matrices import CMatrix
+from fuchslin.model import FuchsianSystem
 from fuchslin.poly import VecPoly
 
 
@@ -418,6 +420,10 @@ def test_load_document_toml(tmp_path):
     with pytest.raises(SchemaError) as err:
         load_document(bad)
     assert "invalid TOML" in str(err.value)
+    bad.write_bytes(b'dimension = "\xff"')
+    with pytest.raises(SchemaError) as err:
+        load_document(bad)
+    assert str(err.value).startswith("/: invalid TOML: 'utf-8' codec")
 
 
 # ----------------------------------------------------------------------
@@ -603,6 +609,101 @@ def test_exact_reader_and_writer_match_fraction_strings(case):
         True, dim=d)
     for got in (table.get(m), doc.nonlinearity[tuple(m)]):
         assert (got - want).is_zero()
+
+
+@st.composite
+def _written_linear_part(draw):
+    """d, and the poles and residues of an exact S = 0 document in the
+    accepted forms, with the ExactComplex values they stand for."""
+    d = draw(st.integers(1, 2))
+
+    def pair():
+        (re, x), (im, y) = draw(_written_rational()), draw(_written_rational())
+        return [re, im], ExactComplex(x, y)
+
+    poles = [pair() for _ in range(2)]
+    matrices = [[[pair() for _ in range(d)] for _ in range(d)]
+                for _ in range(2)]
+    return d, poles, matrices
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=_written_linear_part())
+def test_exact_linear_part_reads_into_integer_forms(case):
+    # poles and residues are read straight into the integer forms the
+    # linear part's set-up starts from: each pole's root (den, a, b) and
+    # each residue's entries, as clear_denominators and CMatrix.entries
+    # give them for the values written.  The ExactComplex poles and
+    # CMatrix residues made from them on request, and Q and QB, are those
+    # of the system built from the values
+    d, poles, matrices = case
+    assume(poles[0][1] != poles[1][1])
+    doc = SystemDocument.from_dict({
+        "dimension": d, "S": 0, "poles": [node for node, _ in poles],
+        "matrices": [[[node for node, _ in row] for row in mat]
+                     for mat in matrices]}, exact=True)
+    want = FuchsianSystem(
+        [value for _, value in poles],
+        [CMatrix.from_rows([[value for _, value in row] for row in mat], True)
+         for mat in matrices])
+    system = doc.to_system()
+    roots = [clear_denominators([p.re, p.im]) for p in want.poles]
+    assert system._forms("roots") == [(den, a, b) for den, (a, b) in roots]
+    assert system._forms("residues") == [m.entries() for m in want.residues]
+    assert doc.poles == want.poles and doc.matrices == want.residues
+    assert system.q_coefficients() == want.q_coefficients()
+    assert system.qb_coefficients() == want.qb_coefficients()
+
+
+def test_exact_refusal_is_the_first_in_row_major_order():
+    # exact payloads are read a component's column at a time and matrices
+    # as one row; a refusal is still reported where a row-major read meets
+    # it first, a bad pair before a malformed row after it
+    bad_pairs = [[[1, 0], ["x", 0]], [["y", 0], [1, 0]]]
+    short_row = [[["x", 0], [1, 0]], [[1, 0]]]
+    cases = [
+        (bad_pairs, "0/1/0: not a valid rational: 'x'"),
+        (short_row, "0/0/0: not a valid rational: 'x'"),
+        ([[[1, 0], [1, 0]], [[1, 0]]], "1: expected 2 component entries"),
+    ]
+    for node, message in cases:
+        with pytest.raises(SchemaError) as err:
+            parse_series_table([{"m": [2, 0], "coeff": node}], 2, True)
+        assert str(err.value) == f"/series/0/coeff/{message}"
+        with pytest.raises(SchemaError) as err:
+            SystemDocument.from_dict(scalar_doc(
+                dimension=2, poles=[[-1, 0], [1, 0]], nonlinearity=[],
+                matrices=[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], node]),
+                exact=True)
+        assert str(err.value) == "/matrices/1/" + message.replace(
+            "component entries", "entries")
+
+
+def test_decimal_string_past_the_digit_limit_is_read():
+    # Fraction(str) converts a decimal string's digits in one piece, which
+    # CPython refuses past 4,300 of them; the reader takes them in pieces
+    limit = sys.get_int_max_str_digits()
+    for text, want in (("1." + "0" * 4400 + "1",
+                        Fraction(10 ** 4401 + 1, 10 ** 4401)),
+                       ("-" + "0" * 4400 + "25e-2", Fraction(-1, 4)),
+                       (" 3" + "0" * 4400 + "E-4400 ", Fraction(3))):
+        doc = SystemDocument.from_dict(
+            scalar_doc(matrices=[[[[text, 0]]], [[[1, text]]]]), exact=True)
+        assert doc.matrices[0].entry(0, 0) == ExactComplex(want)
+        assert doc.matrices[1].entry(0, 0) == ExactComplex(1, want)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_refused_long_string_is_cut_in_the_message():
+    # a refused string is echoed up to its first 40 characters
+    text = "1." + "0" * 4400 + "x"
+    with pytest.raises(SchemaError) as err:
+        SystemDocument.from_dict(scalar_doc(matrices=[[[[text, 0]]],
+                                                      [[[1, 0]]]]),
+                                 exact=True)
+    assert str(err.value) == (
+        "/matrices/0/0/0/0: not a valid rational: "
+        f"'1.{'0' * 38}'... (4403 characters)")
 
 
 def test_long_integer_conversions_match_unlimited_str():
