@@ -98,8 +98,8 @@ import numpy as np
 
 from .correction import CorrectionResult, local_taylor, solve_polynomial
 from .matrices import CMatrix
-from .model import (AssumptionError, FuchsianSystem, check_linear_assumption,
-                    singular_shifts)
+from .model import (AssumptionError, FuchsianSystem, _entries_array,
+                    check_linear_assumption, singular_shifts)
 from .poly import VecPoly
 
 
@@ -193,16 +193,16 @@ class CertificateReport:
 
 
 def float_system(system):
+    """The float copy of an exact system, from its set-up forms: each
+    num / den rounded as float(Fraction) rounds it (OverflowError past
+    the float range).  A float system is its own copy."""
     if not system.exact:
         return system
-    poles = [complex(p) for p in system.poles]
-    residues = [
-        CMatrix.from_rows(
-            [[complex(v) for v in row] for row in m.rows], exact=False
-        )
-        for m in system.residues
-    ]
-    return FuchsianSystem(poles, residues)
+    return FuchsianSystem._of_forms(
+        system.size,
+        [complex(a / den, b / den) for den, a, b in system._forms("roots")],
+        [_entries_array(system.size, m) for m in system._forms("residues")],
+        False)
 
 
 def float_vecpoly(p):
@@ -317,8 +317,7 @@ class _Context:
         self.d = self.system.size
         self.poles = [complex(p) for p in self.system.poles]
         self.pole_array = np.array(self.poles, dtype=complex)
-        self.res = np.array([m.to_numpy() for m in self.system.residues],
-                            dtype=complex)
+        self.res = self.system._forms("residues")
         self.gaps = _pole_gaps(self.poles)
         # one more diagonal entry -1 at every pole, whose factor is 1/Q; the
         # steps keep diag(Phi, q) as [Phi | q e_0], and at d = 1 [0 | q] as

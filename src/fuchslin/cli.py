@@ -47,6 +47,7 @@ from .document import (
     parse_series_table,
     parse_vector_polynomial,
     parse_vector_rows,
+    read_file,
     rows_json,
     scalar_json,
     series_table_json,
@@ -182,12 +183,9 @@ def _read_g(args, doc, parse):
     raw = args.g
     if raw is None:
         raise SchemaError("/g: right-hand side is required; pass --g")
-    if raw.startswith("@"):
-        with open(raw[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = raw
-    return parse(_loads(text, "/g"), doc.dimension, doc.exact)
+    node = read_file(raw[1:], "/g") if raw.startswith("@") \
+        else _loads(raw, "/g")
+    return parse(node, doc.dimension, doc.exact)
 
 
 def cmd_correct(args):
@@ -259,8 +257,7 @@ def cmd_normal_form(args):
 def cmd_verify(args):
     doc = _load(args)
     nonlinear = doc.to_nonlinear()
-    with open(args.tables, "r", encoding="utf-8") as fh:
-        node = _loads(fh.read(), "/tables")
+    node = read_file(args.tables, "/tables")
     if not isinstance(node, dict) or "series" not in node or "h" not in node:
         raise SchemaError("/tables: expected an object with series and h")
     mode = args.mode or node.get("mode") or doc.options.get("mode") \

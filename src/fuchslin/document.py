@@ -19,23 +19,26 @@ component.  In exact mode each pair part must be an integer or a
 ``"p/q"`` string — floats are refused so the rational pipeline never
 silently loses exactness.
 
-Exact numbers are read by one reader, ``_exact_row``: a sequence of
-pairs into one integer row (den, re, im), in one loop, int parts as
-they are and each string part as (numerator, denominator) ints, an
-integer or ``"p/q"`` string with one gcd and any other string as
-``Fraction(str)`` reads it.  Polynomial payloads (the nonlinearity's, a
-tables file's ``coeff`` and ``--g``) are read a component's column at a
-time into the engine's store rows, kept in a SeriesTable; in float mode
-they are (d, width) complex128 arrays.  Exact poles are read into their
-integer roots (den, a, b) and exact matrices, row-major as one row, into
-their integer entries (den, [(row, col, re, im), ...]), the forms the
-linear part's set-up starts from (``FuchsianSystem._of_forms``); float
-ones into complex scalars and a CMatrix.  ``series_table_json`` prints a
-table from the same rows, each exact scalar reduced with one gcd, so an
-exact tables file goes from JSON to JSON with no ExactComplex, Fraction
-or VecPoly in between.  Integers past CPython's int-str digit limit are
-read and written by piecewise conversions, which run only where the
-plain one refused.
+Every input file (a document, a tables file, ``--g @file``) is read by
+one reader, ``read_file``: bytes decoded as UTF-8, then JSON (``_loads``)
+or TOML.  Every grid of pairs is read by one reader for both rings,
+``_grid``.  In exact mode a sequence of pairs goes into one integer row
+(den, re, im) (``_exact_row``, ``pnspace``), int parts as they are and
+each string part as (numerator, denominator) ints, an integer or
+``"p/q"`` string with one gcd and any other string as ``Fraction(str)``
+reads it.  Polynomial payloads (the nonlinearity's, a tables file's
+``coeff`` and ``--g``) are read a component's column at a time into the
+engine's store rows, kept in a SeriesTable; exact poles into their
+integer roots (den, a, b) and matrices, row-major as one row, into their
+integer entries (den, [(row, col, re, im), ...]).  In float mode a grid
+is one complex128 array, read row-major: a payload's (d, width) rows, a
+matrix's (d, d) array.  These are the forms the linear part's set-up
+starts from in both rings (``FuchsianSystem._of_forms``).
+``series_table_json`` prints a table from the same rows, each exact
+scalar reduced with one gcd, so an exact tables file goes from JSON to
+JSON with no ExactComplex, Fraction or VecPoly in between.  Integers past
+CPython's int-str digit limit are read and written by piecewise
+conversions, which run only where the plain one refused.
 
 Validation failures raise SchemaError whose message starts with a
 ``/slash/separated`` pointer to the offending field; the reader reports
@@ -59,7 +62,6 @@ import numpy as np
 
 from .analytic import path_defect
 from .exact import ExactComplex
-from .matrices import CMatrix
 from .model import FuchsianSystem, NonlinearSystem, coinciding_poles
 from .pnspace import SeriesTable, _term_poly, _term_rows
 from .poly import VecPoly
@@ -115,6 +117,7 @@ def _ratio(value, where):
         m = _INT_RATIO.fullmatch(value)
         try:
             if m is None:
+                _check_exponent(value, where)
                 try:
                     return Fraction(value).as_integer_ratio()
                 except ValueError:
@@ -140,6 +143,24 @@ def _ratio(value, where):
                        "use integers or 'p/q' strings", where)
     raise _Refused(
         f"expected int or 'p/q' string, got {type(value).__name__}", where)
+
+
+# a decimal string's exponent, as Fraction(str) reads it
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def _check_exponent(text, where):
+    """Refuse a decimal string whose exponent's magnitude is above both the
+    int-str digit limit (if any) and the string's length: reading it
+    builds 10 ** exponent, in a time that grows faster than the exponent.
+    """
+    limit = sys.get_int_max_str_digits()
+    m = _EXPONENT.search(text)
+    if limit and m:
+        cap = max(limit, len(text))
+        digits = m[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(cap)) or int(digits or 0) > cap:
+            raise _Refused(f"exponent above {cap} in {_shown(text)}", where)
 
 
 def _shown(text, cap=40):
@@ -210,7 +231,8 @@ def _loads(text, where):
                 raise
             # an integer literal past the int-str digit limit
             return json.loads(text, parse_int=_long_int)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nested deeper than the parser goes
         raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
 
 
@@ -227,18 +249,6 @@ def _parse_scalar(node, path):
         return _scalar(node)
     except _Refused as bad:
         _fail(path + bad.where, bad)
-
-
-def _parse_row(row, path, k, read):
-    """The pairs of row ``k`` below ``path``, each read by ``read``; the
-    pointer of a refused entry is made only then."""
-    out = []
-    try:
-        for node in row:
-            out.append(read(node))
-    except _Refused as bad:
-        _fail(f"{path}/{k}/{len(out)}{bad.where}", bad)
-    return out
 
 
 def _exact_row(pairs):
@@ -281,35 +291,40 @@ def _exact_row(pairs):
     return den, tuple(re[:n]), tuple(im[:n]) if any(im) else None
 
 
-def _exact_pair(node):
-    """A strict exact [re, im] pair as the (num, den) of each part."""
-    if not isinstance(node, list) or len(node) != 2:
-        raise _Refused("expected a [re, im] pair")
-    return _ratio(node[0], "/0"), _ratio(node[1], "/1")
-
-
-def _locate(node, path):
-    """Fail at the first refused pair, row-major, of the rows of exact
-    pairs ``node`` below ``path``, if there is one: ``_exact_row`` reads
-    by column and leaves the position of what it refuses to this scan."""
+def _locate(node, path, exact):
+    """Fail at the first refused pair, row-major, of the rows of pairs
+    ``node`` below ``path``, if there is one: ``_grid`` reads with no
+    positions and leaves the position of what it refuses to this scan."""
     for k, row in enumerate(node):
-        _parse_row(row, path, k, _exact_pair)
+        for i, pair in enumerate(row):
+            try:
+                _exact_row((pair,)) if exact else _scalar(pair)
+            except _Refused as bad:
+                _fail(f"{path}/{k}/{i}{bad.where}", bad)
 
 
-def _exact_grid(node, path, d, message, lines):
-    """The integer rows that ``_exact_row`` reads from ``lines(node)``,
-    ``node`` rows of d exact pairs each below ``path``.  A row of another
-    shape fails with ``message`` at its pointer, a bad pair before it
-    first; a bad pair fails at its own pointer, as a row-major read
-    would."""
+def _grid(node, path, d, message, exact, by_column=False):
+    """``node``, rows of d pairs each below ``path``, read in one pass by
+    its ring's reader: in exact mode into one integer row (``_exact_row``)
+    of all its pairs row-major, or with ``by_column`` one per column; in
+    float mode into its (rows, d) complex128 array, row-major, so that a
+    float int past the float range (OverflowError) is the first one a
+    row-major read meets.  A row of another shape fails with ``message``
+    at its pointer, a bad pair before it first; a bad pair fails at its
+    own pointer, as a row-major read would."""
     for k, row in enumerate(node):
         if not isinstance(row, list) or len(row) != d:
-            _locate(node[:k], path)
+            _locate(node[:k], path, exact)
             _fail(f"{path}/{k}", message)
     try:
-        return [_exact_row(line) for line in lines(node)]
+        if not exact:
+            return np.array([_scalar(pair) for row in node for pair in row],
+                            complex).reshape(len(node), d)
+        if by_column:
+            return [_exact_row(column) for column in zip(*node)]
+        return _exact_row([pair for row in node for pair in row])
     except _Refused:
-        _locate(node, path)
+        _locate(node, path, exact)
         raise
 
 
@@ -324,53 +339,33 @@ def _exact_root(node, path):
 
 
 def _parse_matrix(node, path, d, exact):
-    """A d x d matrix of pairs: a CMatrix, or in exact mode its integer
-    entries (den, [(row, col, re, im), ...]) (``CMatrix.entries``), read
-    row-major as one integer row."""
+    """A d x d matrix of pairs (``_grid``): its (d, d) complex128 array, or
+    in exact mode its integer entries (den, [(row, col, re, im), ...])
+    (``CMatrix.entries``), read row-major as one integer row."""
     if not isinstance(node, list) or len(node) != d:
         _fail(path, f"expected {d} rows")
+    grid = _grid(node, path, d, f"expected {d} entries", exact)
     if not exact:
-        rows = []
-        for r, row in enumerate(node):
-            if not isinstance(row, list) or len(row) != d:
-                _fail(f"{path}/{r}", f"expected {d} entries")
-            rows.append(_parse_row(row, path, r, _scalar))
-        return CMatrix.from_rows(rows, False)
-    [row] = _exact_grid(node, path, d, f"expected {d} entries",
-                        lambda node: [[pair for row in node for pair in row]])
-    den, re, im = row or (1, (), None)
+        return grid
+    den, re, im = grid or (1, (), None)
     return den, [(k // d, k % d, a, b) for k, (a, b) in
                  enumerate(zip(re, im or (0,) * len(re))) if a or b]
 
 
-def _array_rows(coeffs):
-    """The (d, width) complex128 rows of the complex ``coeffs[k][i]``,
-    trailing zero coefficient vectors dropped; None when nothing is
-    left."""
-    n = len(coeffs)
-    while n and not any(coeffs[n - 1]):
-        n -= 1
-    return np.array(coeffs[:n], complex).T if n else None
-
-
 def _parse_term(node, path, d, exact):
     """A coefficient payload, indexed x-power (ascending), then component,
-    as the SeriesTable rows of its d components; None when it is zero.
-    Exact payloads are read a component's column at a time
-    (``_exact_grid``)."""
+    as the SeriesTable rows of its d components (``_grid``): d integer
+    rows, read a component's column at a time, or a (d, width) complex128
+    array, trailing zero coefficient vectors dropped; None when it is
+    zero."""
     if not isinstance(node, list) or not node:
         _fail(path, "expected a nonempty list of per-x-power coefficient rows")
-    message = f"expected {d} component entries"
+    rows = _grid(node, path, d, f"expected {d} component entries", exact,
+                 by_column=True)
     if exact:
-        rows = tuple(_exact_grid(node, path, d, message,
-                                 lambda node: zip(*node)))
-        return rows if any(rows) else None
-    coeffs = []
-    for k, row in enumerate(node):
-        if not isinstance(row, list) or len(row) != d:
-            _fail(f"{path}/{k}", message)
-        coeffs.append(_parse_row(row, path, k, _scalar))
-    return _array_rows(coeffs)
+        return tuple(rows) if any(rows) else None
+    live = np.flatnonzero(rows.any(axis=1))
+    return rows[:live[-1] + 1].T if live.size else None
 
 
 def _monomial(node, path, d, seen, low):
@@ -463,13 +458,14 @@ class SystemDocument:
     as its integer root (den, a, b), the pole (a + ib) / den, and each
     matrix as its integer entries (den, [(row, col, re, im), ...]), which
     is what ``to_system`` hands the system (``FuchsianSystem._of_forms``);
-    in float mode complex poles and CMatrix residues.  ``to_system`` builds
-    the system once; ``poles`` and ``matrices`` are the system's, made on
-    request.  ``f`` is the SeriesTable of the nonzero nonlinearity terms,
-    read straight into store rows, which ``to_nonlinear`` hands on as it
-    is; ``monomials`` lists every multi-index the document gives, in its
-    order, zero terms included.  The ``nonlinearity`` property builds
-    their {m: VecPoly} mapping on each read.
+    in float mode complex poles and (d, d) complex128 arrays.
+    ``to_system`` builds the system once; ``poles`` and ``matrices`` are
+    the system's, made on request.  ``f`` is the SeriesTable of the
+    nonzero nonlinearity terms, read straight into store rows, which
+    ``to_nonlinear`` hands on as it is; ``monomials`` lists every
+    multi-index the document gives, in its order, zero terms included.
+    The ``nonlinearity`` property builds their {m: VecPoly} mapping on
+    each read.
     """
 
     __slots__ = ("dimension", "s", "_linear", "_system", "f", "monomials",
@@ -565,50 +561,53 @@ class SystemDocument:
 
     def to_system(self):
         if self._system is None:
-            poles, matrices = self._linear
-            if self.exact:
-                self._system = FuchsianSystem._of_forms(self.dimension, poles,
-                                                        matrices)
-            else:
-                try:
-                    self._system = FuchsianSystem(poles, matrices)
-                except ValueError as exc:
-                    raise SchemaError(f"/: {exc}") from exc
+            self._system = FuchsianSystem._of_forms(
+                self.dimension, *self._linear, self.exact)
         return self._system
 
     def to_nonlinear(self):
         return NonlinearSystem._of_table(self.to_system(), self.f)
 
 
+def read_file(path, where, toml=False):
+    """The JSON value of the file ``path`` (its TOML value with ``toml``),
+    read as bytes and decoded as UTF-8: the one reader of every input
+    file.  Invalid UTF-8, JSON or TOML is a SchemaError at ``where``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{where}: invalid {'TOML' if toml else 'JSON'}: "
+                          f"{exc}") from exc
+    if not toml:
+        return _loads(text, where)
+    try:
+        import tomllib as toml_reader
+    except ImportError:  # Python < 3.11
+        try:
+            import tomli as toml_reader
+        except ImportError:
+            raise SchemaError(
+                f"{where}: TOML input needs Python >= 3.11 or the tomli "
+                f"package")
+    try:
+        return toml_reader.loads(text)
+    except (toml_reader.TOMLDecodeError, RecursionError) as exc:
+        raise SchemaError(f"{where}: invalid TOML: {exc}") from exc
+    except ValueError as exc:
+        # an integer literal past the int-str digit limit, which the TOML
+        # reader converts with no way round it
+        raise SchemaError(
+            f"{where}: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits; in TOML write such "
+            f"integers as \"...\" strings") from exc
+
+
 def load_document(path, exact=False):
     """Read a document from a JSON or TOML file (by extension)."""
-    text_path = str(path)
-    if text_path.endswith(".toml"):
-        try:
-            import tomllib as toml_reader
-        except ImportError:  # Python < 3.11
-            try:
-                import tomli as toml_reader
-            except ImportError:
-                raise SchemaError(
-                    "/: TOML input needs Python >= 3.11 or the tomli package"
-                )
-        with open(text_path, "rb") as fh:
-            try:
-                data = toml_reader.load(fh)
-            except (toml_reader.TOMLDecodeError, UnicodeDecodeError) as exc:
-                raise SchemaError(f"/: invalid TOML: {exc}") from exc
-            except ValueError as exc:
-                # an integer literal past the int-str digit limit, which
-                # the TOML reader converts with no way round it
-                raise SchemaError(
-                    f"/: an integer has more than "
-                    f"{sys.get_int_max_str_digits()} digits; in TOML write "
-                    f"such integers as \"...\" strings") from exc
-    else:
-        with open(text_path, "r", encoding="utf-8") as fh:
-            data = _loads(fh.read(), "/")
-    return SystemDocument.from_dict(data, exact)
+    return SystemDocument.from_dict(
+        read_file(path, "/", str(path).endswith(".toml")), exact)
 
 
 # ----------------------------------------------------------------------

@@ -15,14 +15,14 @@ monic.  Float mode holds complex128 arrays.  Exact mode holds Python
 integers, built from the poles' integer ratios and the residues' integer
 entries: Q and the cofactors as integer rows (den, re, im) (``pnspace``),
 each matrix in the one exact entry form (``CMatrix.entries``).  A
-document's exact system starts from those integer forms, read straight
-from the JSON (``_of_forms``), and makes its ExactComplex poles and
-CMatrix residues only when they are read.  The solvers, the engine's
-verifier and the checks read the set-up itself: ``q_coefficients``, Q's
-S + 3 coefficients, and ``qb_coefficients``, QB's S + 2.  The spectra
-are those of float arrays, in exact mode of the entries' num / den,
-rounded as ``CMatrix.to_numpy`` rounds them; the exact checks decide
-shifts on SparseMatrix forms of the same entries.
+document's system, and the float copy ``analytic.float_system`` makes,
+start from these forms (``_of_forms``); an exact one makes its
+ExactComplex poles and CMatrix residues only when they are read.  The
+solvers, the engine's verifier and the checks read the set-up itself:
+``q_coefficients``, Q's S + 3 coefficients, and ``qb_coefficients``,
+QB's S + 2.  The spectra are those of float arrays, in exact mode of the
+entries' num / den, rounded as ``CMatrix.to_numpy`` rounds them; the
+exact checks decide shifts on SparseMatrix forms of the same entries.
 ``q_poly``, ``cofactor``, ``qb_poly`` and ``b_infinity`` (the Rodrigues
 family, the shift ladder, the local series at a pole, API users) are made
 from the set-up on request, one definition for both rings; ``check``,
@@ -119,19 +119,22 @@ class FuchsianSystem:
         self._cache = {}
 
     @classmethod
-    def _of_forms(cls, size, roots, residues):
-        """The exact system of the poles (a + ib) / den given as integer
-        roots (den, a, b) in lowest terms and of the size x size residues
-        given as integer entries (``CMatrix.entries``), kept as they are:
-        the set-up (``_forms``) starts from them, and ``poles`` and
-        ``residues`` build ExactComplex poles and CMatrix residues only
-        when read.  Nothing is checked; the caller (the document reader)
-        has checked what ``__init__`` checks."""
+    def _of_forms(cls, size, poles, residues, exact):
+        """The system of set-up forms, kept as they are (``_forms``): float
+        poles and the residues' (n, size, size) complex128 stack, or exact
+        integer roots (den, a, b), the poles (a + ib) / den in lowest
+        terms, and integer entries (``CMatrix.entries``), whose ExactComplex
+        poles and CMatrix residues are built only when read.  Nothing is
+        checked: the document reader checks what ``__init__`` does, and a
+        float copy (``analytic.float_system``) keeps exact poles that
+        round to within 1e-12 of each other."""
         system = cls.__new__(cls)
-        system.exact, system.size, system.n_poles = True, size, len(roots)
-        system._poles = system._residues = None
-        system._cache = {"forms": {"roots": list(roots),
-                                   "residues": list(residues)}}
+        system.exact, system.size, system.n_poles = exact, size, len(poles)
+        system._poles = None if exact else tuple(poles)
+        system._residues = None
+        forms = ({"roots": list(poles), "residues": list(residues)} if exact
+                 else {"residues": np.array(residues, complex)})
+        system._cache = {"forms": forms}
         return system
 
     # -- basic shape -----------------------------------------------------

@@ -20,6 +20,7 @@ from fuchslin.analytic import (
     ResonanceError,
     continue_w,
     default_path,
+    float_system,
     frobenius_local,
     moments,
     rhs_moment,
@@ -95,6 +96,40 @@ def random_vecpoly(rng, d, degree):
         top[0] = ExactComplex(1)
         coeffs[-1] = tuple(top)
     return VecPoly.from_coeffs(coeffs, exact=True, dim=d)
+
+
+def test_float_system_is_the_rounded_copy_bit_for_bit():
+    # float_system builds the float copy from the exact set-up forms, each
+    # pole and entry num / den rounded once: bit for bit the system of
+    # complex() of each ExactComplex value, and the context's residue
+    # stack is the copy's set-up.  Past the float range both overflow
+    rng = random.Random(45)
+
+    def value():
+        return ExactComplex(Fraction(rng.randint(-10**30, 10**30),
+                                     rng.randint(1, 10**20)),
+                            Fraction(rng.randint(-7, 7), rng.randint(1, 9)))
+
+    for d in (1, 2, 3):
+        system = FuchsianSystem(
+            [ExactComplex(-1), ExactComplex(Fraction(1, 3)), value()],
+            [CMatrix.from_rows([[value() for _ in range(d)]
+                                for _ in range(d)], True) for _ in range(3)])
+        want = FuchsianSystem(
+            [complex(p) for p in system.poles],
+            [CMatrix.from_rows([[complex(v) for v in row] for row in m.rows])
+             for m in system.residues])
+        copy = float_system(system)
+        assert not copy.exact and copy.poles == want.poles
+        assert copy.residues == want.residues
+        for key in ("residues", "binf", "q", "coeffs"):
+            assert np.array_equal(copy._forms(key), want._forms(key)), key
+        assert _Context(copy, 1e-10).res is copy._forms("residues")
+    huge = FuchsianSystem(
+        [ExactComplex(0), ExactComplex(10**400)],
+        [CMatrix.from_rows([[1]], True)] * 2)
+    with pytest.raises(OverflowError):
+        float_system(huge)
 
 
 # ----------------------------------------------------------------------

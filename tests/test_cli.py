@@ -436,11 +436,13 @@ def test_correct_zero_and_low_degree_rhs_bytes(tmp_path, capsys, exact, g,
 
 
 def test_correct_g_that_is_not_json_is_a_schema_error(tmp_path, capsys):
+    # also JSON nested deeper than the parser goes (a RecursionError)
     doc = write_doc(tmp_path, SCALAR_DOC)
-    code, out, err = run(capsys, ["correct", doc, "--exact",
-                                  "--g", "[[[1,0]]"])
-    assert code == 3 and out == ""
-    assert err.startswith("schema error: /g: invalid JSON: ")
+    for g in ("[[[1,0]]", "[" * 100_000):
+        code, out, err = run(capsys, ["correct", doc, "--exact", "--g", g])
+        assert code == 3 and out == ""
+        assert err.startswith("schema error: /g: invalid JSON: ")
+        assert err.count("\n") == 1
 
 
 def test_correct_requires_g(tmp_path, capsys):
@@ -1152,6 +1154,71 @@ def test_toml_integer_past_the_digit_limit_is_a_schema_error(tmp_path,
             "dimension = 1", "S = 0", "poles = [[-1, 0], [1, 0]]",
             f"matrices = [[[[{entry}, 0]]], [[[1, 0]]]]"]), encoding="utf-8")
         assert run(capsys, ["check", str(path), "--exact"]) == want
+
+
+# every input file goes through one reader, and each of these faces used
+# to escape main as a traceback: a file that starts 0xff 0xfe is not
+# UTF-8 (UnicodeDecodeError), and one nested 100,000 deep is past the
+# parser's depth (RecursionError); each is one schema error line at the
+# pointer the file was read for
+BAD_FILES = {"bom": b"\xff\xfe" + json.dumps(SCALAR_DOC).encode(),
+             "deep": b"[" * 100_000}
+INPUT_FACES = {
+    "document": ("{bad}.json", ["check", "{path}"], "/"),
+    "tables": ("{bad}.json", ["verify", "{doc}", "--tables", "{path}"],
+               "/tables"),
+    "g-file": ("{bad}.json", ["correct", "{doc}", "--g", "@{path}"], "/g"),
+    "toml": ("{bad}.toml", ["check", "{path}"], "/"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_FILES))
+@pytest.mark.parametrize("face", sorted(INPUT_FACES))
+def test_undecodable_or_too_deep_input_is_a_schema_error(tmp_path, capsys,
+                                                         face, bad):
+    name, argv, pointer = INPUT_FACES[face]
+    doc = write_doc(tmp_path, SCALAR_DOC)
+    path = tmp_path / name.format(bad=bad)
+    raw = BAD_FILES[bad]
+    if face == "toml" and bad == "deep":
+        raw = b"a = " + raw
+    path.write_bytes(raw)
+    code, out, err = run(capsys, [a.format(doc=doc, path=path)
+                                  for a in argv])
+    assert (code, out) == (3, "")
+    kind = "TOML" if face == "toml" else "JSON"
+    assert err.startswith(f"schema error: {pointer}: invalid {kind}: ")
+    assert err.count("\n") == 1
+
+
+def test_exact_decimal_exponent_past_the_limit_is_a_schema_error(tmp_path,
+                                                                capsys):
+    # "1e100000000" would take Fraction(str) minutes to read; it is
+    # refused at its pair in a document and in --g
+    doc = write_doc(tmp_path, dict(SCALAR_DOC, matrices=[
+        [[["1e100000000", 0]]], [[[1, 0]]]]))
+    code, out, err = run(capsys, ["check", doc, "--exact"])
+    assert (code, out) == (3, "")
+    assert err == (f"schema error: /matrices/0/0/0/0: exponent above "
+                   f"{sys.get_int_max_str_digits()} in '1e100000000'\n")
+    doc = write_doc(tmp_path, SCALAR_DOC)
+    code, out, err = run(capsys, ["correct", doc, "--exact", "--g",
+                                  '[[[0, "1e-100000000"]]]'])
+    assert (code, out) == (3, "")
+    assert err.startswith("schema error: /g/0/0/1: exponent above ")
+
+
+def test_exact_poles_that_coincide_as_floats_fail_the_analytic_route(
+        tmp_path, capsys):
+    # the exact poles 0 and 10^-13 are distinct, but their float copy's
+    # paths meet a pole: the analytic route exits 4 with one line (the
+    # float copy used to refuse them with a ValueError traceback)
+    doc = write_doc(tmp_path, dict(SCALAR_DOC, poles=[
+        [0, 0], ["1/10000000000000", 0]]))
+    code, out, err = run(capsys, ["correct", doc, "--exact", "--analytic",
+                                  "--g", "[[[1, 0]]]"])
+    assert (code, out) == (4, "")
+    assert err.startswith("numeric failure: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("residue, coeff, order, written", [

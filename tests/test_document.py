@@ -6,8 +6,10 @@ import json
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from fuchslin.document import (
     load_document,
     parse_series_table,
     parse_vector_polynomial,
+    read_file,
     scalar_json,
     series_table_json,
     vecpoly_json,
@@ -397,6 +400,28 @@ def test_load_document_json(tmp_path):
     assert "invalid JSON" in str(err.value)
 
 
+def test_undecodable_or_too_deep_file_is_a_schema_error(tmp_path):
+    # every input file goes through one reader: a file that is not UTF-8,
+    # or nested deeper than the parser goes (RFC 8259 section 9 lets a
+    # parser limit depth), is refused at the pointer it was read for
+    cases = [("bom.json", b"\xff\xfe{}", "/: invalid JSON: 'utf-8' codec"),
+             ("deep.json", b"[" * 100_000, "/: invalid JSON: maximum "
+                                          "recursion depth exceeded"),
+             ("deep.toml", b"a = " + b"[" * 100_000,
+              "/: invalid TOML: maximum recursion depth exceeded")]
+    for name, raw, message in cases:
+        path = tmp_path / name
+        path.write_bytes(raw)
+        with pytest.raises(SchemaError) as err:
+            load_document(path)
+        assert str(err.value).startswith(message)
+        if name.endswith(".json"):
+            with pytest.raises(SchemaError) as err:
+                read_file(path, "/tables")
+            assert str(err.value).startswith(
+                message.replace("/", "/tables", 1))
+
+
 def test_load_document_toml(tmp_path):
     # load_document reads TOML with tomllib on Python >= 3.11, tomli below
     pytest.importorskip("tomllib" if sys.version_info >= (3, 11) else "tomli")
@@ -679,6 +704,62 @@ def test_exact_refusal_is_the_first_in_row_major_order():
             "component entries", "entries")
 
 
+def test_float_refusal_is_the_first_in_row_major_order():
+    # float grids are read in one pass, row-major, by the reader exact
+    # grids go through: a refused pair is still named at its own pointer,
+    # a bad pair before a malformed row after it, and an int past the
+    # float range (OverflowError, exit 4) counts only where a row-major
+    # read meets it before any refused pair
+    huge = 10 ** 400
+    cases = [
+        ([[[1, 0], ["x", 0]], [[huge, 0], [1, 0]]],
+         "0/1/0: expected a number, got str"),
+        ([[[1, 0], [1, True]], [[1, 0]]],
+         "0/1/1: expected a number, got a boolean"),
+        ([[[1, 0], [1, 0]], [[1, 0]]], "1: expected 2 component entries"),
+    ]
+    for node, message in cases:
+        with pytest.raises(SchemaError) as err:
+            parse_series_table([{"m": [2, 0], "coeff": node}], 2, False)
+        assert str(err.value) == f"/series/0/coeff/{message}"
+        with pytest.raises(SchemaError) as err:
+            SystemDocument.from_dict(scalar_doc(
+                dimension=2, nonlinearity=[],
+                matrices=[[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], node]))
+        assert str(err.value) == "/matrices/1/" + message.replace(
+            "component entries", "entries")
+    for node in ([[[1, 0], [huge, 0]], [["x", 0], [1, 0]]],
+                 [[[huge, 0], [1, 0]], [[1, 0]]]):
+        with pytest.raises(OverflowError):
+            parse_series_table([{"m": [2, 0], "coeff": node}], 2, False)
+
+
+def test_float_linear_part_is_the_system_of_its_values():
+    # a float document's poles and residues go straight into the set-up
+    # (FuchsianSystem._of_forms); the system is bit for bit the one built
+    # from the same values as CMatrix residues
+    rng = random.Random(44)
+    for d in (1, 2, 3):
+        poles = [[-1.5, 0.25], [1, 0], [0.125, 2.5]]
+        matrices = [[[[rng.uniform(-3, 3), rng.uniform(-1, 1)]
+                      for _ in range(d)] for _ in range(d)] for _ in poles]
+        doc = SystemDocument.from_dict({
+            "dimension": d, "S": 1, "poles": poles, "matrices": matrices})
+        want = FuchsianSystem(
+            [complex(*p) for p in poles],
+            [CMatrix.from_rows([[complex(*v) for v in row] for row in mat])
+             for mat in matrices])
+        system = doc.to_system()
+        assert system.poles == want.poles
+        assert doc.matrices == want.residues
+        assert np.array_equal(system._forms("residues"),
+                              want._forms("residues"))
+        assert np.array_equal(system.q_coefficients(),
+                              want.q_coefficients())
+        assert np.array_equal(system.qb_coefficients(),
+                              want.qb_coefficients())
+
+
 def test_decimal_string_past_the_digit_limit_is_read():
     # Fraction(str) converts a decimal string's digits in one piece, which
     # CPython refuses past 4,300 of them; the reader takes them in pieces
@@ -691,6 +772,33 @@ def test_decimal_string_past_the_digit_limit_is_read():
             scalar_doc(matrices=[[[[text, 0]]], [[[1, text]]]]), exact=True)
         assert doc.matrices[0].entry(0, 0) == ExactComplex(want)
         assert doc.matrices[1].entry(0, 0) == ExactComplex(1, want)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_decimal_exponent_past_the_digit_limit_is_refused_quickly():
+    # Fraction("1e100000000") builds 10 ** 100000000, minutes of work; an
+    # exponent above the int-str digit limit (and the string's length) is
+    # refused at its pair, and exponents up to the limit are still read
+    limit = sys.get_int_max_str_digits()
+    for text in ("1e100000000", "-2E+100_000_000", "1e-100000000",
+                 f"1e{limit + 1}"):
+        started = time.perf_counter()
+        with pytest.raises(SchemaError) as err:
+            SystemDocument.from_dict(
+                scalar_doc(matrices=[[[[1, 0]]], [[[1, text]]]]), exact=True)
+        assert time.perf_counter() - started < 0.5
+        assert str(err.value) == (f"/matrices/1/0/0/1: exponent above "
+                                  f"{limit} in {text!r}")
+        with pytest.raises(SchemaError) as err:
+            parse_series_table([{"m": [2], "coeff": [[[text, 0]]]}], 1, True)
+        assert pointer_of(err) == "/series/0/coeff/0/0/0"
+    for text, want in ((f"1e{limit}", Fraction(10 ** limit)),
+                       (f"1.5e-{limit}", Fraction(3, 2 * 10 ** limit)),
+                       ("1." + "0" * 4400 + "1",
+                        Fraction(10 ** 4401 + 1, 10 ** 4401))):
+        doc = SystemDocument.from_dict(
+            scalar_doc(matrices=[[[[text, 0]]], [[[1, 0]]]]), exact=True)
+        assert doc.matrices[0].entry(0, 0) == ExactComplex(want)
     assert sys.get_int_max_str_digits() == limit
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from fuchslin.analytic import float_system, float_vecpoly
 from fuchslin.exact import ExactComplex
 from fuchslin.matrices import CMatrix
 from fuchslin.model import FuchsianSystem
@@ -244,9 +245,10 @@ def test_expand_synthesize_roundtrip():
         assert (back - g).is_zero()
 
 
-def test_member_vector_route_matches_matrix_route():
-    rng = random.Random(49)
-    lin = FuchsianSystem(
+def two_by_two_system():
+    """A 2 x 2 rational system whose residue sum has eigenvalues
+    3 +- 6^(-1/2), so no leading coefficient is singular."""
+    return FuchsianSystem(
         (ExactComplex(-1), ExactComplex(1)),
         (
             CMatrix.from_rows([[1, ExactComplex(Fraction(1, 2))], [0, 2]],
@@ -255,6 +257,11 @@ def test_member_vector_route_matches_matrix_route():
                               True),
         ),
     )
+
+
+def test_member_vector_route_matches_matrix_route():
+    rng = random.Random(49)
+    lin = two_by_two_system()
     family = RodriguesFamily(lin)
     for n in range(0, 6):
         vec = (ExactComplex(rng.randint(-3, 3)),
@@ -274,3 +281,31 @@ def test_expand_rejects_singular_leading():
 
     with pytest.raises(AssumptionError):
         family.expand(g)
+
+
+def test_float_expand_matches_the_exact_expansion():
+    # expand's float branch (trim, the scaled zero test, the overshoot
+    # check) on the float copy of a rational system: sum_n P_n g_n gives g
+    # back, and every g_n is the exact expansion's, both to rounding
+    rng = random.Random(50)
+    lin = two_by_two_system()
+    exact_family = RodriguesFamily(lin)
+    float_family = RodriguesFamily(float_system(lin))
+    for degree in range(6):
+        g = VecPoly.from_coeffs(
+            [(ExactComplex(rng.randint(-9, 9), rng.randint(-9, 9)),
+              ExactComplex(rng.randint(-9, 9))) for _ in range(degree)]
+            + [(ExactComplex(1), ExactComplex(0, -2))], exact=True)
+        want = exact_family.expand(g)
+        got = float_family.expand(float_vecpoly(g))
+        assert len(got) == len(want) == degree + 1
+        scale = max(abs(complex(v)) for vec in want for v in vec)
+        for vec_got, vec_want in zip(got, want):
+            for a, b in zip(vec_got, vec_want):
+                assert abs(a - complex(b)) <= 1e-12 * scale, (degree, a, b)
+        back = VecPoly.zero(2, False)
+        for n, vec in enumerate(got):
+            back = back + float_family.member_times_vector(n, vec)
+        gf = float_vecpoly(g)
+        assert back.degree == degree
+        assert (back - gf).max_abs() <= 1e-10 * gf.max_abs(), degree
