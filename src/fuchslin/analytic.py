@@ -44,10 +44,11 @@ plans every step of every path, builds the factors of all of them in one
 stacked recursion, and then chains W and the integrals over each path's
 slice of that stack.  The Frobenius factors and the x^a / Q_j series of
 all the poles a solve needs are built together too, at the largest term
-count any path asks for, and the endpoint series blocks are cached per
-solve, so the basepoint's are built once for all paths and every
-``eval``.  At each endpoint pole every series block goes through one
-stacked (B_j + k) solve.  The path must
+count any path asks for.  The endpoint series blocks are kept solved per
+context: at each endpoint pole every block goes through one stacked
+(B_j + k) solve once, and every path of the solve and every ``eval``
+reuses that stack, so a pass at a pole is left with the powers of its
+own point and one sum (``_endpoint_sum``).  The path must
 keep clear of every pole; one that meets a pole raises QuadratureError.
 A waypoint repeated in a row, at either end too, is dropped, and so is
 one next to an end within that end's tolerance (1e-12 relative at p_0,
@@ -195,14 +196,23 @@ class CertificateReport:
 def float_system(system):
     """The float copy of an exact system, from its set-up forms: each
     num / den rounded as float(Fraction) rounds it (OverflowError past
-    the float range).  A float system is its own copy."""
+    the float range).  A float system is its own copy.
+
+    The copy takes the finite poles' spectra the exact system has already
+    computed: both are the eigenvalues of the same complex128 arrays
+    (``_entries_array``), so they are the same bits.  B_inf's is not
+    taken, since the copy's B_inf is a float sum."""
     if not system.exact:
         return system
-    return FuchsianSystem._of_forms(
+    copy = FuchsianSystem._of_forms(
         system.size,
         [complex(a / den, b / den) for den, a, b in system._forms("roots")],
         [_entries_array(system.size, m) for m in system._forms("residues")],
         False)
+    copy._cache.update(
+        (key, value) for key, value in system._cache.items()
+        if isinstance(key, tuple) and key[0] == "spec" and key[1] != "inf")
+    return copy
 
 
 def float_vecpoly(p):
@@ -322,7 +332,9 @@ class _Context:
         # one more diagonal entry -1 at every pole, whose factor is 1/Q; the
         # steps keep diag(Phi, q) as [Phi | q e_0], and at d = 1 [0 | q] as
         # a second row, so that one step's product is a matrix product too
-        self.step_res = np.pad(self.res, ((0, 0), (0, 1), (0, 1)))
+        n_poles, d = len(self.poles), self.d
+        self.step_res = np.zeros((n_poles, d + 1, d + 1), dtype=complex)
+        self.step_res[:, :d, :d] = self.res
         self.step_res[:, -1, -1] = -1
         m = max(self.d, 2)
         self.step_start = np.eye(m, self.d + 1) \
@@ -375,13 +387,17 @@ class _Context:
         return rows
 
     def pole_blocks(self, asked, n_x):
-        """``_pole_blocks`` of every (j, count) in ``asked``, each built once
-        per context; the missing ones are built together."""
+        """The endpoint blocks of every (j, count) in ``asked``, solved
+        (``_solved_blocks``): ``_pole_blocks`` through one stacked
+        (B_j + k) solve each.  Each is built and solved once per context,
+        the missing ones together, and kept solved, so every path of a
+        solve and every ``eval`` sums the same stack (``_endpoint_sum``)."""
         todo = sorted({(j, c) for j, c in asked
                        if (j, n_x, c) not in self._blocks})
         if todo:
-            self._blocks.update(zip([(j, n_x, c) for j, c in todo],
-                                    _pole_blocks(self, todo, n_x)))
+            self._blocks.update(
+                ((j, n_x, c), _solved_blocks(self.res[j], raw))
+                for (j, c), raw in zip(todo, _pole_blocks(self, todo, n_x)))
         return {(j, c): self._blocks[j, n_x, c] for j, c in asked}
 
     def anchor(self):
@@ -422,22 +438,30 @@ def _factor_rows(ratios, res, start, count, residues=None):
     rev[-1] = start
     sums = np.zeros((n, m, n_poles, e), dtype=complex)
     neg_res = -res.reshape(n_poles * e, e)
-    if residues is not None:
+    # views built once: the terms and ratios broadcast over the poles, the
+    # sums as rows of one product, and each term's rows as its output
+    history = rev[:, :, :, None]
+    ratio = ratios[:, None, :, None]
+    if residues is None:
+        rows = sums.reshape(n * m, n_poles * e)
+        out = rev.reshape(count, n * m, e)
+    else:
+        rows = sums.reshape(n, m, n_poles * e)
         eye = np.eye(e, dtype=complex)
         # k X + B X - X B = R on row-major vec(X), one operator per pole
         sylvester = np.stack([np.kron(b, eye) - np.kron(eye, b.T)
                               for b in residues])
+        shift = np.eye(e * e)
     for k in range(1, count):
-        sums += rev[count - k, :, :, None]
-        sums *= ratios[:, None, :, None]
+        sums += history[count - k]
+        sums *= ratio
         if residues is None:
-            np.matmul(sums.reshape(n * m, n_poles * e), neg_res,
-                      out=rev[count - 1 - k].reshape(n * m, e))
-            rev[count - 1 - k] /= k
+            np.matmul(rows, neg_res, out=out[count - 1 - k])
+            out[count - 1 - k] /= k
         else:
-            rhs = sums.reshape(n, e, n_poles * e) @ neg_res
+            rhs = rows @ neg_res
             rev[count - 1 - k] = np.linalg.solve(
-                sylvester + k * np.eye(e * e),
+                sylvester + k * shift,
                 rhs.reshape(n, e * e, 1)).reshape(n, e, e)
     return rev
 
@@ -491,24 +515,33 @@ def _pole_blocks(ctx, asked, n_x):
                       ctx.frobenius(j, c)) for j, c in asked]
 
 
-def _endpoint_sum(bj, t_end, blocks, tol):
-    """sum_k t_end^k (B + k)^{-1} H_k for every block.
+def _solved_blocks(bj, blocks):
+    """(B + k)^{-1} H_k of every block, through one stacked (B + k) solve
+    per k.  ``blocks`` stacks the matrix series H^(a) as (n_blocks, count,
+    d, d); returns the solved terms side by side, (count, d, n_blocks d),
+    as ``_endpoint_sum`` takes them."""
+    n_blocks, count, d = blocks.shape[:3]
+    cols = blocks.transpose(1, 2, 0, 3).reshape(count, d, n_blocks * d)
+    k = np.arange(count)
+    shifted = bj + k[:, None, None] * np.eye(d, dtype=complex)
+    return np.linalg.solve(shifted, cols)
+
+
+def _endpoint_sum(solved, t_end, tol):
+    """sum_k t_end^k (B + k)^{-1} H_k for every block, from the solved
+    terms of ``_solved_blocks``.
 
     t_end^B times this sum is the integral from the pole of
     sum_k t^{B + k - 1} H_k, continued in the exponent: it is valid
     whenever every B + k is invertible, whatever the sign of the spectrum
     of B.  The factor t_end^B is left out: it is a left factor shared
     with the Frobenius factor t^B Phi at the same point, so the transport
-    works in that point's frame (``_transport_passes``).  ``blocks``
-    stacks the matrix series H^(a) as (n_blocks, count, d, d); all go
-    through one (B + k) solve per k.  Each block's last term is checked
-    against that block's own sum.  Returns the (n_blocks, d, d) sums.
+    works in that point's frame (``_transport_passes``).  Each block's
+    last term is checked against that block's own sum.  Returns the
+    (n_blocks, d, d) sums.
     """
-    n_blocks, count, d = blocks.shape[:3]
-    cols = blocks.transpose(1, 2, 0, 3).reshape(count, d, n_blocks * d)
-    k = np.arange(count)
-    shifted = bj + k[:, None, None] * np.eye(d, dtype=complex)
-    terms = np.linalg.solve(shifted, cols) * (t_end ** k)[:, None, None]
+    count, d = solved.shape[:2]
+    terms = solved * (t_end ** np.arange(count))[:, None, None]
     acc = terms.sum(axis=0)
     # per block: the largest entry of its last term and of its sum
     tail, size = np.abs([terms[-1], acc]).reshape(2, d, -1, d).max(axis=(1, 3))
@@ -518,7 +551,7 @@ def _endpoint_sum(bj, t_end, blocks, tol):
             f"endpoint series did not converge (last term "
             f"{tail[failed[0]]:.3e} after {count} terms)"
         )
-    return acc.reshape(d, n_blocks, d).transpose(1, 0, 2)
+    return acc.reshape(d, -1, d).transpose(1, 0, 2)
 
 
 # ----------------------------------------------------------------------
@@ -556,7 +589,8 @@ def _transport_passes(ctx, paths, n_x, match_target=True):
     call for all their steps, then each path's chain over its slice and
     its match at the target pole.  The Frobenius factors of p_0 and every
     target pole are built first, in one recursion, and then their endpoint
-    blocks.  Zero-length segments are dropped on entry, so a repeated
+    blocks, or taken solved from the context (``_Context.pole_blocks``).
+    Zero-length segments are dropped on entry, so a repeated
     waypoint, at either end too, changes nothing; so is a waypoint next to
     an end within that end's tolerance (``path_defect``'s POINT_TOL at
     p_0, POLE_TOL at the target pole, POINT_TOL at a partial path's end).
@@ -609,8 +643,7 @@ def _transport_passes(ctx, paths, n_x, match_target=True):
     for points, count0, *_ in legs:
         ta = points[0] - p0
         starts.append((_eval_series_mat(ctx.frobenius(0, count0), ta),
-                       _endpoint_sum(ctx.res[0], ta, blocks[0, count0],
-                                     ctx.tol)))
+                       _endpoint_sum(blocks[0, count0], ta, ctx.tol)))
 
     plans = [_plan_steps(ctx, leg[0]) for leg in legs]
     factors = _step_factors(ctx, np.concatenate([c for c, _ in plans]),
@@ -626,8 +659,7 @@ def _transport_passes(ctx, paths, n_x, match_target=True):
             # W = C t_b^{B_j} Phi_j(t_b) at the stop point, and the target's
             # integral is C t_b^{B_j} sums_t: t_b^{B_j} cancels
             tb = points[-1] - target
-            sums_t = _endpoint_sum(ctx.res[jt], tb, blocks[jt, count_t],
-                                   ctx.tol)
+            sums_t = _endpoint_sum(blocks[jt, count_t], tb, ctx.tol)
             phi_t = _eval_series_mat(ctx.frobenius(jt, count_t), tb)
             mats = mats - w_mid @ np.linalg.solve(phi_t, sums_t)
         out.append(_PassResult(

@@ -30,6 +30,7 @@ from fuchslin.analytic import (
     _factor_rows,
     _lower_toeplitz,
     _pole_blocks,
+    _solved_blocks,
 )
 from fuchslin.correction import solve_polynomial
 from fuchslin.exact import ExactComplex
@@ -813,7 +814,7 @@ def test_endpoint_sum_stacks_blocks_with_their_own_convergence_test():
     rng = np.random.default_rng(5)
     blocks = np.stack([decay * rng.standard_normal((count, 2, 2)),
                        1e6 * decay * rng.standard_normal((count, 2, 2))])
-    mats = _endpoint_sum(bj, t_end, blocks, 1e-10)
+    mats = _endpoint_sum(_solved_blocks(bj, blocks), t_end, 1e-10)
     assert mats.shape == (2, 2, 2)
     # reference: sum_k t^k (B + k)^{-1} H_k, one solve per block and term
     for got, series in zip(mats, blocks):
@@ -825,7 +826,7 @@ def test_endpoint_sum_stacks_blocks_with_their_own_convergence_test():
     # although block 1's sum (~1e6) would have covered it
     blocks[0, -1] = 1e-5 / abs(t_end) ** (count - 1)
     with pytest.raises(QuadratureError, match="did not converge"):
-        _endpoint_sum(bj, t_end, blocks, 1e-10)
+        _endpoint_sum(_solved_blocks(bj, blocks), t_end, 1e-10)
 
 
 def test_endpoint_sum_names_the_first_block_that_does_not_converge():
@@ -848,10 +849,200 @@ def test_endpoint_sum_names_the_first_block_that_does_not_converge():
     want = (f"endpoint series did not converge (last term "
             f"{last_term(1):.3e} after 30 terms)")
     with pytest.raises(QuadratureError) as err:
-        _endpoint_sum(bj, t_end, blocks, 1e-10)
+        _endpoint_sum(_solved_blocks(bj, blocks), t_end, 1e-10)
     assert str(err.value) == want
     assert want != (f"endpoint series did not converge (last term "
                     f"{last_term(2):.3e} after 30 terms)")
+
+
+# ----------------------------------------------------------------------
+# work done once and reused: bit for bit against the loops it replaced
+# ----------------------------------------------------------------------
+
+
+def _loop_factor_rows(ratios, res, start, count, residues=None):
+    """``_factor_rows`` with its views taken anew on every k: the loop the
+    prebuilt views replaced, kept as the reference for its bits."""
+    n, n_poles = ratios.shape
+    m, e = start.shape
+    rev = np.empty((count, n, m, e), dtype=complex)
+    rev[-1] = start
+    sums = np.zeros((n, m, n_poles, e), dtype=complex)
+    neg_res = -res.reshape(n_poles * e, e)
+    if residues is not None:
+        eye = np.eye(e, dtype=complex)
+        sylvester = np.stack([np.kron(b, eye) - np.kron(eye, b.T)
+                              for b in residues])
+    for k in range(1, count):
+        sums += rev[count - k, :, :, None]
+        sums *= ratios[:, None, :, None]
+        if residues is None:
+            np.matmul(sums.reshape(n * m, n_poles * e), neg_res,
+                      out=rev[count - 1 - k].reshape(n * m, e))
+            rev[count - 1 - k] /= k
+        else:
+            rhs = sums.reshape(n, e, n_poles * e) @ neg_res
+            rev[count - 1 - k] = np.linalg.solve(
+                sylvester + k * np.eye(e * e),
+                rhs.reshape(n, e * e, 1)).reshape(n, e, e)
+    return rev
+
+
+def _loop_endpoint_sum(bj, t_end, blocks, tol):
+    """``_endpoint_sum`` on raw blocks, with their (B + k) solve inside
+    every call: the sum before the blocks were kept solved."""
+    n_blocks, count, d = blocks.shape[:3]
+    cols = blocks.transpose(1, 2, 0, 3).reshape(count, d, n_blocks * d)
+    k = np.arange(count)
+    shifted = bj + k[:, None, None] * np.eye(d, dtype=complex)
+    terms = np.linalg.solve(shifted, cols) * (t_end ** k)[:, None, None]
+    acc = terms.sum(axis=0)
+    tail, size = np.abs([terms[-1], acc]).reshape(2, d, -1, d).max(axis=(1, 3))
+    failed = np.flatnonzero(tail > 50 * tol * np.maximum(size, 1.0))
+    if failed.size:
+        raise QuadratureError(
+            f"endpoint series did not converge (last term "
+            f"{tail[failed[0]]:.3e} after {count} terms)"
+        )
+    return acc.reshape(d, n_blocks, d).transpose(1, 0, 2)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 4, 72])
+@pytest.mark.parametrize("n_poles", [2, 3, 4])
+def test_factor_rows_match_the_loop_bit_for_bit(n, n_poles):
+    rng = np.random.default_rng(100 * n + n_poles)
+    count = 30
+    for e in range(1, 5):
+        res = 0.2 * (rng.standard_normal((n_poles, e, e))
+                     + 1j * rng.standard_normal((n_poles, e, e)))
+        ratios = RHO * rng.random((n, n_poles)) \
+            * np.exp(2j * math.pi * rng.random((n, n_poles)))
+        # the steps' rows [Phi | q e_0] (``_Context.step_start``)
+        m = max(e - 1, 2)
+        start = np.eye(m, e) + np.eye(m, e, e - 1)
+        assert _same_bits(_factor_rows(ratios, res, start, count),
+                          _loop_factor_rows(ratios, res, start, count)), e
+        # Frobenius factors: start I and one residue per row
+        residues = res[rng.integers(n_poles, size=n)]
+        assert _same_bits(
+            _factor_rows(ratios, res, np.eye(e), count, residues),
+            _loop_factor_rows(ratios, res, np.eye(e), count, residues)), e
+
+
+# (d, S, nonpositive residue at the basepoint) of seeded exact problems
+SEEDED_PROBLEMS = [(1, 0, False), (1, 2, False), (2, 0, False),
+                   (2, 1, False), (3, 2, False), (2, 2, True)]
+
+
+def _seeded_problem(case):
+    """An exact system with d and S of ``SEEDED_PROBLEMS[case]``, residues
+    as in ``random_positive_system`` (residue 0 with the spectrum -1/8,
+    -3/8, ... where nonpositive), and g of degree S + 1."""
+    d, s, nonpositive = SEEDED_PROBLEMS[case]
+    rng = random.Random(f"seeded-problem-{case}")
+    poles = []
+    while len(poles) < s + 2:
+        c = ExactComplex(Fraction(rng.randint(-4, 4), 2),
+                         Fraction(rng.randint(-1, 1), 3))
+        if all(c != p for p in poles):
+            poles.append(c)
+    mats = []
+    for j in range(s + 2):
+        rows = [[ExactComplex(0)] * d for _ in range(d)]
+        for i in range(d):
+            rows[i][i] = ExactComplex(
+                Fraction(-(2 * i + 1), 8) if nonpositive and j == 0
+                else Fraction(3 * rng.randint(2, 8) + i + 1, 6))
+            for k in range(i + 1, d):
+                rows[i][k] = ExactComplex(Fraction(rng.randint(-1, 1), 2))
+        mats.append(CMatrix.from_rows(rows, True))
+    system = FuchsianSystem(tuple(poles), tuple(mats))
+    return system, random_vecpoly(rng, d, s + 1)
+
+
+# two points of ``eval`` off every pole of the seeded problems
+EVAL_POINTS = (0.3 + 0.7j, -0.2 - 0.9j)
+
+
+def _solve_and_eval(system, g, points):
+    """phi, each certificate check's difference with phi_gap and cond, and
+    y at ``points`` (in that order, on one handle), as arrays."""
+    result = solve_analytic(system, g)
+    cert = result.y.certificate
+    return (np.array(result.phi.coeffs, dtype=complex),
+            np.array([c.difference for c in cert.checks]
+                     + [cert.phi_gap, cert.cond]),
+            np.array([result.y.eval(x) for x in points]))
+
+
+@pytest.mark.parametrize("case", range(len(SEEDED_PROBLEMS)))
+def test_solve_and_eval_match_the_loops_bit_for_bit(case, monkeypatch):
+    # the route with the loops above patched in, then as shipped: the
+    # shipped one solves each endpoint block once per context and builds
+    # the recursion's views once per call, with the same numpy calls
+    system, g = _seeded_problem(case)
+    with monkeypatch.context() as patch:
+        patch.setattr(analytic, "_factor_rows", _loop_factor_rows)
+        patch.setattr(analytic, "_solved_blocks",
+                      lambda bj, blocks: (bj, blocks))
+        patch.setattr(analytic, "_endpoint_sum",
+                      lambda raw, t_end, tol: _loop_endpoint_sum(
+                          raw[0], t_end, raw[1], tol))
+        want = _solve_and_eval(system, g, EVAL_POINTS)
+    got = _solve_and_eval(system, g, EVAL_POINTS)
+    for name, a, b in zip(("phi", "certificate", "y"), got, want):
+        assert _same_bits(a, b), name
+    # the steps' residues with one more diagonal entry -1, as np.pad built
+    ctx = _Context(system, 1e-10)
+    padded = np.pad(ctx.res, ((0, 0), (0, 1), (0, 1)))
+    padded[:, -1, -1] = -1
+    assert _same_bits(ctx.step_res, padded)
+
+
+def test_cached_work_does_not_depend_on_the_order_it_is_asked_in():
+    system, g = _seeded_problem(3)
+    # eval at x1 then x2 on one handle, against x2 then x1 on a fresh one
+    first = solve_analytic(system, g).y
+    in_order = [first.eval(x) for x in EVAL_POINTS]
+    second = solve_analytic(system, g).y
+    reversed_order = [second.eval(x) for x in EVAL_POINTS[::-1]][::-1]
+    assert _same_bits(in_order, reversed_order)
+    # endpoint blocks asked all at once, in reverse, or a few at a time
+    n_x = 3
+    asked = [(0, 40), (1, 30), (2, 50), (0, 25), (1, 45)]
+    whole = _Context(system, 1e-10).pole_blocks(asked, n_x)
+    for parts in ([asked[::-1]], [asked[2:3], asked[:2], asked[3:]],
+                  [[key] for key in asked[::-1]]):
+        ctx = _Context(system, 1e-10)
+        for part in parts:
+            for key, solved in ctx.pole_blocks(part, n_x).items():
+                assert _same_bits(solved, whole[key]), key
+    # the float copy takes the finite poles' spectra the exact system has,
+    # the same bits as computed anew, but not B_inf's
+    rng = random.Random("shared-spectra")
+    for d in (1, 2, 3):
+        exact = FuchsianSystem(
+            [ExactComplex(-1), ExactComplex(Fraction(1, 3), 1),
+             ExactComplex(2)],
+            [CMatrix.from_rows(
+                [[ExactComplex(Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                               Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+                  for _ in range(d)] for _ in range(d)], True)
+             for _ in range(3)])
+        fresh = float_system(exact)
+        exact.all_spectra()
+        shared = float_system(exact)
+        assert ("spec", "inf") not in shared._cache
+        for j in range(3):
+            assert ("spec", j) in shared._cache
+            assert _same_bits(shared.residue_spectrum(j),
+                              fresh.residue_spectrum(j)), (d, j)
 
 
 # the benchmark's analytic-route jobs with the largest share of the
