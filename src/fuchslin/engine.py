@@ -31,11 +31,14 @@ questions.  ``compare_modes`` reports where they separate;
 
 One loop composes the right-hand sides on one row store, in blocks of
 coefficient rows: P[p, k] holds slice k of (w + h)^m for every m of order
-p, built once from the power one lower in its last nonzero index.  Order
-n follows a pair plan (``plans.py``): triples (row, row, target row)
-giving the new blocks P[p, n], which read h below order n, then the terms
-of f - extra of order n and, in the normal-form mode, the Jacobian
-product [(d_w h) psi]_n.  A factor that is a w-part (w^(m - e_i) or w_i,
+p, built once from the power one lower in its last nonzero index.  Every
+block has a fixed place in the store, order by order, that depends only
+on d (``plans._layout``), and the store is laid out whole when a run
+starts.  Order n follows a pair plan (``plans.py``): store rows (row,
+row, target row) giving the new blocks P[p, n], which read h below order
+n and land in the store in one write, then the terms of f - extra of
+order n and, in the normal-form mode, the Jacobian product
+[(d_w h) psi]_n.  A factor that is a w-part (w^(m - e_i) or w_i,
 coefficient 1) makes its pair a row copy.  A run asks for its plans
 once; those of its orders not built yet in the process are built
 together and kept for the rest of the process, so a later run to the
@@ -77,10 +80,10 @@ import numpy as np
 
 from .correction import solve_polynomial
 from .model import AssumptionError, check_nonlinear_assumption
-from .plans import (_C, _D, _E, _H, _R, _T, _count, _run_plans,
+from .plans import (_C, _D, _E, _H, _R, _T, _count, _layout, _run_plans,
                     _verify_plans)
-from .pnspace import (SeriesTable, _reduced_row, _term_poly, devectorize,
-                      induced_system, multiindices, vectorize)
+from .pnspace import (SeriesTable, _multiindices, _reduced_row, _term_poly,
+                      devectorize, induced_system, vectorize)
 
 
 @dataclass
@@ -110,58 +113,93 @@ class ConjugacyReport:
 _BATCH = 1 << 18
 
 
-def _store_rows(off, side):
-    """Flat block ids and store rows of one side (kind, order, row) of a
-    plan: block id kind * orders + order, row off[kind, order] + row read
-    through it with one flat ``take``.  A block that was never added has
-    off -1."""
-    kind, order, row = side
-    ids = kind * off.shape[1] + order
-    return ids, off.take(ids) + row
+class _Places:
+    """The fixed places of a row store's blocks through ``order_max``
+    (``plans._layout``), and which blocks have been written."""
+
+    def __init__(self, d, order_max):
+        self.d = d
+        self.layout = _layout(d, order_max)
+        self.added = np.zeros(int(self.layout.block[-1]) + 1, bool)
+        self._ids = self.layout.ids.tolist()
+        self._first = self.layout.first.tolist()
+
+    def _place(self, kind, order):
+        """Id and first store row of block (kind, order)."""
+        return self._ids[order][kind], self._first[order][kind]
 
 
-class _FloatRows:
-    """Row store of complex128 rows; a plan runs as one gather of each
-    side, one strided row product per batch and one summation of each run
-    of equal targets, a fixed number of numpy calls per batch whatever the
+class _FloatRows(_Places):
+    """Row store of complex128 rows, one per row of the layout, as long as
+    the longest block written; a plan runs as one gather of each side, one
+    strided row product per batch and one summation of each run of equal
+    targets, a fixed number of numpy calls per batch whatever the
     x-lengths."""
 
-    def __init__(self, d, kinds, orders):
-        self.d = d
-        self.off = np.full((kinds, orders), -1, np.intp)   # -1: not added
-        self.length = np.zeros((kinds, orders), np.intp)
-        self.data = np.zeros((256, 8), complex)
-        self.used = 0
+    def __init__(self, d, order_max):
+        super().__init__(d, order_max)
+        self.length = [0] * self.added.size
+        self.data = np.zeros((self.layout.block.size, 8), complex)
+
+    def _fit(self, width):
+        """Room for rows of x-length ``width``."""
+        rows, cap = self.data.shape
+        if width > cap:
+            grown = np.zeros((rows, max(width, 2 * cap)), complex)
+            grown[:, :cap] = self.data
+            self.data = grown
 
     def add(self, kind, order, block):
-        """Append ``block``, trimmed to its last nonzero x-column."""
+        """Write ``block`` at the place of block (kind, order), trimmed to
+        its last nonzero x-column; a block written again is cleared past
+        its new length."""
         cols = np.flatnonzero(block.any(axis=0))
         width = int(cols[-1]) + 1 if cols.size else 0
-        need = self.used + len(block)
-        rows, cap = self.data.shape
-        if need > rows or width > cap:
-            grown = np.zeros((max(need, 2 * rows) if need > rows else rows,
-                              max(width, 2 * cap) if width > cap else cap),
-                             complex)
-            grown[:self.used, :cap] = self.data[:self.used]
-            self.data = grown
-        self.data[self.used:need, :width] = block[:, :width]
-        self.off[kind, order] = self.used
-        self.length[kind, order] = width
-        self.used = need
+        i, start = self._place(kind, order)
+        self._fit(width)
+        rows = self.data[start:start + len(block)]
+        rows[:, :width] = block[:, :width]
+        if self.length[i] > width:
+            rows[:, width:self.length[i]] = 0
+        self.length[i] = width
+        self.added[i] = True
+
+    def powers(self, order, new, blocks):
+        """Write the power blocks P[p, order] of a power plan's output
+        ``new``, (kind, start, stop) each in ``blocks``, in one write: they
+        follow each other in ``new`` as in the layout.  Each is trimmed to
+        its last nonzero x-column.  An order's power blocks are written
+        once."""
+        if not blocks:
+            return
+        i, start = self._place(blocks[0][0], order)
+        self.added[i:i + len(blocks)] = True
+        if not new.shape[1]:
+            return
+        nonzero = np.logical_or.reduceat(
+            new != 0, [first for _, first, _ in blocks], axis=0)
+        widths = nonzero.shape[1] - nonzero[:, ::-1].argmax(axis=1)
+        widths[~nonzero.any(axis=1)] = 0
+        self.length[i:i + len(blocks)] = lengths = widths.tolist()
+        width = max(lengths)
+        self._fit(width)
+        keep = np.arange(width) < widths.repeat(
+            [stop - first for _, first, stop in blocks])[:, None]
+        np.copyto(self.data[start:start + len(new), :width], new[:, :width],
+                  where=keep)
 
     def block(self, kind, order):
         """Rows of field block (kind, order), None if it was not added."""
-        start = self.off[kind, order]
-        if start >= 0:
+        i, start = self._place(kind, order)
+        if self.added[i]:
             return self.data[start:start + _count(self.d, order) * self.d,
-                             :self.length[kind, order]]
+                             :self.length[i]]
 
     def field(self, kind, order, terms, less=None):
-        """Append order ``order`` of ``terms``, a SeriesTable's rows, less
-        rows ``less``."""
+        """Write order ``order`` of ``terms``, a SeriesTable's rows, less
+        rows ``less``, as block (kind, order)."""
         d = self.d
-        found = [terms.get(m) for m in multiindices(d, order)]
+        found = [terms.get(m) for m in _multiindices(d, order)]
         width = max([t.shape[1] for t in found if t is not None]
                     + [0 if less is None else less.shape[1]])
         block = np.zeros((len(found) * d, width), complex)
@@ -174,7 +212,8 @@ class _FloatRows:
         self.add(kind, order, block)
 
     def derive(self, kind, order, source):
-        """Append the x-derivative of field block (source, order)."""
+        """Write the x-derivative of field block (source, order) as block
+        (kind, order)."""
         block = self.block(source, order)[:, 1:]
         self.add(kind, order, block * np.arange(1, block.shape[1] + 1))
 
@@ -189,9 +228,10 @@ class _FloatRows:
         non-finite coefficient, which the block solve reports; numpy's
         warnings about it are silenced here.
         """
-        left, la = self._index(pairs.a)
-        right, lb = self._index(pairs.b)
-        copy, lc = self._index(pairs.c)
+        left, right, copy = pairs.a, pairs.b, pairs.c
+        length = self.length
+        la, lb, lc = (max([length[i] for i in ids], default=0)
+                      for ids in pairs.blocks)
         out = np.zeros((pairs.size, max(la + lb - 1, lc, 0)), complex)
         if la < lb:
             left, la, right, lb = right, lb, left, la
@@ -215,17 +255,12 @@ class _FloatRows:
                     data[copy, :lc], pairs.c_starts, axis=0)
         return out
 
-    def _index(self, side):
-        """Store rows and the longest source block's length of a side."""
-        ids, rows = _store_rows(self.off, side)
-        return rows, int(self.length.take(ids).max(initial=0))
-
     def table(self, out, order):
         """SeriesTable rows of the nonzero terms of an output with rows
         mu * d + i, each copied out and trimmed to its last nonzero
         x-column."""
         d = self.d
-        monomials = multiindices(d, order)
+        monomials = _multiindices(d, order)
         if not out.shape[1]:
             return {}
         blocks = out.reshape(len(monomials), d, out.shape[1])
@@ -262,10 +297,11 @@ def _convolve(data, long, ll, short, ls):
     return np.einsum("rj,rjk->rk", data[short, :ls], win)
 
 
-class _ExactRows:
-    """Row store of integer rows: one row is (den, re, im), the numerator
-    tuples ``re`` and ``im`` over one positive ``den``, with ``im`` None
-    when every imaginary part is zero, and None when the row is empty.
+class _ExactRows(_Places):
+    """Row store of integer rows, one per row of the layout: one row is
+    (den, re, im), the numerator tuples ``re`` and ``im`` over one
+    positive ``den``, with ``im`` None when every imaginary part is zero,
+    and None when the row is empty; ``live`` marks the rows that are not.
 
     A plan's products multiply the denominators and convolve the numerators
     in plain ints, skipping pairs with an empty row; each target sums its
@@ -273,27 +309,37 @@ class _ExactRows:
     when it is complete (``_reduce``).
     """
 
-    def __init__(self, d, kinds, orders):
-        self.d = d
-        self.off = np.full((kinds, orders), -1, np.intp)   # -1: not added
-        self.rows = []
-        self.live = np.zeros(0, bool)
+    def __init__(self, d, order_max):
+        super().__init__(d, order_max)
+        self.rows = [None] * self.layout.block.size
+        self.live = np.zeros(self.layout.block.size, bool)
+
+    def _put(self, start, block):
+        """Write the rows ``block`` from store row ``start`` on."""
+        self.rows[start:start + len(block)] = block
+        self.live[start:start + len(block)] = np.fromiter(
+            (r is not None for r in block), bool, len(block))
 
     def add(self, kind, order, block):
-        self.off[kind, order] = len(self.rows)
-        self.rows.extend(block)
-        self.live = np.concatenate([self.live, np.fromiter(
-            (r is not None for r in block), bool, len(block))])
+        i, start = self._place(kind, order)
+        self._put(start, block)
+        self.added[i] = True
+
+    def powers(self, order, new, blocks):
+        if blocks:
+            i, start = self._place(blocks[0][0], order)
+            self._put(start, new)
+            self.added[i:i + len(blocks)] = True
 
     def block(self, kind, order):
-        start = self.off[kind, order]
-        if start >= 0:
+        i, start = self._place(kind, order)
+        if self.added[i]:
             return self.rows[start:start + _count(self.d, order) * self.d]
 
     def field(self, kind, order, terms, less=None):
         empty = (None,) * self.d
         block = []
-        for m in multiindices(self.d, order):
+        for m in _multiindices(self.d, order):
             block += terms.get(m, empty)
         if less is not None:
             block = list(map(_difference, block, less))
@@ -304,10 +350,9 @@ class _ExactRows:
 
     def run(self, pairs):
         """Integer rows of the summed products and copies, one per row."""
-        rows, off, live = self.rows, self.off, self.live
+        rows, live = self.rows, self.live
         sums = [{} for _ in range(pairs.size)]
-        left = _store_rows(off, pairs.a)[1]
-        right = _store_rows(off, pairs.b)[1]
+        left, right = pairs.a, pairs.b
         keep = live[left] & live[right]
         scale = (pairs.scale[keep].tolist() if pairs.scale is not None
                  else itertools.repeat(1))
@@ -323,9 +368,9 @@ class _ExactRows:
                     _conv_into(acc_re, im_a, im_b, -s)
             if im_b is not None:
                 _conv_into(acc_im, re_a, im_b, s)
-        src = _store_rows(off, pairs.c)[1]
-        keep = live[src]
-        for c, t in zip(src[keep].tolist(), pairs.c_target[keep].tolist()):
+        keep = live[pairs.c]
+        for c, t in zip(pairs.c[keep].tolist(),
+                        pairs.c_target[keep].tolist()):
             den, re, im = rows[c]
             acc_re, acc_im = sums[t].setdefault(den, ([], []))
             _add_into(acc_re, re)
@@ -335,7 +380,7 @@ class _ExactRows:
 
     def table(self, out, order):
         d = self.d
-        return {m: rows for pos, m in enumerate(multiindices(d, order))
+        return {m: rows for pos, m in enumerate(_multiindices(d, order))
                 for rows in [tuple(out[pos * d:pos * d + d])]
                 if any(r is not None for r in rows)}
 
@@ -419,8 +464,7 @@ def _reduce(buckets):
 
 def _row_store(exact, d, order_max):
     """An empty store with room for every block of a run to ``order_max``."""
-    return (_ExactRows if exact else _FloatRows)(d, _H + order_max,
-                                                  order_max + 1)
+    return (_ExactRows if exact else _FloatRows)(d, order_max)
 
 
 # ----------------------------------------------------------------------
@@ -478,13 +522,12 @@ def _compose_rows(f_rows, rows, order_max, mode, extra):
     plans = _run_plans(rows.d, order_max, top, jacobian)
     for n, (power, blocks, rhs) in enumerate(plans, start=2):
         # T[n] enters order n only through w^m; the engine knows extra's
-        # order-n terms only after it, so T[n - 1] is read again here
-        for k in range(max(2, n - 1), min(top, n) + 1):
+        # order-n terms only after it, so a folded T[n - 1] is read again
+        # here
+        for k in range(max(2, n - 1) if fold else n, min(top, n) + 1):
             rows.field(_T, k, by_order.get(k, {}),
                        rows.block(_E, k) if fold else None)
-        new = rows.run(power)
-        for kind, start, stop in blocks:
-            rows.add(kind, n, new[start:stop])
+        rows.powers(n, rows.run(power), blocks)
         yield rows.run(rhs)
 
 # ----------------------------------------------------------------------
@@ -619,7 +662,7 @@ def _linear_rows(linear):
             part = parts.setdefault((l, s), ([*zero], [*zero]))
             part[0][i], part[1][i] = re * (den // den_i), im * (den // den_i)
     qa = [_reduced_row(den, *parts.get((l, m.index(1)), (zero, zero)))
-          for m in multiindices(d, 1) for l in range(d)]
+          for m in _multiindices(d, 1) for l in range(d)]
     return qa, [q, (1, (1,), None)]
 
 

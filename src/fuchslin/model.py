@@ -85,7 +85,9 @@ class FuchsianSystem:
     ShapeError.  Q, the cofactors, QB's coefficients, B_inf and the
     spectra come from one set-up per ring (``_forms``): complex128 arrays
     in float mode, integers in exact mode.  The public methods' polynomial
-    and matrix objects are made from it only when asked for.
+    and matrix objects are made from it only when asked for.  The cache
+    also keeps the induced block of each order that
+    ``pnspace.induced_system`` builds in the canonical basis.
     """
 
     __slots__ = ("exact", "size", "n_poles", "_poles", "_residues", "_cache")

@@ -1,11 +1,12 @@
 """Pair plans: which coefficient rows the engine multiplies into which.
 
 The engine composes the right-hand sides of one order at a time on one row
-store (``engine.py``): blocks of coefficient rows, each named by a kind,
-an order and a row.  A pair plan lists, for each output row, the row
-products and row copies that sum into it (``_Pairs``).  Which rows those
-are depends only on the monomials involved, so a plan depends only on
-(d, n, top, mode): it is index arithmetic on monomial exponents
+store (``engine.py``): blocks of coefficient rows, each named by a kind
+and an order, at fixed places of a layout that depends only on d
+(``_layout``).  A pair plan lists, for each output row, the products and
+copies of store rows that sum into it (``_Pairs``).  Which rows those are
+depends only on the monomials involved, so a plan depends only on (d, n,
+top, mode): it is index arithmetic on monomial exponents
 (``pnspace._monomials``, ``pnspace._positions``), with no ring.
 
 A run asks for the plans of all its orders at once (``_run_plans``,
@@ -23,6 +24,7 @@ digests of ``tests/test_engine.py`` pin: float sums follow it.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -31,16 +33,15 @@ import numpy as np
 from .pnspace import _monomials, _positions
 
 
-# A composition run keeps its x-polynomials as coefficient rows, appended
-# block by block to one row store.  A field block (kind _T for the terms
-# of f - extra, _E for the extra terms, _H for h) holds the order-k part
-# of a vector field, row mu * d + i for the monomial at position mu of
-# ``multiindices(d, k)`` and component i.  The power block P[q, k] (kind
-# _H - 1 + q) holds slice k of (w + h)^m for every m of order q, row
-# mu * N_q + m; P[1, k] is h's field block, its m read as the component.
-# The verifier adds kind _D for the x-derivative of h's block, _R for the
-# composed right-hand side, _C for the rows Q and 1 (order 0), and (QA)w
-# as the extra block of order 1.
+# A composition run keeps its x-polynomials as coefficient rows in one row
+# store, in blocks.  A field block (kind _T for the terms of f - extra, _E
+# for the extra terms, _H for h) holds the order-k part of a vector field,
+# row mu * d + i for the monomial at position mu of ``multiindices(d, k)``
+# and component i.  The power block P[q, k] (kind _H - 1 + q) holds slice
+# k of (w + h)^m for every m of order q, row mu * N_q + m; P[1, k] is h's
+# field block, its m read as the component.  The verifier adds kind _D for
+# the x-derivative of h's block, _R for the composed right-hand side, _C
+# for the rows Q and 1 (order 0), and (QA)w as the extra block of order 1.
 _T, _E, _D, _R, _C, _H = range(6)
 # every plan built in this process, by ("power", d, n, top) (a prefix of
 # top n's), ("rhs", d, n, top, jacobian) and ("verify", d, n, normal)
@@ -56,26 +57,63 @@ def _last_index(exps):
     return exps.shape[1] - 1 - np.argmax(exps[:, ::-1] > 0, axis=1)
 
 
+class _Layout(NamedTuple):
+    """The row store's blocks through one order, in layout order; a block
+    is named by its index in that order, its id."""
+
+    ids: np.ndarray     # id of block (kind, k) at [k, kind], -1: none
+    first: np.ndarray   # its first store row at [k, kind], -1: none
+    block: np.ndarray   # the id of each store row's block
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(d, top):
+    """Fixed places of the row store's blocks of orders 0 .. ``top``.
+
+    Order by order, each order k takes the six field blocks (kinds _T to
+    _H) of N_k * d rows, then P[p, k] for p = 2 .. k - 1, N_p * N_k rows
+    each; order 0's field blocks take two rows at d = 1, for Q and 1.  A
+    block's place does not depend on ``top``: the layout through a lower
+    order is a prefix of this one.
+    """
+    ids = np.full((top + 1, _H + max(top, 2) - 1), -1, np.intp)
+    sizes = []
+    for k in range(top + 1):
+        count = _count(d, k)
+        field = count * d if k else max(d, 2)
+        kinds = _H + 1 + max(k - 2, 0)
+        ids[k, :kinds] = np.arange(len(sizes), len(sizes) + kinds)
+        sizes += [field] * (_H + 1) + [_count(d, p) * count
+                                       for p in range(2, k)]
+    sizes = np.array(sizes)
+    first = np.where(ids >= 0, (sizes.cumsum() - sizes)[ids], -1)
+    return _Layout(ids, first, np.repeat(
+        np.arange(sizes.size, dtype=np.int32), sizes))
+
+
 class _Pairs(NamedTuple):
     """Row products and row copies summing into ``size`` output rows.
 
-    A row is named by three arrays (kind, order, row in its block).
-    Product p adds ``scale[p]`` (1 if None) times the convolution of rows
-    a_p and b_p to output row ``target[p]``; copy c adds row c to
-    ``c_target[c]``.  Both are sorted by target; ``starts`` and
-    ``c_starts`` open the runs of equal targets.  The other columns are
-    int32, to halve cached plans.
+    A row is named by its store row (``_layout``).  Product p adds
+    ``scale[p]`` (1 if None) times the convolution of store rows a[p] and
+    b[p] to output row ``target[p]``; copy q adds store row c[q] to
+    ``c_target[q]``.  Both are sorted by target; ``starts`` and
+    ``c_starts`` open the runs of equal targets.  ``blocks`` lists the
+    ids of the distinct blocks a, b and c read, in turn, from which a
+    float run takes each side's x-length.  The other columns are int32,
+    to halve cached plans.
     """
 
     size: int
-    a: tuple
-    b: tuple
+    a: np.ndarray
+    b: np.ndarray
     scale: object
     target: np.ndarray
     starts: np.ndarray
-    c: tuple
+    c: np.ndarray
     c_target: np.ndarray
     c_starts: np.ndarray
+    blocks: tuple
 
 
 def _ranges(starts, counts):
@@ -96,23 +134,41 @@ def _table(size, *cols):
     return table
 
 
-def _plans(sizes, prod, cut, copy, c_cut):
+def _plans(block, sizes, prod, cut, copy, c_cut):
     """One _Pairs per plan of ``sizes[j]`` targets, from a table of the
-    products, rows (a's three, b's three, target[, scale]), and one of the
-    copies (kind, order, row, target), both listed target by target, with
-    their ``_cut``.  The plans' arrays are views of the tables."""
+    products, rows (a, b, target[, scale]), and one of the copies (c,
+    target), both listed target by target, with their ``_cut``; a and b
+    and c are store rows, whose blocks ``block`` gives.  The plans' arrays
+    are views of the tables."""
     cuts, starts = cut
     c_cuts, c_starts = c_cut
     scaled = [False] * len(sizes)
-    if len(prod) > 7:
-        ones = np.concatenate(([0], (prod[7] != 1).cumsum()))[cuts].tolist()
+    if len(prod) > 3:
+        ones = np.concatenate(([0], (prod[3] != 1).cumsum()))[cuts].tolist()
         scaled = [a < b for a, b in zip(ones, ones[1:])]
-    for j, size in enumerate(sizes):
-        a0, a1, a2, b0, b1, b2, target, *scale = prod[:, cuts[j]:cuts[j + 1]]
-        c0, c1, c2, c_target = copy[:, c_cuts[j]:c_cuts[j + 1]]
-        yield _Pairs(size, (a0, a1, a2), (b0, b1, b2),
-                     scale[0] if scaled[j] else None, target, starts[j],
-                     (c0, c1, c2), c_target, c_starts[j])
+    read = _read(block, ((prod[0], cuts), (prod[1], cuts), (copy[0], c_cuts)))
+    for j, (size, ids) in enumerate(zip(sizes, read)):
+        a, b, target, *scale = prod[:, cuts[j]:cuts[j + 1]]
+        c, c_target = copy[:, c_cuts[j]:c_cuts[j + 1]]
+        yield _Pairs(size, a, b, scale[0] if scaled[j] else None, target,
+                     starts[j], c, c_target, c_starts[j], ids)
+
+
+def _read(block, sides):
+    """For each plan j, the ids of the distinct blocks each of ``sides``
+    reads, as a tuple of ascending lists.  A side is (rows, cuts): its
+    store rows plan by plan, plan j's at rows[cuts[j]:cuts[j + 1]]."""
+    plans, width = len(sides[0][1]) - 1, int(block[-1]) + 1
+    seen = np.zeros(len(sides) * plans * width, bool)
+    for k, (rows, cuts) in enumerate(sides):
+        seen[block.take(rows) + np.arange(
+            k * plans * width, (k + 1) * plans * width, width).repeat(
+                np.diff(cuts))] = True
+    found = np.flatnonzero(seen)
+    bounds = found.searchsorted(np.arange(0, seen.size + 1, width)).tolist()
+    ids = (found % width).tolist()
+    lists = [ids[i:j] for i, j in zip(bounds, bounds[1:])]
+    return [tuple(lists[j::plans]) for j in range(plans)]
 
 
 def _cut(sizes, counts):
@@ -184,20 +240,29 @@ def _lower_top_powers(d, orders, top):
     full = _cached([("power", d, n, n) for n in orders],
                    lambda ns: {("power", d, n, n): plan for n, plan
                                in zip(ns, _power_plans(d, ns))})
-    plans = {}
+    plans, cut = {}, []
     for n, (pairs, blocks) in zip(orders, full):
         if top < n - 1:
             blocks = blocks[:max(top - 1, 0)]
             size = blocks[-1][2] if blocks else 0
-            cut = int(pairs.target.searchsorted(size))
-            c_cut = int(pairs.c_target.searchsorted(size))
+            end = int(pairs.target.searchsorted(size))
+            c_end = int(pairs.c_target.searchsorted(size))
             pairs = _Pairs(
-                size, tuple(a[:cut] for a in pairs.a),
-                tuple(b[:cut] for b in pairs.b), None, pairs.target[:cut],
-                pairs.starts[:pairs.starts.searchsorted(cut)],
-                tuple(c[:c_cut] for c in pairs.c), pairs.c_target[:c_cut],
-                pairs.c_starts[:pairs.c_starts.searchsorted(c_cut)])
+                size, pairs.a[:end], pairs.b[:end], None, pairs.target[:end],
+                pairs.starts[:pairs.starts.searchsorted(end)],
+                pairs.c[:c_end], pairs.c_target[:c_end],
+                pairs.c_starts[:pairs.c_starts.searchsorted(c_end)], None)
+            cut.append((n, pairs))
         plans["power", d, n, min(top, n)] = pairs, blocks
+    if cut:
+        # the blocks each prefix reads, found for all of them in one pass
+        read = _read(_layout(d, max(orders)).block, [
+            (np.concatenate([getattr(p, side) for _, p in cut]),
+             np.cumsum([0] + [getattr(p, side).size for _, p in cut]))
+            for side in ("a", "b", "c")])
+        for (n, pairs), ids in zip(cut, read):
+            key = "power", d, n, top
+            plans[key] = pairs._replace(blocks=ids), plans[key][1]
     return plans
 
 
@@ -231,6 +296,7 @@ def _power_plans(d, orders):
     """
     top_n = max(orders) + 1
     exps, off, count = _monomials(d, top_n)
+    lay = _layout(d, max(orders))
     blocks, segments = [], []
     for n in orders:
         blocks.append([])
@@ -265,24 +331,23 @@ def _power_plans(d, orders):
     counts = np.searchsorted(key, first + n - 1) - lo
     s, r = _ranges(lo, counts)
     b = b[s]
-    prod = _table(s.size, _H - 1 + q[r], b, ia[s] * count[q][r] + lower_row[r],
-                  _H, n[r] - b, ib[s] * d + i[r], target[r])
+    prod = _table(s.size, lay.first[b, _H - 1 + q[r]] + ia[s] * count[q][r]
+                  + lower_row[r], lay.first[n[r] - b, _H] + ib[s] * d + i[r],
+                  target[r])
     # copies: at b = q, then at b = n - 1
     ends = exps[off[n] + mu][:, None] - np.stack((lower, np.eye(
         d, dtype=lower.dtype)[i]), 1)
     valid = (ends >= 0).all(axis=2)
     rows = _positions(d, top_n, np.maximum(ends, 0).reshape(-1, d))
-    copy = np.empty((4, t.size, 2), np.int32)
-    copy[0, :, 0] = _H
-    copy[0, :, 1] = _H - 1 + q
-    copy[1, :, 0] = n - q
-    copy[1, :, 1] = n - 1
-    copy[2, :, 0] = rows[::2] * d + i
-    copy[2, :, 1] = rows[1::2] * count[q] + lower_row
-    copy[3] = target[:, None]
+    copy = np.empty((2, t.size, 2), np.int32)
+    copy[0, :, 0] = lay.first[n - q, _H] + rows[::2] * d + i
+    copy[0, :, 1] = lay.first[n - 1, _H - 1 + q] + rows[1::2] * count[q] \
+        + lower_row
+    copy[1] = target[:, None]
     sizes = [own[-1][2] if own else 0 for own in blocks]
-    return list(zip(_plans(sizes, prod, _cut(sizes, counts), copy[:, valid],
-                           _cut(sizes, valid.sum(axis=1))), blocks))
+    return list(zip(_plans(lay.block, sizes, prod, _cut(sizes, counts),
+                           copy[:, valid], _cut(sizes, valid.sum(axis=1))),
+                    blocks))
 
 
 def _rhs_plans(d, orders, top, jacobian):
@@ -292,13 +357,14 @@ def _rhs_plans(d, orders, top, jacobian):
     each m of order p = 2 .. min(top, n - 1) in turn, then the Jacobian
     pairs; T[n] enters by w^m alone, as a copy, when n <= top."""
     _, off, count = _monomials(d, max(orders) + 1)
+    first = _layout(d, max(orders)).first
     nu, n = _groups(d, orders)
     g, group = _ranges(off[2], off[np.maximum(np.minimum(top, n - 1), 1) + 1]
                        - off[2])
     p = (np.searchsorted(off, g, side="right") - 1).astype(np.int32)
     m = g - off[p]
-    parts = [_table(g.size, _T, p, m * d, _H - 1 + p, n[group],
-                    nu[group] * count[p] + m, group, 1)]
+    parts = [_table(g.size, first[p, _T] + m * d, first[n[group], _H - 1 + p]
+                    + nu[group] * count[p] + m, group, 1)]
     if jacobian:
         parts.append(_jacobian_part(d, orders, [(k, a) for k in orders
                                                 for a in range(2, k)], -1))
@@ -318,14 +384,16 @@ def _residual_plans(d, orders):
     times h_l for each l ((QA)_il is component i of (QA)w at w_l, which
     sits at position d - 1 - l of the order-1 monomials), Q d_x h and
     -rhs."""
+    first = _layout(d, max(orders)).first
     nu, n = _groups(d, orders)
     group = np.arange(nu.size)
     by_l, l = np.divmod(np.arange(nu.size * d), d)
     parts = [_jacobian_part(d, orders, [(k, k) for k in orders], 1),
-             _table(l.size, _H, n[by_l], nu[by_l] * d + l, _E, 1,
-                    (d - 1 - l) * d, by_l, -1),
-             _table(nu.size, _D, n, nu * d, _C, 0, 0, group, 1),
-             _table(nu.size, _R, n, nu * d, _C, 0, 1, group, -1)]
+             _table(l.size, first[n[by_l], _H] + nu[by_l] * d + l,
+                    first[1, _E] + (d - 1 - l) * d, by_l, -1),
+             _table(nu.size, first[n, _D] + nu * d, first[0, _C], group, 1),
+             _table(nu.size, first[n, _R] + nu * d, first[0, _C] + 1, group,
+                    -1)]
     return zip(*_component_plans(d, orders, parts, [False, True, False, False],
                                  _E, [[False] * len(orders),
                                       [True] * len(orders)]))
@@ -336,16 +404,18 @@ def _jacobian_part(d, orders, splits, sign):
     orders a and V's blocks (kind _E) of orders n + 1 - a, for each (n, a)
     in ``splits``: h_m w^m times V_l at w^v lands on m - e_l + v with
     factor m_l.  They run by split, then by l."""
-    first = np.zeros(max(orders) + 1, np.int32)
-    first[list(orders)] = np.cumsum([0] + [_count(d, k) for k in orders])[:-1]
+    group = np.zeros(max(orders) + 1, np.int32)
+    group[list(orders)] = np.cumsum([0] + [_count(d, k) for k in orders])[:-1]
+    first = _layout(d, max(orders)).first
     n, a = np.array(splits, np.int32).reshape(-1, 2).T
     k, ia, ib, ea, total = _splits(d, max(orders) + 1, n + 1, a)
     s, l = np.nonzero(ea)
     total = total[s]
     total[np.arange(s.size), l] -= 1
     n, a = n[k[s]], a[k[s]]
-    return _table(s.size, _H, a, ia[s] * d, _E, n + 1 - a, ib[s] * d + l,
-                  first[n] + _positions(d, max(orders) + 1, total),
+    return _table(s.size, first[a, _H] + ia[s] * d,
+                  first[n + 1 - a, _E] + ib[s] * d + l,
+                  group[n] + _positions(d, max(orders) + 1, total),
                   sign * ea[s, l])
 
 
@@ -353,37 +423,38 @@ def _component_plans(d, orders, parts, on_b, copy_kind, copied):
     """One _Pairs per n in ``orders`` and variant of ``copied``, whose
     targets are the rows nu * d + i of the order-n monomials nu.
 
-    A part is a table of entries (a's kind, order and x, b's kind, order
-    and x, group, scale): group is the index of the target monomial among
-    those of all ``orders`` in turn (``_groups``).  Every component i of
-    that monomial takes the pair (a, b) of each of its entries, part by
-    part in the order given, with i added to the x of a, or of b where
-    ``on_b`` holds for the part.  Where a variant's flag for order n
-    holds, its plan also copies block (copy_kind, n) row by row; the
-    variants share their products.
+    A part is a table of entries (a's store row, b's store row, group,
+    scale): group is the index of the target monomial among those of all
+    ``orders`` in turn (``_groups``), and a row is that of component 0.
+    Every component i of that monomial takes the pair (a, b) of each of
+    its entries, part by part in the order given, with i added to the row
+    of a, or of b where ``on_b`` holds for the part.  Where a variant's
+    flag for order n holds, its plan also copies block (copy_kind, n) row
+    by row; the variants share their products.
     """
+    lay = _layout(d, max(orders))
     sizes = [_count(d, n) * d for n in orders]
     entries = np.concatenate(parts, axis=1)
-    counts = np.bincount(entries[6], minlength=sum(sizes) // d)
+    counts = np.bincount(entries[2], minlength=sum(sizes) // d)
     by_target = np.repeat(np.arange(counts.size), d)
     e, t = _ranges((np.cumsum(counts) - counts)[by_target],
                    counts[by_target])
-    e = np.argsort(entries[6], kind="stable")[e]
-    prod = entries[:7 if np.all(entries[7] == 1) else 8, e]
+    e = np.argsort(entries[2], kind="stable")[e]
+    prod = entries[:3 if np.all(entries[3] == 1) else 4, e]
     i = t % d
     if any(on_b):
         b_side = np.repeat(on_b, [part.shape[1] for part in parts])[e]
-        prod[5] += np.where(b_side, i, 0)
+        prod[1] += np.where(b_side, i, 0)
         i = np.where(b_side, 0, i)
-    prod[2] += i
+    prod[0] += i
     rows = np.concatenate([np.arange(size, dtype=np.int32) for size in sizes])
-    prod[6] = rows[t]
+    prod[2] = rows[t]
     cut = _cut(sizes, counts[by_target])
+    copied_rows = np.repeat(lay.first[list(orders), copy_kind], sizes) + rows
     plans = []
     for flags in copied:
         has = np.repeat(flags, sizes)
-        copy = _table(int(has.sum()), copy_kind,
-                      np.repeat(np.asarray(orders, np.int32), sizes)[has],
-                      rows[has], rows[has])
-        plans.append(_plans(sizes, prod, cut, copy, _cut(sizes, has)))
+        copy = _table(int(has.sum()), copied_rows[has], rows[has])
+        plans.append(_plans(lay.block, sizes, prod, cut, copy,
+                            _cut(sizes, has)))
     return plans

@@ -55,13 +55,16 @@ from .poly import VecPoly
 
 def multiindices(d, n):
     """All m in N^d with |m| = n, lexicographically ascending."""
+    return list(_multiindices(d, n))
+
+
+@functools.lru_cache(maxsize=None)
+def _multiindices(d, n):
+    """``multiindices(d, n)`` as a tuple, built once per (d, n)."""
     if d == 1:
-        return [(n,)]
-    out = []
-    for first in range(n + 1):
-        for rest in multiindices(d - 1, n - first):
-            out.append((first,) + rest)
-    return out
+        return ((n,),)
+    return tuple((first,) + rest for first in range(n + 1)
+                 for rest in _multiindices(d - 1, n - first))
 
 
 def pn_dimension(d, n):
@@ -355,17 +358,24 @@ def induced_system(linear, n, basis=None):
     """The size-N Fuchsian system governing the degree-n homogeneous block.
 
     Accepts a FuchsianSystem or anything with a ``linear`` attribute holding
-    one, and returns ``(InducedBlock, basis)``.  A custom ``basis`` (e.g. a
-    permuted enumeration) may be supplied; results of downstream solves are
+    one, and returns ``(InducedBlock, basis)``.  In the canonical basis the
+    pair is built once per system and order and kept with the system's
+    other algebra, so both modes and the verifier of one system share it.
+    A custom ``basis`` (e.g. a permuted enumeration) may be supplied, and
+    gives a block built anew; results of downstream solves are
     enumeration-independent.
     """
     if hasattr(linear, "linear"):
         linear = linear.linear
-    if basis is None:
+    if basis is not None:
+        if basis.d != linear.size or basis.n != n:
+            raise ShapeError("basis does not match system size / order")
+        return InducedBlock(linear, basis), basis
+    key = ("induced", n)
+    if key not in linear._cache:
         basis = PnBasis(linear.size, n)
-    elif basis.d != linear.size or basis.n != n:
-        raise ShapeError("basis does not match system size / order")
-    return InducedBlock(linear, basis), basis
+        linear._cache[key] = InducedBlock(linear, basis), basis
+    return linear._cache[key]
 
 
 def _ratio_row(parts):

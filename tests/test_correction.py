@@ -419,7 +419,7 @@ def test_exact_block_solve_does_fraction_arithmetic_only_in_the_elimination(
             Fraction(1, 2) + Fraction(1, 3)   # the counter counts
             assert calls == ["__add__"]
             calls.clear()
-            block, _ = induced_system(system, 3)
+            block, _ = induced_system(system, 3, basis)
             result = solve_polynomial(block, vectorize(rows, basis, True))
             phi, y = (devectorize(part, basis, True)
                       for part in (result.phi, result.y))

@@ -489,26 +489,28 @@ def test_float_kernel_is_non_finite_where_the_column_loop_is():
 def test_float_run_matches_the_column_loop(monkeypatch, la, lb):
     # hand-made plans on integer rows of x-lengths la and lb, in batches of
     # a few runs (_BATCH 64) and in one: each target is the scaled sum of
-    # its products plus its copies, bit for bit, whichever side is longer
+    # its products plus its copies, bit for bit, whichever side is longer;
+    # the rows sit in three field blocks of order 5 at d = 3 (63 rows each)
     rng = np.random.default_rng(la * 10 + lb)
-    store = engine._FloatRows(1, 3, 1)
+    store = engine._FloatRows(3, 5)
+    first = plans._layout(3, 5).first[5]
     blocks = [_random_rows(rng, 50, width, True) for width in (la, lb, 4)]
     for kind, block in enumerate(blocks):
         block[0, -1] = 1
-        store.add(kind, 0, block)
+        store.add(kind, 5, block)
     size, count, copies = 700, 3000, 200
     target = np.sort(rng.integers(0, size, count))
     c_target = np.sort(rng.integers(0, size, copies))
     scale = rng.choice([-2, -1, 1, 3], count)
     a, b, c = rng.integers(0, 50, (3, count))
-    zeros = np.zeros(count, int)
     pairs, = plans._plans(
-        [size], np.array([zeros, zeros, a, zeros + 1, zeros, b, target, scale],
-                         np.int32),
+        store.layout.block, [size],
+        np.array([first[0] + a, first[1] + b, target, scale], np.int32),
         plans._cut([size], np.bincount(target, minlength=size)),
-        np.array([zeros[:copies] + 2, zeros[:copies], c[:copies], c_target],
-                 np.int32),
+        np.array([first[2] + c[:copies], c_target], np.int32),
         plans._cut([size], np.bincount(c_target, minlength=size)))
+    assert [list(ids) for ids in pairs.blocks] == [
+        [store.layout.ids[5, kind]] for kind in range(3)]
     want = np.zeros((size, max(la + lb - 1, 4)), complex)
     prods = _reference_convolve(blocks[0][a], blocks[1][b]) * scale[:, None]
     np.add.at(want, (target, slice(0, la + lb - 1)), prods)
@@ -518,28 +520,100 @@ def test_float_run_matches_the_column_loop(monkeypatch, la, lb):
     assert np.array_equal(store.run(pairs), want)
 
 
-def test_store_rows_match_two_dimensional_indexing():
-    # every side of the order plans of both modes and of the verifier
-    # plans, on random block offsets with blocks never added (off -1):
-    # flat block ids read the rows off[kind, order] + row and the block
-    # (kind, order) of each entry
-    rng = np.random.default_rng(3)
-    for d, n_max in ((1, 6), (2, 5), (3, 4)):
-        sides = [side for jacobian in (False, True)
-                 for run in plans._run_plans(d, n_max, n_max, jacobian)
-                 for pairs in run[::2] for side in (pairs.a, pairs.b, pairs.c)]
-        sides += [side for normal in (False, True)
-                  for pairs in plans._verify_plans(d, n_max, normal)
-                  for side in (pairs.a, pairs.b, pairs.c)]
-        kinds = 1 + max(int(s[0].max(initial=0)) for s in sides)
-        orders = 1 + max(int(s[1].max(initial=0)) for s in sides)
-        off = rng.integers(0, 10_000, (kinds, orders))
-        off[rng.random((kinds, orders)) < 0.3] = -1
-        assert (off == -1).any()
-        for kind, order, row in sides:
-            ids, rows = engine._store_rows(off, (kind, order, row))
-            assert np.array_equal(rows, off[kind, order] + row)
-            assert np.array_equal(np.divmod(ids, orders), (kind, order))
+def _named(d, top, rows):
+    """(kind, order, row in its block) of each of the store rows ``rows``,
+    read back through the layout through order ``top``."""
+    layout = plans._layout(d, top)
+    order, kind = np.nonzero(layout.ids >= 0)   # by block id
+    ids = layout.block[rows]
+    return kind[ids], order[ids], rows - layout.first[order[ids], kind[ids]]
+
+
+def test_layout_blocks_follow_each_other_without_overlap():
+    # order by order the six field blocks of N_k * d rows (two rows at
+    # order 0 when d = 1, for Q and 1), then P[2, k] .. P[k - 1, k] of
+    # N_p * N_k rows: every store row belongs to exactly one block, and
+    # each block's rows follow each other from its first row
+    for d in (1, 2, 3, 4):
+        layout = plans._layout(d, 9)
+        order, kind = np.nonzero(layout.ids >= 0)
+        assert np.array_equal(layout.ids[order, kind], np.arange(order.size))
+        for k in range(10):
+            assert kind[order == k].tolist() == list(
+                range(plans._H + 1 + max(k - 2, 0)))
+        count = np.array([plans._count(d, k) for k in range(10)])
+        sizes = np.where(kind <= plans._H, d, count[kind - plans._H + 1]) \
+            * count[order]
+        sizes[order == 0] = max(d, 2)
+        assert np.array_equal(layout.block,
+                              np.repeat(np.arange(order.size), sizes))
+        assert np.array_equal(layout.first[order, kind],
+                              np.cumsum(sizes) - sizes)
+        assert (layout.first[layout.ids < 0] == -1).all()
+
+
+def test_a_block_place_does_not_depend_on_the_order_max():
+    # the layout through a lower order is a prefix of a longer one
+    for d in (1, 2, 3):
+        full = plans._layout(d, 10)
+        for top in range(10):
+            layout = plans._layout(d, top)
+            kinds = layout.ids.shape[1]
+            assert np.array_equal(full.ids[:top + 1, :kinds], layout.ids)
+            assert (full.ids[:top + 1, kinds:] == -1).all()
+            assert np.array_equal(full.first[:top + 1, :kinds], layout.first)
+            assert np.array_equal(full.block[:layout.block.size],
+                                  layout.block)
+            assert full.block[layout.block.size] == layout.block[-1] + 1
+
+
+def _dense_system(d, top, exact):
+    """A nonresonant system whose f holds every monomial of orders 2 ..
+    ``top`` at x-degree 1."""
+    rng = random.Random(f"dense-{d}-{top}")
+    linear = random_nonresonant(rng, d_max=d).linear
+    while linear.size != d:
+        linear = random_nonresonant(rng, d_max=d).linear
+    f = {m: vp([[rng.randint(1, 3) for _ in range(d)],
+                [rng.randint(-2, 2) for _ in range(d)]], d)
+         for k in range(2, top + 1) for m in pnspace.multiindices(d, k)}
+    if exact:
+        return NonlinearSystem(linear, f)
+    return NonlinearSystem(float_system(linear),
+                           {m: float_vecpoly(p) for m, p in f.items()})
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_every_block_a_plan_reads_is_written_before_it_runs(monkeypatch,
+                                                             exact):
+    # linearize, normal_form, verify_conjugacy and compose_series in both
+    # modes, with f of orders 2 .. top for tops 2, 3 and order_max: each
+    # plan a store runs reads only blocks already written
+    runs = []
+
+    def checked(run):
+        def wrapper(self, pairs):
+            for ids in pairs.blocks:
+                assert self.added[ids].all(), [
+                    i for i in ids if not self.added[i]]
+            runs.append(pairs.size)
+            return run(self, pairs)
+        return wrapper
+
+    for store in (engine._FloatRows, engine._ExactRows):
+        monkeypatch.setattr(store, "run", checked(store.run))
+    for d, order_max in ((1, 6), (2, 5 - exact), (3, 4 - exact)):
+        for top in sorted({2, 3, order_max}):
+            nl = _dense_system(d, top, exact)
+            for mode in ("obstruction", "normal-form"):
+                runner = linearize if mode == "obstruction" else normal_form
+                series, h = runner(nl, order_max)
+                verify_conjugacy(nl, series, h, order_max, mode=mode)
+                for extra in (None, series):
+                    for _ in compose_series(nl.nonlinearity, h, extra,
+                                            order_max, mode=mode):
+                        pass
+    assert len(runs) > 500
 
 
 # ----------------------------------------------------------------------
@@ -558,26 +632,29 @@ def _reference_mul_acc(buf, a, b, zero):
             buf[k] += ai * bj
 
 
-def _reference_run(blocks, pairs):
+def _reference_run(d, top, blocks, pairs):
     """Untrimmed ExactComplex sums of the products and copies of ``pairs``
-    over {(kind, order): [tuple of ExactComplex]} ``blocks``, and per
+    over {(kind, order): [tuple of ExactComplex]} ``blocks``, the store
+    rows read through the layout of d through order ``top``, and per
     target the largest denominator among the coefficients it read."""
     zero = ExactComplex(0)
     bufs = [[] for _ in range(pairs.size)]
     dens = [1] * pairs.size
     scale = (pairs.scale.tolist() if pairs.scale is not None
              else [1] * pairs.target.size)
+    a_side, b_side, c_side = (_named(d, top, side)
+                              for side in (pairs.a, pairs.b, pairs.c))
 
     def row(side, p):
         return blocks[int(side[0][p]), int(side[1][p])][int(side[2][p])]
 
     for p, t in enumerate(pairs.target.tolist()):
-        a, b = row(pairs.a, p), row(pairs.b, p)
+        a, b = row(a_side, p), row(b_side, p)
         if a and b:
             dens[t] = max([dens[t]] + [c.re.denominator for c in a + b])
         _reference_mul_acc(bufs[t], tuple(scale[p] * c for c in a), b, zero)
     for p, t in enumerate(pairs.c_target.tolist()):
-        c = row(pairs.c, p)
+        c = row(c_side, p)
         dens[t] = max([dens[t]] + [v.re.denominator for v in c])
         _reference_mul_acc(bufs[t], c, (ExactComplex(1),), zero)
     return bufs, dens
@@ -601,19 +678,18 @@ def _random_exact_row(rng, gaussian):
     return tuple(row)
 
 
-def _check_exact_executor(rng, pairs_list, seen):
+def _check_exact_executor(rng, d, top, pairs_list, seen):
     """Fill every block ``pairs_list`` reads with random rows, run each
     plan through the integer rows and the scalar reference, and compare
-    row by row."""
+    row by row; the plans are those of d through order ``top``."""
     need = {}
     for pairs in pairs_list:
         for side in (pairs.a, pairs.b, pairs.c):
-            for kind, order, row in zip(*(col.tolist() for col in side)):
+            for kind, order, row in zip(*(col.tolist()
+                                          for col in _named(d, top, side))):
                 need[kind, order] = max(need.get((kind, order), 0), row + 1)
-    kinds = max(k for k, _ in need) + 1
-    orders = max(o for _, o in need) + 1
     blocks = {}
-    store = engine._ExactRows(3, kinds, orders)
+    store = engine._ExactRows(d, top)
     for key, count in sorted(need.items()):
         gaussian = rng.random() < 0.5
         blocks[key] = [_random_exact_row(rng, gaussian) for _ in range(count)]
@@ -621,7 +697,7 @@ def _check_exact_executor(rng, pairs_list, seen):
         assert [_scalars(r) for r in rows] == blocks[key]
         store.add(*key, rows)
     for pairs in pairs_list:
-        bufs, dens = _reference_run(blocks, pairs)
+        bufs, dens = _reference_run(d, top, blocks, pairs)
         for buf, read, row in zip(bufs, dens, store.run(pairs)):
             want = tuple(buf)
             while want and not want[-1]:
@@ -659,9 +735,9 @@ def test_exact_executor_matches_scalar_reference(d, n_max):
             for jacobian in (False, True):
                 run = runs[3 if top == 3 else n_max][jacobian]
                 power, _, rhs = run[n - 2]
-                _check_exact_executor(rng, [power, rhs], seen)
+                _check_exact_executor(rng, d, n, [power, rhs], seen)
         for normal in (False, True):
-            _check_exact_executor(rng, [verify[normal][n - 2]], seen)
+            _check_exact_executor(rng, d, n, [verify[normal][n - 2]], seen)
     assert seen == {"cancels to zero", "trailing zeros", "imaginary part",
                     "denominator reduces to 1", "negative scale"}
 
@@ -671,21 +747,24 @@ def test_exact_executor_cancellation_and_reduction():
     # target 0: (1/2 + x)(1/2 - x) + x * x = 1/4, two trailing zeros;
     # target 1: (1/2 + x) x - x (1/2 + x) = 0, by a negative scale;
     # target 2: 3 (1/3 + i/6)(1/2 - x) plus a copy of 1/2 - x;
-    # target 3: copies of 1/2 + x and 1/2 - x, summing to 1 over den 1
+    # target 3: copies of 1/2 + x and 1/2 - x, summing to 1 over den 1;
+    # the rows are block (_T, 1) of d = 2, four rows
     half = Fraction(1, 2)
     rows = [(ExactComplex(half), ExactComplex(1)),
             (ExactComplex(half), ExactComplex(-1)),
             (ExactComplex(0), ExactComplex(1)),
             (ExactComplex(Fraction(1, 3), Fraction(1, 6)),)]
-    store = engine._ExactRows(1, 1, 1)
-    store.add(0, 0, [pnspace._int_row(r) for r in rows])
-    zeros = [0] * 5
-    products = (zeros, zeros, [0, 2, 0, 2, 3], zeros, zeros, [1, 2, 2, 0, 1],
+    store = engine._ExactRows(2, 1)
+    store.add(plans._T, 1, [pnspace._int_row(r) for r in rows])
+    first = store.layout.first[1, plans._T]
+    products = (first + np.array([0, 2, 0, 2, 3]),
+                first + np.array([1, 2, 2, 0, 1]),
                 [0, 0, 1, 1, 2], [1, 1, 1, -1, 3])
-    copies = ([0] * 3, [0] * 3, [1, 0, 1], [2, 3, 3])
+    copies = (first + np.array([1, 0, 1]), [2, 3, 3])
     pairs, = plans._plans(
-        [4], np.array(products, np.int32), plans._cut([4], [2, 2, 1, 0]),
-        np.array(copies, np.int32), plans._cut([4], [0, 0, 1, 2]))
+        store.layout.block, [4], np.array(products, np.int32),
+        plans._cut([4], [2, 2, 1, 0]), np.array(copies, np.int32),
+        plans._cut([4], [0, 0, 1, 2]))
     assert pairs.starts.tolist() == [0, 2, 4]
     assert pairs.c_starts.tolist() == [0, 1]
     out = store.run(pairs)
@@ -697,7 +776,8 @@ def test_exact_executor_cancellation_and_reduction():
         (ExactComplex(1, Fraction(1, 4)), ExactComplex(-2, Fraction(-1, 2))),
         (ExactComplex(1),),
     ]
-    want = [list(buf) for buf in _reference_run({(0, 0): rows}, pairs)[0]]
+    want = [list(buf) for buf in
+            _reference_run(2, 1, {(plans._T, 1): rows}, pairs)[0]]
     for buf in want:
         while buf and not buf[-1]:
             buf.pop()
@@ -869,13 +949,16 @@ PLAN_DIGESTS = {
 }
 
 
-def _plan_digest(*parts):
-    """sha256 of a plan's parts (_Pairs, or a power plan's blocks): each
-    array as int64 with its shape, a missing scale as b"none"."""
+def _plan_digest(d, n, *parts):
+    """sha256 of the parts (_Pairs, or a power plan's blocks) of a plan of
+    d through order n: each array as int64 with its shape, a side's store
+    rows as (kind, order, row) through the layout, a missing scale as
+    b"none"."""
     digest = hashlib.sha256()
     for part in parts:
-        for value in ([part.size, *part.a, *part.b, part.scale, part.target,
-                       part.starts, *part.c, part.c_target, part.c_starts]
+        for value in ([part.size, *_named(d, n, part.a), *_named(d, n, part.b),
+                       part.scale, part.target, part.starts,
+                       *_named(d, n, part.c), part.c_target, part.c_starts]
                       if isinstance(part, plans._Pairs) else [part]):
             if value is None:
                 digest.update(b"none")
@@ -896,11 +979,11 @@ def _built_plans(d, order_max, tops=(3,)):
             run = plans._run_plans(d, order_max, top, jacobian)
             for n, plan in enumerate(run, start=2):
                 got["order", d, n, min(top, n), int(jacobian)] = \
-                    _plan_digest(*plan)
+                    _plan_digest(d, n, *plan)
     for normal in (False, True):
         for n, plan in enumerate(plans._verify_plans(d, order_max, normal),
                                  start=2):
-            got["verify", d, n, int(normal)] = _plan_digest(plan)
+            got["verify", d, n, int(normal)] = _plan_digest(d, n, plan)
     return got
 
 
@@ -912,7 +995,7 @@ def test_plans_match_frozen_digests():
     assert got == PLAN_DIGESTS
     for key, plan in plans._PLANS.items():
         p = plan[0] if key[0] == "power" else plan
-        for col in (*p.a, *p.b, p.target, *p.c, p.c_target):
+        for col in (p.a, p.b, p.target, p.c, p.c_target):
             assert col.dtype == np.int32, key
         assert p.scale is None or p.scale.dtype == np.int32, key
         assert p.starts.dtype == p.c_starts.dtype == np.intp, key
@@ -931,11 +1014,12 @@ def test_plans_of_an_order_do_not_depend_on_the_run():
             for top in (order_max, 3, 2):
                 for jacobian in (False, True):
                     plan = plans._run_plans(d, n, top, jacobian)[-1]
-                    assert _plan_digest(*plan) == \
+                    assert _plan_digest(d, n, *plan) == \
                         full["order", d, n, min(top, n), int(jacobian)]
             for normal in (False, True):
                 plan = plans._verify_plans(d, n, normal)[-1]
-                assert _plan_digest(plan) == full["verify", d, n, int(normal)]
+                assert _plan_digest(d, n, plan) == \
+                    full["verify", d, n, int(normal)]
 
 
 def test_normal_form_cuts_its_power_plans_from_the_full_top_ones(
@@ -962,7 +1046,7 @@ def test_normal_form_cuts_its_power_plans_from_the_full_top_ones(
                 continue
             assert len(blocks) == top - 1 and power.size < whole.size
             for a, b in ((power.target, whole.target),
-                         (power.a[0], whole.a[0]),
+                         (power.a, whole.a),
                          (power.c_target, whole.c_target)):
                 assert np.shares_memory(a, b), n
             cut += 1
@@ -972,9 +1056,10 @@ def test_normal_form_cuts_its_power_plans_from_the_full_top_ones(
 def test_plan_memory_at_d4():
     # orders 2 .. 7 of both modes with the verifier, then order 8 of the
     # obstruction mode: per-order builders, with the full rows x splits
-    # cross product, peaked at 131.4 MB holding 52.6 MB on this build
-    # (tracemalloc); the run-wide ones must stay under 59.25 MB and hold
-    # at most 43.4 MB
+    # cross product, peaked at 131.4 MB holding 52.6 MB (tracemalloc);
+    # the run-wide ones on (kind, order, row) sides peaked at 51.2 MB
+    # holding 38.7 MB.  On store rows they peak at 37.4 MB and hold
+    # 18.7 MB, and must stay under 43 MB and hold at most 21 MB
     plans._PLANS.clear()
     tracemalloc.start()
     try:
@@ -987,8 +1072,8 @@ def test_plan_memory_at_d4():
     finally:
         tracemalloc.stop()
         plans._PLANS.clear()
-    assert peak <= 118.5e6 / 2
-    assert held <= 43.4e6
+    assert peak <= 43.0e6
+    assert held <= 21.0e6
 
 
 # ----------------------------------------------------------------------
@@ -1279,6 +1364,46 @@ def test_compare_modes_checks_nonresonance_once(monkeypatch):
             runner(resonant, 3)
         messages.add(str(err.value))
     assert len(messages) == 1
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_each_induced_block_is_built_once_per_system(monkeypatch, exact):
+    # linearize then normal_form (with the verifier), and compare_modes, on
+    # one system build one block per order; runs given a basis (here the
+    # canonical enumeration) build their own blocks and give the same
+    # tables, byte for byte
+    built = []
+
+    class Counted(pnspace.InducedBlock):
+        __slots__ = ()
+
+        def __init__(self, linear, basis):
+            built.append(basis.n)
+            super().__init__(linear, basis)
+
+    def tables(*series):
+        return [dumps_canonical(series_table_json(t)) for t in series]
+
+    own = PnBasis
+    nl = _dense_system(2, 3, exact)
+    want = tables(*linearize(nl, 4, basis_factory=own),
+                  *normal_form(nl, 4, basis_factory=own))
+    monkeypatch.setattr(pnspace, "InducedBlock", Counted)
+    nl = _dense_system(2, 3, exact)
+    phi, h1 = linearize(nl, 4)
+    assert verify_conjugacy(nl, phi, h1, 4).passed
+    psi, h2 = normal_form(nl, 4)
+    assert verify_conjugacy(nl, psi, h2, 4, mode="normal-form").passed
+    assert built == [2, 3, 4]
+    assert tables(phi, h1, psi, h2) == want
+    built.clear()
+    comparison = compare_modes(_dense_system(2, 3, exact), 4)
+    assert built == [2, 3, 4]
+    assert tables(comparison.phi, comparison.h_obstruction, comparison.psi,
+                  comparison.h_normal_form) == want
+    built.clear()
+    linearize(nl, 4, basis_factory=own)
+    assert built == [2, 3, 4]
+
 
 def test_degree_bound_and_exact_residuals_random():
     rng = random.Random(41)

@@ -1,8 +1,10 @@
-"""Every name a module imports is one it uses."""
+"""Every name a module imports is one it uses, and every private helper
+is one some code names."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,47 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def _names(tree):
+    """Every name ``tree`` reads, imports or looks up as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def unnamed_helpers(sources):
+    """The private module-level functions and classes of ``sources``
+    ({module: source}) that no code names outside their own definition,
+    as "module.name"."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = Counter(name for tree in trees.values() for name in _names(tree))
+    return [f"{module}.{node.name}" for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and named[node.name] == Counter(_names(node))[node.name]]
+
+
+def test_unnamed_helpers_are_found():
+    sources = {"a": ("def _used():\n    return 1\n"
+                     "def _recursive(n):\n    return _recursive(n - 1)\n"
+                     "class _Dead:\n    pass\n"
+                     "def public():\n    return _used()\n"),
+               "b": ("from .a import _Imported\n"
+                     "def _called_elsewhere():\n    pass\n"),
+               "c": "import b\nb._called_elsewhere()\n"}
+    sources["a"] += "class _Imported:\n    pass\n"
+    assert unnamed_helpers(sources) == ["a._recursive", "a._Dead"]
+
+
+def test_every_private_helper_is_named_somewhere_else():
+    # a refactor must not leave a private function or class behind that
+    # nothing calls, subclasses or imports
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    assert unnamed_helpers(sources) == []
